@@ -64,7 +64,6 @@ from .weyl import (
     REGULAR,
     SINGULAR,
     ChamberForm,
-    is_levi_regular_integral,
     normalize,
     theta_pairing,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "InsufficientWindowError",
     "InvariantError",
     "is_integer",
-    "is_levi_regular_integral",
     "jantzen_support",
     "JantzenTerm",
     "line_offset",

@@ -7,9 +7,7 @@ datum-dump (the full root datum as JSON).
 
 Exit codes: 0 success, 1 usage error, 2 computational disagreement,
 3 internal invariant violation.  All output is deterministic: fixed
-orderings, exact rationals, no timestamps.  Setting GVM_THREADS > 1 fans
-per-parameter work across threads; results are reduced in sorted order,
-so the bytes emitted do not depend on it.
+orderings, exact rationals, no timestamps.
 """
 
 from __future__ import annotations
@@ -17,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .ehw import (
@@ -86,12 +82,13 @@ def run() -> None:
 
 def _glue_values(argv: list[str]) -> list[str]:
     # Join "--c -3/4" into "--c=-3/4" so values with a leading minus are
-    # never mistaken for option strings.
+    # never mistaken for option strings.  A following "--flag" is never a
+    # value: left apart, argparse reports the flag that lacks one.
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
+        if tok in _VALUE_FLAGS and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -212,27 +209,6 @@ def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
     return out
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GVM_THREADS")
-    if raw is None or not raw.strip():
-        return 0
-    try:
-        v = int(raw.strip())
-    except ValueError:
-        raise ValueError(f"GVM_THREADS must be a nonnegative integer, got {raw!r}")
-    if v < 0:
-        raise ValueError(f"GVM_THREADS must be a nonnegative integer, got {raw!r}")
-    return v
-
-
-def _map_points(fn, points):
-    t = _thread_count()
-    if t > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=t) as pool:
-            return list(pool.map(fn, points))
-    return [fn(x) for x in points]
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 
@@ -347,10 +323,7 @@ def cmd_scan(args) -> int:
     datum = build_datum(case)
     constants = abc_constants(case)
     offset = line_offset(case)
-    rows = _map_points(
-        lambda c: _scan_row(case, datum, constants, offset, c), _grid(lo, hi, step)
-    )
-    rows.sort(key=lambda r: r["c"])
+    rows = [_scan_row(case, datum, constants, offset, c) for c in _grid(lo, hi, step)]
     if args.format == "json":
         payload = {
             "case": _case_json(case),
@@ -488,11 +461,7 @@ def _crosscheck_instance(case: HermitianCase, window, step: Fraction) -> dict:
         hi = constants.b + 10 - offset
     else:
         lo, hi = window
-    points = _grid(lo, hi, step)
-    rows = _map_points(
-        lambda c: _scan_row(case, datum, constants, offset, c), points
-    )
-    rows.sort(key=lambda r: r["c"])
+    rows = [_scan_row(case, datum, constants, offset, c) for c in _grid(lo, hi, step)]
     mismatches = [r for r in rows if not r["agree"]]
     contradictions = [
         r

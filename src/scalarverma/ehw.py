@@ -163,13 +163,6 @@ def closed_form_reducible(case: HermitianCase, c) -> bool:
     return reducibility_set(case).contains(Fraction(c))
 
 
-def _diii_parity_split(n: int) -> ReducibilitySet:
-    # Same set as the floor-bracket form, written per parity of n; kept as
-    # an independent cross-check target for the tests.
-    start = Fraction(2 - n) if n % 2 == 0 else Fraction(3 - n)
-    return ReducibilitySet(HermitianCase("DIII", n=n), (Progression(start, Fraction(1)),))
-
-
 def progression_summary(
     case: HermitianCase, scan: list[tuple[Fraction, str]]
 ) -> ProgressionSummary:

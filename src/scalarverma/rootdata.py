@@ -1,13 +1,15 @@
 """Case tags and parabolic root data for the seven Hermitian families.
 
 Each case fixes a coordinate realization of a simple root system together
-with a parabolic of abelian type: an ordered simple system, the single
+with a parabolic of abelian type: an ordered simple system, the
 noncompact simple root, the Levi and nilradical halves of the positive
 roots, the half-sum rho, the highest nilradical root gamma, and the scalar
 direction zeta (orthogonal to the Levi, normalized against gamma).
 
-Data are built once per case, validated against structural invariants, and
-cached; every field is an immutable tuple, safe to share across threads.
+Each family writes out only its simple roots and noncompact simple indices;
+every other field is derived from them.  Data are built once per case,
+validated against structural invariants, and cached; every field is an
+immutable tuple, safe to share across threads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-from .ratvec import Weight, inner, pairing, scale, weight
+from .ratvec import Weight, add, inner, pairing, scale, sub, weight
 
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
@@ -88,6 +90,8 @@ def case_notes(case: HermitianCase) -> tuple[str, ...]:
     """Degeneracy flags worth surfacing in output metadata."""
     if (case.tag, case.n) == ("DIII", 2):
         return ("ambient algebra so(4) is not simple",)
+    # DI(2) takes both simple roots as noncompact (see _simple_system);
+    # the first, e1 - e2, is its noncompact_simple.
     if (case.tag, case.n) == ("DI", 2):
         return ("both simple roots are noncompact; the Levi is a torus",)
     return ()
@@ -149,190 +153,96 @@ def _sorted(roots: Iterable[Weight]) -> tuple[Weight, ...]:
     return tuple(sorted(roots))
 
 
-def _aiii(p: int, q: int):
-    dim = p + q
-    e = lambda i: _e(i, dim)
-    delta = tuple(tuple(a - b for a, b in zip(e(i), e(i + 1))) for i in range(1, dim))
-    alpha_u = delta[p - 1]
-    pos = _sorted(
-        tuple(a - b for a, b in zip(e(i), e(j))) for i in range(1, dim) for j in range(i + 1, dim + 1)
-    )
-    nil = _sorted(
-        tuple(a - b for a, b in zip(e(i), e(j)))
-        for i in range(1, p + 1)
-        for j in range(p + 1, dim + 1)
-    )
-    rho = tuple(Fraction(dim + 1, 2) - i for i in range(1, dim + 1))
-    gamma = tuple(a - b for a, b in zip(e(1), e(dim)))
-    zeta = tuple([Fraction(q, dim)] * p + [-Fraction(p, dim)] * q)
-    return dim, delta, alpha_u, pos, nil, rho, gamma, zeta
-
-
-def _ci(n: int):
-    e = lambda i: _e(i, n)
-    delta = tuple(
-        tuple(a - b for a, b in zip(e(i), e(i + 1))) for i in range(1, n)
-    ) + (scale(2, e(n)),)
-    alpha_u = delta[-1]
-    longs = [scale(2, e(k)) for k in range(1, n + 1)]
-    sums = [tuple(a + b for a, b in zip(e(i), e(j))) for i in range(1, n) for j in range(i + 1, n + 1)]
-    diffs = [tuple(a - b for a, b in zip(e(i), e(j))) for i in range(1, n) for j in range(i + 1, n + 1)]
-    pos = _sorted(diffs + sums + longs)
-    nil = _sorted(sums + longs)
-    rho = tuple(Fraction(n - i + 1) for i in range(1, n + 1))
-    gamma = scale(2, e(1))
-    zeta = tuple([Fraction(1)] * n)
-    return n, delta, alpha_u, pos, nil, rho, gamma, zeta
-
-
-def _bi(n: int):
-    e = lambda i: _e(i, n)
-    delta = tuple(
-        tuple(a - b for a, b in zip(e(i), e(i + 1))) for i in range(1, n)
-    ) + (e(n),)
-    alpha_u = delta[0]
-    shorts = [e(k) for k in range(1, n + 1)]
-    sums = [tuple(a + b for a, b in zip(e(i), e(j))) for i in range(1, n) for j in range(i + 1, n + 1)]
-    diffs = [tuple(a - b for a, b in zip(e(i), e(j))) for i in range(1, n) for j in range(i + 1, n + 1)]
-    pos = _sorted(diffs + sums + shorts)
-    nil = _sorted(
-        [tuple(a + b for a, b in zip(e(1), e(j))) for j in range(2, n + 1)]
-        + [tuple(a - b for a, b in zip(e(1), e(j))) for j in range(2, n + 1)]
-        + [e(1)]
-    )
-    rho = tuple(Fraction(n - i) + Fraction(1, 2) for i in range(1, n + 1))
-    gamma = tuple(a + b for a, b in zip(e(1), e(2)))
-    zeta = e(1)
-    return n, delta, alpha_u, pos, nil, rho, gamma, zeta
-
-
-def _d_delta(n: int) -> tuple[Weight, ...]:
-    e = lambda i: _e(i, n)
-    return tuple(
-        tuple(a - b for a, b in zip(e(i), e(i + 1))) for i in range(1, n)
-    ) + (tuple(a + b for a, b in zip(e(n - 1), e(n))),)
-
-
-def _di(n: int):
-    e = lambda i: _e(i, n)
-    delta = _d_delta(n)
-    alpha_u = delta[0]
-    sums = [tuple(a + b for a, b in zip(e(i), e(j))) for i in range(1, n) for j in range(i + 1, n + 1)]
-    diffs = [tuple(a - b for a, b in zip(e(i), e(j))) for i in range(1, n) for j in range(i + 1, n + 1)]
-    pos = _sorted(diffs + sums)
-    nil = _sorted(
-        [tuple(a + b for a, b in zip(e(1), e(j))) for j in range(2, n + 1)]
-        + [tuple(a - b for a, b in zip(e(1), e(j))) for j in range(2, n + 1)]
-    )
-    rho = tuple(Fraction(n - i) for i in range(1, n + 1))
-    gamma = tuple(a + b for a, b in zip(e(1), e(2)))
-    zeta = e(1)
-    return n, delta, alpha_u, pos, nil, rho, gamma, zeta
-
-
-def _diii(n: int):
-    e = lambda i: _e(i, n)
-    delta = _d_delta(n)
-    alpha_u = delta[-1]
-    sums = [tuple(a + b for a, b in zip(e(i), e(j))) for i in range(1, n) for j in range(i + 1, n + 1)]
-    diffs = [tuple(a - b for a, b in zip(e(i), e(j))) for i in range(1, n) for j in range(i + 1, n + 1)]
-    pos = _sorted(diffs + sums)
-    nil = _sorted(sums)
-    rho = tuple(Fraction(n - i) for i in range(1, n + 1))
-    gamma = tuple(a + b for a, b in zip(e(1), e(2)))
-    zeta = tuple([Fraction(1, 2)] * n)
-    return n, delta, alpha_u, pos, nil, rho, gamma, zeta
-
-
 def _e6_simples() -> tuple[Weight, ...]:
     h = Fraction(1, 2)
     alpha1 = (h, -h, -h, -h, -h, -h, -h, h)
     alpha2 = weight((1, 1, 0, 0, 0, 0, 0, 0))
-    rest = tuple(
-        tuple(a - b for a, b in zip(_e(i - 1, 8), _e(i - 2, 8))) for i in range(3, 7)
-    )
+    rest = tuple(sub(_e(i - 1, 8), _e(i - 2, 8)) for i in range(3, 7))
     return (alpha1, alpha2) + rest
 
 
-def _d5_positive_high() -> list[Weight]:
-    # e_j +/- e_i for 1 <= i < j <= 5 inside R^8: positivity favors the
-    # higher index, matching the exceptional simple systems above.
-    e = lambda i: _e(i, 8)
-    out = []
-    for i in range(1, 5):
-        for j in range(i + 1, 6):
-            out.append(tuple(a - b for a, b in zip(e(j), e(i))))
-            out.append(tuple(a + b for a, b in zip(e(j), e(i))))
-    return out
+def _simple_system(case: HermitianCase) -> tuple[int, tuple[Weight, ...], tuple[int, ...]]:
+    """Ambient dimension, ordered simple roots and noncompact simple indices.
 
-
-def _half_roots(sixth_sign: int, parity: int) -> list[Weight]:
-    # All 16 sign-pattern roots with the given e6 sign and sign-count parity.
-    out = []
-    for m in range(32):
-        v = tuple((m >> k) & 1 for k in range(5))
-        if sum(v) % 2 == parity:
-            out.append(sign_pattern_root(v, sixth_sign))
-    return out
-
-
-def _eiii():
-    delta = _e6_simples()
-    alpha_u = delta[0]
-    nil = _sorted(_half_roots(-1, 0))
-    levi = _d5_positive_high()
-    pos = _sorted(levi + list(nil))
-    rho = weight((0, 1, 2, 3, 4, -4, -4, 4))
-    gamma = sign_pattern_root("+++++", -1)
-    zeta = weight((0, 0, 0, 0, 0, "-2/3", "-2/3", "2/3"))
-    return 8, delta, alpha_u, pos, nil, rho, gamma, zeta
-
-
-def _evii():
-    e = lambda i: _e(i, 8)
-    delta = _e6_simples() + (tuple(a - b for a, b in zip(e(6), e(5))),)
-    alpha_u = delta[-1]
-    e6_pos = _d5_positive_high() + _half_roots(-1, 0)
-    nil = _sorted(
-        [tuple(a + b for a, b in zip(e(6), e(i))) for i in range(1, 6)]
-        + [tuple(a - b for a, b in zip(e(6), e(i))) for i in range(1, 6)]
-        + [tuple(a - b for a, b in zip(e(8), e(7)))]
-        + _half_roots(1, 1)
-    )
-    pos = _sorted(e6_pos + list(nil))
-    rho = weight((0, 1, 2, 3, 4, 5, "-17/2", "17/2"))
-    gamma = tuple(a - b for a, b in zip(e(8), e(7)))
-    zeta = weight((0, 0, 0, 0, 0, 1, "-1/2", "1/2"))
-    return 8, delta, alpha_u, pos, nil, rho, gamma, zeta
-
-
-@lru_cache(maxsize=None)
-def _build(case: HermitianCase) -> ParabolicRootDatum:
+    The first noncompact index names the datum's noncompact simple root.
+    """
+    if case.tag == "EIII":
+        return 8, _e6_simples(), (0,)
+    if case.tag == "EVII":
+        return 8, _e6_simples() + (sub(_e(6, 8), _e(5, 8)),), (6,)
+    dim = case.p + case.q if case.tag == "AIII" else case.n
+    e = lambda i: _e(i, dim)
+    chain = tuple(sub(e(i), e(i + 1)) for i in range(1, dim))
     if case.tag == "AIII":
-        dim, delta, alpha_u, pos, nil, rho, gamma, zeta = _aiii(case.p, case.q)
-    elif case.tag == "CI":
-        dim, delta, alpha_u, pos, nil, rho, gamma, zeta = _ci(case.n)
-    elif case.tag == "BI":
-        dim, delta, alpha_u, pos, nil, rho, gamma, zeta = _bi(case.n)
-    elif case.tag == "DI":
-        dim, delta, alpha_u, pos, nil, rho, gamma, zeta = _di(case.n)
-    elif case.tag == "DIII":
-        dim, delta, alpha_u, pos, nil, rho, gamma, zeta = _diii(case.n)
-    elif case.tag == "EIII":
-        dim, delta, alpha_u, pos, nil, rho, gamma, zeta = _eiii()
-    else:
-        dim, delta, alpha_u, pos, nil, rho, gamma, zeta = _evii()
+        return dim, chain, (case.p - 1,)
+    if case.tag == "CI":
+        return dim, chain + (scale(2, e(dim)),), (dim - 1,)
+    if case.tag == "BI":
+        return dim, chain + (e(dim),), (0,)
+    simples = chain + (add(e(dim - 1), e(dim)),)
+    if case.tag == "DIII":
+        return dim, simples, (dim - 1,)
+    # so(4) splits into two sl(2) factors, so DI(2) puts both simple roots
+    # in the nilradical.
+    return dim, simples, ((0, 1) if dim == 2 else (0,))
+
+
+def _derive(case: HermitianCase) -> ParabolicRootDatum:
+    dim, delta, noncompact = _simple_system(case)
+    # Every root of these realizations lies in (1/2)Z^dim, so the closure
+    # runs on integers: doubled coordinates and simple-root coefficients.
+    twice = [tuple(int(2 * x) for x in a) for a in delta]
+    dot = lambda u, v: sum(x * y for x, y in zip(u, v))
+    # cartan[i][j] = <alpha_j, alpha_i^v>
+    cartan = [[2 * dot(a, b) // dot(a, a) for b in twice] for a in twice]
+    step = lambda c, i, k: c[:i] + (c[i] + k,) + c[i + 1 :]
+
+    units = [tuple(int(i == j) for j in range(len(delta))) for i in range(len(delta))]
+    doubled = dict(zip(units, twice))
+    layer = units
+    while layer:
+        # Height by height: the alpha_i-string through beta reaches `down`
+        # steps below it and down - <beta, alpha_i^v> steps above it.
+        above = []
+        for beta in layer:
+            for i, row in enumerate(cartan):
+                up = step(beta, i, 1)
+                if up in doubled:
+                    continue
+                down = 0
+                while step(beta, i, -down - 1) in doubled:
+                    down += 1
+                if down > dot(beta, row):
+                    doubled[up] = tuple(x + y for x, y in zip(doubled[beta], twice[i]))
+                    above.append(up)
+        layer = above
+
+    halves = {x: Fraction(x, 2) for w in doubled.values() for x in w}
+    roots = {c: tuple(halves[x] for x in w) for c, w in doubled.items()}
+
+    nil_coeffs = [c for c in doubled if any(c[i] > 0 for i in noncompact)]
+    pos = _sorted(roots.values())
+    nil = _sorted(roots[c] for c in nil_coeffs)
+    simples = tuple(roots[c] for c in units)
+    alpha_u = simples[noncompact[0]]
+    rho = tuple(Fraction(sum(col), 4) for col in zip(*doubled.values()))
+    # Greatest height; only DI(2) ties, and takes the larger root e1 + e2.
+    gamma = roots[max(nil_coeffs, key=lambda c: (sum(c), roots[c]))]
+    # The nilradical is stable under the Levi Weyl group, so its sum is
+    # orthogonal to the Levi.
+    nil_sum = tuple(Fraction(sum(col), 2) for col in zip(*(doubled[c] for c in nil_coeffs)))
+    zeta = scale(1 / pairing(nil_sum, gamma), nil_sum)
 
     nil_set = set(nil)
     levi_pos = tuple(b for b in pos if b not in nil_set)
     levi_set = set(levi_pos)
-    levi_simples = tuple(a for a in delta if a in levi_set)
+    levi_simples = tuple(a for a in simples if a in levi_set)
     theta_u = scale(1 / pairing(zeta, alpha_u), zeta)
 
-    datum = ParabolicRootDatum(
+    return ParabolicRootDatum(
         case=case,
         ambient_dim=dim,
-        simple_roots=delta,
+        simple_roots=simples,
         levi_simples=levi_simples,
         noncompact_simple=alpha_u,
         positive_roots=pos,
@@ -343,6 +253,11 @@ def _build(case: HermitianCase) -> ParabolicRootDatum:
         zeta=zeta,
         theta_u=theta_u,
     )
+
+
+@lru_cache(maxsize=None)
+def _build(case: HermitianCase) -> ParabolicRootDatum:
+    datum = _derive(case)
     _validate(datum)
     return datum
 

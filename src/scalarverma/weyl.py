@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError
-from .ratvec import Weight, inner, is_integer, pairing, reflect
+from .ratvec import Weight, inner, pairing, reflect
 from .rootdata import ParabolicRootDatum
 
 REGULAR = "Regular"
@@ -75,15 +75,6 @@ def normalize(datum: ParabolicRootDatum, mu: Weight) -> ChamberForm:
         steps += 1
         if steps > bound:
             raise InvariantError("chamber descent exceeded the positive-root bound")
-
-
-def is_levi_regular_integral(datum: ParabolicRootDatum, mu: Weight) -> bool:
-    """True when every positive Levi pairing of mu is a nonzero integer."""
-    for alpha in datum.levi_positive:
-        k = pairing(mu, alpha)
-        if k == 0 or not is_integer(k):
-            return False
-    return True
 
 
 def theta_pairing(datum: ParabolicRootDatum, mu: Weight) -> Fraction:

@@ -21,6 +21,8 @@ from scalarverma import (
     Weight,
     build_datum,
     inner,
+    is_integer,
+    pairing,
     reflect,
 )
 
@@ -61,6 +63,15 @@ def apply_word(mu: Weight, word: list[Weight]) -> Weight:
     for alpha in word:
         mu = reflect(mu, alpha)
     return mu
+
+
+def is_levi_regular_integral(datum: ParabolicRootDatum, mu: Weight) -> bool:
+    """True when every positive Levi pairing of mu is a nonzero integer."""
+    for alpha in datum.levi_positive:
+        k = pairing(mu, alpha)
+        if k == 0 or not is_integer(k):
+            return False
+    return True
 
 
 def shadow_normalize(datum: ParabolicRootDatum, mu: Weight, rng: random.Random):

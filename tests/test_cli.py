@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import scalarverma
 from scalarverma import InvariantError
 from scalarverma.cli import main
 
@@ -47,6 +50,16 @@ def test_classify_negative_value_without_equals(capsys):
     a = classify_json(capsys, "--case", "AIII", "--p", "2", "--q", "2", "--c", "-3")
     b = classify_json(capsys, "--case", "AIII", "--p", "2", "--q", "2", "--c=-3")
     assert a == b
+
+
+@pytest.mark.parametrize("argv, starved", [
+    (["classify", "--case", "AIII", "--p", "2", "--q", "--c", "1"], "--q"),
+    (["scan", "--case", "EIII", "--window", "--step", "1/2"], "--window"),
+])
+def test_flag_is_never_taken_as_a_value(capsys, argv, starved):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert f"argument {starved}: expected one argument" in err.splitlines()[-1]
 
 
 def test_classify_unicode_minus(capsys):
@@ -227,29 +240,16 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_threads_do_not_change_bytes(capsys, monkeypatch):
-    args = ["scan", "--case", "EIII", "--window", "-6..0", "--step", "1/3",
-            "--format", "tsv"]
-    monkeypatch.delenv("GVM_THREADS", raising=False)
-    sequential = run_cli(capsys, *args)
-    monkeypatch.setenv("GVM_THREADS", "4")
-    threaded = run_cli(capsys, *args)
-    assert sequential == threaded
-
-
-def test_bad_threads_value_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("GVM_THREADS", "many")
-    code, _, err = run_cli(capsys, "scan", "--case", "CI", "--n", "2",
-                           "--window", "0..1")
-    assert code == 1
-    assert "GVM_THREADS" in err
-
-
 def test_entry_point_subprocess():
     # byte-for-byte stability across processes, through the console script
     cmd = [sys.executable, "-m", "scalarverma.cli", "table", "--table", "2",
            "--format", "tsv"]
-    runs = {subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)}
+    # the child imports the same package as this process, installed or not
+    src = str(Path(scalarverma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    runs = {
+        subprocess.run(cmd, capture_output=True, check=True, env=env).stdout for _ in range(2)
+    }
     assert len(runs) == 1
     assert next(iter(runs)).startswith(b"pattern\te1")
 

@@ -10,6 +10,8 @@ from conftest import SWEEP_CASES
 from scalarverma import (
     HermitianCase,
     InsufficientWindowError,
+    Progression,
+    ReducibilitySet,
     abc_constants,
     abc_verdict,
     add,
@@ -174,6 +176,17 @@ def test_diii_start_depends_on_size_parity():
     s5 = reducibility_set(HermitianCase("DIII", n=5))
     for c, want in [(-3, False), (-2, True), (-1, True), (Q(1, 2), False), (2, True)]:
         assert s5.contains(Q(c)) is want
+
+
+def _diii_parity_split(n: int) -> ReducibilitySet:
+    # The DIII set written per parity of n rather than with a floor bracket.
+    start = Q(2 - n) if n % 2 == 0 else Q(3 - n)
+    return ReducibilitySet(HermitianCase("DIII", n=n), (Progression(start, Q(1)),))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_diii_floor_form_equals_parity_split(n):
+    assert reducibility_set(HermitianCase("DIII", n=n)) == _diii_parity_split(n)
 
 
 def test_closed_form_reducible_equals_set_membership():

@@ -27,6 +27,16 @@ from scalarverma import (
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
 
+# The sweep plus larger ranks, for the structural invariants.
+STRUCTURE_CASES = SWEEP_CASES + [
+    HermitianCase("CI", n=8),
+    HermitianCase("DIII", n=10),
+    HermitianCase("AIII", p=5, q=5),
+    HermitianCase("BI", n=8),
+    HermitianCase("DI", n=8),
+]
+STRUCTURE_IDS = [c.label for c in STRUCTURE_CASES]
+
 # (positive roots, nilradical roots) per family, as closed formulas
 EXPECTED_COUNTS = {
     "AIII": lambda c: ((c.p + c.q) * (c.p + c.q - 1) // 2, c.p * c.q),
@@ -64,7 +74,7 @@ def test_case_labels():
     assert HermitianCase("EVII").label == "EVII"
 
 
-@pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("case", STRUCTURE_CASES, ids=STRUCTURE_IDS)
 def test_root_counts(case):
     datum = build_datum(case)
     n_pos, n_nil = EXPECTED_COUNTS[case.tag](case)
@@ -73,7 +83,7 @@ def test_root_counts(case):
     assert len(datum.levi_positive) == n_pos - n_nil
 
 
-@pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("case", STRUCTURE_CASES, ids=STRUCTURE_IDS)
 def test_nilradical_partition(case):
     datum = build_datum(case)
     pos = set(datum.positive_roots)
@@ -104,7 +114,7 @@ def test_simple_roots_are_positive_and_indecomposable(case):
     assert datum.noncompact_simple in datum.simple_roots
 
 
-@pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("case", STRUCTURE_CASES, ids=STRUCTURE_IDS)
 def test_zeta_calibration(case):
     datum = build_datum(case)
     for alpha in datum.levi_simples:
@@ -114,7 +124,7 @@ def test_zeta_calibration(case):
         assert inner(datum.zeta, beta) > 0
 
 
-@pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("case", STRUCTURE_CASES, ids=STRUCTURE_IDS)
 def test_gamma_is_dominant_maximal_in_nilradical(case):
     datum = build_datum(case)
     assert datum.gamma in datum.nilradical_roots
@@ -126,7 +136,7 @@ def test_gamma_is_dominant_maximal_in_nilradical(case):
         assert add(datum.gamma, alpha) not in pos
 
 
-@pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("case", STRUCTURE_CASES, ids=STRUCTURE_IDS)
 def test_nilradical_is_abelian(case):
     datum = build_datum(case)
     pos = set(datum.positive_roots)
@@ -196,19 +206,64 @@ def test_exceptional_dimensions(eiii, evii):
     assert evii.gamma == weight([0, 0, 0, 0, 0, 0, -1, 1])
 
 
-def test_classical_distinguished_weights():
-    d = build_datum(HermitianCase("AIII", p=2, q=3))
-    assert d.rho == weight([2, 1, 0, -1, -2])
-    assert d.zeta == scale(Fraction(1, 5), weight([3, 3, -2, -2, -2]))
-    assert d.gamma == weight([1, 0, 0, 0, -1])
-    d = build_datum(HermitianCase("CI", n=3))
-    assert d.zeta == weight([1, 1, 1]) and d.gamma == weight([2, 0, 0])
-    d = build_datum(HermitianCase("BI", n=3))
-    assert d.rho == weight([Fraction(5, 2), Fraction(3, 2), Fraction(1, 2)])
-    assert d.zeta == weight([1, 0, 0]) and d.gamma == weight([1, 1, 0])
-    d = build_datum(HermitianCase("DIII", n=4))
-    assert d.zeta == scale(Fraction(1, 2), weight([1, 1, 1, 1]))
-    assert d.gamma == weight([1, 1, 0, 0])
+def _unit(i, dim, k=1):
+    return weight([k if j == i else 0 for j in range(1, dim + 1)])
+
+
+def _classical_closed_forms(case):
+    """Simple roots, nilradical, rho, gamma and zeta written out per family."""
+    dim = case.p + case.q if case.tag == "AIII" else case.n
+    e = lambda i, k=1: _unit(i, dim, k)
+    pm = lambda i, j, s: add(e(i), e(j, s))
+    if case.tag == "AIII":
+        p, q = case.p, case.q
+        simples = [pm(i, i + 1, -1) for i in range(1, dim)]
+        nil = {pm(i, j, -1) for i in range(1, p + 1) for j in range(p + 1, dim + 1)}
+        rho = weight([Fraction(dim + 1, 2) - i for i in range(1, dim + 1)])
+        gamma = pm(1, dim, -1)
+        zeta = weight([Fraction(q, dim)] * p + [Fraction(-p, dim)] * q)
+        return simples, nil, rho, gamma, zeta
+    n = dim
+    chain = [pm(i, i + 1, -1) for i in range(1, n)]
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    first_row = {pm(1, j, s) for j in range(2, n + 1) for s in (1, -1)}
+    if case.tag == "CI":
+        return (
+            chain + [e(n, 2)],
+            {pm(i, j, 1) for i, j in pairs} | {e(k, 2) for k in range(1, n + 1)},
+            weight([n - i + 1 for i in range(1, n + 1)]),
+            e(1, 2),
+            weight([1] * n),
+        )
+    if case.tag == "BI":
+        return (
+            chain + [e(n)],
+            first_row | {e(1)},
+            weight([Fraction(2 * (n - i) + 1, 2) for i in range(1, n + 1)]),
+            pm(1, 2, 1),
+            e(1),
+        )
+    simples = chain + [pm(n - 1, n, 1)]
+    rho = weight([n - i for i in range(1, n + 1)])
+    if case.tag == "DI":
+        return simples, first_row, rho, pm(1, 2, 1), e(1)
+    return simples, {pm(i, j, 1) for i, j in pairs}, rho, pm(1, 2, 1), weight([Fraction(1, 2)] * n)
+
+
+CLASSICAL_CASES = [
+    HermitianCase(tag, n=n) for tag in ("CI", "BI", "DI", "DIII") for n in range(2, 11)
+] + [HermitianCase("AIII", p=p, q=q) for p in range(1, 6) for q in range(1, 6)]
+
+
+@pytest.mark.parametrize("case", CLASSICAL_CASES, ids=[c.label for c in CLASSICAL_CASES])
+def test_classical_distinguished_weights(case):
+    simples, nil, rho, gamma, zeta = _classical_closed_forms(case)
+    d = build_datum(case)
+    assert d.simple_roots == tuple(simples)
+    assert set(d.nilradical_roots) == nil
+    assert d.rho == rho
+    assert d.gamma == gamma
+    assert d.zeta == zeta
 
 
 def test_sign_pattern_roots():

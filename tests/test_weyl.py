@@ -9,7 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SWEEP_CASES, apply_word, random_levi_word, random_weight, shadow_normalize
+from conftest import (
+    SWEEP_CASES,
+    apply_word,
+    is_levi_regular_integral,
+    random_levi_word,
+    random_weight,
+    shadow_normalize,
+)
 from scalarverma import (
     REGULAR,
     SINGULAR,
@@ -17,7 +24,6 @@ from scalarverma import (
     InvariantError,
     build_datum,
     inner,
-    is_levi_regular_integral,
     normalize,
     pairing,
     reflect,
