@@ -41,7 +41,9 @@ from .rootdata import (
 )
 from .weyl import theta_pairing
 
-_VALUE_FLAGS = {"--c", "--a", "--p", "--q", "--n", "--window", "--step"}
+# Scan and crosscheck windows hold at most this many grid points; the
+# largest benchmark grid, finegrid, has 3,601.
+MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,16 +86,13 @@ def _glue_values(argv: list[str]) -> list[str]:
     # Join "--c -3/4" into "--c=-3/4" so values with a leading minus are
     # never mistaken for option strings.  A following "--flag" is never a
     # value: left apart, argparse reports the flag that lacks one.
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and not argv[i + 1].startswith("--"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    out: list[str] = []
+    for tok in argv:
+        negative = tok.startswith("-") and not tok.startswith("--")
+        if negative and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -142,50 +141,34 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_int(label: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{label} must be an integer, got {text!r}")
+def _cases(args, ranges: bool = False) -> list[HermitianCase]:
+    """The cases named by --case, --p, --q and --n.
 
-
-def _parse_int_range(label: str, text: str) -> list[int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = _parse_int(label, lo_s), _parse_int(label, hi_s)
-        if hi < lo:
-            raise ValueError(f"empty {label} range {text!r}")
-        return list(range(lo, hi + 1))
-    return [_parse_int(label, text)]
-
-
-def _single_case(args) -> HermitianCase:
-    cases = _case_family(args, ranges=False)
-    return cases[0]
-
-
-def _case_family(args, ranges: bool) -> list[HermitianCase]:
-    tag = args.case
-    parse = _parse_int_range if ranges else (lambda label, s: [_parse_int(label, s)])
-    if tag == "AIII":
-        if args.p is None or args.q is None:
-            raise ValueError("AIII requires --p and --q")
-        if args.n is not None:
-            raise ValueError("AIII does not take --n")
-        return [
-            HermitianCase(tag, p=p, q=q)
-            for p in parse("--p", args.p)
-            for q in parse("--q", args.q)
-        ]
-    if tag in ("CI", "BI", "DI", "DIII"):
-        if args.n is None:
-            raise ValueError(f"{tag} requires --n")
-        if args.p is not None or args.q is not None:
-            raise ValueError(f"{tag} does not take --p/--q")
-        return [HermitianCase(tag, n=n) for n in parse("--n", args.n)]
-    if args.p is not None or args.q is not None or args.n is not None:
-        raise ValueError(f"{tag} takes no parameters")
-    return [HermitianCase(tag)]
+    With ranges (crosscheck), each parameter may also be a family lo..hi.
+    Only HermitianCase decides which tag takes which parameter.  Cases are
+    built in order, so a range past a bound fails at its first bad case
+    instead of listing every value first.
+    """
+    values = dict.fromkeys(("p", "q", "n"), [None])
+    for name in values:
+        text = getattr(args, name)
+        if text is None:
+            continue
+        ends = []
+        for end in text.split("..", 1) if ranges else [text]:
+            try:
+                ends.append(int(end))
+            except ValueError:
+                raise ValueError(f"--{name} must be an integer, got {end!r}")
+        if ends[-1] < ends[0]:
+            raise ValueError(f"empty --{name} range {text!r}")
+        values[name] = range(ends[0], ends[-1] + 1)
+    return [
+        HermitianCase(args.case, p=p, q=q, n=n)
+        for p in values["p"]
+        for q in values["q"]
+        for n in values["n"]
+    ]
 
 
 def _parse_window(text: str) -> tuple[Fraction, Fraction]:
@@ -201,12 +184,10 @@ def _parse_window(text: str) -> tuple[Fraction, Fraction]:
 def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
     if step <= 0:
         raise ValueError("step must be positive")
-    out = []
-    k = math.ceil(lo / step)
-    while k * step <= hi:
-        out.append(k * step)
-        k += 1
-    return out
+    first, last = math.ceil(lo / step), math.floor(hi / step)
+    if last - first + 1 > MAX_GRID_POINTS:
+        raise ValueError(f"window holds {last - first + 1} grid points, over {MAX_GRID_POINTS}")
+    return [k * step for k in range(first, last + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +251,7 @@ def _classify_payload(case: HermitianCase, c: Fraction) -> dict:
 
 
 def cmd_classify(args) -> int:
-    case = _single_case(args)
+    [case] = _cases(args)
     c = parse_rational(args.c)
     payload = _classify_payload(case, c)
     if args.format == "json":
@@ -304,6 +285,7 @@ def _w_pretty_from(strs: list[str]) -> str:
 def _scan_row(case: HermitianCase, datum, constants, offset, c: Fraction) -> dict:
     verdict = classify_scalar(datum, c)
     z = c + offset
+    closed_form = closed_form_reducible(case, c)
     return {
         "case": case.label,
         "c": c,
@@ -311,13 +293,13 @@ def _scan_row(case: HermitianCase, datum, constants, offset, c: Fraction) -> dic
         "verdict": verdict.verdict,
         "route": verdict.route,
         "abc_screen": abc_verdict(constants, z),
-        "closed_form": closed_form_reducible(case, c),
-        "agree": (verdict.verdict == REDUCIBLE) == closed_form_reducible(case, c),
+        "closed_form": closed_form,
+        "agree": (verdict.verdict == REDUCIBLE) == closed_form,
     }
 
 
 def cmd_scan(args) -> int:
-    case = _single_case(args)
+    [case] = _cases(args)
     lo, hi = _parse_window(args.window)
     step = parse_rational(args.step)
     datum = build_datum(case)
@@ -479,7 +461,7 @@ def _crosscheck_instance(case: HermitianCase, window, step: Fraction) -> dict:
 
 
 def cmd_crosscheck(args) -> int:
-    cases = _case_family(args, ranges=True)
+    cases = _cases(args, ranges=True)
     window = _parse_window(args.window) if args.window is not None else None
     step = parse_rational(args.step)
     results = [_crosscheck_instance(case, window, step) for case in cases]
@@ -507,9 +489,7 @@ def cmd_crosscheck(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0 if ok else 2
 
-    total = 0
     for r in results:
-        total += len(r["rows"])
         lo, hi = r["window"]
         print(
             f"{r['case'].label}: window {format_rational(lo)}..{format_rational(hi)}"
@@ -528,6 +508,7 @@ def cmd_crosscheck(args) -> int:
                 f"  CONTRADICTION c={format_rational(x['c'])}: oracle {x['verdict']}"
                 f" vs screen {x['abc_screen']}"
             )
+    total = sum(len(r["rows"]) for r in results)
     print(f"crosscheck: {'PASS' if ok else 'FAIL'} ({len(results)} instances, {total} points)")
     return 0 if ok else 2
 
@@ -537,7 +518,7 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_datum_dump(args) -> int:
-    case = _single_case(args)
+    [case] = _cases(args)
     datum = build_datum(case)
     payload = {
         "case": _case_json(case),

@@ -79,11 +79,6 @@ def jantzen_support(datum: ParabolicRootDatum, lam: Weight) -> tuple[Weight, ...
     return tuple(out)
 
 
-def quick_simple(datum: ParabolicRootDatum, lam: Weight) -> bool:
-    """True when the support is empty, which forces simplicity outright."""
-    return not jantzen_support(datum, lam)
-
-
 def simplicity_oracle(datum: ParabolicRootDatum, lam: Weight) -> SimplicityVerdict:
     """Decide simplicity of the scalar module with highest weight lam.
 
@@ -142,18 +137,3 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     )
     return simplicity_oracle(datum, scalar_parameter_weight(datum, Fraction(c)))
 
-
-__all__ = [
-    "SIMPLE",
-    "REDUCIBLE",
-    "ROUTE_EMPTY_SUPPORT",
-    "ROUTE_SUM_CANCELS",
-    "ROUTE_SUM_SURVIVES",
-    "JantzenTerm",
-    "RepClass",
-    "SimplicityVerdict",
-    "jantzen_support",
-    "quick_simple",
-    "simplicity_oracle",
-    "classify_scalar",
-]

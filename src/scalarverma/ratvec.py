@@ -12,7 +12,6 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
-Rational = Fraction
 Weight = tuple[Fraction, ...]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
@@ -43,10 +42,6 @@ def weight(coords: Iterable) -> Weight:
     return tuple(
         parse_rational(c) if isinstance(c, str) else Fraction(c) for c in coords
     )
-
-
-def zero(dim: int) -> Weight:
-    return (Fraction(0),) * dim
 
 
 def add(mu: Weight, nu: Weight) -> Weight:

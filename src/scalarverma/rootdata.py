@@ -24,6 +24,10 @@ from .ratvec import Weight, add, inner, pairing, scale, sub, weight
 
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
+# Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
+# perfbench runs.  One CI(20) classify takes 16 s (2 cores, CPython 3.11).
+MAX_AMBIENT_DIM = 20
+
 # Tags whose rank-2 orthogonal instance degenerates: so(4) = sl(2) + sl(2),
 # so the D2 picture has no highest root and (for DI) an empty Levi system.
 _D2_DEGENERATE = {("DI", 2), ("DIII", 2)}
@@ -34,7 +38,8 @@ class HermitianCase:
     """A case tag plus its integer parameters.
 
     AIII takes (p, q) with p, q >= 1; CI, BI, DI, DIII take n >= 2;
-    EIII and EVII take no parameters.
+    EIII and EVII take no parameters.  The ambient dimension, p + q or n,
+    is at most MAX_AMBIENT_DIM.
     """
 
     tag: str
@@ -58,6 +63,9 @@ class HermitianCase:
         else:
             if self.p is not None or self.q is not None or self.n is not None:
                 raise ValueError(f"{self.tag} takes no parameters")
+        dim = self.p + self.q if self.tag == "AIII" else self.n
+        if dim is not None and dim > MAX_AMBIENT_DIM:
+            raise ValueError(f"{self.label}: ambient dimension {dim} is over {MAX_AMBIENT_DIM}")
 
     @property
     def label(self) -> str:

@@ -13,18 +13,10 @@ from fractions import Fraction
 
 import pytest
 
-from scalarverma import (
-    REGULAR,
-    SINGULAR,
-    HermitianCase,
-    ParabolicRootDatum,
-    Weight,
-    build_datum,
-    inner,
-    is_integer,
-    pairing,
-    reflect,
-)
+from scalarverma import HermitianCase, build_datum
+from scalarverma.ratvec import Weight, inner, is_integer, pairing, reflect
+from scalarverma.rootdata import ParabolicRootDatum
+from scalarverma.weyl import REGULAR, SINGULAR
 
 # One representative per family plus the sizes the acceptance sweep uses.
 SWEEP_CASES = (

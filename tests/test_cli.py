@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -97,6 +98,15 @@ def test_classify_simple_point_has_no_witness(capsys):
     ["datum-dump", "--case", "DI"],
     ["nonsense-subcommand"],
     [],
+    ["classify", "--case", "EIII", "--n", "3", "--c", "1"],
+    ["classify", "--case", "CI", "--p", "2", "--c", "1"],
+    ["classify", "--case", "AIII", "--p", "2", "--q", "2", "--n", "2", "--c", "1"],
+    ["classify", "--case", "CI", "--n", "2..3", "--c", "1"],   # ranges: crosscheck only
+    ["crosscheck", "--case", "CI", "--n", "3..2"],
+    ["datum-dump", "--case", "CI", "--n", "21"],             # rank limit
+    ["datum-dump", "--case", "AIII", "--p", "10", "--q", "11"],
+    ["scan", "--case", "CI", "--n", "2", "--window", "-1000000..1000000",
+     "--step", "1/1000"],                                    # grid limit
 ])
 def test_usage_errors_exit_1(capsys, argv):
     assert main(list(argv)) == 1
@@ -230,6 +240,99 @@ def test_datum_dump_notes_on_degenerate_case(capsys):
     code, out, _ = run_cli(capsys, "datum-dump", "--case", "DI", "--n", "3")
     assert code == 0
     assert "notes" not in json.loads(out)
+
+
+# sha256 of "<exit code>\n<stdout>" per invocation: every format of every
+# subcommand, byte for byte.  A changed digest is a changed output contract.
+PINNED_OUTPUTS = [
+    ("classify --case AIII --p 2 --q 3 --c -1",
+     "e38a22b4a9ffdf489d88c5d3b166bb93f315099d67cf821ff634bb7478f009fa"),
+    ("classify --case AIII --p 2 --q 3 --c -1 --format json",
+     "bef486403607666f6c7887fae5e198ae18ac99bc20931d6470832885701bc978"),
+    ("classify --case CI --n 2 --c -1/2 --format json",
+     "af765183c6b93ddd11d3da7d0bee8ec69772dbebd30261bf5a3a050ffde80107"),
+    ("classify --case CI --n 3 --c 1/7 --format json",
+     "9f6928c03be80fe37ada2f728e343578cd8ebab8f191e53764db4c89164d22b1"),
+    ("classify --case BI --n 3 --c 1/2",
+     "8fea14aa7bcdc3dc23f54a4e57ac810e0c35db86c4fe9a1dfa7463f463f405c0"),
+    ("classify --case DI --n 2 --c -1 --format json",
+     "7460d1f6055cc9dcf888c8f44162b163b1de78ed4edfed5c7f5b7c2c75e3288f"),
+    ("classify --case DIII --n 4 --c 0 --format json",
+     "593e6ce41e57c84f60d8448868b623f211840040161d0fe01882611bf5c4ddbb"),
+    ("classify --case EIII --c -2",
+     "5475d345f7ac0a4827bb290890d6a83584136e48e8a868b8488e5bd8c9df93d2"),
+    ("classify --case EIII --c −2 --format json",
+     "b44ca4f732c7ffc60849918ed7041c2f0be07e9d2cfb5c4160576da5b82c2095"),
+    ("classify --case EVII --c -9 --format json",
+     "27d44e85c263f36802e3a4eb30f275704d2d2f77f7fdb356f85b6919a31a5491"),
+    ("scan --case CI --n 2 --window -1..1 --step 1/2",
+     "80ade84818edc6cd0b0eb2c208779e25013962cb7af6c65b14a056d332f5f8f5"),
+    ("scan --case CI --n 2 --window -1..1 --step 1/2 --format json",
+     "08ad982470a414f5002104afc8339a3f051420b2197d7918bfe08ed48a21adbb"),
+    ("scan --case DI --n 3 --window -5/4..1/4 --step 1/2 --format json",
+     "2aff5ffa805cfbf84f6fbb56c81c253edfc6cbab962cce7045bbdfab3404a5f5"),
+    ("scan --case AIII --p 2 --q 2 --window -4..1 --step 1/3",
+     "e5b805bd763c32c202c4b14f0fcb5f79652a43379f2be37ca17ea451453af3f1"),
+    ("scan --case EIII --window -3..-2 --step 1 --format json",
+     "645a6e4a22869b3999a87dfae1c617b719503a00e312d4ebfd82eef3852b529c"),
+    ("scan --case DIII --n 4 --window -3..0 --format json",
+     "b2d67a7611396bb42adb0d99ed63184f72d68f5bb6830b92f84be3cafe404112"),
+    ("table --table 1",
+     "97e8d963d2013943f9721cca8a8709cfaf0a86afe26b50421d9b766776aa4962"),
+    ("table --table 1 --format tsv",
+     "3eee4cd1a7ad4142791b018f73d5d4d83e3fb9f438b8bac8901896e6c0d89238"),
+    ("table --table 1 --format json",
+     "fb13001967c66802ed1232b840d21f2ef7f35415a9bc60cd707563419e8ef3a0"),
+    ("table --table 2",
+     "8a9a481bdc0bb6462ef5019a900153b99edd18611647d8917d55c79cadaabe1b"),
+    ("table --table 2 --format tsv",
+     "2135c4421cbc6abc8a0192cd1ec8dd772704fe2c5592b2d4bf533fb8b7a03ce6"),
+    ("table --table 2 --format json",
+     "501237c50a64601fd5e48c8bfa165b21dcfbbad7c998a6ee22c32c3afb242c12"),
+    ("table --table 3 --a -7",
+     "02e8f64f99cb2b0afc80671b252423d9f7c3010f476dee86dfc244c47d619494"),
+    ("table --table 3 --a 1/2 --format tsv",
+     "db16d4b838fde5b14e230923c4f3a4e4d9347da32e8b7bb87764d0d6b10326e1"),
+    ("table --table 3 --a -7 --format json",
+     "e4dee6f6d6430eb8ef1ba8ea6b88e6f5f40c0e5001fad5b5b46194fd39f0394a"),
+    ("table --table 4",
+     "4582e23f389d51db56eb562f86303f80e140f0268e62765115556719d75bd92b"),
+    ("table --table 4 --a -6 --format tsv",
+     "99a721e371ab38566e818a35f1adb5210a962e7b3063cad3412fde9fda24b093"),
+    ("table --table 4 --format json",
+     "c8f146e9d5da28e3057cba9ca5f71ed292799aa21cc357bda39ec3ddc666fe89"),
+    ("crosscheck --case CI --n 2..4 --window -2..2 --step 1/2",
+     "dd114b300e7d53730eeb2aa389fa3b1cb47c1039910cc498887cffe3f40027db"),
+    ("crosscheck --case AIII --p 1..2 --q 2..3 --window -2..1 --format json",
+     "0faf586cccf85d59f3dbe6a928a188d9f90f6ff8239e83401bd1c1393caa65f6"),
+    ("crosscheck --case DIII --n 3",
+     "938425194760b8db306869d316ca1261680ab272dfc938078a1884ffe99ae0c9"),
+    ("crosscheck --case EIII --window -3..-2 --step 1/2 --format json",
+     "4c3cebaf62335f85691b8fcc55bc65a4ac4d06370fbec94a1779cdba69085b73"),
+    ("datum-dump --case DI --n 2",
+     "3f685bdc6de178198d9edf70ec6bdc6fc8baa46fcaf02e66afe0324f59794781"),
+    ("datum-dump --case DIII --n 2",
+     "6b96002848d35b64ac45c94de0df6e5a4f17da3889f18ce90da2bdb0f3e0a710"),
+    ("datum-dump --case AIII --p 2 --q 3",
+     "516aa2b8beaf51c517e905f8eaf7381528522705cac853692e7ea63c77183540"),
+    ("datum-dump --case CI --n 4",
+     "b268d8d2fb2ae618d94bb51f2068a9499e08a63860f08e29d8c96e79bc3eec2b"),
+    ("datum-dump --case EVII",
+     "0a3105fa8978c66578e705902daca2cf425e08f973a6f61857c88f9d331e748a"),
+    ("classify --case AIII --c 1",
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("crosscheck --case CI --n 3..2",
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+]
+
+
+def test_output_bytes_pinned(capsys):
+    changed = []
+    for line, digest in PINNED_OUTPUTS:
+        code, out, _ = run_cli(capsys, *line.split())
+        if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != digest:
+            changed.append(line)
+    assert changed == []
 
 
 def test_output_is_deterministic(capsys):

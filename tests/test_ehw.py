@@ -10,23 +10,25 @@ from conftest import SWEEP_CASES
 from scalarverma import (
     HermitianCase,
     InsufficientWindowError,
-    Progression,
-    ReducibilitySet,
     abc_constants,
     abc_verdict,
-    add,
     build_datum,
     classify_scalar,
     closed_form_reducible,
-    inner,
     line_offset,
-    pairing,
     progression_summary,
-    reducibility_set,
-    scalar_parameter_weight,
     special_line,
 )
-from scalarverma.ehw import INDETERMINATE, KNOWN_REDUCIBLE, KNOWN_SIMPLE
+from scalarverma.ehw import (
+    INDETERMINATE,
+    KNOWN_REDUCIBLE,
+    KNOWN_SIMPLE,
+    Progression,
+    ReducibilitySet,
+    reducibility_set,
+)
+from scalarverma.ratvec import add, inner, pairing
+from scalarverma.rootdata import scalar_parameter_weight
 
 Q = Fraction
 

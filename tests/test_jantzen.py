@@ -9,25 +9,23 @@ import pytest
 
 from conftest import SWEEP_CASES
 from scalarverma import (
-    REDUCIBLE,
-    SIMPLE,
     HermitianCase,
-    add,
     build_datum,
     classify_scalar,
     closed_form_reducible,
     jantzen_support,
-    pairing,
-    quick_simple,
-    reflect,
-    scalar_parameter_weight,
-    scale,
-    sign_pattern_root,
-    simplicity_oracle,
-    theta_pairing,
-    weight,
 )
-from scalarverma.jantzen import ROUTE_EMPTY_SUPPORT, ROUTE_SUM_CANCELS, ROUTE_SUM_SURVIVES
+from scalarverma.jantzen import (
+    REDUCIBLE,
+    ROUTE_EMPTY_SUPPORT,
+    ROUTE_SUM_CANCELS,
+    ROUTE_SUM_SURVIVES,
+    SIMPLE,
+    simplicity_oracle,
+)
+from scalarverma.ratvec import add, pairing, reflect, scale, weight
+from scalarverma.rootdata import scalar_parameter_weight, sign_pattern_root
+from scalarverma.weyl import theta_pairing
 
 
 def oracle(case: HermitianCase, c) -> "SimplicityVerdict":
@@ -68,12 +66,12 @@ def test_empty_support_route():
     assert v.terms == () and v.certificate == () and v.witness is None
 
 
-def test_quick_simple_agrees_with_empty_support():
+def test_support_is_empty_exactly_at_the_simple_point():
     datum = build_datum(HermitianCase("CI", n=3))
     lam = scalar_parameter_weight(datum, Fraction(1, 7))
-    assert quick_simple(datum, lam)
+    assert not jantzen_support(datum, lam)
     lam = scalar_parameter_weight(datum, Fraction(-1, 2))
-    assert not quick_simple(datum, lam)
+    assert jantzen_support(datum, lam)
 
 
 def test_aiii23_reducible_point():

@@ -18,7 +18,6 @@ from scalarverma.ratvec import (
     scale,
     sub,
     weight,
-    zero,
 )
 
 rationals = st.fractions(
@@ -56,10 +55,9 @@ def test_format_rational_integral():
     assert format_rational(Fraction(-3, 2)) == "-3/2"
 
 
-def test_weight_and_zero():
+def test_weight():
     w = weight([1, Fraction(1, 2), -2])
     assert w == (Fraction(1), Fraction(1, 2), Fraction(-2))
-    assert zero(3) == (Fraction(0),) * 3
 
 
 def test_dimension_mismatch():
@@ -71,7 +69,7 @@ def test_dimension_mismatch():
 
 def test_pairing_zero_root():
     with pytest.raises(ValueError):
-        pairing(weight([1, 2]), zero(2))
+        pairing(weight([1, 2]), weight([0, 0]))
 
 
 def test_pairing_known_values():

@@ -7,22 +7,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import SWEEP_CASES
-from scalarverma import (
+from scalarverma import HermitianCase, build_datum
+from scalarverma.ratvec import add, inner, pairing, reflect, scale, weight
+from scalarverma.rootdata import (
     CASE_TAGS,
-    HermitianCase,
-    add,
-    build_datum,
     case_notes,
-    inner,
-    pairing,
     parse_pattern,
     pattern_string,
-    reflect,
     scalar_parameter_weight,
-    scale,
     sign_pattern_root,
-    weight,
-    zero,
 )
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
@@ -96,7 +89,7 @@ def test_nilradical_partition(case):
 @pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
 def test_rho_is_half_sum(case):
     datum = build_datum(case)
-    total = zero(datum.ambient_dim)
+    total = weight([0] * datum.ambient_dim)
     for alpha in datum.positive_roots:
         total = add(total, alpha)
     assert total == scale(Fraction(2), datum.rho)

@@ -9,17 +9,15 @@ import pytest
 import golden_tables as G
 from scalarverma import (
     HermitianCase,
-    add,
     build_datum,
     jantzen_support,
     line_offset,
     normalize,
-    reflect,
-    scalar_parameter_weight,
-    sign_pattern_root,
-    theta_pairing,
 )
 from scalarverma.cli import _table_rows
+from scalarverma.ratvec import add, reflect
+from scalarverma.rootdata import scalar_parameter_weight, sign_pattern_root
+from scalarverma.weyl import theta_pairing
 
 Q = Fraction
 
