@@ -305,23 +305,26 @@ def cmd_scan(args) -> int:
     datum = build_datum(case)
     constants = abc_constants(case)
     offset = line_offset(case)
-    rows = [_scan_row(case, datum, constants, offset, c) for c in _grid(lo, hi, step)]
+    grid = _grid(lo, hi, step)
+    rows = (_scan_row(case, datum, constants, offset, c) for c in grid)
+    # Each row is printed as soon as it is decided.
     if args.format == "json":
-        payload = {
+        head = {
             "case": _case_json(case),
             "label": case.label,
             "window": [format_rational(lo), format_rational(hi)],
             "step": format_rational(step),
-            "rows": [
-                {
-                    **r,
-                    "c": format_rational(r["c"]),
-                    "z": format_rational(r["z"]),
-                }
-                for r in rows
-            ],
         }
-        print(json.dumps(payload, indent=2))
+        # The bytes of json.dumps(payload, indent=2), with payload["rows"]
+        # last and each row indented to its depth in the payload.
+        text = json.dumps(head, indent=2)
+        print(text[: -len("\n}")] + ',\n  "rows": [', end="")
+        sep = "\n    "
+        for r in rows:
+            row = {**r, "c": format_rational(r["c"]), "z": format_rational(r["z"])}
+            print(sep + json.dumps(row, indent=2).replace("\n", "\n    "), end="")
+            sep = ",\n    "
+        print("\n  ]\n}" if grid else "]\n}")
         return 0
     print("case\tc\tz\tverdict\troute\tabc_screen\tclosed_form\tagree")
     for r in rows:
@@ -435,6 +438,7 @@ def cmd_table(args) -> int:
 
 
 def _crosscheck_instance(case: HermitianCase, window, step: Fraction) -> dict:
+    """Counts, mismatches and contradictions of one case; other rows are dropped."""
     datum = build_datum(case)
     constants = abc_constants(case)
     offset = line_offset(case)
@@ -443,18 +447,23 @@ def _crosscheck_instance(case: HermitianCase, window, step: Fraction) -> dict:
         hi = constants.b + 10 - offset
     else:
         lo, hi = window
-    rows = [_scan_row(case, datum, constants, offset, c) for c in _grid(lo, hi, step)]
-    mismatches = [r for r in rows if not r["agree"]]
-    contradictions = [
-        r
-        for r in rows
-        if (r["abc_screen"] == KNOWN_SIMPLE and r["verdict"] == REDUCIBLE)
-        or (r["abc_screen"] == KNOWN_REDUCIBLE and r["verdict"] != REDUCIBLE)
-    ]
+    points = reducible = 0
+    mismatches, contradictions = [], []
+    for c in _grid(lo, hi, step):
+        r = _scan_row(case, datum, constants, offset, c)
+        points += 1
+        reducible += r["verdict"] == REDUCIBLE
+        if not r["agree"]:
+            mismatches.append(r)
+        if (r["abc_screen"] == KNOWN_SIMPLE and r["verdict"] == REDUCIBLE) or (
+            r["abc_screen"] == KNOWN_REDUCIBLE and r["verdict"] != REDUCIBLE
+        ):
+            contradictions.append(r)
     return {
         "case": case,
         "window": (lo, hi),
-        "rows": rows,
+        "points": points,
+        "reducible": reducible,
         "mismatches": mismatches,
         "contradictions": contradictions,
     }
@@ -476,8 +485,8 @@ def cmd_crosscheck(args) -> int:
                     "label": r["case"].label,
                     "window": [format_rational(x) for x in r["window"]],
                     "step": format_rational(step),
-                    "points": len(r["rows"]),
-                    "reducible": sum(x["verdict"] == REDUCIBLE for x in r["rows"]),
+                    "points": r["points"],
+                    "reducible": r["reducible"],
                     "mismatches": [format_rational(x["c"]) for x in r["mismatches"]],
                     "contradictions": [
                         format_rational(x["c"]) for x in r["contradictions"]
@@ -493,8 +502,8 @@ def cmd_crosscheck(args) -> int:
         lo, hi = r["window"]
         print(
             f"{r['case'].label}: window {format_rational(lo)}..{format_rational(hi)}"
-            f" points={len(r['rows'])}"
-            f" reducible={sum(x['verdict'] == REDUCIBLE for x in r['rows'])}"
+            f" points={r['points']}"
+            f" reducible={r['reducible']}"
             f" mismatches={len(r['mismatches'])}"
             f" contradictions={len(r['contradictions'])}"
         )
@@ -508,7 +517,7 @@ def cmd_crosscheck(args) -> int:
                 f"  CONTRADICTION c={format_rational(x['c'])}: oracle {x['verdict']}"
                 f" vs screen {x['abc_screen']}"
             )
-    total = sum(len(r["rows"]) for r in results)
+    total = sum(r["points"] for r in results)
     print(f"crosscheck: {'PASS' if ok else 'FAIL'} ({len(results)} instances, {total} points)")
     return 0 if ok else 2
 

@@ -1,12 +1,23 @@
 """The signed chamber-sum simplicity oracle.
 
 For a scalar highest weight the module is simple exactly when the signed
-sum of chamber contributions over the support roots vanishes.  Each
-support root contributes the reflected weight of lam + rho; wall terms
-drop, and the rest cancel or survive class by class, where a class is a
-Levi orbit keyed by its canonical chamber representative.  A nonzero net
-sign in any class certifies reducibility, and any member of such a class
-serves as a witness.
+sum of chamber contributions over the support roots vanishes (Jantzen's
+simplicity criterion).  Each support root contributes the reflected weight
+of lam + rho; wall terms drop, and the rest cancel or survive class by
+class, where a class is a Levi orbit keyed by its canonical chamber
+representative.  A nonzero net sign in any class certifies reducibility,
+and any member of such a class serves as a witness.
+
+`classify_scalar` decides the scalar line lam = c*zeta without rational
+vector arithmetic.  The level of a nilradical root beta is affine in c,
+k = a_beta + c*b_beta, so the support costs one integer test per root.
+Levi reflections fix zeta, so the image mu - k*beta = (rho - k*beta) +
+c*zeta has the chamber of the c-free vector rho - k*beta shifted by
+c*zeta; that vector is normalized in integers, scaled by the datum's
+common denominator D, and only the reported weights are rationals.
+`simplicity_oracle` is the same criterion on any scalar weight, computed
+with `jantzen_support` and `normalize` in rational arithmetic; it is the
+reference the integer path is tested against.
 
 Only exact rational parameters are accepted.  A parameter with irrational
 or non-real scalar part would make every support pairing miss the positive
@@ -20,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError
-from .ratvec import Weight, add, inner, is_integer, pairing, reflect
-from .rootdata import ParabolicRootDatum, build_datum, scalar_parameter_weight
-from .weyl import ChamberForm, normalize, theta_pairing
+from .ratvec import Weight, add, dot, inner, is_integer, pairing, reflect
+from .rootdata import ParabolicRootDatum, build_datum
+from .weyl import REGULAR, SINGULAR, ChamberForm, normalize, normalize_scaled, theta_pairing
 
 SIMPLE = "Simple"
 REDUCIBLE = "Reducible"
@@ -91,27 +102,35 @@ def simplicity_oracle(datum: ParabolicRootDatum, lam: Weight) -> SimplicityVerdi
 
     mu = add(lam, datum.rho)
     terms = []
+    groups: dict[Weight, list[tuple[JantzenTerm, Fraction]]] = {}
     for beta in jantzen_support(datum, lam):
         level = pairing(mu, beta)
         image = reflect(mu, beta)
         for alpha in datum.levi_positive:
             if not is_integer(pairing(image, alpha)):
                 raise InvariantError("support term is not Levi integral")
-        terms.append(JantzenTerm(beta, level, image, normalize(datum, image)))
+        term = JantzenTerm(beta, level, image, normalize(datum, image))
+        terms.append(term)
+        if term.chamber.is_regular:
+            groups.setdefault(term.chamber.rep, []).append(
+                (term, theta_pairing(datum, image))
+            )
+    return _verdict(terms, groups)
 
-    groups: dict[Weight, list[JantzenTerm]] = {}
-    for t in terms:
-        if t.chamber.is_regular:
-            groups.setdefault(t.chamber.rep, []).append(t)
 
+def _verdict(terms: list[JantzenTerm], groups: dict) -> SimplicityVerdict:
+    """Sign each class and decide.
+
+    groups maps a class key to its regular (term, theta value) pairs; keys
+    sort as the classes' representatives do.
+    """
     certificate = []
-    for rep in sorted(groups):
-        members = tuple(groups[rep])
-        values = {theta_pairing(datum, m.image) for m in members}
-        if len(values) != 1:
+    for key in sorted(groups):
+        members = tuple(t for t, _ in groups[key])
+        if len({theta for _, theta in groups[key]}) != 1:
             raise InvariantError("one chamber class carries two theta values")
         net = sum(m.chamber.sign for m in members)
-        certificate.append(RepClass(rep, net, members))
+        certificate.append(RepClass(members[0].chamber.rep, net, members))
     certificate = tuple(certificate)
 
     surviving = tuple(g for g in certificate if g.net_sign != 0)
@@ -129,11 +148,49 @@ def simplicity_oracle(datum: ParabolicRootDatum, lam: Weight) -> SimplicityVerdi
 
 
 def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
-    """Run the oracle on the scalar weight c * zeta of a case."""
+    """Decide the scalar weight c * zeta of a case.
+
+    Returns the verdict simplicity_oracle gives for the same weight, term
+    for term, computed in integers along the scalar line.  The weight is
+    scalar because the datum passed validation: zeta is orthogonal to the
+    Levi.
+    """
     datum = (
         case_or_datum
         if isinstance(case_or_datum, ParabolicRootDatum)
         else build_datum(case_or_datum)
     )
-    return simplicity_oracle(datum, scalar_parameter_weight(datum, Fraction(c)))
+    c = Fraction(c)
+    view = datum.integer_view
+    # Over the denominator d*D, the image rho - k*beta + c*zeta of a
+    # scaled vector v = D*(rho - k*beta) is d*v + n*Z.
+    n, d = c.numerator, c.denominator
+    den = d * view.denom
+    unscale = lambda v: tuple(Fraction(d * x + n * z, den) for x, z in zip(v, view.zeta))
 
+    terms = []
+    groups: dict[tuple[int, ...], list[tuple[JantzenTerm, int]]] = {}
+    for beta, nil in zip(datum.nilradical_roots, view.nilradical):
+        # k = (a + c*b) / norm, a positive integer on the support
+        num = d * nil.a + n * nil.b
+        if num <= 0 or num % (d * nil.norm):
+            continue
+        k = num // (d * nil.norm)
+        v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
+        for root, norm in view.levi_positive:
+            if 2 * dot(v, root) % norm:
+                raise InvariantError("support term is not Levi integral")
+        rep, steps = normalize_scaled(view, v)
+        if rep is None:
+            chamber = ChamberForm(SINGULAR, None, None, 0)
+        else:
+            chamber = ChamberForm(REGULAR, unscale(rep), steps % 2, steps)
+        term = JantzenTerm(beta, Fraction(k), unscale(v), chamber)
+        terms.append(term)
+        if rep is not None:
+            # theta_u pairs with c*zeta alike in every term, so comparing
+            # the c-free parts compares the theta values.
+            groups.setdefault(rep, []).append((term, dot(v, view.theta_u)))
+    # Unscaling is a coordinatewise increasing map, so the integer keys
+    # sort as the representatives do.
+    return _verdict(terms, groups)

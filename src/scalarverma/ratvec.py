@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 Weight = tuple[Fraction, ...]
@@ -63,6 +64,11 @@ def inner(mu: Weight, nu: Weight) -> Fraction:
     """Euclidean inner product in the ambient coordinates."""
     _check_dims(mu, nu)
     return sum((a * b for a, b in zip(mu, nu)), Fraction(0))
+
+
+def dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """Inner product of two integer vectors of equal length."""
+    return sum(map(mul, u, v))
 
 
 def pairing(mu: Weight, nu: Weight) -> Fraction:

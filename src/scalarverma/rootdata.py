@@ -9,24 +9,30 @@ direction zeta (orthogonal to the Levi, normalized against gamma).
 Each family writes out only its simple roots and noncompact simple indices;
 every other field is derived from them.  Data are built once per case,
 validated against structural invariants, and cached; every field is an
-immutable tuple, safe to share across threads.
+immutable tuple, safe to share across threads.  Each datum also derives,
+on first use, an integer view of itself (`IntegerView`) for the c-free
+chamber arithmetic of the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-from .ratvec import Weight, add, inner, pairing, scale, sub, weight
+from .ratvec import Weight, add, dot, inner, pairing, scale, sub, weight
 
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
-# perfbench runs.  One CI(20) classify takes 16 s (2 cores, CPython 3.11).
+# perfbench runs.  One CI(20) classify takes 3-4 s from the command line,
+# 2.4 s of it building the datum (2 cores, CPython 3.11).
 MAX_AMBIENT_DIM = 20
+
+IntVector = tuple[int, ...]
 
 # Tags whose rank-2 orthogonal instance degenerates: so(4) = sl(2) + sl(2),
 # so the D2 picture has no highest root and (for DI) an empty Levi system.
@@ -92,6 +98,45 @@ class ParabolicRootDatum:
     gamma: Weight
     zeta: Weight
     theta_u: Weight
+
+    @cached_property
+    def integer_view(self) -> IntegerView:
+        """The datum scaled to integers; derived from the fields on first use."""
+        return _integer_view(self)
+
+
+@dataclass(frozen=True)
+class NilradicalLevel:
+    """One nilradical root beta, scaled by D, with its affine level.
+
+    On the scalar line mu = rho + c*zeta the level of beta is
+    <mu, beta^v> = a_beta + c*b_beta, where a_beta = a / norm and
+    b_beta = b / norm.
+    """
+
+    root: IntVector
+    norm: int
+    a: int
+    b: int
+
+
+@dataclass(frozen=True)
+class IntegerView:
+    """A root datum multiplied through by a common denominator D.
+
+    D clears every denominator of rho, zeta, theta_u and the positive
+    roots, so each vector below is D times the datum's weight of the same
+    name, in plain integers.  A root's pairing <v, alpha^v> is then
+    2*dot(v, A) / dot(A, A) for the scaled root A, free of D.
+    """
+
+    denom: int
+    rho: IntVector
+    zeta: IntVector
+    theta_u: IntVector
+    nilradical: tuple[NilradicalLevel, ...]
+    levi_positive: tuple[tuple[IntVector, int], ...]
+    levi_simples: tuple[tuple[IntVector, int], ...]
 
 
 def case_notes(case: HermitianCase) -> tuple[str, ...]:
@@ -260,6 +305,29 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         gamma=gamma,
         zeta=zeta,
         theta_u=theta_u,
+    )
+
+
+def _integer_view(d: ParabolicRootDatum) -> IntegerView:
+    weights = (d.rho, d.zeta, d.theta_u) + d.positive_roots
+    denom = math.lcm(*(x.denominator for w in weights for x in w))
+    ints = lambda w: tuple(int(x * denom) for x in w)
+    with_norm = lambda w: (ints(w), dot(ints(w), ints(w)))
+    rho, zeta = ints(d.rho), ints(d.zeta)
+    nilradical = []
+    for beta in d.nilradical_roots:
+        root, norm = with_norm(beta)
+        nilradical.append(
+            NilradicalLevel(root, norm, 2 * dot(rho, root), 2 * dot(zeta, root))
+        )
+    return IntegerView(
+        denom=denom,
+        rho=rho,
+        zeta=zeta,
+        theta_u=ints(d.theta_u),
+        nilradical=tuple(nilradical),
+        levi_positive=tuple(with_norm(a) for a in d.levi_positive),
+        levi_simples=tuple(with_norm(a) for a in d.levi_simples),
     )
 
 

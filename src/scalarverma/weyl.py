@@ -6,6 +6,12 @@ reflections (Regular, with a canonical representative and the parity of
 the word).  Two regular weights lie in one Levi orbit exactly when their
 representatives coincide, which is what the sign bookkeeping downstream
 rests on.
+
+`normalize` works on exact rational weights.  `normalize_scaled` runs the
+same wall scan and descent on an integer vector D*mu against the datum's
+`IntegerView`; the oracle uses it, because Levi reflections fix zeta and so
+the chamber of rho + c*zeta - k*beta is that of rho - k*beta, shifted by
+c*zeta.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError
-from .ratvec import Weight, inner, pairing, reflect
-from .rootdata import ParabolicRootDatum
+from .ratvec import Weight, dot, inner, pairing, reflect
+from .rootdata import IntegerView, IntVector, ParabolicRootDatum
 
 REGULAR = "Regular"
 SINGULAR = "Singular"
@@ -72,6 +78,36 @@ def normalize(datum: ParabolicRootDatum, mu: Weight) -> ChamberForm:
         if descent is None:
             return ChamberForm(REGULAR, cur, steps % 2, steps)
         cur = reflect(cur, descent)
+        steps += 1
+        if steps > bound:
+            raise InvariantError("chamber descent exceeded the positive-root bound")
+
+
+def normalize_scaled(view: IntegerView, v: IntVector) -> tuple[IntVector | None, int]:
+    """normalize() for the integer vector v = D*mu, in integer arithmetic.
+
+    Returns (D times the representative, steps), or (None, 0) on a wall.
+    v must be Levi integral: its pairing 2*dot(v, A) // dot(A, A) with
+    each scaled Levi root A is exact.  The wall scan, the first-negative
+    descent rule, the step bound and the errors are those of normalize().
+    """
+    for root, _ in view.levi_positive:
+        if dot(v, root) == 0:
+            return None, 0
+
+    bound = len(view.levi_positive)
+    steps = 0
+    while True:
+        for root, norm in view.levi_simples:
+            d = dot(v, root)
+            if d == 0:
+                raise InvariantError("wall hit during descent after a clean wall scan")
+            if d < 0:
+                k = 2 * d // norm
+                v = tuple(x - k * a for x, a in zip(v, root))
+                break
+        else:
+            return v, steps
         steps += 1
         if steps > bound:
             raise InvariantError("chamber descent exceeded the positive-root bound")

@@ -14,6 +14,7 @@ import pytest
 
 import scalarverma
 from scalarverma import InvariantError
+from scalarverma import cli
 from scalarverma.cli import main
 
 Q = Fraction
@@ -148,6 +149,36 @@ def test_scan_json_row_shape(capsys):
     assert set(row) == {"case", "c", "z", "verdict", "route", "abc_screen",
                         "closed_form", "agree"}
     assert row["agree"] is True
+
+
+@pytest.mark.parametrize("window", ["-3..2", "1/3..1/2"], ids=["rows", "no-rows"])
+def test_scan_json_is_one_indented_document(capsys, window):
+    code, out, _ = run_cli(capsys, "scan", "--case", "CI", "--n", "2",
+                           "--window", window, "--step", "1", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_scan_prints_each_row_as_decided(capsys, monkeypatch, fmt):
+    printed = []
+    decide = cli.classify_scalar
+
+    def snapshot_then_decide(datum, c):
+        printed.append(capsys.readouterr().out)
+        return decide(datum, c)
+
+    monkeypatch.setattr(cli, "classify_scalar", snapshot_then_decide)
+    argv = ["scan", "--case", "CI", "--n", "2", "--window", "-1..1", "--step", "1/2"]
+    assert main(argv + ["--format", fmt]) == 0
+    full = "".join(printed) + capsys.readouterr().out
+    before_second = "".join(printed[:2])
+    assert full.startswith(before_second)
+    if fmt == "tsv":
+        assert before_second.splitlines() == full.splitlines()[:2]
+    else:
+        head = json.loads(before_second + "\n  ]\n}")
+        assert head["label"] == "CI(2)" and [r["c"] for r in head["rows"]] == ["-1"]
 
 
 def test_table_formats(capsys):

@@ -1,0 +1,210 @@
+"""The integer scalar-line path against the Fraction reference.
+
+`classify_scalar` decides c * zeta in integers through the datum's
+`IntegerView` and `normalize_scaled`; `simplicity_oracle` and `normalize`
+are the rational reference.  Every comparison here is whole-verdict
+equality, certificates included, and every InvariantError the reference
+can raise is triggered on both paths.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import SWEEP_CASES
+from scalarverma import (
+    HermitianCase,
+    InvariantError,
+    abc_constants,
+    build_datum,
+    classify_scalar,
+    line_offset,
+    normalize,
+)
+from scalarverma.jantzen import simplicity_oracle
+from scalarverma.ratvec import add, inner, sub, weight
+from scalarverma.rootdata import scalar_parameter_weight
+from scalarverma.weyl import REGULAR, normalize_scaled
+
+CASE_IDS = [c.label for c in SWEEP_CASES]
+HIGH_RANK = [HermitianCase("CI", n=8), HermitianCase("DIII", n=10), HermitianCase("AIII", p=5, q=5)]
+
+
+def reference(datum, c):
+    return simplicity_oracle(datum, scalar_parameter_weight(datum, c))
+
+
+def default_window(case, step):
+    con = abc_constants(case)
+    offset = line_offset(case)
+    first = con.a - 5 - offset
+    c = Fraction(-((-first) // step)) * step
+    while c <= con.b + 10 - offset:
+        yield c
+        c += step
+
+
+def outcome(fn):
+    """The verdict, or the InvariantError's message."""
+    try:
+        return fn()
+    except InvariantError as exc:
+        return f"InvariantError: {exc}"
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
+def test_acceptance_lattice_matches_reference(case):
+    datum = build_datum(case)
+    points = list(default_window(case, Fraction(1, 6)))
+    assert len(points) >= 91
+    for c in points:
+        assert classify_scalar(datum, c) == reference(datum, c), c
+
+
+@pytest.mark.parametrize("case", HIGH_RANK, ids=[c.label for c in HIGH_RANK])
+def test_high_rank_windows_match_reference(case):
+    datum = build_datum(case)
+    nonempty = 0
+    for c in default_window(case, Fraction(1)):
+        got = classify_scalar(datum, c)
+        assert got == reference(datum, c), c
+        nonempty += bool(got.terms)
+    assert nonempty >= 10
+
+
+def small_cases():
+    """Every case of ambient dimension at most 8."""
+    out = [HermitianCase("AIII", p=p, q=q) for p in range(1, 8) for q in range(1, 9 - p)]
+    for tag in ("CI", "BI", "DI", "DIII"):
+        out += [HermitianCase(tag, n=n) for n in range(2, 9)]
+    return out + [HermitianCase("EIII"), HermitianCase("EVII")]
+
+
+@st.composite
+def scalar_points(draw):
+    case = draw(st.sampled_from(small_cases()))
+    datum = build_datum(case)
+    if draw(st.booleans()):
+        c = Fraction(draw(st.integers(-80, 80)), draw(st.integers(1, 12)))
+    else:
+        # c = (k - a_beta) / b_beta puts beta in the support at level k.
+        nil = draw(st.sampled_from(datum.integer_view.nilradical))
+        k = draw(st.integers(1, 12))
+        c = Fraction(k * nil.norm - nil.a, nil.b)
+    return datum, c
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_points())
+def test_hypothesis_matches_reference(point):
+    datum, c = point
+    assert classify_scalar(datum, c) == reference(datum, c)
+
+
+def test_drawn_levels_give_nonempty_support():
+    datum = build_datum(HermitianCase("EVII"))
+    for nil in datum.integer_view.nilradical:
+        c = Fraction(3 * nil.norm - nil.a, nil.b)
+        assert classify_scalar(datum, c).terms
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
+def test_integer_normalizer_matches_normalize(case):
+    datum = build_datum(case)
+    view = datum.integer_view
+    for beta, nil in zip(datum.nilradical_roots, view.nilradical):
+        for k in range(-3, 10):
+            form = normalize(datum, sub(datum.rho, tuple(k * x for x in beta)))
+            v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
+            rep, steps = normalize_scaled(view, v)
+            assert (rep is not None) == (form.status == REGULAR), (beta, k)
+            if rep is not None:
+                assert tuple(Fraction(x, view.denom) for x in rep) == form.rep
+                assert steps == form.steps
+
+
+def test_integer_view_scales_the_datum():
+    for case in SWEEP_CASES + HIGH_RANK:
+        datum = build_datum(case)
+        view = datum.integer_view
+        scale = lambda w: tuple(x * view.denom for x in w)
+        assert view.rho == scale(datum.rho) and view.zeta == scale(datum.zeta)
+        assert view.theta_u == scale(datum.theta_u)
+        assert [a for a, _ in view.levi_simples] == [scale(a) for a in datum.levi_simples]
+        for beta, nil in zip(datum.nilradical_roots, view.nilradical):
+            assert nil.root == scale(beta)
+            assert nil.norm == inner(nil.root, nil.root)
+            # a_beta and b_beta are the pairings of rho and zeta with beta
+            assert Fraction(nil.a, nil.norm) == 2 * inner(datum.rho, beta) / inner(beta, beta)
+            assert Fraction(nil.b, nil.norm) == 2 * inner(datum.zeta, beta) / inner(beta, beta)
+
+
+def test_replaced_datum_derives_a_fresh_view():
+    datum = build_datum(HermitianCase("AIII", p=2, q=2))
+    assert datum.integer_view is datum.integer_view
+    crippled = dataclasses.replace(datum, levi_positive=datum.levi_positive[:1])
+    assert len(crippled.integer_view.levi_positive) == 1
+
+
+# ---------------------------------------------------------------------------
+# invariant coverage: each reference InvariantError has an integer twin
+
+
+def scaled(datum, mu):
+    return tuple(int(x * datum.integer_view.denom) for x in mu)
+
+
+def test_dropped_wall_root_trips_both_normalizers():
+    datum = build_datum(HermitianCase("AIII", p=2, q=2))
+    mu = weight([1, 1, 5, 3])
+    kept = tuple(a for a in datum.levi_positive if inner(mu, a) != 0)
+    assert len(kept) == len(datum.levi_positive) - 1
+    crippled = dataclasses.replace(datum, levi_positive=kept)
+    message = "wall hit during descent after a clean wall scan"
+    with pytest.raises(InvariantError, match=message):
+        normalize(crippled, mu)
+    with pytest.raises(InvariantError, match=message):
+        normalize_scaled(crippled.integer_view, scaled(crippled, mu))
+
+
+def test_step_bound_trips_both_normalizers():
+    # with no positive Levi roots listed the bound is 0, yet mu needs a step
+    datum = build_datum(HermitianCase("AIII", p=2, q=2))
+    crippled = dataclasses.replace(datum, levi_positive=())
+    mu = weight([1, 2, 5, 3])
+    message = "chamber descent exceeded the positive-root bound"
+    with pytest.raises(InvariantError, match=message):
+        normalize(crippled, mu)
+    with pytest.raises(InvariantError, match=message):
+        normalize_scaled(crippled.integer_view, scaled(crippled, mu))
+
+
+def assert_paths_agree_and_trip(crippled, grid, message):
+    tripped = 0
+    for c in grid:
+        got = outcome(lambda: classify_scalar(crippled, c))
+        assert got == outcome(lambda: reference(crippled, c)), c
+        tripped += got == f"InvariantError: {message}"
+    assert tripped
+
+
+def test_non_levi_integral_term_trips_both_oracles():
+    # shifting rho by (1/2, 0, 1/2, 0) keeps e1 - e3 at an integer level
+    # but gives every image a half-integer pairing with e1 - e2
+    datum = build_datum(HermitianCase("AIII", p=2, q=2))
+    shift = weight([Fraction(1, 2), 0, Fraction(1, 2), 0])
+    crippled = dataclasses.replace(datum, rho=add(datum.rho, shift))
+    grid = [Fraction(k, 4) for k in range(-24, 25)]
+    assert_paths_agree_and_trip(crippled, grid, "support term is not Levi integral")
+
+
+def test_theta_split_class_trips_both_oracles():
+    # BI(3) at c = -1 holds a two-member class; e2 is not Levi fixed
+    datum = build_datum(HermitianCase("BI", n=3))
+    crippled = dataclasses.replace(datum, theta_u=weight([0, 1, 0]))
+    grid = [Fraction(k, 2) for k in range(-12, 7)]
+    assert_paths_agree_and_trip(crippled, grid, "one chamber class carries two theta values")
