@@ -302,10 +302,10 @@ def cmd_scan(args) -> int:
     [case] = _cases(args)
     lo, hi = _parse_window(args.window)
     step = parse_rational(args.step)
+    grid = _grid(lo, hi, step)
     datum = build_datum(case)
     constants = abc_constants(case)
     offset = line_offset(case)
-    grid = _grid(lo, hi, step)
     rows = (_scan_row(case, datum, constants, offset, c) for c in grid)
     # Each row is printed as soon as it is decided.
     if args.format == "json":

@@ -7,11 +7,16 @@ roots, the half-sum rho, the highest nilradical root gamma, and the scalar
 direction zeta (orthogonal to the Levi, normalized against gamma).
 
 Each family writes out only its simple roots and noncompact simple indices;
-every other field is derived from them.  Data are built once per case,
-validated against structural invariants, and cached; every field is an
-immutable tuple, safe to share across threads.  Each datum also derives,
-on first use, an integer view of itself (`IntegerView`) for the c-free
-chamber arithmetic of the oracle.
+every other field is derived from them.  The positive roots are the
+nonnegative simple-root coefficient vectors in the orbit of the simple roots
+under the simple reflections.  Two structural facts are checked on those
+vectors: the nilradical is abelian when each of its roots has noncompact
+coefficients summing to 1, and gamma is the highest root when its vector
+dominates every positive root's, coefficient by coefficient.  Data are built
+once per case, validated against structural invariants, and cached; every
+field is an immutable tuple, safe to share across threads.  Each datum also
+derives, on first use, an integer view of itself (`IntegerView`) for the
+c-free chamber arithmetic of the oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
@@ -28,8 +33,8 @@ from .ratvec import Weight, add, dot, inner, pairing, scale, sub, weight
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
-# perfbench runs.  One CI(20) classify takes 3-4 s from the command line,
-# 2.4 s of it building the datum (2 cores, CPython 3.11).
+# perfbench runs.  One CI(20) classify takes 0.7-0.95 s from the command
+# line, 0.2 s of it building the datum (2 cores, CPython 3.11).
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
@@ -160,13 +165,12 @@ def scalar_parameter_weight(datum: ParabolicRootDatum, c) -> Weight:
     return scale(Fraction(c), datum.zeta)
 
 
-def sign_pattern_root(pattern, sixth_sign: int) -> Weight:
+def sign_pattern_root(pattern: str, sixth_sign: int) -> Weight:
     """A half-coordinate exceptional root from a five-place sign pattern.
 
-    ``pattern`` gives the signs of e1..e5: a string over "+-" (U+2212 also
-    accepted), or five parities with 0 meaning "+" and 1 meaning "-".
-    ``sixth_sign`` (+1 or -1) is the sign of e6; e7 and e8 always carry
-    -1/2 and +1/2.
+    ``pattern`` gives the signs of e1..e5 as a string over "+-" (U+2212
+    also accepted).  ``sixth_sign`` (+1 or -1) is the sign of e6; e7 and e8
+    always carry -1/2 and +1/2.
     """
     signs = parse_pattern(pattern)
     if sixth_sign not in (1, -1):
@@ -175,17 +179,12 @@ def sign_pattern_root(pattern, sixth_sign: int) -> Weight:
     return tuple([s * h for s in signs] + [sixth_sign * h, -h, h])
 
 
-def parse_pattern(pattern) -> tuple[int, ...]:
+def parse_pattern(pattern: str) -> tuple[int, ...]:
     """Normalize a five-place sign pattern to a tuple of +1/-1 signs."""
-    if isinstance(pattern, str):
-        s = pattern.replace("−", "-")
-        if len(s) != 5 or any(ch not in "+-" for ch in s):
-            raise ValueError(f"bad sign pattern {pattern!r}")
-        return tuple(1 if ch == "+" else -1 for ch in s)
-    signs = tuple(pattern)
-    if len(signs) != 5 or any(v not in (0, 1) for v in signs):
-        raise ValueError(f"bad parity pattern {pattern!r}")
-    return tuple(1 if v == 0 else -1 for v in signs)
+    s = pattern.replace("−", "-")
+    if len(s) != 5 or any(ch not in "+-" for ch in s):
+        raise ValueError(f"bad sign pattern {pattern!r}")
+    return tuple(1 if ch == "+" else -1 for ch in s)
 
 
 def pattern_string(signs: Sequence[int]) -> str:
@@ -240,47 +239,59 @@ def _simple_system(case: HermitianCase) -> tuple[int, tuple[Weight, ...], tuple[
     return dim, simples, ((0, 1) if dim == 2 else (0,))
 
 
+def _need(case: HermitianCase, cond: bool, msg: str) -> None:
+    if not cond:
+        raise InvariantError(f"{case.label}: {msg}")
+
+
 def _derive(case: HermitianCase) -> ParabolicRootDatum:
     dim, delta, noncompact = _simple_system(case)
-    # Every root of these realizations lies in (1/2)Z^dim, so the closure
+    # Every root of these realizations lies in (1/2)Z^dim, so the orbit
     # runs on integers: doubled coordinates and simple-root coefficients.
     twice = [tuple(int(2 * x) for x in a) for a in delta]
-    dot = lambda u, v: sum(x * y for x, y in zip(u, v))
-    # cartan[i][j] = <alpha_j, alpha_i^v>
+    # cartan[i][j] = <alpha_j, alpha_i^v>, so <b, alpha_i^v> = dot(b, cartan[i])
     cartan = [[2 * dot(a, b) // dot(a, a) for b in twice] for a in twice]
-    step = lambda c, i, k: c[:i] + (c[i] + k,) + c[i + 1 :]
 
+    # Walk the orbit under b -> b - <b, alpha_i^v> e_i, keeping nonnegative
+    # vectors: only s_i(alpha_i) turns negative, and every positive root
+    # above height 1 is some s_i of a lower one.
     units = [tuple(int(i == j) for j in range(len(delta))) for i in range(len(delta))]
     doubled = dict(zip(units, twice))
-    layer = units
-    while layer:
-        # Height by height: the alpha_i-string through beta reaches `down`
-        # steps below it and down - <beta, alpha_i^v> steps above it.
-        above = []
-        for beta in layer:
-            for i, row in enumerate(cartan):
-                up = step(beta, i, 1)
-                if up in doubled:
-                    continue
-                down = 0
-                while step(beta, i, -down - 1) in doubled:
-                    down += 1
-                if down > dot(beta, row):
-                    doubled[up] = tuple(x + y for x, y in zip(doubled[beta], twice[i]))
-                    above.append(up)
-        layer = above
+    frontier = list(units)
+    while frontier:
+        beta = frontier.pop()
+        for i, row in enumerate(cartan):
+            k = dot(beta, row)
+            image = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
+            if image[i] >= 0 and image not in doubled:
+                doubled[image] = tuple(x - k * y for x, y in zip(doubled[beta], twice[i]))
+                frontier.append(image)
+
+    nil_coeffs = [c for c in doubled if any(c[i] > 0 for i in noncompact)]
+    # Greatest height; only DI(2) ties, and takes the larger root e1 + e2.
+    top = max(nil_coeffs, key=lambda c: (sum(c), doubled[c]))
+    # Noncompact coefficient 1 throughout: no two nilradical roots sum to a root.
+    _need(
+        case,
+        all(sum(c[i] for i in noncompact) == 1 for c in nil_coeffs),
+        "nilradical is not abelian",
+    )
+    if (case.tag, case.n) not in _D2_DEGENERATE:
+        _need(
+            case,
+            all(x <= y for c in doubled for x, y in zip(c, top)),
+            "gamma is not the highest root",
+        )
 
     halves = {x: Fraction(x, 2) for w in doubled.values() for x in w}
     roots = {c: tuple(halves[x] for x in w) for c, w in doubled.items()}
 
-    nil_coeffs = [c for c in doubled if any(c[i] > 0 for i in noncompact)]
     pos = _sorted(roots.values())
     nil = _sorted(roots[c] for c in nil_coeffs)
     simples = tuple(roots[c] for c in units)
     alpha_u = simples[noncompact[0]]
     rho = tuple(Fraction(sum(col), 4) for col in zip(*doubled.values()))
-    # Greatest height; only DI(2) ties, and takes the larger root e1 + e2.
-    gamma = roots[max(nil_coeffs, key=lambda c: (sum(c), roots[c]))]
+    gamma = roots[top]
     # The nilradical is stable under the Levi Weyl group, so its sum is
     # orthogonal to the Levi.
     nil_sum = tuple(Fraction(sum(col), 2) for col in zip(*(doubled[c] for c in nil_coeffs)))
@@ -339,9 +350,7 @@ def _build(case: HermitianCase) -> ParabolicRootDatum:
 
 
 def _validate(d: ParabolicRootDatum) -> None:
-    def need(cond: bool, msg: str) -> None:
-        if not cond:
-            raise InvariantError(f"{d.case.label}: {msg}")
+    need = partial(_need, d.case)
 
     dim = d.ambient_dim
     for w in (d.rho, d.gamma, d.zeta, d.theta_u) + d.simple_roots + d.positive_roots:
@@ -370,19 +379,6 @@ def _validate(d: ParabolicRootDatum) -> None:
     need(two_rho == scale(2, d.rho), "positive roots do not sum to twice rho")
 
     need(d.gamma in set(d.nilradical_roots), "gamma is not a nilradical root")
-    if not degenerate:
-        # gamma dominates every positive root via simple-root descents.
-        seen = {d.gamma}
-        frontier = [d.gamma]
-        while frontier:
-            beta = frontier.pop()
-            for a in d.simple_roots:
-                down = tuple(x - y for x, y in zip(beta, a))
-                if down in pos_set and down not in seen:
-                    seen.add(down)
-                    frontier.append(down)
-        need(seen == pos_set, "gamma is not the highest root")
-
     need(all(inner(d.zeta, a) == 0 for a in d.levi_positive), "zeta not orthogonal to the Levi")
     need(pairing(d.zeta, d.gamma) == 1, "zeta not normalized against gamma")
     need(
@@ -395,13 +391,6 @@ def _validate(d: ParabolicRootDatum) -> None:
         all(inner(d.theta_u, a) == 0 for a in d.levi_positive),
         "theta_u not fixed by the Levi",
     )
-
-    for i, b1 in enumerate(d.nilradical_roots):
-        for b2 in d.nilradical_roots[i:]:
-            need(
-                tuple(x + y for x, y in zip(b1, b2)) not in pos_set,
-                "nilradical is not abelian",
-            )
 
     if d.case.tag in ("EIII", "EVII"):
         walls = [weight((0, 0, 0, 0, 0, 0, 1, 1))]

@@ -354,6 +354,18 @@ PINNED_OUTPUTS = [
      "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
     ("crosscheck --case CI --n 3..2",
      "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("datum-dump --case CI --n 20",
+     "59fd6d634ca1af2c76b97bbaa93cac02912e4fad0e85d26a9bc721fce30ca7e3"),
+    ("datum-dump --case BI --n 20",
+     "64d7bce3ccedb091c0f2caeed092cb2fd0bb07f44bfab2655113d465fb8bb5b1"),
+    ("datum-dump --case DI --n 20",
+     "7045a3d6c40f42446b402acb3de13a43ec3e34bc54e48718205b3f8d5bd899e1"),
+    ("datum-dump --case DIII --n 20",
+     "c5bac4fe3b191bd08f239b3e6dc1070eb4396abc65a55d4e3c0843f4f85dd5db"),
+    ("datum-dump --case AIII --p 10 --q 10",
+     "948580eb28a54da88d3d8f8f52c314155599d770bac08aca3fa9574445145b34"),
+    ("datum-dump --case AIII --p 1 --q 19",
+     "3d6c0e27465984e8be6c015af79eeb23a72724b3945b80ac99ae2a7140568a34"),
 ]
 
 
@@ -364,6 +376,20 @@ def test_output_bytes_pinned(capsys):
         if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != digest:
             changed.append(line)
     assert changed == []
+
+
+def test_scan_checks_its_grid_before_building_the_datum(capsys, monkeypatch):
+    calls = []
+
+    def build(case):
+        calls.append(case)
+        raise AssertionError("build_datum called before the grid was checked")
+
+    monkeypatch.setattr(cli, "build_datum", build)
+    code, out, err = run_cli(capsys, "scan", "--case", "CI", "--n", "20",
+                             "--window", "0..1", "--step", "0")
+    assert code == 1 and "step must be positive" in err
+    assert calls == []
 
 
 def test_output_is_deterministic(capsys):

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import SWEEP_CASES
-from scalarverma import HermitianCase, build_datum
+from scalarverma import HermitianCase, InvariantError, build_datum, rootdata
+from scalarverma.cli import main
 from scalarverma.ratvec import add, inner, pairing, reflect, scale, weight
 from scalarverma.rootdata import (
     CASE_TAGS,
@@ -172,6 +173,44 @@ def test_build_datum_caches():
     assert a is b
 
 
+@pytest.fixture
+def forced_system(monkeypatch):
+    """Make every case derive from one given simple system, uncached."""
+    def force(system):
+        monkeypatch.setattr(rootdata, "_simple_system", lambda case: system)
+
+    rootdata._build.cache_clear()
+    yield force
+    rootdata._build.cache_clear()
+
+
+def _ci3_cut_at_first_simple():
+    # alpha_1 = e1 - e2 as noncompact root: the highest root 2e1 has alpha_1-coefficient 2.
+    dim, simples, _ = rootdata._simple_system(HermitianCase("CI", n=3))
+    return dim, simples, (0,)
+
+
+def test_non_abelian_nilradical_is_rejected(forced_system):
+    forced_system(_ci3_cut_at_first_simple())
+    with pytest.raises(InvariantError, match=r"^CI\(3\): nilradical is not abelian$"):
+        build_datum(HermitianCase("CI", n=3))
+
+
+def test_reducible_simple_system_has_no_highest_root(forced_system):
+    forced_system((4, (weight([1, -1, 0, 0]), weight([0, 0, 1, -1])), (0,)))
+    with pytest.raises(InvariantError, match=r"^AIII\(2,2\): gamma is not the highest root$"):
+        build_datum(HermitianCase("AIII", p=2, q=2))
+
+
+def test_invariant_violation_in_the_datum_exits_3(forced_system, capsys):
+    forced_system(_ci3_cut_at_first_simple())
+    code = main(["datum-dump", "--case", "CI", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "internal invariant violation" in captured.err
+
+
 def test_degenerate_case_notes():
     assert case_notes(HermitianCase("DI", n=2))
     assert case_notes(HermitianCase("DIII", n=2))
@@ -264,8 +303,7 @@ def test_sign_pattern_roots():
     assert beta == scale(Fraction(1, 2), weight([-1, 1, 1, 1, 1, 1, -1, 1]))
     beta = sign_pattern_root("--+++", -1)
     assert beta == scale(Fraction(1, 2), weight([-1, -1, 1, 1, 1, -1, -1, 1]))
-    # parity-tuple form and unicode minus accepted
-    assert sign_pattern_root((1, 0, 0, 0, 0), 1) == sign_pattern_root("-++++", 1)
+    # unicode minus accepted
     assert sign_pattern_root("−++++", 1) == sign_pattern_root("-++++", 1)
 
 
