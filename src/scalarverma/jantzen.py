@@ -13,8 +13,13 @@ vector arithmetic.  The level of a nilradical root beta is affine in c,
 k = a_beta + c*b_beta, so the support costs one integer test per root.
 Levi reflections fix zeta, so the image mu - k*beta = (rho - k*beta) +
 c*zeta has the chamber of the c-free vector rho - k*beta shifted by
-c*zeta; that vector is normalized in integers, scaled by the datum's
-common denominator D, and only the reported weights are rationals.
+c*zeta.  That vector, scaled by the datum's common denominator D, is
+decided in integers by its wall interval along k: a level on one of
+beta's Levi walls is Singular, and off them the interval's memoized Weyl
+word gives the representative, certified dominant at that level (see
+`weyl`).  Levi integrality holds at every level when D*rho and D*beta
+are both Levi integral, which the view records once per root; other
+roots are checked term by term.  Only the reported weights are rationals.
 `simplicity_oracle` is the same criterion on any scalar weight, computed
 with `jantzen_support` and `normalize` in rational arithmetic; it is the
 reference the integer path is tested against.
@@ -33,7 +38,7 @@ from fractions import Fraction
 from .errors import InvariantError
 from .ratvec import Weight, add, dot, inner, is_integer, pairing, reflect
 from .rootdata import ParabolicRootDatum, build_datum
-from .weyl import REGULAR, SINGULAR, ChamberForm, normalize, normalize_scaled, theta_pairing
+from .weyl import REGULAR, SINGULAR, ChamberForm, _line_chamber, normalize, theta_pairing
 
 SIMPLE = "Simple"
 REDUCIBLE = "Reducible"
@@ -163,24 +168,36 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     c = Fraction(c)
     view = datum.integer_view
     # Over the denominator d*D, the image rho - k*beta + c*zeta of a
-    # scaled vector v = D*(rho - k*beta) is d*v + n*Z.
+    # scaled vector v = D*(rho - k*beta) is d*v + n*Z.  Images and
+    # representatives share most coordinates, so each Fraction is built once.
     n, d = c.numerator, c.denominator
     den = d * view.denom
-    unscale = lambda v: tuple(Fraction(d * x + n * z, den) for x, z in zip(v, view.zeta))
+    fractions: dict[int, Fraction] = {}
+
+    def unscale(v):
+        out = []
+        for x, z in zip(v, view.zeta):
+            m = d * x + n * z
+            f = fractions.get(m)
+            if f is None:
+                f = fractions[m] = Fraction(m, den)
+            out.append(f)
+        return tuple(out)
 
     terms = []
     groups: dict[tuple[int, ...], list[tuple[JantzenTerm, int]]] = {}
-    for beta, nil in zip(datum.nilradical_roots, view.nilradical):
+    for j, (beta, nil) in enumerate(zip(datum.nilradical_roots, view.nilradical)):
         # k = (a + c*b) / norm, a positive integer on the support
         num = d * nil.a + n * nil.b
         if num <= 0 or num % (d * nil.norm):
             continue
         k = num // (d * nil.norm)
         v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
-        for root, norm in view.levi_positive:
-            if 2 * dot(v, root) % norm:
-                raise InvariantError("support term is not Levi integral")
-        rep, steps = normalize_scaled(view, v)
+        if not nil.integral:
+            for root, norm in view.levi_positive:
+                if 2 * dot(v, root) % norm:
+                    raise InvariantError("support term is not Levi integral")
+        rep, steps = _line_chamber(view, j, k, v)
         if rep is None:
             chamber = ChamberForm(SINGULAR, None, None, 0)
         else:

@@ -14,15 +14,17 @@ vectors: the nilradical is abelian when each of its roots has noncompact
 coefficients summing to 1, and gamma is the highest root when its vector
 dominates every positive root's, coefficient by coefficient.  Data are built
 once per case, validated against structural invariants, and cached; every
-field is an immutable tuple, safe to share across threads.  Each datum also
-derives, on first use, an integer view of itself (`IntegerView`) for the
-c-free chamber arithmetic of the oracle.
+field of a datum is an immutable tuple, safe to share across threads.  Each
+datum also derives, on first use, an integer view of itself (`IntegerView`)
+for the c-free chamber arithmetic of the oracle.  The view's memo of chamber
+words is the one thing filled in place; a fill stores the value any other
+fill of the same key would, so concurrent fills at worst repeat work.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
@@ -33,8 +35,10 @@ from .ratvec import Weight, add, dot, inner, pairing, scale, sub, weight
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
-# perfbench runs.  One CI(20) classify takes 0.7-0.95 s from the command
-# line, 0.2 s of it building the datum (2 cores, CPython 3.11).
+# perfbench runs.  One CI(20) classify takes 0.5-0.75 s from the command
+# line, 0.2 s of it building the datum; in-process, each later CI(20) point
+# with all 210 nilradical roots in its support takes 0.02-0.03 s (2 cores,
+# CPython 3.11).
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
@@ -117,12 +121,22 @@ class NilradicalLevel:
     On the scalar line mu = rho + c*zeta the level of beta is
     <mu, beta^v> = a_beta + c*b_beta, where a_beta = a / norm and
     b_beta = b / norm.
+
+    Its support term v(k) = R - k*B, with R = D*rho and B = D*beta, meets
+    the wall of a scaled Levi positive root A at k_A = dot(R, A) / dot(B, A);
+    `walls` lists the distinct positive k_A in increasing order.  Between
+    two walls v(k) stays in one open Levi chamber.  `integral` holds when
+    2*dot(R, A) and 2*dot(B, A) are multiples of dot(A, A) for every scaled
+    Levi positive root A, so that every v(k) is Levi integral and each Levi
+    reflection acts on R and B in exact integers.
     """
 
     root: IntVector
     norm: int
     a: int
     b: int
+    walls: tuple[Fraction, ...]
+    integral: bool
 
 
 @dataclass(frozen=True)
@@ -133,6 +147,12 @@ class IntegerView:
     roots, so each vector below is D times the datum's weight of the same
     name, in plain integers.  A root's pairing <v, alpha^v> is then
     2*dot(v, A) / dot(A, A) for the scaled root A, free of D.
+
+    `words` memoizes, per (nilradical index, wall interval), the images
+    (w*R, w*B, length of w) under the Levi word w that takes that
+    interval's open chamber to the dominant one.  It is filled on first
+    use and holds at most one entry per interval, the sum over roots of
+    len(walls) + 1.
     """
 
     denom: int
@@ -142,6 +162,9 @@ class IntegerView:
     nilradical: tuple[NilradicalLevel, ...]
     levi_positive: tuple[tuple[IntVector, int], ...]
     levi_simples: tuple[tuple[IntVector, int], ...]
+    words: dict[tuple[int, int], tuple[IntVector, IntVector, int]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 def case_notes(case: HermitianCase) -> tuple[str, ...]:
@@ -322,14 +345,33 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
 def _integer_view(d: ParabolicRootDatum) -> IntegerView:
     weights = (d.rho, d.zeta, d.theta_u) + d.positive_roots
     denom = math.lcm(*(x.denominator for w in weights for x in w))
-    ints = lambda w: tuple(int(x * denom) for x in w)
-    with_norm = lambda w: (ints(w), dot(ints(w), ints(w)))
+    ints = lambda w: tuple(x.numerator * (denom // x.denominator) for x in w)
+
+    def with_norm(w):
+        v = ints(w)
+        return v, dot(v, v)
+
     rho, zeta = ints(d.rho), ints(d.zeta)
+    levi_positive = tuple(with_norm(a) for a in d.levi_positive)
+    levi_rho = [(dot(rho, a), norm, a) for a, norm in levi_positive]
     nilradical = []
     for beta in d.nilradical_roots:
         root, norm = with_norm(beta)
+        walls, integral = set(), True
+        for r, n, a in levi_rho:
+            b = dot(root, a)
+            integral = integral and not (2 * r % n or 2 * b % n)
+            if r * b > 0:
+                walls.add(Fraction(r, b))
         nilradical.append(
-            NilradicalLevel(root, norm, 2 * dot(rho, root), 2 * dot(zeta, root))
+            NilradicalLevel(
+                root,
+                norm,
+                2 * dot(rho, root),
+                2 * dot(zeta, root),
+                tuple(sorted(walls)),
+                integral,
+            )
         )
     return IntegerView(
         denom=denom,
@@ -337,7 +379,7 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
         zeta=zeta,
         theta_u=ints(d.theta_u),
         nilradical=tuple(nilradical),
-        levi_positive=tuple(with_norm(a) for a in d.levi_positive),
+        levi_positive=levi_positive,
         levi_simples=tuple(with_norm(a) for a in d.levi_simples),
     )
 

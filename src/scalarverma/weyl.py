@@ -9,13 +9,22 @@ rests on.
 
 `normalize` works on exact rational weights.  `normalize_scaled` runs the
 same wall scan and descent on an integer vector D*mu against the datum's
-`IntegerView`; the oracle uses it, because Levi reflections fix zeta and so
-the chamber of rho + c*zeta - k*beta is that of rho - k*beta, shifted by
-c*zeta.
+`IntegerView` and returns the descent's word.  The oracle works on the
+c-free terms v(k) = D*(rho - k*beta), because Levi reflections fix zeta and
+so the chamber of rho + c*zeta - k*beta is that of rho - k*beta, shifted by
+c*zeta.  Along k, v(k) crosses a Levi wall only at the levels the view
+lists for beta; between two of them it stays in one open chamber, and the
+Weyl group acts simply transitively on chambers, so one word w serves the
+whole interval.  The view memoizes w*D*rho and w*D*beta per interval, so a
+term's representative is w*D*rho - k*w*D*beta.  It is accepted only when it
+pairs positively with every Levi simple root; that proves, at the term's
+own level, that it is the dominant point of the orbit.  A term that fails
+the check is normalized afresh.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,34 +92,80 @@ def normalize(datum: ParabolicRootDatum, mu: Weight) -> ChamberForm:
             raise InvariantError("chamber descent exceeded the positive-root bound")
 
 
-def normalize_scaled(view: IntegerView, v: IntVector) -> tuple[IntVector | None, int]:
+def normalize_scaled(view: IntegerView, v: IntVector) -> tuple[IntVector | None, tuple[int, ...]]:
     """normalize() for the integer vector v = D*mu, in integer arithmetic.
 
-    Returns (D times the representative, steps), or (None, 0) on a wall.
-    v must be Levi integral: its pairing 2*dot(v, A) // dot(A, A) with
-    each scaled Levi root A is exact.  The wall scan, the first-negative
-    descent rule, the step bound and the errors are those of normalize().
+    Returns (D times the representative, word), or (None, ()) on a wall.
+    The word lists, in order, the indices into view.levi_simples of the
+    reflections the descent applied, so its length is normalize()'s step
+    count.  v must be Levi integral: its pairing 2*dot(v, A) // dot(A, A)
+    with each scaled Levi root A is exact.  The wall scan, the
+    first-negative descent rule, the step bound and the errors are those of
+    normalize().
     """
     for root, _ in view.levi_positive:
         if dot(v, root) == 0:
-            return None, 0
+            return None, ()
 
     bound = len(view.levi_positive)
-    steps = 0
+    word = []
     while True:
-        for root, norm in view.levi_simples:
+        for i, (root, norm) in enumerate(view.levi_simples):
             d = dot(v, root)
             if d == 0:
                 raise InvariantError("wall hit during descent after a clean wall scan")
             if d < 0:
-                k = 2 * d // norm
-                v = tuple(x - k * a for x, a in zip(v, root))
+                v = _reflect_scaled(v, root, norm)
+                word.append(i)
                 break
         else:
-            return v, steps
-        steps += 1
-        if steps > bound:
+            return v, tuple(word)
+        if len(word) > bound:
             raise InvariantError("chamber descent exceeded the positive-root bound")
+
+
+def _reflect_scaled(v: IntVector, root: IntVector, norm: int) -> IntVector:
+    """The reflection of a Levi integral v in the scaled root of squared norm `norm`."""
+    k = 2 * dot(v, root) // norm
+    return tuple(x - k * a for x, a in zip(v, root))
+
+
+def _line_chamber(view: IntegerView, j: int, k: int, v: IntVector) -> tuple[IntVector | None, int]:
+    """normalize_scaled(view, v) as (rep, steps), for v = R - k*B on the scalar line.
+
+    B is the scaled nilradical root view.nilradical[j], R = view.rho and k
+    is a positive integer.  A level on one of B's walls is Singular.  Off
+    the walls, the word w of k's wall interval comes from view.words, filled
+    by one descent on the interval's first use, and the representative is
+    w*R - k*w*B.  It is returned only when it pairs positively with every
+    Levi simple root, which proves it is the dominant point of v's orbit and
+    len(w) its descent length; otherwise, and for roots whose reflections
+    are not exact on R and B, v is normalized afresh.
+    """
+    nil = view.nilradical[j]
+    if nil.integral:
+        walls = nil.walls
+        i = bisect_left(walls, k)
+        if i < len(walls) and walls[i] == k:
+            return None, 0
+        entry = view.words.get((j, i))
+        if entry is None:
+            rep, word = normalize_scaled(view, v)
+            # Off B's walls, only a Levi root orthogonal to both R and B
+            # holds v on a wall; such an interval is not memoized.
+            if rep is not None:
+                wb = nil.root
+                for s in word:
+                    wb = _reflect_scaled(wb, *view.levi_simples[s])
+                # rep = w*R - k*w*B, and w acts linearly
+                view.words[j, i] = (tuple(x + k * b for x, b in zip(rep, wb)), wb, len(word))
+            return rep, len(word)
+        wr, wb, steps = entry
+        rep = tuple(r - k * b for r, b in zip(wr, wb))
+        if all(dot(rep, root) > 0 for root, _ in view.levi_simples):
+            return rep, steps
+    rep, word = normalize_scaled(view, v)
+    return rep, len(word)
 
 
 def theta_pairing(datum: ParabolicRootDatum, mu: Weight) -> Fraction:

@@ -1,10 +1,12 @@
 """The integer scalar-line path against the Fraction reference.
 
 `classify_scalar` decides c * zeta in integers through the datum's
-`IntegerView` and `normalize_scaled`; `simplicity_oracle` and `normalize`
-are the rational reference.  Every comparison here is whole-verdict
-equality, certificates included, and every InvariantError the reference
-can raise is triggered on both paths.
+`IntegerView`: each support term by its wall interval and that interval's
+memoized word, certified at the term, with `normalize_scaled` as the
+descent.  `simplicity_oracle` and `normalize` are the rational reference.
+Every comparison here is whole-verdict equality, certificates included,
+and every InvariantError the reference can raise is triggered on both
+paths.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from scalarverma import (
 from scalarverma.jantzen import simplicity_oracle
 from scalarverma.ratvec import add, inner, sub, weight
 from scalarverma.rootdata import scalar_parameter_weight
-from scalarverma.weyl import REGULAR, normalize_scaled
+from scalarverma.weyl import REGULAR, _line_chamber, normalize_scaled
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
 HIGH_RANK = [HermitianCase("CI", n=8), HermitianCase("DIII", n=10), HermitianCase("AIII", p=5, q=5)]
@@ -120,11 +122,37 @@ def test_integer_normalizer_matches_normalize(case):
         for k in range(-3, 10):
             form = normalize(datum, sub(datum.rho, tuple(k * x for x in beta)))
             v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
-            rep, steps = normalize_scaled(view, v)
+            rep, word = normalize_scaled(view, v)
             assert (rep is not None) == (form.status == REGULAR), (beta, k)
             if rep is not None:
                 assert tuple(Fraction(x, view.denom) for x in rep) == form.rep
-                assert steps == form.steps
+                assert len(word) == form.steps
+
+
+@pytest.mark.parametrize(
+    "case", SWEEP_CASES + HIGH_RANK, ids=CASE_IDS + [c.label for c in HIGH_RANK]
+)
+def test_interval_words_match_a_fresh_descent(case):
+    # a replaced datum derives its own view, so the first pass starts cold
+    view = dataclasses.replace(build_datum(case)).integer_view
+    for _ in ("cold", "warm"):
+        for j, nil in enumerate(view.nilradical):
+            assert nil.integral
+            for k in range(1, int(max(nil.walls, default=0)) + 3):
+                v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
+                rep, word = normalize_scaled(view, v)
+                assert _line_chamber(view, j, k, v) == (rep, len(word)), (j, k)
+        assert view.words
+
+
+def test_word_memo_is_used_and_bounded():
+    datum = dataclasses.replace(build_datum(HermitianCase("CI", n=8)))
+    regular = 0
+    for c in default_window(datum.case, Fraction(1, 6)):
+        regular += sum(t.chamber.is_regular for t in classify_scalar(datum, c).terms)
+    view = datum.integer_view
+    assert len(view.words) <= sum(len(nil.walls) + 1 for nil in view.nilradical)
+    assert 10 * len(view.words) < regular
 
 
 def test_integer_view_scales_the_datum():
@@ -146,8 +174,11 @@ def test_integer_view_scales_the_datum():
 def test_replaced_datum_derives_a_fresh_view():
     datum = build_datum(HermitianCase("AIII", p=2, q=2))
     assert datum.integer_view is datum.integer_view
+    classify_scalar(datum, -1)
+    assert datum.integer_view.words
     crippled = dataclasses.replace(datum, levi_positive=datum.levi_positive[:1])
     assert len(crippled.integer_view.levi_positive) == 1
+    assert not crippled.integer_view.words
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +231,22 @@ def test_non_levi_integral_term_trips_both_oracles():
     crippled = dataclasses.replace(datum, rho=add(datum.rho, shift))
     grid = [Fraction(k, 4) for k in range(-24, 25)]
     assert_paths_agree_and_trip(crippled, grid, "support term is not Levi integral")
+
+
+@pytest.mark.parametrize("dropped", [(2, 5), (1, 5)], ids=["e2-e5", "e1-e5"])
+def test_certificate_falls_back_where_the_walls_are_incomplete(dropped):
+    # Without the wall of a Levi root, one wall interval spans two
+    # chambers, so a memoized word is wrong on part of it; the dominance
+    # check must send those terms back to a fresh descent.
+    datum = build_datum(HermitianCase("DIII", n=5))
+    i, j = dropped
+    root = weight([(t == i) - (t == j) for t in range(1, 6)])
+    kept = tuple(a for a in datum.levi_positive if a != root)
+    assert len(kept) == len(datum.levi_positive) - 1
+    crippled = dataclasses.replace(datum, levi_positive=kept)
+    for c in (Fraction(k, 2) for k in range(-40, 41)):
+        got = outcome(lambda: classify_scalar(crippled, c))
+        assert got == outcome(lambda: reference(crippled, c)), c
 
 
 def test_theta_split_class_trips_both_oracles():
