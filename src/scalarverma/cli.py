@@ -7,16 +7,17 @@ datum-dump (the full root datum as JSON).
 
 Exit codes: 0 success, 1 usage error, 2 computational disagreement,
 3 internal invariant violation.  All output is deterministic: fixed
-orderings, exact rationals, no timestamps.
+orderings, exact rationals, no timestamps.  JSON is written by _dumps, in
+the bytes of json.dumps(..., indent=2).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .ehw import (
     KNOWN_REDUCIBLE,
@@ -194,6 +195,42 @@ def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
 # serialization helpers
 
 
+def _dumps(obj, indent: str = "") -> str:
+    """The bytes of json.dumps(obj, indent=2) for the CLI's payload shapes.
+
+    indent is the indentation of the line obj starts on.  Only str, int,
+    bool, None, list and str-keyed dict are accepted; the standard encoder
+    runs in pure Python whenever an indent is set, and this one is faster.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [_dumps(x, inner) for x in obj]
+        return f"[\n{inner}{sep.join(items)}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append(f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}")
+        return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _w(w: Weight) -> list[str]:
     return [format_rational(x) for x in w]
 
@@ -255,7 +292,7 @@ def cmd_classify(args) -> int:
     c = parse_rational(args.c)
     payload = _classify_payload(case, c)
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         return 0
     print(f"{payload['label']}  c = {payload['c']}  (z = {payload['z']})")
     print(f"verdict: {payload['verdict']}   route: {payload['route']}")
@@ -315,14 +352,14 @@ def cmd_scan(args) -> int:
             "window": [format_rational(lo), format_rational(hi)],
             "step": format_rational(step),
         }
-        # The bytes of json.dumps(payload, indent=2), with payload["rows"]
-        # last and each row indented to its depth in the payload.
-        text = json.dumps(head, indent=2)
-        print(text[: -len("\n}")] + ',\n  "rows": [', end="")
+        # The bytes of _dumps(payload) for payload = {**head, "rows": rows},
+        # written one member and one row at a time.
+        members = "".join(f"\n  {_dumps(k)}: {_dumps(v, '  ')}," for k, v in head.items())
+        print("{" + members + '\n  "rows": [', end="")
         sep = "\n    "
         for r in rows:
             row = {**r, "c": format_rational(r["c"]), "z": format_rational(r["z"])}
-            print(sep + json.dumps(row, indent=2).replace("\n", "\n    "), end="")
+            print(sep + _dumps(row, "    "), end="")
             sep = ",\n    "
         print("\n  ]\n}" if grid else "]\n}")
         return 0
@@ -414,7 +451,7 @@ def cmd_table(args) -> int:
                 for pat, vals in rows
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         return 0
     if args.format == "tsv":
         print("\t".join(header))
@@ -495,7 +532,7 @@ def cmd_crosscheck(args) -> int:
                 for r in results
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
         return 0 if ok else 2
 
     for r in results:
@@ -545,7 +582,7 @@ def cmd_datum_dump(args) -> int:
     notes = case_notes(case)
     if notes:
         payload["notes"] = list(notes)
-    print(json.dumps(payload, indent=2))
+    print(_dumps(payload))
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InsufficientWindowError, InvariantError
 from .ratvec import Weight, add, format_rational, is_integer, pairing, scale, sub
@@ -137,7 +138,9 @@ def abc_verdict(constants: ABCConstants, z) -> str:
     return INDETERMINATE
 
 
+@lru_cache(maxsize=None)
 def reducibility_set(case: HermitianCase) -> ReducibilitySet:
+    """The case's closed-form reducible set, built once per case."""
     tag, p, q, n = case.tag, case.p, case.q, case.n
     one = Fraction(1)
     half = Fraction(1, 2)

@@ -11,10 +11,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scalarverma
 from scalarverma import InvariantError
-from scalarverma import cli
+from scalarverma import cli, ehw
 from scalarverma.cli import main
 
 Q = Fraction
@@ -229,15 +230,60 @@ def test_crosscheck_json(capsys):
     assert inst["mismatches"] == [] and inst["contradictions"] == []
 
 
-def test_crosscheck_disagreement_exits_2(capsys, monkeypatch):
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_crosscheck_disagreement_exits_2(capsys, monkeypatch, fmt):
     import scalarverma.cli as cli_mod
 
     # a constant-False stand-in disagrees on every reducible point
     monkeypatch.setattr(cli_mod, "closed_form_reducible", lambda case, c: False)
     code, out, _ = run_cli(capsys, "crosscheck", "--case", "CI", "--n", "2",
-                           "--window", "-1..1", "--step", "1/2")
+                           "--window", "-1..1", "--step", "1/2", "--format", fmt)
     assert code == 2
-    assert "crosscheck: FAIL" in out
+    if fmt == "pretty":
+        assert "crosscheck: FAIL" in out
+    else:
+        payload = json.loads(out)
+        assert payload["pass"] is False and payload["instances"][0]["mismatches"]
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_one_closed_form_set_per_case(capsys):
+    ehw.reducibility_set.cache_clear()
+    code, out, _ = run_cli(capsys, "scan", "--case", "CI", "--n", "5",
+                           "--window", "-40..20", "--step", "1/60")
+    assert code == 0 and len(out.splitlines()) == 1 + 3601
+    assert ehw.reducibility_set.cache_info().misses == 1
+    code, _, _ = run_cli(capsys, "crosscheck", "--case", "CI", "--n", "2..6")
+    assert code == 0
+    # CI(5) is already built; CI(2), CI(3), CI(4) and CI(6) are not
+    assert ehw.reducibility_set.cache_info().misses == 5
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII text
+_json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀') | st.characters())
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _json_text
+)
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_payloads)
+def test_writer_matches_json_dumps(payload):
+    assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "payload", [Q(1, 2), 0.5, {1: "x"}, [{"a": [Q(1)]}], {"a": {None: 1}}],
+    ids=["fraction", "float", "int-key", "nested-fraction", "nested-none-key"],
+)
+def test_writer_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        cli._dumps(payload)
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):
