@@ -236,12 +236,8 @@ def _w(w: Weight) -> list[str]:
 
 
 def _case_json(case: HermitianCase) -> dict:
-    out: dict = {"tag": case.tag}
-    if case.tag == "AIII":
-        out["p"], out["q"] = case.p, case.q
-    elif case.n is not None:
-        out["n"] = case.n
-    return out
+    fields = {"tag": case.tag, "p": case.p, "q": case.q, "n": case.n}
+    return {k: v for k, v in fields.items() if v is not None}
 
 
 def _class_json(group, with_detail: bool) -> dict:

@@ -41,16 +41,6 @@ class ABCConstants:
     b: Fraction
     c: Fraction
 
-    @property
-    def lattice(self) -> tuple[Fraction, ...]:
-        """The reduction points a, a + c, ..., b."""
-        out = []
-        z = self.a
-        while z <= self.b:
-            out.append(z)
-            z += self.c
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class Progression:

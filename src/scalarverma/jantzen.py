@@ -76,10 +76,6 @@ class SimplicityVerdict:
     witness: Weight | None
 
     @property
-    def support(self) -> tuple[Weight, ...]:
-        return tuple(t.beta for t in self.terms)
-
-    @property
     def surviving(self) -> tuple[RepClass, ...]:
         return tuple(g for g in self.certificate if g.net_sign != 0)
 

@@ -9,16 +9,28 @@ direction zeta (orthogonal to the Levi, normalized against gamma).
 Each family writes out only its simple roots and noncompact simple indices;
 every other field is derived from them.  The positive roots are the
 nonnegative simple-root coefficient vectors in the orbit of the simple roots
-under the simple reflections.  Two structural facts are checked on those
-vectors: the nilradical is abelian when each of its roots has noncompact
-coefficients summing to 1, and gamma is the highest root when its vector
-dominates every positive root's, coefficient by coefficient.  Data are built
-once per case, validated against structural invariants, and cached; every
-field of a datum is an immutable tuple, safe to share across threads.  Each
-datum also derives, on first use, an integer view of itself (`IntegerView`)
-for the c-free chamber arithmetic of the oracle.  The view's memo of chamber
-words is the one thing filled in place; a fill stores the value any other
-fill of the same key would, so concurrent fills at worst repeat work.
+under the simple reflections, each carried with its doubled coordinates.
+`_derive` checks the datum as it builds it, in integers on those vectors:
+
+- every simple root has the ambient dimension and lies in (1/2)Z^dim;
+- no two positive roots coincide;
+- the noncompact indices name one simple root, so the Levi simples are the
+  others (not checked for the degenerate DI(2) and DIII(2));
+- the nilradical is abelian: each of its roots has noncompact coefficients
+  summing to 1;
+- gamma is the highest root: its vector dominates every positive root's,
+  coefficient by coefficient (not checked for DI(2) and DIII(2));
+- the nilradical's sum, of which zeta and theta_u are multiples, is
+  orthogonal to the Levi and positive on the nilradical;
+- for EIII and EVII, every positive root lies in the subspace of R^8 that
+  realizes E6 or E7.
+
+Data are built once per case and cached; every field of a datum is an
+immutable tuple, safe to share across threads.  Each datum also derives, on
+first use, an integer view of itself (`IntegerView`) for the c-free chamber
+arithmetic of the oracle.  The view's memo of chamber words is the one thing
+filled in place; a fill stores the value any other fill of the same key
+would, so concurrent fills at worst repeat work.
 """
 
 from __future__ import annotations
@@ -30,15 +42,15 @@ from functools import cached_property, lru_cache, partial
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-from .ratvec import Weight, add, dot, inner, pairing, scale, sub, weight
+from .ratvec import Weight, add, dot, scale, sub, weight
 
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
-# perfbench runs.  One CI(20) classify takes 0.5-0.75 s from the command
-# line, 0.2 s of it building the datum; in-process, each later CI(20) point
-# with all 210 nilradical roots in its support takes 0.02-0.03 s (2 cores,
-# CPython 3.11).
+# perfbench runs.  One CI(20) classify takes about 0.22 s from the command
+# line, 0.02-0.05 s of it building the datum; in-process, each later CI(20)
+# point with all 210 nilradical roots in its support takes about 0.007 s
+# (2 cores, CPython 3.11.7).
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
@@ -82,13 +94,10 @@ class HermitianCase:
         if dim is not None and dim > MAX_AMBIENT_DIM:
             raise ValueError(f"{self.label}: ambient dimension {dim} is over {MAX_AMBIENT_DIM}")
 
-    @property
+    @cached_property
     def label(self) -> str:
-        if self.tag == "AIII":
-            return f"AIII({self.p},{self.q})"
-        if self.n is not None:
-            return f"{self.tag}({self.n})"
-        return self.tag
+        params = ",".join([str(v) for v in (self.p, self.q, self.n) if v is not None])
+        return f"{self.tag}({params})" if params else self.tag
 
 
 @dataclass(frozen=True)
@@ -178,9 +187,10 @@ def case_notes(case: HermitianCase) -> tuple[str, ...]:
     return ()
 
 
+@lru_cache(maxsize=None)
 def build_datum(case: HermitianCase) -> ParabolicRootDatum:
-    """Build (or fetch the cached) validated root datum for a case."""
-    return _build(case)
+    """Build (or fetch the cached) root datum for a case, checked as it is derived."""
+    return _derive(case)
 
 
 def scalar_parameter_weight(datum: ParabolicRootDatum, c) -> Weight:
@@ -269,9 +279,13 @@ def _need(case: HermitianCase, cond: bool, msg: str) -> None:
 
 def _derive(case: HermitianCase) -> ParabolicRootDatum:
     dim, delta, noncompact = _simple_system(case)
+    need = partial(_need, case)
     # Every root of these realizations lies in (1/2)Z^dim, so the orbit
     # runs on integers: doubled coordinates and simple-root coefficients.
-    twice = [tuple(int(2 * x) for x in a) for a in delta]
+    twice = [tuple(2 * x for x in a) for a in delta]
+    need(all(len(a) == dim for a in twice), "weight of wrong dimension")
+    need(all(x.denominator == 1 for a in twice for x in a), "simple root outside (1/2)Z^dim")
+    twice = [tuple(map(int, a)) for a in twice]
     # cartan[i][j] = <alpha_j, alpha_i^v>, so <b, alpha_i^v> = dot(b, cartan[i])
     cartan = [[2 * dot(a, b) // dot(a, a) for b in twice] for a in twice]
 
@@ -289,56 +303,66 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
             if image[i] >= 0 and image not in doubled:
                 doubled[image] = tuple(x - k * y for x, y in zip(doubled[beta], twice[i]))
                 frontier.append(image)
+    need(len(set(doubled.values())) == len(doubled), "duplicate positive roots")
 
+    degenerate = (case.tag, case.n) in _D2_DEGENERATE
+    # The simple roots are distinct, so the Levi keeps every simple root but
+    # the noncompact one exactly when the noncompact indices name one root.
+    need(
+        degenerate or set(noncompact) == {noncompact[0]},
+        "Levi simples are not the simple system minus the noncompact root",
+    )
     nil_coeffs = [c for c in doubled if any(c[i] > 0 for i in noncompact)]
+    levi_coeffs = [c for c in doubled if not any(c[i] > 0 for i in noncompact)]
     # Greatest height; only DI(2) ties, and takes the larger root e1 + e2.
     top = max(nil_coeffs, key=lambda c: (sum(c), doubled[c]))
     # Noncompact coefficient 1 throughout: no two nilradical roots sum to a root.
-    _need(
-        case,
+    need(
         all(sum(c[i] for i in noncompact) == 1 for c in nil_coeffs),
         "nilradical is not abelian",
     )
-    if (case.tag, case.n) not in _D2_DEGENERATE:
-        _need(
-            case,
-            all(x <= y for c in doubled for x, y in zip(c, top)),
-            "gamma is not the highest root",
-        )
+    need(
+        degenerate or all(x <= y for c in doubled for x, y in zip(c, top)),
+        "gamma is not the highest root",
+    )
+
+    # zeta and theta_u are multiples of nil2, twice the nilradical's sum,
+    # which the Levi Weyl group fixes.  zeta is positive on the nilradical
+    # exactly when every dot(nil2, beta) is: those products sum to
+    # dot(nil2, nil2) >= 0, and zeta divides each by the one at gamma.
+    nil2 = tuple(map(sum, zip(*(doubled[c] for c in nil_coeffs))))
+    need(all(dot(nil2, doubled[c]) == 0 for c in levi_coeffs), "zeta not orthogonal to the Levi")
+    need(all(dot(nil2, doubled[c]) > 0 for c in nil_coeffs), "zeta not positive on the nilradical")
+    # E6 and E7 live in the subspace of R^8 orthogonal to these vectors; rho,
+    # gamma and zeta are combinations of the positive roots.
+    walls = {"EIII": ((0,) * 6 + (1, 1), (0,) * 5 + (1, -1, 0)), "EVII": ((0,) * 6 + (1, 1),)}
+    need(
+        all(dot(w, b) == 0 for w in walls.get(case.tag, ()) for b in doubled.values()),
+        "weight leaves the defining subspace",
+    )
 
     halves = {x: Fraction(x, 2) for w in doubled.values() for x in w}
     roots = {c: tuple(halves[x] for x in w) for c, w in doubled.items()}
 
-    pos = _sorted(roots.values())
-    nil = _sorted(roots[c] for c in nil_coeffs)
-    simples = tuple(roots[c] for c in units)
-    alpha_u = simples[noncompact[0]]
-    rho = tuple(Fraction(sum(col), 4) for col in zip(*doubled.values()))
-    gamma = roots[top]
-    # The nilradical is stable under the Levi Weyl group, so its sum is
-    # orthogonal to the Levi.
-    nil_sum = tuple(Fraction(sum(col), 2) for col in zip(*(doubled[c] for c in nil_coeffs)))
-    zeta = scale(1 / pairing(nil_sum, gamma), nil_sum)
-
-    nil_set = set(nil)
-    levi_pos = tuple(b for b in pos if b not in nil_set)
-    levi_set = set(levi_pos)
-    levi_simples = tuple(a for a in simples if a in levi_set)
-    theta_u = scale(1 / pairing(zeta, alpha_u), zeta)
+    def along_nil(b: IntVector) -> Weight:
+        # The multiple of the nilradical's sum with <., beta^v> = 1, for the
+        # root beta with doubled vector b.
+        den = 4 * dot(nil2, b)
+        return tuple(Fraction(x * dot(b, b), den) for x in nil2)
 
     return ParabolicRootDatum(
         case=case,
         ambient_dim=dim,
-        simple_roots=simples,
-        levi_simples=levi_simples,
-        noncompact_simple=alpha_u,
-        positive_roots=pos,
-        levi_positive=levi_pos,
-        nilradical_roots=nil,
-        rho=rho,
-        gamma=gamma,
-        zeta=zeta,
-        theta_u=theta_u,
+        simple_roots=tuple(roots[c] for c in units),
+        levi_simples=tuple(roots[c] for c in units if c in levi_coeffs),
+        noncompact_simple=roots[units[noncompact[0]]],
+        positive_roots=_sorted(roots.values()),
+        levi_positive=_sorted(roots[c] for c in levi_coeffs),
+        nilradical_roots=_sorted(roots[c] for c in nil_coeffs),
+        rho=tuple(Fraction(sum(col), 4) for col in zip(*doubled.values())),
+        gamma=roots[top],
+        zeta=along_nil(doubled[top]),
+        theta_u=along_nil(twice[noncompact[0]]),
     )
 
 
@@ -382,62 +406,3 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
         levi_positive=levi_positive,
         levi_simples=tuple(with_norm(a) for a in d.levi_simples),
     )
-
-
-@lru_cache(maxsize=None)
-def _build(case: HermitianCase) -> ParabolicRootDatum:
-    datum = _derive(case)
-    _validate(datum)
-    return datum
-
-
-def _validate(d: ParabolicRootDatum) -> None:
-    need = partial(_need, d.case)
-
-    dim = d.ambient_dim
-    for w in (d.rho, d.gamma, d.zeta, d.theta_u) + d.simple_roots + d.positive_roots:
-        need(len(w) == dim, "weight of wrong dimension")
-
-    pos_set = set(d.positive_roots)
-    need(len(pos_set) == len(d.positive_roots), "duplicate positive roots")
-    need(set(d.nilradical_roots) <= pos_set, "nilradical outside positive system")
-    need(
-        set(d.levi_positive) | set(d.nilradical_roots) == pos_set
-        and not set(d.levi_positive) & set(d.nilradical_roots),
-        "Levi/nilradical halves do not partition the positive roots",
-    )
-    need(all(a in pos_set for a in d.simple_roots), "simple root missing from positive system")
-    need(d.noncompact_simple in set(d.simple_roots), "noncompact simple not simple")
-    need(d.noncompact_simple in set(d.nilradical_roots), "noncompact simple not in nilradical")
-
-    degenerate = (d.case.tag, d.case.n) in _D2_DEGENERATE
-    if not degenerate:
-        need(
-            set(d.levi_simples) == set(d.simple_roots) - {d.noncompact_simple},
-            "Levi simples are not the simple system minus the noncompact root",
-        )
-
-    two_rho = tuple(sum(col, Fraction(0)) for col in zip(*d.positive_roots))
-    need(two_rho == scale(2, d.rho), "positive roots do not sum to twice rho")
-
-    need(d.gamma in set(d.nilradical_roots), "gamma is not a nilradical root")
-    need(all(inner(d.zeta, a) == 0 for a in d.levi_positive), "zeta not orthogonal to the Levi")
-    need(pairing(d.zeta, d.gamma) == 1, "zeta not normalized against gamma")
-    need(
-        all(pairing(d.zeta, b) > 0 for b in d.nilradical_roots),
-        "zeta not positive on the nilradical",
-    )
-
-    need(pairing(d.theta_u, d.noncompact_simple) == 1, "theta_u misnormalized")
-    need(
-        all(inner(d.theta_u, a) == 0 for a in d.levi_positive),
-        "theta_u not fixed by the Levi",
-    )
-
-    if d.case.tag in ("EIII", "EVII"):
-        walls = [weight((0, 0, 0, 0, 0, 0, 1, 1))]
-        if d.case.tag == "EIII":
-            walls.append(weight((0, 0, 0, 0, 0, 1, -1, 0)))
-        for w in walls:
-            for v in (d.rho, d.gamma, d.zeta) + d.positive_roots:
-                need(inner(v, w) == 0, "weight leaves the defining subspace")

@@ -14,6 +14,8 @@ from fractions import Fraction
 import pytest
 
 from scalarverma import HermitianCase, build_datum
+from scalarverma.ehw import ABCConstants
+from scalarverma.jantzen import SimplicityVerdict
 from scalarverma.ratvec import Weight, inner, is_integer, pairing, reflect
 from scalarverma.rootdata import ParabolicRootDatum
 from scalarverma.weyl import REGULAR, SINGULAR
@@ -42,6 +44,21 @@ def random_case(rng: random.Random, max_rank: int = 6) -> HermitianCase:
 def random_weight(rng: random.Random, dim: int, span: int = 9, denominators=(1, 1, 2, 3, 4)) -> Weight:
     """Random rational vector; small denominators keep arithmetic fast."""
     return tuple(Fraction(rng.randint(-span, span), rng.choice(denominators)) for _ in range(dim))
+
+
+def abc_lattice(constants: ABCConstants) -> tuple[Fraction, ...]:
+    """The reduction points a, a + c, ..., b of first-reduction constants."""
+    out = []
+    z = constants.a
+    while z <= constants.b:
+        out.append(z)
+        z += constants.c
+    return tuple(out)
+
+
+def verdict_support(verdict: SimplicityVerdict) -> tuple[Weight, ...]:
+    """The support roots of a verdict, in the order of its terms."""
+    return tuple(t.beta for t in verdict.terms)
 
 
 def random_levi_word(datum: ParabolicRootDatum, rng: random.Random, max_len: int = 12) -> list[Weight]:

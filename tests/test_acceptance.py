@@ -18,6 +18,7 @@ import pytest
 import golden_tables as G
 from conftest import (
     SWEEP_CASES,
+    abc_lattice,
     apply_word,
     criterion,
     random_case,
@@ -314,7 +315,7 @@ def test_a8_screen_coherence(sweep, capsys):
                     assert pt.verdict == REDUCIBLE, (label, pt)
         for case in SWEEP_CASES:
             rows = {pt.z: pt for pt in sweep.points[case.label]}
-            for z in abc_constants(case).lattice:
+            for z in abc_lattice(abc_constants(case)):
                 assert rows[z].verdict == REDUCIBLE, (case.label, z)
 
 

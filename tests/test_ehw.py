@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SWEEP_CASES
+from conftest import SWEEP_CASES, abc_lattice
 from scalarverma import (
     HermitianCase,
     InsufficientWindowError,
@@ -79,7 +79,7 @@ def test_abc_constants_frozen(case):
 @pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
 def test_abc_lattice_shape(case):
     con = abc_constants(case)
-    lattice = con.lattice
+    lattice = abc_lattice(con)
     assert lattice[0] == con.a and lattice[-1] <= con.b
     assert con.c > 0
     steps = {y - x for x, y in zip(lattice, lattice[1:])}
@@ -139,7 +139,7 @@ def test_abc_verdict_half_step_lattice():
 
 def test_di2_collapsed_lattice():
     con = abc_constants(HermitianCase("DI", n=2))
-    assert con.lattice == (Q(1),)
+    assert abc_lattice(con) == (Q(1),)
     assert abc_verdict(con, Q(1)) == KNOWN_REDUCIBLE
     assert abc_verdict(con, Q(2)) == INDETERMINATE
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SWEEP_CASES
+from conftest import SWEEP_CASES, verdict_support
 from scalarverma import (
     HermitianCase,
     build_datum,
@@ -79,7 +79,7 @@ def test_aiii23_reducible_point():
     assert v.verdict == REDUCIBLE and v.route == ROUTE_SUM_SURVIVES
     assert len(v.terms) == 5
     assert len(v.surviving) == 2
-    assert v.witness is not None and v.witness in v.support
+    assert v.witness is not None and v.witness in verdict_support(v)
     signs = sorted(g.net_sign for g in v.surviving)
     assert signs == [-1, 1]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -167,6 +169,23 @@ def test_scalar_parameter_weight(case):
         assert inner(lam, alpha) == 0
 
 
+# Every admissible case: AIII with p + q <= 20, CI, BI, DI and DIII with
+# n = 2..20, EIII and EVII.
+ADMISSIBLE_CASES = (
+    [HermitianCase("AIII", p=p, q=s - p) for s in range(2, 21) for p in range(1, s)]
+    + [HermitianCase(tag, n=n) for tag in ("CI", "BI", "DI", "DIII") for n in range(2, 21)]
+    + [HermitianCase("EIII"), HermitianCase("EVII")]
+)
+# sha256 of their data's reprs, joined by newlines.
+ADMISSIBLE_DATA_SHA256 = "27d33b1e59f5f94cc6f111d3a00fff63deceb1e4cb6a08e45b37c9d9f4a28975"
+
+
+def test_every_admissible_datum_is_pinned():
+    assert len(ADMISSIBLE_CASES) == 268
+    text = "\n".join(repr(build_datum(case)) for case in ADMISSIBLE_CASES)
+    assert hashlib.sha256(text.encode()).hexdigest() == ADMISSIBLE_DATA_SHA256
+
+
 def test_build_datum_caches():
     a = build_datum(HermitianCase("CI", n=3))
     b = build_datum(HermitianCase("CI", n=3))
@@ -179,9 +198,9 @@ def forced_system(monkeypatch):
     def force(system):
         monkeypatch.setattr(rootdata, "_simple_system", lambda case: system)
 
-    rootdata._build.cache_clear()
+    build_datum.cache_clear()
     yield force
-    rootdata._build.cache_clear()
+    build_datum.cache_clear()
 
 
 def _ci3_cut_at_first_simple():
@@ -200,6 +219,49 @@ def test_reducible_simple_system_has_no_highest_root(forced_system):
     forced_system((4, (weight([1, -1, 0, 0]), weight([0, 0, 1, -1])), (0,)))
     with pytest.raises(InvariantError, match=r"^AIII\(2,2\): gamma is not the highest root$"):
         build_datum(HermitianCase("AIII", p=2, q=2))
+
+
+def _with_simple(case, i, root):
+    dim, simples, noncompact = rootdata._simple_system(case)
+    return dim, simples[:i] + (weight(root),) + simples[i + 1 :], noncompact
+
+
+CI3 = HermitianCase("CI", n=3)
+
+MALFORMED_SYSTEMS = {
+    "dimension": (CI3, _with_simple(CI3, 2, [0, 0, 2, 0]), "weight of wrong dimension"),
+    "half-integral": (
+        CI3, _with_simple(CI3, 2, [0, 0, Fraction(7, 3)]), "simple root outside (1/2)Z^dim"
+    ),
+    # e1 - e3 = (e1 - e2) + (e2 - e3): two coefficient vectors, one root.
+    "dependent": (
+        HermitianCase("AIII", p=1, q=2),
+        (3, (weight([1, -1, 0]), weight([0, 1, -1]), weight([1, 0, -1])), (0,)),
+        "duplicate positive roots",
+    ),
+    "two-noncompact": (
+        CI3,
+        rootdata._simple_system(CI3)[:2] + ((2, 0),),
+        "Levi simples are not the simple system minus the noncompact root",
+    ),
+    # alpha_1 = 2e1 - e2: the Cartan integers still read -1, but the
+    # nilradical's sum is no longer orthogonal to the Levi.
+    "zeta-orthogonal": (CI3, _with_simple(CI3, 0, [2, -1, 0]), "zeta not orthogonal to the Levi"),
+    # alpha_1 with +1/2 in place of -1/2 at e6: off the E6 subspace.
+    "off-e6": (
+        HermitianCase("EIII"),
+        _with_simple(HermitianCase("EIII"), 0, "1/2 -1/2 -1/2 -1/2 -1/2 1/2 -1/2 1/2".split()),
+        "weight leaves the defining subspace",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SYSTEMS))
+def test_malformed_system_is_rejected(forced_system, name):
+    case, system, message = MALFORMED_SYSTEMS[name]
+    forced_system(system)
+    with pytest.raises(InvariantError, match=f"^{re.escape(f'{case.label}: {message}')}$"):
+        build_datum(case)
 
 
 def test_invariant_violation_in_the_datum_exits_3(forced_system, capsys):
