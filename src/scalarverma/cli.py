@@ -9,6 +9,10 @@ Exit codes: 0 success, 1 usage error, 2 computational disagreement,
 3 internal invariant violation.  All output is deterministic: fixed
 orderings, exact rationals, no timestamps.  JSON is written by _dumps, in
 the bytes of json.dumps(..., indent=2).
+
+The argparse parser is built once per process, on the first main() call,
+and reused by every later call; building it costs more than deciding a
+typical point.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .ehw import (
@@ -97,6 +102,7 @@ def _glue_values(argv: list[str]) -> list[str]:
     return out
 
 
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scalarverma", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -49,9 +49,16 @@ class Progression:
     start: Fraction
     step: Fraction
 
+    def __post_init__(self) -> None:
+        if self.step <= 0:
+            raise ValueError(f"progression step must be positive, got {self.step}")
+
     def contains(self, x: Fraction) -> bool:
-        t = (x - self.start) / self.step
-        return t >= 0 and is_integer(t)
+        # (x - start) / step = num / den with den > 0, so it is a
+        # nonnegative integer exactly when num >= 0 and den divides num.
+        s, t = self.start, self.step
+        num = (x.numerator * s.denominator - s.numerator * x.denominator) * t.denominator
+        return num >= 0 and num % (x.denominator * s.denominator * t.numerator) == 0
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ class ReducibilitySet:
     parts: tuple[Progression, ...]
 
     def contains(self, c) -> bool:
-        x = Fraction(c)
+        x = c if isinstance(c, Fraction) else Fraction(c)
         return any(p.contains(x) for p in self.parts)
 
 
@@ -119,11 +126,16 @@ def abc_constants(case: HermitianCase) -> ABCConstants:
 
 def abc_verdict(constants: ABCConstants, z) -> str:
     """What the first-reduction constants alone say about line coordinate z."""
-    x = Fraction(z)
-    if x < constants.a:
+    x = z if isinstance(z, Fraction) else Fraction(z)
+    a, b, c = constants.a, constants.b, constants.c
+    # z - a = gap / (x.denominator * a.denominator), in integers.
+    gap = x.numerator * a.denominator - a.numerator * x.denominator
+    if gap < 0:
         return KNOWN_SIMPLE
-    t = (x - constants.a) / constants.c
-    if is_integer(t) and constants.a + t * constants.c <= constants.b:
+    if (
+        x.numerator * b.denominator <= b.numerator * x.denominator
+        and gap * c.denominator % (x.denominator * a.denominator * c.numerator) == 0
+    ):
         return KNOWN_REDUCIBLE
     return INDETERMINATE
 
@@ -153,7 +165,7 @@ def reducibility_set(case: HermitianCase) -> ReducibilitySet:
 
 def closed_form_reducible(case: HermitianCase, c) -> bool:
     """Membership of c in the case's closed-form reducible set."""
-    return reducibility_set(case).contains(Fraction(c))
+    return reducibility_set(case).contains(c)
 
 
 def progression_summary(

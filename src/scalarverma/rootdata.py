@@ -13,6 +13,8 @@ under the simple reflections, each carried with its doubled coordinates.
 `_derive` checks the datum as it builds it, in integers on those vectors:
 
 - every simple root has the ambient dimension and lies in (1/2)Z^dim;
+- the system is crystallographic: every 2*dot(a, b) / dot(a, a) over two
+  simple roots a and b is an integer;
 - no two positive roots coincide;
 - the noncompact indices name one simple root, so the Levi simples are the
   others (not checked for the degenerate DI(2) and DIII(2));
@@ -286,8 +288,13 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
     need(all(len(a) == dim for a in twice), "weight of wrong dimension")
     need(all(x.denominator == 1 for a in twice for x in a), "simple root outside (1/2)Z^dim")
     twice = [tuple(map(int, a)) for a in twice]
+    gram = [[dot(a, b) for b in twice] for a in twice]
+    need(
+        all(2 * g % row[i] == 0 for i, row in enumerate(gram) for g in row),
+        "simple system is not crystallographic",
+    )
     # cartan[i][j] = <alpha_j, alpha_i^v>, so <b, alpha_i^v> = dot(b, cartan[i])
-    cartan = [[2 * dot(a, b) // dot(a, a) for b in twice] for a in twice]
+    cartan = [[2 * g // row[i] for g in row] for i, row in enumerate(gram)]
 
     # Walk the orbit under b -> b - <b, alpha_i^v> e_i, keeping nonnegative
     # vectors: only s_i(alpha_i) turns negative, and every positive root

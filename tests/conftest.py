@@ -14,7 +14,13 @@ from fractions import Fraction
 import pytest
 
 from scalarverma import HermitianCase, build_datum
-from scalarverma.ehw import ABCConstants
+from scalarverma.ehw import (
+    INDETERMINATE,
+    KNOWN_REDUCIBLE,
+    KNOWN_SIMPLE,
+    ABCConstants,
+    Progression,
+)
 from scalarverma.jantzen import SimplicityVerdict
 from scalarverma.ratvec import Weight, inner, is_integer, pairing, reflect
 from scalarverma.rootdata import ParabolicRootDatum
@@ -27,6 +33,14 @@ SWEEP_CASES = (
     + [HermitianCase("BI", n=n) for n in (2, 3, 4)]
     + [HermitianCase("DI", n=n) for n in (2, 3, 4)]
     + [HermitianCase("DIII", n=n) for n in (2, 3, 4, 5)]
+    + [HermitianCase("EIII"), HermitianCase("EVII")]
+)
+
+# Every admissible case: AIII with p + q <= 20, CI, BI, DI and DIII with
+# n = 2..20, EIII and EVII.
+ADMISSIBLE_CASES = (
+    [HermitianCase("AIII", p=p, q=s - p) for s in range(2, 21) for p in range(1, s)]
+    + [HermitianCase(tag, n=n) for tag in ("CI", "BI", "DI", "DIII") for n in range(2, 21)]
     + [HermitianCase("EIII"), HermitianCase("EVII")]
 )
 
@@ -54,6 +68,28 @@ def abc_lattice(constants: ABCConstants) -> tuple[Fraction, ...]:
         out.append(z)
         z += constants.c
     return tuple(out)
+
+
+def progression_contains_reference(progression: Progression, x) -> bool:
+    """Progression.contains in Fraction arithmetic."""
+    t = (Fraction(x) - progression.start) / progression.step
+    return t >= 0 and is_integer(t)
+
+
+def reducible_reference(parts: tuple[Progression, ...], c) -> bool:
+    """ReducibilitySet.contains in Fraction arithmetic."""
+    return any(progression_contains_reference(p, c) for p in parts)
+
+
+def abc_verdict_reference(constants: ABCConstants, z) -> str:
+    """abc_verdict in Fraction arithmetic."""
+    x = Fraction(z)
+    if x < constants.a:
+        return KNOWN_SIMPLE
+    t = (x - constants.a) / constants.c
+    if is_integer(t) and constants.a + t * constants.c <= constants.b:
+        return KNOWN_REDUCIBLE
+    return INDETERMINATE
 
 
 def verdict_support(verdict: SimplicityVerdict) -> tuple[Weight, ...]:

@@ -463,3 +463,42 @@ def test_entry_point_subprocess():
 def test_main_rejects_unknown_format(capsys):
     assert main(["classify", "--case", "EIII", "--c", "-2", "--format", "yaml"]) == 1
     capsys.readouterr()
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    main(["classify", "--case", "EIII", "--c", "-2"])
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for c in ("-2", "-3", "1/2"):
+        assert main(["classify", "--case", "EIII", "--c", c, "--format", "json"]) == 0
+    assert main(["classify", "--case", "BOGUS", "--c", "1"]) == 1
+    capsys.readouterr()
+    assert built == []
+
+
+# One process's calls, in this order, through the one shared parser.
+SHARED_PARSER_CALLS = [
+    ["classify", "--case", "BOGUS", "--c", "1"],
+    ["--help"],
+    ["scan", "--help"],
+    ["classify", "--case", "AIII", "--p", "2", "--q", "--c", "1"],
+    ["classify", "--case", "AIII", "--p", "2", "--q", "3", "--c", "-1", "--format", "json"],
+    ["scan", "--case", "CI", "--n", "2", "--window", "-1..1"],
+    ["crosscheck", "--case", "CI", "--n", "2..4"],
+    [],
+    ["classify", "--case", "EIII", "--c", "-2"],
+]
+
+
+def test_shared_parser_matches_a_fresh_parser(capsys, monkeypatch):
+    shared = [run_cli(capsys, *argv) for argv in SHARED_PARSER_CALLS * 2]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [run_cli(capsys, *argv) for argv in SHARED_PARSER_CALLS]
+    assert shared == fresh * 2
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 1, 0, 0, 0, 1, 0]

@@ -5,8 +5,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import SWEEP_CASES, abc_lattice
+from conftest import (
+    ADMISSIBLE_CASES,
+    SWEEP_CASES,
+    abc_lattice,
+    abc_verdict_reference,
+    progression_contains_reference,
+    reducible_reference,
+)
 from scalarverma import (
     HermitianCase,
     InsufficientWindowError,
@@ -23,6 +31,7 @@ from scalarverma.ehw import (
     INDETERMINATE,
     KNOWN_REDUCIBLE,
     KNOWN_SIMPLE,
+    ABCConstants,
     Progression,
     ReducibilitySet,
     reducibility_set,
@@ -197,6 +206,68 @@ def test_closed_form_reducible_equals_set_membership():
         for k in range(-12, 13):
             c = Q(k, 2)
             assert closed_form_reducible(case, c) == s.contains(c)
+
+
+def test_progression_step_must_be_positive():
+    for step in (Q(0), Q(-1, 2)):
+        with pytest.raises(ValueError, match="step must be positive"):
+            Progression(Q(1), step)
+
+
+_small = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+_positive = st.fractions(min_value=Q(1, 24), max_value=12, max_denominator=24)
+
+
+@st.composite
+def _screens(draw):
+    """A case's constants and progressions, or random ones with positive steps."""
+    if draw(st.booleans()):
+        case = draw(st.sampled_from(ADMISSIBLE_CASES))
+        return abc_constants(case), reducibility_set(case).parts
+    a, span, spacing = draw(_small), draw(_small), draw(_positive)
+    parts = draw(st.lists(st.builds(Progression, _small, _positive), min_size=1, max_size=3))
+    return ABCConstants(a, a + abs(span), spacing), tuple(parts)
+
+
+@st.composite
+def _screen_points(draw):
+    """Constants, progressions and a point near their lattices, as Fraction, int or str."""
+    constants, parts = draw(_screens())
+    lattices = [(constants.a, constants.c), (constants.b, constants.c)]
+    lattices += [(p.start, p.step) for p in parts]
+    start, step = draw(st.sampled_from(lattices))
+    # k < 0 lands below the start; an offset lands off the lattice.
+    x = start + draw(st.integers(-4, 12)) * step
+    x = draw(st.sampled_from([x, x, x + draw(_small) / 7, draw(_small), Q(0)]))
+    form = draw(st.sampled_from(["fraction", "str", "int"]))
+    if form == "str":
+        return constants, parts, str(x)
+    if form == "int" and x.denominator == 1:
+        return constants, parts, int(x)
+    return constants, parts, x
+
+
+@settings(max_examples=400, deadline=None)
+@given(_screen_points())
+def test_integer_screen_matches_fraction_reference(point):
+    constants, parts, x = point
+    assert abc_verdict(constants, x) == abc_verdict_reference(constants, x)
+    assert ReducibilitySet(None, parts).contains(x) == reducible_reference(parts, x)
+    if not isinstance(x, str):
+        for p in parts:
+            assert p.contains(x) == progression_contains_reference(p, x)
+
+
+def test_screen_boundaries_match_fraction_reference():
+    for case in ADMISSIBLE_CASES:
+        constants = abc_constants(case)
+        parts = reducibility_set(case).parts
+        points = [constants.a, constants.b, constants.a - constants.c, constants.b + constants.c]
+        points += [p.start + k * p.step for p in parts for k in (-1, 0, 1)]
+        for x in points + [x + Q(1, 7) for x in points]:
+            for form in (x, str(x)):
+                assert abc_verdict(constants, form) == abc_verdict_reference(constants, form)
+                assert closed_form_reducible(case, form) == reducible_reference(parts, form)
 
 
 def test_progression_summary_bi3():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SWEEP_CASES
+from conftest import ADMISSIBLE_CASES, SWEEP_CASES
 from scalarverma import HermitianCase, InvariantError, build_datum, rootdata
 from scalarverma.cli import main
 from scalarverma.ratvec import add, inner, pairing, reflect, scale, weight
@@ -169,14 +169,7 @@ def test_scalar_parameter_weight(case):
         assert inner(lam, alpha) == 0
 
 
-# Every admissible case: AIII with p + q <= 20, CI, BI, DI and DIII with
-# n = 2..20, EIII and EVII.
-ADMISSIBLE_CASES = (
-    [HermitianCase("AIII", p=p, q=s - p) for s in range(2, 21) for p in range(1, s)]
-    + [HermitianCase(tag, n=n) for tag in ("CI", "BI", "DI", "DIII") for n in range(2, 21)]
-    + [HermitianCase("EIII"), HermitianCase("EVII")]
-)
-# sha256 of their data's reprs, joined by newlines.
+# sha256 of the admissible cases' data reprs, joined by newlines.
 ADMISSIBLE_DATA_SHA256 = "27d33b1e59f5f94cc6f111d3a00fff63deceb1e4cb6a08e45b37c9d9f4a28975"
 
 
@@ -244,9 +237,21 @@ MALFORMED_SYSTEMS = {
         rootdata._simple_system(CI3)[:2] + ((2, 0),),
         "Levi simples are not the simple system minus the noncompact root",
     ),
-    # alpha_1 = 2e1 - e2: the Cartan integers still read -1, but the
-    # nilradical's sum is no longer orthogonal to the Levi.
-    "zeta-orthogonal": (CI3, _with_simple(CI3, 0, [2, -1, 0]), "zeta not orthogonal to the Levi"),
+    # alpha_1 = 2e1 - e2: 2<alpha_2, alpha_1>/<alpha_1, alpha_1> = -2/5.
+    "non-crystallographic": (
+        HermitianCase("AIII", p=1, q=2),
+        _with_simple(HermitianCase("AIII", p=1, q=2), 0, [2, -1, 0]),
+        "simple system is not crystallographic",
+    ),
+    # e2, e1 - e2, e3 - e2: every Cartan integer is exact, but e1 - e2 and
+    # e3 - e2 meet at an acute angle, so the orbit is no root system.  Its
+    # nilradical (e1 - e2, e1, e1 + e2, e1 + e3) passes the earlier checks,
+    # and the nilradical's sum 4e1 + e3 pairs to 1 with the Levi root e3.
+    "zeta-orthogonal": (
+        CI3,
+        (3, (weight([0, 1, 0]), weight([1, -1, 0]), weight([0, -1, 1])), (1,)),
+        "zeta not orthogonal to the Levi",
+    ),
     # alpha_1 with +1/2 in place of -1/2 at e6: off the E6 subspace.
     "off-e6": (
         HermitianCase("EIII"),
