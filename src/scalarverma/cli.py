@@ -31,11 +31,10 @@ from .ehw import (
     abc_verdict,
     closed_form_reducible,
     line_offset,
-    special_line,
 )
 from .errors import InvariantError
-from .jantzen import REDUCIBLE, classify_scalar, jantzen_support
-from .ratvec import Weight, add, format_rational, parse_rational, reflect
+from .jantzen import REDUCIBLE, classify_scalar
+from .ratvec import Weight, add, format_rational, parse_rational, reflect, scale
 from .rootdata import (
     CASE_TAGS,
     HermitianCase,
@@ -269,13 +268,14 @@ def _class_json(group, with_detail: bool) -> dict:
 def _classify_payload(case: HermitianCase, c: Fraction) -> dict:
     datum = build_datum(case)
     verdict = classify_scalar(datum, c)
-    line = special_line(datum, scalar_parameter_weight(datum, c))
+    # z = c + <rho, gamma^v>, and c*zeta - z*zeta is the same base point for every c.
+    offset = line_offset(case)
     return {
         "case": _case_json(case),
         "label": case.label,
         "c": format_rational(c),
-        "z": format_rational(line.z),
-        "lambda0": _w(line.lambda0),
+        "z": format_rational(c + offset),
+        "lambda0": _w(scale(-offset, datum.zeta)),
         "verdict": verdict.verdict,
         "route": verdict.route,
         "s_lambda_size": len(verdict.terms),
@@ -391,20 +391,16 @@ def _all_patterns(parity: int) -> list[str]:
 
 def _table_rows(table_id: int, a_value: Fraction | None):
     if table_id in (1, 2):
-        datum = build_datum(HermitianCase("EIII"))
+        # The rows are the support terms of the EIII point at z = 9 or 10.
+        case = HermitianCase("EIII")
         z = Fraction(9) if table_id == 1 else Fraction(10)
-        c = z - line_offset(datum.case)
-        lam = scalar_parameter_weight(datum, c)
-        mu = add(lam, datum.rho)
-        support = set(jantzen_support(datum, lam))
+        images = {t.beta: t.image for t in classify_scalar(case, z - line_offset(case)).terms}
         header = ("pattern", "e1", "e2", "e3", "e4", "e5")
         rows = []
         for pat in _all_patterns(0):
-            beta = sign_pattern_root(pat, -1)
-            if beta not in support:
-                continue
-            image = reflect(mu, beta)
-            rows.append((pat, tuple(image[:5])))
+            image = images.get(sign_pattern_root(pat, -1))
+            if image is not None:
+                rows.append((pat, image[:5]))
         meta = {"case": "EIII", "z": format_rational(z)}
         return header, rows, meta
 

@@ -79,6 +79,9 @@ class HermitianCase:
     def __post_init__(self) -> None:
         if self.tag not in CASE_TAGS:
             raise ValueError(f"unknown case tag {self.tag!r}; expected one of {CASE_TAGS}")
+        for name, v in (("p", self.p), ("q", self.q), ("n", self.n)):
+            if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+                raise ValueError(f"{self.tag} parameter {name} must be an integer, got {v!r}")
         if self.tag == "AIII":
             if self.n is not None or self.p is None or self.q is None:
                 raise ValueError("AIII takes parameters p and q only")
@@ -298,19 +301,22 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
 
     # Walk the orbit under b -> b - <b, alpha_i^v> e_i, keeping nonnegative
     # vectors: only s_i(alpha_i) turns negative, and every positive root
-    # above height 1 is some s_i of a lower one.
+    # above height 1 is some s_i of a lower one.  The walk stops at the first
+    # repeated root: on a dependent simple system it would never end.
     units = [tuple(int(i == j) for j in range(len(delta))) for i in range(len(delta))]
     doubled = dict(zip(units, twice))
+    found = set(twice)
     frontier = list(units)
-    while frontier:
+    while frontier and len(found) == len(doubled):
         beta = frontier.pop()
         for i, row in enumerate(cartan):
             k = dot(beta, row)
             image = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
             if image[i] >= 0 and image not in doubled:
                 doubled[image] = tuple(x - k * y for x, y in zip(doubled[beta], twice[i]))
+                found.add(doubled[image])
                 frontier.append(image)
-    need(len(set(doubled.values())) == len(doubled), "duplicate positive roots")
+    need(len(found) == len(doubled), "duplicate positive roots")
 
     degenerate = (case.tag, case.n) in _D2_DEGENERATE
     # The simple roots are distinct, so the Levi keeps every simple root but

@@ -1,9 +1,11 @@
-"""The package's public names are the ones the README documents, and its
-modules import one another in layers."""
+"""The package's public names are the ones the README documents, its
+modules import one another in layers, and the benchmark's tracer finds every
+function it wraps."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 import scalarverma
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PACKAGE = Path(scalarverma.__file__).resolve().parent
 
 # Modules and the only package modules each may import from.
@@ -53,3 +56,25 @@ def test_package_imports_have_no_cycle():
 @pytest.mark.parametrize("module", sorted(IMPORT_LIMITS))
 def test_module_imports_stay_within_their_layer(module):
     assert _package_imports()[module] <= IMPORT_LIMITS[module]
+
+
+def _tracer_hooks() -> dict[str, tuple]:
+    """SPANNED, COUNTED and MODULES as the tracer assigns them, read without importing it."""
+    hooks = {}
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in ("SPANNED", "COUNTED", "MODULES"):
+                    hooks[target.id] = ast.literal_eval(node.value)
+    return hooks
+
+
+def test_tracer_hooks_resolve():
+    # The traced benchmark pass wraps these by name; a deleted one crashes it.
+    hooks = _tracer_hooks()
+    assert set(hooks) == {"SPANNED", "COUNTED", "MODULES"}
+    for module in hooks["MODULES"]:
+        importlib.import_module(f"scalarverma.{module}")
+    for module, attr in hooks["SPANNED"] + hooks["COUNTED"]:
+        fn = getattr(importlib.import_module(f"scalarverma.{module}"), attr, None)
+        assert callable(fn), f"{module}.{attr}"

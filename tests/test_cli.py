@@ -14,9 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalarverma
-from scalarverma import InvariantError
+from conftest import ADMISSIBLE_CASES, SWEEP_CASES
+from scalarverma import InvariantError, build_datum
 from scalarverma import cli, ehw
 from scalarverma.cli import main
+from scalarverma.ratvec import format_rational
+from scalarverma.rootdata import scalar_parameter_weight
 
 Q = Fraction
 
@@ -46,6 +49,22 @@ def test_classify_json_schema(capsys):
     ]
     assert payload["witness"] == ["1", "1"]
     assert payload["lambda0"] == ["-2", "-2"]
+
+
+# Every case below its reducible progressions, and the sweep cases at points
+# on and off the half-integer lattice.
+LINE_POINTS = [(case, Q(-201, 2)) for case in ADMISSIBLE_CASES] + [
+    (case, c) for case in SWEEP_CASES for c in (Q(-7, 3), Q(0), Q(5, 2))
+]
+
+
+def test_classify_line_matches_special_line():
+    for case, c in LINE_POINTS:
+        payload = cli._classify_payload(case, c)
+        datum = build_datum(case)
+        line = ehw.special_line(datum, scalar_parameter_weight(datum, c))
+        assert payload["z"] == format_rational(line.z), (case.label, c)
+        assert payload["lambda0"] == [format_rational(x) for x in line.lambda0], case.label
 
 
 def test_classify_negative_value_without_equals(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import signal
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,9 @@ def test_case_tags():
     dict(tag="EIII", n=3),                 # exceptional cases take no size
     dict(tag="EVII", p=1, q=1),
     dict(tag="BI", n=3, p=1),
+    dict(tag="CI", n=3.0),                 # parameters are ints: not a float,
+    dict(tag="CI", n="3"),                 # a string
+    dict(tag="AIII", p=True, q=2),         # or a bool
 ])
 def test_invalid_case_construction(bad):
     with pytest.raises(ValueError):
@@ -252,6 +256,10 @@ MALFORMED_SYSTEMS = {
         (3, (weight([0, 1, 0]), weight([1, -1, 0]), weight([0, -1, 1])), (1,)),
         "zeta not orthogonal to the Levi",
     ),
+    # -e2, e2 - e3, 2e3: every Cartan integer is exact, but
+    # 2(-e2) + 2(e2 - e3) + 2e3 = 0.  The system is of affine type: its
+    # coefficient vectors never run out, while its roots repeat.
+    "affine": (CI3, _with_simple(CI3, 0, [0, -1, 0]), "duplicate positive roots"),
     # alpha_1 with +1/2 in place of -1/2 at e6: off the E6 subspace.
     "off-e6": (
         HermitianCase("EIII"),
@@ -261,12 +269,26 @@ MALFORMED_SYSTEMS = {
 }
 
 
+def _out_of_time(signum, frame):
+    raise TimeoutError("build_datum ran for over 1 s")
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_SYSTEMS))
 def test_malformed_system_is_rejected(forced_system, name):
     case, system, message = MALFORMED_SYSTEMS[name]
     forced_system(system)
-    with pytest.raises(InvariantError, match=f"^{re.escape(f'{case.label}: {message}')}$"):
-        build_datum(case)
+    # A derivation that never ends fails here instead of hanging the suite.
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        with pytest.raises(InvariantError, match=f"^{re.escape(f'{case.label}: {message}')}$"):
+            try:
+                build_datum(case)
+            except TimeoutError as exc:
+                pytest.fail(str(exc), pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_invariant_violation_in_the_datum_exits_3(forced_system, capsys):
