@@ -16,10 +16,15 @@ c*zeta has the chamber of the c-free vector rho - k*beta shifted by
 c*zeta.  That vector, scaled by the datum's common denominator D, is
 decided in integers by its wall interval along k: a level on one of
 beta's Levi walls is Singular, and off them the interval's memoized Weyl
-word gives the representative, certified dominant at that level (see
-`weyl`).  Levi integrality holds at every level when D*rho and D*beta
-are both Levi integral, which the view records once per root; other
-roots are checked term by term.  Only the reported weights are rationals.
+word gives the representative, certified dominant at that level by the
+interval lo..hi of dominant levels stored with the word (see `weyl`).  Levi
+integrality holds at every level when D*rho and D*beta are both Levi
+integral, which the view records once per root; other roots are checked
+term by term.  The verdict and route come from integer sign sums per
+class; the terms, classes and witness, the only rationals, are unscaled
+from the loop's integer records when a caller first reads them, so a
+caller that reads only the verdict and route never builds a Fraction
+weight.
 `simplicity_oracle` is the same criterion on any scalar weight, computed
 with `jantzen_support` and `normalize` in rational arithmetic; it is the
 reference the integer path is tested against.
@@ -32,12 +37,14 @@ route is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from .errors import InvariantError
 from .ratvec import Weight, add, dot, inner, is_integer, pairing, reflect
-from .rootdata import ParabolicRootDatum, build_datum
+from .rootdata import IntVector, ParabolicRootDatum, build_datum
 from .weyl import REGULAR, SINGULAR, ChamberForm, _line_chamber, normalize, theta_pairing
 
 SIMPLE = "Simple"
@@ -67,17 +74,42 @@ class RepClass:
     members: tuple[JantzenTerm, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplicityVerdict:
+    """A verdict and its route, with the terms, classes and witness behind them.
+
+    `_detail` builds (terms, certificate, witness) on their first read.
+    Two verdicts are equal when all five agree.
+    """
+
     verdict: str
     route: str
-    terms: tuple[JantzenTerm, ...]
-    certificate: tuple[RepClass, ...]
-    witness: Weight | None
+    _detail: Callable[[], tuple] = field(repr=False)
+
+    @cached_property
+    def _parts(self) -> tuple[tuple[JantzenTerm, ...], tuple[RepClass, ...], Weight | None]:
+        return self._detail()
+
+    @property
+    def terms(self) -> tuple[JantzenTerm, ...]:
+        return self._parts[0]
+
+    @property
+    def certificate(self) -> tuple[RepClass, ...]:
+        return self._parts[1]
+
+    @property
+    def witness(self) -> Weight | None:
+        return self._parts[2]
 
     @property
     def surviving(self) -> tuple[RepClass, ...]:
         return tuple(g for g in self.certificate if g.net_sign != 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, SimplicityVerdict):
+            return NotImplemented
+        return (self.verdict, self.route, self._parts) == (other.verdict, other.route, other._parts)
 
 
 def jantzen_support(datum: ParabolicRootDatum, lam: Weight) -> tuple[Weight, ...]:
@@ -116,14 +148,18 @@ def simplicity_oracle(datum: ParabolicRootDatum, lam: Weight) -> SimplicityVerdi
             groups.setdefault(term.chamber.rep, []).append(
                 (term, theta_pairing(datum, image))
             )
-    return _verdict(terms, groups)
+    detail = _verdict(terms, groups)
+    return SimplicityVerdict(*_decide(bool(terms), detail[2] is not None), lambda: detail)
 
 
-def _verdict(terms: list[JantzenTerm], groups: dict) -> SimplicityVerdict:
-    """Sign each class and decide.
+def _verdict(
+    terms: list[JantzenTerm], groups: dict
+) -> tuple[tuple[JantzenTerm, ...], tuple[RepClass, ...], Weight | None]:
+    """Sign each class: (terms, certificate, witness).
 
     groups maps a class key to its regular (term, theta value) pairs; keys
-    sort as the classes' representatives do.
+    sort as the classes' representatives do.  The witness is None exactly
+    when every class sum cancels.
     """
     certificate = []
     for key in sorted(groups):
@@ -135,26 +171,27 @@ def _verdict(terms: list[JantzenTerm], groups: dict) -> SimplicityVerdict:
     certificate = tuple(certificate)
 
     surviving = tuple(g for g in certificate if g.net_sign != 0)
-    if not terms:
-        verdict, route = SIMPLE, ROUTE_EMPTY_SUPPORT
-    elif surviving:
-        verdict, route = REDUCIBLE, ROUTE_SUM_SURVIVES
-    else:
-        verdict, route = SIMPLE, ROUTE_SUM_CANCELS
     witness = surviving[0].members[0].beta if surviving else None
+    return tuple(terms), certificate, witness
 
-    if (verdict == REDUCIBLE) != bool(surviving):
-        raise InvariantError("verdict out of step with the surviving classes")
-    return SimplicityVerdict(verdict, route, tuple(terms), certificate, witness)
+
+def _decide(has_terms: bool, survives: bool) -> tuple[str, str]:
+    """(verdict, route) from whether the support is empty and a class sum survives."""
+    if not has_terms:
+        return SIMPLE, ROUTE_EMPTY_SUPPORT
+    if survives:
+        return REDUCIBLE, ROUTE_SUM_SURVIVES
+    return SIMPLE, ROUTE_SUM_CANCELS
 
 
 def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     """Decide the scalar weight c * zeta of a case.
 
     Returns the verdict simplicity_oracle gives for the same weight, term
-    for term, computed in integers along the scalar line.  The weight is
-    scalar because the datum passed validation: zeta is orthogonal to the
-    Levi.
+    for term, computed in integers along the scalar line.  The verdict and
+    route are decided here; the terms, classes and witness are unscaled
+    when first read.  The weight is scalar because the datum passed
+    validation: zeta is orthogonal to the Levi.
     """
     datum = (
         case_or_datum
@@ -163,47 +200,73 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     )
     c = Fraction(c)
     view = datum.integer_view
-    # Over the denominator d*D, the image rho - k*beta + c*zeta of a
-    # scaled vector v = D*(rho - k*beta) is d*v + n*Z.  Images and
-    # representatives share most coordinates, so each Fraction is built once.
     n, d = c.numerator, c.denominator
-    den = d * view.denom
-    fractions: dict[int, Fraction] = {}
-
-    def unscale(v):
-        out = []
-        for x, z in zip(v, view.zeta):
-            m = d * x + n * z
-            f = fractions.get(m)
-            if f is None:
-                f = fractions[m] = Fraction(m, den)
-            out.append(f)
-        return tuple(out)
-
-    terms = []
-    groups: dict[tuple[int, ...], list[tuple[JantzenTerm, int]]] = {}
-    for j, (beta, nil) in enumerate(zip(datum.nilradical_roots, view.nilradical)):
+    records = []
+    # net sign and theta value per class, keyed by its scaled representative
+    nets: dict[IntVector, int] = {}
+    thetas: dict[IntVector, int] = {}
+    split = False
+    for j, nil in enumerate(view.nilradical):
         # k = (a + c*b) / norm, a positive integer on the support
         num = d * nil.a + n * nil.b
         if num <= 0 or num % (d * nil.norm):
             continue
         k = num // (d * nil.norm)
-        v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
+        v = tuple([r - k * x for r, x in zip(view.rho, nil.root)])
         if not nil.integral:
             for root, norm in view.levi_positive:
                 if 2 * dot(v, root) % norm:
                     raise InvariantError("support term is not Levi integral")
         rep, steps = _line_chamber(view, j, k, v)
-        if rep is None:
-            chamber = ChamberForm(SINGULAR, None, None, 0)
-        else:
-            chamber = ChamberForm(REGULAR, unscale(rep), steps % 2, steps)
-        term = JantzenTerm(beta, Fraction(k), unscale(v), chamber)
-        terms.append(term)
+        records.append((j, k, v, rep, steps))
         if rep is not None:
             # theta_u pairs with c*zeta alike in every term, so comparing
             # the c-free parts compares the theta values.
-            groups.setdefault(rep, []).append((term, dot(v, view.theta_u)))
-    # Unscaling is a coordinatewise increasing map, so the integer keys
-    # sort as the representatives do.
-    return _verdict(terms, groups)
+            theta = nil.theta_rho - k * nil.theta_root
+            if thetas.setdefault(rep, theta) != theta:
+                split = True
+            nets[rep] = nets.get(rep, 0) + (-1 if steps & 1 else 1)
+    # Raised once every term has passed its own checks, as simplicity_oracle
+    # raises it.
+    if split:
+        raise InvariantError("one chamber class carries two theta values")
+    verdict, route = _decide(bool(records), any(nets.values()))
+
+    def unscaled():
+        # The terms, built from the records; no descent runs again.  Over
+        # the denominator d*D, the image rho - k*beta + c*zeta of a scaled
+        # vector v = D*(rho - k*beta) is d*v + n*Z.  Images and
+        # representatives share most coordinates, so each Fraction is
+        # built once.
+        den = d * view.denom
+        fractions: dict[int, Fraction] = {}
+
+        def unscale(v):
+            out = []
+            for x, z in zip(v, view.zeta):
+                m = d * x + n * z
+                f = fractions.get(m)
+                if f is None:
+                    f = fractions[m] = Fraction(m, den)
+                out.append(f)
+            return tuple(out)
+
+        terms = []
+        groups: dict[IntVector, list[tuple[JantzenTerm, int]]] = {}
+        for j, k, v, rep, steps in records:
+            if rep is None:
+                chamber = ChamberForm(SINGULAR, None, None, 0)
+            else:
+                chamber = ChamberForm(REGULAR, unscale(rep), steps % 2, steps)
+            term = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), chamber)
+            terms.append(term)
+            if rep is not None:
+                groups.setdefault(rep, []).append((term, thetas[rep]))
+        # Unscaling is a coordinatewise increasing map, so the integer keys
+        # sort as the representatives do.
+        detail = _verdict(terms, groups)
+        if _decide(bool(terms), detail[2] is not None) != (verdict, route):
+            raise InvariantError("verdict out of step with the surviving classes")
+        return detail
+
+    return SimplicityVerdict(verdict, route, unscaled)

@@ -12,7 +12,8 @@ nonnegative simple-root coefficient vectors in the orbit of the simple roots
 under the simple reflections, each carried with its doubled coordinates.
 `_derive` checks the datum as it builds it, in integers on those vectors:
 
-- every simple root has the ambient dimension and lies in (1/2)Z^dim;
+- every simple root has the ambient dimension, lies in (1/2)Z^dim and is
+  nonzero;
 - the system is crystallographic: every 2*dot(a, b) / dot(a, a) over two
   simple roots a and b is an integer;
 - no two positive roots coincide;
@@ -49,10 +50,10 @@ from .ratvec import Weight, add, dot, scale, sub, weight
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
-# perfbench runs.  One CI(20) classify takes about 0.22 s from the command
-# line, 0.02-0.05 s of it building the datum; in-process, each later CI(20)
-# point with all 210 nilradical roots in its support takes about 0.007 s
-# (2 cores, CPython 3.11.7).
+# perfbench runs.  One CI(20) classify takes 0.3-0.5 s from the command
+# line, 0.04-0.06 s of it building the datum; in-process, each later CI(20)
+# point with all 210 nilradical roots in its support takes 1.5-2.6 ms to
+# decide and 4-7 ms with its terms read (2 cores, CPython 3.11.7).
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
@@ -143,6 +144,9 @@ class NilradicalLevel:
     2*dot(R, A) and 2*dot(B, A) are multiples of dot(A, A) for every scaled
     Levi positive root A, so that every v(k) is Levi integral and each Levi
     reflection acts on R and B in exact integers.
+
+    `theta_rho` = dot(R, T) and `theta_root` = dot(B, T), for T = D*theta_u,
+    so that dot(v(k), T) = theta_rho - k*theta_root.
     """
 
     root: IntVector
@@ -151,6 +155,8 @@ class NilradicalLevel:
     b: int
     walls: tuple[Fraction, ...]
     integral: bool
+    theta_rho: int
+    theta_root: int
 
 
 @dataclass(frozen=True)
@@ -164,9 +170,10 @@ class IntegerView:
 
     `words` memoizes, per (nilradical index, wall interval), the images
     (w*R, w*B, length of w) under the Levi word w that takes that
-    interval's open chamber to the dominant one.  It is filled on first
-    use and holds at most one entry per interval, the sum over roots of
-    len(walls) + 1.
+    interval's open chamber to the dominant one, followed by the bounds
+    lo, hi of the integer levels k at which w*R - k*w*B is dominant.  It is
+    filled on first use and holds at most one entry per interval, the sum
+    over roots of len(walls) + 1.
     """
 
     denom: int
@@ -176,7 +183,7 @@ class IntegerView:
     nilradical: tuple[NilradicalLevel, ...]
     levi_positive: tuple[tuple[IntVector, int], ...]
     levi_simples: tuple[tuple[IntVector, int], ...]
-    words: dict[tuple[int, int], tuple[IntVector, IntVector, int]] = field(
+    words: dict[tuple[int, int], tuple[IntVector, IntVector, int, float, float]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -291,6 +298,8 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
     need(all(len(a) == dim for a in twice), "weight of wrong dimension")
     need(all(x.denominator == 1 for a in twice for x in a), "simple root outside (1/2)Z^dim")
     twice = [tuple(map(int, a)) for a in twice]
+    # The crystallographic check below divides by each dot(a, a).
+    need(all(any(a) for a in twice), "zero simple root")
     gram = [[dot(a, b) for b in twice] for a in twice]
     need(
         all(2 * g % row[i] == 0 for i, row in enumerate(gram) for g in row),
@@ -388,7 +397,7 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
         v = ints(w)
         return v, dot(v, v)
 
-    rho, zeta = ints(d.rho), ints(d.zeta)
+    rho, zeta, theta_u = ints(d.rho), ints(d.zeta), ints(d.theta_u)
     levi_positive = tuple(with_norm(a) for a in d.levi_positive)
     levi_rho = [(dot(rho, a), norm, a) for a, norm in levi_positive]
     nilradical = []
@@ -408,13 +417,15 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
                 2 * dot(zeta, root),
                 tuple(sorted(walls)),
                 integral,
+                dot(rho, theta_u),
+                dot(root, theta_u),
             )
         )
     return IntegerView(
         denom=denom,
         rho=rho,
         zeta=zeta,
-        theta_u=ints(d.theta_u),
+        theta_u=theta_u,
         nilradical=tuple(nilradical),
         levi_positive=levi_positive,
         levi_simples=tuple(with_norm(a) for a in d.levi_simples),

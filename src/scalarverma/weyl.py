@@ -16,14 +16,17 @@ c*zeta.  Along k, v(k) crosses a Levi wall only at the levels the view
 lists for beta; between two of them it stays in one open chamber, and the
 Weyl group acts simply transitively on chambers, so one word w serves the
 whole interval.  The view memoizes w*D*rho and w*D*beta per interval, so a
-term's representative is w*D*rho - k*w*D*beta.  It is accepted only when it
-pairs positively with every Levi simple root; that proves, at the term's
-own level, that it is the dominant point of the orbit.  A term that fails
-the check is normalized afresh.
+term's representative is w*D*rho - k*w*D*beta.  Its pairing with each Levi
+simple root is affine in k, so the levels at which all of them are
+positive form an integer interval lo..hi, stored with the entry.  A term
+is accepted only when its level lies in lo..hi; that proves, at the term's
+own level, that its representative is the dominant point of the orbit.  A
+term outside the interval is normalized afresh.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,10 +140,11 @@ def _line_chamber(view: IntegerView, j: int, k: int, v: IntVector) -> tuple[IntV
     is a positive integer.  A level on one of B's walls is Singular.  Off
     the walls, the word w of k's wall interval comes from view.words, filled
     by one descent on the interval's first use, and the representative is
-    w*R - k*w*B.  It is returned only when it pairs positively with every
-    Levi simple root, which proves it is the dominant point of v's orbit and
-    len(w) its descent length; otherwise, and for roots whose reflections
-    are not exact on R and B, v is normalized afresh.
+    w*R - k*w*B.  It is returned only when k lies in the entry's lo..hi,
+    the levels at which it pairs positively with every Levi simple root,
+    which proves it is the dominant point of v's orbit and len(w) its
+    descent length; otherwise, and for roots whose reflections are not
+    exact on R and B, v is normalized afresh.
     """
     nil = view.nilradical[j]
     if nil.integral:
@@ -158,12 +162,22 @@ def _line_chamber(view: IntegerView, j: int, k: int, v: IntVector) -> tuple[IntV
                 for s in word:
                     wb = _reflect_scaled(wb, *view.levi_simples[s])
                 # rep = w*R - k*w*B, and w acts linearly
-                view.words[j, i] = (tuple(x + k * b for x, b in zip(rep, wb)), wb, len(word))
+                wr = tuple(x + k * b for x, b in zip(rep, wb))
+                # dot(wr - k*wb, A) = p - k*q is positive for k <= (p - 1)/q
+                # when q > 0 and for k > p/q when q < 0; with q = 0 it is p,
+                # positive because rep is dominant.
+                lo, hi = -math.inf, math.inf
+                for root, _ in view.levi_simples:
+                    p, q = dot(wr, root), dot(wb, root)
+                    if q > 0:
+                        hi = min(hi, (p - 1) // q)
+                    elif q < 0:
+                        lo = max(lo, -p // -q + 1)
+                view.words[j, i] = (wr, wb, len(word), lo, hi)
             return rep, len(word)
-        wr, wb, steps = entry
-        rep = tuple(r - k * b for r, b in zip(wr, wb))
-        if all(dot(rep, root) > 0 for root, _ in view.levi_simples):
-            return rep, steps
+        wr, wb, steps, lo, hi = entry
+        if lo <= k <= hi:
+            return tuple([r - k * b for r, b in zip(wr, wb)]), steps
     rep, word = normalize_scaled(view, v)
     return rep, len(word)
 

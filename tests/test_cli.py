@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import scalarverma
 from conftest import ADMISSIBLE_CASES, SWEEP_CASES
 from scalarverma import InvariantError, build_datum
-from scalarverma import cli, ehw
+from scalarverma import cli, ehw, jantzen
 from scalarverma.cli import main
 from scalarverma.ratvec import format_rational
 from scalarverma.rootdata import scalar_parameter_weight
@@ -236,6 +236,31 @@ def test_crosscheck_pass(capsys):
     assert code == 0
     assert "crosscheck: PASS (1 instances, 25 points)" in out
     assert "mismatches=0" in out and "contradictions=0" in out
+
+
+class Unscaled(Exception):
+    pass
+
+
+def test_scan_and_crosscheck_read_only_verdict_and_route(capsys, monkeypatch):
+    # Building terms, classes and witness goes through jantzen._verdict;
+    # rows that print only the verdict and route must never reach it.
+    commands = [
+        ("crosscheck", "--case", "CI", "--n", "3"),
+        ("scan", "--case", "CI", "--n", "3", "--window", "-4..4", "--step", "1/3",
+         "--format", "json"),
+    ]
+    expected = [run_cli(capsys, *argv) for argv in commands]
+    assert all(code == 0 for code, _, _ in expected)
+    assert '"route": "sum_survives"' in expected[1][1]
+
+    def unscaled(*args):
+        raise Unscaled
+
+    monkeypatch.setattr(jantzen, "_verdict", unscaled)
+    assert [run_cli(capsys, *argv) for argv in commands] == expected
+    with pytest.raises(Unscaled):
+        main(["classify", "--case", "CI", "--n", "3", "--c", "-1"])
 
 
 def test_crosscheck_json(capsys):

@@ -266,6 +266,8 @@ MALFORMED_SYSTEMS = {
         _with_simple(HermitianCase("EIII"), 0, "1/2 -1/2 -1/2 -1/2 -1/2 1/2 -1/2 1/2".split()),
         "weight leaves the defining subspace",
     ),
+    # dot(a, a) = 0 would divide the crystallographic check by zero.
+    "zero": (CI3, _with_simple(CI3, 2, [0, 0, 0]), "zero simple root"),
 }
 
 

@@ -12,6 +12,7 @@ paths.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -27,8 +28,9 @@ from scalarverma import (
     line_offset,
     normalize,
 )
+from scalarverma import jantzen, weyl
 from scalarverma.jantzen import simplicity_oracle
-from scalarverma.ratvec import add, inner, sub, weight
+from scalarverma.ratvec import add, dot, inner, sub, weight
 from scalarverma.rootdata import scalar_parameter_weight
 from scalarverma.weyl import REGULAR, _line_chamber, normalize_scaled
 
@@ -143,6 +145,16 @@ def test_interval_words_match_a_fresh_descent(case):
                 rep, word = normalize_scaled(view, v)
                 assert _line_chamber(view, j, k, v) == (rep, len(word)), (j, k)
         assert view.words
+    assert_intervals_are_the_dominant_levels(view)
+
+
+def assert_intervals_are_the_dominant_levels(view):
+    """Each memo entry's lo..hi holds exactly the levels k at which w*R - k*w*B is dominant."""
+    for (j, _), (wr, wb, _, lo, hi) in view.words.items():
+        for k in range(1, int(max(view.nilradical[j].walls, default=0)) + 3):
+            rep = tuple(r - k * b for r, b in zip(wr, wb))
+            dominant = all(dot(rep, root) > 0 for root, _ in view.levi_simples)
+            assert (lo <= k <= hi) == dominant, (j, k)
 
 
 def test_word_memo_is_used_and_bounded():
@@ -166,6 +178,8 @@ def test_integer_view_scales_the_datum():
         for beta, nil in zip(datum.nilradical_roots, view.nilradical):
             assert nil.root == scale(beta)
             assert nil.norm == inner(nil.root, nil.root)
+            assert nil.theta_rho == dot(view.rho, view.theta_u)
+            assert nil.theta_root == dot(nil.root, view.theta_u)
             # a_beta and b_beta are the pairings of rho and zeta with beta
             assert Fraction(nil.a, nil.norm) == 2 * inner(datum.rho, beta) / inner(beta, beta)
             assert Fraction(nil.b, nil.norm) == 2 * inner(datum.zeta, beta) / inner(beta, beta)
@@ -234,9 +248,9 @@ def test_non_levi_integral_term_trips_both_oracles():
 
 
 @pytest.mark.parametrize("dropped", [(2, 5), (1, 5)], ids=["e2-e5", "e1-e5"])
-def test_certificate_falls_back_where_the_walls_are_incomplete(dropped):
+def test_certificate_falls_back_where_the_walls_are_incomplete(dropped, monkeypatch):
     # Without the wall of a Levi root, one wall interval spans two
-    # chambers, so a memoized word is wrong on part of it; the dominance
+    # chambers, so a memoized word is wrong on part of it; the interval
     # check must send those terms back to a fresh descent.
     datum = build_datum(HermitianCase("DIII", n=5))
     i, j = dropped
@@ -244,9 +258,29 @@ def test_certificate_falls_back_where_the_walls_are_incomplete(dropped):
     kept = tuple(a for a in datum.levi_positive if a != root)
     assert len(kept) == len(datum.levi_positive) - 1
     crippled = dataclasses.replace(datum, levi_positive=kept)
+    view = crippled.integer_view
+
+    # Count the descents run for a term whose interval already has an entry.
+    fallbacks, memoized = [0], [False]
+
+    def counted_descent(view, v):
+        fallbacks[0] += memoized[0]
+        return normalize_scaled(view, v)
+
+    def line_chamber(view, j, k, v):
+        memoized[0] = (j, bisect_left(view.nilradical[j].walls, k)) in view.words
+        try:
+            return _line_chamber(view, j, k, v)
+        finally:
+            memoized[0] = False
+
+    monkeypatch.setattr(weyl, "normalize_scaled", counted_descent)
+    monkeypatch.setattr(jantzen, "_line_chamber", line_chamber)
     for c in (Fraction(k, 2) for k in range(-40, 41)):
         got = outcome(lambda: classify_scalar(crippled, c))
         assert got == outcome(lambda: reference(crippled, c)), c
+    assert fallbacks[0] > 0
+    assert_intervals_are_the_dominant_levels(view)
 
 
 def test_theta_split_class_trips_both_oracles():
