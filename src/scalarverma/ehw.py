@@ -2,12 +2,13 @@
 
 Every scalar parameter c sits on the line lam = lam0 + z * zeta through a
 base point lam0 orthogonal (shifted by rho) to the highest nilradical
-root; z is an affine function of c with slope one.  Three constants
-A <= B (with spacing C > 0 dividing B - A) govern the first reduction
-point: below A the module is known simple, on the lattice A + iC up to B
-it is known reducible, and elsewhere the screen is silent.  Each case also
-carries a closed-form description of its full reducible parameter set as a
-finite union of arithmetic progressions in c.
+root gamma; z = c + <rho, gamma^v>.  Three constants A <= B (with spacing
+C > 0 dividing B - A) govern the first reduction point: below A the module
+is known simple, on the lattice A + iC up to B it is known reducible, and
+elsewhere the screen is silent.  After Enright, Howe and Wallach (1983),
+they come from the real rank r: A = |nilradical| / r, B = <rho, gamma^v> =
+A + (r - 1)C, and C = 1 when A = B.  The reducible z-set is the union over
+j < r of A + jC + N, a union of progressions in c = z - B.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InsufficientWindowError, InvariantError
-from .ratvec import Weight, add, format_rational, is_integer, pairing, scale, sub
+from .ratvec import Weight, add, dot, format_rational, is_integer, pairing, scale, sub
 from .rootdata import HermitianCase, ParabolicRootDatum, build_datum
 
 KNOWN_SIMPLE = "known_simple"
@@ -88,37 +89,40 @@ def special_line(datum: ParabolicRootDatum, lam: Weight) -> SpecialLine:
     return SpecialLine(sub(lam, scale(z, datum.zeta)), z)
 
 
+@lru_cache(maxsize=None)
 def line_offset(case: HermitianCase) -> Fraction:
-    """The constant in z = c + offset for scalar parameters c."""
+    """The constant in z = c + offset for scalar parameters c: <rho, gamma^v>."""
     datum = build_datum(case)
     return pairing(datum.rho, datum.gamma)
 
 
-def abc_constants(case: HermitianCase) -> ABCConstants:
-    tag, p, q, n = case.tag, case.p, case.q, case.n
-    if tag == "AIII":
-        a, b, c = Fraction(max(p, q)), Fraction(p + q - 1), Fraction(1)
-    elif tag == "CI":
-        a, b, c = Fraction(n + 1, 2), Fraction(n), Fraction(1, 2)
-    elif tag == "BI":
-        a, b, c = Fraction(2 * n - 1, 2), Fraction(2 * n - 2), Fraction(2 * n - 3, 2)
-    elif tag == "DI":
-        # At n = 2 the general spacing formula degenerates to zero; with
-        # a = b the lattice is the single point a and any positive spacing
-        # serves.
-        a, b = Fraction(n - 1), Fraction(2 * n - 3)
-        c = Fraction(n - 2) if n > 2 else Fraction(1)
-    elif tag == "DIII":
-        a = Fraction(n - 1) if n % 2 == 0 else Fraction(n)
-        b, c = Fraction(2 * n - 3), Fraction(2)
-    elif tag == "EIII":
-        a, b, c = Fraction(8), Fraction(11), Fraction(3)
-    else:
-        a, b, c = Fraction(9), Fraction(17), Fraction(4)
+def _real_rank(datum: ParabolicRootDatum) -> int:
+    """The length of Harish-Chandra's cascade of strongly orthogonal roots.
 
-    if not (c > 0 and a <= b and is_integer((b - a) / c)):
+    Roots of an abelian nilradical never sum to a root, so orthogonal ones
+    are strongly orthogonal.  nil.a orders the roots as dot(rho, .) does.
+    """
+    kept = []
+    for nil in sorted(datum.integer_view.nilradical, key=lambda nil: -nil.a):
+        if all(dot(nil.root, root) == 0 for root in kept):
+            kept.append(nil.root)
+    return len(kept)
+
+
+@lru_cache(maxsize=None)
+def abc_constants(case: HermitianCase) -> ABCConstants:
+    """(A, B, C) of a case, from its real rank, nilradical size and line offset."""
+    datum = build_datum(case)
+    r = _real_rank(datum)
+    a = Fraction(len(datum.nilradical_roots), r)
+    b = line_offset(case)
+    # EHW: A = (r - 1)s + b' + 1 and B = A + (r - 1)s, with 2s and b' in N;
+    # s = 0 when A = B (r = 1, or DI(2)), and C is then 1.
+    s = (b - a) / (r - 1) if r > 1 else Fraction(0)
+    extra = a - 1 - (r - 1) * s
+    if a + (r - 1) * s != b or min(s, extra) < 0 or not is_integer(2 * s) or not is_integer(extra):
         raise InvariantError(f"{case.label}: malformed first-reduction constants")
-    return ABCConstants(a, b, c)
+    return ABCConstants(a, b, s or Fraction(1))
 
 
 def abc_verdict(constants: ABCConstants, z) -> str:
@@ -140,23 +144,13 @@ def abc_verdict(constants: ABCConstants, z) -> str:
 @lru_cache(maxsize=None)
 def reducibility_set(case: HermitianCase) -> ReducibilitySet:
     """The case's closed-form reducible set, built once per case."""
-    tag, p, q, n = case.tag, case.p, case.q, case.n
-    one = Fraction(1)
-    half = Fraction(1, 2)
-    if tag == "AIII":
-        parts = (Progression(Fraction(1 - min(p, q)), one),)
-    elif tag == "CI":
-        parts = (Progression(Fraction(1 - n, 2), half),)
-    elif tag == "BI":
-        parts = (Progression(Fraction(0), one), Progression(Fraction(3 - 2 * n, 2), one))
-    elif tag == "DI":
-        parts = (Progression(Fraction(2 - n), one),)
-    elif tag == "DIII":
-        parts = (Progression(2 * Fraction((3 - n) // 2), one),)
-    elif tag == "EIII":
-        parts = (Progression(Fraction(-3), one),)
+    con = abc_constants(case)
+    # In z: A + N, and A + C + N when 2C is odd; one part when C = 1/2.
+    start = con.a - con.b
+    if is_integer(con.c) or con.c == Fraction(1, 2):
+        parts = (Progression(start, min(con.c, Fraction(1))),)
     else:
-        parts = (Progression(Fraction(-8), one),)
+        parts = (Progression(start, Fraction(1)), Progression(start + con.c, Fraction(1)))
     return ReducibilitySet(case, parts)
 
 

@@ -20,6 +20,8 @@ PACKAGE = Path(scalarverma.__file__).resolve().parent
 # Modules and the only package modules each may import from.
 IMPORT_LIMITS = {
     "rootdata": {"ratvec", "errors"},
+    # The closed form is checked against the Jantzen path, so it never reads it.
+    "ehw": {"rootdata", "ratvec", "errors"},
 }
 
 

@@ -303,6 +303,20 @@ def test_one_closed_form_set_per_case(capsys):
     assert ehw.reducibility_set.cache_info().misses == 5
 
 
+def test_one_line_offset_per_case(capsys):
+    ehw.line_offset.cache_clear()
+    ehw.abc_constants.cache_clear()
+    for c in ("-2", "0", "1/2", "-2"):
+        code, _, _ = run_cli(capsys, "classify", "--case", "DIII", "--n", "4", "--c", c)
+        assert code == 0
+    code, _, _ = run_cli(capsys, "crosscheck", "--case", "DIII", "--n", "4")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "classify", "--case", "DIII", "--n", "4", "--c", "3")
+    assert code == 0
+    assert ehw.line_offset.cache_info().misses == 1
+    assert ehw.abc_constants.cache_info().misses == 1
+
+
 # Strings with quotes, backslashes, control characters and non-ASCII text
 _json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀') | st.characters())
 _json_scalars = (

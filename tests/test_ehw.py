@@ -15,9 +15,11 @@ from conftest import (
     progression_contains_reference,
     reducible_reference,
 )
+from ehw_tables import in_table_set, table_abc
 from scalarverma import (
     HermitianCase,
     InsufficientWindowError,
+    InvariantError,
     abc_constants,
     abc_verdict,
     build_datum,
@@ -34,6 +36,7 @@ from scalarverma.ehw import (
     ABCConstants,
     Progression,
     ReducibilitySet,
+    _real_rank,
     reducibility_set,
 )
 from scalarverma.ratvec import add, inner, pairing
@@ -43,7 +46,8 @@ Q = Fraction
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
 
-# First-reduction constants frozen per instance: (a, b, c)
+# First-reduction constants frozen per instance: (a, b, c).  Where a = b
+# the lattice is the single point a and c is 1 by convention.
 EXPECTED_ABC = {
     "AIII(1,1)": (1, 1, 1),
     "AIII(2,2)": (2, 3, 1),
@@ -58,8 +62,8 @@ EXPECTED_ABC = {
     "DI(2)": (1, 1, 1),
     "DI(3)": (2, 3, 1),
     "DI(4)": (3, 5, 2),
-    "DIII(2)": (1, 1, 2),
-    "DIII(3)": (3, 3, 2),
+    "DIII(2)": (1, 1, 1),
+    "DIII(3)": (3, 3, 1),
     "DIII(4)": (3, 5, 2),
     "DIII(5)": (5, 7, 2),
     "EIII": (8, 11, 3),
@@ -123,6 +127,67 @@ def test_special_line_geometry(case):
             x + line.z * t for x, t in zip(line.lambda0, datum.zeta)
         )
         assert shifted == lam
+
+
+def _known_real_rank(case: HermitianCase) -> int:
+    if case.tag == "AIII":
+        return min(case.p, case.q)
+    if case.tag == "CI":
+        return case.n
+    if case.tag == "DIII":
+        return case.n // 2
+    return {"BI": 2, "DI": 2, "EIII": 2, "EVII": 3}[case.tag]
+
+
+def test_real_rank_matches_known_values():
+    for case in ADMISSIBLE_CASES:
+        assert _real_rank(build_datum(case)) == _known_real_rank(case), case.label
+
+
+def test_derived_constants_match_literature_table():
+    for case in ADMISSIBLE_CASES:
+        con = abc_constants(case)
+        a, b, c = table_abc(case)
+        assert (con.a, con.b) == (a, b), case.label
+        assert con.c == (c if a < b else 1), case.label
+
+
+def test_derived_set_matches_literature_table():
+    # Every table progression starts in [-37/2, 0], so the window covers
+    # each start and more than one period past it.
+    points = {Q(k, d) for d in (2, 6) for k in range(-20 * d, 6 * d + 1)}
+    for case in ADMISSIBLE_CASES:
+        for c in points:
+            assert closed_form_reducible(case, c) == in_table_set(case, c), (case.label, c)
+
+
+def test_half_spacing_is_one_progression():
+    # CI and BI(2) have C = 1/2: one membership test per point, not two.
+    for case in (HermitianCase("CI", n=5), HermitianCase("BI", n=2)):
+        con = abc_constants(case)
+        assert reducibility_set(case).parts == (Progression(con.a - con.b, Q(1, 2)),)
+
+
+@pytest.mark.parametrize(
+    "case, rank",
+    [
+        (HermitianCase("AIII", p=2, q=3), 1),  # r = 1 but A = 6 > B = 4
+        (HermitianCase("CI", n=4), 2),  # spacing -1
+        (HermitianCase("CI", n=4), 3),  # spacing 1/3
+        (HermitianCase("CI", n=4), 5),  # spacing 1/2, b' = -1
+    ],
+    ids=["rank-one-gap", "negative-spacing", "third-spacing", "negative-b"],
+)
+def test_malformed_constants_raise(monkeypatch, case, rank):
+    import scalarverma.ehw as ehw
+
+    abc_constants.cache_clear()
+    monkeypatch.setattr(ehw, "_real_rank", lambda datum: rank)
+    with pytest.raises(InvariantError, match="malformed first-reduction constants"):
+        abc_constants(case)
+    monkeypatch.undo()
+    abc_constants.cache_clear()
+    assert abc_constants(case).a == table_abc(case)[0]
 
 
 def test_abc_verdict_boundaries():
