@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InsufficientWindowError, InvariantError
-from .ratvec import Weight, add, dot, format_rational, is_integer, pairing, scale, sub
+from .ratvec import Weight, add, dot, format_rational, is_integer, pairing, rational, scale, sub
 from .rootdata import HermitianCase, ParabolicRootDatum, build_datum
 
 KNOWN_SIMPLE = "known_simple"
@@ -70,7 +70,7 @@ class ReducibilitySet:
     parts: tuple[Progression, ...]
 
     def contains(self, c) -> bool:
-        x = c if isinstance(c, Fraction) else Fraction(c)
+        x = rational(c)
         return any(p.contains(x) for p in self.parts)
 
 
@@ -127,7 +127,7 @@ def abc_constants(case: HermitianCase) -> ABCConstants:
 
 def abc_verdict(constants: ABCConstants, z) -> str:
     """What the first-reduction constants alone say about line coordinate z."""
-    x = z if isinstance(z, Fraction) else Fraction(z)
+    x = rational(z)
     a, b, c = constants.a, constants.b, constants.c
     # z - a = gap / (x.denominator * a.denominator), in integers.
     gap = x.numerator * a.denominator - a.numerator * x.denominator

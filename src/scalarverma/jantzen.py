@@ -14,25 +14,21 @@ k = a_beta + c*b_beta, so the support costs one integer test per root.
 Levi reflections fix zeta, so the image mu - k*beta = (rho - k*beta) +
 c*zeta has the chamber of the c-free vector rho - k*beta shifted by
 c*zeta.  That vector, scaled by the datum's common denominator D, is
-decided in integers by its wall interval along k: a level on one of
-beta's Levi walls is Singular, and off them the interval's memoized Weyl
-word gives the representative, certified dominant at that level by the
-interval lo..hi of dominant levels stored with the word (see `weyl`).  Levi
-integrality holds at every level when D*rho and D*beta are both Levi
-integral, which the view records once per root; other roots are checked
-term by term.  The verdict and route come from integer sign sums per
-class; the terms, classes and witness, the only rationals, are unscaled
-from the loop's integer records when a caller first reads them, so a
-caller that reads only the verdict and route never builds a Fraction
-weight.
+decided in integers by `weyl`: a level on one of beta's Levi walls is
+Singular, and off them a memoized Weyl word gives the representative,
+certified dominant at that level by the interval of levels stored with
+the word.  The verdict and route come from integer sign sums per class;
+the terms, classes and witness, the only rationals, are unscaled from the
+loop's integer records when a caller first reads them, so a caller that
+reads only the verdict and route never builds a Fraction weight.
 `simplicity_oracle` is the same criterion on any scalar weight, computed
 with `jantzen_support` and `normalize` in rational arithmetic; it is the
 reference the integer path is tested against.
 
-Only exact rational parameters are accepted.  A parameter with irrational
-or non-real scalar part would make every support pairing miss the positive
-integers, so such modules are simple for the same reason the empty-support
-route is.
+Only exact rational parameters are accepted: a float or a bool raises
+ValueError.  A parameter with irrational or non-real scalar part would make
+every support pairing miss the positive integers, so such modules are
+simple for the same reason the empty-support route is.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from functools import cached_property
 from typing import Callable
 
 from .errors import InvariantError
-from .ratvec import Weight, add, dot, inner, is_integer, pairing, reflect
+from .ratvec import Weight, add, inner, is_integer, pairing, rational, reflect
 from .rootdata import IntVector, ParabolicRootDatum, build_datum
 from .weyl import REGULAR, SINGULAR, ChamberForm, _line_chamber, normalize, theta_pairing
 
@@ -198,7 +194,7 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
         if isinstance(case_or_datum, ParabolicRootDatum)
         else build_datum(case_or_datum)
     )
-    c = Fraction(c)
+    c = rational(c)
     view = datum.integer_view
     n, d = c.numerator, c.denominator
     records = []
@@ -213,16 +209,12 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
             continue
         k = num // (d * nil.norm)
         v = tuple([r - k * x for r, x in zip(view.rho, nil.root)])
-        if not nil.integral:
-            for root, norm in view.levi_positive:
-                if 2 * dot(v, root) % norm:
-                    raise InvariantError("support term is not Levi integral")
         rep, steps = _line_chamber(view, j, k, v)
         records.append((j, k, v, rep, steps))
         if rep is not None:
             # theta_u pairs with c*zeta alike in every term, so comparing
             # the c-free parts compares the theta values.
-            theta = nil.theta_rho - k * nil.theta_root
+            theta = view.theta_rho - k * nil.theta_root
             if thetas.setdefault(rep, theta) != theta:
                 split = True
             nets[rep] = nets.get(rep, 0) + (-1 if steps & 1 else 1)

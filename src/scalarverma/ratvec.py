@@ -33,6 +33,13 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
+def rational(x) -> Fraction:
+    """x as a Fraction.  A float or a bool is no exact rational: ValueError."""
+    if isinstance(x, (float, bool)):
+        raise ValueError(f"expected an exact rational, got {x!r}")
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def format_rational(x: Fraction) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
     return str(x)

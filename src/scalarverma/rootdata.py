@@ -32,8 +32,8 @@ Data are built once per case and cached; every field of a datum is an
 immutable tuple, safe to share across threads.  Each datum also derives, on
 first use, an integer view of itself (`IntegerView`) for the c-free chamber
 arithmetic of the oracle.  The view's memo of chamber words is the one thing
-filled in place; a fill stores the value any other fill of the same key
-would, so concurrent fills at worst repeat work.
+filled in place; each fill replaces one root's immutable tuple of entries
+whole, so concurrent fills at worst drop an entry and repeat work.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ from .ratvec import Weight, add, dot, scale, sub, weight
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
-# perfbench runs.  One CI(20) classify takes 0.3-0.5 s from the command
-# line, 0.04-0.06 s of it building the datum; in-process, each later CI(20)
-# point with all 210 nilradical roots in its support takes 1.5-2.6 ms to
-# decide and 4-7 ms with its terms read (2 cores, CPython 3.11.7).
+# perfbench runs.  One CI(20) classify takes 0.23-0.26 s from the command
+# line, 0.06 s of it building the datum; in-process, each later CI(20)
+# point with all 210 nilradical roots in its support takes 0.75-0.77 ms to
+# decide and 2.8 ms with its terms read (2 cores, CPython 3.11.7, fast phase).
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
@@ -138,24 +138,22 @@ class NilradicalLevel:
     b_beta = b / norm.
 
     Its support term v(k) = R - k*B, with R = D*rho and B = D*beta, meets
-    the wall of a scaled Levi positive root A at k_A = dot(R, A) / dot(B, A);
-    `walls` lists the distinct positive k_A in increasing order.  Between
-    two walls v(k) stays in one open Levi chamber.  `integral` holds when
-    2*dot(R, A) and 2*dot(B, A) are multiples of dot(A, A) for every scaled
-    Levi positive root A, so that every v(k) is Levi integral and each Levi
-    reflection acts on R and B in exact integers.
+    the wall of a scaled Levi positive root A at k = dot(R, A) / dot(B, A);
+    `singular` holds the positive integers among those levels.  `integral`
+    holds when 2*dot(R, A) and 2*dot(B, A) are multiples of dot(A, A) for
+    every scaled Levi positive root A, so that every v(k) is Levi integral
+    and each Levi reflection acts on R and B in exact integers.
 
-    `theta_rho` = dot(R, T) and `theta_root` = dot(B, T), for T = D*theta_u,
-    so that dot(v(k), T) = theta_rho - k*theta_root.
+    `theta_root` = dot(B, T), for T = D*theta_u, so that
+    dot(v(k), T) = theta_rho - k*theta_root with the view's theta_rho.
     """
 
     root: IntVector
     norm: int
     a: int
     b: int
-    walls: tuple[Fraction, ...]
+    singular: frozenset[int]
     integral: bool
-    theta_rho: int
     theta_root: int
 
 
@@ -167,25 +165,20 @@ class IntegerView:
     roots, so each vector below is D times the datum's weight of the same
     name, in plain integers.  A root's pairing <v, alpha^v> is then
     2*dot(v, A) / dot(A, A) for the scaled root A, free of D.
+    `theta_rho` = dot(rho, theta_u) for these scaled vectors.
 
-    `words` memoizes, per (nilradical index, wall interval), the images
-    (w*R, w*B, length of w) under the Levi word w that takes that
-    interval's open chamber to the dominant one, followed by the bounds
-    lo, hi of the integer levels k at which w*R - k*w*B is dominant.  It is
-    filled on first use and holds at most one entry per interval, the sum
-    over roots of len(walls) + 1.
+    `words` is the chamber-word memo of `weyl`, filled on first use.
     """
 
     denom: int
     rho: IntVector
     zeta: IntVector
     theta_u: IntVector
+    theta_rho: int
     nilradical: tuple[NilradicalLevel, ...]
     levi_positive: tuple[tuple[IntVector, int], ...]
     levi_simples: tuple[tuple[IntVector, int], ...]
-    words: dict[tuple[int, int], tuple[IntVector, IntVector, int, float, float]] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    words: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def case_notes(case: HermitianCase) -> tuple[str, ...]:
@@ -403,21 +396,20 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
     nilradical = []
     for beta in d.nilradical_roots:
         root, norm = with_norm(beta)
-        walls, integral = set(), True
+        singular, integral = set(), True
         for r, n, a in levi_rho:
             b = dot(root, a)
             integral = integral and not (2 * r % n or 2 * b % n)
-            if r * b > 0:
-                walls.add(Fraction(r, b))
+            if r * b > 0 and r % b == 0:
+                singular.add(r // b)
         nilradical.append(
             NilradicalLevel(
                 root,
                 norm,
                 2 * dot(rho, root),
                 2 * dot(zeta, root),
-                tuple(sorted(walls)),
+                frozenset(singular),
                 integral,
-                dot(rho, theta_u),
                 dot(root, theta_u),
             )
         )
@@ -426,6 +418,7 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
         rho=rho,
         zeta=zeta,
         theta_u=theta_u,
+        theta_rho=dot(rho, theta_u),
         nilradical=tuple(nilradical),
         levi_positive=levi_positive,
         levi_simples=tuple(with_norm(a) for a in d.levi_simples),

@@ -12,24 +12,29 @@ same wall scan and descent on an integer vector D*mu against the datum's
 `IntegerView` and returns the descent's word.  The oracle works on the
 c-free terms v(k) = D*(rho - k*beta), because Levi reflections fix zeta and
 so the chamber of rho + c*zeta - k*beta is that of rho - k*beta, shifted by
-c*zeta.  Along k, v(k) crosses a Levi wall only at the levels the view
-lists for beta; between two of them it stays in one open chamber, and the
-Weyl group acts simply transitively on chambers, so one word w serves the
-whole interval.  The view memoizes w*D*rho and w*D*beta per interval, so a
-term's representative is w*D*rho - k*w*D*beta.  Its pairing with each Levi
-simple root is affine in k, so the levels at which all of them are
-positive form an integer interval lo..hi, stored with the entry.  A term
-is accepted only when its level lies in lo..hi; that proves, at the term's
-own level, that its representative is the dominant point of the orbit.  A
-term outside the interval is normalized afresh.
+c*zeta.  A level k on a Levi wall is one the view lists as singular for
+beta.  Off them, a descent's word w gives the representative
+w*D*rho - k*w*D*beta, whose pairing with each Levi simple root is affine in
+k; the levels at which all of them are positive form an integer interval
+lo..hi, and at exactly those levels w*v(k) is the dominant point of v(k)'s
+orbit.  `_line_chamber` memoizes (lo, hi, w*D*rho, w*D*beta, len(w)) per
+root and serves a term from the entry whose lo..hi holds its level, which
+certifies the representative at the term's own level; a level no entry
+holds is normalized afresh and its interval stored.  The Weyl group acts
+simply transitively on chambers, so no two words share a level and a
+root's entries are disjoint.  Each fill replaces the root's tuple of
+entries whole.  A root whose Levi reflections are not exact on D*rho and
+D*beta (never the case for a valid datum) gets no entries; its terms are
+checked for Levi integrality one by one and normalized afresh.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InvariantError
 from .ratvec import Weight, dot, inner, pairing, reflect
@@ -137,48 +142,49 @@ def _line_chamber(view: IntegerView, j: int, k: int, v: IntVector) -> tuple[IntV
     """normalize_scaled(view, v) as (rep, steps), for v = R - k*B on the scalar line.
 
     B is the scaled nilradical root view.nilradical[j], R = view.rho and k
-    is a positive integer.  A level on one of B's walls is Singular.  Off
-    the walls, the word w of k's wall interval comes from view.words, filled
-    by one descent on the interval's first use, and the representative is
-    w*R - k*w*B.  It is returned only when k lies in the entry's lo..hi,
-    the levels at which it pairs positively with every Levi simple root,
-    which proves it is the dominant point of v's orbit and len(w) its
-    descent length; otherwise, and for roots whose reflections are not
-    exact on R and B, v is normalized afresh.
+    is a positive integer.  A level in B's singular set is Singular.  Every
+    other level is looked up in view.words[j]: disjoint entries
+    (lo, hi, w*R, w*B, len(w)), sorted by lo, each filled by one descent.
+    The entry with lo <= k <= hi serves k: w*R - k*w*B pairs positively
+    with every Levi simple root exactly at the levels lo..hi, which proves
+    it is the dominant point of v's orbit and len(w) its descent length.
+    A level no entry serves is normalized afresh, and its interval added.
+    Roots whose reflections are not exact on R and B are checked for Levi
+    integrality term by term and always normalized afresh.
     """
     nil = view.nilradical[j]
-    if nil.integral:
-        walls = nil.walls
-        i = bisect_left(walls, k)
-        if i < len(walls) and walls[i] == k:
-            return None, 0
-        entry = view.words.get((j, i))
-        if entry is None:
-            rep, word = normalize_scaled(view, v)
-            # Off B's walls, only a Levi root orthogonal to both R and B
-            # holds v on a wall; such an interval is not memoized.
-            if rep is not None:
-                wb = nil.root
-                for s in word:
-                    wb = _reflect_scaled(wb, *view.levi_simples[s])
-                # rep = w*R - k*w*B, and w acts linearly
-                wr = tuple(x + k * b for x, b in zip(rep, wb))
-                # dot(wr - k*wb, A) = p - k*q is positive for k <= (p - 1)/q
-                # when q > 0 and for k > p/q when q < 0; with q = 0 it is p,
-                # positive because rep is dominant.
-                lo, hi = -math.inf, math.inf
-                for root, _ in view.levi_simples:
-                    p, q = dot(wr, root), dot(wb, root)
-                    if q > 0:
-                        hi = min(hi, (p - 1) // q)
-                    elif q < 0:
-                        lo = max(lo, -p // -q + 1)
-                view.words[j, i] = (wr, wb, len(word), lo, hi)
-            return rep, len(word)
-        wr, wb, steps, lo, hi = entry
-        if lo <= k <= hi:
+    entries = view.words.get(j, ())
+    if not nil.integral:
+        for root, norm in view.levi_positive:
+            if 2 * dot(v, root) % norm:
+                raise InvariantError("support term is not Levi integral")
+    elif k in nil.singular:
+        return None, 0
+    else:
+        i = bisect_right(entries, k, key=itemgetter(0))
+        if i and k <= entries[i - 1][1]:
+            _, _, wr, wb, steps = entries[i - 1]
             return tuple([r - k * b for r, b in zip(wr, wb)]), steps
     rep, word = normalize_scaled(view, v)
+    # Off the singular levels, only a Levi root orthogonal to R and B (never
+    # in a valid datum, whose R is strictly dominant) holds v on a wall.
+    if rep is not None and nil.integral:
+        wb = nil.root
+        for s in word:
+            wb = _reflect_scaled(wb, *view.levi_simples[s])
+        # rep = w*R - k*w*B, and w acts linearly
+        wr = tuple(x + k * b for x, b in zip(rep, wb))
+        # dot(wr - k*wb, A) = p - k*q is positive for k <= (p - 1)/q
+        # when q > 0 and for k > p/q when q < 0; with q = 0 it is p,
+        # positive because rep is dominant.
+        lo, hi = -math.inf, math.inf
+        for root, _ in view.levi_simples:
+            p, q = dot(wr, root), dot(wb, root)
+            if q > 0:
+                hi = min(hi, (p - 1) // q)
+            elif q < 0:
+                lo = max(lo, -p // -q + 1)
+        view.words[j] = entries[:i] + ((lo, hi, wr, wb, len(word)),) + entries[i:]
     return rep, len(word)
 
 

@@ -1,6 +1,6 @@
 """The package's public names are the ones the README documents, its
-modules import one another in layers, and the benchmark's tracer finds every
-function it wraps."""
+modules import one another in layers, one module owns the chamber-word memo,
+and the benchmark's tracer finds every function it wraps."""
 
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ IMPORT_LIMITS = {
     "rootdata": {"ratvec", "errors"},
     # The closed form is checked against the Jantzen path, so it never reads it.
     "ehw": {"rootdata", "ratvec", "errors"},
+    "weyl": {"rootdata", "ratvec", "errors"},
 }
 
 
@@ -58,6 +59,15 @@ def test_package_imports_have_no_cycle():
 @pytest.mark.parametrize("module", sorted(IMPORT_LIMITS))
 def test_module_imports_stay_within_their_layer(module):
     assert _package_imports()[module] <= IMPORT_LIMITS[module]
+
+
+def test_only_weyl_reads_the_chamber_word_memo():
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "words":
+                readers.add(path.stem)
+    assert readers == {"weyl"}
 
 
 def _tracer_hooks() -> dict[str, tuple]:

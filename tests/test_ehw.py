@@ -273,6 +273,20 @@ def test_closed_form_reducible_equals_set_membership():
             assert closed_form_reducible(case, c) == s.contains(c)
 
 
+@pytest.mark.parametrize("bad", [0.1, 2.0, True], ids=["0.1", "2.0", "True"])
+def test_inexact_parameters_raise(bad):
+    # A float is a binary approximation (0.1 is 3602879701896397/2**55), and
+    # a bool is no parameter at all; neither is silently decided.
+    case = HermitianCase("AIII", p=2, q=3)
+    for decide in (
+        lambda: classify_scalar(case, bad),
+        lambda: closed_form_reducible(case, bad),
+        lambda: abc_verdict(abc_constants(case), bad),
+    ):
+        with pytest.raises(ValueError, match="exact rational"):
+            decide()
+
+
 def test_progression_step_must_be_positive():
     for step in (Q(0), Q(-1, 2)):
         with pytest.raises(ValueError, match="step must be positive"):

@@ -1,18 +1,17 @@
 """The integer scalar-line path against the Fraction reference.
 
 `classify_scalar` decides c * zeta in integers through the datum's
-`IntegerView`: each support term by its wall interval and that interval's
-memoized word, certified at the term, with `normalize_scaled` as the
-descent.  `simplicity_oracle` and `normalize` are the rational reference.
-Every comparison here is whole-verdict equality, certificates included,
-and every InvariantError the reference can raise is triggered on both
-paths.
+`IntegerView`: each support term by its root's singular levels or by the
+memoized word whose certified interval of levels holds it, with
+`normalize_scaled` as the descent.  `simplicity_oracle` and `normalize`
+are the rational reference.  Every comparison here is whole-verdict
+equality, certificates included, and every InvariantError the reference
+can raise is triggered on both paths.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -131,16 +130,47 @@ def test_integer_normalizer_matches_normalize(case):
                 assert len(word) == form.steps
 
 
+def walls(view, j):
+    """The positive levels dot(R, A) / dot(B, A), in increasing order, at which
+    R - k*B meets the wall of a scaled Levi positive root A; B is root j."""
+    nil = view.nilradical[j]
+    out = set()
+    for a, _ in view.levi_positive:
+        r, b = dot(view.rho, a), dot(nil.root, a)
+        if r * b > 0:
+            out.add(Fraction(r, b))
+    return sorted(out)
+
+
+def test_singular_levels_are_the_wall_hits():
+    hits = 0
+    for case in SWEEP_CASES + HIGH_RANK + [HermitianCase("CI", n=20)]:
+        view = build_datum(case).integer_view
+        # R is strictly Levi dominant, so R - k*B meets the wall of A only at
+        # k = dot(R, A) / dot(B, A): off the singular levels every term is
+        # regular, and only a tampered datum finds a wall there.
+        assert all(dot(view.rho, a) > 0 for a, _ in view.levi_positive), case
+        for j, nil in enumerate(view.nilradical):
+            assert nil.singular == {int(w) for w in walls(view, j) if w.denominator == 1}
+            for k in range(1, max(nil.singular, default=0) + 41):
+                v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
+                rep, _ = normalize_scaled(view, v)
+                assert (k in nil.singular) == (rep is None), (case, j, k)
+                hits += rep is None
+    assert hits
+
+
 @pytest.mark.parametrize(
     "case", SWEEP_CASES + HIGH_RANK, ids=CASE_IDS + [c.label for c in HIGH_RANK]
 )
 def test_interval_words_match_a_fresh_descent(case):
-    # a replaced datum derives its own view, so the first pass starts cold
+    # a replaced datum derives its own view, so the first pass starts cold;
+    # it runs down the levels, so each new entry goes before those held
     view = dataclasses.replace(build_datum(case)).integer_view
-    for _ in ("cold", "warm"):
+    for order in (reversed, iter):
         for j, nil in enumerate(view.nilradical):
             assert nil.integral
-            for k in range(1, int(max(nil.walls, default=0)) + 3):
+            for k in order(range(1, int(max(walls(view, j), default=0)) + 3)):
                 v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
                 rep, word = normalize_scaled(view, v)
                 assert _line_chamber(view, j, k, v) == (rep, len(word)), (j, k)
@@ -149,12 +179,17 @@ def test_interval_words_match_a_fresh_descent(case):
 
 
 def assert_intervals_are_the_dominant_levels(view):
-    """Each memo entry's lo..hi holds exactly the levels k at which w*R - k*w*B is dominant."""
-    for (j, _), (wr, wb, _, lo, hi) in view.words.items():
-        for k in range(1, int(max(view.nilradical[j].walls, default=0)) + 3):
-            rep = tuple(r - k * b for r, b in zip(wr, wb))
-            dominant = all(dot(rep, root) > 0 for root, _ in view.levi_simples)
-            assert (lo <= k <= hi) == dominant, (j, k)
+    """Each memo entry's lo..hi holds exactly the levels k at which w*R - k*w*B
+    is dominant, and each root's entries are sorted and pairwise disjoint."""
+    for j, entries in view.words.items():
+        for lo, hi, wr, wb, _ in entries:
+            assert lo <= hi
+            for k in range(1, int(max(walls(view, j), default=0)) + 3):
+                rep = tuple(r - k * b for r, b in zip(wr, wb))
+                dominant = all(dot(rep, root) > 0 for root, _ in view.levi_simples)
+                assert (lo <= k <= hi) == dominant, (j, k)
+        for (_, hi, *_), (lo, *_) in zip(entries, entries[1:]):
+            assert hi < lo, j
 
 
 def test_word_memo_is_used_and_bounded():
@@ -163,8 +198,9 @@ def test_word_memo_is_used_and_bounded():
     for c in default_window(datum.case, Fraction(1, 6)):
         regular += sum(t.chamber.is_regular for t in classify_scalar(datum, c).terms)
     view = datum.integer_view
-    assert len(view.words) <= sum(len(nil.walls) + 1 for nil in view.nilradical)
-    assert 10 * len(view.words) < regular
+    entries = sum(len(e) for e in view.words.values())
+    assert entries <= sum(len(walls(view, j)) + 1 for j in range(len(view.nilradical)))
+    assert 10 * entries < regular
 
 
 def test_integer_view_scales_the_datum():
@@ -174,11 +210,11 @@ def test_integer_view_scales_the_datum():
         scale = lambda w: tuple(x * view.denom for x in w)
         assert view.rho == scale(datum.rho) and view.zeta == scale(datum.zeta)
         assert view.theta_u == scale(datum.theta_u)
+        assert view.theta_rho == dot(view.rho, view.theta_u)
         assert [a for a, _ in view.levi_simples] == [scale(a) for a in datum.levi_simples]
         for beta, nil in zip(datum.nilradical_roots, view.nilradical):
             assert nil.root == scale(beta)
             assert nil.norm == inner(nil.root, nil.root)
-            assert nil.theta_rho == dot(view.rho, view.theta_u)
             assert nil.theta_root == dot(nil.root, view.theta_u)
             # a_beta and b_beta are the pairings of rho and zeta with beta
             assert Fraction(nil.a, nil.norm) == 2 * inner(datum.rho, beta) / inner(beta, beta)
@@ -249,9 +285,10 @@ def test_non_levi_integral_term_trips_both_oracles():
 
 @pytest.mark.parametrize("dropped", [(2, 5), (1, 5)], ids=["e2-e5", "e1-e5"])
 def test_certificate_falls_back_where_the_walls_are_incomplete(dropped, monkeypatch):
-    # Without the wall of a Levi root, one wall interval spans two
-    # chambers, so a memoized word is wrong on part of it; the interval
-    # check must send those terms back to a fresh descent.
+    # Without the wall of a Levi root, the singular levels miss its wall
+    # hits, and a root's levels between two singular ones span two chambers;
+    # each gets its own certified entry, and a level on the dropped wall
+    # misses every entry and goes to the descent, as in the reference.
     datum = build_datum(HermitianCase("DIII", n=5))
     i, j = dropped
     root = weight([(t == i) - (t == j) for t in range(1, 6)])
@@ -260,7 +297,7 @@ def test_certificate_falls_back_where_the_walls_are_incomplete(dropped, monkeypa
     crippled = dataclasses.replace(datum, levi_positive=kept)
     view = crippled.integer_view
 
-    # Count the descents run for a term whose interval already has an entry.
+    # Count the descents run for a root that already holds an entry.
     fallbacks, memoized = [0], [False]
 
     def counted_descent(view, v):
@@ -268,7 +305,7 @@ def test_certificate_falls_back_where_the_walls_are_incomplete(dropped, monkeypa
         return normalize_scaled(view, v)
 
     def line_chamber(view, j, k, v):
-        memoized[0] = (j, bisect_left(view.nilradical[j].walls, k)) in view.words
+        memoized[0] = bool(view.words.get(j))
         try:
             return _line_chamber(view, j, k, v)
         finally:
