@@ -20,10 +20,9 @@ certified dominant at that level by the interval of levels stored with
 the word.  The verdict and route come from integer sign sums per class;
 the terms, classes and witness, the only rationals, are unscaled from the
 loop's integer records when a caller first reads them, so a caller that
-reads only the verdict and route never builds a Fraction weight.
-`simplicity_oracle` is the same criterion on any scalar weight, computed
-with `jantzen_support` and `normalize` in rational arithmetic; it is the
-reference the integer path is tested against.
+reads only the verdict and route never builds a Fraction weight.  The
+same criterion in rational arithmetic, on any scalar weight, lives with
+the tests as the reference this path is checked against.
 
 Only exact rational parameters are accepted: a float or a bool raises
 ValueError.  A parameter with irrational or non-real scalar part would make
@@ -39,9 +38,9 @@ from functools import cached_property
 from typing import Callable
 
 from .errors import InvariantError
-from .ratvec import Weight, add, inner, is_integer, pairing, rational, reflect
+from .ratvec import Weight, add, is_integer, pairing, rational
 from .rootdata import IntVector, ParabolicRootDatum, build_datum
-from .weyl import REGULAR, SINGULAR, ChamberForm, _line_chamber, normalize, theta_pairing
+from .weyl import REGULAR, SINGULAR, ChamberForm, _line_chamber
 
 SIMPLE = "Simple"
 REDUCIBLE = "Reducible"
@@ -119,58 +118,6 @@ def jantzen_support(datum: ParabolicRootDatum, lam: Weight) -> tuple[Weight, ...
     return tuple(out)
 
 
-def simplicity_oracle(datum: ParabolicRootDatum, lam: Weight) -> SimplicityVerdict:
-    """Decide simplicity of the scalar module with highest weight lam.
-
-    lam must be scalar: orthogonal to every Levi root.  The returned
-    verdict carries the full term list and the grouped regular classes, so
-    the signed cancellation can be re-checked by hand.
-    """
-    if any(inner(lam, alpha) != 0 for alpha in datum.levi_simples):
-        raise ValueError("highest weight is not scalar: it meets the Levi nontrivially")
-
-    mu = add(lam, datum.rho)
-    terms = []
-    groups: dict[Weight, list[tuple[JantzenTerm, Fraction]]] = {}
-    for beta in jantzen_support(datum, lam):
-        level = pairing(mu, beta)
-        image = reflect(mu, beta)
-        for alpha in datum.levi_positive:
-            if not is_integer(pairing(image, alpha)):
-                raise InvariantError("support term is not Levi integral")
-        term = JantzenTerm(beta, level, image, normalize(datum, image))
-        terms.append(term)
-        if term.chamber.is_regular:
-            groups.setdefault(term.chamber.rep, []).append(
-                (term, theta_pairing(datum, image))
-            )
-    detail = _verdict(terms, groups)
-    return SimplicityVerdict(*_decide(bool(terms), detail[2] is not None), lambda: detail)
-
-
-def _verdict(
-    terms: list[JantzenTerm], groups: dict
-) -> tuple[tuple[JantzenTerm, ...], tuple[RepClass, ...], Weight | None]:
-    """Sign each class: (terms, certificate, witness).
-
-    groups maps a class key to its regular (term, theta value) pairs; keys
-    sort as the classes' representatives do.  The witness is None exactly
-    when every class sum cancels.
-    """
-    certificate = []
-    for key in sorted(groups):
-        members = tuple(t for t, _ in groups[key])
-        if len({theta for _, theta in groups[key]}) != 1:
-            raise InvariantError("one chamber class carries two theta values")
-        net = sum(m.chamber.sign for m in members)
-        certificate.append(RepClass(members[0].chamber.rep, net, members))
-    certificate = tuple(certificate)
-
-    surviving = tuple(g for g in certificate if g.net_sign != 0)
-    witness = surviving[0].members[0].beta if surviving else None
-    return tuple(terms), certificate, witness
-
-
 def _decide(has_terms: bool, survives: bool) -> tuple[str, str]:
     """(verdict, route) from whether the support is empty and a class sum survives."""
     if not has_terms:
@@ -183,11 +130,12 @@ def _decide(has_terms: bool, survives: bool) -> tuple[str, str]:
 def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     """Decide the scalar weight c * zeta of a case.
 
-    Returns the verdict simplicity_oracle gives for the same weight, term
-    for term, computed in integers along the scalar line.  The verdict and
-    route are decided here; the terms, classes and witness are unscaled
-    when first read.  The weight is scalar because the datum passed
-    validation: zeta is orthogonal to the Levi.
+    Returns the verdict Jantzen's criterion gives for the weight, term for
+    term, computed in integers along the scalar line; the rational
+    reference in tests/reference.py decides the same weight in Fractions.
+    The verdict and route are decided here; the terms, classes and witness
+    are unscaled when first read.  The weight is scalar because the datum
+    passed validation: zeta is orthogonal to the Levi.
     """
     datum = (
         case_or_datum
@@ -209,17 +157,17 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
             continue
         k = num // (d * nil.norm)
         v = tuple([r - k * x for r, x in zip(view.rho, nil.root)])
-        rep, steps = _line_chamber(view, j, k, v)
-        records.append((j, k, v, rep, steps))
+        rep, word = _line_chamber(view, j, k, v)
+        records.append((j, k, v, rep, len(word)))
         if rep is not None:
             # theta_u pairs with c*zeta alike in every term, so comparing
             # the c-free parts compares the theta values.
             theta = view.theta_rho - k * nil.theta_root
             if thetas.setdefault(rep, theta) != theta:
                 split = True
-            nets[rep] = nets.get(rep, 0) + (-1 if steps & 1 else 1)
-    # Raised once every term has passed its own checks, as simplicity_oracle
-    # raises it.
+            nets[rep] = nets.get(rep, 0) + (-1 if len(word) & 1 else 1)
+    # Raised once every term has passed its own checks, as the rational
+    # reference raises it.
     if split:
         raise InvariantError("one chamber class carries two theta values")
     verdict, route = _decide(bool(records), any(nets.values()))
@@ -244,7 +192,7 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
             return tuple(out)
 
         terms = []
-        groups: dict[IntVector, list[tuple[JantzenTerm, int]]] = {}
+        groups: dict[IntVector, list[JantzenTerm]] = {}
         for j, k, v, rep, steps in records:
             if rep is None:
                 chamber = ChamberForm(SINGULAR, None, None, 0)
@@ -253,12 +201,16 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
             term = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), chamber)
             terms.append(term)
             if rep is not None:
-                groups.setdefault(rep, []).append((term, thetas[rep]))
+                groups.setdefault(rep, []).append(term)
         # Unscaling is a coordinatewise increasing map, so the integer keys
         # sort as the representatives do.
-        detail = _verdict(terms, groups)
-        if _decide(bool(terms), detail[2] is not None) != (verdict, route):
+        certificate = tuple(
+            RepClass(g[0].chamber.rep, sum(m.chamber.sign for m in g), tuple(g))
+            for _, g in sorted(groups.items())
+        )
+        witness = next((g.members[0].beta for g in certificate if g.net_sign), None)
+        if _decide(bool(terms), witness is not None) != (verdict, route):
             raise InvariantError("verdict out of step with the surviving classes")
-        return detail
+        return tuple(terms), certificate, witness
 
     return SimplicityVerdict(verdict, route, unscaled)

@@ -46,10 +46,11 @@ def format_rational(x: Fraction) -> str:
 
 
 def weight(coords: Iterable) -> Weight:
-    """Build a weight from an iterable of ints, rationals, or "p/q" strings."""
-    return tuple(
-        parse_rational(c) if isinstance(c, str) else Fraction(c) for c in coords
-    )
+    """Build a weight from an iterable of ints, rationals, or "p/q" strings.
+
+    A float or a bool coordinate raises ValueError, as in `rational`.
+    """
+    return tuple(parse_rational(c) if isinstance(c, str) else rational(c) for c in coords)
 
 
 def add(mu: Weight, nu: Weight) -> Weight:
@@ -63,7 +64,8 @@ def sub(mu: Weight, nu: Weight) -> Weight:
 
 
 def scale(c, mu: Weight) -> Weight:
-    k = Fraction(c)
+    """c * mu for an exact rational c; a float or a bool raises ValueError."""
+    k = rational(c)
     return tuple(k * a for a in mu)
 
 

@@ -199,8 +199,8 @@ def build_datum(case: HermitianCase) -> ParabolicRootDatum:
 
 
 def scalar_parameter_weight(datum: ParabolicRootDatum, c) -> Weight:
-    """The scalar highest weight c * zeta."""
-    return scale(Fraction(c), datum.zeta)
+    """The scalar highest weight c * zeta; a float or a bool c raises ValueError."""
+    return scale(c, datum.zeta)
 
 
 def sign_pattern_root(pattern: str, sixth_sign: int) -> Weight:

@@ -17,15 +17,17 @@ beta.  Off them, a descent's word w gives the representative
 w*D*rho - k*w*D*beta, whose pairing with each Levi simple root is affine in
 k; the levels at which all of them are positive form an integer interval
 lo..hi, and at exactly those levels w*v(k) is the dominant point of v(k)'s
-orbit.  `_line_chamber` memoizes (lo, hi, w*D*rho, w*D*beta, len(w)) per
-root and serves a term from the entry whose lo..hi holds its level, which
+orbit.  `_line_chamber` memoizes (lo, hi, w*D*rho, w*D*beta, w) per root
+and serves a term from the entry whose lo..hi holds its level, which
 certifies the representative at the term's own level; a level no entry
-holds is normalized afresh and its interval stored.  The Weyl group acts
-simply transitively on chambers, so no two words share a level and a
-root's entries are disjoint.  Each fill replaces the root's tuple of
-entries whole.  A root whose Levi reflections are not exact on D*rho and
-D*beta (never the case for a valid datum) gets no entries; its terms are
-checked for Levi integrality one by one and normalized afresh.
+holds is normalized afresh and its interval stored.  Every v(k) with k in
+lo..hi lies in one open chamber, and the first-negative descent reads only
+the chamber, so a served word is the word a fresh descent would find.  The
+Weyl group acts simply transitively on chambers, so no two words share a
+level and a root's entries are disjoint.  Each fill replaces the root's
+tuple of entries whole.  A root whose Levi reflections are not exact on
+D*rho and D*beta (never the case for a valid datum) gets no entries; its
+terms are checked for Levi integrality one by one and normalized afresh.
 """
 
 from __future__ import annotations
@@ -138,16 +140,18 @@ def _reflect_scaled(v: IntVector, root: IntVector, norm: int) -> IntVector:
     return tuple(x - k * a for x, a in zip(v, root))
 
 
-def _line_chamber(view: IntegerView, j: int, k: int, v: IntVector) -> tuple[IntVector | None, int]:
-    """normalize_scaled(view, v) as (rep, steps), for v = R - k*B on the scalar line.
+def _line_chamber(
+    view: IntegerView, j: int, k: int, v: IntVector
+) -> tuple[IntVector | None, tuple[int, ...]]:
+    """normalize_scaled(view, v), for v = R - k*B on the scalar line.
 
     B is the scaled nilradical root view.nilradical[j], R = view.rho and k
     is a positive integer.  A level in B's singular set is Singular.  Every
     other level is looked up in view.words[j]: disjoint entries
-    (lo, hi, w*R, w*B, len(w)), sorted by lo, each filled by one descent.
+    (lo, hi, w*R, w*B, w), sorted by lo, each filled by one descent.
     The entry with lo <= k <= hi serves k: w*R - k*w*B pairs positively
     with every Levi simple root exactly at the levels lo..hi, which proves
-    it is the dominant point of v's orbit and len(w) its descent length.
+    it is the dominant point of v's orbit and w its descent's word.
     A level no entry serves is normalized afresh, and its interval added.
     Roots whose reflections are not exact on R and B are checked for Levi
     integrality term by term and always normalized afresh.
@@ -159,12 +163,12 @@ def _line_chamber(view: IntegerView, j: int, k: int, v: IntVector) -> tuple[IntV
             if 2 * dot(v, root) % norm:
                 raise InvariantError("support term is not Levi integral")
     elif k in nil.singular:
-        return None, 0
+        return None, ()
     else:
         i = bisect_right(entries, k, key=itemgetter(0))
         if i and k <= entries[i - 1][1]:
-            _, _, wr, wb, steps = entries[i - 1]
-            return tuple([r - k * b for r, b in zip(wr, wb)]), steps
+            _, _, wr, wb, word = entries[i - 1]
+            return tuple([r - k * b for r, b in zip(wr, wb)]), word
     rep, word = normalize_scaled(view, v)
     # Off the singular levels, only a Levi root orthogonal to R and B (never
     # in a valid datum, whose R is strictly dominant) holds v on a wall.
@@ -184,8 +188,8 @@ def _line_chamber(view: IntegerView, j: int, k: int, v: IntVector) -> tuple[IntV
                 hi = min(hi, (p - 1) // q)
             elif q < 0:
                 lo = max(lo, -p // -q + 1)
-        view.words[j] = entries[:i] + ((lo, hi, wr, wb, len(word)),) + entries[i:]
-    return rep, len(word)
+        view.words[j] = entries[:i] + ((lo, hi, wr, wb, word),) + entries[i:]
+    return rep, word
 
 
 def theta_pairing(datum: ParabolicRootDatum, mu: Weight) -> Fraction:

@@ -1,6 +1,7 @@
 """The package's public names are the ones the README documents, its
 modules import one another in layers, one module owns the chamber-word memo,
-and the benchmark's tracer finds every function it wraps."""
+the rational reference stays apart from the integer path it judges, and the
+benchmark's tracer finds every function it wraps."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import scalarverma
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 PACKAGE = Path(scalarverma.__file__).resolve().parent
 
 # Modules and the only package modules each may import from.
@@ -23,7 +25,10 @@ IMPORT_LIMITS = {
     # The closed form is checked against the Jantzen path, so it never reads it.
     "ehw": {"rootdata", "ratvec", "errors"},
     "weyl": {"rootdata", "ratvec", "errors"},
+    "jantzen": {"rootdata", "ratvec", "weyl", "errors"},
 }
+# Names of the integer path that the rational reference must not touch.
+INTEGER_PATH = {"classify_scalar", "_line_chamber", "normalize_scaled", "integer_view", "words"}
 
 
 def test_exports_resolve_and_are_documented():
@@ -68,6 +73,25 @@ def test_only_weyl_reads_the_chamber_word_memo():
             if isinstance(node, ast.Attribute) and node.attr == "words":
                 readers.add(path.stem)
     assert readers == {"weyl"}
+
+
+def test_reference_never_names_the_integer_path():
+    named = set()
+    for node in ast.walk(ast.parse(REFERENCE.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update({node.name, node.asname})
+    assert {"jantzen_support", "normalize", "theta_pairing"} <= named
+    assert not named & INTEGER_PATH
+
+
+def test_library_holds_one_decision_procedure():
+    jantzen = importlib.import_module("scalarverma.jantzen")
+    for name in ("simplicity_oracle", "_verdict"):
+        assert not hasattr(jantzen, name), name
 
 
 def _tracer_hooks() -> dict[str, tuple]:

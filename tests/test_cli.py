@@ -243,8 +243,8 @@ class Unscaled(Exception):
 
 
 def test_scan_and_crosscheck_read_only_verdict_and_route(capsys, monkeypatch):
-    # Building terms, classes and witness goes through jantzen._verdict;
-    # rows that print only the verdict and route must never reach it.
+    # Building terms, classes and witness builds a jantzen.JantzenTerm per
+    # term; rows that print only the verdict and route must never build one.
     commands = [
         ("crosscheck", "--case", "CI", "--n", "3"),
         ("scan", "--case", "CI", "--n", "3", "--window", "-4..4", "--step", "1/3",
@@ -257,7 +257,7 @@ def test_scan_and_crosscheck_read_only_verdict_and_route(capsys, monkeypatch):
     def unscaled(*args):
         raise Unscaled
 
-    monkeypatch.setattr(jantzen, "_verdict", unscaled)
+    monkeypatch.setattr(jantzen, "JantzenTerm", unscaled)
     assert [run_cli(capsys, *argv) for argv in commands] == expected
     with pytest.raises(Unscaled):
         main(["classify", "--case", "CI", "--n", "3", "--c", "-1"])

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import SWEEP_CASES, verdict_support
+from reference import simplicity_oracle
 from scalarverma import (
     HermitianCase,
     build_datum,
@@ -21,7 +22,6 @@ from scalarverma.jantzen import (
     ROUTE_SUM_CANCELS,
     ROUTE_SUM_SURVIVES,
     SIMPLE,
-    simplicity_oracle,
 )
 from scalarverma.ratvec import add, pairing, reflect, scale, weight
 from scalarverma.rootdata import scalar_parameter_weight, sign_pattern_root

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from scalarverma import HermitianCase, build_datum
 from scalarverma.ratvec import (
     add,
     format_rational,
@@ -19,6 +20,7 @@ from scalarverma.ratvec import (
     sub,
     weight,
 )
+from scalarverma.rootdata import scalar_parameter_weight
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=12
@@ -58,6 +60,20 @@ def test_format_rational_integral():
 def test_weight():
     w = weight([1, Fraction(1, 2), -2])
     assert w == (Fraction(1), Fraction(1, 2), Fraction(-2))
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, True], ids=["0.1", "0.5", "True"])
+def test_inexact_scalars_raise(bad):
+    # 0.1 would become 3602879701896397/2**55; 0.5 is exact in binary but
+    # is still a float, and a bool is no scalar at all.
+    datum = build_datum(HermitianCase("AIII", p=2, q=3))
+    for build in (
+        lambda: weight([Fraction(1, 2), bad]),
+        lambda: scale(bad, weight([1, 2])),
+        lambda: scalar_parameter_weight(datum, bad),
+    ):
+        with pytest.raises(ValueError, match="exact rational"):
+            build()
 
 
 def test_dimension_mismatch():

@@ -3,10 +3,10 @@
 `classify_scalar` decides c * zeta in integers through the datum's
 `IntegerView`: each support term by its root's singular levels or by the
 memoized word whose certified interval of levels holds it, with
-`normalize_scaled` as the descent.  `simplicity_oracle` and `normalize`
-are the rational reference.  Every comparison here is whole-verdict
-equality, certificates included, and every InvariantError the reference
-can raise is triggered on both paths.
+`normalize_scaled` as the descent.  `reference.simplicity_oracle`, built
+on `normalize`, is the rational reference.  Every comparison here is
+whole-verdict equality, certificates included, and every InvariantError
+the reference can raise is triggered on both paths.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import SWEEP_CASES
+from reference import simplicity_oracle
 from scalarverma import (
     HermitianCase,
     InvariantError,
@@ -28,7 +29,6 @@ from scalarverma import (
     normalize,
 )
 from scalarverma import jantzen, weyl
-from scalarverma.jantzen import simplicity_oracle
 from scalarverma.ratvec import add, dot, inner, sub, weight
 from scalarverma.rootdata import scalar_parameter_weight
 from scalarverma.weyl import REGULAR, _line_chamber, normalize_scaled
@@ -172,8 +172,7 @@ def test_interval_words_match_a_fresh_descent(case):
             assert nil.integral
             for k in order(range(1, int(max(walls(view, j), default=0)) + 3)):
                 v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
-                rep, word = normalize_scaled(view, v)
-                assert _line_chamber(view, j, k, v) == (rep, len(word)), (j, k)
+                assert _line_chamber(view, j, k, v) == normalize_scaled(view, v), (j, k)
         assert view.words
     assert_intervals_are_the_dominant_levels(view)
 
