@@ -17,12 +17,10 @@ from .ehw import (
     closed_form_reducible,
     line_offset,
     progression_summary,
-    special_line,
 )
 from .errors import InsufficientWindowError, InvariantError
-from .jantzen import classify_scalar, jantzen_support
+from .jantzen import classify_scalar
 from .rootdata import HermitianCase, build_datum
-from .weyl import normalize
 
 __version__ = "0.1.0"
 
@@ -30,9 +28,6 @@ __all__ = [
     "HermitianCase",
     "classify_scalar",
     "build_datum",
-    "jantzen_support",
-    "normalize",
-    "special_line",
     "line_offset",
     "abc_constants",
     "abc_verdict",

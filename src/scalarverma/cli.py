@@ -52,7 +52,14 @@ MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1.
+
+    Flags must be spelled in full: a prefix such as --st for --step is
+    an unknown flag, so a flag added later never changes what one means.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

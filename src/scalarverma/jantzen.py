@@ -14,15 +14,18 @@ k = a_beta + c*b_beta, so the support costs one integer test per root.
 Levi reflections fix zeta, so the image mu - k*beta = (rho - k*beta) +
 c*zeta has the chamber of the c-free vector rho - k*beta shifted by
 c*zeta.  That vector, scaled by the datum's common denominator D, is
-decided in integers by `weyl`: a level on one of beta's Levi walls is
-Singular, and off them a memoized Weyl word gives the representative,
-certified dominant at that level by the interval of levels stored with
-the word.  The verdict and route come from integer sign sums per class;
-the terms, classes and witness, the only rationals, are unscaled from the
-loop's integer records when a caller first reads them, so a caller that
-reads only the verdict and route never builds a Fraction weight.  The
-same criterion in rational arithmetic, on any scalar weight, lives with
-the tests as the reference this path is checked against.
+decided in integers by `weyl`, which takes only beta's index and the
+level k and keeps what it learns of each root's line: a level on one of
+beta's Levi walls is Singular, and off them a memoized Weyl word gives the
+representative, certified dominant at that level by the interval of
+levels stored with the word.  The loop itself forms no vector.  The
+verdict and route come from integer sign sums per class; the terms,
+classes and witness, the only rationals, are unscaled from the loop's
+integer records (root index, level, representative, word length) when a
+caller first reads them, so a caller that reads only the verdict and
+route never builds a Fraction weight.  The same criterion in rational
+arithmetic, on any scalar weight, lives with the tests as the reference
+this path is checked against.
 
 Only exact rational parameters are accepted: a float or a bool raises
 ValueError.  A parameter with irrational or non-real scalar part would make
@@ -156,9 +159,8 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
         if num <= 0 or num % (d * nil.norm):
             continue
         k = num // (d * nil.norm)
-        v = tuple([r - k * x for r, x in zip(view.rho, nil.root)])
-        rep, word = _line_chamber(view, j, k, v)
-        records.append((j, k, v, rep, len(word)))
+        rep, word = _line_chamber(view, j, k)
+        records.append((j, k, rep, len(word)))
         if rep is not None:
             # theta_u pairs with c*zeta alike in every term, so comparing
             # the c-free parts compares the theta values.
@@ -193,11 +195,12 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
 
         terms = []
         groups: dict[IntVector, list[JantzenTerm]] = {}
-        for j, k, v, rep, steps in records:
+        for j, k, rep, steps in records:
             if rep is None:
                 chamber = ChamberForm(SINGULAR, None, None, 0)
             else:
                 chamber = ChamberForm(REGULAR, unscale(rep), steps % 2, steps)
+            v = [r - k * x for r, x in zip(view.rho, view.nilradical[j].root)]
             term = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), chamber)
             terms.append(term)
             if rep is not None:

@@ -31,9 +31,10 @@ under the simple reflections, each carried with its doubled coordinates.
 Data are built once per case and cached; every field of a datum is an
 immutable tuple, safe to share across threads.  Each datum also derives, on
 first use, an integer view of itself (`IntegerView`) for the c-free chamber
-arithmetic of the oracle.  The view's memo of chamber words is the one thing
-filled in place; each fill replaces one root's immutable tuple of entries
-whole, so concurrent fills at worst drop an entry and repeat work.
+arithmetic of the oracle.  The view holds only the datum's own scaled
+numbers, plus one dict that `weyl` fills in place with what it learns of
+each root's scalar line; `weyl` replaces a root's immutable record whole,
+so concurrent fills at worst drop an entry and repeat work.
 """
 
 from __future__ import annotations
@@ -137,13 +138,8 @@ class NilradicalLevel:
     <mu, beta^v> = a_beta + c*b_beta, where a_beta = a / norm and
     b_beta = b / norm.
 
-    Its support term v(k) = R - k*B, with R = D*rho and B = D*beta, meets
-    the wall of a scaled Levi positive root A at k = dot(R, A) / dot(B, A);
-    `singular` holds the positive integers among those levels.  `integral`
-    holds when 2*dot(R, A) and 2*dot(B, A) are multiples of dot(A, A) for
-    every scaled Levi positive root A, so that every v(k) is Levi integral
-    and each Levi reflection acts on R and B in exact integers.
-
+    At level k, beta's support term is v(k) = R - k*B, with R = D*rho and
+    B = D*beta = `root`; `weyl` derives its Levi walls from these numbers.
     `theta_root` = dot(B, T), for T = D*theta_u, so that
     dot(v(k), T) = theta_rho - k*theta_root with the view's theta_rho.
     """
@@ -152,8 +148,6 @@ class NilradicalLevel:
     norm: int
     a: int
     b: int
-    singular: frozenset[int]
-    integral: bool
     theta_root: int
 
 
@@ -167,7 +161,9 @@ class IntegerView:
     2*dot(v, A) / dot(A, A) for the scaled root A, free of D.
     `theta_rho` = dot(rho, theta_u) for these scaled vectors.
 
-    `words` is the chamber-word memo of `weyl`, filled on first use.
+    `words` belongs to `weyl`: per nilradical index, the record of that
+    root's scalar line (its Levi walls and certified words), built on the
+    root's first support term.  Nothing else reads or writes it.
     """
 
     denom: int
@@ -391,35 +387,19 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
         return v, dot(v, v)
 
     rho, zeta, theta_u = ints(d.rho), ints(d.zeta), ints(d.theta_u)
-    levi_positive = tuple(with_norm(a) for a in d.levi_positive)
-    levi_rho = [(dot(rho, a), norm, a) for a, norm in levi_positive]
-    nilradical = []
-    for beta in d.nilradical_roots:
+
+    def level(beta):
         root, norm = with_norm(beta)
-        singular, integral = set(), True
-        for r, n, a in levi_rho:
-            b = dot(root, a)
-            integral = integral and not (2 * r % n or 2 * b % n)
-            if r * b > 0 and r % b == 0:
-                singular.add(r // b)
-        nilradical.append(
-            NilradicalLevel(
-                root,
-                norm,
-                2 * dot(rho, root),
-                2 * dot(zeta, root),
-                frozenset(singular),
-                integral,
-                dot(root, theta_u),
-            )
-        )
+        a, b = 2 * dot(rho, root), 2 * dot(zeta, root)
+        return NilradicalLevel(root, norm, a, b, dot(root, theta_u))
+
     return IntegerView(
         denom=denom,
         rho=rho,
         zeta=zeta,
         theta_u=theta_u,
         theta_rho=dot(rho, theta_u),
-        nilradical=tuple(nilradical),
-        levi_positive=levi_positive,
+        nilradical=tuple(map(level, d.nilradical_roots)),
+        levi_positive=tuple(with_norm(a) for a in d.levi_positive),
         levi_simples=tuple(with_norm(a) for a in d.levi_simples),
     )

@@ -9,25 +9,32 @@ rests on.
 
 `normalize` works on exact rational weights.  `normalize_scaled` runs the
 same wall scan and descent on an integer vector D*mu against the datum's
-`IntegerView` and returns the descent's word.  The oracle works on the
-c-free terms v(k) = D*(rho - k*beta), because Levi reflections fix zeta and
-so the chamber of rho + c*zeta - k*beta is that of rho - k*beta, shifted by
-c*zeta.  A level k on a Levi wall is one the view lists as singular for
-beta.  Off them, a descent's word w gives the representative
-w*D*rho - k*w*D*beta, whose pairing with each Levi simple root is affine in
-k; the levels at which all of them are positive form an integer interval
-lo..hi, and at exactly those levels w*v(k) is the dominant point of v(k)'s
-orbit.  `_line_chamber` memoizes (lo, hi, w*D*rho, w*D*beta, w) per root
-and serves a term from the entry whose lo..hi holds its level, which
-certifies the representative at the term's own level; a level no entry
-holds is normalized afresh and its interval stored.  Every v(k) with k in
-lo..hi lies in one open chamber, and the first-negative descent reads only
-the chamber, so a served word is the word a fresh descent would find.  The
-Weyl group acts simply transitively on chambers, so no two words share a
-level and a root's entries are disjoint.  Each fill replaces the root's
-tuple of entries whole.  A root whose Levi reflections are not exact on
-D*rho and D*beta (never the case for a valid datum) gets no entries; its
-terms are checked for Levi integrality one by one and normalized afresh.
+`IntegerView` and returns the descent's word.
+
+The module also owns the scalar line.  The oracle works on the c-free
+terms v(k) = R - k*B, for R = D*rho, B = D*beta and a positive integer
+level k, because Levi reflections fix zeta and so the chamber of
+rho + c*zeta - k*beta is that of rho - k*beta, shifted by c*zeta.
+`_line_chamber(view, j, k)` decides the term of the j-th nilradical root at
+level k and forms v only when it must descend.  On a root's first term it
+builds the root's record in the view's `words` dict: the levels at which
+the line meets a Levi wall (Singular), whether every Levi reflection is
+exact on R and B, and an empty tuple of entries.  Off the walls, a
+descent's word w gives the representative w*R - k*w*B, whose pairing with
+each Levi simple root is affine in k; the levels at which all of them are
+positive form an integer interval lo..hi, and at exactly those levels
+w*v(k) is the dominant point of v(k)'s orbit.  Each entry is
+(lo, hi, w*R, w*B, w), and a term is served by the entry whose lo..hi holds
+its level, which certifies the representative at the term's own level; a
+level no entry holds is normalized afresh and its interval stored.  Every
+v(k) with k in lo..hi lies in one open chamber, and the first-negative
+descent reads only the chamber, so a served word is the word a fresh
+descent would find.  The Weyl group acts simply transitively on chambers,
+so no two words share a level and a root's entries are disjoint.  Each
+fill replaces the root's record whole.  A root whose Levi reflections are
+not exact on R and B (never the case for a valid datum) gets no entries;
+its terms are checked for Levi integrality one by one and normalized
+afresh.
 """
 
 from __future__ import annotations
@@ -140,39 +147,60 @@ def _reflect_scaled(v: IntVector, root: IntVector, norm: int) -> IntVector:
     return tuple(x - k * a for x, a in zip(v, root))
 
 
-def _line_chamber(
-    view: IntegerView, j: int, k: int, v: IntVector
-) -> tuple[IntVector | None, tuple[int, ...]]:
-    """normalize_scaled(view, v), for v = R - k*B on the scalar line.
+def _line_record(view: IntegerView, root: IntVector) -> tuple[frozenset[int], bool, tuple]:
+    """A new record (singular, integral, ()) of the line R - k*B, for B = root.
+
+    The line meets the wall of a scaled Levi positive root A at
+    k = dot(R, A) / dot(B, A); `singular` holds the positive integers among
+    those levels.  `integral` holds when 2*dot(R, A) and 2*dot(B, A) are
+    multiples of dot(A, A) for every A, so that every term is Levi integral
+    and each Levi reflection acts on R and B in exact integers.
+    """
+    singular, integral = set(), True
+    for a, n in view.levi_positive:
+        r, b = dot(view.rho, a), dot(root, a)
+        integral = integral and not (2 * r % n or 2 * b % n)
+        if r * b > 0 and r % b == 0:
+            singular.add(r // b)
+    return frozenset(singular), integral, ()
+
+
+def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, tuple[int, ...]]:
+    """normalize_scaled(view, v), for the term v = R - k*B on the scalar line.
 
     B is the scaled nilradical root view.nilradical[j], R = view.rho and k
-    is a positive integer.  A level in B's singular set is Singular.  Every
-    other level is looked up in view.words[j]: disjoint entries
-    (lo, hi, w*R, w*B, w), sorted by lo, each filled by one descent.
-    The entry with lo <= k <= hi serves k: w*R - k*w*B pairs positively
-    with every Levi simple root exactly at the levels lo..hi, which proves
-    it is the dominant point of v's orbit and w its descent's word.
-    A level no entry serves is normalized afresh, and its interval added.
-    Roots whose reflections are not exact on R and B are checked for Levi
-    integrality term by term and always normalized afresh.
+    is a positive integer.  Root j's record in view.words, built on its
+    first term, holds its singular levels, its integrality flag and its
+    entries: disjoint (lo, hi, w*R, w*B, w), sorted by lo, each filled by
+    one descent.  A singular level is Singular.  The entry with
+    lo <= k <= hi serves any other level: w*R - k*w*B pairs positively with
+    every Levi simple root exactly at the levels lo..hi, which proves it is
+    the dominant point of v's orbit and w its descent's word.  A level no
+    entry serves is normalized afresh, and its interval added.  The terms of
+    a root that is not integral are checked for Levi integrality one by one
+    and always normalized afresh.
     """
     nil = view.nilradical[j]
-    entries = view.words.get(j, ())
-    if not nil.integral:
-        for root, norm in view.levi_positive:
-            if 2 * dot(v, root) % norm:
-                raise InvariantError("support term is not Levi integral")
-    elif k in nil.singular:
-        return None, ()
-    else:
+    record = view.words.get(j)
+    if record is None:
+        record = view.words[j] = _line_record(view, nil.root)
+    singular, integral, entries = record
+    if integral:
+        if k in singular:
+            return None, ()
         i = bisect_right(entries, k, key=itemgetter(0))
         if i and k <= entries[i - 1][1]:
             _, _, wr, wb, word = entries[i - 1]
             return tuple([r - k * b for r, b in zip(wr, wb)]), word
+    v = tuple([r - k * b for r, b in zip(view.rho, nil.root)])
+    if not integral:
+        for root, norm in view.levi_positive:
+            if 2 * dot(v, root) % norm:
+                raise InvariantError("support term is not Levi integral")
     rep, word = normalize_scaled(view, v)
     # Off the singular levels, only a Levi root orthogonal to R and B (never
     # in a valid datum, whose R is strictly dominant) holds v on a wall.
-    if rep is not None and nil.integral:
+    if rep is not None and integral:
         wb = nil.root
         for s in word:
             wb = _reflect_scaled(wb, *view.levi_simples[s])
@@ -188,7 +216,8 @@ def _line_chamber(
                 hi = min(hi, (p - 1) // q)
             elif q < 0:
                 lo = max(lo, -p // -q + 1)
-        view.words[j] = entries[:i] + ((lo, hi, wr, wb, word),) + entries[i:]
+        entries = entries[:i] + ((lo, hi, wr, wb, word),) + entries[i:]
+        view.words[j] = singular, integral, entries
     return rep, word
 
 

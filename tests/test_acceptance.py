@@ -33,17 +33,15 @@ from scalarverma import (
     build_datum,
     classify_scalar,
     closed_form_reducible,
-    jantzen_support,
     line_offset,
-    normalize,
     progression_summary,
 )
 from scalarverma.cli import main
 from scalarverma.ehw import KNOWN_REDUCIBLE, KNOWN_SIMPLE
-from scalarverma.jantzen import REDUCIBLE, SIMPLE
+from scalarverma.jantzen import REDUCIBLE, SIMPLE, jantzen_support
 from scalarverma.ratvec import add, inner, pairing, reflect, scale, weight
 from scalarverma.rootdata import scalar_parameter_weight, sign_pattern_root
-from scalarverma.weyl import REGULAR, theta_pairing
+from scalarverma.weyl import REGULAR, normalize, theta_pairing
 
 Q = Fraction
 STEP = Q(1, 6)

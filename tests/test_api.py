@@ -1,11 +1,12 @@
 """The package's public names are the ones the README documents, its
-modules import one another in layers, one module owns the chamber-word memo,
+modules import one another in layers, one module owns the scalar line's memo,
 the rational reference stays apart from the integer path it judges, and the
 benchmark's tracer finds every function it wraps."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import scalarverma
+from scalarverma.rootdata import NilradicalLevel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -66,13 +68,27 @@ def test_module_imports_stay_within_their_layer(module):
     assert _package_imports()[module] <= IMPORT_LIMITS[module]
 
 
-def test_only_weyl_reads_the_chamber_word_memo():
+def _attribute_readers(attr: str) -> set[str]:
+    """The package modules that read an attribute named attr."""
     readers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "words":
+            if isinstance(node, ast.Attribute) and node.attr == attr:
                 readers.add(path.stem)
-    assert readers == {"weyl"}
+    return readers
+
+
+def test_only_weyl_reads_the_chamber_word_memo():
+    assert _attribute_readers("words") == {"weyl"}
+
+
+def test_only_weyl_knows_a_roots_line_walls():
+    # The view keeps each root's own scaled numbers; its walls and
+    # integrality live in weyl's per-root record.
+    fields = [f.name for f in dataclasses.fields(NilradicalLevel)]
+    assert fields == ["root", "norm", "a", "b", "theta_root"]
+    for attr in ("singular", "integral"):
+        assert _attribute_readers(attr) <= {"weyl"}, attr
 
 
 def test_reference_never_names_the_integer_path():
@@ -92,6 +108,16 @@ def test_library_holds_one_decision_procedure():
     jantzen = importlib.import_module("scalarverma.jantzen")
     for name in ("simplicity_oracle", "_verdict"):
         assert not hasattr(jantzen, name), name
+
+
+def test_package_root_exports_the_decision_procedure():
+    # The rational pieces the tests and the benchmark's tracer use stay in
+    # their modules, out of the package root.
+    assert len(scalarverma.__all__) == 10
+    pieces = (("jantzen", "jantzen_support"), ("weyl", "normalize"), ("ehw", "special_line"))
+    for module, name in pieces:
+        assert not hasattr(scalarverma, name), name
+        assert callable(getattr(importlib.import_module(f"scalarverma.{module}"), name)), name
 
 
 def _tracer_hooks() -> dict[str, tuple]:

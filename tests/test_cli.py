@@ -84,6 +84,18 @@ def test_flag_is_never_taken_as_a_value(capsys, argv, starved):
     assert f"argument {starved}: expected one argument" in err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--c", "CI", "--n", "3", "--window", "-2..2"],
+    ["scan", "--case", "CI", "--n", "3", "--window", "-2..2", "--st", "1/2"],
+    ["classify", "--case", "CI", "--n", "3", "--c", "1", "--form", "json"],
+], ids=["--c for --case", "--st for --step", "--form for --format"])
+def test_abbreviated_flags_are_rejected(capsys, argv):
+    # Each would otherwise be taken as the one flag it begins.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "error:" in err.splitlines()[-1]
+
+
 def test_classify_unicode_minus(capsys):
     a = classify_json(capsys, "--case", "EIII", "--c", "−2")
     b = classify_json(capsys, "--case", "EIII", "--c", "-2")

@@ -27,7 +27,6 @@ from scalarverma import (
     closed_form_reducible,
     line_offset,
     progression_summary,
-    special_line,
 )
 from scalarverma.ehw import (
     INDETERMINATE,
@@ -38,6 +37,7 @@ from scalarverma.ehw import (
     ReducibilitySet,
     _real_rank,
     reducibility_set,
+    special_line,
 )
 from scalarverma.ratvec import add, inner, pairing
 from scalarverma.rootdata import scalar_parameter_weight

@@ -9,19 +9,14 @@ import pytest
 
 from conftest import SWEEP_CASES, verdict_support
 from reference import simplicity_oracle
-from scalarverma import (
-    HermitianCase,
-    build_datum,
-    classify_scalar,
-    closed_form_reducible,
-    jantzen_support,
-)
+from scalarverma import HermitianCase, build_datum, classify_scalar, closed_form_reducible
 from scalarverma.jantzen import (
     REDUCIBLE,
     ROUTE_EMPTY_SUPPORT,
     ROUTE_SUM_CANCELS,
     ROUTE_SUM_SURVIVES,
     SIMPLE,
+    jantzen_support,
 )
 from scalarverma.ratvec import add, pairing, reflect, scale, weight
 from scalarverma.rootdata import scalar_parameter_weight, sign_pattern_root

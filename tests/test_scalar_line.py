@@ -1,7 +1,8 @@
 """The integer scalar-line path against the Fraction reference.
 
 `classify_scalar` decides c * zeta in integers through the datum's
-`IntegerView`: each support term by its root's singular levels or by the
+`IntegerView`: `weyl` keeps one record per root, built on its first support
+term, and decides each term by the root's singular levels or by the
 memoized word whose certified interval of levels holds it, with
 `normalize_scaled` as the descent.  `reference.simplicity_oracle`, built
 on `normalize`, is the rational reference.  Every comparison here is
@@ -26,12 +27,12 @@ from scalarverma import (
     build_datum,
     classify_scalar,
     line_offset,
-    normalize,
 )
 from scalarverma import jantzen, weyl
+from scalarverma.jantzen import ROUTE_EMPTY_SUPPORT, jantzen_support
 from scalarverma.ratvec import add, dot, inner, sub, weight
 from scalarverma.rootdata import scalar_parameter_weight
-from scalarverma.weyl import REGULAR, _line_chamber, normalize_scaled
+from scalarverma.weyl import REGULAR, _line_chamber, normalize, normalize_scaled
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
 HIGH_RANK = [HermitianCase("CI", n=8), HermitianCase("DIII", n=10), HermitianCase("AIII", p=5, q=5)]
@@ -142,6 +143,18 @@ def walls(view, j):
     return sorted(out)
 
 
+def line_record(view, j):
+    """weyl's record (singular, integral, entries) of root j, which a first
+    term at level 1 builds if the root has none yet."""
+    if j not in view.words:
+        _line_chamber(view, j, 1)
+    return view.words[j]
+
+
+def term(view, j, k):
+    return tuple(r - k * x for r, x in zip(view.rho, view.nilradical[j].root))
+
+
 def test_singular_levels_are_the_wall_hits():
     hits = 0
     for case in SWEEP_CASES + HIGH_RANK + [HermitianCase("CI", n=20)]:
@@ -150,12 +163,12 @@ def test_singular_levels_are_the_wall_hits():
         # k = dot(R, A) / dot(B, A): off the singular levels every term is
         # regular, and only a tampered datum finds a wall there.
         assert all(dot(view.rho, a) > 0 for a, _ in view.levi_positive), case
-        for j, nil in enumerate(view.nilradical):
-            assert nil.singular == {int(w) for w in walls(view, j) if w.denominator == 1}
-            for k in range(1, max(nil.singular, default=0) + 41):
-                v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
-                rep, _ = normalize_scaled(view, v)
-                assert (k in nil.singular) == (rep is None), (case, j, k)
+        for j in range(len(view.nilradical)):
+            singular = line_record(view, j)[0]
+            assert singular == {int(w) for w in walls(view, j) if w.denominator == 1}
+            for k in range(1, max(singular, default=0) + 41):
+                rep, _ = normalize_scaled(view, term(view, j, k))
+                assert (k in singular) == (rep is None), (case, j, k)
                 hits += rep is None
     assert hits
 
@@ -168,11 +181,13 @@ def test_interval_words_match_a_fresh_descent(case):
     # it runs down the levels, so each new entry goes before those held
     view = dataclasses.replace(build_datum(case)).integer_view
     for order in (reversed, iter):
-        for j, nil in enumerate(view.nilradical):
-            assert nil.integral
+        for j in range(len(view.nilradical)):
             for k in order(range(1, int(max(walls(view, j), default=0)) + 3)):
-                v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
-                assert _line_chamber(view, j, k, v) == normalize_scaled(view, v), (j, k)
+                v = term(view, j, k)
+                assert _line_chamber(view, j, k) == normalize_scaled(view, v), (j, k)
+            # the root's record: integral, and holding its entries
+            _, integral, entries = view.words[j]
+            assert integral and entries, j
         assert view.words
     assert_intervals_are_the_dominant_levels(view)
 
@@ -180,7 +195,7 @@ def test_interval_words_match_a_fresh_descent(case):
 def assert_intervals_are_the_dominant_levels(view):
     """Each memo entry's lo..hi holds exactly the levels k at which w*R - k*w*B
     is dominant, and each root's entries are sorted and pairwise disjoint."""
-    for j, entries in view.words.items():
+    for j, (_, _, entries) in view.words.items():
         for lo, hi, wr, wb, _ in entries:
             assert lo <= hi
             for k in range(1, int(max(walls(view, j), default=0)) + 3):
@@ -197,7 +212,7 @@ def test_word_memo_is_used_and_bounded():
     for c in default_window(datum.case, Fraction(1, 6)):
         regular += sum(t.chamber.is_regular for t in classify_scalar(datum, c).terms)
     view = datum.integer_view
-    entries = sum(len(e) for e in view.words.values())
+    entries = sum(len(e) for _, _, e in view.words.values())
     assert entries <= sum(len(walls(view, j)) + 1 for j in range(len(view.nilradical)))
     assert 10 * entries < regular
 
@@ -218,6 +233,26 @@ def test_integer_view_scales_the_datum():
             # a_beta and b_beta are the pairings of rho and zeta with beta
             assert Fraction(nil.a, nil.norm) == 2 * inner(datum.rho, beta) / inner(beta, beta)
             assert Fraction(nil.b, nil.norm) == 2 * inner(datum.zeta, beta) / inner(beta, beta)
+
+
+def test_records_are_built_for_support_roots_only():
+    # Each point runs on a replaced datum, whose view starts with no records:
+    # after one classify, exactly the support's roots hold one.
+    seen = set()
+    for case in SWEEP_CASES:
+        base = build_datum(case)
+        index = {beta: j for j, beta in enumerate(base.nilradical_roots)}
+        for c in default_window(case, Fraction(1, 2)):
+            datum = dataclasses.replace(base)
+            got = classify_scalar(datum, c)
+            support = jantzen_support(base, scalar_parameter_weight(base, c))
+            assert set(datum.integer_view.words) == {index[beta] for beta in support}, (case, c)
+            if not support:
+                assert got.route == ROUTE_EMPTY_SUPPORT
+                assert datum.integer_view.words == {}
+            seen.add(min(len(support), 2))
+    # empty, single-root and larger supports all occur
+    assert seen == {0, 1, 2}
 
 
 def test_replaced_datum_derives_a_fresh_view():
@@ -303,10 +338,10 @@ def test_certificate_falls_back_where_the_walls_are_incomplete(dropped, monkeypa
         fallbacks[0] += memoized[0]
         return normalize_scaled(view, v)
 
-    def line_chamber(view, j, k, v):
-        memoized[0] = bool(view.words.get(j))
+    def line_chamber(view, j, k):
+        memoized[0] = j in view.words and bool(view.words[j][2])
         try:
-            return _line_chamber(view, j, k, v)
+            return _line_chamber(view, j, k)
         finally:
             memoized[0] = False
 

@@ -7,17 +7,12 @@ from fractions import Fraction
 import pytest
 
 import golden_tables as G
-from scalarverma import (
-    HermitianCase,
-    build_datum,
-    jantzen_support,
-    line_offset,
-    normalize,
-)
+from scalarverma import HermitianCase, build_datum, line_offset
 from scalarverma.cli import _table_rows
+from scalarverma.jantzen import jantzen_support
 from scalarverma.ratvec import add, reflect
 from scalarverma.rootdata import scalar_parameter_weight, sign_pattern_root
-from scalarverma.weyl import theta_pairing
+from scalarverma.weyl import normalize, theta_pairing
 
 Q = Fraction
 

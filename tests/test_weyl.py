@@ -17,9 +17,9 @@ from conftest import (
     random_weight,
     shadow_normalize,
 )
-from scalarverma import HermitianCase, InvariantError, build_datum, normalize
+from scalarverma import HermitianCase, InvariantError, build_datum
 from scalarverma.ratvec import inner, pairing, reflect, weight
-from scalarverma.weyl import REGULAR, SINGULAR, theta_pairing
+from scalarverma.weyl import REGULAR, SINGULAR, normalize, theta_pairing
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
 
