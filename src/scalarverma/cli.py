@@ -328,9 +328,10 @@ def _w_pretty_from(strs: list[str]) -> str:
 # scan
 
 
-def _scan_row(case: HermitianCase, datum, constants, offset, c: Fraction) -> dict:
+def _scan_row(case: HermitianCase, datum, constants, c: Fraction) -> dict:
     verdict = classify_scalar(datum, c)
-    z = c + offset
+    # constants.b is the line offset <rho, gamma^v>
+    z = c + constants.b
     closed_form = closed_form_reducible(case, c)
     return {
         "case": case.label,
@@ -351,8 +352,7 @@ def cmd_scan(args) -> int:
     grid = _grid(lo, hi, step)
     datum = build_datum(case)
     constants = abc_constants(case)
-    offset = line_offset(case)
-    rows = (_scan_row(case, datum, constants, offset, c) for c in grid)
+    rows = (_scan_row(case, datum, constants, c) for c in grid)
     # Each row is printed as soon as it is decided.
     if args.format == "json":
         head = {
@@ -483,16 +483,15 @@ def _crosscheck_instance(case: HermitianCase, window, step: Fraction) -> dict:
     """Counts, mismatches and contradictions of one case; other rows are dropped."""
     datum = build_datum(case)
     constants = abc_constants(case)
-    offset = line_offset(case)
     if window is None:
-        lo = constants.a - 5 - offset
-        hi = constants.b + 10 - offset
+        # z = A - 5 .. B + 10, for z = c + B
+        lo, hi = constants.a - constants.b - 5, Fraction(10)
     else:
         lo, hi = window
     points = reducible = 0
     mismatches, contradictions = [], []
     for c in _grid(lo, hi, step):
-        r = _scan_row(case, datum, constants, offset, c)
+        r = _scan_row(case, datum, constants, c)
         points += 1
         reducible += r["verdict"] == REDUCIBLE
         if not r["agree"]:

@@ -43,7 +43,7 @@ from typing import Callable
 from .errors import InvariantError
 from .ratvec import Weight, add, is_integer, pairing, rational
 from .rootdata import IntVector, ParabolicRootDatum, build_datum
-from .weyl import REGULAR, SINGULAR, ChamberForm, _line_chamber
+from .weyl import ChamberForm, _line_chamber
 
 SIMPLE = "Simple"
 REDUCIBLE = "Reducible"
@@ -196,10 +196,7 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
         terms = []
         groups: dict[IntVector, list[JantzenTerm]] = {}
         for j, k, rep, steps in records:
-            if rep is None:
-                chamber = ChamberForm(SINGULAR, None, None, 0)
-            else:
-                chamber = ChamberForm(REGULAR, unscale(rep), steps % 2, steps)
+            chamber = ChamberForm(None if rep is None else unscale(rep), steps)
             v = [r - k * x for r, x in zip(view.rho, view.nilradical[j].root)]
             term = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), chamber)
             terms.append(term)

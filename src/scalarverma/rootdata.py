@@ -32,9 +32,11 @@ Data are built once per case and cached; every field of a datum is an
 immutable tuple, safe to share across threads.  Each datum also derives, on
 first use, an integer view of itself (`IntegerView`) for the c-free chamber
 arithmetic of the oracle.  The view holds only the datum's own scaled
-numbers, plus one dict that `weyl` fills in place with what it learns of
-each root's scalar line; `weyl` replaces a root's immutable record whole,
-so concurrent fills at worst drop an entry and repeat work.
+numbers, plus one dict in which `weyl` keeps a record per root of that
+root's scalar line: its singular levels and its certified words, built
+once the root's Levi integrality is checked.  `weyl` replaces a root's
+immutable record whole, so concurrent fills at worst drop an entry and
+repeat work.
 """
 
 from __future__ import annotations
@@ -142,6 +144,7 @@ class NilradicalLevel:
     B = D*beta = `root`; `weyl` derives its Levi walls from these numbers.
     `theta_root` = dot(B, T), for T = D*theta_u, so that
     dot(v(k), T) = theta_rho - k*theta_root with the view's theta_rho.
+    T itself is not kept.
     """
 
     root: IntVector
@@ -159,17 +162,17 @@ class IntegerView:
     roots, so each vector below is D times the datum's weight of the same
     name, in plain integers.  A root's pairing <v, alpha^v> is then
     2*dot(v, A) / dot(A, A) for the scaled root A, free of D.
-    `theta_rho` = dot(rho, theta_u) for these scaled vectors.
+    `theta_rho` = dot(R, T) for R = D*rho and T = D*theta_u.
 
-    `words` belongs to `weyl`: per nilradical index, the record of that
-    root's scalar line (its Levi walls and certified words), built on the
-    root's first support term.  Nothing else reads or writes it.
+    `words` belongs to `weyl`: per nilradical index, the record
+    (singular, entries) of that root's scalar line (its singular levels and
+    certified words), built on the root's first support term.  Nothing
+    else reads or writes it.
     """
 
     denom: int
     rho: IntVector
     zeta: IntVector
-    theta_u: IntVector
     theta_rho: int
     nilradical: tuple[NilradicalLevel, ...]
     levi_positive: tuple[tuple[IntVector, int], ...]
@@ -397,7 +400,6 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
         denom=denom,
         rho=rho,
         zeta=zeta,
-        theta_u=theta_u,
         theta_rho=dot(rho, theta_u),
         nilradical=tuple(map(level, d.nilradical_roots)),
         levi_positive=tuple(with_norm(a) for a in d.levi_positive),

@@ -17,13 +17,17 @@ level k, because Levi reflections fix zeta and so the chamber of
 rho + c*zeta - k*beta is that of rho - k*beta, shifted by c*zeta.
 `_line_chamber(view, j, k)` decides the term of the j-th nilradical root at
 level k and forms v only when it must descend.  On a root's first term it
-builds the root's record in the view's `words` dict: the levels at which
-the line meets a Levi wall (Singular), whether every Levi reflection is
-exact on R and B, and an empty tuple of entries.  Off the walls, a
-descent's word w gives the representative w*R - k*w*B, whose pairing with
-each Levi simple root is affine in k; the levels at which all of them are
-positive form an integer interval lo..hi, and at exactly those levels
-w*v(k) is the dominant point of v(k)'s orbit.  Each entry is
+builds the root's record (singular, entries) in the view's `words` dict:
+the levels at which the line meets a Levi wall (Singular) and an empty
+tuple of entries.  Levi integrality is a property of the datum, not of the
+level: every <rho, alpha^v> and <beta, alpha^v> over a Levi root alpha is
+an integer, so every term is Levi integral and each Levi reflection acts on
+R and B in exact integers.  The record is built only after that is checked
+for every Levi root, and a root where it fails raises InvariantError.  Off
+the walls, a descent's word w gives the representative w*R - k*w*B, whose
+pairing with each Levi simple root is affine in k; the levels at which all
+of them are positive form an integer interval lo..hi, and at exactly those
+levels w*v(k) is the dominant point of v(k)'s orbit.  Each entry is
 (lo, hi, w*R, w*B, w), and a term is served by the entry whose lo..hi holds
 its level, which certifies the representative at the term's own level; a
 level no entry holds is normalized afresh and its interval stored.  Every
@@ -31,10 +35,7 @@ v(k) with k in lo..hi lies in one open chamber, and the first-negative
 descent reads only the chamber, so a served word is the word a fresh
 descent would find.  The Weyl group acts simply transitively on chambers,
 so no two words share a level and a root's entries are disjoint.  Each
-fill replaces the root's record whole.  A root whose Levi reflections are
-not exact on R and B (never the case for a valid datum) gets no entries;
-its terms are checked for Levi integrality one by one and normalized
-afresh.
+fill replaces the root's record whole.
 """
 
 from __future__ import annotations
@@ -49,22 +50,26 @@ from .errors import InvariantError
 from .ratvec import Weight, dot, inner, pairing, reflect
 from .rootdata import IntegerView, IntVector, ParabolicRootDatum
 
-REGULAR = "Regular"
-SINGULAR = "Singular"
-
 
 @dataclass(frozen=True)
 class ChamberForm:
-    """Outcome of normalizing one weight against the Levi chamber."""
+    """Outcome of normalizing one weight against the Levi chamber.
 
-    status: str
+    `rep` is the dominant representative, or None on a wall (Singular);
+    `steps` is the length of the normalizing word, 0 on a wall.
+    """
+
     rep: Weight | None
-    parity: int | None
     steps: int
 
     @property
     def is_regular(self) -> bool:
-        return self.status == REGULAR
+        return self.rep is not None
+
+    @property
+    def parity(self) -> int | None:
+        """The word length mod 2; None on a wall."""
+        return self.steps % 2 if self.is_regular else None
 
     @property
     def sign(self) -> int:
@@ -87,7 +92,7 @@ def normalize(datum: ParabolicRootDatum, mu: Weight) -> ChamberForm:
     """
     for alpha in datum.levi_positive:
         if inner(mu, alpha) == 0:
-            return ChamberForm(SINGULAR, None, None, 0)
+            return ChamberForm(None, 0)
 
     bound = len(datum.levi_positive)
     cur = mu
@@ -102,7 +107,7 @@ def normalize(datum: ParabolicRootDatum, mu: Weight) -> ChamberForm:
                 descent = alpha
                 break
         if descent is None:
-            return ChamberForm(REGULAR, cur, steps % 2, steps)
+            return ChamberForm(cur, steps)
         cur = reflect(cur, descent)
         steps += 1
         if steps > bound:
@@ -147,22 +152,23 @@ def _reflect_scaled(v: IntVector, root: IntVector, norm: int) -> IntVector:
     return tuple(x - k * a for x, a in zip(v, root))
 
 
-def _line_record(view: IntegerView, root: IntVector) -> tuple[frozenset[int], bool, tuple]:
-    """A new record (singular, integral, ()) of the line R - k*B, for B = root.
+def _line_record(view: IntegerView, root: IntVector) -> tuple[frozenset[int], tuple]:
+    """A new record (singular, ()) of the line R - k*B, for B = root.
 
     The line meets the wall of a scaled Levi positive root A at
     k = dot(R, A) / dot(B, A); `singular` holds the positive integers among
-    those levels.  `integral` holds when 2*dot(R, A) and 2*dot(B, A) are
-    multiples of dot(A, A) for every A, so that every term is Levi integral
-    and each Levi reflection acts on R and B in exact integers.
+    those levels.  Raises InvariantError unless 2*dot(R, A) and 2*dot(B, A)
+    are multiples of dot(A, A) for every A, so that every term is Levi
+    integral and each Levi reflection acts on R and B in exact integers.
     """
-    singular, integral = set(), True
+    singular = set()
     for a, n in view.levi_positive:
         r, b = dot(view.rho, a), dot(root, a)
-        integral = integral and not (2 * r % n or 2 * b % n)
+        if 2 * r % n or 2 * b % n:
+            raise InvariantError("support term is not Levi integral")
         if r * b > 0 and r % b == 0:
             singular.add(r // b)
-    return frozenset(singular), integral, ()
+    return frozenset(singular), ()
 
 
 def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, tuple[int, ...]]:
@@ -170,54 +176,46 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
 
     B is the scaled nilradical root view.nilradical[j], R = view.rho and k
     is a positive integer.  Root j's record in view.words, built on its
-    first term, holds its singular levels, its integrality flag and its
-    entries: disjoint (lo, hi, w*R, w*B, w), sorted by lo, each filled by
-    one descent.  A singular level is Singular.  The entry with
-    lo <= k <= hi serves any other level: w*R - k*w*B pairs positively with
-    every Levi simple root exactly at the levels lo..hi, which proves it is
-    the dominant point of v's orbit and w its descent's word.  A level no
-    entry serves is normalized afresh, and its interval added.  The terms of
-    a root that is not integral are checked for Levi integrality one by one
-    and always normalized afresh.
+    first term, holds its singular levels and its entries: disjoint
+    (lo, hi, w*R, w*B, w), sorted by lo, each filled by one descent.  A
+    singular level is Singular.  The entry with lo <= k <= hi serves any
+    other level: w*R - k*w*B pairs positively with every Levi simple root
+    exactly at the levels lo..hi, which proves it is the dominant point of
+    v's orbit and w its descent's word.  A level no entry serves is
+    normalized afresh, and its interval added.
     """
     nil = view.nilradical[j]
     record = view.words.get(j)
     if record is None:
         record = view.words[j] = _line_record(view, nil.root)
-    singular, integral, entries = record
-    if integral:
-        if k in singular:
-            return None, ()
-        i = bisect_right(entries, k, key=itemgetter(0))
-        if i and k <= entries[i - 1][1]:
-            _, _, wr, wb, word = entries[i - 1]
-            return tuple([r - k * b for r, b in zip(wr, wb)]), word
-    v = tuple([r - k * b for r, b in zip(view.rho, nil.root)])
-    if not integral:
-        for root, norm in view.levi_positive:
-            if 2 * dot(v, root) % norm:
-                raise InvariantError("support term is not Levi integral")
-    rep, word = normalize_scaled(view, v)
+    singular, entries = record
+    if k in singular:
+        return None, ()
+    i = bisect_right(entries, k, key=itemgetter(0))
+    if i and k <= entries[i - 1][1]:
+        _, _, wr, wb, word = entries[i - 1]
+        return tuple([r - k * b for r, b in zip(wr, wb)]), word
+    rep, word = normalize_scaled(view, tuple([r - k * b for r, b in zip(view.rho, nil.root)]))
     # Off the singular levels, only a Levi root orthogonal to R and B (never
     # in a valid datum, whose R is strictly dominant) holds v on a wall.
-    if rep is not None and integral:
-        wb = nil.root
-        for s in word:
-            wb = _reflect_scaled(wb, *view.levi_simples[s])
-        # rep = w*R - k*w*B, and w acts linearly
-        wr = tuple(x + k * b for x, b in zip(rep, wb))
-        # dot(wr - k*wb, A) = p - k*q is positive for k <= (p - 1)/q
-        # when q > 0 and for k > p/q when q < 0; with q = 0 it is p,
-        # positive because rep is dominant.
-        lo, hi = -math.inf, math.inf
-        for root, _ in view.levi_simples:
-            p, q = dot(wr, root), dot(wb, root)
-            if q > 0:
-                hi = min(hi, (p - 1) // q)
-            elif q < 0:
-                lo = max(lo, -p // -q + 1)
-        entries = entries[:i] + ((lo, hi, wr, wb, word),) + entries[i:]
-        view.words[j] = singular, integral, entries
+    if rep is None:
+        return rep, word
+    wb = nil.root
+    for s in word:
+        wb = _reflect_scaled(wb, *view.levi_simples[s])
+    # rep = w*R - k*w*B, and w acts linearly
+    wr = tuple(x + k * b for x, b in zip(rep, wb))
+    # dot(wr - k*wb, A) = p - k*q is positive for k <= (p - 1)/q
+    # when q > 0 and for k > p/q when q < 0; with q = 0 it is p,
+    # positive because rep is dominant.
+    lo, hi = -math.inf, math.inf
+    for root, _ in view.levi_simples:
+        p, q = dot(wr, root), dot(wb, root)
+        if q > 0:
+            hi = min(hi, (p - 1) // q)
+        elif q < 0:
+            lo = max(lo, -p // -q + 1)
+    view.words[j] = singular, entries[:i] + ((lo, hi, wr, wb, word),) + entries[i:]
     return rep, word
 
 

@@ -24,7 +24,6 @@ from scalarverma.ehw import (
 from scalarverma.jantzen import SimplicityVerdict
 from scalarverma.ratvec import Weight, inner, is_integer, pairing, reflect
 from scalarverma.rootdata import ParabolicRootDatum
-from scalarverma.weyl import REGULAR, SINGULAR
 
 # One representative per family plus the sizes the acceptance sweep uses.
 SWEEP_CASES = (
@@ -122,18 +121,19 @@ def is_levi_regular_integral(datum: ParabolicRootDatum, mu: Weight) -> bool:
 def shadow_normalize(datum: ParabolicRootDatum, mu: Weight, rng: random.Random):
     """Independent chamber normalizer choosing a random descent each step.
 
-    Returns (status, rep, parity) with the same meaning as the library's
-    normalize().  Differs from production on purpose: the wall scan and
-    the descent choice are made differently, so agreement is evidence.
+    Returns (is_regular, rep, parity) with the same meaning as the
+    library's normalize().  Differs from production on purpose: the wall
+    scan and the descent choice are made differently, so agreement is
+    evidence.
     """
     if any(inner(mu, alpha) == 0 for alpha in datum.levi_positive):
-        return (SINGULAR, None, None)
+        return (False, None, None)
     cur = mu
     steps = 0
     while True:
         negatives = [alpha for alpha in datum.levi_simples if inner(cur, alpha) < 0]
         if not negatives:
-            return (REGULAR, cur, steps % 2)
+            return (True, cur, steps % 2)
         cur = reflect(cur, rng.choice(negatives))
         steps += 1
         assert steps <= len(datum.levi_positive), "shadow descent ran too long"

@@ -41,7 +41,7 @@ from scalarverma.ehw import KNOWN_REDUCIBLE, KNOWN_SIMPLE
 from scalarverma.jantzen import REDUCIBLE, SIMPLE, jantzen_support
 from scalarverma.ratvec import add, inner, pairing, reflect, scale, weight
 from scalarverma.rootdata import scalar_parameter_weight, sign_pattern_root
-from scalarverma.weyl import REGULAR, normalize, theta_pairing
+from scalarverma.weyl import normalize, theta_pairing
 
 Q = Fraction
 STEP = Q(1, 6)
@@ -264,14 +264,14 @@ def _property_orbit_invariance(trials):
         word = random_levi_word(datum, rng, max_len=12)
         form0 = normalize(datum, mu)
         form1 = normalize(datum, apply_word(mu, word))
-        assert form0.status == form1.status
-        if form0.status == REGULAR:
+        assert form0.is_regular == form1.is_regular
+        if form0.is_regular:
             assert form1.rep == form0.rep
             assert form1.parity == (form0.parity + len(word)) % 2
         if rng.random() < 0.1:
-            status, rep, parity = shadow_normalize(datum, mu, rng)
-            assert form0.status == status
-            if status == REGULAR:
+            regular, rep, parity = shadow_normalize(datum, mu, rng)
+            assert form0.is_regular == regular
+            if regular:
                 assert (form0.rep, form0.parity) == (rep, parity)
 
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import scalarverma
-from scalarverma.rootdata import NilradicalLevel
+from scalarverma.rootdata import IntegerView, NilradicalLevel
+from scalarverma.weyl import ChamberForm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -83,12 +84,21 @@ def test_only_weyl_reads_the_chamber_word_memo():
 
 
 def test_only_weyl_knows_a_roots_line_walls():
-    # The view keeps each root's own scaled numbers; its walls and
-    # integrality live in weyl's per-root record.
+    # The view keeps each root's own scaled numbers; its walls live in
+    # weyl's per-root record, and only weyl reads the Levi roots they come from.
     fields = [f.name for f in dataclasses.fields(NilradicalLevel)]
     assert fields == ["root", "norm", "a", "b", "theta_root"]
-    for attr in ("singular", "integral"):
-        assert _attribute_readers(attr) <= {"weyl"}, attr
+    assert _attribute_readers("levi_positive") <= {"rootdata", "weyl"}
+
+
+def test_derivable_fields_are_not_stored():
+    # A chamber form's regularity, parity and sign follow from rep and
+    # steps, and the view's theta_rho and theta_root from D*theta_u.
+    assert [f.name for f in dataclasses.fields(ChamberForm)] == ["rep", "steps"]
+    assert "theta_u" not in {f.name for f in dataclasses.fields(IntegerView)}
+    weyl = importlib.import_module("scalarverma.weyl")
+    for name in ("REGULAR", "SINGULAR"):
+        assert not hasattr(weyl, name), name
 
 
 def test_reference_never_names_the_integer_path():

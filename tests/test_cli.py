@@ -517,7 +517,8 @@ def test_output_is_deterministic(capsys):
 
 
 def test_entry_point_subprocess():
-    # byte-for-byte stability across processes, through the console script
+    # byte-for-byte stability across processes, through `python -m
+    # scalarverma.cli`; CI checks the installed console script against it
     cmd = [sys.executable, "-m", "scalarverma.cli", "table", "--table", "2",
            "--format", "tsv"]
     # the child imports the same package as this process, installed or not

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SWEEP_CASES
+from conftest import ADMISSIBLE_CASES, SWEEP_CASES
 from reference import simplicity_oracle
 from scalarverma import (
     HermitianCase,
@@ -32,7 +32,7 @@ from scalarverma import jantzen, weyl
 from scalarverma.jantzen import ROUTE_EMPTY_SUPPORT, jantzen_support
 from scalarverma.ratvec import add, dot, inner, sub, weight
 from scalarverma.rootdata import scalar_parameter_weight
-from scalarverma.weyl import REGULAR, _line_chamber, normalize, normalize_scaled
+from scalarverma.weyl import _line_chamber, normalize, normalize_scaled
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
 HIGH_RANK = [HermitianCase("CI", n=8), HermitianCase("DIII", n=10), HermitianCase("AIII", p=5, q=5)]
@@ -125,7 +125,7 @@ def test_integer_normalizer_matches_normalize(case):
             form = normalize(datum, sub(datum.rho, tuple(k * x for x in beta)))
             v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
             rep, word = normalize_scaled(view, v)
-            assert (rep is not None) == (form.status == REGULAR), (beta, k)
+            assert (rep is not None) == form.is_regular, (beta, k)
             if rep is not None:
                 assert tuple(Fraction(x, view.denom) for x in rep) == form.rep
                 assert len(word) == form.steps
@@ -144,7 +144,7 @@ def walls(view, j):
 
 
 def line_record(view, j):
-    """weyl's record (singular, integral, entries) of root j, which a first
+    """weyl's record (singular, entries) of root j, which a first
     term at level 1 builds if the root has none yet."""
     if j not in view.words:
         _line_chamber(view, j, 1)
@@ -185,9 +185,9 @@ def test_interval_words_match_a_fresh_descent(case):
             for k in order(range(1, int(max(walls(view, j), default=0)) + 3)):
                 v = term(view, j, k)
                 assert _line_chamber(view, j, k) == normalize_scaled(view, v), (j, k)
-            # the root's record: integral, and holding its entries
-            _, integral, entries = view.words[j]
-            assert integral and entries, j
+            # the root's record holds its entries
+            _, entries = view.words[j]
+            assert entries, j
         assert view.words
     assert_intervals_are_the_dominant_levels(view)
 
@@ -195,7 +195,7 @@ def test_interval_words_match_a_fresh_descent(case):
 def assert_intervals_are_the_dominant_levels(view):
     """Each memo entry's lo..hi holds exactly the levels k at which w*R - k*w*B
     is dominant, and each root's entries are sorted and pairwise disjoint."""
-    for j, (_, _, entries) in view.words.items():
+    for j, (_, entries) in view.words.items():
         for lo, hi, wr, wb, _ in entries:
             assert lo <= hi
             for k in range(1, int(max(walls(view, j), default=0)) + 3):
@@ -212,7 +212,7 @@ def test_word_memo_is_used_and_bounded():
     for c in default_window(datum.case, Fraction(1, 6)):
         regular += sum(t.chamber.is_regular for t in classify_scalar(datum, c).terms)
     view = datum.integer_view
-    entries = sum(len(e) for _, _, e in view.words.values())
+    entries = sum(len(e) for _, e in view.words.values())
     assert entries <= sum(len(walls(view, j)) + 1 for j in range(len(view.nilradical)))
     assert 10 * entries < regular
 
@@ -223,13 +223,12 @@ def test_integer_view_scales_the_datum():
         view = datum.integer_view
         scale = lambda w: tuple(x * view.denom for x in w)
         assert view.rho == scale(datum.rho) and view.zeta == scale(datum.zeta)
-        assert view.theta_u == scale(datum.theta_u)
-        assert view.theta_rho == dot(view.rho, view.theta_u)
+        assert view.theta_rho == dot(view.rho, scale(datum.theta_u))
         assert [a for a, _ in view.levi_simples] == [scale(a) for a in datum.levi_simples]
         for beta, nil in zip(datum.nilradical_roots, view.nilradical):
             assert nil.root == scale(beta)
             assert nil.norm == inner(nil.root, nil.root)
-            assert nil.theta_root == dot(nil.root, view.theta_u)
+            assert nil.theta_root == dot(nil.root, scale(datum.theta_u))
             # a_beta and b_beta are the pairings of rho and zeta with beta
             assert Fraction(nil.a, nil.norm) == 2 * inner(datum.rho, beta) / inner(beta, beta)
             assert Fraction(nil.b, nil.norm) == 2 * inner(datum.zeta, beta) / inner(beta, beta)
@@ -317,6 +316,39 @@ def test_non_levi_integral_term_trips_both_oracles():
     assert_paths_agree_and_trip(crippled, grid, "support term is not Levi integral")
 
 
+def test_every_admissible_root_is_levi_integral():
+    # Every root of every valid datum gets its record: Levi integrality is
+    # a property of the datum, so no valid term is ever refused.
+    roots = 0
+    for case in ADMISSIBLE_CASES:
+        view = build_datum(case).integer_view
+        for nil in view.nilradical:
+            singular, entries = weyl._line_record(view, nil.root)
+            assert all(k > 0 for k in singular) and entries == (), case
+            roots += 1
+    assert roots > len(ADMISSIBLE_CASES)
+
+
+def test_half_integral_root_is_refused_at_every_level():
+    # B = D*(e1 - e2/2 - e3/2) pairs to 3/2 with e1 - e2, so its terms are
+    # Levi integral at even levels only.  Its record is refused on its first
+    # term, whatever the level; the reference, which checks term by term,
+    # still decides the even levels.
+    datum = build_datum(HermitianCase("AIII", p=2, q=2))
+    roots = datum.nilradical_roots
+    j = roots.index(weight([1, 0, -1, 0]))
+    tampered = weight([1, Fraction(-1, 2), Fraction(-1, 2), 0])
+    crippled = dataclasses.replace(datum, nilradical_roots=roots[:j] + (tampered,) + roots[j + 1 :])
+    nil = crippled.integer_view.nilradical[j]
+    for k in (1, 2, 3, 4):
+        c = Fraction(k * nil.norm - nil.a, nil.b)
+        assert tampered in jantzen_support(crippled, scalar_parameter_weight(crippled, c)), k
+        with pytest.raises(InvariantError, match="^support term is not Levi integral$"):
+            classify_scalar(crippled, c)
+        if k % 2 == 0:
+            assert reference(crippled, c).terms, k
+
+
 @pytest.mark.parametrize("dropped", [(2, 5), (1, 5)], ids=["e2-e5", "e1-e5"])
 def test_certificate_falls_back_where_the_walls_are_incomplete(dropped, monkeypatch):
     # Without the wall of a Levi root, the singular levels miss its wall
@@ -339,7 +371,7 @@ def test_certificate_falls_back_where_the_walls_are_incomplete(dropped, monkeypa
         return normalize_scaled(view, v)
 
     def line_chamber(view, j, k):
-        memoized[0] = j in view.words and bool(view.words[j][2])
+        memoized[0] = j in view.words and bool(view.words[j][1])
         try:
             return _line_chamber(view, j, k)
         finally:

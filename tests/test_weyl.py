@@ -19,7 +19,7 @@ from conftest import (
 )
 from scalarverma import HermitianCase, InvariantError, build_datum
 from scalarverma.ratvec import inner, pairing, reflect, weight
-from scalarverma.weyl import REGULAR, SINGULAR, normalize, theta_pairing
+from scalarverma.weyl import normalize, theta_pairing
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
 
@@ -28,7 +28,7 @@ def test_dominant_weight_is_its_own_form():
     datum = build_datum(HermitianCase("AIII", p=2, q=3))
     mu = weight([9, 7, 2, 1, -4])
     form = normalize(datum, mu)
-    assert form.status == REGULAR
+    assert form.is_regular
     assert form.rep == mu and form.parity == 0 and form.steps == 0
     assert form.sign == 1
 
@@ -37,19 +37,19 @@ def test_wall_weight_is_singular():
     datum = build_datum(HermitianCase("AIII", p=2, q=3))
     # equal entries inside one block lie on a Levi wall
     form = normalize(datum, weight([3, 3, 2, 1, 0]))
-    assert form.status == SINGULAR
+    assert not form.is_regular
     assert form.rep is None and form.parity is None
     with pytest.raises(ValueError):
         form.sign
     # equal entries across the block split do not
-    assert normalize(datum, weight([3, 1, 3, 2, 0])).status == REGULAR
+    assert normalize(datum, weight([3, 1, 3, 2, 0])).is_regular
 
 
 def test_single_swap_has_odd_parity():
     datum = build_datum(HermitianCase("AIII", p=3, q=3))
     mu = weight([3, 1, 2, 6, 5, 4])
     form = normalize(datum, mu)
-    assert form.status == REGULAR
+    assert form.is_regular
     assert form.rep == weight([3, 2, 1, 6, 5, 4])
     assert form.parity == 1 and form.steps == 1
     assert form.sign == -1
@@ -59,7 +59,7 @@ def test_bi_sign_flip_parity():
     # Levi of BI(n) is so(2n-1) acting on the last n-1 coordinates
     datum = build_datum(HermitianCase("BI", n=3))
     form = normalize(datum, weight([5, 1, -2]))
-    assert form.status == REGULAR
+    assert form.is_regular
     assert form.rep == weight([5, 2, 1])
     assert form.parity == (form.steps % 2)
     assert form.rep[1] > form.rep[2] > 0
@@ -72,7 +72,7 @@ def test_normalized_rep_is_dominant():
         for _ in range(40):
             mu = random_weight(rng, datum.ambient_dim)
             form = normalize(datum, mu)
-            if form.status == REGULAR:
+            if form.is_regular:
                 for alpha in datum.levi_simples:
                     assert inner(form.rep, alpha) > 0
 
@@ -81,7 +81,7 @@ def test_empty_levi_everything_regular():
     datum = build_datum(HermitianCase("DI", n=2))
     mu = weight([Fraction(1, 3), Fraction(1, 3)])
     form = normalize(datum, mu)
-    assert form.status == REGULAR and form.steps == 0 and form.rep == mu
+    assert form.is_regular and form.steps == 0 and form.rep == mu
 
 
 @pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
@@ -91,9 +91,9 @@ def test_orbit_invariance_against_shadow(case):
     for _ in range(25):
         mu = random_weight(rng, datum.ambient_dim)
         form = normalize(datum, mu)
-        status, rep, parity = shadow_normalize(datum, mu, rng)
-        assert form.status == status
-        if status == REGULAR:
+        regular, rep, parity = shadow_normalize(datum, mu, rng)
+        assert form.is_regular == regular
+        if regular:
             assert form.rep == rep and form.parity == parity
 
 
@@ -106,8 +106,8 @@ def test_reflected_inputs_share_rep_and_flip_parity(case):
         word = random_levi_word(datum, rng)
         form0 = normalize(datum, mu)
         form1 = normalize(datum, apply_word(mu, word))
-        assert form0.status == form1.status
-        if form0.status == REGULAR:
+        assert form0.is_regular == form1.is_regular
+        if form0.is_regular:
             assert form0.rep == form1.rep
             assert form1.parity == (form0.parity + len(word)) % 2
 
@@ -122,9 +122,9 @@ def test_hypothesis_orbit_invariance_aiii(coords):
     mu = weight(list(coords))
     form = normalize(datum, mu)
     rng = random.Random(sum(abs(c) for c in coords))
-    status, rep, parity = shadow_normalize(datum, mu, rng)
-    assert form.status == status
-    if status == REGULAR:
+    regular, rep, parity = shadow_normalize(datum, mu, rng)
+    assert form.is_regular == regular
+    if regular:
         assert form.rep == rep and form.parity == parity
         assert sorted(mu[:3], reverse=True) == list(form.rep[:3])
         assert sorted(mu[3:], reverse=True) == list(form.rep[3:])
