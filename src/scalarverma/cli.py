@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -46,8 +47,8 @@ from .rootdata import (
 )
 from .weyl import theta_pairing
 
-# Scan and crosscheck windows hold at most this many grid points; the
-# largest benchmark grid, finegrid, has 3,601.
+# A scan window, or all the windows of one crosscheck together, hold at
+# most this many grid points; the largest benchmark grid, finegrid, has 3,601.
 MAX_GRID_POINTS = 100_000
 
 
@@ -87,7 +88,21 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console entry point: main() on sys.argv, as the process's exit status.
+
+    A reader that closes the pipe early, as `| head` does, ends the run with
+    exit status 1 and no traceback.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; pointing it at devnull keeps
+        # that flush from raising a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +209,19 @@ def _parse_window(text: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _grid(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
+def _grids(windows: list[tuple[Fraction, Fraction]], step: Fraction) -> list[range]:
+    """For each window lo..hi, the k whose grid points k * step lie in it.
+
+    The windows' points are counted together, before any is decided.
+    """
     if step <= 0:
         raise ValueError("step must be positive")
-    first, last = math.ceil(lo / step), math.floor(hi / step)
-    if last - first + 1 > MAX_GRID_POINTS:
-        raise ValueError(f"window holds {last - first + 1} grid points, over {MAX_GRID_POINTS}")
-    return [k * step for k in range(first, last + 1)]
+    grids = [range(math.ceil(lo / step), math.floor(hi / step) + 1) for lo, hi in windows]
+    # stop - start, as len() overflows past sys.maxsize points
+    points = sum(ks.stop - ks.start for ks in grids)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"{points} grid points requested, over {MAX_GRID_POINTS}")
+    return grids
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +370,8 @@ def cmd_scan(args) -> int:
     [case] = _cases(args)
     lo, hi = _parse_window(args.window)
     step = parse_rational(args.step)
-    grid = _grid(lo, hi, step)
+    [ks] = _grids([(lo, hi)], step)
+    grid = [k * step for k in ks]
     datum = build_datum(case)
     constants = abc_constants(case)
     rows = (_scan_row(case, datum, constants, c) for c in grid)
@@ -479,19 +501,14 @@ def cmd_table(args) -> int:
 # crosscheck
 
 
-def _crosscheck_instance(case: HermitianCase, window, step: Fraction) -> dict:
+def _crosscheck_instance(case: HermitianCase, window, ks: range, step: Fraction) -> dict:
     """Counts, mismatches and contradictions of one case; other rows are dropped."""
     datum = build_datum(case)
     constants = abc_constants(case)
-    if window is None:
-        # z = A - 5 .. B + 10, for z = c + B
-        lo, hi = constants.a - constants.b - 5, Fraction(10)
-    else:
-        lo, hi = window
     points = reducible = 0
     mismatches, contradictions = [], []
-    for c in _grid(lo, hi, step):
-        r = _scan_row(case, datum, constants, c)
+    for k in ks:
+        r = _scan_row(case, datum, constants, k * step)
         points += 1
         reducible += r["verdict"] == REDUCIBLE
         if not r["agree"]:
@@ -502,7 +519,7 @@ def _crosscheck_instance(case: HermitianCase, window, step: Fraction) -> dict:
             contradictions.append(r)
     return {
         "case": case,
-        "window": (lo, hi),
+        "window": window,
         "points": points,
         "reducible": reducible,
         "mismatches": mismatches,
@@ -512,9 +529,16 @@ def _crosscheck_instance(case: HermitianCase, window, step: Fraction) -> dict:
 
 def cmd_crosscheck(args) -> int:
     cases = _cases(args, ranges=True)
-    window = _parse_window(args.window) if args.window is not None else None
+    if args.window is None:
+        # z = A - 5 .. B + 10, for z = c + B
+        windows = [(con.a - con.b - 5, Fraction(10)) for con in map(abc_constants, cases)]
+    else:
+        windows = [_parse_window(args.window)] * len(cases)
     step = parse_rational(args.step)
-    results = [_crosscheck_instance(case, window, step) for case in cases]
+    grids = _grids(windows, step)
+    results = [
+        _crosscheck_instance(case, w, ks, step) for case, w, ks in zip(cases, windows, grids)
+    ]
     ok = all(not r["mismatches"] and not r["contradictions"] for r in results)
 
     if args.format == "json":

@@ -8,7 +8,9 @@ is known simple, on the lattice A + iC up to B it is known reducible, and
 elsewhere the screen is silent.  After Enright, Howe and Wallach (1983),
 they come from the real rank r: A = |nilradical| / r, B = <rho, gamma^v> =
 A + (r - 1)C, and C = 1 when A = B.  The reducible z-set is the union over
-j < r of A + jC + N, a union of progressions in c = z - B.
+j < r of A + jC + N.  2C is an integer, so that union is A + N together
+with A + C + N, and in c = z - B it is two unit progressions, starting at
+A - B and A - B + C.
 """
 
 from __future__ import annotations
@@ -41,37 +43,6 @@ class ABCConstants:
     a: Fraction
     b: Fraction
     c: Fraction
-
-
-@dataclass(frozen=True)
-class Progression:
-    """The set {start + k * step : k = 0, 1, 2, ...}."""
-
-    start: Fraction
-    step: Fraction
-
-    def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError(f"progression step must be positive, got {self.step}")
-
-    def contains(self, x: Fraction) -> bool:
-        # (x - start) / step = num / den with den > 0, so it is a
-        # nonnegative integer exactly when num >= 0 and den divides num.
-        s, t = self.start, self.step
-        num = (x.numerator * s.denominator - s.numerator * x.denominator) * t.denominator
-        return num >= 0 and num % (x.denominator * s.denominator * t.numerator) == 0
-
-
-@dataclass(frozen=True)
-class ReducibilitySet:
-    """Closed-form reducible c-set of a case: a union of progressions."""
-
-    case: HermitianCase
-    parts: tuple[Progression, ...]
-
-    def contains(self, c) -> bool:
-        x = rational(c)
-        return any(p.contains(x) for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -142,21 +113,26 @@ def abc_verdict(constants: ABCConstants, z) -> str:
 
 
 @lru_cache(maxsize=None)
-def reducibility_set(case: HermitianCase) -> ReducibilitySet:
-    """The case's closed-form reducible set, built once per case."""
+def _closed_form_starts(case: HermitianCase) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of A - B and A - B + C, built once per case."""
     con = abc_constants(case)
-    # In z: A + N, and A + C + N when 2C is odd; one part when C = 1/2.
     start = con.a - con.b
-    if is_integer(con.c) or con.c == Fraction(1, 2):
-        parts = (Progression(start, min(con.c, Fraction(1))),)
-    else:
-        parts = (Progression(start, Fraction(1)), Progression(start + con.c, Fraction(1)))
-    return ReducibilitySet(case, parts)
+    return tuple((s.numerator, s.denominator) for s in (start, start + con.c))
 
 
 def closed_form_reducible(case: HermitianCase, c) -> bool:
-    """Membership of c in the case's closed-form reducible set."""
-    return reducibility_set(case).contains(c)
+    """Membership of c in the case's closed-form reducible set.
+
+    In z = c + B the set is the union over j < r of A + jC + N.  2C is an
+    integer, so that union is A + N together with A + C + N, and c is
+    reducible exactly when c - s is a nonnegative integer for one of the
+    starts s = A - B and A - B + C.
+    """
+    x = rational(c)
+    n, d = x.numerator, x.denominator
+    # c - s is an integer exactly when c and s, both in lowest terms, share
+    # their denominator and their numerators are congruent modulo it.
+    return any(d == sd and n >= sn and (n - sn) % d == 0 for sn, sd in _closed_form_starts(case))
 
 
 def progression_summary(

@@ -18,7 +18,8 @@ decided in integers by `weyl`, which takes only beta's index and the
 level k and keeps what it learns of each root's line: a level on one of
 beta's Levi walls is Singular, and off them a memoized Weyl word gives the
 representative, certified dominant at that level by the interval of
-levels stored with the word.  The loop itself forms no vector.  The
+levels stored with the word, or a fresh descent, which needs no wall scan
+of its own, finds the word and stores its interval.  The loop itself forms no vector.  The
 verdict and route come from integer sign sums per class; the terms,
 classes and witness, the only rationals, are unscaled from the loop's
 integer records (root index, level, representative, word length) when a

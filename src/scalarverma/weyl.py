@@ -7,9 +7,8 @@ the word).  Two regular weights lie in one Levi orbit exactly when their
 representatives coincide, which is what the sign bookkeeping downstream
 rests on.
 
-`normalize` works on exact rational weights.  `normalize_scaled` runs the
-same wall scan and descent on an integer vector D*mu against the datum's
-`IntegerView` and returns the descent's word.
+`normalize` works on exact rational weights: a wall scan over every Levi
+positive root, then the first-negative descent.
 
 The module also owns the scalar line.  The oracle works on the c-free
 terms v(k) = R - k*B, for R = D*rho, B = D*beta and a positive integer
@@ -30,12 +29,16 @@ of them are positive form an integer interval lo..hi, and at exactly those
 levels w*v(k) is the dominant point of v(k)'s orbit.  Each entry is
 (lo, hi, w*R, w*B, w), and a term is served by the entry whose lo..hi holds
 its level, which certifies the representative at the term's own level; a
-level no entry holds is normalized afresh and its interval stored.  Every
-v(k) with k in lo..hi lies in one open chamber, and the first-negative
-descent reads only the chamber, so a served word is the word a fresh
-descent would find.  The Weyl group acts simply transitively on chambers,
-so no two words share a level and a root's entries are disjoint.  Each
-fill replaces the root's record whole.
+level no entry holds is descended afresh and its interval stored.  The
+descent is `normalize`'s first-negative rule, step bound and errors, run
+on v and w*B together in integers, with no wall scan: R = D*rho is
+strictly Levi dominant, so R - k*B meets the wall of a Levi root A only
+at k = dot(R, A) / dot(B, A), and the record's singular levels already
+hold every such level.  Every v(k) with k in lo..hi lies in one open
+chamber, and the first-negative descent reads only the chamber, so a
+served word is the word a fresh descent would find.  The Weyl group acts
+simply transitively on chambers, so no two words share a level and a
+root's entries are disjoint.  Each fill replaces the root's record whole.
 """
 
 from __future__ import annotations
@@ -114,38 +117,6 @@ def normalize(datum: ParabolicRootDatum, mu: Weight) -> ChamberForm:
             raise InvariantError("chamber descent exceeded the positive-root bound")
 
 
-def normalize_scaled(view: IntegerView, v: IntVector) -> tuple[IntVector | None, tuple[int, ...]]:
-    """normalize() for the integer vector v = D*mu, in integer arithmetic.
-
-    Returns (D times the representative, word), or (None, ()) on a wall.
-    The word lists, in order, the indices into view.levi_simples of the
-    reflections the descent applied, so its length is normalize()'s step
-    count.  v must be Levi integral: its pairing 2*dot(v, A) // dot(A, A)
-    with each scaled Levi root A is exact.  The wall scan, the
-    first-negative descent rule, the step bound and the errors are those of
-    normalize().
-    """
-    for root, _ in view.levi_positive:
-        if dot(v, root) == 0:
-            return None, ()
-
-    bound = len(view.levi_positive)
-    word = []
-    while True:
-        for i, (root, norm) in enumerate(view.levi_simples):
-            d = dot(v, root)
-            if d == 0:
-                raise InvariantError("wall hit during descent after a clean wall scan")
-            if d < 0:
-                v = _reflect_scaled(v, root, norm)
-                word.append(i)
-                break
-        else:
-            return v, tuple(word)
-        if len(word) > bound:
-            raise InvariantError("chamber descent exceeded the positive-root bound")
-
-
 def _reflect_scaled(v: IntVector, root: IntVector, norm: int) -> IntVector:
     """The reflection of a Levi integral v in the scaled root of squared norm `norm`."""
     k = 2 * dot(v, root) // norm
@@ -172,17 +143,24 @@ def _line_record(view: IntegerView, root: IntVector) -> tuple[frozenset[int], tu
 
 
 def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, tuple[int, ...]]:
-    """normalize_scaled(view, v), for the term v = R - k*B on the scalar line.
+    """The chamber of the term v = R - k*B on the scalar line, in integers.
 
     B is the scaled nilradical root view.nilradical[j], R = view.rho and k
-    is a positive integer.  Root j's record in view.words, built on its
-    first term, holds its singular levels and its entries: disjoint
-    (lo, hi, w*R, w*B, w), sorted by lo, each filled by one descent.  A
-    singular level is Singular.  The entry with lo <= k <= hi serves any
-    other level: w*R - k*w*B pairs positively with every Levi simple root
-    exactly at the levels lo..hi, which proves it is the dominant point of
-    v's orbit and w its descent's word.  A level no entry serves is
-    normalized afresh, and its interval added.
+    is a positive integer.  Returns (w*v, w), the dominant point of v's
+    Levi orbit and the word, as indices into view.levi_simples, of the
+    first-negative descent that reaches it; or (None, ()) on a wall.
+    Root j's record in view.words, built on its first term, holds its
+    singular levels and its entries: disjoint (lo, hi, w*R, w*B, w), sorted
+    by lo, each filled by one descent.  A singular level is Singular.  The
+    entry with lo <= k <= hi serves any other level: w*R - k*w*B pairs
+    positively with every Levi simple root exactly at the levels lo..hi,
+    which proves it is the dominant point of v's orbit and w its descent's
+    word.  A level no entry serves is descended afresh, and its interval
+    added.  R is strictly Levi dominant, so the singular levels are every
+    level at which the line meets a Levi wall, and the descent runs no wall
+    scan of its own: a wall it meets, or a word longer than the number of
+    Levi positive roots, can come only from a broken datum and raises
+    InvariantError.
     """
     nil = view.nilradical[j]
     record = view.words.get(j)
@@ -195,19 +173,27 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
     if i and k <= entries[i - 1][1]:
         _, _, wr, wb, word = entries[i - 1]
         return tuple([r - k * b for r, b in zip(wr, wb)]), word
-    rep, word = normalize_scaled(view, tuple([r - k * b for r, b in zip(view.rho, nil.root)]))
-    # Off the singular levels, only a Levi root orthogonal to R and B (never
-    # in a valid datum, whose R is strictly dominant) holds v on a wall.
-    if rep is None:
-        return rep, word
-    wb = nil.root
-    for s in word:
-        wb = _reflect_scaled(wb, *view.levi_simples[s])
-    # rep = w*R - k*w*B, and w acts linearly
-    wr = tuple(x + k * b for x, b in zip(rep, wb))
+    # Descend v and w*B together, so that w*R = v + k*w*B at the end.
+    v, wb, word = tuple([r - k * b for r, b in zip(view.rho, nil.root)]), nil.root, []
+    bound = len(view.levi_positive)
+    while True:
+        for s, (root, norm) in enumerate(view.levi_simples):
+            d = dot(v, root)
+            if d == 0:
+                raise InvariantError("wall hit during descent after a clean wall scan")
+            if d < 0:
+                v, wb = _reflect_scaled(v, root, norm), _reflect_scaled(wb, root, norm)
+                word.append(s)
+                break
+        else:
+            break
+        if len(word) > bound:
+            raise InvariantError("chamber descent exceeded the positive-root bound")
+    word = tuple(word)
+    wr = tuple(x + k * b for x, b in zip(v, wb))
     # dot(wr - k*wb, A) = p - k*q is positive for k <= (p - 1)/q
     # when q > 0 and for k > p/q when q < 0; with q = 0 it is p,
-    # positive because rep is dominant.
+    # positive because v is dominant.
     lo, hi = -math.inf, math.inf
     for root, _ in view.levi_simples:
         p, q = dot(wr, root), dot(wb, root)
@@ -216,7 +202,7 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
         elif q < 0:
             lo = max(lo, -p // -q + 1)
     view.words[j] = singular, entries[:i] + ((lo, hi, wr, wb, word),) + entries[i:]
-    return rep, word
+    return v, word
 
 
 def theta_pairing(datum: ParabolicRootDatum, mu: Weight) -> Fraction:

@@ -19,7 +19,6 @@ from scalarverma.ehw import (
     KNOWN_REDUCIBLE,
     KNOWN_SIMPLE,
     ABCConstants,
-    Progression,
 )
 from scalarverma.jantzen import SimplicityVerdict
 from scalarverma.ratvec import Weight, inner, is_integer, pairing, reflect
@@ -69,15 +68,24 @@ def abc_lattice(constants: ABCConstants) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def progression_contains_reference(progression: Progression, x) -> bool:
-    """Progression.contains in Fraction arithmetic."""
-    t = (Fraction(x) - progression.start) / progression.step
+def progression_contains_reference(start, step, x) -> bool:
+    """Membership of x in {start + k * step : k = 0, 1, 2, ...}, in Fraction arithmetic."""
+    t = (Fraction(x) - start) / step
     return t >= 0 and is_integer(t)
 
 
-def reducible_reference(parts: tuple[Progression, ...], c) -> bool:
-    """ReducibilitySet.contains in Fraction arithmetic."""
-    return any(progression_contains_reference(p, c) for p in parts)
+def reducible_reference(constants: ABCConstants, c) -> bool:
+    """closed_form_reducible in Fraction arithmetic, from EHW's definition.
+
+    In z = c + B the reducible set is the union over j < r of A + jC + N,
+    where r - 1 = (B - A) / C; when A = B that is the one progression A + N.
+    """
+    z = Fraction(c) + constants.b
+    last = (constants.b - constants.a) / constants.c
+    return any(
+        progression_contains_reference(constants.a + j * constants.c, 1, z)
+        for j in range(int(last) + 1)
+    )
 
 
 def abc_verdict_reference(constants: ABCConstants, z) -> str:

@@ -31,7 +31,7 @@ IMPORT_LIMITS = {
     "jantzen": {"rootdata", "ratvec", "weyl", "errors"},
 }
 # Names of the integer path that the rational reference must not touch.
-INTEGER_PATH = {"classify_scalar", "_line_chamber", "normalize_scaled", "integer_view", "words"}
+INTEGER_PATH = {"classify_scalar", "_line_chamber", "_line_record", "integer_view", "words"}
 
 
 def test_exports_resolve_and_are_documented():
@@ -118,6 +118,16 @@ def test_library_holds_one_decision_procedure():
     jantzen = importlib.import_module("scalarverma.jantzen")
     for name in ("simplicity_oracle", "_verdict"):
         assert not hasattr(jantzen, name), name
+
+
+def test_each_decision_has_one_copy():
+    # The scalar line's only descent runs inside weyl._line_chamber, and the
+    # closed form is two unit progressions read off (A, B, C).
+    weyl = importlib.import_module("scalarverma.weyl")
+    ehw = importlib.import_module("scalarverma.ehw")
+    assert not hasattr(weyl, "normalize_scaled")
+    for name in ("Progression", "ReducibilitySet", "reducibility_set"):
+        assert not hasattr(ehw, name), name
 
 
 def test_package_root_exports_the_decision_procedure():

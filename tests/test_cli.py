@@ -140,6 +140,9 @@ def test_classify_simple_point_has_no_witness(capsys):
     ["datum-dump", "--case", "AIII", "--p", "10", "--q", "11"],
     ["scan", "--case", "CI", "--n", "2", "--window", "-1000000..1000000",
      "--step", "1/1000"],                                    # grid limit
+    ["scan", "--case", "CI", "--n", "2", "--window", f"0..{10**20}"],  # past sys.maxsize
+    ["crosscheck", "--case", "CI", "--n", "2..3", "--window", "0..60000",
+     "--step", "1"],                                         # family total
 ])
 def test_usage_errors_exit_1(capsys, argv):
     assert main(list(argv)) == 1
@@ -304,15 +307,15 @@ def test_crosscheck_disagreement_exits_2(capsys, monkeypatch, fmt):
 
 
 def test_one_closed_form_set_per_case(capsys):
-    ehw.reducibility_set.cache_clear()
+    ehw._closed_form_starts.cache_clear()
     code, out, _ = run_cli(capsys, "scan", "--case", "CI", "--n", "5",
                            "--window", "-40..20", "--step", "1/60")
     assert code == 0 and len(out.splitlines()) == 1 + 3601
-    assert ehw.reducibility_set.cache_info().misses == 1
+    assert ehw._closed_form_starts.cache_info().misses == 1
     code, _, _ = run_cli(capsys, "crosscheck", "--case", "CI", "--n", "2..6")
     assert code == 0
     # CI(5) is already built; CI(2), CI(3), CI(4) and CI(6) are not
-    assert ehw.reducibility_set.cache_info().misses == 5
+    assert ehw._closed_form_starts.cache_info().misses == 5
 
 
 def test_one_line_offset_per_case(capsys):
@@ -529,6 +532,21 @@ def test_entry_point_subprocess():
     }
     assert len(runs) == 1
     assert next(iter(runs)).startswith(b"pattern\te1")
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # `scan ... | head -1`: the reader closes the pipe after the first row of
+    # about 200 KB, more than a pipe buffers, so the writer meets it closed.
+    cmd = [sys.executable, "-m", "scalarverma.cli", "scan", "--case", "CI", "--n", "5",
+           "--window", "-40..20", "--step", "1/60"]
+    src = str(Path(scalarverma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"case\tc\tz\tverdict\troute\tabc_screen\tclosed_form\tagree\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_main_rejects_unknown_format(capsys):

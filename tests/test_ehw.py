@@ -33,10 +33,8 @@ from scalarverma.ehw import (
     KNOWN_REDUCIBLE,
     KNOWN_SIMPLE,
     ABCConstants,
-    Progression,
-    ReducibilitySet,
+    _closed_form_starts,
     _real_rank,
-    reducibility_set,
     special_line,
 )
 from scalarverma.ratvec import add, inner, pairing
@@ -162,10 +160,14 @@ def test_derived_set_matches_literature_table():
 
 
 def test_half_spacing_is_one_progression():
-    # CI and BI(2) have C = 1/2: one membership test per point, not two.
+    # CI and BI(2) have C = 1/2: their two unit progressions in c, from
+    # A - B and A - B + 1/2, make the one progression A - B + (1/2)N.
+    points = [Q(k, 4) for k in range(-60, 41)]
     for case in (HermitianCase("CI", n=5), HermitianCase("BI", n=2)):
         con = abc_constants(case)
-        assert reducibility_set(case).parts == (Progression(con.a - con.b, Q(1, 2)),)
+        for c in points:
+            want = progression_contains_reference(con.a - con.b, Q(1, 2), c)
+            assert closed_form_reducible(case, c) == want, (case.label, c)
 
 
 @pytest.mark.parametrize(
@@ -219,58 +221,60 @@ def test_di2_collapsed_lattice():
 
 
 def test_reducibility_sets_match_literals():
+    def check(case, pairs):
+        for c, want in pairs:
+            assert closed_form_reducible(case, Q(c)) is want, (case.label, c)
+
     # AIII(2,3): c in 1 - min(p, q) + Z>=0
-    s = reducibility_set(HermitianCase("AIII", p=2, q=3))
-    for c, want in [(-2, False), (-1, True), (Q(-1, 2), False), (0, True), (7, True)]:
-        assert s.contains(Q(c)) is want
+    check(HermitianCase("AIII", p=2, q=3), [(-2, False), (-1, True), (Q(-1, 2), False), (0, True), (7, True)])
     # CI(3): c in (1-n)/2 + (1/2) Z>=0
-    s = reducibility_set(HermitianCase("CI", n=3))
-    for c, want in [(Q(-3, 2), False), (-1, True), (Q(-1, 2), True), (Q(-1, 4), False), (3, True)]:
-        assert s.contains(Q(c)) is want
+    check(HermitianCase("CI", n=3), [(Q(-3, 2), False), (-1, True), (Q(-1, 2), True), (Q(-1, 4), False), (3, True)])
     # BI(3): integers >= 0 union half-integers >= -3/2
-    s = reducibility_set(HermitianCase("BI", n=3))
-    for c, want in [(-2, False), (Q(-3, 2), True), (-1, False), (Q(-1, 2), True), (0, True), (Q(1, 3), False)]:
-        assert s.contains(Q(c)) is want
+    check(
+        HermitianCase("BI", n=3),
+        [(-2, False), (Q(-3, 2), True), (-1, False), (Q(-1, 2), True), (0, True), (Q(1, 3), False)],
+    )
     # DI(4): c in -2 + Z>=0
-    s = reducibility_set(HermitianCase("DI", n=4))
-    for c, want in [(-3, False), (-2, True), (Q(-3, 2), False), (5, True)]:
-        assert s.contains(Q(c)) is want
+    check(HermitianCase("DI", n=4), [(-3, False), (-2, True), (Q(-3, 2), False), (5, True)])
     # EIII: c in -3 + Z>=0 ; EVII: c in -8 + Z>=0
-    assert reducibility_set(HermitianCase("EIII")).contains(Q(-3))
-    assert not reducibility_set(HermitianCase("EIII")).contains(Q(-4))
-    assert reducibility_set(HermitianCase("EVII")).contains(Q(-8))
-    assert not reducibility_set(HermitianCase("EVII")).contains(Q(-17, 2))
+    check(HermitianCase("EIII"), [(-3, True), (-4, False)])
+    check(HermitianCase("EVII"), [(-8, True), (Q(-17, 2), False)])
 
 
 def test_diii_start_depends_on_size_parity():
     # stride is always 1; the start drops by 2 only as n passes an odd size
     starts = {2: 0, 3: 0, 4: -2, 5: -2, 6: -4}
     for n, start in starts.items():
-        s = reducibility_set(HermitianCase("DIII", n=n))
-        assert s.contains(Q(start)) and not s.contains(Q(start - 1))
-        assert s.contains(Q(start + 1)) and not s.contains(Q(2 * start - 1, 2))
-    s5 = reducibility_set(HermitianCase("DIII", n=5))
+        case = HermitianCase("DIII", n=n)
+        assert closed_form_reducible(case, Q(start)) and not closed_form_reducible(case, Q(start - 1))
+        assert closed_form_reducible(case, Q(start + 1))
+        assert not closed_form_reducible(case, Q(2 * start - 1, 2))
+    s5 = HermitianCase("DIII", n=5)
     for c, want in [(-3, False), (-2, True), (-1, True), (Q(1, 2), False), (2, True)]:
-        assert s5.contains(Q(c)) is want
+        assert closed_form_reducible(s5, Q(c)) is want
 
 
-def _diii_parity_split(n: int) -> ReducibilitySet:
+def _diii_parity_split(n: int, c) -> bool:
     # The DIII set written per parity of n rather than with a floor bracket.
     start = Q(2 - n) if n % 2 == 0 else Q(3 - n)
-    return ReducibilitySet(HermitianCase("DIII", n=n), (Progression(start, Q(1)),))
+    return progression_contains_reference(start, Q(1), c)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_diii_floor_form_equals_parity_split(n):
-    assert reducibility_set(HermitianCase("DIII", n=n)) == _diii_parity_split(n)
+    case = HermitianCase("DIII", n=n)
+    for c in (Q(k, 2) for k in range(-30, 13)):
+        assert closed_form_reducible(case, c) == _diii_parity_split(n, c), c
 
 
 def test_closed_form_reducible_equals_set_membership():
-    for case in SWEEP_CASES:
-        s = reducibility_set(case)
-        for k in range(-12, 13):
+    # EHW's union over j < r of A + jC + N, walked j by j in Fractions,
+    # against the two unit progressions closed_form_reducible tests.
+    for case in ADMISSIBLE_CASES:
+        con = abc_constants(case)
+        for k in range(-44, 13):
             c = Q(k, 2)
-            assert closed_form_reducible(case, c) == s.contains(c)
+            assert closed_form_reducible(case, c) == reducible_reference(con, c), (case.label, c)
 
 
 @pytest.mark.parametrize("bad", [0.1, 2.0, True], ids=["0.1", "2.0", "True"])
@@ -287,66 +291,61 @@ def test_inexact_parameters_raise(bad):
             decide()
 
 
-def test_progression_step_must_be_positive():
-    for step in (Q(0), Q(-1, 2)):
-        with pytest.raises(ValueError, match="step must be positive"):
-            Progression(Q(1), step)
-
-
 _small = st.fractions(min_value=-40, max_value=40, max_denominator=24)
 _positive = st.fractions(min_value=Q(1, 24), max_value=12, max_denominator=24)
 
 
 @st.composite
 def _screens(draw):
-    """A case's constants and progressions, or random ones with positive steps."""
+    """A case and its constants, or random constants with a positive spacing and no case."""
     if draw(st.booleans()):
         case = draw(st.sampled_from(ADMISSIBLE_CASES))
-        return abc_constants(case), reducibility_set(case).parts
+        return abc_constants(case), case
     a, span, spacing = draw(_small), draw(_small), draw(_positive)
-    parts = draw(st.lists(st.builds(Progression, _small, _positive), min_size=1, max_size=3))
-    return ABCConstants(a, a + abs(span), spacing), tuple(parts)
+    return ABCConstants(a, a + abs(span), spacing), None
 
 
 @st.composite
 def _screen_points(draw):
-    """Constants, progressions and a point near their lattices, as Fraction, int or str."""
-    constants, parts = draw(_screens())
+    """Constants, their case and a point near their lattices, as Fraction, int or str."""
+    constants, case = draw(_screens())
     lattices = [(constants.a, constants.c), (constants.b, constants.c)]
-    lattices += [(p.start, p.step) for p in parts]
+    # the closed form's two starts, in z
+    lattices += [(constants.a, Q(1)), (constants.a + constants.c, Q(1))]
     start, step = draw(st.sampled_from(lattices))
     # k < 0 lands below the start; an offset lands off the lattice.
     x = start + draw(st.integers(-4, 12)) * step
     x = draw(st.sampled_from([x, x, x + draw(_small) / 7, draw(_small), Q(0)]))
     form = draw(st.sampled_from(["fraction", "str", "int"]))
     if form == "str":
-        return constants, parts, str(x)
+        return constants, case, str(x)
     if form == "int" and x.denominator == 1:
-        return constants, parts, int(x)
-    return constants, parts, x
+        return constants, case, int(x)
+    return constants, case, x
 
 
 @settings(max_examples=400, deadline=None)
 @given(_screen_points())
 def test_integer_screen_matches_fraction_reference(point):
-    constants, parts, x = point
-    assert abc_verdict(constants, x) == abc_verdict_reference(constants, x)
-    assert ReducibilitySet(None, parts).contains(x) == reducible_reference(parts, x)
-    if not isinstance(x, str):
-        for p in parts:
-            assert p.contains(x) == progression_contains_reference(p, x)
+    constants, case, z = point
+    assert abc_verdict(constants, z) == abc_verdict_reference(constants, z)
+    if case is not None:
+        c = Fraction(z) - constants.b
+        want = reducible_reference(constants, c)
+        for form in [c, str(c)] + [int(c)] * (c.denominator == 1):
+            assert closed_form_reducible(case, form) == want
 
 
 def test_screen_boundaries_match_fraction_reference():
     for case in ADMISSIBLE_CASES:
         constants = abc_constants(case)
-        parts = reducibility_set(case).parts
+        starts = [Q(n, d) for n, d in _closed_form_starts(case)]
         points = [constants.a, constants.b, constants.a - constants.c, constants.b + constants.c]
-        points += [p.start + k * p.step for p in parts for k in (-1, 0, 1)]
+        points += [s + k for s in starts for k in (-1, 0, 1)]
         for x in points + [x + Q(1, 7) for x in points]:
             for form in (x, str(x)):
                 assert abc_verdict(constants, form) == abc_verdict_reference(constants, form)
-                assert closed_form_reducible(case, form) == reducible_reference(parts, form)
+                assert closed_form_reducible(case, form) == reducible_reference(constants, form)
 
 
 def test_progression_summary_bi3():

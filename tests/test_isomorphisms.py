@@ -58,6 +58,15 @@ def test_isomorphic_cases_decide_alike(pair):
     assert reducible
 
 
+AIII_HIGH = [(AIII(p, s - p), AIII(s - p, p)) for s in range(11, 21) for p in range(1, (s + 1) // 2)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pair", AIII_HIGH, ids=[f"{a.label}~{b.label}" for a, b in AIII_HIGH])
+def test_high_rank_aiii_pairs_decide_alike(pair):
+    test_isomorphic_cases_decide_alike(pair)
+
+
 MOVED = [AIII(2, 3), AIII(3, 3)] + [
     HermitianCase(tag, n=n) for tag, n in (("CI", 4), ("BI", 4), ("DI", 4), ("DIII", 5))
 ]

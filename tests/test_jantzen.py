@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SWEEP_CASES, verdict_support
+from conftest import ADMISSIBLE_CASES, SWEEP_CASES, verdict_support
 from reference import simplicity_oracle
-from scalarverma import HermitianCase, build_datum, classify_scalar, closed_form_reducible
+from scalarverma import HermitianCase, abc_constants, build_datum, classify_scalar, closed_form_reducible
 from scalarverma.jantzen import (
     REDUCIBLE,
     ROUTE_EMPTY_SUPPORT,
@@ -186,6 +186,21 @@ def test_random_agreement_with_closed_form():
         c = Fraction(rng.randint(-60, 60), rng.choice([1, 2, 3, 6]))
         v = classify_scalar(case, c)
         assert (v.verdict == REDUCIBLE) == closed_form_reducible(case, c)
+
+
+def test_oracle_matches_closed_form_at_every_admissible_rank():
+    # Every integer and half-integer c from two below the first reduction
+    # point, c = A - B, up to 2: the reducible starts and the walk past them.
+    points = 0
+    for case in ADMISSIBLE_CASES:
+        con = abc_constants(case)
+        datum = build_datum(case)
+        for m in range(int(2 * (con.a - con.b)) - 4, 5):
+            c = Fraction(m, 2)
+            reducible = classify_scalar(datum, c).verdict == REDUCIBLE
+            assert reducible == closed_form_reducible(case, c), (case.label, c)
+            points += 1
+    assert points == 4701
 
 
 def test_verdict_constants():

@@ -2,12 +2,15 @@
 
 `classify_scalar` decides c * zeta in integers through the datum's
 `IntegerView`: `weyl` keeps one record per root, built on its first support
-term, and decides each term by the root's singular levels or by the
-memoized word whose certified interval of levels holds it, with
-`normalize_scaled` as the descent.  `reference.simplicity_oracle`, built
-on `normalize`, is the rational reference.  Every comparison here is
-whole-verdict equality, certificates included, and every InvariantError
-the reference can raise is triggered on both paths.
+term, and decides each term by the root's singular levels, by the
+memoized word whose certified interval of levels holds it, or by a fresh
+descent inside `_line_chamber`, which runs no wall scan of its own.  The
+tests below scan the walls themselves, and compare each served word with
+a fresh descent from a record that holds no entries.
+`reference.simplicity_oracle`, built on `normalize`, is the rational
+reference.  Every comparison here is whole-verdict equality, certificates
+included, and every InvariantError the reference can raise is triggered
+on both paths.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from scalarverma import jantzen, weyl
 from scalarverma.jantzen import ROUTE_EMPTY_SUPPORT, jantzen_support
 from scalarverma.ratvec import add, dot, inner, sub, weight
 from scalarverma.rootdata import scalar_parameter_weight
-from scalarverma.weyl import _line_chamber, normalize, normalize_scaled
+from scalarverma.weyl import _line_chamber, normalize
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
 HIGH_RANK = [HermitianCase("CI", n=8), HermitianCase("DIII", n=10), HermitianCase("AIII", p=5, q=5)]
@@ -118,17 +121,17 @@ def test_drawn_levels_give_nonempty_support():
 
 @pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
 def test_integer_normalizer_matches_normalize(case):
-    datum = build_datum(case)
+    # a replaced datum derives its own view, so its memo starts cold
+    datum = dataclasses.replace(build_datum(case))
     view = datum.integer_view
-    for beta, nil in zip(datum.nilradical_roots, view.nilradical):
-        for k in range(-3, 10):
+    for j, beta in enumerate(datum.nilradical_roots):
+        for k in range(1, 13):
             form = normalize(datum, sub(datum.rho, tuple(k * x for x in beta)))
-            v = tuple(r - k * x for r, x in zip(view.rho, nil.root))
-            rep, word = normalize_scaled(view, v)
-            assert (rep is not None) == form.is_regular, (beta, k)
-            if rep is not None:
-                assert tuple(Fraction(x, view.denom) for x in rep) == form.rep
-                assert len(word) == form.steps
+            for rep, word in (_line_chamber(view, j, k), fresh_descent(view, j, k)):
+                assert (rep is not None) == form.is_regular, (beta, k)
+                if rep is not None:
+                    assert tuple(Fraction(x, view.denom) for x in rep) == form.rep
+                    assert len(word) == form.steps
 
 
 def walls(view, j):
@@ -151,8 +154,20 @@ def line_record(view, j):
     return view.words[j]
 
 
-def term(view, j, k):
-    return tuple(r - k * x for r, x in zip(view.rho, view.nilradical[j].root))
+def fresh_descent(view, j, k):
+    """_line_chamber(view, j, k) from a record of root j that holds no
+    entries, so that a level off the singular ones is descended afresh;
+    the root's record is put back afterwards."""
+    held = view.words.get(j)
+    singular = held[0] if held else weyl._line_record(view, view.nilradical[j].root)[0]
+    view.words[j] = singular, ()
+    try:
+        return _line_chamber(view, j, k)
+    finally:
+        if held is None:
+            del view.words[j]
+        else:
+            view.words[j] = held
 
 
 def test_singular_levels_are_the_wall_hits():
@@ -161,13 +176,13 @@ def test_singular_levels_are_the_wall_hits():
         view = build_datum(case).integer_view
         # R is strictly Levi dominant, so R - k*B meets the wall of A only at
         # k = dot(R, A) / dot(B, A): off the singular levels every term is
-        # regular, and only a tampered datum finds a wall there.
+        # regular, and the descent, which scans no walls, never meets one.
         assert all(dot(view.rho, a) > 0 for a, _ in view.levi_positive), case
         for j in range(len(view.nilradical)):
             singular = line_record(view, j)[0]
             assert singular == {int(w) for w in walls(view, j) if w.denominator == 1}
             for k in range(1, max(singular, default=0) + 41):
-                rep, _ = normalize_scaled(view, term(view, j, k))
+                rep, _ = fresh_descent(view, j, k)
                 assert (k in singular) == (rep is None), (case, j, k)
                 hits += rep is None
     assert hits
@@ -183,8 +198,7 @@ def test_interval_words_match_a_fresh_descent(case):
     for order in (reversed, iter):
         for j in range(len(view.nilradical)):
             for k in order(range(1, int(max(walls(view, j), default=0)) + 3)):
-                v = term(view, j, k)
-                assert _line_chamber(view, j, k) == normalize_scaled(view, v), (j, k)
+                assert _line_chamber(view, j, k) == fresh_descent(view, j, k), (j, k)
             # the root's record holds its entries
             _, entries = view.words[j]
             assert entries, j
@@ -268,33 +282,24 @@ def test_replaced_datum_derives_a_fresh_view():
 # invariant coverage: each reference InvariantError has an integer twin
 
 
-def scaled(datum, mu):
-    return tuple(int(x * datum.integer_view.denom) for x in mu)
-
-
 def test_dropped_wall_root_trips_both_normalizers():
+    # Without the wall of e1 - e2 the singular levels miss its wall hits, so
+    # a term on it meets the wall in the descent, on both paths.
     datum = build_datum(HermitianCase("AIII", p=2, q=2))
-    mu = weight([1, 1, 5, 3])
-    kept = tuple(a for a in datum.levi_positive if inner(mu, a) != 0)
+    wall = weight([1, -1, 0, 0])
+    kept = tuple(a for a in datum.levi_positive if a != wall)
     assert len(kept) == len(datum.levi_positive) - 1
     crippled = dataclasses.replace(datum, levi_positive=kept)
-    message = "wall hit during descent after a clean wall scan"
-    with pytest.raises(InvariantError, match=message):
-        normalize(crippled, mu)
-    with pytest.raises(InvariantError, match=message):
-        normalize_scaled(crippled.integer_view, scaled(crippled, mu))
+    grid = [Fraction(k, 2) for k in range(-24, 25)]
+    assert_paths_agree_and_trip(crippled, grid, "wall hit during descent after a clean wall scan")
 
 
 def test_step_bound_trips_both_normalizers():
-    # with no positive Levi roots listed the bound is 0, yet mu needs a step
+    # with no positive Levi roots listed the bound is 0, yet terms need a step
     datum = build_datum(HermitianCase("AIII", p=2, q=2))
     crippled = dataclasses.replace(datum, levi_positive=())
-    mu = weight([1, 2, 5, 3])
-    message = "chamber descent exceeded the positive-root bound"
-    with pytest.raises(InvariantError, match=message):
-        normalize(crippled, mu)
-    with pytest.raises(InvariantError, match=message):
-        normalize_scaled(crippled.integer_view, scaled(crippled, mu))
+    grid = [Fraction(k, 2) for k in range(-24, 25)]
+    assert_paths_agree_and_trip(crippled, grid, "chamber descent exceeded the positive-root bound")
 
 
 def assert_paths_agree_and_trip(crippled, grid, message):
@@ -363,21 +368,20 @@ def test_certificate_falls_back_where_the_walls_are_incomplete(dropped, monkeypa
     crippled = dataclasses.replace(datum, levi_positive=kept)
     view = crippled.integer_view
 
-    # Count the descents run for a root that already holds an entry.
-    fallbacks, memoized = [0], [False]
-
-    def counted_descent(view, v):
-        fallbacks[0] += memoized[0]
-        return normalize_scaled(view, v)
+    # Count the descents run for a root that already holds an entry: each
+    # one adds an entry or raises.
+    fallbacks = [0]
 
     def line_chamber(view, j, k):
-        memoized[0] = j in view.words and bool(view.words[j][1])
+        held = len(view.words[j][1]) if j in view.words else 0
         try:
-            return _line_chamber(view, j, k)
-        finally:
-            memoized[0] = False
+            out = _line_chamber(view, j, k)
+        except InvariantError:
+            fallbacks[0] += held > 0
+            raise
+        fallbacks[0] += 0 < held < len(view.words[j][1])
+        return out
 
-    monkeypatch.setattr(weyl, "normalize_scaled", counted_descent)
     monkeypatch.setattr(jantzen, "_line_chamber", line_chamber)
     for c in (Fraction(k, 2) for k in range(-40, 41)):
         got = outcome(lambda: classify_scalar(crippled, c))
