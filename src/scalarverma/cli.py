@@ -35,17 +35,8 @@ from .ehw import (
 )
 from .errors import InvariantError
 from .jantzen import REDUCIBLE, classify_scalar
-from .ratvec import Weight, add, format_rational, parse_rational, reflect, scale
-from .rootdata import (
-    CASE_TAGS,
-    HermitianCase,
-    build_datum,
-    case_notes,
-    pattern_string,
-    scalar_parameter_weight,
-    sign_pattern_root,
-)
-from .weyl import theta_pairing
+from .ratvec import Weight, add, format_rational, inner, parse_rational, reflect, scale
+from .rootdata import CASE_TAGS, HermitianCase, build_datum, case_notes, scalar_parameter_weight
 
 # A scan window, or all the windows of one crosscheck together, hold at
 # most this many grid points; the largest benchmark grid, finegrid, has 3,601.
@@ -408,51 +399,37 @@ def cmd_scan(args) -> int:
 # table
 
 
-def _all_patterns(parity: int) -> list[str]:
-    pats = []
-    for m in range(32):
-        v = tuple((m >> k) & 1 for k in range(5))
-        if sum(v) % 2 == parity:
-            pats.append(pattern_string(tuple(1 if x == 0 else -1 for x in v)))
-    pats.sort(key=lambda s: (s.count("-"), tuple(i for i, ch in enumerate(s) if ch == "-")))
-    return pats
-
-
 def _table_rows(table_id: int, a_value: Fraction | None):
+    # Each row is a nilradical root with e6 = -1/2 (EIII) or +1/2 (EVII),
+    # named by the signs of its e1..e5.
+    header = ("pattern", "e1", "e2", "e3", "e4", "e5")
     if table_id in (1, 2):
         # The rows are the support terms of the EIII point at z = 9 or 10.
         case = HermitianCase("EIII")
         z = Fraction(9) if table_id == 1 else Fraction(10)
-        images = {t.beta: t.image for t in classify_scalar(case, z - line_offset(case)).terms}
-        header = ("pattern", "e1", "e2", "e3", "e4", "e5")
-        rows = []
-        for pat in _all_patterns(0):
-            image = images.get(sign_pattern_root(pat, -1))
-            if image is not None:
-                rows.append((pat, image[:5]))
+        terms = classify_scalar(case, z - line_offset(case)).terms
+        rows = [(t.beta, t.image[:5]) for t in terms if t.beta[5] == Fraction(-1, 2)]
         meta = {"case": "EIII", "z": format_rational(z)}
-        return header, rows, meta
-
-    datum = build_datum(HermitianCase("EVII"))
-    lam = scalar_parameter_weight(datum, a_value)
-    mu = add(lam, datum.rho)
-    rows = []
-    if table_id == 3:
-        header = ("pattern", "e6", "e7", "e8", "theta")
-        for pat in _all_patterns(1):
-            beta = sign_pattern_root(pat, 1)
-            image = reflect(mu, beta)
-            rows.append((pat, (image[5], image[6], image[7], theta_pairing(datum, image))))
     else:
-        header = ("pattern", "e1", "e2", "e3", "e4", "e5")
-        for pat in _all_patterns(1):
-            if pat == "-----":
-                continue
-            beta = sign_pattern_root(pat, 1)
-            image = reflect(mu, beta)
-            rows.append((pat, tuple(image[:5])))
-    meta = {"case": "EVII", "a": format_rational(a_value)}
-    return header, rows, meta
+        # Every root reflects rho + a*zeta, a support term or not; table 4
+        # leaves out the root whose e1..e5 are all negative.
+        datum = build_datum(HermitianCase("EVII"))
+        mu = add(scalar_parameter_weight(datum, a_value), datum.rho)
+        rows = []
+        for beta in datum.nilradical_roots:
+            if beta[5] == Fraction(1, 2) and (table_id == 3 or max(beta[:5]) > 0):
+                image = reflect(mu, beta)
+                if table_id == 4:
+                    rows.append((beta, image[:5]))
+                else:
+                    rows.append((beta, (*image[5:], inner(image, datum.theta_u))))
+        if table_id == 3:
+            header = ("pattern", "e6", "e7", "e8", "theta")
+        meta = {"case": "EVII", "a": format_rational(a_value)}
+    named = [("".join("-" if x < 0 else "+" for x in beta[:5]), vals) for beta, vals in rows]
+    # By how many signs are negative, then by where they sit.
+    named.sort(key=lambda row: (row[0].count("-"), [i for i, s in enumerate(row[0]) if s == "-"]))
+    return header, named, meta
 
 
 def cmd_table(args) -> int:

@@ -141,19 +141,19 @@ def progression_summary(
     """Summarize the reducible c-values of a scan as exceptions plus a tail.
 
     The scan must reach strictly past the last first-reduction point in
-    line coordinates and contain at least two reducible values; the tail
-    is the longest constant-gap suffix of the sorted reducible values.
+    line coordinates and contain at least two distinct reducible values;
+    the tail is the longest constant-gap suffix of the sorted distinct
+    reducible values, so a point scanned twice counts once.
     """
     constants = abc_constants(case)
-    offset = line_offset(case)
     if not scan:
         raise InsufficientWindowError(f"{case.label}: empty scan")
-    top = max(c for c, _ in scan)
-    if top + offset <= constants.b:
+    # The last first-reduction point is z = B, which is c = 0.
+    if max(c for c, _ in scan) <= 0:
         raise InsufficientWindowError(
             f"{case.label}: scan must pass z = {format_rational(constants.b)}"
         )
-    reducible = sorted(c for c, verdict in scan if verdict == "Reducible")
+    reducible = sorted({c for c, verdict in scan if verdict == "Reducible"})
     if len(reducible) < 2:
         raise InsufficientWindowError(
             f"{case.label}: need at least two reducible points to infer a tail"

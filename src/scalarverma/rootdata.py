@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvariantError
 from .ratvec import Weight, add, dot, scale, sub, weight
@@ -200,32 +200,6 @@ def build_datum(case: HermitianCase) -> ParabolicRootDatum:
 def scalar_parameter_weight(datum: ParabolicRootDatum, c) -> Weight:
     """The scalar highest weight c * zeta; a float or a bool c raises ValueError."""
     return scale(c, datum.zeta)
-
-
-def sign_pattern_root(pattern: str, sixth_sign: int) -> Weight:
-    """A half-coordinate exceptional root from a five-place sign pattern.
-
-    ``pattern`` gives the signs of e1..e5 as a string over "+-" (U+2212
-    also accepted).  ``sixth_sign`` (+1 or -1) is the sign of e6; e7 and e8
-    always carry -1/2 and +1/2.
-    """
-    signs = parse_pattern(pattern)
-    if sixth_sign not in (1, -1):
-        raise ValueError(f"sixth_sign must be +1 or -1, got {sixth_sign!r}")
-    h = Fraction(1, 2)
-    return tuple([s * h for s in signs] + [sixth_sign * h, -h, h])
-
-
-def parse_pattern(pattern: str) -> tuple[int, ...]:
-    """Normalize a five-place sign pattern to a tuple of +1/-1 signs."""
-    s = pattern.replace("−", "-")
-    if len(s) != 5 or any(ch not in "+-" for ch in s):
-        raise ValueError(f"bad sign pattern {pattern!r}")
-    return tuple(1 if ch == "+" else -1 for ch in s)
-
-
-def pattern_string(signs: Sequence[int]) -> str:
-    return "".join("+" if s > 0 else "-" for s in signs)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 
 from .errors import InvariantError
@@ -204,7 +203,3 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
     view.words[j] = singular, entries[:i] + ((lo, hi, wr, wb, word),) + entries[i:]
     return v, word
 
-
-def theta_pairing(datum: ParabolicRootDatum, mu: Weight) -> Fraction:
-    """Inner product against theta_u: a Levi-orbit invariant of mu."""
-    return inner(mu, datum.theta_u)

@@ -7,11 +7,41 @@ Symbolic entries are (coeff, const) pairs meaning coeff*a + const.
 
 Transcribed once, checked against the library, then frozen.  Tests
 compare computed rows against these literals; any drift is a regression.
+
+Rows are keyed by a five-place sign pattern: the signs of e1..e5 of a
+half-coordinate root.  `sign_pattern_root` rebuilds that root here, apart
+from the library, so a check names its roots independently of the code it
+checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def sign_pattern_root(pattern: str, sixth_sign: int) -> tuple[Fraction, ...]:
+    """The half-coordinate exceptional root named by a five-place sign pattern.
+
+    ``pattern`` gives the signs of e1..e5 as a string over "+-".
+    ``sixth_sign`` (+1 or -1) is the sign of e6; e7 and e8 always carry
+    -1/2 and +1/2.
+    """
+    signs = parse_pattern(pattern)
+    if sixth_sign not in (1, -1):
+        raise ValueError(f"sixth_sign must be +1 or -1, got {sixth_sign!r}")
+    h = Fraction(1, 2)
+    return tuple([s * h for s in signs] + [sixth_sign * h, -h, h])
+
+
+def parse_pattern(pattern: str) -> tuple[int, ...]:
+    """A five-place sign pattern as a tuple of +1/-1 signs."""
+    if len(pattern) != 5 or any(ch not in "+-" for ch in pattern):
+        raise ValueError(f"bad sign pattern {pattern!r}")
+    return tuple(1 if ch == "+" else -1 for ch in pattern)
+
+
+def pattern_string(signs) -> str:
+    return "".join("+" if s > 0 else "-" for s in signs)
 
 
 def q(value: str | int) -> Fraction:

@@ -2,19 +2,26 @@
 
 `simplicity_oracle` decides any scalar weight in `Fraction` arithmetic: the
 support from `jantzen_support`, each image by `reflect`, its chamber by the
-rational `normalize`, and the class sums and witness in its own code.  It
-builds `jantzen`'s result types, so a verdict of the integer path can be
-compared with it whole, certificates included.  It calls nothing of the
-integer path it judges.
+rational `normalize`, and its theta value, class sums and witness in its own
+code.  It builds `jantzen`'s result types, so a verdict of the integer path
+can be compared with it whole, certificates included.  It calls nothing of
+the integer path it judges.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from scalarverma.errors import InvariantError
 from scalarverma.jantzen import JantzenTerm, RepClass, SimplicityVerdict, _decide, jantzen_support
 from scalarverma.ratvec import Weight, add, inner, is_integer, pairing, reflect
 from scalarverma.rootdata import ParabolicRootDatum
-from scalarverma.weyl import normalize, theta_pairing
+from scalarverma.weyl import normalize
+
+
+def theta_pairing(datum: ParabolicRootDatum, mu: Weight) -> Fraction:
+    """Inner product against theta_u: a Levi-orbit invariant of mu."""
+    return inner(mu, datum.theta_u)
 
 
 def simplicity_oracle(datum: ParabolicRootDatum, lam: Weight) -> SimplicityVerdict:

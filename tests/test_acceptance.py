@@ -26,6 +26,8 @@ from conftest import (
     random_weight,
     shadow_normalize,
 )
+from golden_tables import sign_pattern_root
+from reference import theta_pairing
 from scalarverma import (
     HermitianCase,
     abc_constants,
@@ -40,8 +42,8 @@ from scalarverma.cli import main
 from scalarverma.ehw import KNOWN_REDUCIBLE, KNOWN_SIMPLE
 from scalarverma.jantzen import REDUCIBLE, SIMPLE, jantzen_support
 from scalarverma.ratvec import add, inner, pairing, reflect, scale, weight
-from scalarverma.rootdata import scalar_parameter_weight, sign_pattern_root
-from scalarverma.weyl import normalize, theta_pairing
+from scalarverma.rootdata import scalar_parameter_weight
+from scalarverma.weyl import normalize
 
 Q = Fraction
 STEP = Q(1, 6)

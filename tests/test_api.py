@@ -130,6 +130,17 @@ def test_each_decision_has_one_copy():
         assert not hasattr(ehw, name), name
 
 
+def test_tables_read_the_cases_own_roots():
+    # The exceptional tables name each row by the signs of the case's own
+    # nilradical root; the sign-pattern encoder and the rational theta
+    # pairing live in the tests that check them.
+    rootdata = importlib.import_module("scalarverma.rootdata")
+    for name in ("sign_pattern_root", "parse_pattern", "pattern_string"):
+        assert not hasattr(rootdata, name), name
+    assert not hasattr(importlib.import_module("scalarverma.weyl"), "theta_pairing")
+    assert not hasattr(importlib.import_module("scalarverma.cli"), "_all_patterns")
+
+
 def test_package_root_exports_the_decision_procedure():
     # The rational pieces the tests and the benchmark's tracer use stay in
     # their modules, out of the package root.

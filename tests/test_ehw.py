@@ -372,6 +372,19 @@ def test_progression_summary_eiii():
     assert summary.tail_start == Q(-3) and summary.tail_step == Q(1)
 
 
+@pytest.mark.parametrize("case,lo,hi,step", [
+    (HermitianCase("BI", n=3), Q(-4), Q(8), Q(1, 2)),
+    (HermitianCase("CI", n=2), Q(-3), Q(6), Q(1, 2)),
+    (HermitianCase("EIII"), Q(-5), Q(3), Q(1)),
+], ids=["BI(3)", "CI(2)", "EIII"])
+def test_progression_summary_counts_a_repeated_point_once(case, lo, hi, step):
+    scan = _scan(case, lo, hi, step)
+    clean = progression_summary(case, scan)
+    assert clean.tail_step > 0
+    for repeated in (scan + [scan[-1]], scan + scan[::-1]):
+        assert progression_summary(case, repeated) == clean
+
+
 def test_progression_summary_window_guards():
     case = HermitianCase("CI", n=2)
     # window stops inside the decided strip: refuse to extrapolate

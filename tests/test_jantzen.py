@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import ADMISSIBLE_CASES, SWEEP_CASES, verdict_support
-from reference import simplicity_oracle
+from golden_tables import sign_pattern_root
+from reference import simplicity_oracle, theta_pairing
 from scalarverma import HermitianCase, abc_constants, build_datum, classify_scalar, closed_form_reducible
 from scalarverma.jantzen import (
     REDUCIBLE,
@@ -19,8 +20,7 @@ from scalarverma.jantzen import (
     jantzen_support,
 )
 from scalarverma.ratvec import add, pairing, reflect, scale, weight
-from scalarverma.rootdata import scalar_parameter_weight, sign_pattern_root
-from scalarverma.weyl import theta_pairing
+from scalarverma.rootdata import scalar_parameter_weight
 
 
 def oracle(case: HermitianCase, c) -> "SimplicityVerdict":

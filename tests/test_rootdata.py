@@ -10,17 +10,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import ADMISSIBLE_CASES, SWEEP_CASES
+from golden_tables import parse_pattern, pattern_string, sign_pattern_root
 from scalarverma import HermitianCase, InvariantError, build_datum, rootdata
 from scalarverma.cli import main
 from scalarverma.ratvec import add, inner, pairing, reflect, scale, weight
-from scalarverma.rootdata import (
-    CASE_TAGS,
-    case_notes,
-    parse_pattern,
-    pattern_string,
-    scalar_parameter_weight,
-    sign_pattern_root,
-)
+from scalarverma.rootdata import CASE_TAGS, case_notes, scalar_parameter_weight
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
 
@@ -389,15 +383,6 @@ def test_classical_distinguished_weights(case):
     assert d.zeta == zeta
 
 
-def test_sign_pattern_roots():
-    beta = sign_pattern_root("-++++", 1)
-    assert beta == scale(Fraction(1, 2), weight([-1, 1, 1, 1, 1, 1, -1, 1]))
-    beta = sign_pattern_root("--+++", -1)
-    assert beta == scale(Fraction(1, 2), weight([-1, -1, 1, 1, 1, -1, -1, 1]))
-    # unicode minus accepted
-    assert sign_pattern_root("−++++", 1) == sign_pattern_root("-++++", 1)
-
-
 def test_pattern_roundtrip():
     for pat in ("+++++", "-+-+-", "-----"):
         assert pattern_string(parse_pattern(pat)) == pat
@@ -408,13 +393,13 @@ def test_pattern_roundtrip():
 
 
 def test_sign_pattern_roots_live_in_expected_sets(eiii, evii):
-    # even minus-count with minus sixth coordinate: EIII nilradical
-    even_pats = [p for p in map(pattern_string, _all_parities(0))]
-    for pat in even_pats:
-        assert sign_pattern_root(pat, -1) in eiii.nilradical_roots
-    odd_pats = [p for p in map(pattern_string, _all_parities(1))]
-    for pat in odd_pats:
-        assert sign_pattern_root(pat, 1) in evii.nilradical_roots
+    # The 16 patterns with an even minus-count, with e6 = -1/2, are exactly
+    # EIII's nilradical roots with e6 = -1/2; the 16 odd ones, with
+    # e6 = +1/2, are EVII's with e6 = +1/2.
+    for datum, parity, sixth in ((eiii, 0, -1), (evii, 1, 1)):
+        roots = {sign_pattern_root(pattern_string(s), sixth) for s in _all_parities(parity)}
+        assert len(roots) == 16
+        assert roots == {b for b in datum.nilradical_roots if b[5] == Fraction(sixth, 2)}
 
 
 def _all_parities(parity):

@@ -72,7 +72,13 @@ def test_acceptance_lattice_matches_reference(case):
         assert classify_scalar(datum, c) == reference(datum, c), c
 
 
-@pytest.mark.parametrize("case", HIGH_RANK, ids=[c.label for c in HIGH_RANK])
+# DIII(10) takes about 10 s, nearly all of it in the rational reference, so
+# it runs under -m slow; its verdicts stay in tier-1 through
+# test_oracle_matches_closed_form_at_every_admissible_rank.
+@pytest.mark.parametrize("case", [
+    pytest.param(case, id=case.label, marks=[pytest.mark.slow] if case.label == "DIII(10)" else [])
+    for case in HIGH_RANK
+])
 def test_high_rank_windows_match_reference(case):
     datum = build_datum(case)
     nonempty = 0

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 
 import golden_tables as G
+from golden_tables import sign_pattern_root
+from reference import theta_pairing
 from scalarverma import HermitianCase, build_datum, line_offset
 from scalarverma.cli import _table_rows
 from scalarverma.jantzen import jantzen_support
 from scalarverma.ratvec import add, reflect
-from scalarverma.rootdata import scalar_parameter_weight, sign_pattern_root
-from scalarverma.weyl import normalize, theta_pairing
+from scalarverma.rootdata import scalar_parameter_weight
+from scalarverma.weyl import normalize
 
 Q = Fraction
 

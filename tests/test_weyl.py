@@ -17,9 +17,10 @@ from conftest import (
     random_weight,
     shadow_normalize,
 )
+from reference import theta_pairing
 from scalarverma import HermitianCase, InvariantError, build_datum
 from scalarverma.ratvec import inner, pairing, reflect, weight
-from scalarverma.weyl import normalize, theta_pairing
+from scalarverma.weyl import normalize
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
 
