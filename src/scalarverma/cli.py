@@ -5,6 +5,13 @@ fixed lattice), table (the four exceptional-case reference tables),
 crosscheck (oracle vs. closed-form sets and the first-reduction screen),
 datum-dump (the full root datum as JSON).
 
+scan and crosscheck decide their grid root by root, through
+jantzen.ScalarGrid, in blocks whose rows are written before the next block
+is decided; classify decides its one point by classify_scalar.  A grid's
+points are counted before any datum is built, and its support terms before
+any point is decided: past MAX_GRID_POINTS or MAX_SUPPORT_TERMS the command
+exits 1.
+
 Exit codes: 0 success, 1 usage error, 2 computational disagreement,
 3 internal invariant violation.  All output is deterministic: fixed
 orderings, exact rationals, no timestamps.  JSON is written by _dumps, in
@@ -29,18 +36,26 @@ from .ehw import (
     KNOWN_REDUCIBLE,
     KNOWN_SIMPLE,
     abc_constants,
-    abc_verdict,
-    closed_form_reducible,
+    abc_verdict_ratio,
+    closed_form_reducible_ratio,
     line_offset,
 )
 from .errors import InvariantError
-from .jantzen import REDUCIBLE, classify_scalar
+from .jantzen import REDUCIBLE, ScalarGrid, classify_scalar
 from .ratvec import Weight, add, format_rational, inner, parse_rational, reflect, scale
 from .rootdata import CASE_TAGS, HermitianCase, build_datum, case_notes, scalar_parameter_weight
 
 # A scan window, or all the windows of one crosscheck together, hold at
 # most this many grid points; the largest benchmark grid, finegrid, has 3,601.
 MAX_GRID_POINTS = 100_000
+# ... and at most this many support terms, counted before any is decided.
+MAX_SUPPORT_TERMS = 1_000_000
+# A block of grid points, decided at once, holds at most GRID_BLOCK points
+# and, unless it is one point, BLOCK_TERMS support terms.  Its rows are
+# written before the next block is decided, so memory stays flat however
+# long the window and however full the support.
+GRID_BLOCK = 4096
+BLOCK_TERMS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,19 +215,25 @@ def _parse_window(text: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _grids(windows: list[tuple[Fraction, Fraction]], step: Fraction) -> list[range]:
-    """For each window lo..hi, the k whose grid points k * step lie in it.
+def _grids(cases: list[HermitianCase], windows: list[tuple[Fraction, Fraction]], step: Fraction):
+    """For each case and its window lo..hi, the m whose grid points m * step lie
+    in it, with the case's `ScalarGrid`.
 
-    The windows' points are counted together, before any is decided.
+    The points of all the windows are counted together before any datum is
+    built, and their support terms together before any point is decided.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     grids = [range(math.ceil(lo / step), math.floor(hi / step) + 1) for lo, hi in windows]
     # stop - start, as len() overflows past sys.maxsize points
-    points = sum(ks.stop - ks.start for ks in grids)
+    points = sum(ms.stop - ms.start for ms in grids)
     if points > MAX_GRID_POINTS:
         raise ValueError(f"{points} grid points requested, over {MAX_GRID_POINTS}")
-    return grids
+    lines = [ScalarGrid(build_datum(case), step) for case in cases]
+    terms = sum(line.terms(ms) for line, ms in zip(lines, grids))
+    if terms > MAX_SUPPORT_TERMS:
+        raise ValueError(f"{terms} support terms requested, over {MAX_SUPPORT_TERMS}")
+    return list(zip(grids, lines))
 
 
 # ---------------------------------------------------------------------------
@@ -340,33 +361,67 @@ def _w_pretty_from(strs: list[str]) -> str:
 # scan
 
 
-def _scan_row(case: HermitianCase, datum, constants, c: Fraction) -> dict:
-    verdict = classify_scalar(datum, c)
-    # constants.b is the line offset <rho, gamma^v>
-    z = c + constants.b
-    closed_form = closed_form_reducible(case, c)
-    return {
-        "case": case.label,
-        "c": c,
-        "z": z,
-        "verdict": verdict.verdict,
-        "route": verdict.route,
-        "abc_screen": abc_verdict(constants, z),
-        "closed_form": closed_form,
-        "agree": (verdict.verdict == REDUCIBLE) == closed_form,
-    }
+# The fields of a scan row, in order.
+ROW_FIELDS = ("case", "c", "z", "verdict", "route", "abc_screen", "closed_form", "agree")
+
+
+def _grid_rows(case: HermitianCase, ms: range, line: ScalarGrid):
+    """The rows of the grid points m * step, m in ms, one list per block of `_blocks`.
+
+    A row is (c, z, verdict, route, abc_screen, closed_form, agree), every
+    field a string as the TSV writes it: c and z as format_rational
+    renders them, closed_form and agree as "true" or "false".  The verdict
+    and route come from the grid decision, and the closed form and the
+    screen from their own per-point tests, so agree compares the Jantzen
+    verdict with an independent one.
+    """
+    constants = abc_constants(case)
+    # z = c + B, for B = constants.b the line offset <rho, gamma^v>
+    bn, bd = constants.b.numerator, constants.b.denominator
+    s, t = line.step.numerator, line.step.denominator
+    for block in _blocks(ms, line):
+        rows = []
+        for m, (verdict, route) in zip(block, line.decide(block)):
+            # c = m*s/t, with gcd(s, t) = 1
+            g = math.gcd(m, t)
+            n, d = m * s // g, t // g
+            zn, zd = n * bd + bn * d, d * bd
+            g = math.gcd(zn, zd)
+            zn, zd = zn // g, zd // g
+            closed_form = closed_form_reducible_ratio(case, n, d)
+            rows.append((
+                f"{n}/{d}" if d != 1 else f"{n}",
+                f"{zn}/{zd}" if zd != 1 else f"{zn}",
+                verdict,
+                route,
+                abc_verdict_ratio(constants, zn, zd),
+                "true" if closed_form else "false",
+                "true" if (verdict == REDUCIBLE) == closed_form else "false",
+            ))
+        yield rows
+
+
+def _blocks(ms: range, line: ScalarGrid):
+    """ms cut into consecutive blocks, each within GRID_BLOCK and BLOCK_TERMS.
+
+    Each block starts from twice the last block's size, so a run of full
+    supports counts its terms about twice a block, not once per halving.
+    """
+    lo, size = ms.start, GRID_BLOCK
+    while lo < ms.stop:
+        size = min(2 * size, GRID_BLOCK, ms.stop - lo)
+        while size > 1 and line.terms(range(lo, lo + size)) > BLOCK_TERMS:
+            size //= 2
+        yield range(lo, lo + size)
+        lo += size
 
 
 def cmd_scan(args) -> int:
     [case] = _cases(args)
     lo, hi = _parse_window(args.window)
     step = parse_rational(args.step)
-    [ks] = _grids([(lo, hi)], step)
-    grid = [k * step for k in ks]
-    datum = build_datum(case)
-    constants = abc_constants(case)
-    rows = (_scan_row(case, datum, constants, c) for c in grid)
-    # Each row is printed as soon as it is decided.
+    [(ms, line)] = _grids([case], [(lo, hi)], step)
+    # Each block's rows are printed before the next block is decided.
     if args.format == "json":
         head = {
             "case": _case_json(case),
@@ -375,23 +430,24 @@ def cmd_scan(args) -> int:
             "step": format_rational(step),
         }
         # The bytes of _dumps(payload) for payload = {**head, "rows": rows},
-        # written one member and one row at a time.
+        # written one member and one block of rows at a time; each row is
+        # _dumps(row, "    ") with the label encoded once.
         members = "".join(f"\n  {_dumps(k)}: {_dumps(v, '  ')}," for k, v in head.items())
         print("{" + members + '\n  "rows": [', end="")
-        sep = "\n    "
-        for r in rows:
-            row = {**r, "c": format_rational(r["c"]), "z": format_rational(r["z"])}
-            print(sep + _dumps(row, "    "), end="")
-            sep = ",\n    "
-        print("\n  ]\n}" if grid else "]\n}")
+        values = (_dumps(case.label),) + ('"%s"',) * 5 + ("%s",) * 2
+        template = "\n    {\n      " + ",\n      ".join(
+            f"{_dumps(k)}: {v}" for k, v in zip(ROW_FIELDS, values)
+        ) + "\n    }"
+        sep = ""
+        for rows in _grid_rows(case, ms, line):
+            print(sep + ",".join([template % row for row in rows]), end="")
+            sep = ","
+        print("\n  ]\n}" if ms else "]\n}")
         return 0
-    print("case\tc\tz\tverdict\troute\tabc_screen\tclosed_form\tagree")
-    for r in rows:
-        print(
-            f"{r['case']}\t{format_rational(r['c'])}\t{format_rational(r['z'])}"
-            f"\t{r['verdict']}\t{r['route']}\t{r['abc_screen']}"
-            f"\t{str(r['closed_form']).lower()}\t{str(r['agree']).lower()}"
-        )
+    print("\t".join(ROW_FIELDS))
+    template = case.label + "\t%s" * 7
+    for rows in _grid_rows(case, ms, line):
+        print("\n".join([template % row for row in rows]))
     return 0
 
 
@@ -478,22 +534,21 @@ def cmd_table(args) -> int:
 # crosscheck
 
 
-def _crosscheck_instance(case: HermitianCase, window, ks: range, step: Fraction) -> dict:
+def _crosscheck_instance(case: HermitianCase, window, ms: range, line: ScalarGrid) -> dict:
     """Counts, mismatches and contradictions of one case; other rows are dropped."""
-    datum = build_datum(case)
-    constants = abc_constants(case)
     points = reducible = 0
     mismatches, contradictions = [], []
-    for k in ks:
-        r = _scan_row(case, datum, constants, k * step)
-        points += 1
-        reducible += r["verdict"] == REDUCIBLE
-        if not r["agree"]:
-            mismatches.append(r)
-        if (r["abc_screen"] == KNOWN_SIMPLE and r["verdict"] == REDUCIBLE) or (
-            r["abc_screen"] == KNOWN_REDUCIBLE and r["verdict"] != REDUCIBLE
-        ):
-            contradictions.append(r)
+    for rows in _grid_rows(case, ms, line):
+        points += len(rows)
+        for row in rows:
+            _, _, verdict, _, screen, _, agree = row
+            reducible += verdict == REDUCIBLE
+            if agree == "false":
+                mismatches.append(row)
+            if (screen == KNOWN_SIMPLE and verdict == REDUCIBLE) or (
+                screen == KNOWN_REDUCIBLE and verdict != REDUCIBLE
+            ):
+                contradictions.append(row)
     return {
         "case": case,
         "window": window,
@@ -512,9 +567,10 @@ def cmd_crosscheck(args) -> int:
     else:
         windows = [_parse_window(args.window)] * len(cases)
     step = parse_rational(args.step)
-    grids = _grids(windows, step)
+    grids = _grids(cases, windows, step)
     results = [
-        _crosscheck_instance(case, w, ks, step) for case, w, ks in zip(cases, windows, grids)
+        _crosscheck_instance(case, w, ms, line)
+        for case, w, (ms, line) in zip(cases, windows, grids)
     ]
     ok = all(not r["mismatches"] and not r["contradictions"] for r in results)
 
@@ -529,10 +585,8 @@ def cmd_crosscheck(args) -> int:
                     "step": format_rational(step),
                     "points": r["points"],
                     "reducible": r["reducible"],
-                    "mismatches": [format_rational(x["c"]) for x in r["mismatches"]],
-                    "contradictions": [
-                        format_rational(x["c"]) for x in r["contradictions"]
-                    ],
+                    "mismatches": [x[0] for x in r["mismatches"]],
+                    "contradictions": [x[0] for x in r["contradictions"]],
                 }
                 for r in results
             ],
@@ -549,16 +603,10 @@ def cmd_crosscheck(args) -> int:
             f" mismatches={len(r['mismatches'])}"
             f" contradictions={len(r['contradictions'])}"
         )
-        for x in r["mismatches"]:
-            print(
-                f"  MISMATCH c={format_rational(x['c'])}: oracle {x['verdict']}"
-                f" vs closed form {str(x['closed_form']).lower()}"
-            )
-        for x in r["contradictions"]:
-            print(
-                f"  CONTRADICTION c={format_rational(x['c'])}: oracle {x['verdict']}"
-                f" vs screen {x['abc_screen']}"
-            )
+        for c, _, verdict, _, _, closed_form, _ in r["mismatches"]:
+            print(f"  MISMATCH c={c}: oracle {verdict} vs closed form {closed_form}")
+        for c, _, verdict, _, screen, _, _ in r["contradictions"]:
+            print(f"  CONTRADICTION c={c}: oracle {verdict} vs screen {screen}")
     total = sum(r["points"] for r in results)
     print(f"crosscheck: {'PASS' if ok else 'FAIL'} ({len(results)} instances, {total} points)")
     return 0 if ok else 2

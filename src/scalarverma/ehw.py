@@ -99,14 +99,19 @@ def abc_constants(case: HermitianCase) -> ABCConstants:
 def abc_verdict(constants: ABCConstants, z) -> str:
     """What the first-reduction constants alone say about line coordinate z."""
     x = rational(z)
+    return abc_verdict_ratio(constants, x.numerator, x.denominator)
+
+
+def abc_verdict_ratio(constants: ABCConstants, num: int, den: int) -> str:
+    """`abc_verdict` at z = num / den, for integers num and den > 0."""
     a, b, c = constants.a, constants.b, constants.c
-    # z - a = gap / (x.denominator * a.denominator), in integers.
-    gap = x.numerator * a.denominator - a.numerator * x.denominator
+    # z - a = gap / (den * a.denominator), in integers.
+    gap = num * a.denominator - a.numerator * den
     if gap < 0:
         return KNOWN_SIMPLE
     if (
-        x.numerator * b.denominator <= b.numerator * x.denominator
-        and gap * c.denominator % (x.denominator * a.denominator * c.numerator) == 0
+        num * b.denominator <= b.numerator * den
+        and gap * c.denominator % (den * a.denominator * c.numerator) == 0
     ):
         return KNOWN_REDUCIBLE
     return INDETERMINATE
@@ -129,10 +134,17 @@ def closed_form_reducible(case: HermitianCase, c) -> bool:
     starts s = A - B and A - B + C.
     """
     x = rational(c)
-    n, d = x.numerator, x.denominator
+    return closed_form_reducible_ratio(case, x.numerator, x.denominator)
+
+
+def closed_form_reducible_ratio(case: HermitianCase, num: int, den: int) -> bool:
+    """`closed_form_reducible` at c = num / den, in lowest terms with den > 0."""
     # c - s is an integer exactly when c and s, both in lowest terms, share
     # their denominator and their numerators are congruent modulo it.
-    return any(d == sd and n >= sn and (n - sn) % d == 0 for sn, sd in _closed_form_starts(case))
+    for sn, sd in _closed_form_starts(case):
+        if den == sd and num >= sn and (num - sn) % den == 0:
+            return True
+    return False
 
 
 def progression_summary(

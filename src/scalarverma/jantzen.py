@@ -28,6 +28,16 @@ route never builds a Fraction weight.  The same criterion in rational
 arithmetic, on any scalar weight, lives with the tests as the reference
 this path is checked against.
 
+`ScalarGrid` decides a whole grid c = m * step the other way round, root
+by root.  A root's level is affine in c, so the grid points at which it is
+a positive integer form one arithmetic progression in m, found by one
+congruence; the grid's support terms are counted from those progressions
+before any is decided.  Walking each progression, it hands `weyl` the same
+(root, level) pairs as `classify_scalar` would point by point, and keeps
+the same class sums and theta check per visited point; a point no
+progression visits is Simple by the empty-support route, at no cost per
+root.  It decides the verdict and route only.
+
 Only exact rational parameters are accepted: a float or a bool raises
 ValueError.  A parameter with irrational or non-real scalar part would make
 every support pairing miss the positive integers, so such modules are
@@ -36,6 +46,7 @@ simple for the same reason the empty-support route is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -131,6 +142,29 @@ def _decide(has_terms: bool, survives: bool) -> tuple[str, str]:
     return SIMPLE, ROUTE_SUM_CANCELS
 
 
+_THETA_SPLIT = "one chamber class carries two theta values"
+
+
+def _tally(classes: dict[IntVector, list[int]], rep: IntVector, steps: int, theta: int) -> bool:
+    """Add a regular term, of word length `steps`, to its class's [net sign, theta value].
+
+    `classes` is keyed by the scaled representative.  theta_u pairs with
+    c*zeta alike in every term, so the c-free part `theta` stands for the
+    term's theta value.  Returns True when the class already held another.
+    """
+    sign = -1 if steps & 1 else 1
+    held = classes.get(rep)
+    if held is None:
+        classes[rep] = [sign, theta]
+        return False
+    held[0] += sign
+    return held[1] != theta
+
+
+def _survives(classes: dict[IntVector, list[int]]) -> bool:
+    return any(net for net, _ in classes.values())
+
+
 def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     """Decide the scalar weight c * zeta of a case.
 
@@ -150,9 +184,7 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     view = datum.integer_view
     n, d = c.numerator, c.denominator
     records = []
-    # net sign and theta value per class, keyed by its scaled representative
-    nets: dict[IntVector, int] = {}
-    thetas: dict[IntVector, int] = {}
+    classes: dict[IntVector, list[int]] = {}
     split = False
     for j, nil in enumerate(view.nilradical):
         # k = (a + c*b) / norm, a positive integer on the support
@@ -163,17 +195,12 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
         rep, word = _line_chamber(view, j, k)
         records.append((j, k, rep, len(word)))
         if rep is not None:
-            # theta_u pairs with c*zeta alike in every term, so comparing
-            # the c-free parts compares the theta values.
-            theta = view.theta_rho - k * nil.theta_root
-            if thetas.setdefault(rep, theta) != theta:
-                split = True
-            nets[rep] = nets.get(rep, 0) + (-1 if len(word) & 1 else 1)
+            split |= _tally(classes, rep, len(word), view.theta_rho - k * nil.theta_root)
     # Raised once every term has passed its own checks, as the rational
     # reference raises it.
     if split:
-        raise InvariantError("one chamber class carries two theta values")
-    verdict, route = _decide(bool(records), any(nets.values()))
+        raise InvariantError(_THETA_SPLIT)
+    verdict, route = _decide(bool(records), _survives(classes))
 
     def unscaled():
         # The terms, built from the records; no descent runs again.  Over
@@ -215,3 +242,81 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
         return tuple(terms), certificate, witness
 
     return SimplicityVerdict(verdict, route, unscaled)
+
+
+class ScalarGrid:
+    """The scalar line of one datum on the grid c = m * step, decided root by root.
+
+    Root beta's level at grid point m is k = (a*t + m*s*b) / (t*norm), for
+    step = s/t in lowest terms and the root's scaled numbers a, b and norm.
+    It is a positive integer exactly when (s*b)*m = -a*t modulo t*norm and
+    m > -a*t / (s*b), with b > 0 because zeta is positive on the nilradical.
+    So beta's support points are one arithmetic progression in m, whose
+    first point and period are found once, by one congruence; along it the
+    level rises by a fixed step.  A window's support terms are counted
+    without deciding any, and a point that no progression visits is Simple
+    by the empty support, with no per-root work.
+    """
+
+    def __init__(self, datum: ParabolicRootDatum, step):
+        step = rational(step)
+        if step <= 0:
+            raise ValueError("step must be positive")
+        self.step = step
+        s, t = step.numerator, step.denominator
+        self.view = view = datum.integer_view
+        # (j, first m, period, level at the first m, level step) per root
+        progressions = []
+        for j, nil in enumerate(view.nilradical):
+            slope, modulus = s * nil.b, t * nil.norm
+            g = math.gcd(slope, modulus)
+            if nil.a * t % g:
+                continue
+            period = modulus // g
+            residue = -nil.a * t // g * pow(slope // g, -1, period) % period
+            low = -nil.a * t // slope + 1
+            first = low + (residue - low) % period
+            level = (nil.a * t + first * slope) // modulus
+            progressions.append((j, first, period, level, slope // g))
+        self._progressions = tuple(progressions)
+
+    def _walks(self, ms: range):
+        """Per root: (j, index in ms of its first point there, period, its level, level step)."""
+        for j, first, period, level, rise in self._progressions:
+            # the progression's first point at or after ms.start
+            skip = max(0, -((first - ms.start) // period))
+            yield j, first + skip * period - ms.start, period, level + skip * rise, rise
+
+    def terms(self, ms: range) -> int:
+        """The number of support terms over the grid points m * step, m in ms."""
+        size = ms.stop - ms.start
+        walks = self._walks(ms)
+        return sum((size - 1 - i) // period + 1 for _, i, period, _, _ in walks if i < size)
+
+    def decide(self, ms: range) -> list[tuple[str, str]]:
+        """(verdict, route) of each grid point m * step, m in ms, in order.
+
+        The same verdict and route as `classify_scalar` at each point, from
+        the same terms, class sums and theta check; InvariantError is raised
+        once every term of the range has been decided.
+        """
+        view = self.view
+        # per visited point, by its index in ms: its classes' [net sign, theta value]
+        points: dict[int, dict[IntVector, list[int]]] = {}
+        split = False
+        for j, start, period, k, rise in self._walks(ms):
+            theta_root = view.nilradical[j].theta_root
+            for i in range(start, len(ms), period):
+                rep, word = _line_chamber(view, j, k)
+                classes = points.get(i)
+                if classes is None:
+                    classes = points[i] = {}
+                if rep is not None:
+                    split |= _tally(classes, rep, len(word), view.theta_rho - k * theta_root)
+                k += rise
+        if split:
+            raise InvariantError(_THETA_SPLIT)
+        out = [(SIMPLE, ROUTE_EMPTY_SUPPORT)] * len(ms)
+        for i, classes in points.items():
+            out[i] = _decide(True, _survives(classes))
+        return out

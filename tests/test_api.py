@@ -171,3 +171,6 @@ def test_tracer_hooks_resolve():
     for module, attr in hooks["SPANNED"] + hooks["COUNTED"]:
         fn = getattr(importlib.import_module(f"scalarverma.{module}"), attr, None)
         assert callable(fn), f"{module}.{attr}"
+        # The tracer files a span under the module it names, so the
+        # function must be that module's own, not a name it imported.
+        assert fn.__module__ == f"scalarverma.{module}", f"{module}.{attr}"

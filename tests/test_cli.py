@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import scalarverma
 from conftest import ADMISSIBLE_CASES, SWEEP_CASES
-from scalarverma import InvariantError, build_datum
+from scalarverma import HermitianCase, InvariantError, build_datum
 from scalarverma import cli, ehw, jantzen
 from scalarverma.cli import main
-from scalarverma.ratvec import format_rational
+from scalarverma.ratvec import format_rational, weight
 from scalarverma.rootdata import scalar_parameter_weight
 
 Q = Fraction
@@ -196,24 +197,32 @@ def test_scan_json_is_one_indented_document(capsys, window):
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
 def test_scan_prints_each_row_as_decided(capsys, monkeypatch, fmt):
+    # With blocks of two points, the rows of each block are out before the
+    # next block is decided, and the bytes are those of one whole block.
+    argv = ["scan", "--case", "CI", "--n", "2", "--window", "-1..1", "--step", "1/2",
+            "--format", fmt]
+    code, whole, _ = run_cli(capsys, *argv)
+    assert code == 0
     printed = []
-    decide = cli.classify_scalar
+    decide = jantzen.ScalarGrid.decide
 
-    def snapshot_then_decide(datum, c):
+    def snapshot_then_decide(self, ms):
         printed.append(capsys.readouterr().out)
-        return decide(datum, c)
+        return decide(self, ms)
 
-    monkeypatch.setattr(cli, "classify_scalar", snapshot_then_decide)
-    argv = ["scan", "--case", "CI", "--n", "2", "--window", "-1..1", "--step", "1/2"]
-    assert main(argv + ["--format", fmt]) == 0
+    monkeypatch.setattr(cli, "GRID_BLOCK", 2)
+    monkeypatch.setattr(jantzen.ScalarGrid, "decide", snapshot_then_decide)
+    assert main(argv) == 0
     full = "".join(printed) + capsys.readouterr().out
-    before_second = "".join(printed[:2])
-    assert full.startswith(before_second)
-    if fmt == "tsv":
-        assert before_second.splitlines() == full.splitlines()[:2]
-    else:
-        head = json.loads(before_second + "\n  ]\n}")
-        assert head["label"] == "CI(2)" and [r["c"] for r in head["rows"]] == ["-1"]
+    assert full == whole and len(printed) == 3
+    for blocks, c in [(1, "-1/2"), (2, "1/2")]:
+        before = "".join(printed[: blocks + 1])
+        if fmt == "tsv":
+            assert before.splitlines() == whole.splitlines()[: 2 * blocks + 1]
+        else:
+            head = json.loads(before + "\n  ]\n}")
+            assert head["label"] == "CI(2)" and head["rows"][-1]["c"] == c
+            assert len(head["rows"]) == 2 * blocks
 
 
 def test_table_formats(capsys):
@@ -294,7 +303,7 @@ def test_crosscheck_disagreement_exits_2(capsys, monkeypatch, fmt):
     import scalarverma.cli as cli_mod
 
     # a constant-False stand-in disagrees on every reducible point
-    monkeypatch.setattr(cli_mod, "closed_form_reducible", lambda case, c: False)
+    monkeypatch.setattr(cli_mod, "closed_form_reducible_ratio", lambda case, num, den: False)
     code, out, _ = run_cli(capsys, "crosscheck", "--case", "CI", "--n", "2",
                            "--window", "-1..1", "--step", "1/2", "--format", fmt)
     assert code == 2
@@ -369,6 +378,27 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "classify", "--case", "EIII", "--c", "-2")
     assert code == 3
     assert "invariant" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--case", "BI", "--n", "3", "--window", "-6..3", "--step", "1/2"],
+    ["crosscheck", "--case", "BI", "--n", "2..3", "--format", "json"],
+], ids=["scan", "crosscheck"])
+def test_grid_invariant_violation_exits_3(capsys, monkeypatch, argv):
+    # BI(3) at c = -1 holds a two-member class, which a theta_u that is not
+    # Levi fixed splits; the grid decision's theta check raises.
+    build = cli.build_datum
+
+    def crippled(case):
+        datum = build(case)
+        if case.label != "BI(3)":
+            return datum
+        return dataclasses.replace(datum, theta_u=weight([0, 1, 0]))
+
+    monkeypatch.setattr(cli, "build_datum", crippled)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert "invariant" in err.lower() and "two theta values" in err
 
 
 def test_datum_dump_keys(capsys):
@@ -495,6 +525,33 @@ def test_output_bytes_pinned(capsys):
         if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != digest:
             changed.append(line)
     assert changed == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--case", "CI", "--n", "20", "--window", "0..99999/2", "--step", "1/2"],
+     "20000000 support terms requested, over 1000000"),
+    # each case alone is within the budget, the family is not
+    (["crosscheck", "--case", "CI", "--n", "18..20", "--window", "0..1500", "--step", "1/2"],
+     "1628071 support terms requested, over 1000000"),
+], ids=["scan", "crosscheck-family"])
+def test_support_terms_are_counted_before_any_point_is_decided(capsys, monkeypatch, argv, message):
+    def decide(self, ms):
+        raise AssertionError("a point was decided before the terms were counted")
+
+    monkeypatch.setattr(jantzen.ScalarGrid, "decide", decide)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_term_budget_admits_the_readme_grid():
+    # README's 100,000-point CI(20) scan, and each case of the family above
+    case = HermitianCase("CI", n=20)
+    [(ms, line)] = cli._grids([case], [(Q(-50), Q(49999, 1000))], Q(1, 1000))
+    assert len(ms) == 100_000 and line.terms(ms) == 23_990
+    for n in (18, 19, 20):
+        [(ms, line)] = cli._grids([HermitianCase("CI", n=n)], [(Q(0), Q(1500))], Q(1, 2))
+        assert line.terms(ms) <= cli.MAX_SUPPORT_TERMS
 
 
 def test_scan_checks_its_grid_before_building_the_datum(capsys, monkeypatch):

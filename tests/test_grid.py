@@ -1,0 +1,187 @@
+"""The root-major grid decision against the per-point oracle.
+
+`jantzen.ScalarGrid` decides the grid c = m * step one nilradical root at a
+time, by the arithmetic progression of m at which the root's level is a
+positive integer.  Each test here holds it to `classify_scalar`, which
+tests every root at each point, or holds `scan`'s block writer to a
+per-point writer kept below.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from fractions import Fraction
+
+import pytest
+
+from conftest import ADMISSIBLE_CASES
+from scalarverma import (
+    HermitianCase,
+    abc_constants,
+    abc_verdict,
+    build_datum,
+    classify_scalar,
+    closed_form_reducible,
+    line_offset,
+)
+from scalarverma import cli, jantzen
+from scalarverma.jantzen import REDUCIBLE, ScalarGrid
+from scalarverma.ratvec import format_rational
+
+
+def per_point(datum, step, ms):
+    return [
+        (v.verdict, v.route) for v in (classify_scalar(datum, m * Fraction(step)) for m in ms)
+    ]
+
+
+def assert_grid_matches_oracle(cases, step, ms):
+    for case in cases:
+        datum = build_datum(case)
+        assert ScalarGrid(datum, step).decide(ms) == per_point(datum, step, ms), case.label
+
+
+def test_grid_matches_the_oracle_on_every_admissible_case():
+    # c = -24 .. 4 by halves: every reducible start c = A - B lies inside.
+    assert min(abc_constants(case).a - abc_constants(case).b for case in ADMISSIBLE_CASES) > -24
+    assert_grid_matches_oracle(ADMISSIBLE_CASES, Fraction(1, 2), range(-48, 9))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("step, ms", [("1/6", range(-240, 121)), ("3/7", range(-100, 60))])
+def test_grid_matches_the_oracle_on_a_finer_grid(step, ms):
+    assert_grid_matches_oracle(ADMISSIBLE_CASES, Fraction(step), ms)
+
+
+CASES = [
+    HermitianCase("AIII", p=2, q=3),
+    HermitianCase("CI", n=4),
+    HermitianCase("BI", n=3),
+    HermitianCase("DI", n=4),
+    HermitianCase("DIII", n=5),
+    HermitianCase("EIII"),
+    HermitianCase("EVII"),
+]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c.label for c in CASES])
+def test_term_count_is_the_terms_decided(case, monkeypatch):
+    datum = build_datum(case)
+    calls = []
+
+    def line_chamber(view, j, k):
+        calls.append((j, k))
+        return descend(view, j, k)
+
+    descend = jantzen._line_chamber
+    monkeypatch.setattr(jantzen, "_line_chamber", line_chamber)
+    for step, ms in [("1/2", range(-20, 9)), ("3/7", range(-30, 12)), ("1", range(5, 6))]:
+        step = Fraction(step)
+        grid = ScalarGrid(datum, step)
+        terms = sum(len(classify_scalar(datum, m * step).terms) for m in ms)
+        calls.clear()
+        grid.decide(ms)
+        assert grid.terms(ms) == len(calls) == len(set(calls)) == terms, (step, ms)
+    # a block split anywhere counts the same terms
+    assert grid.terms(range(-9, 2)) + grid.terms(range(2, 7)) == grid.terms(range(-9, 7))
+
+
+def test_grid_rejects_a_step_that_is_not_positive():
+    datum = build_datum(HermitianCase("CI", n=2))
+    for step in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="step must be positive"):
+            ScalarGrid(datum, step)
+
+
+# ---------------------------------------------------------------------------
+# scan bytes against a per-point writer
+
+
+def per_point_scan(case, window, step, fmt):
+    """`scan`'s output, one `classify_scalar` call and one json.dumps row per point."""
+    lo, hi = (Fraction(x) for x in window.split(".."))
+    step = Fraction(step)
+    datum = build_datum(case)
+    constants = abc_constants(case)
+    rows = []
+    for m in range(math.ceil(lo / step), math.floor(hi / step) + 1):
+        c = m * step
+        verdict = classify_scalar(datum, c)
+        z = c + line_offset(case)
+        closed = closed_form_reducible(case, c)
+        rows.append({
+            "case": case.label,
+            "c": format_rational(c),
+            "z": format_rational(z),
+            "verdict": verdict.verdict,
+            "route": verdict.route,
+            "abc_screen": abc_verdict(constants, z),
+            "closed_form": closed,
+            "agree": (verdict.verdict == REDUCIBLE) == closed,
+        })
+    if fmt == "json":
+        fields = {"tag": case.tag, "p": case.p, "q": case.q, "n": case.n}
+        payload = {
+            "case": {k: v for k, v in fields.items() if v is not None},
+            "label": case.label,
+            "window": [format_rational(lo), format_rational(hi)],
+            "step": format_rational(step),
+            "rows": rows,
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    lines = ["case\tc\tz\tverdict\troute\tabc_screen\tclosed_form\tagree"]
+    for r in rows:
+        lines.append("\t".join(str(v).lower() if isinstance(v, bool) else v for v in r.values()))
+    return "\n".join(lines) + "\n"
+
+
+def case_flags(case):
+    if case.tag == "AIII":
+        return ["--case", "AIII", "--p", str(case.p), "--q", str(case.q)]
+    return ["--case", case.tag] + (["--n", str(case.n)] if case.n else [])
+
+
+SCANS = [
+    (HermitianCase("CI", n=3), "-7/3..5/2", "3/7"),  # odd step, fractional ends
+    (HermitianCase("AIII", p=2, q=3), "-9/4..13/4", "1/4"),
+    (HermitianCase("EVII"), "-12..2", "3/7"),
+    (HermitianCase("BI", n=4), "-20/3..-1/5", "1/6"),  # every m negative
+    (HermitianCase("DIII", n=5), "1/2..1/2", "1/4"),  # a single point
+    (HermitianCase("DI", n=4), "-1/3..1/5", "1/2"),  # the single point c = 0
+    (HermitianCase("EIII"), "1/3..1/2", "1"),  # no point
+]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize(
+    "case, window, step", SCANS, ids=[f"{c.label} {w} {s}" for c, w, s in SCANS]
+)
+def test_scan_bytes_match_a_per_point_writer(capsys, fmt, case, window, step):
+    argv = ["scan", *case_flags(case), "--window", window, "--step", step, "--format", fmt]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == per_point_scan(case, window, step, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_blocks_hold_their_bounds_and_leave_no_mark(capsys, monkeypatch, fmt):
+    # Blocks of at most 5 points and, past a single point, 9 terms: EVII's
+    # full supports make many one-point blocks.
+    case, window, step = HermitianCase("EVII"), "-14..3", "3/7"
+    blocks = []
+    decide = ScalarGrid.decide
+
+    def recording_decide(self, ms):
+        blocks.append((ms, self.terms(ms)))
+        return decide(self, ms)
+
+    monkeypatch.setattr(cli, "GRID_BLOCK", 5)
+    monkeypatch.setattr(cli, "BLOCK_TERMS", 9)
+    monkeypatch.setattr(ScalarGrid, "decide", recording_decide)
+    argv = ["scan", *case_flags(case), "--window", window, "--step", step, "--format", fmt]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == per_point_scan(case, window, step, fmt)
+    assert all(len(ms) <= 5 and (len(ms) == 1 or terms <= 9) for ms, terms in blocks)
+    assert [m for ms, _ in blocks for m in ms] == list(range(-32, 8))
+    assert any(len(ms) == 1 and terms > 9 for ms, terms in blocks)
+    assert any(len(ms) > 1 and terms for ms, terms in blocks)

@@ -309,10 +309,17 @@ def test_step_bound_trips_both_normalizers():
 
 
 def assert_paths_agree_and_trip(crippled, grid, message):
+    # The grid decision decides one point at a time, on its own copy of the
+    # datum, and must raise where the per-point oracle does.
+    step = grid[1] - grid[0]
+    line = jantzen.ScalarGrid(dataclasses.replace(crippled), step)
     tripped = 0
     for c in grid:
         got = outcome(lambda: classify_scalar(crippled, c))
         assert got == outcome(lambda: reference(crippled, c)), c
+        m = int(c / step)
+        on_grid = outcome(lambda: line.decide(range(m, m + 1))[0])
+        assert on_grid == (got if isinstance(got, str) else (got.verdict, got.route)), c
         tripped += got == f"InvariantError: {message}"
     assert tripped
 
