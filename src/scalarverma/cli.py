@@ -8,9 +8,11 @@ datum-dump (the full root datum as JSON).
 scan and crosscheck decide their grid root by root, through
 jantzen.ScalarGrid, in blocks whose rows are written before the next block
 is decided; classify decides its one point by classify_scalar.  A grid's
-points are counted before any datum is built, and its support terms before
-any point is decided: past MAX_GRID_POINTS or MAX_SUPPORT_TERMS the command
-exits 1.
+points are counted before `_grids` builds any datum, and its support terms
+before any point is decided: past MAX_GRID_POINTS or MAX_SUPPORT_TERMS the
+command exits 1.  crosscheck without --window takes each case's default
+window from abc_constants, which builds the case's datum, so there every
+datum is built before the points are counted.
 
 Exit codes: 0 success, 1 usage error, 2 computational disagreement,
 3 internal invariant violation.  All output is deterministic: fixed

@@ -19,24 +19,26 @@ level k and keeps what it learns of each root's line: a level on one of
 beta's Levi walls is Singular, and off them a memoized Weyl word gives the
 representative, certified dominant at that level by the interval of
 levels stored with the word, or a fresh descent, which needs no wall scan
-of its own, finds the word and stores its interval.  The loop itself forms no vector.  The
-verdict and route come from integer sign sums per class; the terms,
-classes and witness, the only rationals, are unscaled from the loop's
-integer records (root index, level, representative, word length) when a
-caller first reads them, so a caller that reads only the verdict and
-route never builds a Fraction weight.  The same criterion in rational
-arithmetic, on any scalar weight, lives with the tests as the reference
-this path is checked against.
+of its own, finds the word and stores its interval.  The decision forms
+no vector: the verdict and route come from integer sign sums per class.
+The terms, classes and witness, the only rationals, are then unscaled
+from the integer records (root index, level, representative, word
+length).  The same criterion in rational arithmetic, on any scalar
+weight, lives with the tests as the reference this path is checked
+against.
 
 `ScalarGrid` decides a whole grid c = m * step the other way round, root
 by root.  A root's level is affine in c, so the grid points at which it is
 a positive integer form one arithmetic progression in m, found by one
 congruence; the grid's support terms are counted from those progressions
-before any is decided.  Walking each progression, it hands `weyl` the same
-(root, level) pairs as `classify_scalar` would point by point, and keeps
-the same class sums and theta check per visited point; a point no
-progression visits is Simple by the empty-support route, at no cost per
-root.  It decides the verdict and route only.
+before any is decided.  A point no progression visits is Simple by the
+empty-support route, at no cost per root.  It decides the verdict and
+route only.
+
+Both run one term walk, `_walk`: each support root comes as a progression
+of points with its levels, a single point for `classify_scalar`.  The walk
+hands `weyl` each (root, level) pair, keeps the class sums and theta check
+per visited point and decides each point's verdict and route.
 
 Only exact rational parameters are accepted: a float or a bool raises
 ValueError.  A parameter with irrational or non-real scalar part would make
@@ -47,14 +49,12 @@ simple for the same reason the empty-support route is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable
 
 from .errors import InvariantError
 from .ratvec import Weight, add, is_integer, pairing, rational
-from .rootdata import IntVector, ParabolicRootDatum, build_datum
+from .rootdata import IntegerView, IntVector, ParabolicRootDatum, build_datum
 from .weyl import ChamberForm, _line_chamber
 
 SIMPLE = "Simple"
@@ -84,42 +84,19 @@ class RepClass:
     members: tuple[JantzenTerm, ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SimplicityVerdict:
-    """A verdict and its route, with the terms, classes and witness behind them.
-
-    `_detail` builds (terms, certificate, witness) on their first read.
-    Two verdicts are equal when all five agree.
-    """
+    """A verdict and its route, with the terms, classes and witness behind them."""
 
     verdict: str
     route: str
-    _detail: Callable[[], tuple] = field(repr=False)
-
-    @cached_property
-    def _parts(self) -> tuple[tuple[JantzenTerm, ...], tuple[RepClass, ...], Weight | None]:
-        return self._detail()
-
-    @property
-    def terms(self) -> tuple[JantzenTerm, ...]:
-        return self._parts[0]
-
-    @property
-    def certificate(self) -> tuple[RepClass, ...]:
-        return self._parts[1]
-
-    @property
-    def witness(self) -> Weight | None:
-        return self._parts[2]
+    terms: tuple[JantzenTerm, ...]
+    certificate: tuple[RepClass, ...]
+    witness: Weight | None
 
     @property
     def surviving(self) -> tuple[RepClass, ...]:
         return tuple(g for g in self.certificate if g.net_sign != 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, SimplicityVerdict):
-            return NotImplemented
-        return (self.verdict, self.route, self._parts) == (other.verdict, other.route, other._parts)
 
 
 def jantzen_support(datum: ParabolicRootDatum, lam: Weight) -> tuple[Weight, ...]:
@@ -165,15 +142,48 @@ def _survives(classes: dict[IntVector, list[int]]) -> bool:
     return any(net for net, _ in classes.values())
 
 
+def _walk(view: IntegerView, walks, size: int):
+    """Decide the points 0 .. size-1 from per-root walks.
+
+    Each walk is (j, index of root j's first point, period, its level
+    there, level step): root j is in the support at every period-th point
+    from the first, its level rising by the step.  Returns each point's
+    (verdict, route), and the term records (j, k, rep, word length) in
+    walk order.  A theta split raises InvariantError once every term has
+    passed its own checks, as the rational reference raises it.
+    """
+    # per visited point, by index: its classes' [net sign, theta value]
+    points: dict[int, dict[IntVector, list[int]]] = {}
+    records = []
+    split = False
+    for j, start, period, k, rise in walks:
+        theta_root = view.nilradical[j].theta_root
+        for i in range(start, size, period):
+            rep, word = _line_chamber(view, j, k)
+            records.append((j, k, rep, len(word)))
+            classes = points.get(i)
+            if classes is None:
+                classes = points[i] = {}
+            if rep is not None:
+                split |= _tally(classes, rep, len(word), view.theta_rho - k * theta_root)
+            k += rise
+    if split:
+        raise InvariantError(_THETA_SPLIT)
+    out = [(SIMPLE, ROUTE_EMPTY_SUPPORT)] * size
+    for i, classes in points.items():
+        out[i] = _decide(True, _survives(classes))
+    return out, records
+
+
 def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     """Decide the scalar weight c * zeta of a case.
 
     Returns the verdict Jantzen's criterion gives for the weight, term for
     term, computed in integers along the scalar line; the rational
     reference in tests/reference.py decides the same weight in Fractions.
-    The verdict and route are decided here; the terms, classes and witness
-    are unscaled when first read.  The weight is scalar because the datum
-    passed validation: zeta is orthogonal to the Levi.
+    Each support root is a one-point walk; the terms, classes and witness
+    are unscaled from the walk's records.  The weight is scalar because
+    the datum passed validation: zeta is orthogonal to the Levi.
     """
     datum = (
         case_or_datum
@@ -183,65 +193,48 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     c = rational(c)
     view = datum.integer_view
     n, d = c.numerator, c.denominator
-    records = []
-    classes: dict[IntVector, list[int]] = {}
-    split = False
-    for j, nil in enumerate(view.nilradical):
-        # k = (a + c*b) / norm, a positive integer on the support
-        num = d * nil.a + n * nil.b
-        if num <= 0 or num % (d * nil.norm):
-            continue
-        k = num // (d * nil.norm)
-        rep, word = _line_chamber(view, j, k)
-        records.append((j, k, rep, len(word)))
+    # k = (a + c*b) / norm, a positive integer on the support
+    walks = [
+        (j, 0, 1, num // (d * nil.norm), 0)
+        for j, nil in enumerate(view.nilradical)
+        if (num := d * nil.a + n * nil.b) > 0 and num % (d * nil.norm) == 0
+    ]
+    [(verdict, route)], records = _walk(view, walks, 1)
+    # Over the denominator d*D, the image rho - k*beta + c*zeta of a scaled
+    # vector v = D*(rho - k*beta) is d*v + n*Z.  Images and representatives
+    # share most coordinates, so each Fraction is built once.
+    den = d * view.denom
+    fractions: dict[int, Fraction] = {}
+
+    def unscale(v):
+        out = []
+        for x, z in zip(v, view.zeta):
+            m = d * x + n * z
+            f = fractions.get(m)
+            if f is None:
+                f = fractions[m] = Fraction(m, den)
+            out.append(f)
+        return tuple(out)
+
+    terms = []
+    groups: dict[IntVector, list[JantzenTerm]] = {}
+    for j, k, rep, steps in records:
+        chamber = ChamberForm(None if rep is None else unscale(rep), steps)
+        v = [r - k * x for r, x in zip(view.rho, view.nilradical[j].root)]
+        term = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), chamber)
+        terms.append(term)
         if rep is not None:
-            split |= _tally(classes, rep, len(word), view.theta_rho - k * nil.theta_root)
-    # Raised once every term has passed its own checks, as the rational
-    # reference raises it.
-    if split:
-        raise InvariantError(_THETA_SPLIT)
-    verdict, route = _decide(bool(records), _survives(classes))
-
-    def unscaled():
-        # The terms, built from the records; no descent runs again.  Over
-        # the denominator d*D, the image rho - k*beta + c*zeta of a scaled
-        # vector v = D*(rho - k*beta) is d*v + n*Z.  Images and
-        # representatives share most coordinates, so each Fraction is
-        # built once.
-        den = d * view.denom
-        fractions: dict[int, Fraction] = {}
-
-        def unscale(v):
-            out = []
-            for x, z in zip(v, view.zeta):
-                m = d * x + n * z
-                f = fractions.get(m)
-                if f is None:
-                    f = fractions[m] = Fraction(m, den)
-                out.append(f)
-            return tuple(out)
-
-        terms = []
-        groups: dict[IntVector, list[JantzenTerm]] = {}
-        for j, k, rep, steps in records:
-            chamber = ChamberForm(None if rep is None else unscale(rep), steps)
-            v = [r - k * x for r, x in zip(view.rho, view.nilradical[j].root)]
-            term = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), chamber)
-            terms.append(term)
-            if rep is not None:
-                groups.setdefault(rep, []).append(term)
-        # Unscaling is a coordinatewise increasing map, so the integer keys
-        # sort as the representatives do.
-        certificate = tuple(
-            RepClass(g[0].chamber.rep, sum(m.chamber.sign for m in g), tuple(g))
-            for _, g in sorted(groups.items())
-        )
-        witness = next((g.members[0].beta for g in certificate if g.net_sign), None)
-        if _decide(bool(terms), witness is not None) != (verdict, route):
-            raise InvariantError("verdict out of step with the surviving classes")
-        return tuple(terms), certificate, witness
-
-    return SimplicityVerdict(verdict, route, unscaled)
+            groups.setdefault(rep, []).append(term)
+    # Unscaling is a coordinatewise increasing map, so the integer keys sort
+    # as the representatives do.
+    certificate = tuple(
+        RepClass(g[0].chamber.rep, sum(m.chamber.sign for m in g), tuple(g))
+        for _, g in sorted(groups.items())
+    )
+    witness = next((g.members[0].beta for g in certificate if g.net_sign), None)
+    if _decide(bool(terms), witness is not None) != (verdict, route):
+        raise InvariantError("verdict out of step with the surviving classes")
+    return SimplicityVerdict(verdict, route, tuple(terms), certificate, witness)
 
 
 class ScalarGrid:
@@ -297,26 +290,7 @@ class ScalarGrid:
         """(verdict, route) of each grid point m * step, m in ms, in order.
 
         The same verdict and route as `classify_scalar` at each point, from
-        the same terms, class sums and theta check; InvariantError is raised
-        once every term of the range has been decided.
+        the same walk over the same terms; InvariantError is raised once
+        every term of the range has been decided.
         """
-        view = self.view
-        # per visited point, by its index in ms: its classes' [net sign, theta value]
-        points: dict[int, dict[IntVector, list[int]]] = {}
-        split = False
-        for j, start, period, k, rise in self._walks(ms):
-            theta_root = view.nilradical[j].theta_root
-            for i in range(start, len(ms), period):
-                rep, word = _line_chamber(view, j, k)
-                classes = points.get(i)
-                if classes is None:
-                    classes = points[i] = {}
-                if rep is not None:
-                    split |= _tally(classes, rep, len(word), view.theta_rho - k * theta_root)
-                k += rise
-        if split:
-            raise InvariantError(_THETA_SPLIT)
-        out = [(SIMPLE, ROUTE_EMPTY_SUPPORT)] * len(ms)
-        for i, classes in points.items():
-            out[i] = _decide(True, _survives(classes))
-        return out
+        return _walk(self.view, self._walks(ms), len(ms))[0]

@@ -55,8 +55,9 @@ CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
 # perfbench runs.  One CI(20) classify takes 0.23-0.26 s from the command
 # line, 0.06 s of it building the datum; in-process, each later CI(20)
-# point with all 210 nilradical roots in its support takes 0.75-0.77 ms to
-# decide and 2.8 ms with its terms read (2 cores, CPython 3.11.7, fast phase).
+# point with all 210 nilradical roots in its support takes 2.7-2.9 ms with
+# its terms, or 0.7-0.8 ms for the verdict and route alone as a one-point
+# ScalarGrid (2 cores, CPython 3.11.7, fast phase).
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]

@@ -53,5 +53,5 @@ def simplicity_oracle(datum: ParabolicRootDatum, lam: Weight) -> SimplicityVerdi
             raise InvariantError("one chamber class carries two theta values")
         certificate.append(RepClass(rep, sum(m.chamber.sign for m in members), members))
     witness = next((g.members[0].beta for g in certificate if g.net_sign), None)
-    detail = (tuple(terms), tuple(certificate), witness)
-    return SimplicityVerdict(*_decide(bool(terms), witness is not None), lambda: detail)
+    verdict, route = _decide(bool(terms), witness is not None)
+    return SimplicityVerdict(verdict, route, tuple(terms), tuple(certificate), witness)

@@ -130,6 +130,25 @@ def test_each_decision_has_one_copy():
         assert not hasattr(ehw, name), name
 
 
+def test_one_term_walk_serves_every_decision():
+    # classify_scalar and ScalarGrid hand their terms to one walk, which
+    # holds jantzen's only call of weyl's line chamber and its only
+    # theta-split raise.
+    tree = ast.parse((PACKAGE / "jantzen.py").read_text(encoding="utf-8"))
+    calls = [n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+    assert calls.count("_line_chamber") == 1
+    raises = [n for n in ast.walk(tree) if isinstance(n, ast.Raise) and "_THETA_SPLIT" in ast.unparse(n)]
+    assert len(raises) == 1
+
+
+def test_verdict_is_a_plain_record():
+    jantzen = importlib.import_module("scalarverma.jantzen")
+    fields = [f.name for f in dataclasses.fields(jantzen.SimplicityVerdict)]
+    assert fields == ["verdict", "route", "terms", "certificate", "witness"]
+    first, again = (jantzen.classify_scalar(scalarverma.HermitianCase("CI", n=3), -1) for _ in "ab")
+    assert first is not again and first == again and hash(first) == hash(again)
+
+
 def test_tables_read_the_cases_own_roots():
     # The exceptional tables name each row by the signs of the case's own
     # nilradical root; the sign-pattern encoder and the rational theta

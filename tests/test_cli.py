@@ -562,9 +562,15 @@ def test_scan_checks_its_grid_before_building_the_datum(capsys, monkeypatch):
         raise AssertionError("build_datum called before the grid was checked")
 
     monkeypatch.setattr(cli, "build_datum", build)
+    monkeypatch.setattr(ehw, "build_datum", build)
     code, out, err = run_cli(capsys, "scan", "--case", "CI", "--n", "20",
                              "--window", "0..1", "--step", "0")
     assert code == 1 and "step must be positive" in err
+    # crosscheck with an explicit window needs no abc_constants, so it too
+    # counts all its cases' points first
+    code, out, err = run_cli(capsys, "crosscheck", "--case", "AIII", "--p", "1..10",
+                             "--q", "1..10", "--window", "0..100", "--step", "1/1000")
+    assert code == 1 and "10000100 grid points requested" in err
     assert calls == []
 
 

@@ -2,8 +2,10 @@
 
 `jantzen.ScalarGrid` decides the grid c = m * step one nilradical root at a
 time, by the arithmetic progression of m at which the root's level is a
-positive integer.  Each test here holds it to `classify_scalar`, which
-tests every root at each point, or holds `scan`'s block writer to a
+positive integer.  `classify_scalar` tests every root at each point.  Both
+hand their support terms to the same walk, so they differ only in the
+terms they enumerate.  Each test here holds the grid to `classify_scalar`,
+term for term or verdict for verdict, or holds `scan`'s block writer to a
 per-point writer kept below.
 """
 
@@ -67,22 +69,38 @@ CASES = [
 
 @pytest.mark.parametrize("case", CASES, ids=[c.label for c in CASES])
 def test_term_count_is_the_terms_decided(case, monkeypatch):
+    # Both paths hand their support to one walk, so they differ only in the
+    # enumeration: the (point, j, k) triples the walk hands `weyl`.
     datum = build_datum(case)
-    calls = []
+    triples, calls = [], []
+
+    def walk(view, walks, size):
+        walks = list(walks)
+        for j, start, period, k, rise in walks:
+            triples.extend((i, j, k + n * rise) for n, i in enumerate(range(start, size, period)))
+        return whole_walk(view, walks, size)
 
     def line_chamber(view, j, k):
         calls.append((j, k))
         return descend(view, j, k)
 
-    descend = jantzen._line_chamber
+    whole_walk, descend = jantzen._walk, jantzen._line_chamber
+    monkeypatch.setattr(jantzen, "_walk", walk)
     monkeypatch.setattr(jantzen, "_line_chamber", line_chamber)
     for step, ms in [("1/2", range(-20, 9)), ("3/7", range(-30, 12)), ("1", range(5, 6))]:
         step = Fraction(step)
         grid = ScalarGrid(datum, step)
-        terms = sum(len(classify_scalar(datum, m * step).terms) for m in ms)
+        per_root_test = []
+        for m in ms:
+            triples.clear()
+            classify_scalar(datum, m * step)
+            per_root_test += [(m, j, k) for _, j, k in triples]
+        triples.clear()
         calls.clear()
         grid.decide(ms)
-        assert grid.terms(ms) == len(calls) == len(set(calls)) == terms, (step, ms)
+        assert calls == [(j, k) for _, j, k in triples], (step, ms)
+        assert sorted((ms[i], j, k) for i, j, k in triples) == sorted(per_root_test), (step, ms)
+        assert grid.terms(ms) == len(calls), (step, ms)
     # a block split anywhere counts the same terms
     assert grid.terms(range(-9, 2)) + grid.terms(range(2, 7)) == grid.terms(range(-9, 7))
 
