@@ -7,12 +7,16 @@ datum-dump (the full root datum as JSON).
 
 scan and crosscheck decide their grid root by root, through
 jantzen.ScalarGrid, in blocks whose rows are written before the next block
-is decided; classify decides its one point by classify_scalar.  A grid's
-points are counted before `_grids` builds any datum, and its support terms
-before any point is decided: past MAX_GRID_POINTS or MAX_SUPPORT_TERMS the
-command exits 1.  crosscheck without --window takes each case's default
-window from abc_constants, which builds the case's datum, so there every
-datum is built before the points are counted.
+is decided; classify decides its one point by classify_scalar.  Each block
+is built as columns: the closed form and the (A, B, C) screen are
+progressions in m on the grid (ehw.closed_form_grid, ehw.screen_grid) that
+fill their columns by slices, and the c and z strings are built once per
+residue class of m modulo the step's denominator.  A grid's points are
+counted before `_grids` builds any datum, and its support terms before any
+point is decided: past MAX_GRID_POINTS or MAX_SUPPORT_TERMS the command
+exits 1.  crosscheck without --window takes each case's default window
+from abc_constants, which builds the case's datum; every such window holds
+-5..10, so a family too large for that is refused before any datum is built.
 
 Exit codes: 0 success, 1 usage error, 2 computational disagreement,
 3 internal invariant violation.  All output is deterministic: fixed
@@ -35,12 +39,13 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .ehw import (
+    INDETERMINATE,
     KNOWN_REDUCIBLE,
     KNOWN_SIMPLE,
     abc_constants,
-    abc_verdict_ratio,
-    closed_form_reducible_ratio,
+    closed_form_grid,
     line_offset,
+    screen_grid,
 )
 from .errors import InvariantError
 from .jantzen import REDUCIBLE, ScalarGrid, classify_scalar
@@ -217,6 +222,13 @@ def _parse_window(text: str) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def _points(lo: Fraction, hi: Fraction, step: Fraction) -> range:
+    """The m whose grid points m * step lie in the window lo..hi."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    return range(math.ceil(lo / step), math.floor(hi / step) + 1)
+
+
 def _grids(cases: list[HermitianCase], windows: list[tuple[Fraction, Fraction]], step: Fraction):
     """For each case and its window lo..hi, the m whose grid points m * step lie
     in it, with the case's `ScalarGrid`.
@@ -224,9 +236,7 @@ def _grids(cases: list[HermitianCase], windows: list[tuple[Fraction, Fraction]],
     The points of all the windows are counted together before any datum is
     built, and their support terms together before any point is decided.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    grids = [range(math.ceil(lo / step), math.floor(hi / step) + 1) for lo, hi in windows]
+    grids = [_points(lo, hi, step) for lo, hi in windows]
     # stop - start, as len() overflows past sys.maxsize points
     points = sum(ms.stop - ms.start for ms in grids)
     if points > MAX_GRID_POINTS:
@@ -368,39 +378,69 @@ ROW_FIELDS = ("case", "c", "z", "verdict", "route", "abc_screen", "closed_form",
 
 
 def _grid_rows(case: HermitianCase, ms: range, line: ScalarGrid):
-    """The rows of the grid points m * step, m in ms, one list per block of `_blocks`.
+    """The rows of the grid points m * step, m in ms, as columns: one tuple per block.
 
-    A row is (c, z, verdict, route, abc_screen, closed_form, agree), every
-    field a string as the TSV writes it: c and z as format_rational
+    The columns are c, z, verdict, route, abc_screen, closed_form and agree,
+    every field a string as the TSV writes it: c and z as format_rational
     renders them, closed_form and agree as "true" or "false".  The verdict
-    and route come from the grid decision, and the closed form and the
-    screen from their own per-point tests, so agree compares the Jantzen
-    verdict with an independent one.
+    and route come from the grid decision.  The closed form and the screen
+    come from their own progressions in m (`ehw.closed_form_grid` and
+    `ehw.screen_grid`), which fill their columns by slices, so agree compares
+    the Jantzen verdict with an independent one: it is "false" exactly
+    where the Reducible points and the closed-form points differ.
+
+    c and z are written once per residue class of m modulo t, for step = s/t
+    in lowest terms.  Along a class m rises by t, so c = m*s/t and z = c + B
+    rise by the integer s.  Adding an integer to a fraction in lowest terms
+    keeps its denominator d and keeps it in lowest terms (gcd(n + s*d, d) =
+    gcd(n, d) = 1), so along the class the numerator of c rises by s*d and
+    that of z by s*z_d, over fixed denominators d and z_d.
     """
     constants = abc_constants(case)
     # z = c + B, for B = constants.b the line offset <rho, gamma^v>
     bn, bd = constants.b.numerator, constants.b.denominator
-    s, t = line.step.numerator, line.step.denominator
+    step = line.step
+    s, t = step.numerator, step.denominator
     for block in _blocks(ms, line):
-        rows = []
-        for m, (verdict, route) in zip(block, line.decide(block)):
-            # c = m*s/t, with gcd(s, t) = 1
+        size = len(block)
+        verdicts, routes = zip(*line.decide(block))
+        cs, zs = [""] * size, [""] * size
+        for i in range(min(t, size)):
+            # c = m*s/t at the class's first m, with gcd(s, t) = 1
+            m = block.start + i
             g = math.gcd(m, t)
             n, d = m * s // g, t // g
             zn, zd = n * bd + bn * d, d * bd
             g = math.gcd(zn, zd)
             zn, zd = zn // g, zd // g
-            closed_form = closed_form_reducible_ratio(case, n, d)
-            rows.append((
-                f"{n}/{d}" if d != 1 else f"{n}",
-                f"{zn}/{zd}" if zd != 1 else f"{zn}",
-                verdict,
-                route,
-                abc_verdict_ratio(constants, zn, zd),
-                "true" if closed_form else "false",
-                "true" if (verdict == REDUCIBLE) == closed_form else "false",
-            ))
-        yield rows
+            c_form = f"%d/{d}" if d != 1 else "%d"
+            z_form = f"%d/{zd}" if zd != 1 else "%d"
+            if i + t >= size:
+                # the class's only point in the block: no progression to slice
+                cs[i], zs[i] = c_form % n, z_form % zn
+                continue
+            last = (size - 1 - i) // t * s
+            cs[i::t] = map(c_form.__mod__, range(n, n + last * d + 1, s * d))
+            zs[i::t] = map(z_form.__mod__, range(zn, zn + last * zd + 1, s * zd))
+        screen = [INDETERMINATE] * size
+        simple, reducible = screen_grid(constants, step, block)
+        _fill(screen, block, simple, KNOWN_SIMPLE)
+        _fill(screen, block, reducible, KNOWN_REDUCIBLE)
+        closed_form, agree = ["false"] * size, ["true"] * size
+        closed = set()
+        for points in closed_form_grid(case, step, block):
+            _fill(closed_form, block, points, "true")
+            closed.update(points)
+        oracle = {m for m, verdict in zip(block, verdicts) if verdict == REDUCIBLE}
+        for m in oracle ^ closed:
+            agree[m - block.start] = "false"
+        yield cs, zs, verdicts, routes, screen, closed_form, agree
+
+
+def _fill(column: list, ms: range, points: range, value: str) -> None:
+    """column[i] = value at each i with ms[i] in points, a progression inside ms."""
+    if points:
+        column[points.start - ms.start : points.stop - ms.start : points.step] = [value] * len(points)
 
 
 def _blocks(ms: range, line: ScalarGrid):
@@ -441,15 +481,15 @@ def cmd_scan(args) -> int:
             f"{_dumps(k)}: {v}" for k, v in zip(ROW_FIELDS, values)
         ) + "\n    }"
         sep = ""
-        for rows in _grid_rows(case, ms, line):
-            print(sep + ",".join([template % row for row in rows]), end="")
+        for columns in _grid_rows(case, ms, line):
+            print(sep + ",".join(map(template.__mod__, zip(*columns))), end="")
             sep = ","
         print("\n  ]\n}" if ms else "]\n}")
         return 0
     print("\t".join(ROW_FIELDS))
     template = case.label + "\t%s" * 7
-    for rows in _grid_rows(case, ms, line):
-        print("\n".join([template % row for row in rows]))
+    for columns in _grid_rows(case, ms, line):
+        print("\n".join(map(template.__mod__, zip(*columns))))
     return 0
 
 
@@ -540,17 +580,18 @@ def _crosscheck_instance(case: HermitianCase, window, ms: range, line: ScalarGri
     """Counts, mismatches and contradictions of one case; other rows are dropped."""
     points = reducible = 0
     mismatches, contradictions = [], []
-    for rows in _grid_rows(case, ms, line):
-        points += len(rows)
-        for row in rows:
-            _, _, verdict, _, screen, _, agree = row
-            reducible += verdict == REDUCIBLE
-            if agree == "false":
-                mismatches.append(row)
-            if (screen == KNOWN_SIMPLE and verdict == REDUCIBLE) or (
-                screen == KNOWN_REDUCIBLE and verdict != REDUCIBLE
-            ):
-                contradictions.append(row)
+    for columns in _grid_rows(case, ms, line):
+        _, _, verdicts, _, screen, _, agree = columns
+        points += len(verdicts)
+        reducible += verdicts.count(REDUCIBLE)
+        rows = list(zip(*columns))
+        mismatches += [rows[i] for i, ok in enumerate(agree) if ok == "false"]
+        # the screen contradicts the oracle where it says the opposite
+        contradictions += [
+            rows[i]
+            for i, (verdict, said) in enumerate(zip(verdicts, screen))
+            if said == (KNOWN_SIMPLE if verdict == REDUCIBLE else KNOWN_REDUCIBLE)
+        ]
     return {
         "case": case,
         "window": window,
@@ -563,12 +604,18 @@ def _crosscheck_instance(case: HermitianCase, window, ms: range, line: ScalarGri
 
 def cmd_crosscheck(args) -> int:
     cases = _cases(args, ranges=True)
+    step = parse_rational(args.step)
     if args.window is None:
+        # A - B <= 0, so every default window holds -5..10: a family too
+        # large for that is refused before abc_constants builds any datum.
+        each = _points(Fraction(-5), Fraction(10), step)
+        least = len(cases) * (each.stop - each.start)
+        if least > MAX_GRID_POINTS:
+            raise ValueError(f"at least {least} grid points requested, over {MAX_GRID_POINTS}")
         # z = A - 5 .. B + 10, for z = c + B
         windows = [(con.a - con.b - 5, Fraction(10)) for con in map(abc_constants, cases)]
     else:
         windows = [_parse_window(args.window)] * len(cases)
-    step = parse_rational(args.step)
     grids = _grids(cases, windows, step)
     results = [
         _crosscheck_instance(case, w, ms, line)

@@ -11,16 +11,26 @@ A + (r - 1)C, and C = 1 when A = B.  The reducible z-set is the union over
 j < r of A + jC + N.  2C is an integer, so that union is A + N together
 with A + C + N, and in c = z - B it is two unit progressions, starting at
 A - B and A - B + C.
+
+On a grid c = m * step, each of those progressions is one progression in
+m, found by one congruence (`closed_form_grid`), and so is the screen:
+known simple below one bound in m, known reducible on one progression
+between that bound and m = 0, since z <= B is c <= 0 (`screen_grid`).
+`closed_form_reducible` and `abc_verdict` read one point of them, on the
+grid of step 1/den at m = num.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InsufficientWindowError, InvariantError
-from .ratvec import Weight, add, dot, format_rational, is_integer, pairing, rational, scale, sub
+from .ratvec import (
+    Weight, add, congruence, dot, format_rational, is_integer, pairing, rational, scale, sub
+)
 from .rootdata import HermitianCase, ParabolicRootDatum, build_datum
 
 KNOWN_SIMPLE = "known_simple"
@@ -96,55 +106,74 @@ def abc_constants(case: HermitianCase) -> ABCConstants:
     return ABCConstants(a, b, s or Fraction(1))
 
 
+def _grid_progression(step: Fraction, start: Fraction, spacing: Fraction, ms: range) -> range:
+    """The m in ms with m * step in start + spacing * N, in increasing order.
+
+    m * step - start is a multiple of spacing exactly when m * x - y is an
+    integer, for x = step / spacing and y = start / spacing: one congruence
+    in m.  It is a nonnegative multiple once m >= start / step.
+    """
+    x, y = step / spacing, start / spacing
+    found = congruence(
+        x.numerator * y.denominator,
+        y.numerator * x.denominator,
+        x.denominator * y.denominator,
+        max(ms.start, math.ceil(start / step)),
+    )
+    return range(0) if found is None else range(found[0], ms.stop, found[1])
+
+
+def screen_grid(constants: ABCConstants, step: Fraction, ms: range) -> tuple[range, range]:
+    """The screen on the grid z = m * step + B, m in ms: (known simple m, known reducible m).
+
+    z < A is m below (A - B) / step, and z <= B is m <= 0; between them the
+    lattice A + iC is one progression in m.  Every other m is indeterminate.
+    """
+    start = constants.a - constants.b
+    simple = range(ms.start, max(ms.start, min(ms.stop, math.ceil(start / step))))
+    return simple, _grid_progression(step, start, constants.c, range(ms.start, min(ms.stop, 1)))
+
+
 def abc_verdict(constants: ABCConstants, z) -> str:
-    """What the first-reduction constants alone say about line coordinate z."""
-    x = rational(z)
-    return abc_verdict_ratio(constants, x.numerator, x.denominator)
+    """What the first-reduction constants alone say about line coordinate z.
 
-
-def abc_verdict_ratio(constants: ABCConstants, num: int, den: int) -> str:
-    """`abc_verdict` at z = num / den, for integers num and den > 0."""
-    a, b, c = constants.a, constants.b, constants.c
-    # z - a = gap / (den * a.denominator), in integers.
-    gap = num * a.denominator - a.numerator * den
-    if gap < 0:
-        return KNOWN_SIMPLE
-    if (
-        num * b.denominator <= b.numerator * den
-        and gap * c.denominator % (den * a.denominator * c.numerator) == 0
-    ):
-        return KNOWN_REDUCIBLE
-    return INDETERMINATE
+    The one point of `screen_grid` on the grid of step 1/den, at m = num,
+    for c = z - B = num / den.
+    """
+    c = rational(z) - constants.b
+    m = c.numerator
+    simple, reducible = screen_grid(constants, Fraction(1, c.denominator), range(m, m + 1))
+    return KNOWN_SIMPLE if simple else KNOWN_REDUCIBLE if reducible else INDETERMINATE
 
 
 @lru_cache(maxsize=None)
-def _closed_form_starts(case: HermitianCase) -> tuple[tuple[int, int], ...]:
-    """(numerator, denominator) of A - B and A - B + C, built once per case."""
+def _closed_form_starts(case: HermitianCase) -> tuple[Fraction, Fraction]:
+    """A - B and A - B + C, built once per case."""
     con = abc_constants(case)
     start = con.a - con.b
-    return tuple((s.numerator, s.denominator) for s in (start, start + con.c))
+    return start, start + con.c
+
+
+def closed_form_grid(case: HermitianCase, step: Fraction, ms: range) -> list[range]:
+    """The m in ms at which c = m * step lies in the closed-form reducible set.
+
+    In z = c + B the set is the union over j < r of A + jC + N.  2C is an
+    integer, so that union is A + N together with A + C + N, and c is
+    reducible exactly when c - s is a nonnegative integer for one of the
+    starts s = A - B and A - B + C: one progression in m per start.
+    """
+    return [_grid_progression(step, start, Fraction(1), ms) for start in _closed_form_starts(case)]
 
 
 def closed_form_reducible(case: HermitianCase, c) -> bool:
     """Membership of c in the case's closed-form reducible set.
 
-    In z = c + B the set is the union over j < r of A + jC + N.  2C is an
-    integer, so that union is A + N together with A + C + N, and c is
-    reducible exactly when c - s is a nonnegative integer for one of the
-    starts s = A - B and A - B + C.
+    The one point of `closed_form_grid` on the grid of step 1/den, at
+    m = num, for c = num / den.
     """
     x = rational(c)
-    return closed_form_reducible_ratio(case, x.numerator, x.denominator)
-
-
-def closed_form_reducible_ratio(case: HermitianCase, num: int, den: int) -> bool:
-    """`closed_form_reducible` at c = num / den, in lowest terms with den > 0."""
-    # c - s is an integer exactly when c and s, both in lowest terms, share
-    # their denominator and their numerators are congruent modulo it.
-    for sn, sd in _closed_form_starts(case):
-        if den == sd and num >= sn and (num - sn) % den == 0:
-            return True
-    return False
+    m = x.numerator
+    return any(closed_form_grid(case, Fraction(1, x.denominator), range(m, m + 1)))
 
 
 def progression_summary(

@@ -48,12 +48,11 @@ simple for the same reason the empty-support route is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantError
-from .ratvec import Weight, add, is_integer, pairing, rational
+from .ratvec import Weight, add, congruence, is_integer, pairing, rational
 from .rootdata import IntegerView, IntVector, ParabolicRootDatum, build_datum
 from .weyl import ChamberForm, _line_chamber
 
@@ -262,15 +261,12 @@ class ScalarGrid:
         progressions = []
         for j, nil in enumerate(view.nilradical):
             slope, modulus = s * nil.b, t * nil.norm
-            g = math.gcd(slope, modulus)
-            if nil.a * t % g:
+            found = congruence(slope, -nil.a * t, modulus, -nil.a * t // slope + 1)
+            if found is None:
                 continue
-            period = modulus // g
-            residue = -nil.a * t // g * pow(slope // g, -1, period) % period
-            low = -nil.a * t // slope + 1
-            first = low + (residue - low) % period
+            first, period = found
             level = (nil.a * t + first * slope) // modulus
-            progressions.append((j, first, period, level, slope // g))
+            progressions.append((j, first, period, level, slope * period // modulus))
         self._progressions = tuple(progressions)
 
     def _walks(self, ms: range):

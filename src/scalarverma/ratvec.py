@@ -8,6 +8,7 @@ between threads.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from operator import mul
@@ -99,6 +100,20 @@ def reflect(mu: Weight, alpha: Weight) -> Weight:
 
 def is_integer(x: Fraction) -> bool:
     return x.denominator == 1
+
+
+def congruence(slope: int, value: int, modulus: int, low: int) -> tuple[int, int] | None:
+    """The integers m >= low with slope * m = value modulo modulus, as (first, period).
+
+    slope and modulus are positive.  The solutions, if any, are one residue
+    class modulo modulus / gcd(slope, modulus); None when there are none.
+    """
+    g = math.gcd(slope, modulus)
+    if value % g:
+        return None
+    period = modulus // g
+    residue = value // g * pow(slope // g, -1, period) % period
+    return low + (residue - low) % period, period
 
 
 def _check_dims(mu: Weight, nu: Weight) -> None:

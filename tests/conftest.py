@@ -14,12 +14,7 @@ from fractions import Fraction
 import pytest
 
 from scalarverma import HermitianCase, build_datum
-from scalarverma.ehw import (
-    INDETERMINATE,
-    KNOWN_REDUCIBLE,
-    KNOWN_SIMPLE,
-    ABCConstants,
-)
+from scalarverma.ehw import ABCConstants
 from scalarverma.jantzen import SimplicityVerdict
 from scalarverma.ratvec import Weight, inner, is_integer, pairing, reflect
 from scalarverma.rootdata import ParabolicRootDatum
@@ -86,17 +81,6 @@ def reducible_reference(constants: ABCConstants, c) -> bool:
         progression_contains_reference(constants.a + j * constants.c, 1, z)
         for j in range(int(last) + 1)
     )
-
-
-def abc_verdict_reference(constants: ABCConstants, z) -> str:
-    """abc_verdict in Fraction arithmetic."""
-    x = Fraction(z)
-    if x < constants.a:
-        return KNOWN_SIMPLE
-    t = (x - constants.a) / constants.c
-    if is_integer(t) and constants.a + t * constants.c <= constants.b:
-        return KNOWN_REDUCIBLE
-    return INDETERMINATE
 
 
 def verdict_support(verdict: SimplicityVerdict) -> tuple[Weight, ...]:

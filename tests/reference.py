@@ -6,12 +6,17 @@ rational `normalize`, and its theta value, class sums and witness in its own
 code.  It builds `jantzen`'s result types, so a verdict of the integer path
 can be compared with it whole, certificates included.  It calls nothing of
 the integer path it judges.
+
+`closed_form_reference` and `abc_verdict_reference` are the closed form
+and the (A, B, C) screen as their plain `Fraction` definitions, for
+checking `ehw`'s progressions on a grid and their one-point reads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from scalarverma.ehw import INDETERMINATE, KNOWN_REDUCIBLE, KNOWN_SIMPLE, ABCConstants
 from scalarverma.errors import InvariantError
 from scalarverma.jantzen import JantzenTerm, RepClass, SimplicityVerdict, _decide, jantzen_support
 from scalarverma.ratvec import Weight, add, inner, is_integer, pairing, reflect
@@ -55,3 +60,19 @@ def simplicity_oracle(datum: ParabolicRootDatum, lam: Weight) -> SimplicityVerdi
     witness = next((g.members[0].beta for g in certificate if g.net_sign), None)
     verdict, route = _decide(bool(terms), witness is not None)
     return SimplicityVerdict(verdict, route, tuple(terms), tuple(certificate), witness)
+
+
+def closed_form_reference(constants: ABCConstants, c) -> bool:
+    """c - s is a natural number for s = A - B or s = A - B + C."""
+    x, start = Fraction(c), constants.a - constants.b
+    return any(x >= s and is_integer(x - s) for s in (start, start + constants.c))
+
+
+def abc_verdict_reference(constants: ABCConstants, z) -> str:
+    """Known simple for z < A; known reducible for A <= z <= B with (z - A) / C in Z."""
+    x = Fraction(z)
+    if x < constants.a:
+        return KNOWN_SIMPLE
+    if x <= constants.b and is_integer((x - constants.a) / constants.c):
+        return KNOWN_REDUCIBLE
+    return INDETERMINATE

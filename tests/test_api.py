@@ -141,6 +141,18 @@ def test_one_term_walk_serves_every_decision():
     assert len(raises) == 1
 
 
+def test_one_copy_of_the_closed_form_and_the_screen():
+    # ehw states each rule once, as a progression on a grid; its one-point
+    # reads use the same progressions, and cli has no per-point test of its own.
+    ehw = importlib.import_module("scalarverma.ehw")
+    assert not hasattr(ehw, "closed_form_reducible_ratio") and not hasattr(ehw, "abc_verdict_ratio")
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names}
+    assert not names & {"closed_form_reducible", "abc_verdict", "_closed_form_starts"}
+    assert {"closed_form_grid", "screen_grid"} <= names
+
+
 def test_verdict_is_a_plain_record():
     jantzen = importlib.import_module("scalarverma.jantzen")
     fields = [f.name for f in dataclasses.fields(jantzen.SimplicityVerdict)]

@@ -303,7 +303,7 @@ def test_crosscheck_disagreement_exits_2(capsys, monkeypatch, fmt):
     import scalarverma.cli as cli_mod
 
     # a constant-False stand-in disagrees on every reducible point
-    monkeypatch.setattr(cli_mod, "closed_form_reducible_ratio", lambda case, num, den: False)
+    monkeypatch.setattr(cli_mod, "closed_form_grid", lambda case, step, ms: [])
     code, out, _ = run_cli(capsys, "crosscheck", "--case", "CI", "--n", "2",
                            "--window", "-1..1", "--step", "1/2", "--format", fmt)
     assert code == 2
@@ -313,6 +313,19 @@ def test_crosscheck_disagreement_exits_2(capsys, monkeypatch, fmt):
         payload = json.loads(out)
         assert payload["pass"] is False and payload["instances"][0]["mismatches"]
         assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_agree_is_false_wherever_the_two_sets_differ(capsys, monkeypatch):
+    # a stand-in closed form holding every point disagrees exactly where the
+    # oracle finds the point Simple
+    monkeypatch.setattr(cli, "closed_form_grid", lambda case, step, ms: [ms])
+    code, out, _ = run_cli(capsys, "scan", "--case", "CI", "--n", "2", "--window", "-2..1",
+                           "--step", "1/2", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert all(row["closed_form"] is True for row in rows)
+    assert [row["agree"] for row in rows] == [row["verdict"] == "Reducible" for row in rows]
+    assert {row["agree"] for row in rows} == {True, False}
 
 
 def test_one_closed_form_set_per_case(capsys):
@@ -515,6 +528,16 @@ PINNED_OUTPUTS = [
      "948580eb28a54da88d3d8f8f52c314155599d770bac08aca3fa9574445145b34"),
     ("datum-dump --case AIII --p 1 --q 19",
      "3d6c0e27465984e8be6c015af79eeb23a72724b3945b80ac99ae2a7140568a34"),
+    # the residue walk: one point per class of m mod 5000 in each block of
+    # 4,096; a step s/t with s > 1; many points per class; a family
+    ("scan --case CI --n 2 --window -1..1 --step 1/5000 --format json",
+     "87e015b166cee20cc11ad001be750ef2d62535396b1fea889120d2fb2df44bdd"),
+    ("scan --case EVII --window -14..3 --step 3/7",
+     "2c97cb916612b887d68644cbab3d00eab523b7ce1a0e2ecf57e8611bba705ffc"),
+    ("scan --case AIII --p 2 --q 3 --window -300..300 --step 1/7 --format json",
+     "a41e281a458ed42fbe99a8003a99e984a85c5d91d18b01d6ee4437590f6e2671"),
+    ("crosscheck --case DIII --n 2..6 --step 1/97",
+     "da58ef155dfd696f71446081e1e292e5cf78e42473ac46312872ecca63e447d5"),
 ]
 
 
@@ -571,6 +594,12 @@ def test_scan_checks_its_grid_before_building_the_datum(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "crosscheck", "--case", "AIII", "--p", "1..10",
                              "--q", "1..10", "--window", "0..100", "--step", "1/1000")
     assert code == 1 and "10000100 grid points requested" in err
+    # without --window, each default window holds -5..10, so the family is
+    # refused on that lower bound before abc_constants builds a datum
+    code, out, err = run_cli(capsys, "crosscheck", "--case", "AIII", "--p", "1..10",
+                             "--q", "1..10", "--step", "1/1000")
+    assert code == 1 and out == ""
+    assert err == "error: at least 1500100 grid points requested, over 100000\n"
     assert calls == []
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,11 @@ from conftest import (
     ADMISSIBLE_CASES,
     SWEEP_CASES,
     abc_lattice,
-    abc_verdict_reference,
     progression_contains_reference,
     reducible_reference,
 )
 from ehw_tables import in_table_set, table_abc
+from reference import abc_verdict_reference, closed_form_reference
 from scalarverma import (
     HermitianCase,
     InsufficientWindowError,
@@ -35,6 +36,8 @@ from scalarverma.ehw import (
     ABCConstants,
     _closed_form_starts,
     _real_rank,
+    closed_form_grid,
+    screen_grid,
     special_line,
 )
 from scalarverma.ratvec import add, inner, pairing
@@ -339,13 +342,70 @@ def test_integer_screen_matches_fraction_reference(point):
 def test_screen_boundaries_match_fraction_reference():
     for case in ADMISSIBLE_CASES:
         constants = abc_constants(case)
-        starts = [Q(n, d) for n, d in _closed_form_starts(case)]
+        starts = list(_closed_form_starts(case))
         points = [constants.a, constants.b, constants.a - constants.c, constants.b + constants.c]
         points += [s + k for s in starts for k in (-1, 0, 1)]
         for x in points + [x + Q(1, 7) for x in points]:
             for form in (x, str(x)):
                 assert abc_verdict(constants, form) == abc_verdict_reference(constants, form)
                 assert closed_form_reducible(case, form) == reducible_reference(constants, form)
+
+
+@st.composite
+def _grid_windows(draw):
+    """A case, a step s/t with s > 1 and t <= 10**4, and a window of m.
+
+    The window straddles A - B and 0, or lies wholly above 0.
+    """
+    case = draw(st.sampled_from(ADMISSIBLE_CASES))
+    t = draw(st.integers(1, 10**4))
+    s = draw(st.integers(2, 20).filter(lambda s: math.gcd(s, t) == 1))
+    step = Q(s, t)
+    constants = abc_constants(case)
+    bound = math.ceil((constants.a - constants.b) / step)
+    if draw(st.booleans()):
+        ms = range(bound - draw(st.integers(1, 40)), draw(st.integers(1, 40)) + 1)
+    else:
+        lo = draw(st.integers(1, 10**4))
+        ms = range(lo, lo + draw(st.integers(1, 300)))
+    return case, step, ms, draw(st.lists(st.sampled_from(ms), max_size=20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grid_windows())
+def test_grid_progressions_match_their_definitions(grid):
+    case, step, ms, sample = grid
+    constants = abc_constants(case)
+    closed = closed_form_grid(case, step, ms)
+    simple, reducible = screen_grid(constants, step, ms)
+    for points in closed + [simple, reducible]:
+        assert not points or (ms.start <= points.start and points[-1] < ms.stop), points
+    # Every point the definitions name in the window: c = s + k for the
+    # closed form, z = A + iC <= B for the screen; then the progressions'
+    # own points, the screen's bounds and a random sample.
+    lo, hi = ms.start * step, (ms.stop - 1) * step
+    named = []
+    for start in (constants.a - constants.b, constants.a - constants.b + constants.c):
+        named += [(start + k) / step for k in range(max(0, math.ceil(lo - start)), math.floor(hi - start) + 1)]
+    z, b = constants.a, constants.b
+    while z <= b:
+        named.append((z - b) / step)
+        z += constants.c
+    points = {m.numerator for m in named if m.denominator == 1 and m.numerator in ms}
+    points |= {m for p in closed + [reducible] for m in p}
+    points |= {m for m in (simple.stop - 1, simple.stop, 0, 1, ms.start, ms.stop - 1) if m in ms}
+    points |= set(sample)
+    for m in points:
+        c = m * step
+        z = c + constants.b
+        reference = closed_form_reference(constants, c)
+        assert any(m in p for p in closed) == reference, (case.label, step, m)
+        want = abc_verdict_reference(constants, z)
+        got = KNOWN_SIMPLE if m in simple else KNOWN_REDUCIBLE if m in reducible else INDETERMINATE
+        assert got == want, (case.label, step, m)
+        # the one-point reads, on the grid of step 1/den
+        assert closed_form_reducible(case, c) == reference, (case.label, c)
+        assert abc_verdict(constants, z) == want, (case.label, z)
 
 
 def test_progression_summary_bi3():

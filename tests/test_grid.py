@@ -5,8 +5,10 @@ time, by the arithmetic progression of m at which the root's level is a
 positive integer.  `classify_scalar` tests every root at each point.  Both
 hand their support terms to the same walk, so they differ only in the
 terms they enumerate.  Each test here holds the grid to `classify_scalar`,
-term for term or verdict for verdict, or holds `scan`'s block writer to a
-per-point writer kept below.
+term for term or verdict for verdict, or holds `scan`'s block writer or
+`crosscheck`'s output to a per-point writer kept below, which takes the
+closed form and the screen from their `Fraction` definitions in
+`reference.py`, not from `ehw`.
 """
 
 from __future__ import annotations
@@ -14,19 +16,13 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from conftest import ADMISSIBLE_CASES
-from scalarverma import (
-    HermitianCase,
-    abc_constants,
-    abc_verdict,
-    build_datum,
-    classify_scalar,
-    closed_form_reducible,
-    line_offset,
-)
+from reference import abc_verdict_reference, closed_form_reference
+from scalarverma import HermitianCase, abc_constants, build_datum, classify_scalar, line_offset
 from scalarverma import cli, jantzen
 from scalarverma.jantzen import REDUCIBLE, ScalarGrid
 from scalarverma.ratvec import format_rational
@@ -116,10 +112,9 @@ def test_grid_rejects_a_step_that_is_not_positive():
 # scan bytes against a per-point writer
 
 
-def per_point_scan(case, window, step, fmt):
-    """`scan`'s output, one `classify_scalar` call and one json.dumps row per point."""
-    lo, hi = (Fraction(x) for x in window.split(".."))
-    step = Fraction(step)
+def per_point_rows(case, lo, hi, step):
+    """`scan`'s rows as dicts, from one `classify_scalar` call per point and the
+    closed form and the screen by their `Fraction` definitions."""
     datum = build_datum(case)
     constants = abc_constants(case)
     rows = []
@@ -127,21 +122,34 @@ def per_point_scan(case, window, step, fmt):
         c = m * step
         verdict = classify_scalar(datum, c)
         z = c + line_offset(case)
-        closed = closed_form_reducible(case, c)
+        closed = closed_form_reference(constants, c)
         rows.append({
             "case": case.label,
             "c": format_rational(c),
             "z": format_rational(z),
             "verdict": verdict.verdict,
             "route": verdict.route,
-            "abc_screen": abc_verdict(constants, z),
+            "abc_screen": abc_verdict_reference(constants, z),
             "closed_form": closed,
             "agree": (verdict.verdict == REDUCIBLE) == closed,
         })
+    return rows
+
+
+def case_json(case):
+    fields = {"tag": case.tag, "p": case.p, "q": case.q, "n": case.n}
+    return {k: v for k, v in fields.items() if v is not None}
+
+
+@cache
+def per_point_scan(case, window, step, fmt):
+    """`scan`'s output, from `per_point_rows` and one json.dumps per payload."""
+    lo, hi = (Fraction(x) for x in window.split(".."))
+    step = Fraction(step)
+    rows = per_point_rows(case, lo, hi, step)
     if fmt == "json":
-        fields = {"tag": case.tag, "p": case.p, "q": case.q, "n": case.n}
         payload = {
-            "case": {k: v for k, v in fields.items() if v is not None},
+            "case": case_json(case),
             "label": case.label,
             "window": [format_rational(lo), format_rational(hi)],
             "step": format_rational(step),
@@ -168,17 +176,95 @@ SCANS = [
     (HermitianCase("DIII", n=5), "1/2..1/2", "1/4"),  # a single point
     (HermitianCase("DI", n=4), "-1/3..1/5", "1/2"),  # the single point c = 0
     (HermitianCase("EIII"), "1/3..1/2", "1"),  # no point
+    # many points per residue class of m mod 3, in blocks that 3 does not divide
+    (HermitianCase("CI", n=2), "-700..700", "1/3"),
+    # one point per residue class of m mod 5000 in each block
+    (HermitianCase("DI", n=3), "-1..1", "1/5000"),
+    (HermitianCase("DIII", n=6), "-12..9", "1"),  # an integer step
+    (HermitianCase("AIII", p=3, q=4), "-13..9", "2"),  # an integer step with s > 1
+    (HermitianCase("BI", n=5), "-21/2..7", "5/2"),  # a step s/t with s > 1
 ]
 
 
+SCAN_IDS = [f"{c.label} {w} {s}" for c, w, s in SCANS]
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
-@pytest.mark.parametrize(
-    "case, window, step", SCANS, ids=[f"{c.label} {w} {s}" for c, w, s in SCANS]
-)
+@pytest.mark.parametrize("case, window, step", SCANS, ids=SCAN_IDS)
 def test_scan_bytes_match_a_per_point_writer(capsys, fmt, case, window, step):
     argv = ["scan", *case_flags(case), "--window", window, "--step", step, "--format", fmt]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == per_point_scan(case, window, step, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("case, window, step", SCANS, ids=SCAN_IDS)
+def test_scan_bytes_hold_in_blocks_of_five(capsys, monkeypatch, fmt, case, window, step):
+    # Blocks of 5 points cut the residue classes of every step but 1/5
+    # across blocks, and a class has at most one point in a block when t >= 5.
+    monkeypatch.setattr(cli, "GRID_BLOCK", 5)
+    argv = ["scan", *case_flags(case), "--window", window, "--step", step, "--format", fmt]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == per_point_scan(case, window, step, fmt)
+
+
+def per_point_crosscheck(cases, step, fmt):
+    """`crosscheck`'s output on default windows, from `per_point_rows`."""
+    instances = []
+    for case in cases:
+        constants = abc_constants(case)
+        window = (constants.a - constants.b - 5, Fraction(10))
+        rows = per_point_rows(case, *window, step)
+        mismatches = [r for r in rows if not r["agree"]]
+        contradictions = [
+            r for r in rows
+            if (r["abc_screen"] == "known_simple" and r["verdict"] == REDUCIBLE)
+            or (r["abc_screen"] == "known_reducible" and r["verdict"] != REDUCIBLE)
+        ]
+        instances.append((case, window, rows, mismatches, contradictions))
+    ok = all(not bad and not wrong for *_, bad, wrong in instances)
+    if fmt == "json":
+        payload = {"pass": ok, "instances": [
+            {
+                "case": case_json(case),
+                "label": case.label,
+                "window": [format_rational(x) for x in window],
+                "step": format_rational(step),
+                "points": len(rows),
+                "reducible": sum(r["verdict"] == REDUCIBLE for r in rows),
+                "mismatches": [r["c"] for r in bad],
+                "contradictions": [r["c"] for r in wrong],
+            }
+            for case, window, rows, bad, wrong in instances
+        ]}
+        return json.dumps(payload, indent=2) + "\n"
+    lines = []
+    for case, (lo, hi), rows, bad, wrong in instances:
+        lines.append(
+            f"{case.label}: window {format_rational(lo)}..{format_rational(hi)}"
+            f" points={len(rows)} reducible={sum(r['verdict'] == REDUCIBLE for r in rows)}"
+            f" mismatches={len(bad)} contradictions={len(wrong)}"
+        )
+        lines += [
+            f"  MISMATCH c={r['c']}: oracle {r['verdict']} vs closed form "
+            f"{str(r['closed_form']).lower()}"
+            for r in bad
+        ]
+        lines += [
+            f"  CONTRADICTION c={r['c']}: oracle {r['verdict']} vs screen {r['abc_screen']}"
+            for r in wrong
+        ]
+    total = sum(len(rows) for _, _, rows, _, _ in instances)
+    lines.append(f"crosscheck: {'PASS' if ok else 'FAIL'} ({len(instances)} instances, {total} points)")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_crosscheck_bytes_match_a_per_point_checker(capsys, fmt):
+    cases = [HermitianCase("DIII", n=n) for n in range(2, 7)]
+    argv = ["crosscheck", "--case", "DIII", "--n", "2..6", "--step", "1/7", "--format", fmt]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == per_point_crosscheck(cases, Fraction(1, 7), fmt)
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
