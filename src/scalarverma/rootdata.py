@@ -32,11 +32,12 @@ Data are built once per case and cached; every field of a datum is an
 immutable tuple, safe to share across threads.  Each datum also derives, on
 first use, an integer view of itself (`IntegerView`) for the c-free chamber
 arithmetic of the oracle.  The view holds only the datum's own scaled
-numbers, plus one dict in which `weyl` keeps a record per root of that
-root's scalar line: its singular levels and its certified words, built
-once the root's Levi integrality is checked.  `weyl` replaces a root's
-immutable record whole, so concurrent fills at worst drop an entry and
-repeat work.
+numbers and the dots among them that `weyl`'s descent reads in place of
+recomputing them, plus one dict in which `weyl` keeps a record per root of
+that root's scalar line: its singular levels and its certified words,
+built once the root's Levi integrality is checked.  `weyl` replaces a
+root's immutable record whole, so concurrent fills at worst drop an entry
+and repeat work.
 """
 
 from __future__ import annotations
@@ -53,11 +54,13 @@ from .ratvec import Weight, add, dot, scale, sub, weight
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
-# perfbench runs.  One CI(20) classify takes 0.23-0.26 s from the command
-# line, 0.06 s of it building the datum; in-process, each later CI(20)
-# point with all 210 nilradical roots in its support takes 2.7-2.9 ms with
-# its terms, or 0.7-0.8 ms for the verdict and route alone as a one-point
-# ScalarGrid (2 cores, CPython 3.11.7, fast phase).
+# perfbench runs.  One CI(20) classify takes 0.19-0.26 s from the command
+# line (0.29-0.40 s with every descent step's dots recomputed), and the
+# first in-process call 0.09-0.13 s (0.19-0.28 s), 0.03-0.05 s of it
+# building the datum; each later CI(20) point with all 210 nilradical roots
+# in its support takes 2.7-2.9 ms with its terms, or 0.7-0.8 ms for the
+# verdict and route alone as a one-point ScalarGrid (2 cores,
+# CPython 3.11.7; the later points in the host's fast phase).
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
@@ -165,6 +168,15 @@ class IntegerView:
     2*dot(v, A) / dot(A, A) for the scaled root A, free of D.
     `theta_rho` = dot(R, T) for R = D*rho and T = D*theta_u.
 
+    The Levi fields serve `weyl`'s descent, and only `rootdata` and `weyl`
+    read them.  `rho_levi` and `rho_simple` hold dot(R, A) for each scaled
+    root A of `levi_positive` and of `levi_simples`, in their order.  For
+    the s-th Levi simple root A_s, `gram_rows[s]` holds (t, dot(A_s, A_t))
+    over the Levi simple roots A_t that A_s meets with a nonzero product,
+    itself included, and `simple_coords[s]` holds (i, A_s[i]) over A_s's
+    nonzero coordinates.  Like each nilradical root's a and b, they are
+    derived once per view.
+
     `words` belongs to `weyl`: per nilradical index, the record
     (singular, entries) of that root's scalar line (its singular levels and
     certified words), built on the root's first support term.  Nothing
@@ -178,6 +190,10 @@ class IntegerView:
     nilradical: tuple[NilradicalLevel, ...]
     levi_positive: tuple[tuple[IntVector, int], ...]
     levi_simples: tuple[tuple[IntVector, int], ...]
+    rho_levi: tuple[int, ...]
+    rho_simple: tuple[int, ...]
+    gram_rows: tuple[tuple[tuple[int, int], ...], ...]
+    simple_coords: tuple[tuple[tuple[int, int], ...], ...]
     words: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -371,12 +387,21 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
         a, b = 2 * dot(rho, root), 2 * dot(zeta, root)
         return NilradicalLevel(root, norm, a, b, dot(root, theta_u))
 
+    levi_positive = tuple(with_norm(a) for a in d.levi_positive)
+    levi_simples = tuple(with_norm(a) for a in d.levi_simples)
+    simples = [a for a, _ in levi_simples]
     return IntegerView(
         denom=denom,
         rho=rho,
         zeta=zeta,
         theta_rho=dot(rho, theta_u),
         nilradical=tuple(map(level, d.nilradical_roots)),
-        levi_positive=tuple(with_norm(a) for a in d.levi_positive),
-        levi_simples=tuple(with_norm(a) for a in d.levi_simples),
+        levi_positive=levi_positive,
+        levi_simples=levi_simples,
+        rho_levi=tuple([dot(rho, a) for a, _ in levi_positive]),
+        rho_simple=tuple([dot(rho, a) for a in simples]),
+        gram_rows=tuple(
+            tuple([(t, g) for t, b in enumerate(simples) if (g := dot(a, b))]) for a in simples
+        ),
+        simple_coords=tuple(tuple([(i, x) for i, x in enumerate(a) if x]) for a in simples),
     )

@@ -34,11 +34,17 @@ descent is `normalize`'s first-negative rule, step bound and errors, run
 on v and w*B together in integers, with no wall scan: R = D*rho is
 strictly Levi dominant, so R - k*B meets the wall of a Levi root A only
 at k = dot(R, A) / dot(B, A), and the record's singular levels already
-hold every such level.  Every v(k) with k in lo..hi lies in one open
-chamber, and the first-negative descent reads only the chamber, so a
-served word is the word a fresh descent would find.  The Weyl group acts
-simply transitively on chambers, so no two words share a level and a
-root's entries are disjoint.  Each fill replaces the root's record whole.
+hold every such level.  The descent tracks the pairings d_s = dot(v, A_s)
+and q_s = dot(w*B, A_s) with each Levi simple root A_s, started from the
+view's dot(R, A_s) and one dot of B per A_s.  A reflection in A_s moves v
+and w*B only on A_s's nonzero coordinates, and d and q only on A_s's row
+of nonzero Gram entries dot(A_s, A_t), both read from the view; the
+interval lo..hi is read off d and q, with no dot at all.  Every v(k)
+with k in lo..hi lies in one open chamber, and the first-negative
+descent reads only the chamber, so a served word is the word a fresh
+descent would find.  The Weyl group acts simply transitively on
+chambers, so no two words share a level and a root's entries are
+disjoint.  Each fill replaces the root's record whole.
 """
 
 from __future__ import annotations
@@ -116,12 +122,6 @@ def normalize(datum: ParabolicRootDatum, mu: Weight) -> ChamberForm:
             raise InvariantError("chamber descent exceeded the positive-root bound")
 
 
-def _reflect_scaled(v: IntVector, root: IntVector, norm: int) -> IntVector:
-    """The reflection of a Levi integral v in the scaled root of squared norm `norm`."""
-    k = 2 * dot(v, root) // norm
-    return tuple(x - k * a for x, a in zip(v, root))
-
-
 def _line_record(view: IntegerView, root: IntVector) -> tuple[frozenset[int], tuple]:
     """A new record (singular, ()) of the line R - k*B, for B = root.
 
@@ -132,8 +132,8 @@ def _line_record(view: IntegerView, root: IntVector) -> tuple[frozenset[int], tu
     integral and each Levi reflection acts on R and B in exact integers.
     """
     singular = set()
-    for a, n in view.levi_positive:
-        r, b = dot(view.rho, a), dot(root, a)
+    for (a, n), r in zip(view.levi_positive, view.rho_levi):
+        b = dot(root, a)
         if 2 * r % n or 2 * b % n:
             raise InvariantError("support term is not Levi integral")
         if r * b > 0 and r % b == 0:
@@ -159,7 +159,12 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
     level at which the line meets a Levi wall, and the descent runs no wall
     scan of its own: a wall it meets, or a word longer than the number of
     Levi positive roots, can come only from a broken datum and raises
-    InvariantError.
+    InvariantError.  The descent keeps v's and w*B's pairings d and q with
+    the Levi simple roots.  A reflection in A_s, by c = 2*d_s / |A_s|^2 on
+    v and cb = 2*q_s / |A_s|^2 on w*B, subtracts c and cb times A_s's Gram
+    row from d and q and times A_s from v and w*B, each on its nonzero
+    entries only.  At the end w*R pairs with A_s as d_s + k*q_s, so the
+    interval needs no dot.
     """
     nil = view.nilradical[j]
     record = view.words.get(j)
@@ -172,34 +177,43 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
     if i and k <= entries[i - 1][1]:
         _, _, wr, wb, word = entries[i - 1]
         return tuple([r - k * b for r, b in zip(wr, wb)]), word
-    # Descend v and w*B together, so that w*R = v + k*w*B at the end.
-    v, wb, word = tuple([r - k * b for r, b in zip(view.rho, nil.root)]), nil.root, []
+    # Descend v = R - k*B and w*B together, so that w*R = v + k*w*B at the end.
+    simples, rows, coords = view.levi_simples, view.gram_rows, view.simple_coords
+    v, wb = [r - k * b for r, b in zip(view.rho, nil.root)], list(nil.root)
+    q = [dot(nil.root, a) for a, _ in simples]
+    d = [r - k * b for r, b in zip(view.rho_simple, q)]
+    word = []
     bound = len(view.levi_positive)
     while True:
-        for s, (root, norm) in enumerate(view.levi_simples):
-            d = dot(v, root)
-            if d == 0:
-                raise InvariantError("wall hit during descent after a clean wall scan")
-            if d < 0:
-                v, wb = _reflect_scaled(v, root, norm), _reflect_scaled(wb, root, norm)
-                word.append(s)
+        for s, ds in enumerate(d):
+            if ds <= 0:
                 break
         else:
             break
+        if ds == 0:
+            raise InvariantError("wall hit during descent after a clean wall scan")
+        norm = simples[s][1]
+        c, cb = 2 * ds // norm, 2 * q[s] // norm
+        for t, g in rows[s]:
+            d[t] -= c * g
+            q[t] -= cb * g
+        for m, x in coords[s]:
+            v[m] -= c * x
+            wb[m] -= cb * x
+        word.append(s)
         if len(word) > bound:
             raise InvariantError("chamber descent exceeded the positive-root bound")
-    word = tuple(word)
-    wr = tuple(x + k * b for x, b in zip(v, wb))
-    # dot(wr - k*wb, A) = p - k*q is positive for k <= (p - 1)/q
-    # when q > 0 and for k > p/q when q < 0; with q = 0 it is p,
-    # positive because v is dominant.
+    v, wb, word = tuple(v), tuple(wb), tuple(word)
+    wr = tuple([x + k * b for x, b in zip(v, wb)])
+    # dot(wr - k*wb, A_s) = p - k*q_s, for p = d_s + k*q_s, is positive for
+    # k <= (p - 1)/q_s when q_s > 0 and for k > p/q_s when q_s < 0; with
+    # q_s = 0 it is d_s, positive because v is dominant.
     lo, hi = -math.inf, math.inf
-    for root, _ in view.levi_simples:
-        p, q = dot(wr, root), dot(wb, root)
-        if q > 0:
-            hi = min(hi, (p - 1) // q)
-        elif q < 0:
-            lo = max(lo, -p // -q + 1)
+    for ds, qs in zip(d, q):
+        p = ds + k * qs
+        if qs > 0:
+            hi = min(hi, (p - 1) // qs)
+        elif qs < 0:
+            lo = max(lo, -p // -qs + 1)
     view.words[j] = singular, entries[:i] + ((lo, hi, wr, wb, word),) + entries[i:]
     return v, word
-

@@ -10,17 +10,23 @@ the integer path it judges.
 `closed_form_reference` and `abc_verdict_reference` are the closed form
 and the (A, B, C) screen as their plain `Fraction` definitions, for
 checking `ehw`'s progressions on a grid and their one-point reads.
+
+`scaled_descent` is the integer line's descent in its full-coordinate
+form: at every step it recomputes each pairing with a Levi simple root and
+reflects whole vectors, where `weyl` updates tracked pairings on one Gram
+row.  It checks a fresh descent's word, representative and interval.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from scalarverma.ehw import INDETERMINATE, KNOWN_REDUCIBLE, KNOWN_SIMPLE, ABCConstants
 from scalarverma.errors import InvariantError
 from scalarverma.jantzen import JantzenTerm, RepClass, SimplicityVerdict, _decide, jantzen_support
-from scalarverma.ratvec import Weight, add, inner, is_integer, pairing, reflect
-from scalarverma.rootdata import ParabolicRootDatum
+from scalarverma.ratvec import Weight, add, dot, inner, is_integer, pairing, reflect
+from scalarverma.rootdata import IntegerView, IntVector, ParabolicRootDatum
 from scalarverma.weyl import normalize
 
 
@@ -76,3 +82,46 @@ def abc_verdict_reference(constants: ABCConstants, z) -> str:
     if x <= constants.b and is_integer((x - constants.a) / constants.c):
         return KNOWN_REDUCIBLE
     return INDETERMINATE
+
+
+def _reflect_scaled(v: IntVector, root: IntVector, norm: int) -> IntVector:
+    """The reflection of a Levi integral v in the scaled root of squared norm `norm`."""
+    k = 2 * dot(v, root) // norm
+    return tuple(x - k * a for x, a in zip(v, root))
+
+
+def scaled_descent(
+    view: IntegerView, j: int, k: int
+) -> tuple[IntVector, tuple[int, ...], int | float, int | float]:
+    """The first-negative descent of v = R - k*B, for B the j-th scaled
+    nilradical root, with every dot recomputed at every step.
+
+    Returns (w*v, w, lo, hi): the dominant point, the word as indices into
+    view.levi_simples, and the levels lo..hi at which w*R - k*w*B pairs
+    positively with every Levi simple root.  v must be regular.
+    """
+    nil = view.nilradical[j]
+    v = tuple(r - k * b for r, b in zip(view.rho, nil.root))
+    wb, word = nil.root, []
+    while True:
+        for s, (root, norm) in enumerate(view.levi_simples):
+            d = dot(v, root)
+            if d == 0:
+                raise InvariantError("wall hit during descent after a clean wall scan")
+            if d < 0:
+                v, wb = _reflect_scaled(v, root, norm), _reflect_scaled(wb, root, norm)
+                word.append(s)
+                break
+        else:
+            break
+        if len(word) > len(view.levi_positive):
+            raise InvariantError("chamber descent exceeded the positive-root bound")
+    wr = tuple(x + k * b for x, b in zip(v, wb))
+    lo, hi = -math.inf, math.inf
+    for root, _ in view.levi_simples:
+        p, q = dot(wr, root), dot(wb, root)
+        if q > 0:
+            hi = min(hi, (p - 1) // q)
+        elif q < 0:
+            lo = max(lo, -p // -q + 1)
+    return v, tuple(word), lo, hi

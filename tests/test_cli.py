@@ -452,6 +452,15 @@ PINNED_OUTPUTS = [
      "7460d1f6055cc9dcf888c8f44162b163b1de78ed4edfed5c7f5b7c2c75e3288f"),
     ("classify --case DIII --n 4 --c 0 --format json",
      "593e6ce41e57c84f60d8448868b623f211840040161d0fe01882611bf5c4ddbb"),
+    # certificates of long Levi descents at ambient dimension 20
+    ("classify --case CI --n 20 --c 0 --format json",
+     "c097c8822e04f1cfcccffd153010c228b8217389cfed5e0f7db56e73bf684bfb"),
+    ("classify --case DIII --n 20 --c 0 --format json",
+     "6aeca5ef3061d0a2d8500eeed6c59b7ca0d979301853fb74ae1d9609da7b87c5"),
+    ("classify --case AIII --p 10 --q 10 --c -3 --format json",
+     "6468c7ee8d002e4a4f265d7f2608f6f0cfd3ba101ac04110ac76c4cb70af4cb7"),
+    ("classify --case BI --n 20 --c 1/2 --format json",
+     "69926a1cef179b068963d4dc1a3b0778365ce1aa50f6ee1760c84130fe5766c4"),
     ("classify --case EIII --c -2",
      "5475d345f7ac0a4827bb290890d6a83584136e48e8a868b8488e5bd8c9df93d2"),
     ("classify --case EIII --c −2 --format json",

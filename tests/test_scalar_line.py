@@ -5,8 +5,10 @@
 term, and decides each term by the root's singular levels, by the
 memoized word whose certified interval of levels holds it, or by a fresh
 descent inside `_line_chamber`, which runs no wall scan of its own.  The
-tests below scan the walls themselves, and compare each served word with
-a fresh descent from a record that holds no entries.
+tests below scan the walls themselves, compare each served word with a
+fresh descent from a record that holds no entries, and compare each fresh
+descent, which updates tracked pairings, with `reference.scaled_descent`,
+which recomputes every dot.
 `reference.simplicity_oracle`, built on `normalize`, is the rational
 reference.  Every comparison here is whole-verdict equality, certificates
 included, and every InvariantError the reference can raise is triggered
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ADMISSIBLE_CASES, SWEEP_CASES
-from reference import simplicity_oracle
+from reference import scaled_descent, simplicity_oracle
 from scalarverma import (
     HermitianCase,
     InvariantError,
@@ -164,11 +166,17 @@ def fresh_descent(view, j, k):
     """_line_chamber(view, j, k) from a record of root j that holds no
     entries, so that a level off the singular ones is descended afresh;
     the root's record is put back afterwards."""
+    return fresh_entry(view, j, k)[0]
+
+
+def fresh_entry(view, j, k):
+    """fresh_descent's (rep, word) and the entries its record then holds:
+    one (lo, hi, w*R, w*B, w) after a descent, none at a singular level."""
     held = view.words.get(j)
     singular = held[0] if held else weyl._line_record(view, view.nilradical[j].root)[0]
     view.words[j] = singular, ()
     try:
-        return _line_chamber(view, j, k)
+        return _line_chamber(view, j, k), view.words[j][1]
     finally:
         if held is None:
             del view.words[j]
@@ -204,7 +212,15 @@ def test_interval_words_match_a_fresh_descent(case):
     for order in (reversed, iter):
         for j in range(len(view.nilradical)):
             for k in order(range(1, int(max(walls(view, j), default=0)) + 3)):
-                assert _line_chamber(view, j, k) == fresh_descent(view, j, k), (j, k)
+                (rep, word), stored = fresh_entry(view, j, k)
+                assert _line_chamber(view, j, k) == (rep, word), (j, k)
+                # the tracked pairings give the full-coordinate descent's
+                # word, representative and interval
+                if rep is None:
+                    assert stored == (), (j, k)
+                else:
+                    [(lo, hi, *_)] = stored
+                    assert (rep, word, lo, hi) == scaled_descent(view, j, k), (j, k)
             # the root's record holds its entries
             _, entries = view.words[j]
             assert entries, j
@@ -252,6 +268,25 @@ def test_integer_view_scales_the_datum():
             # a_beta and b_beta are the pairings of rho and zeta with beta
             assert Fraction(nil.a, nil.norm) == 2 * inner(datum.rho, beta) / inner(beta, beta)
             assert Fraction(nil.b, nil.norm) == 2 * inner(datum.zeta, beta) / inner(beta, beta)
+
+
+def test_levi_tables_hold_the_views_own_dots():
+    # weyl's descent reads these tables in place of dots and whole vectors
+    assert len(ADMISSIBLE_CASES) == 268
+    for case in ADMISSIBLE_CASES:
+        view = build_datum(case).integer_view
+        simples = [a for a, _ in view.levi_simples]
+        assert view.rho_levi == tuple(dot(view.rho, a) for a, _ in view.levi_positive), case
+        assert view.rho_simple == tuple(dot(view.rho, a) for a in simples), case
+        assert len(view.gram_rows) == len(view.simple_coords) == len(simples), case
+        for a, row, coords in zip(simples, view.gram_rows, view.simple_coords):
+            gram = [(t, dot(a, b)) for t, b in enumerate(simples)]
+            assert row == tuple((t, g) for t, g in gram if g), case
+            rebuilt = [0] * len(a)
+            for i, x in coords:
+                assert x, case
+                rebuilt[i] = x
+            assert tuple(rebuilt) == a, case
 
 
 def test_records_are_built_for_support_roots_only():
