@@ -21,7 +21,10 @@ from abc_constants, which builds the case's datum; every such window holds
 Exit codes: 0 success, 1 usage error, 2 computational disagreement,
 3 internal invariant violation.  All output is deterministic: fixed
 orderings, exact rationals, no timestamps.  JSON is written by _dumps, in
-the bytes of json.dumps(..., indent=2).
+the bytes of json.dumps(..., indent=2).  A weight reaches _dumps as the
+tuple of its coordinates' format_rational strings (_w), which _dumps writes
+as a JSON array in one join; a list is written item by item.  Integer flags
+take ASCII digits with an optional sign only, as rationals do.
 
 The argparse parser is built once per process, on the first main() call,
 and reused by every later call; building it costs more than deciding a
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -161,7 +165,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("table", help="print one exceptional-case reference table")
-    p.add_argument("--table", required=True, type=int, choices=(1, 2, 3, 4))
+    p.add_argument("--table", required=True, type=_integer, choices=(1, 2, 3, 4))
     p.add_argument("--a", help="line parameter for tables 3 and 4 (table 4 default -7)")
     p.add_argument("--format", choices=("pretty", "tsv", "json"), default="pretty")
     p.set_defaults(func=cmd_table)
@@ -182,6 +186,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _integer(text: str) -> int:
+    """text as an int, for ASCII digits with an optional sign and nothing else.
+
+    int() alone also reads underscores and every Unicode digit.  The message
+    is argparse's own for a type=int flag.
+    """
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _cases(args, ranges: bool = False) -> list[HermitianCase]:
     """The cases named by --case, --p, --q and --n.
 
@@ -198,9 +213,9 @@ def _cases(args, ranges: bool = False) -> list[HermitianCase]:
         ends = []
         for end in text.split("..", 1) if ranges else [text]:
             try:
-                ends.append(int(end))
-            except ValueError:
-                raise ValueError(f"--{name} must be an integer, got {end!r}")
+                ends.append(_integer(end))
+            except argparse.ArgumentTypeError:
+                raise ValueError(f"--{name} must be an integer, got {end!r}") from None
         if ends[-1] < ends[0]:
             raise ValueError(f"empty --{name} range {text!r}")
         values[name] = range(ends[0], ends[-1] + 1)
@@ -256,8 +271,11 @@ def _dumps(obj, indent: str = "") -> str:
     """The bytes of json.dumps(obj, indent=2) for the CLI's payload shapes.
 
     indent is the indentation of the line obj starts on.  Only str, int,
-    bool, None, list and str-keyed dict are accepted; the standard encoder
-    runs in pure Python whenever an indent is set, and this one is faster.
+    bool, None, list, tuple and str-keyed dict are accepted; the standard
+    encoder runs in pure Python whenever an indent is set, and this one is
+    faster.  A tuple is a weight from _w: its items are format_rational
+    strings (ASCII digits, "-" and "/"), written unescaped in one join, and
+    any item that is not a str raises TypeError from the join.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -270,6 +288,10 @@ def _dumps(obj, indent: str = "") -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     inner = indent + "  "
+    if type(obj) is tuple:
+        if not obj:
+            return "[]"
+        return f'[\n{inner}"' + f'",\n{inner}"'.join(obj) + f'"\n{indent}]'
     sep = ",\n" + inner
     if isinstance(obj, list):
         if not obj:
@@ -288,8 +310,9 @@ def _dumps(obj, indent: str = "") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _w(w: Weight) -> list[str]:
-    return [format_rational(x) for x in w]
+def _w(w: Weight) -> tuple[str, ...]:
+    """w's coordinates as format_rational strings (str of a Fraction), for _dumps."""
+    return tuple(map(str, w))
 
 
 def _case_json(case: HermitianCase) -> dict:
@@ -317,17 +340,23 @@ def _class_json(group, with_detail: bool) -> dict:
 # classify
 
 
+@cache
+def _lambda0(case: HermitianCase) -> tuple[str, ...]:
+    """The base point -<rho, gamma^v> * zeta of the case's c-line, for _dumps.
+
+    z = c + <rho, gamma^v>, and c*zeta - z*zeta is this point for every c.
+    """
+    return _w(scale(-line_offset(case), build_datum(case).zeta))
+
+
 def _classify_payload(case: HermitianCase, c: Fraction) -> dict:
-    datum = build_datum(case)
-    verdict = classify_scalar(datum, c)
-    # z = c + <rho, gamma^v>, and c*zeta - z*zeta is the same base point for every c.
-    offset = line_offset(case)
+    verdict = classify_scalar(build_datum(case), c)
     return {
         "case": _case_json(case),
         "label": case.label,
         "c": format_rational(c),
-        "z": format_rational(c + offset),
-        "lambda0": _w(scale(-offset, datum.zeta)),
+        "z": format_rational(c + line_offset(case)),
+        "lambda0": _lambda0(case),
         "verdict": verdict.verdict,
         "route": verdict.route,
         "s_lambda_size": len(verdict.terms),
@@ -365,7 +394,7 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _w_pretty_from(strs: list[str]) -> str:
+def _w_pretty_from(strs: tuple[str, ...]) -> str:
     return "[" + ", ".join(strs) + "]"
 
 

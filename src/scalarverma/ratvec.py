@@ -16,14 +16,16 @@ from typing import Iterable
 
 Weight = tuple[Fraction, ...]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+# ASCII digits only: \d would also match every Unicode digit.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p" or "p/q" into an exact rational.
 
-    Accepts an ASCII hyphen or a U+2212 minus sign.  Anything else (floats,
-    exponents, whitespace inside the number) is rejected.
+    Accepts ASCII digits, and an ASCII hyphen or a U+2212 minus sign.
+    Anything else (floats, exponents, underscores, non-ASCII digits,
+    whitespace inside the number) is rejected.
     """
     s = text.strip().replace("−", "-")
     if not _RATIONAL_RE.fullmatch(s):

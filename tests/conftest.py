@@ -38,6 +38,13 @@ ADMISSIBLE_CASES = (
 )
 
 
+def case_flags(case: HermitianCase) -> list[str]:
+    """The command-line flags that name case."""
+    if case.tag == "AIII":
+        return ["--case", "AIII", "--p", str(case.p), "--q", str(case.q)]
+    return ["--case", case.tag] + (["--n", str(case.n)] if case.n else [])
+
+
 def random_case(rng: random.Random, max_rank: int = 6) -> HermitianCase:
     """Draw a random case with bounded rank from all seven families."""
     tag = rng.choice(["AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII"])

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalarverma
-from conftest import ADMISSIBLE_CASES, SWEEP_CASES
+from conftest import ADMISSIBLE_CASES, SWEEP_CASES, case_flags
 from scalarverma import HermitianCase, InvariantError, build_datum
 from scalarverma import cli, ehw, jantzen
 from scalarverma.cli import main
-from scalarverma.ratvec import format_rational, weight
+from scalarverma.ratvec import format_rational, parse_rational, weight
 from scalarverma.rootdata import scalar_parameter_weight
 
 Q = Fraction
@@ -65,7 +65,8 @@ def test_classify_line_matches_special_line():
         datum = build_datum(case)
         line = ehw.special_line(datum, scalar_parameter_weight(datum, c))
         assert payload["z"] == format_rational(line.z), (case.label, c)
-        assert payload["lambda0"] == [format_rational(x) for x in line.lambda0], case.label
+        # _w writes a weight as a tuple of strings; json.loads reads it back as a list
+        assert list(payload["lambda0"]) == [format_rational(x) for x in line.lambda0], case.label
 
 
 def test_classify_negative_value_without_equals(capsys):
@@ -144,10 +145,37 @@ def test_classify_simple_point_has_no_witness(capsys):
     ["scan", "--case", "CI", "--n", "2", "--window", f"0..{10**20}"],  # past sys.maxsize
     ["crosscheck", "--case", "CI", "--n", "2..3", "--window", "0..60000",
      "--step", "1"],                                         # family total
+    # range ends take ASCII digits only, as every integer flag does
+    ["crosscheck", "--case", "CI", "--n", "2..\u0663"],
+    ["crosscheck", "--case", "AIII", "--p", "1_0..11", "--q", "1"],
+    ["table", "--table", "\u0661"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
     assert main(list(argv)) == 1
     capsys.readouterr()
+
+
+# Integers and rationals take ASCII digits only: no underscores and no
+# Arabic-Indic digits, which int() and \d would both read.
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--case", "CI", "--n", "1_0", "--c", "0"], "--n must be an integer, got '1_0'"),
+    (["classify", "--case", "CI", "--n", "\u0663", "--c", "0"], "--n must be an integer, got '\u0663'"),
+    (["classify", "--case", "CI", "--n", "2", "--c", "\u0661/\u0662"], "not a rational: '\u0661/\u0662'"),
+    (["table", "--table", "\u0661"], "argument --table: invalid int value: '\u0661'"),
+], ids=["underscore", "arabic-indic-n", "arabic-indic-c", "arabic-indic-table"])
+def test_non_ascii_digits_keep_their_messages(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
+def test_signed_ascii_numbers_parse(capsys):
+    a = classify_json(capsys, "--case", "CI", "--n", "+3", "--c", "\u22123/4")
+    b = classify_json(capsys, "--case", "CI", "--n", "3", "--c", "-3/4")
+    assert a == b and a["label"] == "CI(3)" and a["c"] == "-3/4"
+    code, plus, _ = run_cli(capsys, "table", "--table", "+2", "--format", "tsv")
+    assert code == 0
+    assert run_cli(capsys, "table", "--table", "2", "--format", "tsv") == (0, plus, "")
 
 
 def test_scan_tsv_golden(capsys):
@@ -343,6 +371,7 @@ def test_one_closed_form_set_per_case(capsys):
 def test_one_line_offset_per_case(capsys):
     ehw.line_offset.cache_clear()
     ehw.abc_constants.cache_clear()
+    cli._lambda0.cache_clear()
     for c in ("-2", "0", "1/2", "-2"):
         code, _, _ = run_cli(capsys, "classify", "--case", "DIII", "--n", "4", "--c", c)
         assert code == 0
@@ -352,6 +381,8 @@ def test_one_line_offset_per_case(capsys):
     assert code == 0
     assert ehw.line_offset.cache_info().misses == 1
     assert ehw.abc_constants.cache_info().misses == 1
+    # classify's base point is formatted once, for the first request
+    assert cli._lambda0.cache_info().misses == 1
 
 
 # Strings with quotes, backslashes, control characters and non-ASCII text
@@ -359,8 +390,14 @@ _json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀') | st
 _json_scalars = (
     st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _json_text
 )
+# Weights as _w writes them: tuples of format_rational strings, with negative,
+# zero and non-unit-denominator coordinates.
+_json_weights = st.lists(
+    st.builds(lambda p, q: format_rational(Q(p, q)), st.integers(-(2**70), 2**70), st.integers(1, 12)),
+    max_size=6,
+).map(tuple)
 _json_payloads = st.recursive(
-    _json_scalars,
+    _json_scalars | _json_weights,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text, inner, max_size=4),
     max_leaves=24,
 )
@@ -369,12 +406,22 @@ _json_payloads = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_json_payloads)
 def test_writer_matches_json_dumps(payload):
-    assert cli._dumps(payload) == json.dumps(payload, indent=2)
+    assert cli._dumps(payload) == json.dumps(_as_lists(payload), indent=2)
+
+
+def _as_lists(obj):
+    """obj with every tuple, at any depth, turned into a list."""
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    return obj
 
 
 @pytest.mark.parametrize(
-    "payload", [Q(1, 2), 0.5, {1: "x"}, [{"a": [Q(1)]}], {"a": {None: 1}}],
-    ids=["fraction", "float", "int-key", "nested-fraction", "nested-none-key"],
+    "payload",
+    [Q(1, 2), 0.5, {1: "x"}, [{"a": [Q(1)]}], {"a": {None: 1}}, [("1/2", Q(1, 2))]],
+    ids=["fraction", "float", "int-key", "nested-fraction", "nested-none-key", "weight-fraction"],
 )
 def test_writer_rejects_other_types(payload):
     with pytest.raises(TypeError):
@@ -424,6 +471,29 @@ def test_datum_dump_keys(capsys):
     assert payload["label"] == "DIII(3)"
     assert payload["ambient_dim"] == 3
     assert payload["zeta"] == ["1/2", "1/2", "1/2"]
+
+
+_WEIGHT_FIELDS = ("noncompact_simple", "rho", "gamma", "zeta", "theta_u")
+_WEIGHT_LIST_FIELDS = ("simple_roots", "levi_simples", "nilradical_roots")
+
+
+def test_every_datum_dump_round_trips(capsys):
+    for case in ADMISSIBLE_CASES:
+        code, out, _ = run_cli(capsys, "datum-dump", *case_flags(case))
+        assert code == 0, case.label
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n", case.label
+        datum = build_datum(case)
+        for field in _WEIGHT_FIELDS:
+            assert _parsed(payload[field]) == getattr(datum, field), (case.label, field)
+        for field in _WEIGHT_LIST_FIELDS:
+            assert tuple(map(_parsed, payload[field])) == tuple(getattr(datum, field)), (
+                case.label, field)
+
+
+def _parsed(coords):
+    """A dumped weight read back, coordinate by coordinate; each must be a string."""
+    return tuple(map(parse_rational, coords))
 
 
 def test_datum_dump_notes_on_degenerate_case(capsys):

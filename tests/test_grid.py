@@ -20,7 +20,7 @@ from functools import cache
 
 import pytest
 
-from conftest import ADMISSIBLE_CASES
+from conftest import ADMISSIBLE_CASES, case_flags
 from reference import abc_verdict_reference, closed_form_reference
 from scalarverma import HermitianCase, abc_constants, build_datum, classify_scalar, line_offset
 from scalarverma import cli, jantzen
@@ -160,12 +160,6 @@ def per_point_scan(case, window, step, fmt):
     for r in rows:
         lines.append("\t".join(str(v).lower() if isinstance(v, bool) else v for v in r.values()))
     return "\n".join(lines) + "\n"
-
-
-def case_flags(case):
-    if case.tag == "AIII":
-        return ["--case", "AIII", "--p", str(case.p), "--q", str(case.q)]
-    return ["--case", case.tag] + (["--n", str(case.n)] if case.n else [])
 
 
 SCANS = [

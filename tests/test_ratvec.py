@@ -41,7 +41,9 @@ def test_parse_rational_unicode_minus():
     assert parse_rational("−5") == Fraction(-5)
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "3/0", "a", "1/2/3", "--2", "1e3"])
+@pytest.mark.parametrize(
+    "bad", ["", "1.5", "3/0", "a", "1/2/3", "--2", "1e3", "1_0", "\u0661/\u0662", "\uff13"]
+)
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
