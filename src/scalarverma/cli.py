@@ -28,7 +28,18 @@ take ASCII digits with an optional sign only, as rationals do.
 
 The argparse parser is built once per process, on the first main() call,
 and reused by every later call; building it costs more than deciding a
-typical point.
+typical point.  When argv names a command, main() parses the rest with that
+command's own parser, as the top parser's subparsers action would after
+scanning the whole argv itself, and leftovers get the top parser's
+"unrecognized arguments" error; any other argv, and any holding "--", goes
+through the top parser.  Usage errors and help keep their bytes.
+
+classify writes its JSON from fragments, as scan writes its rows: each
+nilradical root's array, at each indent it appears at, and the case's own
+fields are written by _dumps once per case, and a request writes only its
+representatives, levels and the text around the fragments.  classify also
+keeps the texts it printed, keyed by the parsed (case, c, format), within
+CLASSIFY_MEMO_CHARS characters; a request that raises is never kept.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ import math
 import os
 import re
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -67,6 +79,11 @@ MAX_SUPPORT_TERMS = 1_000_000
 # long the window and however full the support.
 GRID_BLOCK = 4096
 BLOCK_TERMS = 4096
+# classify keeps the texts it printed, for repeated requests, up to this
+# many characters together, least recently used out first.  A count of
+# texts would not bound memory: a CI(20) certificate in JSON holds up to
+# 366,531 characters, an empty-support point under 200.
+CLASSIFY_MEMO_CHARS = 2**19
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,9 +104,8 @@ class _Parser(argparse.ArgumentParser):
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_glue_values(list(argv)))
+        args = _parse_args(_build_parser(), _glue_values(list(argv)))
     except SystemExit as exc:
         # argparse exits on usage errors (and on --help); keep the int
         # contract of main() by translating instead of leaking the exit
@@ -140,6 +156,24 @@ def _glue_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), with a command's flags read by the command's own parser.
+
+    The top parser would scan the whole argv before its subparsers action
+    hands the rest to the command's parser, as this does; leftovers get the
+    top parser's own "unrecognized arguments" error.  Any other argv (empty,
+    an option or an unknown name first, or holding "--", whose handling
+    varies across Python releases) goes through the top parser.
+    """
+    command = parser.commands.get(argv[0]) if argv and "--" not in argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 @cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="scalarverma", description=__doc__.splitlines()[0])
@@ -183,6 +217,8 @@ def _build_parser() -> _Parser:
     case_flags(p)
     p.set_defaults(func=cmd_datum_dump)
 
+    # each command's own parser, by name, for _parse_args
+    parser.commands = sub.choices
     return parser
 
 
@@ -292,12 +328,8 @@ def _dumps(obj, indent: str = "") -> str:
         if not obj:
             return "[]"
         return f'[\n{inner}"' + f'",\n{inner}"'.join(obj) + f'"\n{indent}]'
-    sep = ",\n" + inner
     if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [_dumps(x, inner) for x in obj]
-        return f"[\n{inner}{sep.join(items)}\n{indent}]"
+        return _array([_dumps(x, inner) for x in obj], indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -306,8 +338,29 @@ def _dumps(obj, indent: str = "") -> str:
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             items.append(f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}")
+        sep = ",\n" + inner
         return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _array(items: list[str], indent: str) -> str:
+    """The JSON array of items, each JSON text written at indent + "  ", as _dumps writes a list."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
+def _object_template(fields: dict[str, str], indent: str) -> str:
+    """The bytes _dumps writes for an object at indent, as a %-template.
+
+    fields maps each key to its value's conversion: "%s" for JSON text,
+    '"%s"' for a string that needs no escaping, "%d" for an int.
+    """
+    inner = indent + "  "
+    return "{\n" + inner + (",\n" + inner).join(
+        f"{_dumps(k)}: {v}" for k, v in fields.items()
+    ) + "\n" + indent + "}"
 
 
 def _w(w: Weight) -> tuple[str, ...]:
@@ -320,24 +373,29 @@ def _case_json(case: HermitianCase) -> dict:
     return {k: v for k, v in fields.items() if v is not None}
 
 
-def _class_json(group, with_detail: bool) -> dict:
-    if with_detail:
-        members = [
-            {
-                "beta": _w(m.beta),
-                "level": format_rational(m.level),
-                "parity": "odd" if m.chamber.parity else "even",
-                "steps": m.chamber.steps,
-            }
-            for m in group.members
-        ]
-    else:
-        members = [_w(m.beta) for m in group.members]
-    return {"rep": _w(group.rep), "net_sign": group.net_sign, "members": members}
-
-
 # ---------------------------------------------------------------------------
 # classify
+
+
+# The indent each field's roots start on in classify's JSON: the witness is
+# a member of the payload, s_lambda and singular items of its lists, a
+# surviving class's members items of its member list, and a class member's
+# beta a member of the member's object.
+_ROOT_INDENTS = {"witness": "  ", "s_lambda": "    ", "surviving": " " * 8, "member": " " * 10}
+# classify's payload, a class of its certificate, and a class member with
+# its level, parity and word length
+_CLASSIFY_JSON = _object_template(
+    {
+        "case": "%s", "label": "%s", "c": '"%s"', "z": '"%s"', "lambda0": "%s",
+        "verdict": '"%s"', "route": '"%s"', "s_lambda_size": "%d", "s_lambda": "%s",
+        "singular": "%s", "classes": "%s", "surviving_classes": "%s", "witness": "%s",
+    },
+    "",
+)
+_CLASS_JSON = _object_template({"rep": "%s", "net_sign": "%d", "members": "%s"}, "    ")
+_MEMBER_JSON = _object_template(
+    {"beta": "%s", "level": '"%s"', "parity": '"%s"', "steps": "%d"}, " " * 8
+)
 
 
 @cache
@@ -349,53 +407,139 @@ def _lambda0(case: HermitianCase) -> tuple[str, ...]:
     return _w(scale(-line_offset(case), build_datum(case).zeta))
 
 
-def _classify_payload(case: HermitianCase, c: Fraction) -> dict:
-    verdict = classify_scalar(build_datum(case), c)
-    return {
-        "case": _case_json(case),
-        "label": case.label,
-        "c": format_rational(c),
-        "z": format_rational(c + line_offset(case)),
-        "lambda0": _lambda0(case),
-        "verdict": verdict.verdict,
-        "route": verdict.route,
-        "s_lambda_size": len(verdict.terms),
-        "s_lambda": [_w(t.beta) for t in verdict.terms],
-        "singular": [_w(t.beta) for t in verdict.terms if not t.chamber.is_regular],
-        "classes": [_class_json(g, with_detail=True) for g in verdict.certificate],
-        "surviving_classes": [
-            _class_json(g, with_detail=False) for g in verdict.surviving
-        ],
-        "witness": _w(verdict.witness) if verdict.witness is not None else None,
+@cache
+def _classify_case(case: HermitianCase):
+    """The parts of classify's JSON that depend on the case alone, each written once.
+
+    Returns (datum, case, label, lambda0, roots), the last four as JSON
+    text.  roots[field] maps the id() of each of datum's nilradical root
+    tuples to the root's JSON array, written by _dumps at the indent that
+    field's roots start on.  classify_scalar, given this datum, hands back
+    those very tuples, so the lookup neither hashes nor formats a Fraction;
+    holding the datum keeps the ids its roots'.
+    """
+    datum = build_datum(case)
+    roots = {
+        field: {id(beta): _dumps(_w(beta), indent) for beta in datum.nilradical_roots}
+        for field, indent in _ROOT_INDENTS.items()
     }
+    return datum, _dumps(_case_json(case), "  "), _dumps(case.label), _dumps(_lambda0(case), "  "), roots
+
+
+def _classify_json(case: HermitianCase, c: Fraction) -> str:
+    """classify's JSON, the bytes of _dumps of its payload, written from fragments.
+
+    The case's parts and every root are written once per case; a request
+    writes its representatives, its levels and the arrays and objects
+    around the fragments, as scan writes its rows.
+    """
+    datum, case_json, label, lambda0, roots = _classify_case(case)
+    verdict = classify_scalar(datum, c)
+    support, member, surviving = roots["s_lambda"], roots["member"], roots["surviving"]
+    s_lambda = [support[id(t.beta)] for t in verdict.terms]
+    singular = [f for t, f in zip(verdict.terms, s_lambda) if not t.chamber.is_regular]
+    classes, survivors = [], []
+    for g in verdict.certificate:
+        rep = _dumps(_w(g.rep), " " * 6)
+        members = [
+            _MEMBER_JSON % (member[id(m.beta)], m.level, _parity(m), m.chamber.steps)
+            for m in g.members
+        ]
+        classes.append(_CLASS_JSON % (rep, g.net_sign, _array(members, " " * 6)))
+        if g.net_sign:
+            members = [surviving[id(m.beta)] for m in g.members]
+            survivors.append(_CLASS_JSON % (rep, g.net_sign, _array(members, " " * 6)))
+    witness = verdict.witness
+    return _CLASSIFY_JSON % (
+        case_json,
+        label,
+        c,
+        c + line_offset(case),
+        lambda0,
+        verdict.verdict,
+        verdict.route,
+        len(s_lambda),
+        _array(s_lambda, "  "),
+        _array(singular, "  "),
+        _array(classes, "  "),
+        _array(survivors, "  "),
+        "null" if witness is None else roots["witness"][id(witness)],
+    )
+
+
+def _classify_pretty(case: HermitianCase, c: Fraction) -> str:
+    verdict = classify_scalar(build_datum(case), c)
+    terms = verdict.terms
+    lines = [
+        f"{case.label}  c = {format_rational(c)}  (z = {format_rational(c + line_offset(case))})",
+        f"verdict: {verdict.verdict}   route: {verdict.route}",
+        f"base point: {_pretty(_lambda0(case))}",
+        f"support: {len(terms)} roots, "
+        f"{sum(not t.chamber.is_regular for t in terms)} on walls",
+    ]
+    for g in verdict.certificate:
+        betas = ", ".join(f"{_pretty(m.beta)} ({_parity(m)})" for m in g.members)
+        lines.append(f"  class rep {_pretty(g.rep)}  net {g.net_sign:+d}: {betas}")
+    if verdict.witness is not None:
+        lines.append(f"witness: {_pretty(verdict.witness)}")
+    return "\n".join(lines) + "\n"
+
+
+def _parity(term) -> str:
+    return "odd" if term.chamber.parity else "even"
+
+
+def _pretty(w) -> str:
+    """A weight, or its coordinates' strings, as [x, y, ...]."""
+    return "[" + ", ".join(map(str, w)) + "]"
+
+
+class _TextMemo:
+    """Texts by key, least recently used first, within a budget of characters."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.texts: OrderedDict[tuple, str] = OrderedDict()
+        self.chars = 0
+
+    def get(self, key: tuple) -> str | None:
+        text = self.texts.get(key)
+        if text is not None:
+            self.texts.move_to_end(key)
+        return text
+
+    def put(self, key: tuple, text: str) -> None:
+        """Keep text under key, which get() has just missed."""
+        if len(text) > self.budget:
+            return
+        self.texts[key] = text
+        self.chars += len(text)
+        while self.chars > self.budget:
+            self.chars -= len(self.texts.popitem(last=False)[1])
+
+    def clear(self) -> None:
+        self.texts.clear()
+        self.chars = 0
+
+
+# classify's printed texts by (case, c, format), for repeated requests.
+_classify_memo = _TextMemo(CLASSIFY_MEMO_CHARS)
 
 
 def cmd_classify(args) -> int:
     [case] = _cases(args)
     c = parse_rational(args.c)
-    payload = _classify_payload(case, c)
-    if args.format == "json":
-        print(_dumps(payload))
-        return 0
-    print(f"{payload['label']}  c = {payload['c']}  (z = {payload['z']})")
-    print(f"verdict: {payload['verdict']}   route: {payload['route']}")
-    print(f"base point: {_w_pretty_from(payload['lambda0'])}")
-    print(
-        f"support: {payload['s_lambda_size']} roots, "
-        f"{len(payload['singular'])} on walls"
-    )
-    for g in payload["classes"]:
-        betas = ", ".join(
-            f"{_w_pretty_from(m['beta'])} ({m['parity']})" for m in g["members"]
-        )
-        print(f"  class rep {_w_pretty_from(g['rep'])}  net {g['net_sign']:+d}: {betas}")
-    if payload["witness"] is not None:
-        print(f"witness: {_w_pretty_from(payload['witness'])}")
+    # c in lowest terms: 1/2 and 2/4 print the same text
+    key = (case, c.numerator, c.denominator, args.format)
+    text = _classify_memo.get(key)
+    if text is None:
+        if args.format == "json":
+            text = _classify_json(case, c) + "\n"
+        else:
+            text = _classify_pretty(case, c)
+        _classify_memo.put(key, text)
+    sys.stdout.write(text)
     return 0
-
-
-def _w_pretty_from(strs: tuple[str, ...]) -> str:
-    return "[" + ", ".join(strs) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +650,7 @@ def cmd_scan(args) -> int:
         members = "".join(f"\n  {_dumps(k)}: {_dumps(v, '  ')}," for k, v in head.items())
         print("{" + members + '\n  "rows": [', end="")
         values = (_dumps(case.label),) + ('"%s"',) * 5 + ("%s",) * 2
-        template = "\n    {\n      " + ",\n      ".join(
-            f"{_dumps(k)}: {v}" for k, v in zip(ROW_FIELDS, values)
-        ) + "\n    }"
+        template = "\n    " + _object_template(dict(zip(ROW_FIELDS, values)), "    ")
         sep = ""
         for columns in _grid_rows(case, ms, line):
             print(sep + ",".join(map(template.__mod__, zip(*columns))), end="")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -61,12 +63,11 @@ LINE_POINTS = [(case, Q(-201, 2)) for case in ADMISSIBLE_CASES] + [
 
 def test_classify_line_matches_special_line():
     for case, c in LINE_POINTS:
-        payload = cli._classify_payload(case, c)
+        payload = json.loads(cli._classify_json(case, c))
         datum = build_datum(case)
         line = ehw.special_line(datum, scalar_parameter_weight(datum, c))
         assert payload["z"] == format_rational(line.z), (case.label, c)
-        # _w writes a weight as a tuple of strings; json.loads reads it back as a list
-        assert list(payload["lambda0"]) == [format_rational(x) for x in line.lambda0], case.label
+        assert payload["lambda0"] == [format_rational(x) for x in line.lambda0], case.label
 
 
 def test_classify_negative_value_without_equals(capsys):
@@ -537,6 +538,16 @@ PINNED_OUTPUTS = [
      "b44ca4f732c7ffc60849918ed7041c2f0be07e9d2cfb5c4160576da5b82c2095"),
     ("classify --case EVII --c -9 --format json",
      "27d44e85c263f36802e3a4eb30f275704d2d2f77f7fdb356f85b6919a31a5491"),
+    # pretty certificates: every support root on a wall; full support with
+    # 27 classes; walls and classes mixed; the degenerate Levi of DI(2)
+    ("classify --case EVII --c -9",
+     "437bfc3eac70b8da7a650833183c8456cd17ac19be3dd513e34fe822c35e3e58"),
+    ("classify --case EVII --c 9",
+     "f9f22a579682afca24c5b789ac157284990701f83a9b934e45dd45a2f79c557c"),
+    ("classify --case EVII --c -3",
+     "62f156ed881947ac4acd402491bb6f50a147370d0c1fbf0f6eb105ad352e13a5"),
+    ("classify --case DI --n 2 --c 0",
+     "b312f8c8d656fed1025765da87489d5897f084d986696903b4d721554e8b2fa6"),
     ("scan --case CI --n 2 --window -1..1 --step 1/2",
      "80ade84818edc6cd0b0eb2c208779e25013962cb7af6c65b14a056d332f5f8f5"),
     ("scan --case CI --n 2 --window -1..1 --step 1/2 --format json",
@@ -762,3 +773,170 @@ def test_shared_parser_matches_a_fresh_parser(capsys, monkeypatch):
     fresh = [run_cli(capsys, *argv) for argv in SHARED_PARSER_CALLS]
     assert shared == fresh * 2
     assert [code for code, _, _ in fresh] == [1, 0, 0, 1, 0, 0, 0, 1, 0]
+
+
+# Usage errors and help texts, each argv of a shape that the command's own
+# parser and the top parser might read differently.
+USAGE_ARGV = [
+    # no args, and help at both levels
+    [],
+    ["-h"],
+    ["--help"],
+    ["classify", "-h"],
+    ["classify", "--help"],
+    ["scan", "--help"],
+    ["table", "-h"],
+    ["crosscheck", "--help"],
+    ["datum-dump", "--help"],
+    ["classify", "--case", "CI", "--n", "3", "--c", "1", "-h", "extra"],
+    # an unknown command, and an option before the command
+    ["nonsense"],
+    ["Classify", "--case", "CI", "--n", "3", "--c", "1"],
+    ["--case", "CI", "classify", "--n", "3", "--c", "1"],
+    ["--format", "json"],
+    ["-x", "classify"],
+    # a missing required flag
+    ["classify", "--case", "CI", "--n", "3"],
+    ["scan", "--case", "CI", "--n", "3"],
+    ["table"],
+    ["datum-dump"],
+    # a flag with no value
+    ["classify", "--case", "CI", "--n", "3", "--c"],
+    ["classify", "--case", "AIII", "--p", "2", "--q", "--c", "1"],
+    ["crosscheck", "--case", "EIII", "--window"],
+    # an invalid choice or value
+    ["classify", "--case", "BOGUS", "--c", "1"],
+    ["classify", "--case", "CI", "--n", "3", "--c", "1", "--format", "yaml"],
+    ["table", "--table", "5"],
+    ["table", "--table", "x"],
+    # a stray positional after a command
+    ["classify", "--case", "CI", "--n", "3", "--c", "1", "extra"],
+    ["datum-dump", "--case", "CI", "--n", "3", "extra", "more"],
+    ["classify", "scan"],
+    ["classify", "--case", "CI", "--c", "-3/4", "--n", "3", "stray"],
+    # an unknown flag after a command
+    ["classify", "--case", "CI", "--n", "3", "--c", "1", "--bogus"],
+    ["scan", "--case", "CI", "--n", "3", "--window", "0..1", "-x"],
+    ["classify", "--case=CI", "--n=3", "--c=1", "--extra=1"],
+    # an abbreviated flag
+    ["scan", "--case", "CI", "--n", "3", "--window", "-2..2", "--st", "1/2"],
+    ["classify", "--case", "CI", "--n", "3", "--c", "1", "--form", "json"],
+    ["scan", "--c", "CI", "--n", "3", "--window", "-2..2"],
+    # "--" before and after the command
+    ["--", "classify", "--case", "CI", "--n", "3", "--c", "1"],
+    ["classify", "--", "--case", "CI", "--n", "3", "--c", "1"],
+    ["classify", "--case", "CI", "--n", "3", "--c", "1", "--", "extra"],
+    # a repeated flag
+    ["classify", "--case", "CI", "--case", "BI", "--n", "3"],
+    ["classify", "--format", "json", "--format", "yaml", "--case", "CI", "--n", "3", "--c", "1"],
+    ["table", "--table", "1", "--table", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
+def test_command_parser_matches_the_top_parser(capsys, monkeypatch, argv):
+    # main() reads a command's flags with the command's own parser; the same
+    # argv through the top parser must give the same exit, stdout and stderr
+    dispatched = run_cli(capsys, *argv)
+    assert dispatched[0] in (0, 1)
+    monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
+    assert run_cli(capsys, *argv) == dispatched
+
+
+def test_a_command_is_parsed_by_its_own_parser(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top parser read the argv of a command")
+
+    monkeypatch.setattr(cli._build_parser(), "parse_known_args", refuse)
+    assert main(["classify", "--case", "CI", "--n", "3", "--c", "1"]) == 0
+    code, _, err = run_cli(capsys, "classify", "--case", "CI", "--n", "3", "--c", "1", "extra")
+    assert code == 1 and err.endswith("scalarverma: error: unrecognized arguments: extra\n")
+    with pytest.raises(AssertionError, match="top parser"):
+        main(["--help"])
+
+
+def test_classify_terms_hold_the_datums_own_roots():
+    # classify's JSON finds each root's fragment by the id() of its tuple
+    for case, c in [(HermitianCase("EVII"), Q(9)), (HermitianCase("EIII"), Q(-2)),
+                    (HermitianCase("DI", n=2), Q(0)), (HermitianCase("CI", n=20), Q(0))]:
+        datum = build_datum(case)
+        verdict = jantzen.classify_scalar(datum, c)
+        betas = [t.beta for t in verdict.terms]
+        betas += [m.beta for g in verdict.certificate for m in g.members] + [verdict.witness]
+        assert verdict.witness is not None
+        for beta in betas:
+            assert any(beta is root for root in datum.nilradical_roots), (case.label, c, beta)
+
+
+def test_classify_json_outlives_a_rebuilt_datum(capsys):
+    argv = ["classify", "--case", "EIII", "--c", "-2", "--format", "json"]
+    before = run_cli(capsys, *argv)
+    build_datum.cache_clear()
+    cli._classify_memo.clear()
+    assert run_cli(capsys, *argv) == before
+
+
+def _classify_texts(argv_list):
+    texts = []
+    for argv in argv_list:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        texts.append(out.getvalue())
+    return texts
+
+
+def test_classify_memo_holds_its_budget():
+    memo = cli._classify_memo
+    argv_list = [
+        ["classify", *case_flags(case), "--c", c, "--format", fmt]
+        for case, c in [(HermitianCase("CI", n=20), c) for c in ("0", "1", "2")]
+        + [(HermitianCase("EVII"), str(c)) for c in range(-12, 13)]
+        for fmt in ("json", "pretty")
+    ]
+    printed = 0
+    for argv in argv_list:
+        [text] = _classify_texts([argv])
+        printed += len(text)
+        assert memo.chars == sum(map(len, memo.texts.values())) <= cli.CLASSIFY_MEMO_CHARS
+    # the memo was filled past its budget, and the latest text is still held
+    assert printed > 2 * cli.CLASSIFY_MEMO_CHARS
+    assert memo.chars > cli.CLASSIFY_MEMO_CHARS // 2
+    assert memo.get((HermitianCase("EVII"), 12, 1, "pretty")) == text
+
+
+def test_classify_memo_keys_c_in_lowest_terms():
+    memo = cli._classify_memo
+    halves = [["classify", "--case", "CI", "--n", "3", "--c", c] for c in ("1/2", "2/4", "+3/6")]
+    assert len(set(_classify_texts(halves))) == 1
+    assert list(memo.texts) == [(HermitianCase("CI", n=3), 1, 2, "pretty")]
+
+
+@pytest.mark.parametrize("error, code", [(InvariantError, 3), (ValueError, 1)])
+def test_classify_memo_keeps_no_failure(capsys, monkeypatch, error, code):
+    def fail(case_or_datum, c):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, "classify_scalar", fail)
+    for fmt in ("json", "pretty"):
+        assert run_cli(capsys, "classify", "--case", "EIII", "--c", "-2", "--format", fmt)[0] == code
+    assert not cli._classify_memo.texts and cli._classify_memo.chars == 0
+    monkeypatch.undo()
+    assert run_cli(capsys, "classify", "--case", "EIII", "--c", "-2")[0] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(SWEEP_CASES),
+    p=st.integers(-60, 60),
+    q=st.sampled_from([1, 2, 3, 6]),
+    k=st.integers(1, 4),
+    fmt=st.sampled_from(["json", "pretty"]),
+)
+def test_memo_serves_what_a_cleared_memo_prints(case, p, q, k, fmt):
+    argv = ["classify", *case_flags(case), "--c", f"{p * k}/{q * k}", "--format", fmt]
+    first = _classify_texts([argv])
+    cli._classify_memo.clear()
+    fresh = _classify_texts([argv])
+    assert len(cli._classify_memo.texts) == 1
+    assert _classify_texts([argv]) == fresh == first
