@@ -31,15 +31,13 @@ and reused by every later call; building it costs more than deciding a
 typical point.  When argv names a command, main() parses the rest with that
 command's own parser, as the top parser's subparsers action would after
 scanning the whole argv itself, and leftovers get the top parser's
-"unrecognized arguments" error; any other argv, and any holding "--", goes
-through the top parser.  Usage errors and help keep their bytes.
+"unrecognized arguments" error; any other argv goes through the top
+parser.  Usage errors and help keep their bytes.
 
 classify writes its JSON from fragments, as scan writes its rows: each
 nilradical root's array, at each indent it appears at, and the case's own
 fields are written by _dumps once per case, and a request writes only its
-representatives, levels and the text around the fragments.  classify also
-keeps the texts it printed, keyed by the parsed (case, c, format), within
-CLASSIFY_MEMO_CHARS characters; a request that raises is never kept.
+representatives, levels and the text around the fragments.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ import math
 import os
 import re
 import sys
-from collections import OrderedDict
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -79,11 +76,6 @@ MAX_SUPPORT_TERMS = 1_000_000
 # long the window and however full the support.
 GRID_BLOCK = 4096
 BLOCK_TERMS = 4096
-# classify keeps the texts it printed, for repeated requests, up to this
-# many characters together, least recently used out first.  A count of
-# texts would not bound memory: a CI(20) certificate in JSON holds up to
-# 366,531 characters, an empty-support point under 200.
-CLASSIFY_MEMO_CHARS = 2**19
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,10 +154,9 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     The top parser would scan the whole argv before its subparsers action
     hands the rest to the command's parser, as this does; leftovers get the
     top parser's own "unrecognized arguments" error.  Any other argv (empty,
-    an option or an unknown name first, or holding "--", whose handling
-    varies across Python releases) goes through the top parser.
+    or an option or an unknown name first) goes through the top parser.
     """
-    command = parser.commands.get(argv[0]) if argv and "--" not in argv else None
+    command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
     args, extra = command.parse_known_args(argv[1:])
@@ -494,51 +485,13 @@ def _pretty(w) -> str:
     return "[" + ", ".join(map(str, w)) + "]"
 
 
-class _TextMemo:
-    """Texts by key, least recently used first, within a budget of characters."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.texts: OrderedDict[tuple, str] = OrderedDict()
-        self.chars = 0
-
-    def get(self, key: tuple) -> str | None:
-        text = self.texts.get(key)
-        if text is not None:
-            self.texts.move_to_end(key)
-        return text
-
-    def put(self, key: tuple, text: str) -> None:
-        """Keep text under key, which get() has just missed."""
-        if len(text) > self.budget:
-            return
-        self.texts[key] = text
-        self.chars += len(text)
-        while self.chars > self.budget:
-            self.chars -= len(self.texts.popitem(last=False)[1])
-
-    def clear(self) -> None:
-        self.texts.clear()
-        self.chars = 0
-
-
-# classify's printed texts by (case, c, format), for repeated requests.
-_classify_memo = _TextMemo(CLASSIFY_MEMO_CHARS)
-
-
 def cmd_classify(args) -> int:
     [case] = _cases(args)
     c = parse_rational(args.c)
-    # c in lowest terms: 1/2 and 2/4 print the same text
-    key = (case, c.numerator, c.denominator, args.format)
-    text = _classify_memo.get(key)
-    if text is None:
-        if args.format == "json":
-            text = _classify_json(case, c) + "\n"
-        else:
-            text = _classify_pretty(case, c)
-        _classify_memo.put(key, text)
-    sys.stdout.write(text)
+    if args.format == "json":
+        sys.stdout.write(_classify_json(case, c) + "\n")
+    else:
+        sys.stdout.write(_classify_pretty(case, c))
     return 0
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from scalarverma import HermitianCase, build_datum, cli
+from scalarverma import HermitianCase, build_datum
 from scalarverma.ehw import ABCConstants
 from scalarverma.jantzen import SimplicityVerdict
 from scalarverma.ratvec import Weight, inner, is_integer, pairing, reflect
@@ -148,16 +148,6 @@ def criterion(capsys, tag: str, description: str):
     finally:
         with capsys.disabled():
             print(f"[{tag}] {description}: {'PASS' if ok else 'FAIL'}")
-
-
-@pytest.fixture(autouse=True)
-def empty_classify_memo():
-    """Each test starts with classify's memo of printed texts empty.
-
-    A test that patches the decision path must not be served a text that
-    classify printed before the patch.
-    """
-    cli._classify_memo.clear()
 
 
 @pytest.fixture(scope="session")

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -872,71 +870,4 @@ def test_classify_json_outlives_a_rebuilt_datum(capsys):
     argv = ["classify", "--case", "EIII", "--c", "-2", "--format", "json"]
     before = run_cli(capsys, *argv)
     build_datum.cache_clear()
-    cli._classify_memo.clear()
     assert run_cli(capsys, *argv) == before
-
-
-def _classify_texts(argv_list):
-    texts = []
-    for argv in argv_list:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(argv) == 0
-        texts.append(out.getvalue())
-    return texts
-
-
-def test_classify_memo_holds_its_budget():
-    memo = cli._classify_memo
-    argv_list = [
-        ["classify", *case_flags(case), "--c", c, "--format", fmt]
-        for case, c in [(HermitianCase("CI", n=20), c) for c in ("0", "1", "2")]
-        + [(HermitianCase("EVII"), str(c)) for c in range(-12, 13)]
-        for fmt in ("json", "pretty")
-    ]
-    printed = 0
-    for argv in argv_list:
-        [text] = _classify_texts([argv])
-        printed += len(text)
-        assert memo.chars == sum(map(len, memo.texts.values())) <= cli.CLASSIFY_MEMO_CHARS
-    # the memo was filled past its budget, and the latest text is still held
-    assert printed > 2 * cli.CLASSIFY_MEMO_CHARS
-    assert memo.chars > cli.CLASSIFY_MEMO_CHARS // 2
-    assert memo.get((HermitianCase("EVII"), 12, 1, "pretty")) == text
-
-
-def test_classify_memo_keys_c_in_lowest_terms():
-    memo = cli._classify_memo
-    halves = [["classify", "--case", "CI", "--n", "3", "--c", c] for c in ("1/2", "2/4", "+3/6")]
-    assert len(set(_classify_texts(halves))) == 1
-    assert list(memo.texts) == [(HermitianCase("CI", n=3), 1, 2, "pretty")]
-
-
-@pytest.mark.parametrize("error, code", [(InvariantError, 3), (ValueError, 1)])
-def test_classify_memo_keeps_no_failure(capsys, monkeypatch, error, code):
-    def fail(case_or_datum, c):
-        raise error("forced")
-
-    monkeypatch.setattr(cli, "classify_scalar", fail)
-    for fmt in ("json", "pretty"):
-        assert run_cli(capsys, "classify", "--case", "EIII", "--c", "-2", "--format", fmt)[0] == code
-    assert not cli._classify_memo.texts and cli._classify_memo.chars == 0
-    monkeypatch.undo()
-    assert run_cli(capsys, "classify", "--case", "EIII", "--c", "-2")[0] == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    case=st.sampled_from(SWEEP_CASES),
-    p=st.integers(-60, 60),
-    q=st.sampled_from([1, 2, 3, 6]),
-    k=st.integers(1, 4),
-    fmt=st.sampled_from(["json", "pretty"]),
-)
-def test_memo_serves_what_a_cleared_memo_prints(case, p, q, k, fmt):
-    argv = ["classify", *case_flags(case), "--c", f"{p * k}/{q * k}", "--format", fmt]
-    first = _classify_texts([argv])
-    cli._classify_memo.clear()
-    fresh = _classify_texts([argv])
-    assert len(cli._classify_memo.texts) == 1
-    assert _classify_texts([argv]) == fresh == first
