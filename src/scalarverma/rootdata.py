@@ -9,8 +9,13 @@ direction zeta (orthogonal to the Levi, normalized against gamma).
 Each family writes out only its simple roots and noncompact simple indices;
 every other field is derived from them.  The positive roots are the
 nonnegative simple-root coefficient vectors in the orbit of the simple roots
-under the simple reflections, each carried with its doubled coordinates.
-`_derive` checks the datum as it builds it, in integers on those vectors:
+under the simple reflections, each carried with its doubled coordinates and
+its pairings with the simple coroots.  A reflection s_i takes a multiple of
+e_i off the coefficient vector, so it updates those pairings by the same
+multiple of column i of the Cartan matrix: the walk computes no dot product.
+`_derive` works in these integers and makes `Fraction`s only for the fields
+it returns, one per distinct doubled coordinate of the roots.  It checks the
+datum as it builds it, in integers on those vectors:
 
 - every simple root has the ambient dimension, lies in (1/2)Z^dim and is
   nonzero;
@@ -43,10 +48,11 @@ and repeat work.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from typing import Iterable
+from itertools import compress, islice, repeat
 
 from .errors import InvariantError
 from .ratvec import Weight, add, dot, scale, sub, weight
@@ -54,13 +60,13 @@ from .ratvec import Weight, add, dot, scale, sub, weight
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
-# perfbench runs.  One CI(20) classify takes 0.19-0.26 s from the command
-# line (0.29-0.40 s with every descent step's dots recomputed), and the
-# first in-process call 0.09-0.13 s (0.19-0.28 s), 0.03-0.05 s of it
-# building the datum; each later CI(20) point with all 210 nilradical roots
-# in its support takes 2.7-2.9 ms with its terms, or 0.7-0.8 ms for the
-# verdict and route alone as a one-point ScalarGrid (2 cores,
-# CPython 3.11.7; the later points in the host's fast phase).
+# perfbench runs.  One CI(20) classify takes 0.12-0.19 s from the command
+# line, and the first in-process call 0.06-0.10 s, 0.007-0.011 s of it
+# building the datum (0.025-0.039 s when the orbit walk recomputed every
+# pairing and made a Fraction per coordinate); each later CI(20) point with
+# all 210 nilradical roots in its support takes 2.7-2.9 ms with its terms,
+# or 0.7-0.8 ms for the verdict and route alone as a one-point ScalarGrid
+# (2 cores, CPython 3.11.7; the later points in the host's fast phase).
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
@@ -223,14 +229,11 @@ def scalar_parameter_weight(datum: ParabolicRootDatum, c) -> Weight:
 # per-case construction
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _e(i: int, dim: int) -> Weight:
-    return tuple(Fraction(1 if j == i else 0) for j in range(1, dim + 1))
-
-
-def _sorted(roots: Iterable[Weight]) -> tuple[Weight, ...]:
-    # Fixed lexicographic coordinate order keeps every downstream listing
-    # (supports, certificates, JSON dumps) byte-stable.
-    return tuple(sorted(roots))
+    return tuple(_ONE if j == i else _ZERO for j in range(1, dim + 1))
 
 
 def _e6_simples() -> tuple[Weight, ...]:
@@ -272,15 +275,58 @@ def _need(case: HermitianCase, cond: bool, msg: str) -> None:
         raise InvariantError(f"{case.label}: {msg}")
 
 
+def _minus_multiple(u: IntVector, k: int, v: IntVector) -> IntVector:
+    """u - k*v on integer vectors."""
+    return tuple(map(operator.sub, u, map(operator.mul, repeat(k), v)))
+
+
+def _orbit(twice: list[IntVector], cartan: list[list[int]]) -> dict[IntVector, IntVector]:
+    """The positive roots, as simple-root coefficient vector -> doubled vector.
+
+    `twice` holds the doubled simple roots and cartan[i][j] is
+    <alpha_j, alpha_i^v>.  The simple roots come first, in their order,
+    then the other roots in the order the walk meets them.  The walk stops
+    at the first repeated root, so on a dependent system two coefficient
+    vectors share a doubled vector.
+    """
+    # Walk the orbit under b -> b - <b, alpha_i^v> e_i, keeping nonnegative
+    # vectors: only s_i(alpha_i) turns negative, and every positive root
+    # above height 1 is some s_i of a lower one.  Each coefficient vector
+    # carries its pairings <b, alpha_m^v> over all m.  Those of e_i are
+    # Cartan column i, and b - k*e_i pairs as b's pairings minus k times
+    # that column, so no pairing is ever recomputed.  Only nonzero k are
+    # tried: k = 0 maps b to itself.  The walk stops at the first repeated
+    # root: on a dependent simple system it would never end.
+    columns = list(zip(*cartan))
+    indices = range(len(twice))
+    units = [tuple(int(i == j) for j in indices) for i in indices]
+    doubled = dict(zip(units, twice))
+    pairs = dict(zip(units, columns))
+    found = set(twice)
+    frontier = list(units)
+    while frontier and len(found) == len(doubled):
+        beta = frontier.pop()
+        b2, p = doubled[beta], pairs[beta]
+        for i in compress(indices, p):
+            k = p[i]
+            if beta[i] >= k:
+                image = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
+                if image not in doubled:
+                    doubled[image] = w = _minus_multiple(b2, k, twice[i])
+                    pairs[image] = _minus_multiple(p, k, columns[i])
+                    found.add(w)
+                    frontier.append(image)
+    return doubled
+
+
 def _derive(case: HermitianCase) -> ParabolicRootDatum:
     dim, delta, noncompact = _simple_system(case)
     need = partial(_need, case)
-    # Every root of these realizations lies in (1/2)Z^dim, so the orbit
-    # runs on integers: doubled coordinates and simple-root coefficients.
-    twice = [tuple(2 * x for x in a) for a in delta]
-    need(all(len(a) == dim for a in twice), "weight of wrong dimension")
-    need(all(x.denominator == 1 for a in twice for x in a), "simple root outside (1/2)Z^dim")
-    twice = [tuple(map(int, a)) for a in twice]
+    # Every root of these realizations lies in (1/2)Z^dim, so the datum is
+    # derived on integers: doubled coordinates and simple-root coefficients.
+    need(all(len(a) == dim for a in delta), "weight of wrong dimension")
+    need(all(x.denominator in (1, 2) for a in delta for x in a), "simple root outside (1/2)Z^dim")
+    twice = [tuple([2 * x.numerator // x.denominator for x in a]) for a in delta]
     # The crystallographic check below divides by each dot(a, a).
     need(all(any(a) for a in twice), "zero simple root")
     gram = [[dot(a, b) for b in twice] for a in twice]
@@ -290,25 +336,8 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
     )
     # cartan[i][j] = <alpha_j, alpha_i^v>, so <b, alpha_i^v> = dot(b, cartan[i])
     cartan = [[2 * g // row[i] for g in row] for i, row in enumerate(gram)]
-
-    # Walk the orbit under b -> b - <b, alpha_i^v> e_i, keeping nonnegative
-    # vectors: only s_i(alpha_i) turns negative, and every positive root
-    # above height 1 is some s_i of a lower one.  The walk stops at the first
-    # repeated root: on a dependent simple system it would never end.
-    units = [tuple(int(i == j) for j in range(len(delta))) for i in range(len(delta))]
-    doubled = dict(zip(units, twice))
-    found = set(twice)
-    frontier = list(units)
-    while frontier and len(found) == len(doubled):
-        beta = frontier.pop()
-        for i, row in enumerate(cartan):
-            k = dot(beta, row)
-            image = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
-            if image[i] >= 0 and image not in doubled:
-                doubled[image] = tuple(x - k * y for x, y in zip(doubled[beta], twice[i]))
-                found.add(doubled[image])
-                frontier.append(image)
-    need(len(found) == len(doubled), "duplicate positive roots")
+    doubled = _orbit(twice, cartan)
+    need(len(set(doubled.values())) == len(doubled), "duplicate positive roots")
 
     degenerate = (case.tag, case.n) in _D2_DEGENERATE
     # The simple roots are distinct, so the Levi keeps every simple root but
@@ -327,7 +356,7 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         "nilradical is not abelian",
     )
     need(
-        degenerate or all(x <= y for c in doubled for x, y in zip(c, top)),
+        degenerate or all(all(map(operator.le, c, top)) for c in doubled),
         "gamma is not the highest root",
     )
 
@@ -346,8 +375,16 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         "weight leaves the defining subspace",
     )
 
-    halves = {x: Fraction(x, 2) for w in doubled.values() for x in w}
-    roots = {c: tuple(halves[x] for x in w) for c, w in doubled.items()}
+    # One Fraction per distinct doubled coordinate.  Halving is monotone, so
+    # sorting by doubled vectors gives the lexicographic order of the roots,
+    # which keeps every downstream listing (supports, certificates, JSON
+    # dumps) byte-stable.
+    halves = {x: Fraction(x, 2) for x in set().union(*doubled.values())}
+    roots = {c: tuple(map(halves.__getitem__, w)) for c, w in doubled.items()}
+    order = sorted(doubled, key=doubled.__getitem__)
+    nil = set(nil_coeffs)
+    # The walk lists the simple roots first.
+    simples = list(islice(roots.values(), len(delta)))
 
     def along_nil(b: IntVector) -> Weight:
         # The multiple of the nilradical's sum with <., beta^v> = 1, for the
@@ -358,12 +395,12 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
     return ParabolicRootDatum(
         case=case,
         ambient_dim=dim,
-        simple_roots=tuple(roots[c] for c in units),
-        levi_simples=tuple(roots[c] for c in units if c in levi_coeffs),
-        noncompact_simple=roots[units[noncompact[0]]],
-        positive_roots=_sorted(roots.values()),
-        levi_positive=_sorted(roots[c] for c in levi_coeffs),
-        nilradical_roots=_sorted(roots[c] for c in nil_coeffs),
+        simple_roots=tuple(simples),
+        levi_simples=tuple(a for i, a in enumerate(simples) if i not in noncompact),
+        noncompact_simple=simples[noncompact[0]],
+        positive_roots=tuple([roots[c] for c in order]),
+        levi_positive=tuple([roots[c] for c in order if c not in nil]),
+        nilradical_roots=tuple([roots[c] for c in order if c in nil]),
         rho=tuple(Fraction(sum(col), 4) for col in zip(*doubled.values())),
         gamma=roots[top],
         zeta=along_nil(doubled[top]),

@@ -15,6 +15,10 @@ checking `ehw`'s progressions on a grid and their one-point reads.
 form: at every step it recomputes each pairing with a Levi simple root and
 reflects whole vectors, where `weyl` updates tracked pairings on one Gram
 row.  It checks a fresh descent's word, representative and interval.
+
+`orbit_reference` is `rootdata`'s orbit walk with every pairing
+recomputed as a full dot against a Cartan row, where `rootdata._orbit`
+updates tracked pairings along one Cartan column.
 """
 
 from __future__ import annotations
@@ -125,3 +129,25 @@ def scaled_descent(
         elif q < 0:
             lo = max(lo, -p // -q + 1)
     return v, tuple(word), lo, hi
+
+
+def orbit_reference(twice: list[IntVector], cartan: list[list[int]]) -> dict[IntVector, IntVector]:
+    """The positive roots as coefficient vector -> doubled vector, in walk
+    order, with <beta, alpha_i^v> = dot(beta, cartan[i]) at every step.
+
+    Stops at the first repeated root, as `rootdata._orbit` does.
+    """
+    units = [tuple(int(i == j) for j in range(len(twice))) for i in range(len(twice))]
+    doubled = dict(zip(units, twice))
+    found = set(twice)
+    frontier = list(units)
+    while frontier and len(found) == len(doubled):
+        beta = frontier.pop()
+        for i, row in enumerate(cartan):
+            k = dot(beta, row)
+            image = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
+            if image[i] >= 0 and image not in doubled:
+                doubled[image] = tuple(x - k * y for x, y in zip(doubled[beta], twice[i]))
+                found.add(doubled[image])
+                frontier.append(image)
+    return doubled

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import ADMISSIBLE_CASES, SWEEP_CASES
 from golden_tables import parse_pattern, pattern_string, sign_pattern_root
+from reference import orbit_reference
 from scalarverma import HermitianCase, InvariantError, build_datum, rootdata
 from scalarverma.cli import main
 from scalarverma.ratvec import add, inner, pairing, reflect, scale, weight
@@ -177,6 +178,63 @@ def test_every_admissible_datum_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == ADMISSIBLE_DATA_SHA256
 
 
+@pytest.mark.parametrize("name", ["positive_roots", "levi_positive", "nilradical_roots"])
+def test_root_fields_are_sorted(name):
+    for case in ADMISSIBLE_CASES:
+        roots = getattr(build_datum(case), name)
+        assert roots == tuple(sorted(roots)), case.label
+
+
+@pytest.mark.parametrize("case", [HermitianCase("CI", n=20), HermitianCase("DIII", n=20)],
+                         ids=["CI(20)", "DIII(20)"])
+def test_cold_build_makes_fractions_per_dimension_not_per_coordinate(monkeypatch, case):
+    expected = build_datum(case)
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(rootdata, "Fraction", counting)
+    assert rootdata._derive(case) == expected
+    # rho, zeta and theta_u take one each per coordinate, the roots one per
+    # distinct doubled coordinate; one per coordinate of each root would be
+    # 20 * len(positive_roots).
+    assert len(made) <= 4 * expected.ambient_dim
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Record the arguments and the result of every orbit walk."""
+    calls = []
+    walk = rootdata._orbit
+
+    def spy(twice, cartan):
+        doubled = walk(twice, cartan)
+        calls.append((twice, cartan, doubled))
+        return doubled
+
+    monkeypatch.setattr(rootdata, "_orbit", spy)
+    return calls
+
+
+def test_orbit_walk_matches_full_dot_walk(walks):
+    for case in ADMISSIBLE_CASES:
+        rootdata._derive(case)
+    assert len(walks) == len(ADMISSIBLE_CASES)
+    for case, (twice, cartan, doubled) in zip(ADMISSIBLE_CASES, walks):
+        assert list(doubled.items()) == list(orbit_reference(twice, cartan).items()), case.label
+    # Tracked pairings move along a Cartan column, which differs from the
+    # row only where the Cartan matrix is not symmetric: in CI and BI (E7 is
+    # simply laced).
+    asymmetric = {
+        case.tag
+        for case, (_, cartan, _) in zip(ADMISSIBLE_CASES, walks)
+        if cartan != [list(column) for column in zip(*cartan)]
+    }
+    assert asymmetric == {"CI", "BI"}
+
+
 def test_build_datum_caches():
     a = build_datum(HermitianCase("CI", n=3))
     b = build_datum(HermitianCase("CI", n=3))
@@ -269,8 +327,13 @@ def _out_of_time(signum, frame):
     raise TimeoutError("build_datum ran for over 1 s")
 
 
+# The malformed systems whose derivation reaches the orbit walk; on
+# "dependent" and "affine" the walk stops at its first repeated root.
+WALKED_SYSTEMS = {"affine", "dependent", "off-e6", "two-noncompact", "zeta-orthogonal"}
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED_SYSTEMS))
-def test_malformed_system_is_rejected(forced_system, name):
+def test_malformed_system_is_rejected(forced_system, walks, name):
     case, system, message = MALFORMED_SYSTEMS[name]
     forced_system(system)
     # A derivation that never ends fails here instead of hanging the suite.
@@ -285,6 +348,10 @@ def test_malformed_system_is_rejected(forced_system, name):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    # The walk stops where the full-dot walk stops.
+    assert len(walks) == (name in WALKED_SYSTEMS)
+    for twice, cartan, doubled in walks:
+        assert list(doubled.items()) == list(orbit_reference(twice, cartan).items())
 
 
 def test_invariant_violation_in_the_datum_exits_3(forced_system, capsys):
