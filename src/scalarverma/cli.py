@@ -22,9 +22,14 @@ Exit codes: 0 success, 1 usage error, 2 computational disagreement,
 3 internal invariant violation.  All output is deterministic: fixed
 orderings, exact rationals, no timestamps.  JSON is written by _dumps, in
 the bytes of json.dumps(..., indent=2).  A weight reaches _dumps as the
-tuple of its coordinates' format_rational strings (_w), which _dumps writes
-as a JSON array in one join; a list is written item by item.  Integer flags
-take ASCII digits with an optional sign only, as rationals do.
+tuple of its coordinates' format_rational strings, which _dumps writes as a
+JSON array in one join; a list is written item by item.  Most weights get
+those strings from _w, one Fraction formatted per coordinate.  datum-dump's
+roots get them from the datum's record of doubled integer vectors
+(`datum.doubled`), through a table with one string per distinct doubled
+coordinate; a datum without that record, such as one made by
+dataclasses.replace, is an invariant violation there (exit 3).  Integer
+flags take ASCII digits with an optional sign only, as rationals do.
 
 The argparse parser is built once per process, on the first main() call,
 and reused by every later call; building it costs more than deciding a
@@ -790,18 +795,32 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_datum_dump(args) -> int:
+    """The datum as JSON.
+
+    The roots are written from the build's doubled vectors (`datum.doubled`)
+    through one string per distinct doubled coordinate, the Levi simples
+    and the noncompact simple root picked from the simple roots by index;
+    rho, zeta and theta_u, which are not roots, through _w.
+    """
     [case] = _cases(args)
     datum = build_datum(case)
+    doubled = datum.doubled
+    if doubled is None:
+        raise InvariantError(f"{case.label}: the datum holds no record of its doubled roots")
+    simples, nilradical, gamma, noncompact = doubled
+    halves = {x: format_rational(Fraction(x, 2)) for x in set().union(*simples, *nilradical)}
+    half = lambda w: tuple(map(halves.__getitem__, w))
+    simple_roots = list(map(half, simples))
     payload = {
         "case": _case_json(case),
         "label": case.label,
         "ambient_dim": datum.ambient_dim,
-        "simple_roots": [_w(a) for a in datum.simple_roots],
-        "levi_simples": [_w(a) for a in datum.levi_simples],
-        "noncompact_simple": _w(datum.noncompact_simple),
-        "nilradical_roots": [_w(b) for b in datum.nilradical_roots],
+        "simple_roots": simple_roots,
+        "levi_simples": [a for i, a in enumerate(simple_roots) if i not in noncompact],
+        "noncompact_simple": simple_roots[noncompact[0]],
+        "nilradical_roots": list(map(half, nilradical)),
         "rho": _w(datum.rho),
-        "gamma": _w(datum.gamma),
+        "gamma": half(gamma),
         "zeta": _w(datum.zeta),
         "theta_u": _w(datum.theta_u),
     }

@@ -33,8 +33,16 @@ datum as it builds it, in integers on those vectors:
 - for EIII and EVII, every positive root lies in the subspace of R^8 that
   realizes E6 or E7.
 
+The datum also keeps, as the record `doubled` (`DoubledRoots`), the
+doubled integer vectors the build already holds for the simple roots, the
+nilradical roots in field order and gamma, with the noncompact indices, so
+that output can write those roots without formatting a `Fraction` per
+coordinate.  The record is set by `_derive` only: it is left out of the
+datum's repr (which tests pin by sha256) and equality, and
+`dataclasses.replace` does not carry it over, so a replaced datum has none.
+
 Data are built once per case and cached; every field of a datum is an
-immutable tuple, safe to share across threads.  Each datum also derives, on
+immutable value, safe to share across threads.  Each datum also derives, on
 first use, an integer view of itself (`IntegerView`) for the c-free chamber
 arithmetic of the oracle.  The view holds only the datum's own scaled
 numbers and the dots among them that `weyl`'s descent reads in place of
@@ -55,7 +63,7 @@ from functools import cached_property, lru_cache, partial
 from itertools import compress, islice, repeat
 
 from .errors import InvariantError
-from .ratvec import Weight, add, dot, scale, sub, weight
+from .ratvec import Weight, dot, scale
 
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
@@ -119,9 +127,27 @@ class HermitianCase:
         return f"{self.tag}({params})" if params else self.tag
 
 
+# The record `ParabolicRootDatum.doubled`: some of a datum's roots as
+# `_derive` holds them, twice each coordinate, in integers.  It is
+# (simple_roots, nilradical_roots, gamma, noncompact): the first two in the
+# datum's field order, and the noncompact simple indices, so the Levi
+# simples are the simple roots at the other indices and the noncompact
+# simple root is the one at noncompact[0].  A plain tuple, because defining
+# a dataclass for it added about 0.8 ms to every process's import (2 cores,
+# CPython 3.11.7), which every request pays, dump or not.
+DoubledRoots = tuple[tuple[IntVector, ...], tuple[IntVector, ...], IntVector, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class ParabolicRootDatum:
-    """The full exact root datum of one case instance."""
+    """The full exact root datum of one case instance.
+
+    `doubled` is the build's record of the integer vectors 2*alpha behind
+    the simple roots, the nilradical roots and gamma, with the noncompact
+    simple indices (see `DoubledRoots`).  Only `_derive` sets it; it takes
+    no part in repr or equality, and a datum made by `dataclasses.replace`
+    holds None, since its fields may no longer match the record.
+    """
 
     case: HermitianCase
     ambient_dim: int
@@ -135,6 +161,7 @@ class ParabolicRootDatum:
     gamma: Weight
     zeta: Weight
     theta_u: Weight
+    doubled: DoubledRoots | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def integer_view(self) -> IntegerView:
@@ -180,8 +207,12 @@ class IntegerView:
     the s-th Levi simple root A_s, `gram_rows[s]` holds (t, dot(A_s, A_t))
     over the Levi simple roots A_t that A_s meets with a nonzero product,
     itself included, and `simple_coords[s]` holds (i, A_s[i]) over A_s's
-    nonzero coordinates.  Like each nilradical root's a and b, they are
-    derived once per view.
+    nonzero coordinates.  `levi_columns[i]` is coordinate column i of the
+    scaled roots A_t of `levi_positive`: the pairs (t, A_t[i]) with
+    A_t[i] nonzero, in t order.  The products dot(B, A_t) of a vector B
+    with all of them are then the sums of B[i] * A_t[i] over B's nonzero
+    coordinates i and column i's entries.  Like each nilradical root's a
+    and b, they are derived once per view.
 
     `words` belongs to `weyl`: per nilradical index, the record
     (singular, entries) of that root's scalar line (its singular levels and
@@ -200,6 +231,7 @@ class IntegerView:
     rho_simple: tuple[int, ...]
     gram_rows: tuple[tuple[tuple[int, int], ...], ...]
     simple_coords: tuple[tuple[tuple[int, int], ...], ...]
+    levi_columns: tuple[tuple[tuple[int, int], ...], ...]
     words: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -229,18 +261,26 @@ def scalar_parameter_weight(datum: ParabolicRootDatum, c) -> Weight:
 # per-case construction
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+# Every simple root is written from these shared coordinates, so a build
+# makes no Fraction for its simple system.
+_ZERO, _HALF, _ONE, _TWO = Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)
+_MINUS_HALF, _MINUS_ONE = -_HALF, -_ONE
 
 
-def _e(i: int, dim: int) -> Weight:
-    return tuple(_ONE if j == i else _ZERO for j in range(1, dim + 1))
+def _root(dim: int, coords: dict[int, Fraction]) -> Weight:
+    """The weight with coords[i] at coordinate e_i (1-based) and 0 elsewhere."""
+    return tuple([coords.get(j, _ZERO) for j in range(1, dim + 1)])
+
+
+def _difference(i: int, j: int, dim: int) -> Weight:
+    """e_i - e_j."""
+    return _root(dim, {i: _ONE, j: _MINUS_ONE})
 
 
 def _e6_simples() -> tuple[Weight, ...]:
-    h = Fraction(1, 2)
-    alpha1 = (h, -h, -h, -h, -h, -h, -h, h)
-    alpha2 = weight((1, 1, 0, 0, 0, 0, 0, 0))
-    rest = tuple(sub(_e(i - 1, 8), _e(i - 2, 8)) for i in range(3, 7))
+    alpha1 = (_HALF,) + (_MINUS_HALF,) * 6 + (_HALF,)
+    alpha2 = _root(8, {1: _ONE, 2: _ONE})
+    rest = tuple(_difference(i - 1, i - 2, 8) for i in range(3, 7))
     return (alpha1, alpha2) + rest
 
 
@@ -252,17 +292,16 @@ def _simple_system(case: HermitianCase) -> tuple[int, tuple[Weight, ...], tuple[
     if case.tag == "EIII":
         return 8, _e6_simples(), (0,)
     if case.tag == "EVII":
-        return 8, _e6_simples() + (sub(_e(6, 8), _e(5, 8)),), (6,)
+        return 8, _e6_simples() + (_difference(6, 5, 8),), (6,)
     dim = case.p + case.q if case.tag == "AIII" else case.n
-    e = lambda i: _e(i, dim)
-    chain = tuple(sub(e(i), e(i + 1)) for i in range(1, dim))
+    chain = tuple(_difference(i, i + 1, dim) for i in range(1, dim))
     if case.tag == "AIII":
         return dim, chain, (case.p - 1,)
     if case.tag == "CI":
-        return dim, chain + (scale(2, e(dim)),), (dim - 1,)
+        return dim, chain + (_root(dim, {dim: _TWO}),), (dim - 1,)
     if case.tag == "BI":
-        return dim, chain + (e(dim),), (0,)
-    simples = chain + (add(e(dim - 1), e(dim)),)
+        return dim, chain + (_root(dim, {dim: _ONE}),), (0,)
+    simples = chain + (_root(dim, {dim - 1: _ONE, dim: _ONE}),)
     if case.tag == "DIII":
         return dim, simples, (dim - 1,)
     # so(4) splits into two sl(2) factors, so DI(2) puts both simple roots
@@ -392,7 +431,8 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         den = 4 * dot(nil2, b)
         return tuple(Fraction(x * dot(b, b), den) for x in nil2)
 
-    return ParabolicRootDatum(
+    nil_order = [c for c in order if c in nil]
+    datum = ParabolicRootDatum(
         case=case,
         ambient_dim=dim,
         simple_roots=tuple(simples),
@@ -400,12 +440,16 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         noncompact_simple=simples[noncompact[0]],
         positive_roots=tuple([roots[c] for c in order]),
         levi_positive=tuple([roots[c] for c in order if c not in nil]),
-        nilradical_roots=tuple([roots[c] for c in order if c in nil]),
+        nilradical_roots=tuple([roots[c] for c in nil_order]),
         rho=tuple(Fraction(sum(col), 4) for col in zip(*doubled.values())),
         gamma=roots[top],
         zeta=along_nil(doubled[top]),
         theta_u=along_nil(twice[noncompact[0]]),
     )
+    # The record is no init field, so that dataclasses.replace drops it.
+    record = tuple(twice), tuple([doubled[c] for c in nil_order]), doubled[top], tuple(noncompact)
+    object.__setattr__(datum, "doubled", record)
+    return datum
 
 
 def _integer_view(d: ParabolicRootDatum) -> IntegerView:
@@ -441,4 +485,8 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
             tuple([(t, g) for t, b in enumerate(simples) if (g := dot(a, b))]) for a in simples
         ),
         simple_coords=tuple(tuple([(i, x) for i, x in enumerate(a) if x]) for a in simples),
+        levi_columns=tuple(
+            tuple([(t, a[i]) for t, (a, _) in enumerate(levi_positive) if a[i]])
+            for i in range(len(rho))
+        ),
     )

@@ -22,14 +22,16 @@ tuple of entries.  Levi integrality is a property of the datum, not of the
 level: every <rho, alpha^v> and <beta, alpha^v> over a Levi root alpha is
 an integer, so every term is Levi integral and each Levi reflection acts on
 R and B in exact integers.  The record is built only after that is checked
-for every Levi root, and a root where it fails raises InvariantError.  Off
-the walls, a descent's word w gives the representative w*R - k*w*B, whose
-pairing with each Levi simple root is affine in k; the levels at which all
-of them are positive form an integer interval lo..hi, and at exactly those
-levels w*v(k) is the dominant point of v(k)'s orbit.  Each entry is
-(lo, hi, w*R, w*B, w), and a term is served by the entry whose lo..hi holds
-its level, which certifies the representative at the term's own level; a
-level no entry holds is descended afresh and its interval stored.  The
+for every Levi root, and a root where it fails raises InvariantError; the
+record reads the root's dots with the Levi roots off the view's coordinate
+columns, with no dot of its own.  Off the walls, a descent's word w gives
+the representative w*R - k*w*B, whose pairing with each Levi simple root
+is affine in k; the levels at which all of them are positive form an
+integer interval lo..hi, and at exactly those levels w*v(k) is the
+dominant point of v(k)'s orbit.  Each entry is (lo, hi, w*R, w*B, w), and
+a term is served by the entry whose lo..hi holds its level, which
+certifies the representative at the term's own level; a level no entry
+holds is descended afresh and its interval stored.  The
 descent is `normalize`'s first-negative rule, step bound and errors, run
 on v and w*B together in integers, with no wall scan: R = D*rho is
 strictly Levi dominant, so R - k*B meets the wall of a Levi root A only
@@ -130,10 +132,18 @@ def _line_record(view: IntegerView, root: IntVector) -> tuple[frozenset[int], tu
     those levels.  Raises InvariantError unless 2*dot(R, A) and 2*dot(B, A)
     are multiples of dot(A, A) for every A, so that every term is Levi
     integral and each Levi reflection acts on R and B in exact integers.
+    Every dot(B, A) comes at once, in `levi_positive` order: each nonzero
+    coordinate B[i] adds B[i] * A[i] to the dot of each A that has a
+    nonzero entry in the view's coordinate column i (`levi_columns`).
+    dot(R, A) is read from `rho_levi`.
     """
+    dots = [0] * len(view.rho_levi)
+    for x, column in zip(root, view.levi_columns):
+        if x:
+            for t, a in column:
+                dots[t] += x * a
     singular = set()
-    for (a, n), r in zip(view.levi_positive, view.rho_levi):
-        b = dot(root, a)
+    for (_, n), r, b in zip(view.levi_positive, view.rho_levi, dots):
         if 2 * r % n or 2 * b % n:
             raise InvariantError("support term is not Levi integral")
         if r * b > 0 and r % b == 0:

@@ -19,6 +19,10 @@ row.  It checks a fresh descent's word, representative and interval.
 `orbit_reference` is `rootdata`'s orbit walk with every pairing
 recomputed as a full dot against a Cartan row, where `rootdata._orbit`
 updates tracked pairings along one Cartan column.
+
+`line_record_reference` is a root's scalar-line record with one full dot
+per Levi positive root, where `weyl` sums the view's coordinate columns
+over the root's nonzero coordinates.
 """
 
 from __future__ import annotations
@@ -151,3 +155,20 @@ def orbit_reference(twice: list[IntVector], cartan: list[list[int]]) -> dict[Int
                 found.add(doubled[image])
                 frontier.append(image)
     return doubled
+
+
+def line_record_reference(view: IntegerView, root: IntVector) -> tuple[frozenset[int], tuple]:
+    """The record (singular, ()) of the line R - k*B, for B = root, with
+    dot(B, A) computed in full for each scaled Levi positive root A, in order.
+
+    Raises the integer path's InvariantError at the first A for which
+    2*dot(R, A) or 2*dot(B, A) is not a multiple of dot(A, A).
+    """
+    singular = set()
+    for (a, n), r in zip(view.levi_positive, view.rho_levi):
+        b = dot(root, a)
+        if 2 * r % n or 2 * b % n:
+            raise InvariantError("support term is not Levi integral")
+        if r * b > 0 and r % b == 0:
+            singular.add(r // b)
+    return frozenset(singular), ()

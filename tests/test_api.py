@@ -90,7 +90,7 @@ def test_only_weyl_knows_a_roots_line_walls():
     assert fields == ["root", "norm", "a", "b", "theta_root"]
     assert _attribute_readers("levi_positive") <= {"rootdata", "weyl"}
     # The descent's tables, derived once per view, are weyl's alone too.
-    for name in ("rho_levi", "rho_simple", "gram_rows", "simple_coords"):
+    for name in ("rho_levi", "rho_simple", "gram_rows", "simple_coords", "levi_columns"):
         assert _attribute_readers(name) <= {"rootdata", "weyl"}, name
 
 

@@ -495,6 +495,44 @@ def _parsed(coords):
     return tuple(map(parse_rational, coords))
 
 
+def test_datum_dump_formats_per_dimension_not_per_coordinate(capsys, monkeypatch):
+    # The roots are written from the datum's doubled vectors, one string per
+    # distinct doubled coordinate; rho, zeta and theta_u one per coordinate.
+    case = HermitianCase("CI", n=20)
+    build_datum(case)
+    made = []
+    original = Fraction.__str__
+
+    def counting(self):
+        made.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__str__", counting)
+    code, out, _ = run_cli(capsys, "datum-dump", *case_flags(case))
+    assert code == 0
+    # one per coordinate of each root would be over 20 * 230
+    assert 0 < len(made) <= 4 * 20
+    assert json.loads(out)["nilradical_roots"][0] == ["0"] * 19 + ["2"]
+
+
+def test_datum_dump_never_writes_a_stale_record(capsys, monkeypatch):
+    # A replaced datum holds no doubled-vector record, so its roots are never
+    # written from the record of the datum it was made from.
+    build = cli.build_datum
+    tampered = weight([3, 0, 0])
+
+    def replaced(case):
+        datum = build(case)
+        roots = datum.nilradical_roots
+        assert tampered not in roots
+        return dataclasses.replace(datum, nilradical_roots=(tampered,) + roots[1:])
+
+    monkeypatch.setattr(cli, "build_datum", replaced)
+    code, out, err = run_cli(capsys, "datum-dump", "--case", "CI", "--n", "3")
+    assert (code, out) == (3, "")
+    assert "invariant" in err and "doubled roots" in err
+
+
 def test_datum_dump_notes_on_degenerate_case(capsys):
     code, out, _ = run_cli(capsys, "datum-dump", "--case", "DI", "--n", "2")
     assert code == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import re
 import signal
@@ -233,6 +234,26 @@ def test_orbit_walk_matches_full_dot_walk(walks):
         if cartan != [list(column) for column in zip(*cartan)]
     }
     assert asymmetric == {"CI", "BI"}
+
+
+def test_doubled_record_holds_twice_the_roots():
+    # The record behind datum-dump: the build's own integer vectors, with
+    # the Levi simples and the noncompact simple root picked by index.
+    halved = lambda v: tuple(Fraction(x, 2) for x in v)
+    for case in ADMISSIBLE_CASES:
+        datum = build_datum(case)
+        simples, nilradical, gamma, noncompact = datum.doubled
+        simples = tuple(map(halved, simples))
+        assert simples == datum.simple_roots, case.label
+        assert tuple(map(halved, nilradical)) == datum.nilradical_roots, case.label
+        assert halved(gamma) == datum.gamma, case.label
+        levi = tuple(a for i, a in enumerate(simples) if i not in noncompact)
+        assert levi == datum.levi_simples, case.label
+        assert simples[noncompact[0]] == datum.noncompact_simple, case.label
+    # Outside repr and equality, and never carried to a replaced datum.
+    assert "doubled" not in repr(datum)
+    assert dataclasses.replace(datum) == datum
+    assert dataclasses.replace(datum).doubled is None
 
 
 def test_build_datum_caches():

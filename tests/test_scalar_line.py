@@ -8,7 +8,9 @@ descent inside `_line_chamber`, which runs no wall scan of its own.  The
 tests below scan the walls themselves, compare each served word with a
 fresh descent from a record that holds no entries, and compare each fresh
 descent, which updates tracked pairings, with `reference.scaled_descent`,
-which recomputes every dot.
+which recomputes every dot.  Each root's record, whose dots come from the
+view's coordinate columns, is compared with `reference.line_record_reference`,
+which takes one full dot per Levi positive root.
 `reference.simplicity_oracle`, built on `normalize`, is the rational
 reference.  Every comparison here is whole-verdict equality, certificates
 included, and every InvariantError the reference can raise is triggered
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ADMISSIBLE_CASES, SWEEP_CASES
-from reference import scaled_descent, simplicity_oracle
+from reference import line_record_reference, scaled_descent, simplicity_oracle
 from scalarverma import (
     HermitianCase,
     InvariantError,
@@ -287,6 +289,11 @@ def test_levi_tables_hold_the_views_own_dots():
                 assert x, case
                 rebuilt[i] = x
             assert tuple(rebuilt) == a, case
+        # coordinate i of every Levi positive root with a nonzero one there
+        positive = [a for a, _ in view.levi_positive]
+        assert len(view.levi_columns) == len(view.rho), case
+        for i, column in enumerate(view.levi_columns):
+            assert column == tuple((t, a[i]) for t, a in enumerate(positive) if a[i]), case
 
 
 def test_records_are_built_for_support_roots_only():
@@ -371,15 +378,88 @@ def test_non_levi_integral_term_trips_both_oracles():
 
 def test_every_admissible_root_is_levi_integral():
     # Every root of every valid datum gets its record: Levi integrality is
-    # a property of the datum, so no valid term is ever refused.
+    # a property of the datum, so no valid term is ever refused.  The record
+    # read off the view's coordinate columns equals the one with a full dot
+    # per Levi positive root.
     roots = 0
     for case in ADMISSIBLE_CASES:
         view = build_datum(case).integer_view
         for nil in view.nilradical:
-            singular, entries = weyl._line_record(view, nil.root)
+            record = weyl._line_record(view, nil.root)
+            assert record == line_record_reference(view, nil.root), case
+            singular, entries = record
             assert all(k > 0 for k in singular) and entries == (), case
             roots += 1
     assert roots > len(ADMISSIBLE_CASES)
+
+
+def _shifted_rho(case, *shift):
+    datum = build_datum(case)
+    return dataclasses.replace(datum, rho=add(datum.rho, weight(shift)))
+
+
+def _tampered_root(case, j, *root):
+    datum = build_datum(case)
+    roots = datum.nilradical_roots
+    return dataclasses.replace(datum, nilradical_roots=roots[:j] + (weight(root),) + roots[j + 1 :])
+
+
+def _dropped_levi(case, keep):
+    datum = build_datum(case)
+    return dataclasses.replace(datum, levi_positive=tuple(filter(keep, datum.levi_positive)))
+
+
+H = Fraction(1, 2)
+A22, DI2, E6, E7 = (HermitianCase("AIII", p=2, q=2), HermitianCase("DI", n=2),
+                    HermitianCase("EIII"), HermitianCase("EVII"))
+# name -> (crippled datum, whether some root's record is refused); the
+# AIII(2,2) data are those of the invariant tests below
+CRIPPLED = {
+    "AIII(2,2) shifted rho": (lambda: _shifted_rho(A22, H, 0, H, 0), True),
+    "AIII(2,2) tampered root": (lambda: _tampered_root(A22, 2, 1, -H, -H, 0), True),
+    "AIII(2,2) dropped wall": (lambda: _dropped_levi(A22, lambda a: a != (1, -1, 0, 0)), False),
+    "AIII(2,2) no Levi roots": (lambda: _dropped_levi(A22, lambda a: False), False),
+    # DI(2)'s Levi is a torus: no Levi root can refuse a record
+    "DI(2) shifted rho": (lambda: _shifted_rho(DI2, H, 0), False),
+    "DI(2) tampered root": (lambda: _tampered_root(DI2, 0, 1, -H), False),
+    # the half-integral E6 and E7 roots have no zero coordinate
+    "EIII shifted rho": (lambda: _shifted_rho(E6, H, 0, 0, 0, 0, 0, 0, 0), True),
+    "EIII tampered root": (lambda: _tampered_root(E6, 0, 1, H, H, H, -H, -H, -H, H), True),
+    "EVII shifted rho": (lambda: _shifted_rho(E7, 0, 0, H, 0, 0, 0, 0, 0), True),
+    "EVII tampered root": (lambda: _tampered_root(E7, 3, H, -H, H, -H, H, H, H, -H), True),
+    "EVII dropped Levi roots": (lambda: _dropped_levi(E7, lambda a: a[0] >= 0), False),
+}
+
+
+@pytest.mark.parametrize("name", CRIPPLED)
+def test_column_records_match_full_dot_records_on_crippled_data(name):
+    make, refused = CRIPPLED[name]
+    view = make().integer_view
+    outcomes = [
+        (outcome(lambda: weyl._line_record(view, nil.root)),
+         outcome(lambda: line_record_reference(view, nil.root)))
+        for nil in view.nilradical
+    ]
+    assert all(column == full for column, full in outcomes), name
+    raised = [column for column, _ in outcomes if isinstance(column, str)]
+    assert set(raised) <= {"InvariantError: support term is not Levi integral"}, name
+    assert bool(raised) == refused, name
+
+
+def test_line_records_take_no_dot(monkeypatch):
+    # Each record's dots come from the view's coordinate columns.
+    calls = []
+
+    def counting(u, v):
+        calls.append(len(u))
+        return dot(u, v)
+
+    monkeypatch.setattr(weyl, "dot", counting)
+    for case in (HermitianCase("CI", n=20), HermitianCase("DI", n=2), HermitianCase("EVII")):
+        view = dataclasses.replace(build_datum(case)).integer_view
+        for nil in view.nilradical:
+            weyl._line_record(view, nil.root)
+    assert calls == []
 
 
 def test_half_integral_root_is_refused_at_every_level():
