@@ -23,12 +23,14 @@ Exit codes: 0 success, 1 usage error, 2 computational disagreement,
 orderings, exact rationals, no timestamps.  JSON is written by _dumps, in
 the bytes of json.dumps(..., indent=2).  A weight reaches _dumps as the
 tuple of its coordinates' format_rational strings, which _dumps writes as a
-JSON array in one join; a list is written item by item.  Most weights get
-those strings from _w, one Fraction formatted per coordinate.  datum-dump's
-roots get them from the datum's record of doubled integer vectors
-(`datum.doubled`), through a table with one string per distinct doubled
-coordinate; a datum without that record, such as one made by
-dataclasses.replace, is an invariant violation there (exit 3).  Integer
+JSON array in one join; a list is written item by item.  Every root that
+any command writes as a root (datum-dump's root fields, classify's support
+terms, class members and witness) gets those strings from _root_texts:
+from the datum's record of doubled integer vectors (`datum.doubled`),
+through a table with one string per distinct doubled coordinate.  A datum
+without that record, such as one made by dataclasses.replace, is an
+invariant violation for every such writer (exit 3).  Other weights get
+their strings from _w, one Fraction formatted per coordinate.  Integer
 flags take ASCII digits with an optional sign only, as rationals do.
 
 The argparse parser is built once per process, on the first main() call,
@@ -40,9 +42,10 @@ scanning the whole argv itself, and leftovers get the top parser's
 parser.  Usage errors and help keep their bytes.
 
 classify writes its JSON from fragments, as scan writes its rows: each
-nilradical root's array, at each indent it appears at, and the case's own
-fields are written by _dumps once per case, and a request writes only its
-representatives, levels and the text around the fragments.
+nilradical root's array, from its _root_texts strings at each indent it
+appears at, and the case's own fields are written by _dumps once per case,
+and a request writes only its representatives, levels and the text around
+the fragments.
 """
 
 from __future__ import annotations
@@ -305,9 +308,10 @@ def _dumps(obj, indent: str = "") -> str:
     indent is the indentation of the line obj starts on.  Only str, int,
     bool, None, list, tuple and str-keyed dict are accepted; the standard
     encoder runs in pure Python whenever an indent is set, and this one is
-    faster.  A tuple is a weight from _w: its items are format_rational
-    strings (ASCII digits, "-" and "/"), written unescaped in one join, and
-    any item that is not a str raises TypeError from the join.
+    faster.  A tuple is a weight from _w or _root_texts: its items are
+    format_rational strings (ASCII digits, "-" and "/"), written unescaped
+    in one join, and any item that is not a str raises TypeError from the
+    join.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -364,6 +368,24 @@ def _w(w: Weight) -> tuple[str, ...]:
     return tuple(map(str, w))
 
 
+def _root_texts(datum) -> dict[int, tuple[str, ...]]:
+    """The coordinates of each root of datum as format_rational strings, by
+    the id() of the root's tuple, for _dumps and _pretty.
+
+    The strings come from the build's record of doubled vectors
+    (`datum.doubled`), one per distinct doubled coordinate.  The record is
+    aligned with simple_roots and nilradical_roots, and every other root
+    field holds tuples of those two, so every root of the datum has an
+    entry.  The ids name datum's tuples only while the caller holds datum.
+    """
+    if datum.doubled is None:
+        raise InvariantError(f"{datum.case.label}: the datum holds no record of its doubled roots")
+    simples, nilradical = datum.doubled
+    halves = {x: format_rational(Fraction(x, 2)) for x in set().union(*simples, *nilradical)}
+    texts = [tuple(map(halves.__getitem__, w)) for w in simples + nilradical]
+    return dict(zip(map(id, datum.simple_roots + datum.nilradical_roots), texts))
+
+
 def _case_json(case: HermitianCase) -> dict:
     fields = {"tag": case.tag, "p": case.p, "q": case.q, "n": case.n}
     return {k: v for k, v in fields.items() if v is not None}
@@ -409,14 +431,17 @@ def _classify_case(case: HermitianCase):
 
     Returns (datum, case, label, lambda0, roots), the last four as JSON
     text.  roots[field] maps the id() of each of datum's nilradical root
-    tuples to the root's JSON array, written by _dumps at the indent that
-    field's roots start on.  classify_scalar, given this datum, hands back
-    those very tuples, so the lookup neither hashes nor formats a Fraction;
-    holding the datum keeps the ids its roots'.
+    tuples to the root's JSON array, written by _dumps from its
+    _root_texts strings at the indent that field's roots start on.
+    classify_scalar, given this datum, hands back those very tuples, so the
+    lookup neither hashes nor formats a Fraction; holding the datum keeps
+    the ids its roots'.
     """
     datum = build_datum(case)
+    texts = _root_texts(datum)
+    nilradical = [id(beta) for beta in datum.nilradical_roots]
     roots = {
-        field: {id(beta): _dumps(_w(beta), indent) for beta in datum.nilradical_roots}
+        field: {key: _dumps(texts[key], indent) for key in nilradical}
         for field, indent in _ROOT_INDENTS.items()
     }
     return datum, _dumps(_case_json(case), "  "), _dumps(case.label), _dumps(_lambda0(case), "  "), roots
@@ -464,7 +489,9 @@ def _classify_json(case: HermitianCase, c: Fraction) -> str:
 
 
 def _classify_pretty(case: HermitianCase, c: Fraction) -> str:
-    verdict = classify_scalar(build_datum(case), c)
+    datum = build_datum(case)
+    texts = _root_texts(datum)
+    verdict = classify_scalar(datum, c)
     terms = verdict.terms
     lines = [
         f"{case.label}  c = {format_rational(c)}  (z = {format_rational(c + line_offset(case))})",
@@ -474,10 +501,10 @@ def _classify_pretty(case: HermitianCase, c: Fraction) -> str:
         f"{sum(not t.chamber.is_regular for t in terms)} on walls",
     ]
     for g in verdict.certificate:
-        betas = ", ".join(f"{_pretty(m.beta)} ({_parity(m)})" for m in g.members)
+        betas = ", ".join(f"{_pretty(texts[id(m.beta)])} ({_parity(m)})" for m in g.members)
         lines.append(f"  class rep {_pretty(g.rep)}  net {g.net_sign:+d}: {betas}")
     if verdict.witness is not None:
-        lines.append(f"witness: {_pretty(verdict.witness)}")
+        lines.append(f"witness: {_pretty(texts[id(verdict.witness)])}")
     return "\n".join(lines) + "\n"
 
 
@@ -546,10 +573,6 @@ def _grid_rows(case: HermitianCase, ms: range, line: ScalarGrid):
             zn, zd = zn // g, zd // g
             c_form = f"%d/{d}" if d != 1 else "%d"
             z_form = f"%d/{zd}" if zd != 1 else "%d"
-            if i + t >= size:
-                # the class's only point in the block: no progression to slice
-                cs[i], zs[i] = c_form % n, z_form % zn
-                continue
             last = (size - 1 - i) // t * s
             cs[i::t] = map(c_form.__mod__, range(n, n + last * d + 1, s * d))
             zs[i::t] = map(z_form.__mod__, range(zn, zn + last * zd + 1, s * zd))
@@ -797,30 +820,23 @@ def cmd_crosscheck(args) -> int:
 def cmd_datum_dump(args) -> int:
     """The datum as JSON.
 
-    The roots are written from the build's doubled vectors (`datum.doubled`)
-    through one string per distinct doubled coordinate, the Levi simples
-    and the noncompact simple root picked from the simple roots by index;
-    rho, zeta and theta_u, which are not roots, through _w.
+    The five root fields are written from their _root_texts strings; rho,
+    zeta and theta_u, which are not roots, through _w.
     """
     [case] = _cases(args)
     datum = build_datum(case)
-    doubled = datum.doubled
-    if doubled is None:
-        raise InvariantError(f"{case.label}: the datum holds no record of its doubled roots")
-    simples, nilradical, gamma, noncompact = doubled
-    halves = {x: format_rational(Fraction(x, 2)) for x in set().union(*simples, *nilradical)}
-    half = lambda w: tuple(map(halves.__getitem__, w))
-    simple_roots = list(map(half, simples))
+    text = _root_texts(datum).__getitem__
+    roots = lambda ws: list(map(text, map(id, ws)))
     payload = {
         "case": _case_json(case),
         "label": case.label,
         "ambient_dim": datum.ambient_dim,
-        "simple_roots": simple_roots,
-        "levi_simples": [a for i, a in enumerate(simple_roots) if i not in noncompact],
-        "noncompact_simple": simple_roots[noncompact[0]],
-        "nilradical_roots": list(map(half, nilradical)),
+        "simple_roots": roots(datum.simple_roots),
+        "levi_simples": roots(datum.levi_simples),
+        "noncompact_simple": text(id(datum.noncompact_simple)),
+        "nilradical_roots": roots(datum.nilradical_roots),
         "rho": _w(datum.rho),
-        "gamma": half(gamma),
+        "gamma": text(id(datum.gamma)),
         "zeta": _w(datum.zeta),
         "theta_u": _w(datum.theta_u),
     }

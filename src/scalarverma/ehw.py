@@ -146,14 +146,6 @@ def abc_verdict(constants: ABCConstants, z) -> str:
     return KNOWN_SIMPLE if simple else KNOWN_REDUCIBLE if reducible else INDETERMINATE
 
 
-@lru_cache(maxsize=None)
-def _closed_form_starts(case: HermitianCase) -> tuple[Fraction, Fraction]:
-    """A - B and A - B + C, built once per case."""
-    con = abc_constants(case)
-    start = con.a - con.b
-    return start, start + con.c
-
-
 def closed_form_grid(case: HermitianCase, step: Fraction, ms: range) -> list[range]:
     """The m in ms at which c = m * step lies in the closed-form reducible set.
 
@@ -162,7 +154,9 @@ def closed_form_grid(case: HermitianCase, step: Fraction, ms: range) -> list[ran
     reducible exactly when c - s is a nonnegative integer for one of the
     starts s = A - B and A - B + C: one progression in m per start.
     """
-    return [_grid_progression(step, start, Fraction(1), ms) for start in _closed_form_starts(case)]
+    con = abc_constants(case)
+    start = con.a - con.b
+    return [_grid_progression(step, s, Fraction(1), ms) for s in (start, start + con.c)]
 
 
 def closed_form_reducible(case: HermitianCase, c) -> bool:

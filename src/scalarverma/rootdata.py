@@ -34,12 +34,14 @@ datum as it builds it, in integers on those vectors:
   realizes E6 or E7.
 
 The datum also keeps, as the record `doubled` (`DoubledRoots`), the
-doubled integer vectors the build already holds for the simple roots, the
-nilradical roots in field order and gamma, with the noncompact indices, so
-that output can write those roots without formatting a `Fraction` per
-coordinate.  The record is set by `_derive` only: it is left out of the
-datum's repr (which tests pin by sha256) and equality, and
-`dataclasses.replace` does not carry it over, so a replaced datum has none.
+doubled integer vectors the build already holds for the simple roots and
+the nilradical roots, in field order, so that output can write every root
+without formatting a `Fraction` per coordinate.  Every other root field
+holds the very tuples of those two: the Levi simples and the noncompact
+simple root are simple roots, and gamma is a nilradical root.  The record
+is set by `_derive` only: it is left out of the datum's repr (which tests
+pin by sha256) and equality, and `dataclasses.replace` does not carry it
+over, so a replaced datum has none.
 
 Data are built once per case and cached; every field of a datum is an
 immutable value, safe to share across threads.  Each datum also derives, on
@@ -68,13 +70,8 @@ from .ratvec import Weight, dot, scale
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
-# perfbench runs.  One CI(20) classify takes 0.12-0.19 s from the command
-# line, and the first in-process call 0.06-0.10 s, 0.007-0.011 s of it
-# building the datum (0.025-0.039 s when the orbit walk recomputed every
-# pairing and made a Fraction per coordinate); each later CI(20) point with
-# all 210 nilradical roots in its support takes 2.7-2.9 ms with its terms,
-# or 0.7-0.8 ms for the verdict and route alone as a one-point ScalarGrid
-# (2 cores, CPython 3.11.7; the later points in the host's fast phase).
+# perfbench runs, which keeps every request's cost bounded.  One CI(20)
+# classify takes 0.12-0.19 s from the command line (2 cores, CPython 3.11.7).
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
@@ -127,15 +124,12 @@ class HermitianCase:
         return f"{self.tag}({params})" if params else self.tag
 
 
-# The record `ParabolicRootDatum.doubled`: some of a datum's roots as
-# `_derive` holds them, twice each coordinate, in integers.  It is
-# (simple_roots, nilradical_roots, gamma, noncompact): the first two in the
-# datum's field order, and the noncompact simple indices, so the Levi
-# simples are the simple roots at the other indices and the noncompact
-# simple root is the one at noncompact[0].  A plain tuple, because defining
+# The record `ParabolicRootDatum.doubled`: the datum's simple roots and
+# nilradical roots as `_derive` holds them, twice each coordinate, in
+# integers, each list in its field's order.  A plain tuple, because defining
 # a dataclass for it added about 0.8 ms to every process's import (2 cores,
 # CPython 3.11.7), which every request pays, dump or not.
-DoubledRoots = tuple[tuple[IntVector, ...], tuple[IntVector, ...], IntVector, tuple[int, ...]]
+DoubledRoots = tuple[tuple[IntVector, ...], tuple[IntVector, ...]]
 
 
 @dataclass(frozen=True)
@@ -143,10 +137,11 @@ class ParabolicRootDatum:
     """The full exact root datum of one case instance.
 
     `doubled` is the build's record of the integer vectors 2*alpha behind
-    the simple roots, the nilradical roots and gamma, with the noncompact
-    simple indices (see `DoubledRoots`).  Only `_derive` sets it; it takes
-    no part in repr or equality, and a datum made by `dataclasses.replace`
-    holds None, since its fields may no longer match the record.
+    the simple roots and the nilradical roots (see `DoubledRoots`);
+    `levi_simples`, `noncompact_simple` and `gamma` hold the very tuples of
+    those two fields.  Only `_derive` sets it; it takes no part in repr or
+    equality, and a datum made by `dataclasses.replace` holds None, since
+    its fields may no longer match the record.
     """
 
     case: HermitianCase
@@ -202,17 +197,20 @@ class IntegerView:
     `theta_rho` = dot(R, T) for R = D*rho and T = D*theta_u.
 
     The Levi fields serve `weyl`'s descent, and only `rootdata` and `weyl`
-    read them.  `rho_levi` and `rho_simple` hold dot(R, A) for each scaled
-    root A of `levi_positive` and of `levi_simples`, in their order.  For
-    the s-th Levi simple root A_s, `gram_rows[s]` holds (t, dot(A_s, A_t))
-    over the Levi simple roots A_t that A_s meets with a nonzero product,
-    itself included, and `simple_coords[s]` holds (i, A_s[i]) over A_s's
-    nonzero coordinates.  `levi_columns[i]` is coordinate column i of the
-    scaled roots A_t of `levi_positive`: the pairs (t, A_t[i]) with
-    A_t[i] nonzero, in t order.  The products dot(B, A_t) of a vector B
-    with all of them are then the sums of B[i] * A_t[i] over B's nonzero
-    coordinates i and column i's entries.  Like each nilradical root's a
-    and b, they are derived once per view.
+    read them.  They index the scaled roots A_t of the datum's
+    `levi_positive` and the scaled roots A_s of its `levi_simples`, in
+    their order, and hold no vector of their own.  `levi_norms` and
+    `simple_norms` hold each dot(A, A), and `rho_levi` and `rho_simple`
+    each dot(R, A).  For the s-th Levi simple root A_s, `gram_rows[s]`
+    holds (t, dot(A_s, A_t)) over the Levi simple roots A_t that A_s meets
+    with a nonzero product, itself included, and `simple_coords[s]` holds
+    (i, A_s[i]) over A_s's nonzero coordinates.  `levi_columns[i]` is
+    coordinate column i of the Levi positive roots: the pairs (t, A_t[i])
+    with A_t[i] nonzero, in t order.  The products dot(B, A) of a vector B
+    with all the Levi positive roots, or with all the Levi simple roots,
+    are then sums over the columns, or over each A_s's coordinates, of
+    B[i] times the entry.  Like each nilradical root's a and b, they are
+    derived once per view.
 
     `words` belongs to `weyl`: per nilradical index, the record
     (singular, entries) of that root's scalar line (its singular levels and
@@ -225,8 +223,8 @@ class IntegerView:
     zeta: IntVector
     theta_rho: int
     nilradical: tuple[NilradicalLevel, ...]
-    levi_positive: tuple[tuple[IntVector, int], ...]
-    levi_simples: tuple[tuple[IntVector, int], ...]
+    levi_norms: tuple[int, ...]
+    simple_norms: tuple[int, ...]
     rho_levi: tuple[int, ...]
     rho_simple: tuple[int, ...]
     gram_rows: tuple[tuple[tuple[int, int], ...], ...]
@@ -447,7 +445,7 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         theta_u=along_nil(twice[noncompact[0]]),
     )
     # The record is no init field, so that dataclasses.replace drops it.
-    record = tuple(twice), tuple([doubled[c] for c in nil_order]), doubled[top], tuple(noncompact)
+    record = tuple(twice), tuple([doubled[c] for c in nil_order])
     object.__setattr__(datum, "doubled", record)
     return datum
 
@@ -457,36 +455,31 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
     denom = math.lcm(*(x.denominator for w in weights for x in w))
     ints = lambda w: tuple(x.numerator * (denom // x.denominator) for x in w)
 
-    def with_norm(w):
-        v = ints(w)
-        return v, dot(v, v)
-
     rho, zeta, theta_u = ints(d.rho), ints(d.zeta), ints(d.theta_u)
 
     def level(beta):
-        root, norm = with_norm(beta)
+        root = ints(beta)
         a, b = 2 * dot(rho, root), 2 * dot(zeta, root)
-        return NilradicalLevel(root, norm, a, b, dot(root, theta_u))
+        return NilradicalLevel(root, dot(root, root), a, b, dot(root, theta_u))
 
-    levi_positive = tuple(with_norm(a) for a in d.levi_positive)
-    levi_simples = tuple(with_norm(a) for a in d.levi_simples)
-    simples = [a for a, _ in levi_simples]
+    levi_positive = list(map(ints, d.levi_positive))
+    simples = list(map(ints, d.levi_simples))
     return IntegerView(
         denom=denom,
         rho=rho,
         zeta=zeta,
         theta_rho=dot(rho, theta_u),
         nilradical=tuple(map(level, d.nilradical_roots)),
-        levi_positive=levi_positive,
-        levi_simples=levi_simples,
-        rho_levi=tuple([dot(rho, a) for a, _ in levi_positive]),
+        levi_norms=tuple([dot(a, a) for a in levi_positive]),
+        simple_norms=tuple([dot(a, a) for a in simples]),
+        rho_levi=tuple([dot(rho, a) for a in levi_positive]),
         rho_simple=tuple([dot(rho, a) for a in simples]),
         gram_rows=tuple(
             tuple([(t, g) for t, b in enumerate(simples) if (g := dot(a, b))]) for a in simples
         ),
         simple_coords=tuple(tuple([(i, x) for i, x in enumerate(a) if x]) for a in simples),
         levi_columns=tuple(
-            tuple([(t, a[i]) for t, (a, _) in enumerate(levi_positive) if a[i]])
+            tuple([(t, a[i]) for t, a in enumerate(levi_positive) if a[i]])
             for i in range(len(rho))
         ),
     )

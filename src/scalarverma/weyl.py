@@ -38,10 +38,11 @@ strictly Levi dominant, so R - k*B meets the wall of a Levi root A only
 at k = dot(R, A) / dot(B, A), and the record's singular levels already
 hold every such level.  The descent tracks the pairings d_s = dot(v, A_s)
 and q_s = dot(w*B, A_s) with each Levi simple root A_s, started from the
-view's dot(R, A_s) and one dot of B per A_s.  A reflection in A_s moves v
-and w*B only on A_s's nonzero coordinates, and d and q only on A_s's row
-of nonzero Gram entries dot(A_s, A_t), both read from the view; the
-interval lo..hi is read off d and q, with no dot at all.  Every v(k)
+view's dot(R, A_s) and, for each A_s, the sum of B[i] * A_s[i] over A_s's
+nonzero coordinates i.  A reflection in A_s moves v and w*B only on A_s's
+nonzero coordinates, and d and q only on A_s's row of nonzero Gram entries
+dot(A_s, A_t), both read from the view; the interval lo..hi is read off d
+and q.  So the module computes no dot of two whole vectors.  Every v(k)
 with k in lo..hi lies in one open chamber, and the first-negative
 descent reads only the chamber, so a served word is the word a fresh
 descent would find.  The Weyl group acts simply transitively on
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import InvariantError
-from .ratvec import Weight, dot, inner, pairing, reflect
+from .ratvec import Weight, inner, pairing, reflect
 from .rootdata import IntegerView, IntVector, ParabolicRootDatum
 
 
@@ -132,10 +133,11 @@ def _line_record(view: IntegerView, root: IntVector) -> tuple[frozenset[int], tu
     those levels.  Raises InvariantError unless 2*dot(R, A) and 2*dot(B, A)
     are multiples of dot(A, A) for every A, so that every term is Levi
     integral and each Levi reflection acts on R and B in exact integers.
-    Every dot(B, A) comes at once, in `levi_positive` order: each nonzero
-    coordinate B[i] adds B[i] * A[i] to the dot of each A that has a
-    nonzero entry in the view's coordinate column i (`levi_columns`).
-    dot(R, A) is read from `rho_levi`.
+    Every dot(B, A) comes at once, in the order of the datum's
+    `levi_positive`: each nonzero coordinate B[i] adds B[i] * A[i] to the
+    dot of each A that has a nonzero entry in the view's coordinate column
+    i (`levi_columns`).  dot(R, A) is read from `rho_levi`, and dot(A, A)
+    from `levi_norms`.
     """
     dots = [0] * len(view.rho_levi)
     for x, column in zip(root, view.levi_columns):
@@ -143,7 +145,7 @@ def _line_record(view: IntegerView, root: IntVector) -> tuple[frozenset[int], tu
             for t, a in column:
                 dots[t] += x * a
     singular = set()
-    for (_, n), r, b in zip(view.levi_positive, view.rho_levi, dots):
+    for n, r, b in zip(view.levi_norms, view.rho_levi, dots):
         if 2 * r % n or 2 * b % n:
             raise InvariantError("support term is not Levi integral")
         if r * b > 0 and r % b == 0:
@@ -156,7 +158,7 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
 
     B is the scaled nilradical root view.nilradical[j], R = view.rho and k
     is a positive integer.  Returns (w*v, w), the dominant point of v's
-    Levi orbit and the word, as indices into view.levi_simples, of the
+    Levi orbit and the word, as indices into the Levi simple roots, of the
     first-negative descent that reaches it; or (None, ()) on a wall.
     Root j's record in view.words, built on its first term, holds its
     singular levels and its entries: disjoint (lo, hi, w*R, w*B, w), sorted
@@ -188,12 +190,12 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
         _, _, wr, wb, word = entries[i - 1]
         return tuple([r - k * b for r, b in zip(wr, wb)]), word
     # Descend v = R - k*B and w*B together, so that w*R = v + k*w*B at the end.
-    simples, rows, coords = view.levi_simples, view.gram_rows, view.simple_coords
+    norms, rows, coords = view.simple_norms, view.gram_rows, view.simple_coords
     v, wb = [r - k * b for r, b in zip(view.rho, nil.root)], list(nil.root)
-    q = [dot(nil.root, a) for a, _ in simples]
+    q = [sum([nil.root[i] * x for i, x in coords_s]) for coords_s in coords]
     d = [r - k * b for r, b in zip(view.rho_simple, q)]
     word = []
-    bound = len(view.levi_positive)
+    bound = len(view.levi_norms)
     while True:
         for s, ds in enumerate(d):
             if ds <= 0:
@@ -202,7 +204,7 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
             break
         if ds == 0:
             raise InvariantError("wall hit during descent after a clean wall scan")
-        norm = simples[s][1]
+        norm = norms[s]
         c, cb = 2 * ds // norm, 2 * q[s] // norm
         for t, g in rows[s]:
             d[t] -= c * g

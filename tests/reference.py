@@ -14,7 +14,10 @@ checking `ehw`'s progressions on a grid and their one-point reads.
 `scaled_descent` is the integer line's descent in its full-coordinate
 form: at every step it recomputes each pairing with a Levi simple root and
 reflects whole vectors, where `weyl` updates tracked pairings on one Gram
-row.  It checks a fresh descent's word, representative and interval.
+row.  It checks a fresh descent's word, representative and interval.  It
+and `line_record_reference` read the datum's own weights, multiplied by the
+view's denominator D once per datum (`ScaledDatum`), and no table of the
+integer view.
 
 `orbit_reference` is `rootdata`'s orbit walk with every pairing
 recomputed as a full dot against a Cartan row, where `rootdata._orbit`
@@ -28,13 +31,14 @@ over the root's nonzero coordinates.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from scalarverma.ehw import INDETERMINATE, KNOWN_REDUCIBLE, KNOWN_SIMPLE, ABCConstants
 from scalarverma.errors import InvariantError
 from scalarverma.jantzen import JantzenTerm, RepClass, SimplicityVerdict, _decide, jantzen_support
 from scalarverma.ratvec import Weight, add, dot, inner, is_integer, pairing, reflect
-from scalarverma.rootdata import IntegerView, IntVector, ParabolicRootDatum
+from scalarverma.rootdata import IntVector, ParabolicRootDatum
 from scalarverma.weyl import normalize
 
 
@@ -92,42 +96,65 @@ def abc_verdict_reference(constants: ABCConstants, z) -> str:
     return INDETERMINATE
 
 
-def _reflect_scaled(v: IntVector, root: IntVector, norm: int) -> IntVector:
-    """The reflection of a Levi integral v in the scaled root of squared norm `norm`."""
-    k = 2 * dot(v, root) // norm
+def _scaled(w: Weight, denom: int) -> IntVector:
+    """denom * w, in integers; raises ValueError unless denom clears w's denominators."""
+    v = [x * denom for x in w]
+    if any(x.denominator != 1 for x in v):
+        raise ValueError(f"{denom} does not clear the denominators of {w}")
+    return tuple(int(x) for x in v)
+
+
+@dataclass(frozen=True)
+class ScaledDatum:
+    """rho and the Levi roots of a datum, each multiplied by a common
+    denominator D, in integers and in field order."""
+
+    rho: IntVector
+    levi_positive: tuple[IntVector, ...]
+    levi_simples: tuple[IntVector, ...]
+
+
+def scaled_datum(datum: ParabolicRootDatum, denom: int) -> ScaledDatum:
+    """The datum's own weights times D = denom."""
+    scale = lambda ws: tuple(_scaled(w, denom) for w in ws)
+    return ScaledDatum(_scaled(datum.rho, denom), scale(datum.levi_positive), scale(datum.levi_simples))
+
+
+def _reflect_scaled(v: IntVector, root: IntVector) -> IntVector:
+    """The reflection of a Levi integral v in the scaled root `root`."""
+    k = 2 * dot(v, root) // dot(root, root)
     return tuple(x - k * a for x, a in zip(v, root))
 
 
 def scaled_descent(
-    view: IntegerView, j: int, k: int
+    scaled: ScaledDatum, root: IntVector, k: int
 ) -> tuple[IntVector, tuple[int, ...], int | float, int | float]:
-    """The first-negative descent of v = R - k*B, for B the j-th scaled
-    nilradical root, with every dot recomputed at every step.
+    """The first-negative descent of v = R - k*B, for R = D*rho and B = root,
+    with every dot recomputed at every step.
 
     Returns (w*v, w, lo, hi): the dominant point, the word as indices into
-    view.levi_simples, and the levels lo..hi at which w*R - k*w*B pairs
+    the Levi simple roots, and the levels lo..hi at which w*R - k*w*B pairs
     positively with every Levi simple root.  v must be regular.
     """
-    nil = view.nilradical[j]
-    v = tuple(r - k * b for r, b in zip(view.rho, nil.root))
-    wb, word = nil.root, []
+    v = tuple(r - k * b for r, b in zip(scaled.rho, root))
+    wb, word = root, []
     while True:
-        for s, (root, norm) in enumerate(view.levi_simples):
-            d = dot(v, root)
+        for s, a in enumerate(scaled.levi_simples):
+            d = dot(v, a)
             if d == 0:
                 raise InvariantError("wall hit during descent after a clean wall scan")
             if d < 0:
-                v, wb = _reflect_scaled(v, root, norm), _reflect_scaled(wb, root, norm)
+                v, wb = _reflect_scaled(v, a), _reflect_scaled(wb, a)
                 word.append(s)
                 break
         else:
             break
-        if len(word) > len(view.levi_positive):
+        if len(word) > len(scaled.levi_positive):
             raise InvariantError("chamber descent exceeded the positive-root bound")
     wr = tuple(x + k * b for x, b in zip(v, wb))
     lo, hi = -math.inf, math.inf
-    for root, _ in view.levi_simples:
-        p, q = dot(wr, root), dot(wb, root)
+    for a in scaled.levi_simples:
+        p, q = dot(wr, a), dot(wb, a)
         if q > 0:
             hi = min(hi, (p - 1) // q)
         elif q < 0:
@@ -157,16 +184,17 @@ def orbit_reference(twice: list[IntVector], cartan: list[list[int]]) -> dict[Int
     return doubled
 
 
-def line_record_reference(view: IntegerView, root: IntVector) -> tuple[frozenset[int], tuple]:
-    """The record (singular, ()) of the line R - k*B, for B = root, with
-    dot(B, A) computed in full for each scaled Levi positive root A, in order.
+def line_record_reference(scaled: ScaledDatum, root: IntVector) -> tuple[frozenset[int], tuple]:
+    """The record (singular, ()) of the line R - k*B, for R = D*rho and
+    B = root, with dot(B, A) computed in full for each scaled Levi positive
+    root A, in order.
 
     Raises the integer path's InvariantError at the first A for which
     2*dot(R, A) or 2*dot(B, A) is not a multiple of dot(A, A).
     """
     singular = set()
-    for (a, n), r in zip(view.levi_positive, view.rho_levi):
-        b = dot(root, a)
+    for a in scaled.levi_positive:
+        n, r, b = dot(a, a), dot(scaled.rho, a), dot(root, a)
         if 2 * r % n or 2 * b % n:
             raise InvariantError("support term is not Levi integral")
         if r * b > 0 and r % b == 0:

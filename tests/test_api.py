@@ -31,7 +31,13 @@ IMPORT_LIMITS = {
     "jantzen": {"rootdata", "ratvec", "weyl", "errors"},
 }
 # Names of the integer path that the rational reference must not touch.
+# The view's Levi tables
+LEVI_TABLES = {
+    "levi_norms", "simple_norms", "rho_levi", "rho_simple", "gram_rows", "simple_coords",
+    "levi_columns",
+}
 INTEGER_PATH = {"classify_scalar", "_line_chamber", "_line_record", "integer_view", "words"}
+INTEGER_PATH |= LEVI_TABLES
 
 
 def test_exports_resolve_and_are_documented():
@@ -89,9 +95,13 @@ def test_only_weyl_knows_a_roots_line_walls():
     fields = [f.name for f in dataclasses.fields(NilradicalLevel)]
     assert fields == ["root", "norm", "a", "b", "theta_root"]
     assert _attribute_readers("levi_positive") <= {"rootdata", "weyl"}
-    # The descent's tables, derived once per view, are weyl's alone too.
-    for name in ("rho_levi", "rho_simple", "gram_rows", "simple_coords", "levi_columns"):
+    # The descent's tables, derived once per view, are weyl's alone too,
+    # and hold no Levi root: the datum's own roots are the only copy.
+    for name in LEVI_TABLES:
         assert _attribute_readers(name) <= {"rootdata", "weyl"}, name
+    view_fields = {f.name for f in dataclasses.fields(IntegerView)}
+    assert LEVI_TABLES <= view_fields
+    assert not view_fields & {"levi_positive", "levi_simples"}
 
 
 def test_derivable_fields_are_not_stored():
@@ -102,6 +112,20 @@ def test_derivable_fields_are_not_stored():
     weyl = importlib.import_module("scalarverma.weyl")
     for name in ("REGULAR", "SINGULAR"):
         assert not hasattr(weyl, name), name
+
+
+def test_one_root_formatter_reads_the_doubled_record():
+    # Every root cli writes takes its strings from _root_texts, and nothing
+    # else in the package reads the record.
+    assert _attribute_readers("doubled") == {"cli"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    readers = {
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "doubled" for n in ast.walk(f))
+    }
+    assert readers == {"_root_texts"}
 
 
 def test_reference_never_names_the_integer_path():

@@ -356,15 +356,16 @@ def test_agree_is_false_wherever_the_two_sets_differ(capsys, monkeypatch):
 
 
 def test_one_closed_form_set_per_case(capsys):
-    ehw._closed_form_starts.cache_clear()
+    # the closed form's starts come from the case's cached (A, B, C)
+    ehw.abc_constants.cache_clear()
     code, out, _ = run_cli(capsys, "scan", "--case", "CI", "--n", "5",
                            "--window", "-40..20", "--step", "1/60")
     assert code == 0 and len(out.splitlines()) == 1 + 3601
-    assert ehw._closed_form_starts.cache_info().misses == 1
+    assert ehw.abc_constants.cache_info().misses == 1
     code, _, _ = run_cli(capsys, "crosscheck", "--case", "CI", "--n", "2..6")
     assert code == 0
     # CI(5) is already built; CI(2), CI(3), CI(4) and CI(6) are not
-    assert ehw._closed_form_starts.cache_info().misses == 5
+    assert ehw.abc_constants.cache_info().misses == 5
 
 
 def test_one_line_offset_per_case(capsys):
@@ -531,6 +532,65 @@ def test_datum_dump_never_writes_a_stale_record(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "datum-dump", "--case", "CI", "--n", "3")
     assert (code, out) == (3, "")
     assert "invariant" in err and "doubled roots" in err
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_classify_formats_no_root_coordinate(capsys, monkeypatch, fmt):
+    # Every root classify writes, support term, class member or witness,
+    # takes its strings from the datum's doubled record: a request with
+    # classify's per-case parts cold formats none of the roots' coordinates.
+    case = HermitianCase("CI", n=20)
+    datum = build_datum(case)
+    cli._classify_case.cache_clear()
+    cli._lambda0.cache_clear()
+    made = []
+    original = Fraction.__str__
+
+    def counting(self):
+        made.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__str__", counting)
+    code, out, _ = run_cli(capsys, "classify", *case_flags(case), "--c", "0", "--format", fmt)
+    monkeypatch.undo()
+    assert code == 0
+    # representatives, levels and the base point are still formatted
+    assert made
+    coords = {id(x) for root in datum.positive_roots for x in root}
+    assert not [x for x in made if id(x) in coords]
+    # and the roots are written: the witness is e1 + e2
+    witness = ["1", "1"] + ["0"] * 18
+    if fmt == "json":
+        assert json.loads(out)["witness"] == witness
+    else:
+        assert f"witness: [{', '.join(witness)}]\n" in out
+
+
+def test_classify_pretty_writes_each_member_root(capsys):
+    # BI(3) at c = -1 holds a two-member class: the pretty certificate
+    # lists each member's own root and parity, as the JSON one does.
+    argv = ("--case", "BI", "--n", "3", "--c", "-1")
+    classes = classify_json(capsys, *argv)["classes"]
+    assert any(len(g["members"]) > 1 for g in classes)
+    code, out, _ = run_cli(capsys, "classify", *argv)
+    assert code == 0
+    got = [line.split(": ", 1)[1] for line in out.splitlines() if line.startswith("  class rep")]
+    assert got == [
+        ", ".join(f"[{', '.join(m['beta'])}] ({m['parity']})" for m in g["members"]) for g in classes
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_classify_never_writes_a_root_without_the_record(capsys, monkeypatch, fmt):
+    # As datum-dump: a replaced datum holds no doubled record, so classify
+    # refuses it before it writes anything.
+    build = cli.build_datum
+    monkeypatch.setattr(cli, "build_datum", lambda case: dataclasses.replace(build(case)))
+    cli._classify_case.cache_clear()
+    code, out, err = run_cli(capsys, "classify", "--case", "CI", "--n", "3", "--c", "0",
+                             "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == "internal invariant violation: CI(3): the datum holds no record of its doubled roots\n"
 
 
 def test_datum_dump_notes_on_degenerate_case(capsys):

@@ -34,7 +34,6 @@ from scalarverma.ehw import (
     KNOWN_REDUCIBLE,
     KNOWN_SIMPLE,
     ABCConstants,
-    _closed_form_starts,
     _real_rank,
     closed_form_grid,
     screen_grid,
@@ -342,7 +341,7 @@ def test_integer_screen_matches_fraction_reference(point):
 def test_screen_boundaries_match_fraction_reference():
     for case in ADMISSIBLE_CASES:
         constants = abc_constants(case)
-        starts = list(_closed_form_starts(case))
+        starts = [constants.a - constants.b, constants.a - constants.b + constants.c]
         points = [constants.a, constants.b, constants.a - constants.c, constants.b + constants.c]
         points += [s + k for s in starts for k in (-1, 0, 1)]
         for x in points + [x + Q(1, 7) for x in points]:

@@ -8,7 +8,7 @@ descent inside `_line_chamber`, which runs no wall scan of its own.  The
 tests below scan the walls themselves, compare each served word with a
 fresh descent from a record that holds no entries, and compare each fresh
 descent, which updates tracked pairings, with `reference.scaled_descent`,
-which recomputes every dot.  Each root's record, whose dots come from the
+which recomputes every dot on the datum's own Levi roots.  Each root's record, whose dots come from the
 view's coordinate columns, is compared with `reference.line_record_reference`,
 which takes one full dot per Levi positive root.
 `reference.simplicity_oracle`, built on `normalize`, is the rational
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ADMISSIBLE_CASES, SWEEP_CASES
-from reference import line_record_reference, scaled_descent, simplicity_oracle
+from reference import line_record_reference, scaled_datum, scaled_descent, simplicity_oracle
 from scalarverma import (
     HermitianCase,
     InvariantError,
@@ -144,13 +144,18 @@ def test_integer_normalizer_matches_normalize(case):
                     assert len(word) == form.steps
 
 
-def walls(view, j):
+def scaled(datum):
+    """The datum's own weights, scaled by its view's D."""
+    return scaled_datum(datum, datum.integer_view.denom)
+
+
+def walls(ref, root):
     """The positive levels dot(R, A) / dot(B, A), in increasing order, at which
-    R - k*B meets the wall of a scaled Levi positive root A; B is root j."""
-    nil = view.nilradical[j]
+    R - k*B meets the wall of a Levi positive root A of the scaled datum ref;
+    B is root."""
     out = set()
-    for a, _ in view.levi_positive:
-        r, b = dot(view.rho, a), dot(nil.root, a)
+    for a in ref.levi_positive:
+        r, b = dot(ref.rho, a), dot(root, a)
         if r * b > 0:
             out.add(Fraction(r, b))
     return sorted(out)
@@ -189,14 +194,15 @@ def fresh_entry(view, j, k):
 def test_singular_levels_are_the_wall_hits():
     hits = 0
     for case in SWEEP_CASES + HIGH_RANK + [HermitianCase("CI", n=20)]:
-        view = build_datum(case).integer_view
+        datum = build_datum(case)
+        view, ref = datum.integer_view, scaled(datum)
         # R is strictly Levi dominant, so R - k*B meets the wall of A only at
         # k = dot(R, A) / dot(B, A): off the singular levels every term is
         # regular, and the descent, which scans no walls, never meets one.
-        assert all(dot(view.rho, a) > 0 for a, _ in view.levi_positive), case
-        for j in range(len(view.nilradical)):
+        assert all(dot(view.rho, a) > 0 for a in ref.levi_positive), case
+        for j, nil in enumerate(view.nilradical):
             singular = line_record(view, j)[0]
-            assert singular == {int(w) for w in walls(view, j) if w.denominator == 1}
+            assert singular == {int(w) for w in walls(ref, nil.root) if w.denominator == 1}
             for k in range(1, max(singular, default=0) + 41):
                 rep, _ = fresh_descent(view, j, k)
                 assert (k in singular) == (rep is None), (case, j, k)
@@ -210,10 +216,11 @@ def test_singular_levels_are_the_wall_hits():
 def test_interval_words_match_a_fresh_descent(case):
     # a replaced datum derives its own view, so the first pass starts cold;
     # it runs down the levels, so each new entry goes before those held
-    view = dataclasses.replace(build_datum(case)).integer_view
+    datum = dataclasses.replace(build_datum(case))
+    view, ref = datum.integer_view, scaled(datum)
     for order in (reversed, iter):
-        for j in range(len(view.nilradical)):
-            for k in order(range(1, int(max(walls(view, j), default=0)) + 3)):
+        for j, nil in enumerate(view.nilradical):
+            for k in order(range(1, int(max(walls(ref, nil.root), default=0)) + 3)):
                 (rep, word), stored = fresh_entry(view, j, k)
                 assert _line_chamber(view, j, k) == (rep, word), (j, k)
                 # the tracked pairings give the full-coordinate descent's
@@ -222,23 +229,24 @@ def test_interval_words_match_a_fresh_descent(case):
                     assert stored == (), (j, k)
                 else:
                     [(lo, hi, *_)] = stored
-                    assert (rep, word, lo, hi) == scaled_descent(view, j, k), (j, k)
+                    assert (rep, word, lo, hi) == scaled_descent(ref, nil.root, k), (j, k)
             # the root's record holds its entries
             _, entries = view.words[j]
             assert entries, j
         assert view.words
-    assert_intervals_are_the_dominant_levels(view)
+    assert_intervals_are_the_dominant_levels(datum)
 
 
-def assert_intervals_are_the_dominant_levels(view):
+def assert_intervals_are_the_dominant_levels(datum):
     """Each memo entry's lo..hi holds exactly the levels k at which w*R - k*w*B
     is dominant, and each root's entries are sorted and pairwise disjoint."""
+    view, ref = datum.integer_view, scaled(datum)
     for j, (_, entries) in view.words.items():
         for lo, hi, wr, wb, _ in entries:
             assert lo <= hi
-            for k in range(1, int(max(walls(view, j), default=0)) + 3):
+            for k in range(1, int(max(walls(ref, view.nilradical[j].root), default=0)) + 3):
                 rep = tuple(r - k * b for r, b in zip(wr, wb))
-                dominant = all(dot(rep, root) > 0 for root, _ in view.levi_simples)
+                dominant = all(dot(rep, root) > 0 for root in ref.levi_simples)
                 assert (lo <= k <= hi) == dominant, (j, k)
         for (_, hi, *_), (lo, *_) in zip(entries, entries[1:]):
             assert hi < lo, j
@@ -251,7 +259,8 @@ def test_word_memo_is_used_and_bounded():
         regular += sum(t.chamber.is_regular for t in classify_scalar(datum, c).terms)
     view = datum.integer_view
     entries = sum(len(e) for _, e in view.words.values())
-    assert entries <= sum(len(walls(view, j)) + 1 for j in range(len(view.nilradical)))
+    ref = scaled(datum)
+    assert entries <= sum(len(walls(ref, nil.root)) + 1 for nil in view.nilradical)
     assert 10 * entries < regular
 
 
@@ -262,7 +271,10 @@ def test_integer_view_scales_the_datum():
         scale = lambda w: tuple(x * view.denom for x in w)
         assert view.rho == scale(datum.rho) and view.zeta == scale(datum.zeta)
         assert view.theta_rho == dot(view.rho, scale(datum.theta_u))
-        assert [a for a, _ in view.levi_simples] == [scale(a) for a in datum.levi_simples]
+        # the view keeps the Levi roots' norms, not the roots
+        norm = lambda a: dot(scale(a), scale(a))
+        assert view.levi_norms == tuple(map(norm, datum.levi_positive))
+        assert view.simple_norms == tuple(map(norm, datum.levi_simples))
         for beta, nil in zip(datum.nilradical_roots, view.nilradical):
             assert nil.root == scale(beta)
             assert nil.norm == inner(nil.root, nil.root)
@@ -276,9 +288,11 @@ def test_levi_tables_hold_the_views_own_dots():
     # weyl's descent reads these tables in place of dots and whole vectors
     assert len(ADMISSIBLE_CASES) == 268
     for case in ADMISSIBLE_CASES:
-        view = build_datum(case).integer_view
-        simples = [a for a, _ in view.levi_simples]
-        assert view.rho_levi == tuple(dot(view.rho, a) for a, _ in view.levi_positive), case
+        datum = build_datum(case)
+        view = datum.integer_view
+        ref = scaled(datum)
+        simples, positive = ref.levi_simples, ref.levi_positive
+        assert view.rho_levi == tuple(dot(view.rho, a) for a in positive), case
         assert view.rho_simple == tuple(dot(view.rho, a) for a in simples), case
         assert len(view.gram_rows) == len(view.simple_coords) == len(simples), case
         for a, row, coords in zip(simples, view.gram_rows, view.simple_coords):
@@ -290,7 +304,6 @@ def test_levi_tables_hold_the_views_own_dots():
                 rebuilt[i] = x
             assert tuple(rebuilt) == a, case
         # coordinate i of every Levi positive root with a nonzero one there
-        positive = [a for a, _ in view.levi_positive]
         assert len(view.levi_columns) == len(view.rho), case
         for i, column in enumerate(view.levi_columns):
             assert column == tuple((t, a[i]) for t, a in enumerate(positive) if a[i]), case
@@ -322,7 +335,7 @@ def test_replaced_datum_derives_a_fresh_view():
     classify_scalar(datum, -1)
     assert datum.integer_view.words
     crippled = dataclasses.replace(datum, levi_positive=datum.levi_positive[:1])
-    assert len(crippled.integer_view.levi_positive) == 1
+    assert len(crippled.integer_view.levi_norms) == 1
     assert not crippled.integer_view.words
 
 
@@ -383,10 +396,11 @@ def test_every_admissible_root_is_levi_integral():
     # per Levi positive root.
     roots = 0
     for case in ADMISSIBLE_CASES:
-        view = build_datum(case).integer_view
+        datum = build_datum(case)
+        view, ref = datum.integer_view, scaled(datum)
         for nil in view.nilradical:
             record = weyl._line_record(view, nil.root)
-            assert record == line_record_reference(view, nil.root), case
+            assert record == line_record_reference(ref, nil.root), case
             singular, entries = record
             assert all(k > 0 for k in singular) and entries == (), case
             roots += 1
@@ -434,10 +448,11 @@ CRIPPLED = {
 @pytest.mark.parametrize("name", CRIPPLED)
 def test_column_records_match_full_dot_records_on_crippled_data(name):
     make, refused = CRIPPLED[name]
-    view = make().integer_view
+    datum = make()
+    view, ref = datum.integer_view, scaled(datum)
     outcomes = [
         (outcome(lambda: weyl._line_record(view, nil.root)),
-         outcome(lambda: line_record_reference(view, nil.root)))
+         outcome(lambda: line_record_reference(ref, nil.root)))
         for nil in view.nilradical
     ]
     assert all(column == full for column, full in outcomes), name
@@ -446,20 +461,23 @@ def test_column_records_match_full_dot_records_on_crippled_data(name):
     assert bool(raised) == refused, name
 
 
-def test_line_records_take_no_dot(monkeypatch):
-    # Each record's dots come from the view's coordinate columns.
-    calls = []
-
-    def counting(u, v):
-        calls.append(len(u))
-        return dot(u, v)
-
-    monkeypatch.setattr(weyl, "dot", counting)
+def test_line_records_take_no_dot():
+    # Each record's dots come from the view's coordinate columns, and a
+    # fresh descent's from each Levi simple root's nonzero coordinates.
+    assert not hasattr(weyl, "dot")
     for case in (HermitianCase("CI", n=20), HermitianCase("DI", n=2), HermitianCase("EVII")):
-        view = dataclasses.replace(build_datum(case)).integer_view
-        for nil in view.nilradical:
-            weyl._line_record(view, nil.root)
-    assert calls == []
+        datum = dataclasses.replace(build_datum(case))
+        view = datum.integer_view
+        simples = scaled(datum).levi_simples
+        descents = 0
+        for j in range(len(view.nilradical)):
+            for k in (1, 2, 3):
+                rep, word = fresh_descent(view, j, k)
+                if rep is not None:
+                    assert all(dot(rep, a) > 0 for a in simples), (case, j, k)
+                    descents += bool(word)
+        # DI(2)'s Levi is a torus: its descents are empty words
+        assert descents or case == HermitianCase("DI", n=2), case
 
 
 def test_half_integral_root_is_refused_at_every_level():
@@ -515,7 +533,7 @@ def test_certificate_falls_back_where_the_walls_are_incomplete(dropped, monkeypa
         got = outcome(lambda: classify_scalar(crippled, c))
         assert got == outcome(lambda: reference(crippled, c)), c
     assert fallbacks[0] > 0
-    assert_intervals_are_the_dominant_levels(view)
+    assert_intervals_are_the_dominant_levels(crippled)
 
 
 def test_theta_split_class_trips_both_oracles():
