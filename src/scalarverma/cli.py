@@ -6,17 +6,25 @@ crosscheck (oracle vs. closed-form sets and the first-reduction screen),
 datum-dump (the full root datum as JSON).
 
 scan and crosscheck decide their grid root by root, through
-jantzen.ScalarGrid, in blocks whose rows are written before the next block
-is decided; classify decides its one point by classify_scalar.  Each block
-is built as columns: the closed form and the (A, B, C) screen are
-progressions in m on the grid (ehw.closed_form_grid, ehw.screen_grid) that
-fill their columns by slices, and the c and z strings are built once per
-residue class of m modulo the step's denominator.  A grid's points are
-counted before `_grids` builds any datum, and its support terms before any
-point is decided: past MAX_GRID_POINTS or MAX_SUPPORT_TERMS the command
-exits 1.  crosscheck without --window takes each case's default window
-from abc_constants, which builds the case's datum; every such window holds
--5..10, so a family too large for that is refused before any datum is built.
+jantzen.ScalarGrid, in blocks, each used before the next block is decided;
+classify decides its one point by classify_scalar.  A block's decision
+(_grid_decisions) is its verdicts and routes, its set of Reducible m, and
+the closed form and the (A, B, C) screen as progressions in m on the grid
+(ehw.closed_form_grid, ehw.screen_grid); no string is built.  scan alone
+writes rows, as columns: the closed form and the screen fill theirs by
+slices, and the c and z strings are built once per residue class of m
+modulo the step's denominator.  crosscheck compares sets in m: a mismatch
+is a point in exactly one of the Reducible set and the closed form, a
+contradiction a Reducible point the screen calls known simple or a Simple
+point it calls known reducible, and c is formatted only for the points it
+reports.
+
+A grid's points are counted before `_grids` builds any datum, and its
+support terms before any point is decided: past MAX_GRID_POINTS or
+MAX_SUPPORT_TERMS the command exits 1.  crosscheck without --window takes
+each case's default window from abc_constants, which builds the case's
+datum; every such window holds -5..10, so a family too large for that is
+refused before any datum is built.
 
 Exit codes: 0 success, 1 usage error, 2 computational disagreement,
 3 internal invariant violation.  All output is deterministic: fixed
@@ -69,7 +77,7 @@ from .ehw import (
     screen_grid,
 )
 from .errors import InvariantError
-from .jantzen import REDUCIBLE, ScalarGrid, classify_scalar
+from .jantzen import REDUCIBLE, SIMPLE, ScalarGrid, classify_scalar
 from .ratvec import Weight, add, format_rational, inner, parse_rational, reflect, scale
 from .rootdata import CASE_TAGS, HermitianCase, build_datum, case_notes, scalar_parameter_weight
 
@@ -535,17 +543,34 @@ def cmd_classify(args) -> int:
 ROW_FIELDS = ("case", "c", "z", "verdict", "route", "abc_screen", "closed_form", "agree")
 
 
-def _grid_rows(case: HermitianCase, ms: range, line: ScalarGrid):
-    """The rows of the grid points m * step, m in ms, as columns: one tuple per block.
+def _grid_decisions(case: HermitianCase, ms: range, line: ScalarGrid):
+    """The decision of the grid points m * step, m in ms, one tuple per block.
+
+    Each tuple is (block, verdicts, routes, oracle, closed, screen): the
+    block's m, the grid decision's verdict and route of each point, the set
+    of m the decision calls Reducible, and the closed form and the
+    (A, B, C) screen as their own progressions in m (`ehw.closed_form_grid`,
+    a list of progressions, and `ehw.screen_grid`, the known simple and
+    known reducible m), so that the closed form and the screen are
+    independent of the Jantzen verdict.  No string is built.
+    """
+    constants = abc_constants(case)
+    for block in _blocks(ms, line):
+        verdicts, routes = zip(*line.decide(block))
+        oracle = {m for m, verdict in zip(block, verdicts) if verdict == REDUCIBLE}
+        closed = closed_form_grid(case, line.step, block)
+        yield block, verdicts, routes, oracle, closed, screen_grid(constants, line.step, block)
+
+
+def _scan_rows(case: HermitianCase, ms: range, line: ScalarGrid):
+    """scan's rows of the grid points m * step, m in ms, as columns: one tuple per block.
 
     The columns are c, z, verdict, route, abc_screen, closed_form and agree,
     every field a string as the TSV writes it: c and z as format_rational
-    renders them, closed_form and agree as "true" or "false".  The verdict
-    and route come from the grid decision.  The closed form and the screen
-    come from their own progressions in m (`ehw.closed_form_grid` and
-    `ehw.screen_grid`), which fill their columns by slices, so agree compares
-    the Jantzen verdict with an independent one: it is "false" exactly
-    where the Reducible points and the closed-form points differ.
+    renders them, closed_form and agree as "true" or "false".  They are
+    written from `_grid_decisions`: the closed form and the screen fill
+    their columns by slices, and agree is "false" exactly where the
+    Reducible points and the closed-form points differ.
 
     c and z are written once per residue class of m modulo t, for step = s/t
     in lowest terms.  Along a class m rises by t, so c = m*s/t and z = c + B
@@ -554,14 +579,11 @@ def _grid_rows(case: HermitianCase, ms: range, line: ScalarGrid):
     gcd(n, d) = 1), so along the class the numerator of c rises by s*d and
     that of z by s*z_d, over fixed denominators d and z_d.
     """
-    constants = abc_constants(case)
-    # z = c + B, for B = constants.b the line offset <rho, gamma^v>
-    bn, bd = constants.b.numerator, constants.b.denominator
-    step = line.step
-    s, t = step.numerator, step.denominator
-    for block in _blocks(ms, line):
+    # z = c + B, for B the line offset <rho, gamma^v>
+    bn, bd = abc_constants(case).b.as_integer_ratio()
+    s, t = line.step.as_integer_ratio()
+    for block, verdicts, routes, oracle, closed, (simple, known) in _grid_decisions(case, ms, line):
         size = len(block)
-        verdicts, routes = zip(*line.decide(block))
         cs, zs = [""] * size, [""] * size
         for i in range(min(t, size)):
             # c = m*s/t at the class's first m, with gcd(s, t) = 1
@@ -577,16 +599,12 @@ def _grid_rows(case: HermitianCase, ms: range, line: ScalarGrid):
             cs[i::t] = map(c_form.__mod__, range(n, n + last * d + 1, s * d))
             zs[i::t] = map(z_form.__mod__, range(zn, zn + last * zd + 1, s * zd))
         screen = [INDETERMINATE] * size
-        simple, reducible = screen_grid(constants, step, block)
         _fill(screen, block, simple, KNOWN_SIMPLE)
-        _fill(screen, block, reducible, KNOWN_REDUCIBLE)
+        _fill(screen, block, known, KNOWN_REDUCIBLE)
         closed_form, agree = ["false"] * size, ["true"] * size
-        closed = set()
-        for points in closed_form_grid(case, step, block):
+        for points in closed:
             _fill(closed_form, block, points, "true")
-            closed.update(points)
-        oracle = {m for m, verdict in zip(block, verdicts) if verdict == REDUCIBLE}
-        for m in oracle ^ closed:
+        for m in oracle ^ set().union(*closed):
             agree[m - block.start] = "false"
         yield cs, zs, verdicts, routes, screen, closed_form, agree
 
@@ -633,14 +651,14 @@ def cmd_scan(args) -> int:
         values = (_dumps(case.label),) + ('"%s"',) * 5 + ("%s",) * 2
         template = "\n    " + _object_template(dict(zip(ROW_FIELDS, values)), "    ")
         sep = ""
-        for columns in _grid_rows(case, ms, line):
+        for columns in _scan_rows(case, ms, line):
             print(sep + ",".join(map(template.__mod__, zip(*columns))), end="")
             sep = ","
         print("\n  ]\n}" if ms else "]\n}")
         return 0
     print("\t".join(ROW_FIELDS))
     template = case.label + "\t%s" * 7
-    for columns in _grid_rows(case, ms, line):
+    for columns in _scan_rows(case, ms, line):
         print("\n".join(map(template.__mod__, zip(*columns))))
     return 0
 
@@ -729,21 +747,23 @@ def cmd_table(args) -> int:
 
 
 def _crosscheck_instance(case: HermitianCase, window, ms: range, line: ScalarGrid) -> dict:
-    """Counts, mismatches and contradictions of one case; other rows are dropped."""
+    """Counts, mismatches and contradictions of one case, from sets of m.
+
+    A mismatch is a point in exactly one of the Reducible set and the
+    closed form.  A contradiction is a point at which the screen says the
+    opposite of the oracle: a Reducible point it calls known simple, or a
+    point it calls known reducible that the oracle calls Simple.  Each is
+    reported as (c, whether the oracle calls it Reducible); no other c is
+    formatted.
+    """
     points = reducible = 0
     mismatches, contradictions = [], []
-    for columns in _grid_rows(case, ms, line):
-        _, _, verdicts, _, screen, _, agree = columns
-        points += len(verdicts)
-        reducible += verdicts.count(REDUCIBLE)
-        rows = list(zip(*columns))
-        mismatches += [rows[i] for i, ok in enumerate(agree) if ok == "false"]
-        # the screen contradicts the oracle where it says the opposite
-        contradictions += [
-            rows[i]
-            for i, (verdict, said) in enumerate(zip(verdicts, screen))
-            if said == (KNOWN_SIMPLE if verdict == REDUCIBLE else KNOWN_REDUCIBLE)
-        ]
+    for block, _, _, oracle, closed, (simple, known) in _grid_decisions(case, ms, line):
+        points += len(block)
+        reducible += len(oracle)
+        said = {m for m in oracle if m in simple} | (set(known) - oracle)
+        for found, out in ((oracle ^ set().union(*closed), mismatches), (said, contradictions)):
+            out += [(format_rational(m * line.step), m in oracle) for m in sorted(found)]
     return {
         "case": case,
         "window": window,
@@ -786,8 +806,8 @@ def cmd_crosscheck(args) -> int:
                     "step": format_rational(step),
                     "points": r["points"],
                     "reducible": r["reducible"],
-                    "mismatches": [x[0] for x in r["mismatches"]],
-                    "contradictions": [x[0] for x in r["contradictions"]],
+                    "mismatches": [c for c, _ in r["mismatches"]],
+                    "contradictions": [c for c, _ in r["contradictions"]],
                 }
                 for r in results
             ],
@@ -804,9 +824,12 @@ def cmd_crosscheck(args) -> int:
             f" mismatches={len(r['mismatches'])}"
             f" contradictions={len(r['contradictions'])}"
         )
-        for c, _, verdict, _, _, closed_form, _ in r["mismatches"]:
+        # the closed form, or the screen, says the opposite of the oracle
+        for c, reduced in r["mismatches"]:
+            verdict, closed_form = (REDUCIBLE, "false") if reduced else (SIMPLE, "true")
             print(f"  MISMATCH c={c}: oracle {verdict} vs closed form {closed_form}")
-        for c, _, verdict, _, screen, _, _ in r["contradictions"]:
+        for c, reduced in r["contradictions"]:
+            verdict, screen = (REDUCIBLE, KNOWN_SIMPLE) if reduced else (SIMPLE, KNOWN_REDUCIBLE)
             print(f"  CONTRADICTION c={c}: oracle {verdict} vs screen {screen}")
     total = sum(r["points"] for r in results)
     print(f"crosscheck: {'PASS' if ok else 'FAIL'} ({len(results)} instances, {total} points)")

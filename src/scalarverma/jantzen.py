@@ -23,9 +23,9 @@ of its own, finds the word and stores its interval.  The decision forms
 no vector: the verdict and route come from integer sign sums per class.
 The terms, classes and witness, the only rationals, are then unscaled
 from the integer records (root index, level, representative, word
-length).  The same criterion in rational arithmetic, on any scalar
-weight, lives with the tests as the reference this path is checked
-against.
+length), and each class keeps the net sign its sum gave.  The same
+criterion in rational arithmetic, on any scalar weight, lives with the
+tests as the reference this path is checked against.
 
 `ScalarGrid` decides a whole grid c = m * step the other way round, root
 by root.  A root's level is affine in c, so the grid points at which it is
@@ -147,9 +147,10 @@ def _walk(view: IntegerView, walks, size: int):
     Each walk is (j, index of root j's first point, period, its level
     there, level step): root j is in the support at every period-th point
     from the first, its level rising by the step.  Returns each point's
-    (verdict, route), and the term records (j, k, rep, word length) in
-    walk order.  A theta split raises InvariantError once every term has
-    passed its own checks, as the rational reference raises it.
+    (verdict, route), the term records (j, k, rep, word length) in walk
+    order, and the class sums of each visited point by its index.  A theta
+    split raises InvariantError once every term has passed its own checks,
+    as the rational reference raises it.
     """
     # per visited point, by index: its classes' [net sign, theta value]
     points: dict[int, dict[IntVector, list[int]]] = {}
@@ -171,7 +172,7 @@ def _walk(view: IntegerView, walks, size: int):
     out = [(SIMPLE, ROUTE_EMPTY_SUPPORT)] * size
     for i, classes in points.items():
         out[i] = _decide(True, _survives(classes))
-    return out, records
+    return out, records, points
 
 
 def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
@@ -181,8 +182,9 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     term, computed in integers along the scalar line; the rational
     reference in tests/reference.py decides the same weight in Fractions.
     Each support root is a one-point walk; the terms, classes and witness
-    are unscaled from the walk's records.  The weight is scalar because
-    the datum passed validation: zeta is orthogonal to the Levi.
+    are unscaled from the walk's records, and each class's net sign is the
+    walk's own sum.  The weight is scalar because the datum passed
+    validation: zeta is orthogonal to the Levi.
     """
     datum = (
         case_or_datum
@@ -198,7 +200,7 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
         for j, nil in enumerate(view.nilradical)
         if (num := d * nil.a + n * nil.b) > 0 and num % (d * nil.norm) == 0
     ]
-    [(verdict, route)], records = _walk(view, walks, 1)
+    [(verdict, route)], records, points = _walk(view, walks, 1)
     # Over the denominator d*D, the image rho - k*beta + c*zeta of a scaled
     # vector v = D*(rho - k*beta) is d*v + n*Z.  Images and representatives
     # share most coordinates, so each Fraction is built once.
@@ -227,8 +229,8 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     # Unscaling is a coordinatewise increasing map, so the integer keys sort
     # as the representatives do.
     certificate = tuple(
-        RepClass(g[0].chamber.rep, sum(m.chamber.sign for m in g), tuple(g))
-        for _, g in sorted(groups.items())
+        RepClass(g[0].chamber.rep, points[0][key][0], tuple(g))
+        for key, g in sorted(groups.items())
     )
     witness = next((g.members[0].beta for g in certificate if g.net_sign), None)
     if _decide(bool(terms), witness is not None) != (verdict, route):

@@ -190,9 +190,10 @@ class NilradicalLevel:
 class IntegerView:
     """A root datum multiplied through by a common denominator D.
 
-    D clears every denominator of rho, zeta, theta_u and the positive
-    roots, so each vector below is D times the datum's weight of the same
-    name, in plain integers.  A root's pairing <v, alpha^v> is then
+    D clears every denominator of rho, zeta, theta_u, the nilradical roots
+    and the Levi positive and simple roots, the weights the view scales, so
+    each vector below is D times the datum's weight of the same name, in
+    plain integers.  A root's pairing <v, alpha^v> is then
     2*dot(v, A) / dot(A, A) for the scaled root A, free of D.
     `theta_rho` = dot(R, T) for R = D*rho and T = D*theta_u.
 
@@ -451,7 +452,7 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
 
 
 def _integer_view(d: ParabolicRootDatum) -> IntegerView:
-    weights = (d.rho, d.zeta, d.theta_u) + d.positive_roots
+    weights = (d.rho, d.zeta, d.theta_u) + d.nilradical_roots + d.levi_positive + d.levi_simples
     denom = math.lcm(*(x.denominator for w in weights for x in w))
     ints = lambda w: tuple(x.numerator * (denom // x.denominator) for x in w)
 

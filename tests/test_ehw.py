@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -445,13 +446,19 @@ def test_progression_summary_counts_a_repeated_point_once(case, lo, hi, step):
 
 
 def test_progression_summary_window_guards():
+    # Each refusal by its own message.
     case = HermitianCase("CI", n=2)
-    # window stops inside the decided strip: refuse to extrapolate
-    with pytest.raises(InsufficientWindowError):
-        progression_summary(case, _scan(case, Q(-3), Q(0), Q(1, 2)))
-    # too few reducible points
-    with pytest.raises(InsufficientWindowError):
-        progression_summary(case, [(Q(-1, 2), "Reducible")])
+    for scan, message in [
+        ([], "CI(2): empty scan"),
+        # the window stops at c = 0, z = B, inside the decided strip: refuse
+        # to extrapolate, however many reducible points it holds
+        (_scan(case, Q(-3), Q(0), Q(1, 2)), "CI(2): scan must pass z = 2"),
+        ([(Q(-1, 2), "Reducible")], "CI(2): scan must pass z = 2"),
+        # past c = 0, with too few reducible points
+        ([(Q(-1, 2), "Reducible"), (Q(1), "Simple")], "CI(2): need at least two reducible points"),
+    ]:
+        with pytest.raises(InsufficientWindowError, match=re.escape(message)):
+            progression_summary(case, scan)
 
 
 def _scan(case, lo, hi, step):

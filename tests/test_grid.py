@@ -8,7 +8,8 @@ terms they enumerate.  Each test here holds the grid to `classify_scalar`,
 term for term or verdict for verdict, or holds `scan`'s block writer or
 `crosscheck`'s output to a per-point writer kept below, which takes the
 closed form and the screen from their `Fraction` definitions in
-`reference.py`, not from `ehw`.
+`reference.py`, not from `ehw`, or from stand-in rules that disagree with
+the oracle, patched into `cli` as progressions in m.
 """
 
 from __future__ import annotations
@@ -112,9 +113,10 @@ def test_grid_rejects_a_step_that_is_not_positive():
 # scan bytes against a per-point writer
 
 
-def per_point_rows(case, lo, hi, step):
+def per_point_rows(case, lo, hi, step, closed_form=closed_form_reference, screen=abc_verdict_reference):
     """`scan`'s rows as dicts, from one `classify_scalar` call per point and the
-    closed form and the screen by their `Fraction` definitions."""
+    closed form and the screen by per-point rules, by default their
+    `Fraction` definitions."""
     datum = build_datum(case)
     constants = abc_constants(case)
     rows = []
@@ -122,14 +124,14 @@ def per_point_rows(case, lo, hi, step):
         c = m * step
         verdict = classify_scalar(datum, c)
         z = c + line_offset(case)
-        closed = closed_form_reference(constants, c)
+        closed = closed_form(constants, c)
         rows.append({
             "case": case.label,
             "c": format_rational(c),
             "z": format_rational(z),
             "verdict": verdict.verdict,
             "route": verdict.route,
-            "abc_screen": abc_verdict_reference(constants, z),
+            "abc_screen": screen(constants, z),
             "closed_form": closed,
             "agree": (verdict.verdict == REDUCIBLE) == closed,
         })
@@ -142,11 +144,11 @@ def case_json(case):
 
 
 @cache
-def per_point_scan(case, window, step, fmt):
+def per_point_scan(case, window, step, fmt, *rules):
     """`scan`'s output, from `per_point_rows` and one json.dumps per payload."""
     lo, hi = (Fraction(x) for x in window.split(".."))
     step = Fraction(step)
-    rows = per_point_rows(case, lo, hi, step)
+    rows = per_point_rows(case, lo, hi, step, *rules)
     if fmt == "json":
         payload = {
             "case": case_json(case),
@@ -202,13 +204,13 @@ def test_scan_bytes_hold_in_blocks_of_five(capsys, monkeypatch, fmt, case, windo
     assert capsys.readouterr().out == per_point_scan(case, window, step, fmt)
 
 
-def per_point_crosscheck(cases, step, fmt):
+def per_point_crosscheck(cases, step, fmt, *rules):
     """`crosscheck`'s output on default windows, from `per_point_rows`."""
     instances = []
     for case in cases:
         constants = abc_constants(case)
         window = (constants.a - constants.b - 5, Fraction(10))
-        rows = per_point_rows(case, *window, step)
+        rows = per_point_rows(case, *window, step, *rules)
         mismatches = [r for r in rows if not r["agree"]]
         contradictions = [
             r for r in rows
@@ -259,6 +261,68 @@ def test_crosscheck_bytes_match_a_per_point_checker(capsys, fmt):
     argv = ["crosscheck", "--case", "DIII", "--n", "2..6", "--step", "1/7", "--format", fmt]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == per_point_crosscheck(cases, Fraction(1, 7), fmt)
+
+
+# Stand-in rules on the grid c = m / 7 that disagree with the oracle both
+# ways: the closed form holds m = 0 mod 3 and m = 1 mod 4, two overlapping
+# progressions, and the screen calls m = 1 mod 5 known simple and m = 2 mod 5
+# known reducible.  In `cli` each is a progression inside its block, and the
+# screen's two are disjoint, as on real data.
+STAND_IN_STEP = Fraction(1, 7)
+
+
+def stand_in_closed_form(constants, c):
+    m = c / STAND_IN_STEP
+    return m % 3 == 0 or m % 4 == 1
+
+
+def stand_in_screen(constants, z):
+    m = (z - constants.b) / STAND_IN_STEP
+    return {1: "known_simple", 2: "known_reducible"}.get(m % 5, "indeterminate")
+
+
+def within(ms, residue, period):
+    """The m in ms with m = residue modulo period, one progression inside ms."""
+    return range(ms.start + (residue - ms.start) % period, ms.stop, period)
+
+
+def patch_stand_ins(monkeypatch, block):
+    monkeypatch.setattr(cli, "closed_form_grid", lambda case, step, ms: [within(ms, 0, 3), within(ms, 1, 4)])
+    monkeypatch.setattr(cli, "screen_grid", lambda constants, step, ms: (within(ms, 1, 5), within(ms, 2, 5)))
+    monkeypatch.setattr(cli, "GRID_BLOCK", block)
+
+
+@pytest.mark.parametrize("block", [cli.GRID_BLOCK, 5])
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_crosscheck_disagreements_match_a_per_point_checker(capsys, monkeypatch, fmt, block):
+    cases = [HermitianCase("DIII", n=n) for n in range(2, 7)]
+    rules = stand_in_closed_form, stand_in_screen
+    pretty = per_point_crosscheck(cases, STAND_IN_STEP, "pretty", *rules)
+    # every kind of disagreement is reported
+    for kind in (
+        "oracle Reducible vs closed form false",
+        "oracle Simple vs closed form true",
+        "oracle Reducible vs screen known_simple",
+        "oracle Simple vs screen known_reducible",
+    ):
+        assert kind in pretty
+    patch_stand_ins(monkeypatch, block)
+    argv = ["crosscheck", "--case", "DIII", "--n", "2..6", "--step", "1/7", "--format", fmt]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == per_point_crosscheck(cases, STAND_IN_STEP, fmt, *rules)
+
+
+@pytest.mark.parametrize("block", [cli.GRID_BLOCK, 5])
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize(
+    "case, window", [(HermitianCase("CI", n=3), "-7/3..5/2"), (HermitianCase("EVII"), "-12..2")]
+)
+def test_scan_disagreements_match_a_per_point_writer(capsys, monkeypatch, fmt, block, case, window):
+    patch_stand_ins(monkeypatch, block)
+    argv = ["scan", *case_flags(case), "--window", window, "--step", "1/7", "--format", fmt]
+    assert cli.main(argv) == 0
+    rules = stand_in_closed_form, stand_in_screen
+    assert capsys.readouterr().out == per_point_scan(case, window, "1/7", fmt, *rules)
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])

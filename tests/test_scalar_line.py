@@ -461,6 +461,38 @@ def test_column_records_match_full_dot_records_on_crippled_data(name):
     assert bool(raised) == refused, name
 
 
+# name -> crippled datum: every datum of CRIPPLED, and a root with -1/3 and
+# -2/3 coordinates, which the built datum's D = 2 does not clear
+REPLACED = {name: make for name, (make, _) in CRIPPLED.items()} | {
+    "AIII(2,2) root in thirds": lambda: _tampered_root(A22, 2, 1, -Fraction(1, 3), -Fraction(2, 3), 0),
+}
+
+
+@pytest.mark.parametrize("name", REPLACED)
+def test_view_vectors_are_d_times_the_datum_weights(name):
+    # Each vector of the view, the Levi roots read back from its coordinate
+    # lists included, is D times the datum's weight, whatever denominators a
+    # replaced field carries.
+    datum = REPLACED[name]()
+    view = datum.integer_view
+    times = lambda w: tuple(view.denom * x for x in w)
+    assert all(type(x) is int for x in view.rho + view.zeta), name
+    assert (view.rho, view.zeta) == (times(datum.rho), times(datum.zeta)), name
+    theta = times(datum.theta_u)
+    assert view.theta_rho == dot(view.rho, theta), name
+    for nil, beta in zip(view.nilradical, datum.nilradical_roots, strict=True):
+        assert all(type(x) is int for x in nil.root), name
+        assert nil.root == times(beta) and nil.theta_root == dot(nil.root, theta), name
+    dim = len(view.rho)
+    simples = [tuple(dict(coords).get(i, 0) for i in range(dim)) for coords in view.simple_coords]
+    assert simples == list(map(times, datum.levi_simples)), name
+    positive = [[0] * dim for _ in datum.levi_positive]
+    for i, column in enumerate(view.levi_columns):
+        for t, x in column:
+            positive[t][i] = x
+    assert list(map(tuple, positive)) == list(map(times, datum.levi_positive)), name
+
+
 def test_line_records_take_no_dot():
     # Each record's dots come from the view's coordinate columns, and a
     # fresh descent's from each Levi simple root's nonzero coordinates.
