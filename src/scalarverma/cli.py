@@ -41,13 +41,14 @@ invariant violation for every such writer (exit 3).  Other weights get
 their strings from _w, one Fraction formatted per coordinate.  Integer
 flags take ASCII digits with an optional sign only, as rationals do.
 
-The argparse parser is built once per process, on the first main() call,
-and reused by every later call; building it costs more than deciding a
-typical point.  When argv names a command, main() parses the rest with that
-command's own parser, as the top parser's subparsers action would after
-scanning the whole argv itself, and leftovers get the top parser's
-"unrecognized arguments" error; any other argv goes through the top
-parser.  Usage errors and help keep their bytes.
+Every command and flag is declared once, in _COMMANDS: each command's
+handler and help text, and each flag's default, whether it is required,
+its choices, its type and its help.  main() reads a well-formed argv
+straight from that table (_read_argv) and builds no parser; building one
+costs more than deciding a typical point.  Any other argv goes to the
+argparse parser built from the same table, once per process, on the first
+call that needs it, and reused by every later call; it alone prints help
+and usage errors, and their bytes are argparse's.
 
 classify writes its JSON from fragments, as scan writes its rows: each
 nilradical root's array, from its _root_texts strings at each indent it
@@ -112,12 +113,15 @@ class _Parser(argparse.ArgumentParser):
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = _parse_args(_build_parser(), _glue_values(list(argv)))
-    except SystemExit as exc:
-        # argparse exits on usage errors (and on --help); keep the int
-        # contract of main() by translating instead of leaking the exit
-        return int(exc.code or 0)
+    argv = _glue_values(list(argv))
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits on usage errors (and on --help); keep the int
+            # contract of main() by translating instead of leaking the exit
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except InvariantError as exc:
@@ -152,80 +156,69 @@ def run() -> None:
 
 def _glue_values(argv: list[str]) -> list[str]:
     # Join "--c -3/4" into "--c=-3/4" so values with a leading minus are
-    # never mistaken for option strings.  A following "--flag" is never a
-    # value: left apart, argparse reports the flag that lacks one.
+    # never mistaken for option strings.  Only a flag that takes a value
+    # (every flag of _COMMANDS, and no other) is glued: after --help, a
+    # negative token is left alone, and a following "--flag" is never a
+    # value, so argparse reports the flag that lacks one.
     out: list[str] = []
     for tok in argv:
         negative = tok.startswith("-") and not tok.startswith("--")
-        if negative and out and out[-1].startswith("--") and "=" not in out[-1]:
+        if negative and out and out[-1] in _VALUE_FLAGS:
             out[-1] += f"={tok}"
         else:
             out.append(tok)
     return out
 
 
-def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """parser.parse_args(argv), with a command's flags read by the command's own parser.
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse would return for a well-formed argv, read from _COMMANDS.
 
-    The top parser would scan the whole argv before its subparsers action
-    hands the rest to the command's parser, as this does; leftovers get the
-    top parser's own "unrecognized arguments" error.  Any other argv (empty,
-    or an option or an unknown name first) goes through the top parser.
+    Well formed: a command, then "--flag value" or "--flag=value" (split at
+    the first "=") for flags of that command, each at most once, with no
+    separate value starting with "-", every required flag present, and
+    every value within its choices and its type.  The namespace holds each
+    flag's value or default and the command's func; argparse's `command`,
+    which no handler reads, is left out.  Any other argv gives None, and
+    goes to argparse, which alone prints help and usage errors.
     """
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, flags = _COMMANDS[argv[0]]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            # a missing value reads as "-", which is turned down
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+        spec = flags.get(flag)
+        if spec is None or flag in values:
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except (argparse.ArgumentTypeError, ValueError):
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        values[flag] = value
+    if any(spec.get("required") and flag not in values for flag, spec in flags.items()):
+        return None
+    fields = {flag[2:]: values.get(flag, spec.get("default")) for flag, spec in flags.items()}
+    return argparse.Namespace(func=func, **fields)
 
 
 @cache
 def _build_parser() -> _Parser:
+    """The argparse parser of _COMMANDS, built on the first call that needs it."""
     parser = _Parser(prog="scalarverma", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def case_flags(p: _Parser) -> None:
-        p.add_argument("--case", required=True, choices=CASE_TAGS, help="case tag")
-        p.add_argument("--p", help="first AIII parameter")
-        p.add_argument("--q", help="second AIII parameter")
-        p.add_argument("--n", help="rank parameter for CI/BI/DI/DIII")
-
-    p = sub.add_parser("classify", help="decide one scalar parameter")
-    case_flags(p)
-    p.add_argument("--c", required=True, help="scalar parameter, as p or p/q")
-    p.add_argument("--format", choices=("json", "pretty"), default="pretty")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("scan", help="sweep a c-window on a fixed lattice")
-    case_flags(p)
-    p.add_argument("--window", required=True, help="c-window, as lo..hi")
-    p.add_argument("--step", default="1/6", help="lattice step (default 1/6)")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("table", help="print one exceptional-case reference table")
-    p.add_argument("--table", required=True, type=_integer, choices=(1, 2, 3, 4))
-    p.add_argument("--a", help="line parameter for tables 3 and 4 (table 4 default -7)")
-    p.add_argument("--format", choices=("pretty", "tsv", "json"), default="pretty")
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser(
-        "crosscheck", help="compare the oracle against the closed-form sets"
-    )
-    case_flags(p)
-    p.add_argument("--window", help="c-window lo..hi (default: around the reduction range)")
-    p.add_argument("--step", default="1/6", help="lattice step (default 1/6)")
-    p.add_argument("--format", choices=("pretty", "json"), default="pretty")
-    p.set_defaults(func=cmd_crosscheck)
-
-    p = sub.add_parser("datum-dump", help="emit the full root datum as JSON")
-    case_flags(p)
-    p.set_defaults(func=cmd_datum_dump)
-
-    # each command's own parser, by name, for _parse_args
-    parser.commands = sub.choices
+    for name, (func, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, spec in flags.items():
+            p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -868,6 +861,50 @@ def cmd_datum_dump(args) -> int:
         payload["notes"] = list(notes)
     print(_dumps(payload))
     return 0
+
+
+# ---------------------------------------------------------------------------
+# the commands
+
+
+# Every flag takes one value.  Its spec holds argparse's keywords for it:
+# help, default, required, choices, and type (--table's alone).
+_CASE_FLAGS = {
+    "--case": {"required": True, "choices": CASE_TAGS, "help": "case tag"},
+    "--p": {"help": "first AIII parameter"},
+    "--q": {"help": "second AIII parameter"},
+    "--n": {"help": "rank parameter for CI/BI/DI/DIII"},
+}
+_STEP = {"default": "1/6", "help": "lattice step (default 1/6)"}
+# Each command's handler, help text and flags, in the order its usage lists
+# them.  _build_parser builds argparse from this table, and _read_argv reads
+# a well-formed argv straight from it.
+_COMMANDS = {
+    "classify": (cmd_classify, "decide one scalar parameter", {
+        **_CASE_FLAGS,
+        "--c": {"required": True, "help": "scalar parameter, as p or p/q"},
+        "--format": {"choices": ("json", "pretty"), "default": "pretty"},
+    }),
+    "scan": (cmd_scan, "sweep a c-window on a fixed lattice", {
+        **_CASE_FLAGS,
+        "--window": {"required": True, "help": "c-window, as lo..hi"},
+        "--step": _STEP,
+        "--format": {"choices": ("tsv", "json"), "default": "tsv"},
+    }),
+    "table": (cmd_table, "print one exceptional-case reference table", {
+        "--table": {"required": True, "type": _integer, "choices": (1, 2, 3, 4)},
+        "--a": {"help": "line parameter for tables 3 and 4 (table 4 default -7)"},
+        "--format": {"choices": ("pretty", "tsv", "json"), "default": "pretty"},
+    }),
+    "crosscheck": (cmd_crosscheck, "compare the oracle against the closed-form sets", {
+        **_CASE_FLAGS,
+        "--window": {"help": "c-window lo..hi (default: around the reduction range)"},
+        "--step": _STEP,
+        "--format": {"choices": ("pretty", "json"), "default": "pretty"},
+    }),
+    "datum-dump": (cmd_datum_dump, "emit the full root datum as JSON", _CASE_FLAGS),
+}
+_VALUE_FLAGS = {flag for _, _, flags in _COMMANDS.values() for flag in flags}
 
 
 if __name__ == "__main__":

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from scalarverma import cli, ehw, jantzen
 from scalarverma.cli import main
 from scalarverma.ratvec import format_rational, parse_rational, weight
 from scalarverma.rootdata import scalar_parameter_weight
+from test_readme import COMMANDS as README_COMMANDS
 
 Q = Fraction
 
@@ -833,7 +837,8 @@ def test_main_rejects_unknown_format(capsys):
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    main(["classify", "--case", "EIII", "--c", "-2"])
+    # a usage error builds the parser; a well-formed request builds none
+    main(["classify", "--case", "BOGUS", "--c", "1"])
     built = []
     init = cli._Parser.__init__
 
@@ -871,8 +876,14 @@ def test_shared_parser_matches_a_fresh_parser(capsys, monkeypatch):
     assert [code for code, _, _ in fresh] == [1, 0, 0, 1, 0, 0, 0, 1, 0]
 
 
-# Usage errors and help texts, each argv of a shape that the command's own
-# parser and the top parser might read differently.
+# --help before a negative token: the token is not glued onto --help, so
+# argparse prints the help and exits 0.
+HELP_BEFORE_A_NEGATIVE = [
+    ["classify", "--help", "-3"],
+    ["scan", "--case", "CI", "--n", "3", "--help", "-1..1"],
+]
+# Usage errors and help texts, each argv of a shape that the reader must
+# leave to argparse.
 USAGE_ARGV = [
     # no args, and help at both levels
     [],
@@ -926,29 +937,138 @@ USAGE_ARGV = [
     ["classify", "--case", "CI", "--case", "BI", "--n", "3"],
     ["classify", "--format", "json", "--format", "yaml", "--case", "CI", "--n", "3", "--c", "1"],
     ["table", "--table", "1", "--table", "9"],
+    *HELP_BEFORE_A_NEGATIVE,
 ]
 
 
-@pytest.mark.parametrize("argv", USAGE_ARGV, ids=lambda argv: " ".join(argv) or "(none)")
-def test_command_parser_matches_the_top_parser(capsys, monkeypatch, argv):
-    # main() reads a command's flags with the command's own parser; the same
-    # argv through the top parser must give the same exit, stdout and stderr
-    dispatched = run_cli(capsys, *argv)
-    assert dispatched[0] in (0, 1)
-    monkeypatch.setattr(cli, "_parse_args", lambda parser, argv: parser.parse_args(argv))
-    assert run_cli(capsys, *argv) == dispatched
+@pytest.mark.parametrize("argv", HELP_BEFORE_A_NEGATIVE, ids=" ".join)
+def test_help_leaves_a_negative_neighbour_apart(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert run_cli(capsys, argv[0], "--help") == (0, out, "")
 
 
-def test_a_command_is_parsed_by_its_own_parser(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the top parser read the argv of a command")
+@pytest.mark.parametrize(
+    "argv", USAGE_ARGV + README_COMMANDS, ids=lambda argv: " ".join(argv) or "(none)"
+)
+def test_command_parser_matches_the_top_parser(capsys, argv):
+    # The reader turns down every help and usage error, and reads each
+    # README command line as argparse does.
+    argv = cli._glue_values(argv)
+    read = cli._read_argv(argv)
+    try:
+        parsed = vars(cli._build_parser().parse_args(argv))
+    except SystemExit as exc:
+        assert read is None and exc.code in (0, 1)
+    else:
+        del parsed["command"]
+        assert vars(read) == parsed
+    capsys.readouterr()
 
-    monkeypatch.setattr(cli._build_parser(), "parse_known_args", refuse)
-    assert main(["classify", "--case", "CI", "--n", "3", "--c", "1"]) == 0
+
+# A well-formed request of each command.
+WELL_FORMED = [
+    ["classify", "--case", "CI", "--n", "3", "--c", "-1", "--format", "json"],
+    ["scan", "--case", "CI", "--n", "2", "--window=-1..1", "--step", "1/2"],
+    ["table", "--table", "4", "--a", "-7/2", "--format", "tsv"],
+    ["crosscheck", "--case", "CI", "--n", "2..3", "--format", "json"],
+    ["datum-dump", "--case", "EIII"],
+]
+
+
+def test_a_well_formed_request_builds_no_parser(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("a parser was built")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    for argv in WELL_FORMED:
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    # help, a usage error, and a flag given twice
+    for argv in (
+        ["classify", "--help"],
+        ["classify", "--case", "CI", "--n", "3", "--c", "1", "extra"],
+        ["table", "--table", "2", "--table", "1"],
+    ):
+        with pytest.raises(AssertionError, match="parser was built"):
+            main(argv)
+    monkeypatch.undo()
     code, _, err = run_cli(capsys, "classify", "--case", "CI", "--n", "3", "--c", "1", "extra")
     assert code == 1 and err.endswith("scalarverma: error: unrecognized arguments: extra\n")
-    with pytest.raises(AssertionError, match="top parser"):
-        main(["--help"])
+
+
+# The cases a command line is drawn with, and valid values of the other
+# flags that have no choices.
+DRAWN_CASES = [
+    {"--case": "CI", "--n": "3"},
+    {"--case": "EIII"},
+    {"--case": "AIII", "--p": "2", "--q": "1"},
+    {"--case": "DIII", "--n": "2..3"},
+]
+DRAWN_VALUES = {
+    "--c": ["1", "-1/2", "0", "5/2"],
+    "--window": ["-1..1", "0..1/2", "-3/2..-1/2"],
+    "--step": ["1/2", "1/3"],
+    "--table": ["1", "+2", "3", "4"],
+    "--a": ["-7", "1/2"],
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """A well-formed argv of one command, then up to two perturbations."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = cli._COMMANDS[name][2]
+    case = draw(st.sampled_from(DRAWN_CASES)) if "--case" in flags else {}
+    pairs = [[flag, value] for flag, value in case.items()]
+    for flag, spec in flags.items():
+        if flag not in cli._CASE_FLAGS and (spec.get("required") or draw(st.booleans())):
+            pairs.append([flag, draw(st.sampled_from(DRAWN_VALUES.get(flag) or spec["choices"]))])
+    pairs = draw(st.permutations(pairs))
+    tokens = []
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["repeat", "drop", "value", "abbreviate", "token"]))
+        if kind == "token":
+            tokens.append(draw(st.sampled_from(["--", "-h", "--help", "extra", "-x", "--bogus", "-3"])))
+        elif pairs and kind == "repeat":
+            pairs.append(list(draw(st.sampled_from(pairs))))
+        elif pairs and kind == "drop":
+            pairs.remove(draw(st.sampled_from(pairs)))
+        elif pairs and kind == "value":
+            # a bad choice, an empty value, or a value starting with "-"
+            draw(st.sampled_from(pairs))[1] = draw(st.sampled_from(["BOGUS", "9", "", "-", "-1..1", "--format"]))
+        elif pairs:
+            # an abbreviation: --cas for --case, and so on down to --c
+            pair = draw(st.sampled_from(pairs))
+            pair[0] = pair[0][:-1]
+    argv = [name]
+    for flag, value in pairs:
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    for token in tokens:
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_command_lines())
+def test_reader_matches_argparse(argv):
+    # Whenever the reader takes an argv, argparse gives the same namespace
+    # (less its `command`), and main's bytes are those of argparse alone.
+    glued = cli._glue_values(argv)
+    read = cli._read_argv(glued)
+    if read is not None:
+        parsed = vars(cli._build_parser().parse_args(glued))
+        del parsed["command"]
+        assert vars(read) == parsed
+    output = _main_output(argv)
+    with mock.patch.object(cli, "_read_argv", lambda argv: None):
+        assert _main_output(argv) == output
 
 
 def test_classify_terms_hold_the_datums_own_roots():
