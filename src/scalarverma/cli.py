@@ -156,14 +156,15 @@ def run() -> None:
 
 def _glue_values(argv: list[str]) -> list[str]:
     # Join "--c -3/4" into "--c=-3/4" so values with a leading minus are
-    # never mistaken for option strings.  Only a flag that takes a value
-    # (every flag of _COMMANDS, and no other) is glued: after --help, a
+    # never mistaken for option strings.  Only a flag of the command that
+    # argv[0] names is glued: after --help or another command's flag, a
     # negative token is left alone, and a following "--flag" is never a
     # value, so argparse reports the flag that lacks one.
+    flags = _COMMANDS[argv[0]][2] if argv and argv[0] in _COMMANDS else {}
     out: list[str] = []
     for tok in argv:
         negative = tok.startswith("-") and not tok.startswith("--")
-        if negative and out and out[-1] in _VALUE_FLAGS:
+        if negative and out and out[-1] in flags:
             out[-1] += f"={tok}"
         else:
             out.append(tok)
@@ -904,7 +905,6 @@ _COMMANDS = {
     }),
     "datum-dump": (cmd_datum_dump, "emit the full root datum as JSON", _CASE_FLAGS),
 }
-_VALUE_FLAGS = {flag for _, _, flags in _COMMANDS.values() for flag in flags}
 
 
 if __name__ == "__main__":

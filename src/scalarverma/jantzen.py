@@ -19,13 +19,20 @@ level k and keeps what it learns of each root's line: a level on one of
 beta's Levi walls is Singular, and off them a memoized Weyl word gives the
 representative, certified dominant at that level by the interval of
 levels stored with the word, or a fresh descent, which needs no wall scan
-of its own, finds the word and stores its interval.  The decision forms
-no vector: the verdict and route come from integer sign sums per class.
-The terms, classes and witness, the only rationals, are then unscaled
-from the integer records (root index, level, representative, word
-length), and each class keeps the net sign its sum gave.  The same
-criterion in rational arithmetic, on any scalar weight, lives with the
-tests as the reference this path is checked against.
+of its own, finds the word and stores its interval.  Each entry also
+holds w*R and w*B packed into integers, P(u) = sum of u[i] * 2**(s*(d-1-i)),
+so the class key of the representative at level k is P(w*R) - k*P(w*B),
+one multiply-subtract.  P is linear, and injective and ordered as tuples
+are while each coordinate lies below 2**(s-1) in magnitude; Levi
+reflections are orthogonal, so a coordinate of the representative at
+level k is at most |R| + k*|B|, and `weyl` sets the width s from the
+data and the walk's highest level.  The decision forms no vector: the
+verdict and route come from integer sign sums per class key.  The terms,
+classes and witness, the only rationals, are then unscaled from the
+entries the walk fetched (root index, level, entry), each representative
+rebuilt as w*R - k*w*B, and each class keeps the net sign its sum gave.
+The same criterion in rational arithmetic, on any scalar weight, lives
+with the tests as the reference this path is checked against.
 
 `ScalarGrid` decides a whole grid c = m * step the other way round, root
 by root.  A root's level is affine in c, so the grid points at which it is
@@ -37,8 +44,10 @@ route only.
 
 Both run one term walk, `_walk`: each support root comes as a progression
 of points with its levels, a single point for `classify_scalar`.  The walk
-hands `weyl` each (root, level) pair, keeps the class sums and theta check
-per visited point and decides each point's verdict and route.
+holds each root's current entry and decides every level inside its
+interval by the entry's key, going back to `weyl` only for a level past
+it.  It keeps the class sums and theta check per visited point and
+decides each point's verdict and route.
 
 Only exact rational parameters are accepted: a float or a bool raises
 ValueError.  A parameter with irrational or non-real scalar part would make
@@ -53,8 +62,8 @@ from fractions import Fraction
 
 from .errors import InvariantError
 from .ratvec import Weight, add, congruence, is_integer, pairing, rational
-from .rootdata import IntegerView, IntVector, ParabolicRootDatum, build_datum
-from .weyl import ChamberForm, _line_chamber
+from .rootdata import IntegerView, ParabolicRootDatum, build_datum
+from .weyl import ChamberForm, _line_chamber, _line_width
 
 SIMPLE = "Simple"
 REDUCIBLE = "Reducible"
@@ -121,58 +130,70 @@ def _decide(has_terms: bool, survives: bool) -> tuple[str, str]:
 _THETA_SPLIT = "one chamber class carries two theta values"
 
 
-def _tally(classes: dict[IntVector, list[int]], rep: IntVector, steps: int, theta: int) -> bool:
-    """Add a regular term, of word length `steps`, to its class's [net sign, theta value].
-
-    `classes` is keyed by the scaled representative.  theta_u pairs with
-    c*zeta alike in every term, so the c-free part `theta` stands for the
-    term's theta value.  Returns True when the class already held another.
-    """
-    sign = -1 if steps & 1 else 1
-    held = classes.get(rep)
-    if held is None:
-        classes[rep] = [sign, theta]
-        return False
-    held[0] += sign
-    return held[1] != theta
-
-
-def _survives(classes: dict[IntVector, list[int]]) -> bool:
+def _survives(classes: dict[int, list[int]]) -> bool:
     return any(net for net, _ in classes.values())
 
 
 def _walk(view: IntegerView, walks, size: int):
     """Decide the points 0 .. size-1 from per-root walks.
 
-    Each walk is (j, index of root j's first point, period, its level
-    there, level step): root j is in the support at every period-th point
-    from the first, its level rising by the step.  Returns each point's
-    (verdict, route), the term records (j, k, rep, word length) in walk
-    order, and the class sums of each visited point by its index.  A theta
-    split raises InvariantError once every term has passed its own checks,
-    as the rational reference raises it.
+    `walks` lists, per root j, (j, index of its first point, period, its
+    level there, level step): root j is in the support at every period-th
+    point from the first, its level rising by the step.  The memo is packed
+    once, before the first term, at a width that serves the walk's top
+    level.  The walk holds root j's current memo entry and decides each
+    level inside its lo..hi by the entry's key P(w*R) - k*P(w*B) and the
+    parity of its word; only a level past hi, on a wall or in another
+    entry, goes back to `weyl`.  Each regular term adds its sign to its
+    class's [net sign, theta value], keyed by the representative's key;
+    theta_u pairs with c*zeta alike in every term, so the c-free part
+    stands for the term's theta value.  Returns each point's (verdict,
+    route), the entries fetched from `weyl` as (j, k, entry or None on a
+    wall) in walk order, one per term when each walk has one point, and
+    the class sums of each visited point by its index.  A theta split
+    raises InvariantError once every term has passed its own checks, as
+    the rational reference raises it.
     """
+    if walks:
+        # a walk that starts past the last point reads below its first level
+        tops = [k + (size - 1 - i) // period * rise for _, i, period, k, rise in walks]
+        _line_width(view, max(tops))
+    theta_rho = view.theta_rho
     # per visited point, by index: its classes' [net sign, theta value]
-    points: dict[int, dict[IntVector, list[int]]] = {}
-    records = []
+    points: dict[int, dict[int, list[int]]] = {}
+    fetched = []
     split = False
     for j, start, period, k, rise in walks:
         theta_root = view.nilradical[j].theta_root
+        hi = 0
         for i in range(start, size, period):
-            rep, word = _line_chamber(view, j, k)
-            records.append((j, k, rep, len(word)))
+            if k > hi:
+                entry = _line_chamber(view, j, k)
+                fetched.append((j, k, entry))
+                if entry is None:
+                    hi, pr = k, None
+                else:
+                    _, hi, pr, pb, _, _, word = entry
+                    sign = -1 if len(word) & 1 else 1
             classes = points.get(i)
             if classes is None:
                 classes = points[i] = {}
-            if rep is not None:
-                split |= _tally(classes, rep, len(word), view.theta_rho - k * theta_root)
+            if pr is not None:
+                key = pr - k * pb
+                theta = theta_rho - k * theta_root
+                held = classes.get(key)
+                if held is None:
+                    classes[key] = [sign, theta]
+                else:
+                    held[0] += sign
+                    split |= held[1] != theta
             k += rise
     if split:
         raise InvariantError(_THETA_SPLIT)
     out = [(SIMPLE, ROUTE_EMPTY_SUPPORT)] * size
     for i, classes in points.items():
         out[i] = _decide(True, _survives(classes))
-    return out, records, points
+    return out, fetched, points
 
 
 def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
@@ -182,8 +203,8 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     term, computed in integers along the scalar line; the rational
     reference in tests/reference.py decides the same weight in Fractions.
     Each support root is a one-point walk; the terms, classes and witness
-    are unscaled from the walk's records, and each class's net sign is the
-    walk's own sum.  The weight is scalar because the datum passed
+    are unscaled from the entries the walk fetched, one per term, and each
+    class's net sign is the walk's own sum.  The weight is scalar because the datum passed
     validation: zeta is orthogonal to the Levi.
     """
     datum = (
@@ -200,7 +221,7 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
         for j, nil in enumerate(view.nilradical)
         if (num := d * nil.a + n * nil.b) > 0 and num % (d * nil.norm) == 0
     ]
-    [(verdict, route)], records, points = _walk(view, walks, 1)
+    [(verdict, route)], fetched, points = _walk(view, walks, 1)
     # Over the denominator d*D, the image rho - k*beta + c*zeta of a scaled
     # vector v = D*(rho - k*beta) is d*v + n*Z.  Images and representatives
     # share most coordinates, so each Fraction is built once.
@@ -218,16 +239,19 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
         return tuple(out)
 
     terms = []
-    groups: dict[IntVector, list[JantzenTerm]] = {}
-    for j, k, rep, steps in records:
-        chamber = ChamberForm(None if rep is None else unscale(rep), steps)
+    groups: dict[int, list[JantzenTerm]] = {}
+    for j, k, entry in fetched:
         v = [r - k * x for r, x in zip(view.rho, view.nilradical[j].root)]
-        term = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), chamber)
+        rep, steps = None, 0
+        if entry is not None:
+            _, _, pr, pb, wr, wb, word = entry
+            rep, steps = unscale([r - k * b for r, b in zip(wr, wb)]), len(word)
+        term = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), ChamberForm(rep, steps))
         terms.append(term)
         if rep is not None:
-            groups.setdefault(rep, []).append(term)
-    # Unscaling is a coordinatewise increasing map, so the integer keys sort
-    # as the representatives do.
+            groups.setdefault(pr - k * pb, []).append(term)
+    # Keys sort as the scaled representatives do, and unscaling is a
+    # coordinatewise increasing map, so they sort as the representatives.
     certificate = tuple(
         RepClass(g[0].chamber.rep, points[0][key][0], tuple(g))
         for key, g in sorted(groups.items())
@@ -291,4 +315,4 @@ class ScalarGrid:
         the same walk over the same terms; InvariantError is raised once
         every term of the range has been decided.
         """
-        return _walk(self.view, self._walks(ms), len(ms))[0]
+        return _walk(self.view, list(self._walks(ms)), len(ms))[0]

@@ -14,8 +14,9 @@ The module also owns the scalar line.  The oracle works on the c-free
 terms v(k) = R - k*B, for R = D*rho, B = D*beta and a positive integer
 level k, because Levi reflections fix zeta and so the chamber of
 rho + c*zeta - k*beta is that of rho - k*beta, shifted by c*zeta.
-`_line_chamber(view, j, k)` decides the term of the j-th nilradical root at
-level k and forms v only when it must descend.  On a root's first term it
+`_line_chamber(view, j, k)` gives the memo entry that decides the term of
+the j-th nilradical root at level k, or None on a wall, and forms v only
+when it must descend.  On a root's first term it
 builds the root's record (singular, entries) in the view's `words` dict:
 the levels at which the line meets a Levi wall (Singular) and an empty
 tuple of entries.  Levi integrality is a property of the datum, not of the
@@ -28,10 +29,18 @@ columns, with no dot of its own.  Off the walls, a descent's word w gives
 the representative w*R - k*w*B, whose pairing with each Levi simple root
 is affine in k; the levels at which all of them are positive form an
 integer interval lo..hi, and at exactly those levels w*v(k) is the
-dominant point of v(k)'s orbit.  Each entry is (lo, hi, w*R, w*B, w), and
-a term is served by the entry whose lo..hi holds its level, which
-certifies the representative at the term's own level; a level no entry
-holds is descended afresh and its interval stored.  The
+dominant point of v(k)'s orbit.  Each entry is
+(lo, hi, P(w*R), P(w*B), w*R, w*B, w), and a term is served by the entry
+whose lo..hi holds its level, which certifies the representative at the
+term's own level; a level no entry holds is descended afresh and its
+interval stored.  The representative's key is P(w*R) - k*P(w*B), one
+multiply-subtract, for the packing P(u) = sum of u[i] * 2**(s*(d-1-i)):
+P is linear, and injective and ordered as tuples are while every
+coordinate lies below 2**(s-1) in magnitude.  Levi reflections are
+orthogonal, so each coordinate of w*v(k) is at most |R| + k*|B|, and
+`_line_width` sets s from the data so that this bound holds at the
+highest level a walk asks for, repacking the memo's entries only when a
+request passes the highest level its width serves.  The
 descent is `normalize`'s first-negative rule, step bound and errors, run
 on v and w*B together in integers, with no wall scan: R = D*rho is
 strictly Levi dominant, so R - k*B meets the wall of a Levi root A only
@@ -47,7 +56,8 @@ with k in lo..hi lies in one open chamber, and the first-negative
 descent reads only the chamber, so a served word is the word a fresh
 descent would find.  The Weyl group acts simply transitively on
 chambers, so no two words share a level and a root's entries are
-disjoint.  Each fill replaces the root's record whole.
+disjoint.  Each fill replaces the root's record whole, and a repacking
+every record.
 """
 
 from __future__ import annotations
@@ -153,30 +163,68 @@ def _line_record(view: IntegerView, root: IntVector) -> tuple[frozenset[int], tu
     return frozenset(singular), ()
 
 
-def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, tuple[int, ...]]:
-    """The chamber of the term v = R - k*B on the scalar line, in integers.
+def _pack(u: IntVector, width: int) -> int:
+    """P(u) = sum of u[i] * 2**(width*(d-1-i)): u's coordinates as signed digits."""
+    key = 0
+    for x in u:
+        key = (key << width) + x
+    return key
+
+
+def _line_width(view: IntegerView, top: int) -> None:
+    """Pack the memo at a width whose keys hold at every level 1..top.
+
+    An entry's key at level k is P(w*R) - k*P(w*B) = P(w*R - k*w*B), as P is
+    linear.  P is injective, and orders vectors as tuples, while every
+    coordinate lies below 2**(width-1) in magnitude.  A Levi word is an
+    orthogonal map, so each coordinate of w*(R - k*B) is at most
+    |R| + k*|B| <= r + k*b, for r and b one more than the integer square
+    roots of dot(R, R) and of the largest nilradical norm.  The memo keeps
+    its width and the highest level it serves under the key None, and is
+    repacked, every entry at once, only when a request goes past that level.
+    """
+    words = view.words
+    if top <= words.get(None, (0, 0))[1]:
+        return
+    r = math.isqrt(sum([x * x for x in view.rho])) + 1
+    b = math.isqrt(max([nil.norm for nil in view.nilradical])) + 1
+    width = (r + top * b).bit_length() + 1
+    words[None] = width, ((1 << width - 1) - 1 - r) // b
+    for j, record in list(words.items()):
+        if j is not None:
+            singular, entries = record
+            words[j] = singular, tuple(
+                (lo, hi, _pack(wr, width), _pack(wb, width), wr, wb, word)
+                for lo, hi, _, _, wr, wb, word in entries
+            )
+
+
+def _line_chamber(view: IntegerView, j: int, k: int) -> tuple | None:
+    """The memo entry that decides the term v = R - k*B on the scalar line.
 
     B is the scaled nilradical root view.nilradical[j], R = view.rho and k
-    is a positive integer.  Returns (w*v, w), the dominant point of v's
-    Levi orbit and the word, as indices into the Levi simple roots, of the
-    first-negative descent that reaches it; or (None, ()) on a wall.
+    is a positive integer that the memo's width serves (`_line_width`).
+    Returns None on a wall, and otherwise the entry (lo, hi, P(w*R),
+    P(w*B), w*R, w*B, w) whose levels lo..hi hold k: w*v = w*R - k*w*B is
+    the dominant point of v's Levi orbit, w, as indices into the Levi
+    simple roots, the word of the first-negative descent that reaches it,
+    and P(w*R) - k*P(w*B) the key of w*v.
     Root j's record in view.words, built on its first term, holds its
-    singular levels and its entries: disjoint (lo, hi, w*R, w*B, w), sorted
-    by lo, each filled by one descent.  A singular level is Singular.  The
-    entry with lo <= k <= hi serves any other level: w*R - k*w*B pairs
-    positively with every Levi simple root exactly at the levels lo..hi,
-    which proves it is the dominant point of v's orbit and w its descent's
-    word.  A level no entry serves is descended afresh, and its interval
-    added.  R is strictly Levi dominant, so the singular levels are every
-    level at which the line meets a Levi wall, and the descent runs no wall
-    scan of its own: a wall it meets, or a word longer than the number of
-    Levi positive roots, can come only from a broken datum and raises
-    InvariantError.  The descent keeps v's and w*B's pairings d and q with
-    the Levi simple roots.  A reflection in A_s, by c = 2*d_s / |A_s|^2 on
-    v and cb = 2*q_s / |A_s|^2 on w*B, subtracts c and cb times A_s's Gram
-    row from d and q and times A_s from v and w*B, each on its nonzero
-    entries only.  At the end w*R pairs with A_s as d_s + k*q_s, so the
-    interval needs no dot.
+    singular levels and its entries, disjoint and sorted by lo, each filled
+    by one descent.  A singular level is Singular.  The entry with
+    lo <= k <= hi serves any other level: w*R - k*w*B pairs positively with
+    every Levi simple root exactly at the levels lo..hi, which proves it is
+    the dominant point of v's orbit and w its descent's word.  A level no
+    entry serves is descended afresh, and its entry added.  R is strictly
+    Levi dominant, so the singular levels are every level at which the line
+    meets a Levi wall, and the descent runs no wall scan of its own: a wall
+    it meets, or a word longer than the number of Levi positive roots, can
+    come only from a broken datum and raises InvariantError.  The descent
+    keeps v's and w*B's pairings d and q with the Levi simple roots.  A
+    reflection in A_s, by c = 2*d_s / |A_s|^2 on v and cb = 2*q_s / |A_s|^2
+    on w*B, subtracts c and cb times A_s's Gram row from d and q and times
+    A_s from v and w*B, each on its nonzero entries only.  At the end w*R
+    pairs with A_s as d_s + k*q_s, so the interval needs no dot.
     """
     nil = view.nilradical[j]
     record = view.words.get(j)
@@ -184,11 +232,10 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
         record = view.words[j] = _line_record(view, nil.root)
     singular, entries = record
     if k in singular:
-        return None, ()
+        return None
     i = bisect_right(entries, k, key=itemgetter(0))
     if i and k <= entries[i - 1][1]:
-        _, _, wr, wb, word = entries[i - 1]
-        return tuple([r - k * b for r, b in zip(wr, wb)]), word
+        return entries[i - 1]
     # Descend v = R - k*B and w*B together, so that w*R = v + k*w*B at the end.
     norms, rows, coords = view.simple_norms, view.gram_rows, view.simple_coords
     v, wb = [r - k * b for r, b in zip(view.rho, nil.root)], list(nil.root)
@@ -215,7 +262,7 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
         word.append(s)
         if len(word) > bound:
             raise InvariantError("chamber descent exceeded the positive-root bound")
-    v, wb, word = tuple(v), tuple(wb), tuple(word)
+    wb, word = tuple(wb), tuple(word)
     wr = tuple([x + k * b for x, b in zip(v, wb)])
     # dot(wr - k*wb, A_s) = p - k*q_s, for p = d_s + k*q_s, is positive for
     # k <= (p - 1)/q_s when q_s > 0 and for k > p/q_s when q_s < 0; with
@@ -227,5 +274,7 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple[IntVector | None, 
             hi = min(hi, (p - 1) // qs)
         elif qs < 0:
             lo = max(lo, -p // -qs + 1)
-    view.words[j] = singular, entries[:i] + ((lo, hi, wr, wb, word),) + entries[i:]
-    return v, word
+    width = view.words[None][0]
+    entry = lo, hi, _pack(wr, width), _pack(wb, width), wr, wb, word
+    view.words[j] = singular, entries[:i] + (entry,) + entries[i:]
+    return entry

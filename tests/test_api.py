@@ -36,7 +36,9 @@ LEVI_TABLES = {
     "levi_norms", "simple_norms", "rho_levi", "rho_simple", "gram_rows", "simple_coords",
     "levi_columns",
 }
-INTEGER_PATH = {"classify_scalar", "_line_chamber", "_line_record", "integer_view", "words"}
+INTEGER_PATH = {
+    "classify_scalar", "_line_chamber", "_line_record", "_line_width", "_pack", "integer_view", "words",
+}
 INTEGER_PATH |= LEVI_TABLES
 
 
@@ -159,13 +161,26 @@ def test_each_decision_has_one_copy():
 
 def test_one_term_walk_serves_every_decision():
     # classify_scalar and ScalarGrid hand their terms to one walk, which
-    # holds jantzen's only call of weyl's line chamber and its only
-    # theta-split raise.
+    # holds jantzen's only calls into weyl's scalar line, the memo's packing
+    # and each entry's fetch, and its only theta-split raise.  jantzen takes
+    # nothing else of weyl's but the chamber form.
     tree = ast.parse((PACKAGE / "jantzen.py").read_text(encoding="utf-8"))
-    calls = [n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
-    assert calls.count("_line_chamber") == 1
+    walk = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_walk")
+
+    def calls(node):
+        return [n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
+
+    for name in ("_line_chamber", "_line_width"):
+        assert calls(tree).count(name) == calls(walk).count(name) == 1, name
+    imported = {
+        alias.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module == "weyl"
+        for alias in n.names
+    }
+    assert imported == {"ChamberForm", "_line_chamber", "_line_width"}
     raises = [n for n in ast.walk(tree) if isinstance(n, ast.Raise) and "_THETA_SPLIT" in ast.unparse(n)]
-    assert len(raises) == 1
+    assert len(raises) == 1 and raises[0] in list(ast.walk(walk))
 
 
 def test_one_copy_of_the_closed_form_and_the_screen():

@@ -882,6 +882,12 @@ HELP_BEFORE_A_NEGATIVE = [
     ["classify", "--help", "-3"],
     ["scan", "--case", "CI", "--n", "3", "--help", "-1..1"],
 ]
+# Another command's flag before a negative value, and the tokens argparse
+# reports as unrecognized.
+FOREIGN_FLAG_BEFORE_A_NEGATIVE = [
+    (["scan", "--case", "CI", "--n", "3", "--window", "0..1", "--c", "-3"], "--c -3"),
+    (["classify", "--case", "CI", "--n", "3", "--window", "-3", "--c", "0"], "--window -3"),
+]
 # Usage errors and help texts, each argv of a shape that the reader must
 # leave to argparse.
 USAGE_ARGV = [
@@ -938,6 +944,7 @@ USAGE_ARGV = [
     ["classify", "--format", "json", "--format", "yaml", "--case", "CI", "--n", "3", "--c", "1"],
     ["table", "--table", "1", "--table", "9"],
     *HELP_BEFORE_A_NEGATIVE,
+    *(argv for argv, _ in FOREIGN_FLAG_BEFORE_A_NEGATIVE),
 ]
 
 
@@ -946,6 +953,20 @@ def test_help_leaves_a_negative_neighbour_apart(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert run_cli(capsys, argv[0], "--help") == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, tokens", FOREIGN_FLAG_BEFORE_A_NEGATIVE, ids=[" ".join(argv) for argv, _ in FOREIGN_FLAG_BEFORE_A_NEGATIVE]
+)
+def test_another_commands_flag_leaves_a_negative_neighbour_apart(capsys, argv, tokens):
+    # Only a flag of the command being run takes a negative value glued
+    # on, so the error quotes the tokens as they were typed.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (
+        "usage: scalarverma [-h] {classify,scan,table,crosscheck,datum-dump} ...\n"
+        f"scalarverma: error: unrecognized arguments: {tokens}\n"
+    )
 
 
 @pytest.mark.parametrize(

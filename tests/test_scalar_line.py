@@ -11,6 +11,9 @@ descent, which updates tracked pairings, with `reference.scaled_descent`,
 which recomputes every dot on the datum's own Levi roots.  Each root's record, whose dots come from the
 view's coordinate columns, is compared with `reference.line_record_reference`,
 which takes one full dot per Levi positive root.
+Each entry's packed pair is held to the packing's definition at the
+memo's width, and the packing to injectivity and tuple order at the width
+the memo derives; windows at levels near 10**12 and 10**40 widen it.
 `reference.simplicity_oracle`, built on `normalize`, is the rational
 reference.  Every comparison here is whole-verdict equality, certificates
 included, and every InvariantError the reference can raise is triggered
@@ -137,7 +140,7 @@ def test_integer_normalizer_matches_normalize(case):
     for j, beta in enumerate(datum.nilradical_roots):
         for k in range(1, 13):
             form = normalize(datum, sub(datum.rho, tuple(k * x for x in beta)))
-            for rep, word in (_line_chamber(view, j, k), fresh_descent(view, j, k)):
+            for rep, word in (chamber(view, j, k), fresh_descent(view, j, k)):
                 assert (rep is not None) == form.is_regular, (beta, k)
                 if rep is not None:
                     assert tuple(Fraction(x, view.denom) for x in rep) == form.rep
@@ -161,16 +164,33 @@ def walls(ref, root):
     return sorted(out)
 
 
+def chamber(view, j, k):
+    """(w*v, w) for the term v = R - k*B of root j, read off the entry
+    weyl's memo, packed to serve level k, gives it; (None, ()) on a wall."""
+    weyl._line_width(view, k)
+    entry = _line_chamber(view, j, k)
+    if entry is None:
+        return None, ()
+    _, _, _, _, wr, wb, word = entry
+    return tuple(r - k * b for r, b in zip(wr, wb)), word
+
+
+def records(view):
+    """weyl's records (singular, entries) by root index, without the
+    memo's width, which it keeps under the key None."""
+    return {j: record for j, record in view.words.items() if j is not None}
+
+
 def line_record(view, j):
     """weyl's record (singular, entries) of root j, which a first
     term at level 1 builds if the root has none yet."""
     if j not in view.words:
-        _line_chamber(view, j, 1)
+        chamber(view, j, 1)
     return view.words[j]
 
 
 def fresh_descent(view, j, k):
-    """_line_chamber(view, j, k) from a record of root j that holds no
+    """chamber(view, j, k) from a record of root j that holds no
     entries, so that a level off the singular ones is descended afresh;
     the root's record is put back afterwards."""
     return fresh_entry(view, j, k)[0]
@@ -178,12 +198,13 @@ def fresh_descent(view, j, k):
 
 def fresh_entry(view, j, k):
     """fresh_descent's (rep, word) and the entries its record then holds:
-    one (lo, hi, w*R, w*B, w) after a descent, none at a singular level."""
+    one (lo, hi, P(w*R), P(w*B), w*R, w*B, w) after a descent, none at a
+    singular level."""
     held = view.words.get(j)
     singular = held[0] if held else weyl._line_record(view, view.nilradical[j].root)[0]
     view.words[j] = singular, ()
     try:
-        return _line_chamber(view, j, k), view.words[j][1]
+        return chamber(view, j, k), view.words[j][1]
     finally:
         if held is None:
             del view.words[j]
@@ -222,7 +243,7 @@ def test_interval_words_match_a_fresh_descent(case):
         for j, nil in enumerate(view.nilradical):
             for k in order(range(1, int(max(walls(ref, nil.root), default=0)) + 3)):
                 (rep, word), stored = fresh_entry(view, j, k)
-                assert _line_chamber(view, j, k) == (rep, word), (j, k)
+                assert chamber(view, j, k) == (rep, word), (j, k)
                 # the tracked pairings give the full-coordinate descent's
                 # word, representative and interval
                 if rep is None:
@@ -233,7 +254,7 @@ def test_interval_words_match_a_fresh_descent(case):
             # the root's record holds its entries
             _, entries = view.words[j]
             assert entries, j
-        assert view.words
+        assert records(view)
     assert_intervals_are_the_dominant_levels(datum)
 
 
@@ -241,8 +262,9 @@ def assert_intervals_are_the_dominant_levels(datum):
     """Each memo entry's lo..hi holds exactly the levels k at which w*R - k*w*B
     is dominant, and each root's entries are sorted and pairwise disjoint."""
     view, ref = datum.integer_view, scaled(datum)
-    for j, (_, entries) in view.words.items():
-        for lo, hi, wr, wb, _ in entries:
+    assert_memo_is_packed(view)
+    for j, (_, entries) in records(view).items():
+        for lo, hi, _, _, wr, wb, _ in entries:
             assert lo <= hi
             for k in range(1, int(max(walls(ref, view.nilradical[j].root), default=0)) + 3):
                 rep = tuple(r - k * b for r, b in zip(wr, wb))
@@ -252,13 +274,174 @@ def assert_intervals_are_the_dominant_levels(datum):
             assert hi < lo, j
 
 
+def packed(u, width):
+    """P(u) by its definition: the sum of u[i] * 2**(width*(d-1-i))."""
+    d = len(u)
+    return sum(x * 2 ** (width * (d - 1 - i)) for i, x in enumerate(u))
+
+
+def assert_memo_is_packed(view):
+    """Every entry's packed pair is (P(w*R), P(w*B)) at the memo's current width."""
+    held = records(view)
+    if any(entries for _, entries in held.values()):
+        width, _ = view.words[None]
+        for j, (_, entries) in held.items():
+            for _, _, pr, pb, wr, wb, _ in entries:
+                assert (pr, pb) == (packed(wr, width), packed(wb, width)), j
+
+
+def beyond(x, rr, t, n):
+    """Whether x > sqrt(rr) + t*sqrt(n), for x > 0 and t, n, rr >= 0, in integers:
+    x - t*sqrt(n) > sqrt(rr) holds when x*x > t*t*n and, squared once more,
+    s = x*x + t*t*n - rr exceeds 2*x*t*sqrt(n)."""
+    s = x * x + t * t * n - rr
+    return x * x > t * t * n and s > 0 and s * s > 4 * x * x * t * t * n
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packing_is_injective_and_lexicographic_at_the_derived_width(data):
+    # A Levi word is orthogonal, so each coordinate of a representative at
+    # level k is at most |R| + k*|B|; the memo's width puts that below
+    # 2**(width-1) up to the level it serves, and there P orders vectors as
+    # tuples.
+    case = data.draw(st.sampled_from(small_cases() + HIGH_RANK + [HermitianCase("CI", n=20)]))
+    top = data.draw(st.one_of(st.integers(1, 200), st.integers(1, 10**45)))
+    view = dataclasses.replace(build_datum(case)).integer_view
+    weyl._line_width(view, top)
+    width, served = view.words[None]
+    assert served >= top
+    half = 1 << (width - 1)
+    norm = max(nil.norm for nil in view.nilradical)
+    assert beyond(half, dot(view.rho, view.rho), served, norm)
+    digit = st.integers(-(half - 1), half - 1)
+    u = data.draw(st.lists(digit, min_size=len(view.rho), max_size=len(view.rho)))
+    cut = data.draw(st.integers(0, len(u)))
+    v = u[:cut] + data.draw(st.lists(digit, min_size=len(u) - cut, max_size=len(u) - cut))
+    pu, pv = weyl._pack(u, width), weyl._pack(v, width)
+    assert (pu, pv) == (packed(u, width), packed(v, width))
+    assert (pu == pv) == (u == v)
+    assert (pu < pv) == (u < v)
+
+
+@pytest.mark.parametrize("width", [2, 9, 64, 141])
+def test_one_bit_narrower_packing_collides(width):
+    # (0, 2**(s-1)) and (1, -2**(s-1)) are told apart at width s + 1, and
+    # share their key at width s, one bit narrower.
+    half = 1 << (width - 1)
+    assert weyl._pack((0, half), width) == weyl._pack((1, -half), width)
+    assert weyl._pack((0, half), width + 1) != weyl._pack((1, -half), width + 1)
+
+
+def test_memo_is_packed_at_its_width():
+    # One-point requests the memo's width serves repack nothing; a request
+    # past the served level repacks every entry at once, to a wider width.
+    datum = dataclasses.replace(build_datum(HermitianCase("CI", n=4)))
+    view = datum.integer_view
+    window = list(default_window(datum.case, Fraction(1, 2)))
+    for c in window:
+        classify_scalar(datum, c)
+    assert_memo_is_packed(view)
+    width, served = view.words[None]
+    held = records(view)
+    assert any(entries for _, entries in held.values())
+    for c in window:
+        classify_scalar(datum, c)
+    assert view.words[None] == (width, served)
+    assert all(view.words[j] is record for j, record in held.items())
+    for c in (Fraction(10**12), Fraction(10**40 + 1, 2)):
+        levels = [t.level for t in classify_scalar(datum, c).terms]
+        assert max(levels) > served
+        assert view.words[None][0] > width
+        width, served = view.words[None]
+        assert served >= max(levels)
+        assert_memo_is_packed(view)
+        assert_intervals_are_the_dominant_levels(datum)
+
+
+def crossing_window(datum, step, near, half=3):
+    """Grid indices m about near / step across which the memo's width grows.
+
+    The levels at m0 = round(near / step) need a width that serves levels
+    up to some S, and mx is the first m at which a root's level passes S.
+    No level at an m below mx passes S, so a fresh memo that decides the
+    window point by point is packed no wider until mx, and widens by mx.
+    The window starts at the last support point below mx, or half points
+    below it, whichever is first, and ends half points above it.
+    """
+    progressions = jantzen.ScalarGrid(datum, step)._progressions
+    m0 = round(near / step)
+    top = max(k + (m0 - first) // period * rise for _, first, period, k, rise in progressions)
+    fresh = dataclasses.replace(datum).integer_view
+    weyl._line_width(fresh, top)
+    _, served = fresh.words[None]
+    mx = min(
+        first + max(0, (served - k) // rise + 1) * period for _, first, period, k, rise in progressions
+    )
+    # from the last support point below mx, so that the window crosses
+    below = max(mx - 1 - (mx - 1 - first) % period for _, first, period, _, _ in progressions)
+    return range(min(below, mx - half), mx + half + 1)
+
+
+def assert_classes_are_the_representatives(verdict):
+    """Each class of the certificate holds the regular terms of one
+    representative, with their summed signs; the classes run in the
+    representatives' order, one per representative."""
+    regular = [t for t in verdict.terms if t.chamber.is_regular]
+    assert sum(len(g.members) for g in verdict.certificate) == len(regular)
+    for g in verdict.certificate:
+        assert all(t.chamber.rep == g.rep for t in g.members)
+        assert g.net_sign == sum(t.chamber.sign for t in g.members)
+    reps = [g.rep for g in verdict.certificate]
+    assert reps == sorted(set(reps))
+
+
+WIDE_SAMPLE = ["AIII(2,3)", "CI(4)", "BI(3)", "DI(4)", "DIII(5)", "EIII", "EVII"]
+WIDE = [(near, Fraction(1, t)) for near in (10**12, 10**40) for t in (2, 7)]
+
+
+# Tier-1 runs one case of each tag; the slow run takes every admissible case.
+@pytest.mark.parametrize("case", [
+    pytest.param(case, id=case.label, marks=[] if case.label in WIDE_SAMPLE else [pytest.mark.slow])
+    for case in ADMISSIBLE_CASES
+])
+def test_wide_levels_match_per_point_and_reference(case):
+    # Levels near 10**12 and 10**40 need keys far wider than a machine
+    # word.  Point by point the memo widens inside each window; the grid
+    # packs once for a window's first points and widens for the whole.
+    # The rational reference takes up to 15 s a point at rank 20, so past
+    # the sampled cases it decides only the widest window's point at which
+    # the memo widened; every point's classes are held to the
+    # representatives of its terms.
+    for near, step in WIDE:
+        datum = dataclasses.replace(build_datum(case))
+        ms = crossing_window(datum, step, near)
+        per_point, widths = [], [0]
+        for m in ms:
+            got = classify_scalar(datum, m * step)
+            assert_classes_are_the_representatives(got)
+            per_point.append((got.verdict, got.route))
+            widths.append(datum.integer_view.words.get(None, (0, 0))[0])
+            widened = 0 < widths[-2] < widths[-1]
+            if case.label in WIDE_SAMPLE or widened and (near, step) == WIDE[-1]:
+                assert got == reference(datum, m * step), (near, step, m)
+        assert any(0 < width < widths[-1] for width in widths), (near, step)
+        assert_memo_is_packed(datum.integer_view)
+        line = jantzen.ScalarGrid(dataclasses.replace(datum), step)
+        assert line.decide(ms[:3]) == per_point[:3], (near, step)
+        width = line.view.words[None][0]
+        assert line.decide(ms) == per_point, (near, step)
+        assert line.view.words[None][0] > width, (near, step)
+        assert_memo_is_packed(line.view)
+
+
 def test_word_memo_is_used_and_bounded():
     datum = dataclasses.replace(build_datum(HermitianCase("CI", n=8)))
     regular = 0
     for c in default_window(datum.case, Fraction(1, 6)):
         regular += sum(t.chamber.is_regular for t in classify_scalar(datum, c).terms)
     view = datum.integer_view
-    entries = sum(len(e) for _, e in view.words.values())
+    entries = sum(len(e) for _, e in records(view).values())
     ref = scaled(datum)
     assert entries <= sum(len(walls(ref, nil.root)) + 1 for nil in view.nilradical)
     assert 10 * entries < regular
@@ -320,7 +503,7 @@ def test_records_are_built_for_support_roots_only():
             datum = dataclasses.replace(base)
             got = classify_scalar(datum, c)
             support = jantzen_support(base, scalar_parameter_weight(base, c))
-            assert set(datum.integer_view.words) == {index[beta] for beta in support}, (case, c)
+            assert set(records(datum.integer_view)) == {index[beta] for beta in support}, (case, c)
             if not support:
                 assert got.route == ROUTE_EMPTY_SUPPORT
                 assert datum.integer_view.words == {}
@@ -333,7 +516,7 @@ def test_replaced_datum_derives_a_fresh_view():
     datum = build_datum(HermitianCase("AIII", p=2, q=2))
     assert datum.integer_view is datum.integer_view
     classify_scalar(datum, -1)
-    assert datum.integer_view.words
+    assert records(datum.integer_view)
     crippled = dataclasses.replace(datum, levi_positive=datum.levi_positive[:1])
     assert len(crippled.integer_view.levi_norms) == 1
     assert not crippled.integer_view.words
