@@ -110,6 +110,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _Store(argparse.Action):
+    """Store a flag's one value, and refuse "--flag=--".
+
+    Some argparse versions drop a lone "--" from a flag's value and store
+    an empty list, which no choices or type check sees; that is a usage
+    error, which quotes the value.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            parser.error(f"argument {option_string}: invalid value: '--'")
+        setattr(namespace, self.dest, values)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -218,7 +232,7 @@ def _build_parser() -> _Parser:
     for name, (func, text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flag, spec in flags.items():
-            p.add_argument(flag, **spec)
+            p.add_argument(flag, action=_Store, **spec)
         p.set_defaults(func=func)
     return parser
 

@@ -19,14 +19,14 @@ level k and keeps what it learns of each root's line: a level on one of
 beta's Levi walls is Singular, and off them a memoized Weyl word gives the
 representative, certified dominant at that level by the interval of
 levels stored with the word, or a fresh descent, which needs no wall scan
-of its own, finds the word and stores its interval.  Each entry also
-holds w*R and w*B packed into integers, P(u) = sum of u[i] * 2**(s*(d-1-i)),
+of its own, finds the word and stores its interval.  A walk packs each
+entry's w*R and w*B into integers, P(u) = sum of u[i] * 2**(s*(d-1-i)),
 so the class key of the representative at level k is P(w*R) - k*P(w*B),
 one multiply-subtract.  P is linear, and injective and ordered as tuples
 are while each coordinate lies below 2**(s-1) in magnitude; Levi
 reflections are orthogonal, so a coordinate of the representative at
-level k is at most |R| + k*|B|, and `weyl` sets the width s from the
-data and the walk's highest level.  The decision forms no vector: the
+level k is at most |R| + k*|B|, and `weyl` derives the width s from the
+data and the walk's own highest level.  The decision forms no vector: the
 verdict and route come from integer sign sums per class key.  The terms,
 classes and witness, the only rationals, are then unscaled from the
 entries the walk fetched (root index, level, entry), each representative
@@ -47,7 +47,10 @@ of points with its levels, a single point for `classify_scalar`.  The walk
 holds each root's current entry and decides every level inside its
 interval by the entry's key, going back to `weyl` only for a level past
 it.  It keeps the class sums and theta check per visited point and
-decides each point's verdict and route.
+decides each point's verdict and route.  The packed pairs live in a table
+the caller owns, one per request, so a grid packs each entry once per
+width however many blocks fetch it, and no width is shared between
+requests: a datum and its memo may be shared across threads.
 
 Only exact rational parameters are accepted: a float or a bool raises
 ValueError.  A parameter with irrational or non-real scalar part would make
@@ -63,7 +66,7 @@ from fractions import Fraction
 from .errors import InvariantError
 from .ratvec import Weight, add, congruence, is_integer, pairing, rational
 from .rootdata import IntegerView, ParabolicRootDatum, build_datum
-from .weyl import ChamberForm, _line_chamber, _line_width
+from .weyl import ChamberForm, _line_chamber, _line_width, _pack
 
 SIMPLE = "Simple"
 REDUCIBLE = "Reducible"
@@ -134,30 +137,34 @@ def _survives(classes: dict[int, list[int]]) -> bool:
     return any(net for net, _ in classes.values())
 
 
-def _walk(view: IntegerView, walks, size: int):
+def _walk(view: IntegerView, walks, size: int, packs: dict):
     """Decide the points 0 .. size-1 from per-root walks.
 
     `walks` lists, per root j, (j, index of its first point, period, its
     level there, level step): root j is in the support at every period-th
-    point from the first, its level rising by the step.  The memo is packed
-    once, before the first term, at a width that serves the walk's top
-    level.  The walk holds root j's current memo entry and decides each
-    level inside its lo..hi by the entry's key P(w*R) - k*P(w*B) and the
-    parity of its word; only a level past hi, on a wall or in another
-    entry, goes back to `weyl`.  Each regular term adds its sign to its
-    class's [net sign, theta value], keyed by the representative's key;
-    theta_u pairs with c*zeta alike in every term, so the c-free part
-    stands for the term's theta value.  Returns each point's (verdict,
-    route), the entries fetched from `weyl` as (j, k, entry or None on a
-    wall) in walk order, one per term when each walk has one point, and
-    the class sums of each visited point by its index.  A theta split
-    raises InvariantError once every term has passed its own checks, as
-    the rational reference raises it.
+    point from the first, its level rising by the step.  The walk takes one
+    packing width, before the first term, that serves its top level, and
+    reads each fetched entry's pair (P(w*R), P(w*B)) from
+    packs[width][(j, lo)], packing it there on a miss; an entry is named by
+    its root and lo, as a root's entries are disjoint.  The walk holds root
+    j's current memo entry and decides each level inside its lo..hi by the
+    entry's key P(w*R) - k*P(w*B) and the parity of its word; only a level
+    past hi, on a wall or in another entry, goes back to `weyl`.  Each
+    regular term adds its sign to its class's [net sign, theta value],
+    keyed by the representative's key; theta_u pairs with c*zeta alike in
+    every term, so the c-free part stands for the term's theta value.
+    Returns each point's (verdict, route), the entries fetched from `weyl`
+    as (j, k, entry, packed pair), or (j, k, None, None) on a wall, in walk
+    order, one per term when each walk has one point, and the class sums of
+    each visited point by its index.  A theta split raises InvariantError
+    once every term has passed its own checks, as the rational reference
+    raises it.
     """
     if walks:
         # a walk that starts past the last point reads below its first level
         tops = [k + (size - 1 - i) // period * rise for _, i, period, k, rise in walks]
-        _line_width(view, max(tops))
+        width = _line_width(view, max(tops))
+        packed = packs.setdefault(width, {})
     theta_rho = view.theta_rho
     # per visited point, by index: its classes' [net sign, theta value]
     points: dict[int, dict[int, list[int]]] = {}
@@ -168,17 +175,21 @@ def _walk(view: IntegerView, walks, size: int):
         hi = 0
         for i in range(start, size, period):
             if k > hi:
-                entry = _line_chamber(view, j, k)
-                fetched.append((j, k, entry))
+                entry = pair = _line_chamber(view, j, k)
                 if entry is None:
-                    hi, pr = k, None
+                    hi = k
                 else:
-                    _, hi, pr, pb, _, _, word = entry
+                    lo, hi, wr, wb, word = entry
+                    pair = packed.get((j, lo))
+                    if pair is None:
+                        pair = packed[j, lo] = _pack(wr, width), _pack(wb, width)
+                    pr, pb = pair
                     sign = -1 if len(word) & 1 else 1
+                fetched.append((j, k, entry, pair))
             classes = points.get(i)
             if classes is None:
                 classes = points[i] = {}
-            if pr is not None:
+            if entry is not None:
                 key = pr - k * pb
                 theta = theta_rho - k * theta_root
                 held = classes.get(key)
@@ -221,7 +232,7 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
         for j, nil in enumerate(view.nilradical)
         if (num := d * nil.a + n * nil.b) > 0 and num % (d * nil.norm) == 0
     ]
-    [(verdict, route)], fetched, points = _walk(view, walks, 1)
+    [(verdict, route)], fetched, points = _walk(view, walks, 1, {})
     # Over the denominator d*D, the image rho - k*beta + c*zeta of a scaled
     # vector v = D*(rho - k*beta) is d*v + n*Z.  Images and representatives
     # share most coordinates, so each Fraction is built once.
@@ -240,16 +251,16 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
 
     terms = []
     groups: dict[int, list[JantzenTerm]] = {}
-    for j, k, entry in fetched:
+    for j, k, entry, pair in fetched:
         v = [r - k * x for r, x in zip(view.rho, view.nilradical[j].root)]
         rep, steps = None, 0
         if entry is not None:
-            _, _, pr, pb, wr, wb, word = entry
+            _, _, wr, wb, word = entry
             rep, steps = unscale([r - k * b for r, b in zip(wr, wb)]), len(word)
         term = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), ChamberForm(rep, steps))
         terms.append(term)
         if rep is not None:
-            groups.setdefault(pr - k * pb, []).append(term)
+            groups.setdefault(pair[0] - k * pair[1], []).append(term)
     # Keys sort as the scaled representatives do, and unscaling is a
     # coordinatewise increasing map, so they sort as the representatives.
     certificate = tuple(
@@ -273,7 +284,8 @@ class ScalarGrid:
     first point and period are found once, by one congruence; along it the
     level rises by a fixed step.  A window's support terms are counted
     without deciding any, and a point that no progression visits is Simple
-    by the empty support, with no per-root work.
+    by the empty support, with no per-root work.  The grid keeps one table
+    of packed pairs for all its blocks (`_walk`).
     """
 
     def __init__(self, datum: ParabolicRootDatum, step):
@@ -294,6 +306,7 @@ class ScalarGrid:
             level = (nil.a * t + first * slope) // modulus
             progressions.append((j, first, period, level, slope * period // modulus))
         self._progressions = tuple(progressions)
+        self._packs: dict = {}
 
     def _walks(self, ms: range):
         """Per root: (j, index in ms of its first point there, period, its level, level step)."""
@@ -315,4 +328,4 @@ class ScalarGrid:
         the same walk over the same terms; InvariantError is raised once
         every term of the range has been decided.
         """
-        return _walk(self.view, list(self._walks(ms)), len(ms))[0]
+        return _walk(self.view, list(self._walks(ms)), len(ms), self._packs)[0]

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import mul
-from typing import Iterable
 
 Weight = tuple[Fraction, ...]
 

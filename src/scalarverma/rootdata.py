@@ -50,10 +50,10 @@ arithmetic of the oracle.  The view holds only the datum's own scaled
 numbers and the dots among them that `weyl`'s descent reads in place of
 recomputing them, plus one dict in which `weyl` keeps a record per root of
 that root's scalar line: its singular levels and its certified words,
-built once the root's Levi integrality is checked, with the width at
-which the words' vectors are packed into class keys.  `weyl` replaces a
-root's immutable record whole, but widening the packing replaces every
-record at once, so requests on one view must not overlap across threads.
+built once the root's Levi integrality is checked.  `weyl` replaces a
+root's immutable record whole and writes no other, so a datum and its
+view may be shared across threads: a lost update loses only a word,
+which the next request finds again.
 """
 
 from __future__ import annotations
@@ -216,9 +216,8 @@ class IntegerView:
 
     `words` belongs to `weyl`: per nilradical index, the record
     (singular, entries) of that root's scalar line (its singular levels and
-    certified words), built on the root's first support term, and under
-    the key None the width at which the entries' vectors are packed, with
-    the highest level that width serves.  Nothing else reads or writes it.
+    certified words), built on the root's first support term; its keys are
+    the indices only.  Nothing else reads or writes it.
     """
 
     denom: int

@@ -29,18 +29,16 @@ columns, with no dot of its own.  Off the walls, a descent's word w gives
 the representative w*R - k*w*B, whose pairing with each Levi simple root
 is affine in k; the levels at which all of them are positive form an
 integer interval lo..hi, and at exactly those levels w*v(k) is the
-dominant point of v(k)'s orbit.  Each entry is
-(lo, hi, P(w*R), P(w*B), w*R, w*B, w), and a term is served by the entry
-whose lo..hi holds its level, which certifies the representative at the
-term's own level; a level no entry holds is descended afresh and its
-interval stored.  The representative's key is P(w*R) - k*P(w*B), one
-multiply-subtract, for the packing P(u) = sum of u[i] * 2**(s*(d-1-i)):
-P is linear, and injective and ordered as tuples are while every
-coordinate lies below 2**(s-1) in magnitude.  Levi reflections are
-orthogonal, so each coordinate of w*v(k) is at most |R| + k*|B|, and
-`_line_width` sets s from the data so that this bound holds at the
-highest level a walk asks for, repacking the memo's entries only when a
-request passes the highest level its width serves.  The
+dominant point of v(k)'s orbit.  Each entry is (lo, hi, w*R, w*B, w), and
+a term is served by the entry whose lo..hi holds its level, which
+certifies the representative at the term's own level; a level no entry
+holds is descended afresh and its interval stored.  A walk keys the
+representative as P(w*R) - k*P(w*B), one multiply-subtract, for the
+packing P(u) = sum of u[i] * 2**(s*(d-1-i)): P is linear, and injective
+and ordered as tuples are while every coordinate lies below 2**(s-1) in
+magnitude.  Levi reflections are orthogonal, so each coordinate of
+w*v(k) is at most |R| + k*|B|, and `_line_width` derives s from the data
+and the highest level one walk asks for; the memo holds no width.  The
 descent is `normalize`'s first-negative rule, step bound and errors, run
 on v and w*B together in integers, with no wall scan: R = D*rho is
 strictly Levi dominant, so R - k*B meets the wall of a Levi root A only
@@ -56,8 +54,9 @@ with k in lo..hi lies in one open chamber, and the first-negative
 descent reads only the chamber, so a served word is the word a fresh
 descent would find.  The Weyl group acts simply transitively on
 chambers, so no two words share a level and a root's entries are
-disjoint.  Each fill replaces the root's record whole, and a repacking
-every record.
+disjoint.  Each fill replaces the root's record whole, so a datum and its
+memo may be shared across threads: a lost update loses only an entry,
+and each entry certifies itself by its lo..hi.
 """
 
 from __future__ import annotations
@@ -171,44 +170,29 @@ def _pack(u: IntVector, width: int) -> int:
     return key
 
 
-def _line_width(view: IntegerView, top: int) -> None:
-    """Pack the memo at a width whose keys hold at every level 1..top.
+def _line_width(view: IntegerView, top: int) -> int:
+    """A packing width whose keys hold at every level 1..top.
 
     An entry's key at level k is P(w*R) - k*P(w*B) = P(w*R - k*w*B), as P is
     linear.  P is injective, and orders vectors as tuples, while every
     coordinate lies below 2**(width-1) in magnitude.  A Levi word is an
     orthogonal map, so each coordinate of w*(R - k*B) is at most
     |R| + k*|B| <= r + k*b, for r and b one more than the integer square
-    roots of dot(R, R) and of the largest nilradical norm.  The memo keeps
-    its width and the highest level it serves under the key None, and is
-    repacked, every entry at once, only when a request goes past that level.
+    roots of dot(R, R) and of the largest nilradical norm.
     """
-    words = view.words
-    if top <= words.get(None, (0, 0))[1]:
-        return
     r = math.isqrt(sum([x * x for x in view.rho])) + 1
     b = math.isqrt(max([nil.norm for nil in view.nilradical])) + 1
-    width = (r + top * b).bit_length() + 1
-    words[None] = width, ((1 << width - 1) - 1 - r) // b
-    for j, record in list(words.items()):
-        if j is not None:
-            singular, entries = record
-            words[j] = singular, tuple(
-                (lo, hi, _pack(wr, width), _pack(wb, width), wr, wb, word)
-                for lo, hi, _, _, wr, wb, word in entries
-            )
+    return (r + top * b).bit_length() + 1
 
 
 def _line_chamber(view: IntegerView, j: int, k: int) -> tuple | None:
     """The memo entry that decides the term v = R - k*B on the scalar line.
 
     B is the scaled nilradical root view.nilradical[j], R = view.rho and k
-    is a positive integer that the memo's width serves (`_line_width`).
-    Returns None on a wall, and otherwise the entry (lo, hi, P(w*R),
-    P(w*B), w*R, w*B, w) whose levels lo..hi hold k: w*v = w*R - k*w*B is
-    the dominant point of v's Levi orbit, w, as indices into the Levi
-    simple roots, the word of the first-negative descent that reaches it,
-    and P(w*R) - k*P(w*B) the key of w*v.
+    is a positive integer.  Returns None on a wall, and otherwise the entry
+    (lo, hi, w*R, w*B, w) whose levels lo..hi hold k: w*v = w*R - k*w*B is
+    the dominant point of v's Levi orbit, and w, as indices into the Levi
+    simple roots, the word of the first-negative descent that reaches it.
     Root j's record in view.words, built on its first term, holds its
     singular levels and its entries, disjoint and sorted by lo, each filled
     by one descent.  A singular level is Singular.  The entry with
@@ -262,7 +246,6 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple | None:
         word.append(s)
         if len(word) > bound:
             raise InvariantError("chamber descent exceeded the positive-root bound")
-    wb, word = tuple(wb), tuple(word)
     wr = tuple([x + k * b for x, b in zip(v, wb)])
     # dot(wr - k*wb, A_s) = p - k*q_s, for p = d_s + k*q_s, is positive for
     # k <= (p - 1)/q_s when q_s > 0 and for k > p/q_s when q_s < 0; with
@@ -274,7 +257,6 @@ def _line_chamber(view: IntegerView, j: int, k: int) -> tuple | None:
             hi = min(hi, (p - 1) // qs)
         elif qs < 0:
             lo = max(lo, -p // -qs + 1)
-    width = view.words[None][0]
-    entry = lo, hi, _pack(wr, width), _pack(wb, width), wr, wb, word
+    entry = lo, hi, wr, tuple(wb), tuple(word)
     view.words[j] = singular, entries[:i] + (entry,) + entries[i:]
     return entry

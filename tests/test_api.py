@@ -8,6 +8,9 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -63,6 +66,16 @@ def _package_imports() -> dict[str, set[str]]:
     return graph
 
 
+def test_cli_imports_no_typing():
+    # A cold `import scalarverma.cli`, in a fresh interpreter without site,
+    # loads no typing: annotations are strings, and Iterable comes from
+    # collections.abc, which the interpreter loads at start.
+    code = "import sys, scalarverma.cli; print(sorted({'typing'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == "[]\n"
+
+
 def test_package_imports_have_no_cycle():
     graph = _package_imports()
     assert "rootdata" in graph and "cli" in graph
@@ -89,6 +102,24 @@ def _attribute_readers(attr: str) -> set[str]:
 
 def test_only_weyl_reads_the_chamber_word_memo():
     assert _attribute_readers("words") == {"weyl"}
+
+
+def test_the_memo_is_written_one_root_at_a_time():
+    # weyl writes the memo only at the index of the root it decides, each
+    # record whole, and calls no method of it but get: no request rewrites
+    # another root's record, and the memo keeps nothing but records.
+    writes, methods = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.Subscript, ast.Attribute)):
+                continue
+            memo = isinstance(node.value, ast.Attribute) and node.value.attr == "words"
+            if memo and isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                writes.add((path.stem, ast.unparse(node.slice)))
+            elif memo and isinstance(node, ast.Attribute):
+                methods.add(node.attr)
+    assert writes == {("weyl", "j")}
+    assert methods == {"get"}
 
 
 def test_only_weyl_knows_a_roots_line_walls():
@@ -161,24 +192,24 @@ def test_each_decision_has_one_copy():
 
 def test_one_term_walk_serves_every_decision():
     # classify_scalar and ScalarGrid hand their terms to one walk, which
-    # holds jantzen's only calls into weyl's scalar line, the memo's packing
-    # and each entry's fetch, and its only theta-split raise.  jantzen takes
-    # nothing else of weyl's but the chamber form.
+    # holds jantzen's only calls into weyl's scalar line, the walk's width,
+    # each entry's fetch and its packing, and its only theta-split raise.
+    # jantzen takes nothing else of weyl's but the chamber form.
     tree = ast.parse((PACKAGE / "jantzen.py").read_text(encoding="utf-8"))
     walk = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_walk")
 
     def calls(node):
         return [n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
 
-    for name in ("_line_chamber", "_line_width"):
-        assert calls(tree).count(name) == calls(walk).count(name) == 1, name
+    for name, count in (("_line_chamber", 1), ("_line_width", 1), ("_pack", 2)):
+        assert calls(tree).count(name) == calls(walk).count(name) == count, name
     imported = {
         alias.name
         for n in ast.walk(tree)
         if isinstance(n, ast.ImportFrom) and n.module == "weyl"
         for alias in n.names
     }
-    assert imported == {"ChamberForm", "_line_chamber", "_line_width"}
+    assert imported == {"ChamberForm", "_line_chamber", "_line_width", "_pack"}
     raises = [n for n in ast.walk(tree) if isinstance(n, ast.Raise) and "_THETA_SPLIT" in ast.unparse(n)]
     assert len(raises) == 1 and raises[0] in list(ast.walk(walk))
 

@@ -172,6 +172,25 @@ def test_non_ascii_digits_keep_their_messages(capsys, argv, message):
     assert message in err
 
 
+# A valid value of each flag that the lone-"--" argvs below keep.
+KEPT_VALUES = {"--case": "CI", "--n": "2", "--c": "0", "--window": "0..1", "--table": "4"}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(name, flag) for name, (_, _, flags) in cli._COMMANDS.items() for flag in flags],
+    ids=lambda x: x,
+)
+def test_a_lone_double_dash_value_is_a_usage_error(capsys, command, flag):
+    # argparse drops the value of "--flag=--" on some versions and keeps
+    # it on others; either way the request is refused and names the value.
+    flags = cli._COMMANDS[command][2]
+    argv = [command] + [f"{f}={v}" for f, v in KEPT_VALUES.items() if f in flags and f != flag]
+    code, out, err = run_cli(capsys, *argv, f"{flag}=--")
+    assert code == 1 and out == ""
+    assert "'--'" in err and "Traceback" not in err
+
+
 def test_signed_ascii_numbers_parse(capsys):
     a = classify_json(capsys, "--case", "CI", "--n", "+3", "--c", "\u22123/4")
     b = classify_json(capsys, "--case", "CI", "--n", "3", "--c", "-3/4")

@@ -14,6 +14,7 @@ the oracle, patched into `cli` as progressions in m.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -24,7 +25,7 @@ import pytest
 from conftest import ADMISSIBLE_CASES, case_flags
 from reference import abc_verdict_reference, closed_form_reference
 from scalarverma import HermitianCase, abc_constants, build_datum, classify_scalar, line_offset
-from scalarverma import cli, jantzen
+from scalarverma import cli, jantzen, weyl
 from scalarverma.jantzen import REDUCIBLE, ScalarGrid
 from scalarverma.ratvec import format_rational
 
@@ -74,11 +75,11 @@ def test_term_count_is_the_terms_decided(case, monkeypatch):
     datum = build_datum(case)
     triples, calls = [], []
 
-    def walk(view, walks, size):
+    def walk(view, walks, size, packs):
         walks = list(walks)
         for j, start, period, k, rise in walks:
             triples.extend((i, j, k + n * rise) for n, i in enumerate(range(start, size, period)))
-        return whole_walk(view, walks, size)
+        return whole_walk(view, walks, size, packs)
 
     def line_chamber(view, j, k):
         entry = fetch(view, j, k)
@@ -119,6 +120,58 @@ def test_term_count_is_the_terms_decided(case, monkeypatch):
     assert grid.terms(range(-9, 2)) + grid.terms(range(2, 7)) == grid.terms(range(-9, 7))
     # some levels are served by a held entry, with no call to `weyl`
     assert served > 0
+
+
+def test_a_grid_packs_each_entry_once_per_width(capsys, monkeypatch):
+    # The dense CI(20) scan's blocks cross steps of the packing width.  The
+    # request's grid keeps one table of packed pairs for all its blocks, so
+    # a warm scan packs each pair it holds once, and at most twice per memo
+    # entry and width, however many blocks fetch the entry.
+    argv = ["scan", "--case", "CI", "--n", "20", "--window", "0..499/2", "--step", "1/2", "--format", "json"]
+    assert cli.main(argv) == 0
+    widths, tables = [], []
+
+    def pack(u, width):
+        widths.append(width)
+        return whole_pack(u, width)
+
+    def walk(view, walks, size, packs):
+        tables.append(packs)
+        return whole_walk(view, walks, size, packs)
+
+    whole_pack, whole_walk = jantzen._pack, jantzen._walk
+    monkeypatch.setattr(jantzen, "_pack", pack)
+    monkeypatch.setattr(jantzen, "_walk", walk)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    [packs] = {id(t): t for t in tables}.values()
+    assert len(tables) > 1 and len(set(widths)) > 1
+    assert len(widths) == 2 * sum(map(len, packs.values()))
+    entries = sum(len(e) for _, e in build_datum(HermitianCase("CI", n=20)).integer_view.words.values())
+    assert len(widths) <= 2 * entries * len(packs)
+
+
+def test_a_wide_request_leaves_a_later_grid_at_its_own_width(monkeypatch):
+    # The memo holds no width: after a request at c = 10**40, a warm grid
+    # over a small window packs only at the widths its own walk takes.
+    datum = dataclasses.replace(build_datum(HermitianCase("CI", n=4)))
+    ms, step = range(-20, 9), Fraction(1, 2)
+    first = ScalarGrid(datum, step)
+    decided = first.decide(ms)
+    wide = classify_scalar(datum, 10**40).terms
+    widths = []
+
+    def pack(u, width):
+        widths.append(width)
+        return whole_pack(u, width)
+
+    whole_pack = jantzen._pack
+    monkeypatch.setattr(jantzen, "_pack", pack)
+    later = ScalarGrid(datum, step)
+    assert later.decide(ms) == decided
+    assert widths and set(widths) == set(later._packs) == set(first._packs)
+    view = datum.integer_view
+    assert max(widths) < max(weyl._line_width(view, int(t.level)) for t in wide)
 
 
 def test_grid_rejects_a_step_that_is_not_positive():

@@ -11,9 +11,11 @@ descent, which updates tracked pairings, with `reference.scaled_descent`,
 which recomputes every dot on the datum's own Levi roots.  Each root's record, whose dots come from the
 view's coordinate columns, is compared with `reference.line_record_reference`,
 which takes one full dot per Levi positive root.
-Each entry's packed pair is held to the packing's definition at the
-memo's width, and the packing to injectivity and tuple order at the width
-the memo derives; windows at levels near 10**12 and 10**40 widen it.
+The memo holds vectors under integer keys only; each packed pair a
+walk's table holds is held to the packing's definition at its width, and
+the packing to injectivity and tuple order at the width a walk derives;
+windows at levels near 10**12 and 10**40 cross a step of that width, and
+a request at such a level between a walk's fetches changes no verdict.
 `reference.simplicity_oracle`, built on `normalize`, is the rational
 reference.  Every comparison here is whole-verdict equality, certificates
 included, and every InvariantError the reference can raise is triggered
@@ -166,19 +168,18 @@ def walls(ref, root):
 
 def chamber(view, j, k):
     """(w*v, w) for the term v = R - k*B of root j, read off the entry
-    weyl's memo, packed to serve level k, gives it; (None, ()) on a wall."""
-    weyl._line_width(view, k)
+    weyl's memo gives it; (None, ()) on a wall."""
     entry = _line_chamber(view, j, k)
     if entry is None:
         return None, ()
-    _, _, _, _, wr, wb, word = entry
+    _, _, wr, wb, word = entry
     return tuple(r - k * b for r, b in zip(wr, wb)), word
 
 
 def records(view):
-    """weyl's records (singular, entries) by root index, without the
-    memo's width, which it keeps under the key None."""
-    return {j: record for j, record in view.words.items() if j is not None}
+    """weyl's records (singular, entries) by root index, the memo's only keys."""
+    assert all(type(j) is int for j in view.words)
+    return view.words
 
 
 def line_record(view, j):
@@ -198,8 +199,7 @@ def fresh_descent(view, j, k):
 
 def fresh_entry(view, j, k):
     """fresh_descent's (rep, word) and the entries its record then holds:
-    one (lo, hi, P(w*R), P(w*B), w*R, w*B, w) after a descent, none at a
-    singular level."""
+    one (lo, hi, w*R, w*B, w) after a descent, none at a singular level."""
     held = view.words.get(j)
     singular = held[0] if held else weyl._line_record(view, view.nilradical[j].root)[0]
     view.words[j] = singular, ()
@@ -262,9 +262,8 @@ def assert_intervals_are_the_dominant_levels(datum):
     """Each memo entry's lo..hi holds exactly the levels k at which w*R - k*w*B
     is dominant, and each root's entries are sorted and pairwise disjoint."""
     view, ref = datum.integer_view, scaled(datum)
-    assert_memo_is_packed(view)
     for j, (_, entries) in records(view).items():
-        for lo, hi, _, _, wr, wb, _ in entries:
+        for lo, hi, wr, wb, _ in entries:
             assert lo <= hi
             for k in range(1, int(max(walls(ref, view.nilradical[j].root), default=0)) + 3):
                 rep = tuple(r - k * b for r, b in zip(wr, wb))
@@ -280,14 +279,27 @@ def packed(u, width):
     return sum(x * 2 ** (width * (d - 1 - i)) for i, x in enumerate(u))
 
 
-def assert_memo_is_packed(view):
-    """Every entry's packed pair is (P(w*R), P(w*B)) at the memo's current width."""
-    held = records(view)
-    if any(entries for _, entries in held.values()):
-        width, _ = view.words[None]
-        for j, (_, entries) in held.items():
-            for _, _, pr, pb, wr, wb, _ in entries:
-                assert (pr, pb) == (packed(wr, width), packed(wb, width)), j
+def assert_packs_hold(view, packs):
+    """Every pair of a walk's table packs[width][(j, lo)] is (P(w*R), P(w*B))
+    at its width, for the entry of root j whose interval starts at lo."""
+    assert packs
+    for width, table in packs.items():
+        for (j, lo), pair in table.items():
+            [(wr, wb)] = [(wr, wb) for lo_, _, wr, wb, _ in view.words[j][1] if lo_ == lo]
+            assert pair == (packed(wr, width), packed(wb, width)), (width, j, lo)
+
+
+def served(view, top):
+    """The highest level a walk packs at the width it takes for top."""
+    width = weyl._line_width(view, top)
+    hi = 2 * top
+    while weyl._line_width(view, hi) == width:
+        hi *= 2
+    lo = top
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if weyl._line_width(view, mid) == width else (lo, mid)
+    return lo
 
 
 def beyond(x, rr, t, n):
@@ -302,18 +314,18 @@ def beyond(x, rr, t, n):
 @given(st.data())
 def test_packing_is_injective_and_lexicographic_at_the_derived_width(data):
     # A Levi word is orthogonal, so each coordinate of a representative at
-    # level k is at most |R| + k*|B|; the memo's width puts that below
-    # 2**(width-1) up to the level it serves, and there P orders vectors as
-    # tuples.
+    # level k is at most |R| + k*|B|; a walk's width puts that below
+    # 2**(width-1) up to its top level, and there P orders vectors as
+    # tuples.  Deriving the width writes nothing to the memo.
     case = data.draw(st.sampled_from(small_cases() + HIGH_RANK + [HermitianCase("CI", n=20)]))
     top = data.draw(st.one_of(st.integers(1, 200), st.integers(1, 10**45)))
     view = dataclasses.replace(build_datum(case)).integer_view
-    weyl._line_width(view, top)
-    width, served = view.words[None]
-    assert served >= top
+    width = weyl._line_width(view, top)
+    assert view.words == {}
+    assert weyl._line_width(view, top - 1) <= width <= weyl._line_width(view, top + 1)
     half = 1 << (width - 1)
     norm = max(nil.norm for nil in view.nilradical)
-    assert beyond(half, dot(view.rho, view.rho), served, norm)
+    assert beyond(half, dot(view.rho, view.rho), top, norm)
     digit = st.integers(-(half - 1), half - 1)
     u = data.draw(st.lists(digit, min_size=len(view.rho), max_size=len(view.rho)))
     cut = data.draw(st.integers(0, len(u)))
@@ -334,49 +346,50 @@ def test_one_bit_narrower_packing_collides(width):
 
 
 def test_memo_is_packed_at_its_width():
-    # One-point requests the memo's width serves repack nothing; a request
-    # past the served level repacks every entry at once, to a wider width.
+    # The memo keeps vectors: one-point requests at any level, however wide,
+    # leave every record it already holds the same object, and a grid packs
+    # each entry it fetches into its own table, at its walk's width.
     datum = dataclasses.replace(build_datum(HermitianCase("CI", n=4)))
     view = datum.integer_view
     window = list(default_window(datum.case, Fraction(1, 2)))
-    for c in window:
-        classify_scalar(datum, c)
-    assert_memo_is_packed(view)
-    width, served = view.words[None]
-    held = records(view)
+    first = [classify_scalar(datum, c) for c in window]
+    held = dict(records(view))
     assert any(entries for _, entries in held.values())
-    for c in window:
-        classify_scalar(datum, c)
-    assert view.words[None] == (width, served)
-    assert all(view.words[j] is record for j, record in held.items())
     for c in (Fraction(10**12), Fraction(10**40 + 1, 2)):
-        levels = [t.level for t in classify_scalar(datum, c).terms]
-        assert max(levels) > served
-        assert view.words[None][0] > width
-        width, served = view.words[None]
-        assert served >= max(levels)
-        assert_memo_is_packed(view)
+        assert max(t.level for t in classify_scalar(datum, c).terms) > 10**11
+        assert [classify_scalar(datum, c) for c in window] == first
+        assert all(view.words[j] is record for j, record in held.items())
         assert_intervals_are_the_dominant_levels(datum)
+    line = jantzen.ScalarGrid(datum, Fraction(1, 2))
+    ms = range(-8, 9)
+    points = [classify_scalar(datum, m * line.step) for m in ms]
+    assert line.decide(ms) == [(v.verdict, v.route) for v in points]
+    top = int(max(t.level for v in points for t in v.terms))
+    assert list(line._packs) == [weyl._line_width(view, top)]
+    assert_packs_hold(view, line._packs)
+    wide = range(2 * 10**12, 2 * 10**12 + 5)
+    line.decide(wide)
+    narrow, width = sorted(line._packs)
+    assert width > narrow
+    assert_packs_hold(view, line._packs)
 
 
 def crossing_window(datum, step, near, half=3):
-    """Grid indices m about near / step across which the memo's width grows.
+    """Grid indices m about near / step across which a walk's width steps up.
 
-    The levels at m0 = round(near / step) need a width that serves levels
+    The levels at m0 = round(near / step) take a width that serves levels
     up to some S, and mx is the first m at which a root's level passes S.
-    No level at an m below mx passes S, so a fresh memo that decides the
-    window point by point is packed no wider until mx, and widens by mx.
-    The window starts at the last support point below mx, or half points
-    below it, whichever is first, and ends half points above it.
+    No level at an m below mx passes S, so a walk of one point below mx
+    packs no wider than m0's, and the walk at mx packs wider.  The window
+    starts at the last support point below mx, or half points below it,
+    whichever is first, and ends half points above it.
     """
     progressions = jantzen.ScalarGrid(datum, step)._progressions
     m0 = round(near / step)
     top = max(k + (m0 - first) // period * rise for _, first, period, k, rise in progressions)
-    fresh = dataclasses.replace(datum).integer_view
-    weyl._line_width(fresh, top)
-    _, served = fresh.words[None]
+    level = served(datum.integer_view, top)
     mx = min(
-        first + max(0, (served - k) // rise + 1) * period for _, first, period, k, rise in progressions
+        first + max(0, (level - k) // rise + 1) * period for _, first, period, k, rise in progressions
     )
     # from the last support point below mx, so that the window crosses
     below = max(mx - 1 - (mx - 1 - first) % period for _, first, period, _, _ in progressions)
@@ -407,32 +420,67 @@ WIDE = [(near, Fraction(1, t)) for near in (10**12, 10**40) for t in (2, 7)]
 ])
 def test_wide_levels_match_per_point_and_reference(case):
     # Levels near 10**12 and 10**40 need keys far wider than a machine
-    # word.  Point by point the memo widens inside each window; the grid
-    # packs once for a window's first points and widens for the whole.
-    # The rational reference takes up to 15 s a point at rank 20, so past
-    # the sampled cases it decides only the widest window's point at which
-    # the memo widened; every point's classes are held to the
-    # representatives of its terms.
+    # word.  Point by point the walk's width steps up inside each window;
+    # the grid packs a window's first points at one width and the whole at
+    # a wider one.  The rational reference takes up to 15 s a point at rank
+    # 20, so past the sampled cases it decides only the widest window's
+    # point at which the width stepped up; every point's classes are held
+    # to the representatives of its terms.
     for near, step in WIDE:
         datum = dataclasses.replace(build_datum(case))
+        view = datum.integer_view
         ms = crossing_window(datum, step, near)
-        per_point, widths = [], [0]
+        per_point, widest, stepped = [], 0, 0
         for m in ms:
             got = classify_scalar(datum, m * step)
             assert_classes_are_the_representatives(got)
             per_point.append((got.verdict, got.route))
-            widths.append(datum.integer_view.words.get(None, (0, 0))[0])
-            widened = 0 < widths[-2] < widths[-1]
+            # the width the point's walk packs at, 0 on an empty support
+            width = max((weyl._line_width(view, int(t.level)) for t in got.terms), default=0)
+            widened = 0 < widest < width
+            stepped += widened
+            widest = max(widest, width)
             if case.label in WIDE_SAMPLE or widened and (near, step) == WIDE[-1]:
                 assert got == reference(datum, m * step), (near, step, m)
-        assert any(0 < width < widths[-1] for width in widths), (near, step)
-        assert_memo_is_packed(datum.integer_view)
+        assert stepped, (near, step)
         line = jantzen.ScalarGrid(dataclasses.replace(datum), step)
         assert line.decide(ms[:3]) == per_point[:3], (near, step)
-        width = line.view.words[None][0]
+        [width] = line._packs
         assert line.decide(ms) == per_point, (near, step)
-        assert line.view.words[None][0] > width, (near, step)
-        assert_memo_is_packed(line.view)
+        assert max(line._packs) > width, (near, step)
+        assert_packs_hold(line.view, line._packs)
+
+
+def test_a_wide_request_inside_a_walk_changes_no_verdict(monkeypatch):
+    # A datum and its memo may be shared across threads.  Interleave without
+    # a thread: right after the first fetch of each walk, a request at
+    # c = 10**40 runs on the same datum, from a fresh view each point.
+    # Every point keeps its clean verdict and route, and so does a grid.
+    fetch = jantzen._line_chamber
+    pending = []
+
+    def line_chamber(view, j, k):
+        entry = fetch(view, j, k)
+        if pending:
+            classify_scalar(pending.pop(), 10**40)
+        return entry
+
+    grid = range(-20, 21)
+    step = Fraction(1, 2)
+    for case in small_cases():
+        base = build_datum(case)
+        clean = [classify_scalar(base, m * step) for m in grid]
+        monkeypatch.setattr(jantzen, "_line_chamber", line_chamber)
+        for m, want in zip(grid, clean):
+            datum = dataclasses.replace(base)
+            pending[:] = [datum]
+            got = classify_scalar(datum, m * step)
+            assert got == want, (case, m)
+        datum = dataclasses.replace(base)
+        pending[:] = [datum]
+        decided = jantzen.ScalarGrid(datum, step).decide(grid)
+        assert decided == [(v.verdict, v.route) for v in clean], case
+        monkeypatch.setattr(jantzen, "_line_chamber", fetch)
 
 
 def test_word_memo_is_used_and_bounded():
