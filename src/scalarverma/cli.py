@@ -36,7 +36,7 @@ any command writes as a root (datum-dump's root fields, classify's support
 terms, class members and witness) gets those strings from _root_texts:
 from the datum's record of doubled integer vectors (`datum.doubled`),
 through a table with one string per distinct doubled coordinate.  A datum
-without that record, such as one made by dataclasses.replace, is an
+without that record, such as one built by its constructor alone, is an
 invariant violation for every such writer (exit 3).  Other weights get
 their strings from _w, one Fraction formatted per coordinate.  Integer
 flags take ASCII digits with an optional sign only, as rationals do.
@@ -48,7 +48,9 @@ straight from that table (_read_argv) and builds no parser; building one
 costs more than deciding a typical point.  Any other argv goes to the
 argparse parser built from the same table, once per process, on the first
 call that needs it, and reused by every later call; it alone prints help
-and usage errors, and their bytes are argparse's.
+and usage errors, and their bytes are argparse's.  argparse is imported
+only to build that parser, and json's string encoder only for a string
+that needs escaping, so a well-formed request loads neither.
 
 classify writes its JSON from fragments, as scan writes its rows: each
 nilradical root's array, from its _root_texts strings at each indent it
@@ -59,14 +61,13 @@ the fragments.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import re
 import sys
 from fractions import Fraction
 from functools import cache
-from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .ehw import (
     INDETERMINATE,
@@ -93,35 +94,6 @@ MAX_SUPPORT_TERMS = 1_000_000
 # long the window and however full the support.
 GRID_BLOCK = 4096
 BLOCK_TERMS = 4096
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1.
-
-    Flags must be spelled in full: a prefix such as --st for --step is
-    an unknown flag, so a flag added later never changes what one means.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class _Store(argparse.Action):
-    """Store a flag's one value, and refuse "--flag=--".
-
-    Some argparse versions drop a lone "--" from a flag's value and store
-    an empty list, which no choices or type check sees; that is a usage
-    error, which quotes the value.
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if values == []:
-            parser.error(f"argument {option_string}: invalid value: '--'")
-        setattr(namespace, self.dest, values)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -185,7 +157,7 @@ def _glue_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse would return for a well-formed argv, read from _COMMANDS.
 
     Well formed: a command, then "--flag value" or "--flag=value" (split at
@@ -213,7 +185,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
             return None
         try:
             value = spec.get("type", str)(value)
-        except (argparse.ArgumentTypeError, ValueError):
+        except ValueError:
             return None
         if value not in spec.get("choices", (value,)):
             return None
@@ -221,18 +193,56 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     if any(spec.get("required") and flag not in values for flag, spec in flags.items()):
         return None
     fields = {flag[2:]: values.get(flag, spec.get("default")) for flag, spec in flags.items()}
-    return argparse.Namespace(func=func, **fields)
+    return SimpleNamespace(func=func, **fields)
 
 
 @cache
-def _build_parser() -> _Parser:
+def _build_parser():
     """The argparse parser of _COMMANDS, built on the first call that needs it."""
-    parser = _Parser(prog="scalarverma", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse with usage failures mapped to exit code 1.
+
+        Flags must be spelled in full: a prefix such as --st for --step is
+        an unknown flag, so a flag added later never changes what one means.
+        """
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, allow_abbrev=False, **kwargs)
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    class Store(argparse.Action):
+        """Store a flag's one value, and refuse "--flag=--".
+
+        Some argparse versions drop a lone "--" from a flag's value and store
+        an empty list, which no choices or type check sees; that is a usage
+        error, which quotes the value.
+        """
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                parser.error(f"argument {option_string}: invalid value: '--'")
+            setattr(namespace, self.dest, values)
+
+    def integer(text: str) -> int:
+        # argparse prints an ArgumentTypeError's message as it stands
+        try:
+            return _integer(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parser = Parser(prog="scalarverma", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
     for name, (func, text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flag, spec in flags.items():
-            p.add_argument(flag, action=_Store, **spec)
+            if spec.get("type") is _integer:
+                spec = {**spec, "type": integer}
+            p.add_argument(flag, action=Store, **spec)
         p.set_defaults(func=func)
     return parser
 
@@ -240,11 +250,11 @@ def _build_parser() -> _Parser:
 def _integer(text: str) -> int:
     """text as an int, for ASCII digits with an optional sign and nothing else.
 
-    int() alone also reads underscores and every Unicode digit.  The message
-    is argparse's own for a type=int flag.
+    int() alone also reads underscores and every Unicode digit.  The
+    ValueError's message is argparse's own for a type=int flag.
     """
     if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise ValueError(f"invalid int value: {text!r}")
     return int(text)
 
 
@@ -265,7 +275,7 @@ def _cases(args, ranges: bool = False) -> list[HermitianCase]:
         for end in text.split("..", 1) if ranges else [text]:
             try:
                 ends.append(_integer(end))
-            except argparse.ArgumentTypeError:
+            except ValueError:
                 raise ValueError(f"--{name} must be an integer, got {end!r}") from None
         if ends[-1] < ends[0]:
             raise ValueError(f"empty --{name} range {text!r}")
@@ -324,12 +334,17 @@ def _dumps(obj, indent: str = "") -> str:
     indent is the indentation of the line obj starts on.  Only str, int,
     bool, None, list, tuple and str-keyed dict are accepted; the standard
     encoder runs in pure Python whenever an indent is set, and this one is
-    faster.  A tuple is a weight from _w or _root_texts: its items are
-    format_rational strings (ASCII digits, "-" and "/"), written unescaped
-    in one join, and any item that is not a str raises TypeError from the
-    join.
+    faster.  A string of printable ASCII with no quote or backslash is
+    written as it is, between quotes; only another loads json's encoder.  A
+    tuple is a weight from _w or _root_texts: its items are format_rational
+    strings (ASCII digits, "-" and "/"), written unescaped in one join, and
+    any item that is not a str raises TypeError from the join.
     """
     if isinstance(obj, str):
+        if obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
+            return f'"{obj}"'
+        from json.encoder import encode_basestring_ascii
+
         return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
@@ -353,7 +368,7 @@ def _dumps(obj, indent: str = "") -> str:
         for k, v in obj.items():
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
-            items.append(f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}")
+            items.append(f"{_dumps(k)}: {_dumps(v, inner)}")
         sep = ",\n" + inner
         return f"{{\n{inner}{sep.join(items)}\n{indent}}}"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -23,11 +23,10 @@ grid of step 1/den at m = num.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InsufficientWindowError, InvariantError
+from .errors import InsufficientWindowError, InvariantError, Record, set_field
 from .ratvec import (
     Weight, add, congruence, dot, format_rational, is_integer, pairing, rational, scale, sub
 )
@@ -38,30 +37,38 @@ KNOWN_REDUCIBLE = "known_reducible"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class SpecialLine:
+class SpecialLine(Record):
     """Base point and line coordinate of one parameter."""
 
-    lambda0: Weight
-    z: Fraction
+    _fields = ("lambda0", "z")
+
+    def __init__(self, lambda0: Weight, z: Fraction):
+        set_field(self, "lambda0", lambda0)
+        set_field(self, "z", z)
 
 
-@dataclass(frozen=True)
-class ABCConstants:
+class ABCConstants(Record):
     """First-reduction constants of one case instance."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
 
 
-@dataclass(frozen=True)
-class ProgressionSummary:
+class ProgressionSummary(Record):
     """A scanned reducible set split into exceptions plus one tail."""
 
-    finite_part: tuple[Fraction, ...]
-    tail_start: Fraction
-    tail_step: Fraction
+    _fields = ("finite_part", "tail_start", "tail_step")
+
+    def __init__(
+        self, finite_part: tuple[Fraction, ...], tail_start: Fraction, tail_step: Fraction
+    ):
+        set_field(self, "finite_part", finite_part)
+        set_field(self, "tail_start", tail_start)
+        set_field(self, "tail_step", tail_step)
 
 
 def special_line(datum: ParabolicRootDatum, lam: Weight) -> SpecialLine:

@@ -60,10 +60,9 @@ simple for the same reason the empty-support route is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvariantError
+from .errors import InvariantError, Record, set_field
 from .ratvec import Weight, add, congruence, is_integer, pairing, rational
 from .rootdata import IntegerView, ParabolicRootDatum, build_datum
 from .weyl import ChamberForm, _line_chamber, _line_width, _pack
@@ -76,34 +75,43 @@ ROUTE_SUM_CANCELS = "sum_cancels"
 ROUTE_SUM_SURVIVES = "sum_survives"
 
 
-@dataclass(frozen=True)
-class JantzenTerm:
+class JantzenTerm(Record):
     """One support root with its reflected weight and chamber outcome."""
 
-    beta: Weight
-    level: Fraction
-    image: Weight
-    chamber: ChamberForm
+    _fields = ("beta", "level", "image", "chamber")
+
+    def __init__(self, beta: Weight, level: Fraction, image: Weight, chamber: ChamberForm):
+        set_field(self, "beta", beta)
+        set_field(self, "level", level)
+        set_field(self, "image", image)
+        set_field(self, "chamber", chamber)
 
 
-@dataclass(frozen=True)
-class RepClass:
+class RepClass(Record):
     """All regular terms sharing one chamber representative."""
 
-    rep: Weight
-    net_sign: int
-    members: tuple[JantzenTerm, ...]
+    _fields = ("rep", "net_sign", "members")
+
+    def __init__(self, rep: Weight, net_sign: int, members: tuple[JantzenTerm, ...]):
+        set_field(self, "rep", rep)
+        set_field(self, "net_sign", net_sign)
+        set_field(self, "members", members)
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
+class SimplicityVerdict(Record):
     """A verdict and its route, with the terms, classes and witness behind them."""
 
-    verdict: str
-    route: str
-    terms: tuple[JantzenTerm, ...]
-    certificate: tuple[RepClass, ...]
-    witness: Weight | None
+    _fields = ("verdict", "route", "terms", "certificate", "witness")
+
+    def __init__(
+        self, verdict: str, route: str, terms: tuple[JantzenTerm, ...],
+        certificate: tuple[RepClass, ...], witness: Weight | None,
+    ):
+        set_field(self, "verdict", verdict)
+        set_field(self, "route", route)
+        set_field(self, "terms", terms)
+        set_field(self, "certificate", certificate)
+        set_field(self, "witness", witness)
 
     @property
     def surviving(self) -> tuple[RepClass, ...]:

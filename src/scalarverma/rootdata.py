@@ -39,9 +39,9 @@ the nilradical roots, in field order, so that output can write every root
 without formatting a `Fraction` per coordinate.  Every other root field
 holds the very tuples of those two: the Levi simples and the noncompact
 simple root are simple roots, and gamma is a nilradical root.  The record
-is set by `_derive` only: it is left out of the datum's repr (which tests
-pin by sha256) and equality, and `dataclasses.replace` does not carry it
-over, so a replaced datum has none.
+is passed by `_derive` only: it is left out of the datum's repr (which
+tests pin by sha256) and equality, and a datum built by the constructor
+alone, such as a copy with some fields changed, has none.
 
 Data are built once per case and cached; every field of a datum is an
 immutable value, safe to share across threads.  Each datum also derives, on
@@ -60,12 +60,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import compress, islice, repeat
 
-from .errors import InvariantError
+from .errors import InvariantError, Record, set_field
 from .ratvec import Weight, dot, scale
 
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
@@ -76,14 +75,15 @@ CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
+# the view's tables of (index, entry) pairs, one tuple of pairs per row
+_Pairs = tuple[tuple[tuple[int, int], ...], ...]
 
 # Tags whose rank-2 orthogonal instance degenerates: so(4) = sl(2) + sl(2),
 # so the D2 picture has no highest root and (for DI) an empty Levi system.
 _D2_DEGENERATE = {("DI", 2), ("DIII", 2)}
 
 
-@dataclass(frozen=True)
-class HermitianCase:
+class HermitianCase(Record):
     """A case tag plus its integer parameters.
 
     AIII takes (p, q) with p, q >= 1; CI, BI, DI, DIII take n >= 2;
@@ -91,33 +91,46 @@ class HermitianCase:
     is at most MAX_AMBIENT_DIM.
     """
 
-    tag: str
-    p: int | None = None
-    q: int | None = None
-    n: int | None = None
+    _fields = ("tag", "p", "q", "n")
 
-    def __post_init__(self) -> None:
-        if self.tag not in CASE_TAGS:
-            raise ValueError(f"unknown case tag {self.tag!r}; expected one of {CASE_TAGS}")
-        for name, v in (("p", self.p), ("q", self.q), ("n", self.n)):
+    def __init__(self, tag: str, p: int | None = None, q: int | None = None, n: int | None = None):
+        set_field(self, "tag", tag)
+        set_field(self, "p", p)
+        set_field(self, "q", q)
+        set_field(self, "n", n)
+        if tag not in CASE_TAGS:
+            raise ValueError(f"unknown case tag {tag!r}; expected one of {CASE_TAGS}")
+        for name, v in (("p", p), ("q", q), ("n", n)):
             if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
-                raise ValueError(f"{self.tag} parameter {name} must be an integer, got {v!r}")
-        if self.tag == "AIII":
-            if self.n is not None or self.p is None or self.q is None:
+                raise ValueError(f"{tag} parameter {name} must be an integer, got {v!r}")
+        if tag == "AIII":
+            if n is not None or p is None or q is None:
                 raise ValueError("AIII takes parameters p and q only")
-            if self.p < 1 or self.q < 1:
-                raise ValueError(f"AIII needs p, q >= 1, got p={self.p}, q={self.q}")
-        elif self.tag in ("CI", "BI", "DI", "DIII"):
-            if self.p is not None or self.q is not None or self.n is None:
-                raise ValueError(f"{self.tag} takes the single parameter n")
-            if self.n < 2:
-                raise ValueError(f"{self.tag} needs n >= 2, got n={self.n}")
+            if p < 1 or q < 1:
+                raise ValueError(f"AIII needs p, q >= 1, got p={p}, q={q}")
+        elif tag in ("CI", "BI", "DI", "DIII"):
+            if p is not None or q is not None or n is None:
+                raise ValueError(f"{tag} takes the single parameter n")
+            if n < 2:
+                raise ValueError(f"{tag} needs n >= 2, got n={n}")
         else:
-            if self.p is not None or self.q is not None or self.n is not None:
-                raise ValueError(f"{self.tag} takes no parameters")
-        dim = self.p + self.q if self.tag == "AIII" else self.n
+            if p is not None or q is not None or n is not None:
+                raise ValueError(f"{tag} takes no parameters")
+        dim = p + q if tag == "AIII" else n
         if dim is not None and dim > MAX_AMBIENT_DIM:
             raise ValueError(f"{self.label}: ambient dimension {dim} is over {MAX_AMBIENT_DIM}")
+
+    # Every request hashes and compares its case in the caches keyed on it
+    # (build_datum, line_offset and cli's), so these two read the fields
+    # directly, as a dataclass's did: Record's pair, through getattr, made
+    # each cache hit about 2 us slower (2 cores, CPython 3.11.7).
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tag, self.p, self.q, self.n) == (other.tag, other.p, other.q, other.n)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.p, self.q, self.n))
 
     @cached_property
     def label(self) -> str:
@@ -127,37 +140,46 @@ class HermitianCase:
 
 # The record `ParabolicRootDatum.doubled`: the datum's simple roots and
 # nilradical roots as `_derive` holds them, twice each coordinate, in
-# integers, each list in its field's order.  A plain tuple, because defining
-# a dataclass for it added about 0.8 ms to every process's import (2 cores,
-# CPython 3.11.7), which every request pays, dump or not.
+# integers, each list in its field's order.
 DoubledRoots = tuple[tuple[IntVector, ...], tuple[IntVector, ...]]
 
 
-@dataclass(frozen=True)
-class ParabolicRootDatum:
+class ParabolicRootDatum(Record):
     """The full exact root datum of one case instance.
 
     `doubled` is the build's record of the integer vectors 2*alpha behind
     the simple roots and the nilradical roots (see `DoubledRoots`);
     `levi_simples`, `noncompact_simple` and `gamma` hold the very tuples of
-    those two fields.  Only `_derive` sets it; it takes no part in repr or
-    equality, and a datum made by `dataclasses.replace` holds None, since
-    its fields may no longer match the record.
+    those two fields.  Only `_derive` passes it; it takes no part in repr
+    or equality, and a datum built without it, such as a copy with some
+    fields changed, holds None: its fields need not match any record.
     """
 
-    case: HermitianCase
-    ambient_dim: int
-    simple_roots: tuple[Weight, ...]
-    levi_simples: tuple[Weight, ...]
-    noncompact_simple: Weight
-    positive_roots: tuple[Weight, ...]
-    levi_positive: tuple[Weight, ...]
-    nilradical_roots: tuple[Weight, ...]
-    rho: Weight
-    gamma: Weight
-    zeta: Weight
-    theta_u: Weight
-    doubled: DoubledRoots | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = (
+        "case", "ambient_dim", "simple_roots", "levi_simples", "noncompact_simple",
+        "positive_roots", "levi_positive", "nilradical_roots", "rho", "gamma", "zeta", "theta_u",
+    )
+
+    def __init__(
+        self, case: HermitianCase, ambient_dim: int, simple_roots: tuple[Weight, ...],
+        levi_simples: tuple[Weight, ...], noncompact_simple: Weight,
+        positive_roots: tuple[Weight, ...], levi_positive: tuple[Weight, ...],
+        nilradical_roots: tuple[Weight, ...], rho: Weight, gamma: Weight, zeta: Weight,
+        theta_u: Weight, *, doubled: DoubledRoots | None = None,
+    ):
+        set_field(self, "case", case)
+        set_field(self, "ambient_dim", ambient_dim)
+        set_field(self, "simple_roots", simple_roots)
+        set_field(self, "levi_simples", levi_simples)
+        set_field(self, "noncompact_simple", noncompact_simple)
+        set_field(self, "positive_roots", positive_roots)
+        set_field(self, "levi_positive", levi_positive)
+        set_field(self, "nilradical_roots", nilradical_roots)
+        set_field(self, "rho", rho)
+        set_field(self, "gamma", gamma)
+        set_field(self, "zeta", zeta)
+        set_field(self, "theta_u", theta_u)
+        set_field(self, "doubled", doubled)
 
     @cached_property
     def integer_view(self) -> IntegerView:
@@ -165,8 +187,7 @@ class ParabolicRootDatum:
         return _integer_view(self)
 
 
-@dataclass(frozen=True)
-class NilradicalLevel:
+class NilradicalLevel(Record):
     """One nilradical root beta, scaled by D, with its affine level.
 
     On the scalar line mu = rho + c*zeta the level of beta is
@@ -180,15 +201,17 @@ class NilradicalLevel:
     T itself is not kept.
     """
 
-    root: IntVector
-    norm: int
-    a: int
-    b: int
-    theta_root: int
+    _fields = ("root", "norm", "a", "b", "theta_root")
+
+    def __init__(self, root: IntVector, norm: int, a: int, b: int, theta_root: int):
+        set_field(self, "root", root)
+        set_field(self, "norm", norm)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "theta_root", theta_root)
 
 
-@dataclass(frozen=True)
-class IntegerView:
+class IntegerView(Record):
     """A root datum multiplied through by a common denominator D.
 
     D clears every denominator of rho, zeta, theta_u, the nilradical roots
@@ -196,7 +219,10 @@ class IntegerView:
     each vector below is D times the datum's weight of the same name, in
     plain integers.  A root's pairing <v, alpha^v> is then
     2*dot(v, A) / dot(A, A) for the scaled root A, free of D.
-    `theta_rho` = dot(R, T) for R = D*rho and T = D*theta_u.
+    `theta_rho` = dot(R, T) for R = D*rho and T = D*theta_u.  `rho_bound`
+    and `root_bound` are one more than the integer square roots of
+    dot(R, R) and of the largest nilradical norm dot(B, B), so they exceed
+    |R| and every |B|: `weyl` bounds a walk's coordinates by them.
 
     The Levi fields serve `weyl`'s descent, and only `rootdata` and `weyl`
     read them.  They index the scaled roots A_t of the datum's
@@ -220,19 +246,33 @@ class IntegerView:
     the indices only.  Nothing else reads or writes it.
     """
 
-    denom: int
-    rho: IntVector
-    zeta: IntVector
-    theta_rho: int
-    nilradical: tuple[NilradicalLevel, ...]
-    levi_norms: tuple[int, ...]
-    simple_norms: tuple[int, ...]
-    rho_levi: tuple[int, ...]
-    rho_simple: tuple[int, ...]
-    gram_rows: tuple[tuple[tuple[int, int], ...], ...]
-    simple_coords: tuple[tuple[tuple[int, int], ...], ...]
-    levi_columns: tuple[tuple[tuple[int, int], ...], ...]
-    words: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = (
+        "denom", "rho", "zeta", "theta_rho", "rho_bound", "root_bound", "nilradical",
+        "levi_norms", "simple_norms", "rho_levi", "rho_simple", "gram_rows", "simple_coords",
+        "levi_columns",
+    )
+
+    def __init__(
+        self, denom: int, rho: IntVector, zeta: IntVector, theta_rho: int, rho_bound: int,
+        root_bound: int, nilradical: tuple[NilradicalLevel, ...], levi_norms: tuple[int, ...],
+        simple_norms: tuple[int, ...], rho_levi: tuple[int, ...], rho_simple: tuple[int, ...],
+        gram_rows: _Pairs, simple_coords: _Pairs, levi_columns: _Pairs,
+    ):
+        set_field(self, "denom", denom)
+        set_field(self, "rho", rho)
+        set_field(self, "zeta", zeta)
+        set_field(self, "theta_rho", theta_rho)
+        set_field(self, "rho_bound", rho_bound)
+        set_field(self, "root_bound", root_bound)
+        set_field(self, "nilradical", nilradical)
+        set_field(self, "levi_norms", levi_norms)
+        set_field(self, "simple_norms", simple_norms)
+        set_field(self, "rho_levi", rho_levi)
+        set_field(self, "rho_simple", rho_simple)
+        set_field(self, "gram_rows", gram_rows)
+        set_field(self, "simple_coords", simple_coords)
+        set_field(self, "levi_columns", levi_columns)
+        set_field(self, "words", {})
 
 
 def case_notes(case: HermitianCase) -> tuple[str, ...]:
@@ -432,7 +472,7 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         return tuple(Fraction(x * dot(b, b), den) for x in nil2)
 
     nil_order = [c for c in order if c in nil]
-    datum = ParabolicRootDatum(
+    return ParabolicRootDatum(
         case=case,
         ambient_dim=dim,
         simple_roots=tuple(simples),
@@ -445,11 +485,8 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         gamma=roots[top],
         zeta=along_nil(doubled[top]),
         theta_u=along_nil(twice[noncompact[0]]),
+        doubled=(tuple(twice), tuple([doubled[c] for c in nil_order])),
     )
-    # The record is no init field, so that dataclasses.replace drops it.
-    record = tuple(twice), tuple([doubled[c] for c in nil_order])
-    object.__setattr__(datum, "doubled", record)
-    return datum
 
 
 def _integer_view(d: ParabolicRootDatum) -> IntegerView:
@@ -466,12 +503,15 @@ def _integer_view(d: ParabolicRootDatum) -> IntegerView:
 
     levi_positive = list(map(ints, d.levi_positive))
     simples = list(map(ints, d.levi_simples))
+    nilradical = tuple(map(level, d.nilradical_roots))
     return IntegerView(
         denom=denom,
         rho=rho,
         zeta=zeta,
         theta_rho=dot(rho, theta_u),
-        nilradical=tuple(map(level, d.nilradical_roots)),
+        rho_bound=math.isqrt(dot(rho, rho)) + 1,
+        root_bound=math.isqrt(max([nil.norm for nil in nilradical])) + 1,
+        nilradical=nilradical,
         levi_norms=tuple([dot(a, a) for a in levi_positive]),
         simple_norms=tuple([dot(a, a) for a in simples]),
         rho_levi=tuple([dot(rho, a) for a in levi_positive]),

@@ -63,24 +63,25 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import InvariantError
+from .errors import InvariantError, Record, set_field
 from .ratvec import Weight, inner, pairing, reflect
 from .rootdata import IntegerView, IntVector, ParabolicRootDatum
 
 
-@dataclass(frozen=True)
-class ChamberForm:
+class ChamberForm(Record):
     """Outcome of normalizing one weight against the Levi chamber.
 
     `rep` is the dominant representative, or None on a wall (Singular);
     `steps` is the length of the normalizing word, 0 on a wall.
     """
 
-    rep: Weight | None
-    steps: int
+    _fields = ("rep", "steps")
+
+    def __init__(self, rep: Weight | None, steps: int):
+        set_field(self, "rep", rep)
+        set_field(self, "steps", steps)
 
     @property
     def is_regular(self) -> bool:
@@ -177,12 +178,10 @@ def _line_width(view: IntegerView, top: int) -> int:
     linear.  P is injective, and orders vectors as tuples, while every
     coordinate lies below 2**(width-1) in magnitude.  A Levi word is an
     orthogonal map, so each coordinate of w*(R - k*B) is at most
-    |R| + k*|B| <= r + k*b, for r and b one more than the integer square
-    roots of dot(R, R) and of the largest nilradical norm.
+    |R| + k*|B| < r + k*b, for the view's bounds r > |R| and b > |B|
+    (`rho_bound` and `root_bound`).
     """
-    r = math.isqrt(sum([x * x for x in view.rho])) + 1
-    b = math.isqrt(max([nil.norm for nil in view.nilradical])) + 1
-    return (r + top * b).bit_length() + 1
+    return (view.rho_bound + top * view.root_bound).bit_length() + 1
 
 
 def _line_chamber(view: IntegerView, j: int, k: int) -> tuple | None:

@@ -90,6 +90,17 @@ def reducible_reference(constants: ABCConstants, c) -> bool:
     )
 
 
+def replaced(datum: ParabolicRootDatum, **changes) -> ParabolicRootDatum:
+    """A datum with the given fields changed, rebuilt by the constructor.
+
+    Like dataclasses.replace on the former dataclass, the copy holds no
+    `doubled` record and derives its own integer view; an unknown field
+    name raises TypeError.
+    """
+    fields = {name: getattr(datum, name) for name in ParabolicRootDatum._fields}
+    return ParabolicRootDatum(**{**fields, **changes})
+
+
 def verdict_support(verdict: SimplicityVerdict) -> tuple[Weight, ...]:
     """The support roots of a verdict, in the order of its terms."""
     return tuple(t.beta for t in verdict.terms)

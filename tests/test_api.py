@@ -1,22 +1,26 @@
 """The package's public names are the ones the README documents, its
-modules import one another in layers, one module owns the scalar line's memo,
+modules import one another in layers and a request imports only what it
+runs, its records are frozen values, one module owns the scalar line's memo,
 the rational reference stays apart from the integer path it judges, and the
 benchmark's tracer finds every function it wraps."""
 
 from __future__ import annotations
 
 import ast
-import dataclasses
+import contextlib
 import importlib
+import io
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
 
 import scalarverma
+from scalarverma.errors import Record
 from scalarverma.rootdata import IntegerView, NilradicalLevel
 from scalarverma.weyl import ChamberForm
 
@@ -66,14 +70,51 @@ def _package_imports() -> dict[str, set[str]]:
     return graph
 
 
-def test_cli_imports_no_typing():
-    # A cold `import scalarverma.cli`, in a fresh interpreter without site,
-    # loads no typing: annotations are strings, and Iterable comes from
-    # collections.abc, which the interpreter loads at start.
-    code = "import sys, scalarverma.cli; print(sorted({'typing'} & set(sys.modules)))"
+# The modules a well-formed request must not load: dataclasses (which
+# brings inspect), typing, argparse (help and usage errors only) and json
+# (strings that need escaping only).
+HEAVY_MODULES = ("dataclasses", "inspect", "typing", "argparse", "json")
+# Runs main on each of its arguments, a command line split on spaces, and
+# prints the repr of (exit code, heavy modules loaded so far, stdout).
+_REQUEST_SCRIPT = """
+import io, sys
+from scalarverma.cli import main
+for argv in sys.argv[1:]:
+    out, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        code = main(argv.split())
+    finally:
+        out, sys.stdout = sys.stdout, out
+    loaded = sorted(set(%r) & set(sys.modules))
+    sys.stdout.write(repr((code, loaded, out.getvalue())) + "\\n")
+""" % (HEAVY_MODULES,)
+
+
+def test_cli_imports_only_what_a_request_runs():
+    # In a fresh interpreter without site, a well-formed classify and scan
+    # load none of the heavy modules: annotations are strings, records are
+    # plain classes, and Iterable comes from collections.abc, which the
+    # interpreter loads at start.  Help still comes from argparse.
+    argv = [
+        "classify --case CI --n 3 --c 0 --format json",
+        "scan --case CI --n 3 --window -2..2 --step 1/2 --format json",
+        "classify --help",
+    ]
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert run.stdout == "[]\n"
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", _REQUEST_SCRIPT, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    classify, scan, help_ = map(ast.literal_eval, run.stdout.splitlines())
+    assert classify[:2] == (0, []) and classify[2].startswith('{\n  "case": {')
+    assert scan[:2] == (0, []) and scan[2].startswith('{\n  "case": {')
+    code, loaded, text = help_
+    assert code == 0 and "argparse" in loaded
+    parser = importlib.import_module("scalarverma.cli")._build_parser()
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected), pytest.raises(SystemExit):
+        parser.parse_args(["classify", "--help"])
+    assert text == expected.getvalue()
 
 
 def test_package_imports_have_no_cycle():
@@ -125,14 +166,13 @@ def test_the_memo_is_written_one_root_at_a_time():
 def test_only_weyl_knows_a_roots_line_walls():
     # The view keeps each root's own scaled numbers; its walls live in
     # weyl's per-root record, and only weyl reads the Levi roots they come from.
-    fields = [f.name for f in dataclasses.fields(NilradicalLevel)]
-    assert fields == ["root", "norm", "a", "b", "theta_root"]
+    assert NilradicalLevel._fields == ("root", "norm", "a", "b", "theta_root")
     assert _attribute_readers("levi_positive") <= {"rootdata", "weyl"}
     # The descent's tables, derived once per view, are weyl's alone too,
     # and hold no Levi root: the datum's own roots are the only copy.
     for name in LEVI_TABLES:
         assert _attribute_readers(name) <= {"rootdata", "weyl"}, name
-    view_fields = {f.name for f in dataclasses.fields(IntegerView)}
+    view_fields = set(IntegerView._fields)
     assert LEVI_TABLES <= view_fields
     assert not view_fields & {"levi_positive", "levi_simples"}
 
@@ -140,8 +180,8 @@ def test_only_weyl_knows_a_roots_line_walls():
 def test_derivable_fields_are_not_stored():
     # A chamber form's regularity, parity and sign follow from rep and
     # steps, and the view's theta_rho and theta_root from D*theta_u.
-    assert [f.name for f in dataclasses.fields(ChamberForm)] == ["rep", "steps"]
-    assert "theta_u" not in {f.name for f in dataclasses.fields(IntegerView)}
+    assert ChamberForm._fields == ("rep", "steps")
+    assert "theta_u" not in IntegerView._fields
     weyl = importlib.import_module("scalarverma.weyl")
     for name in ("REGULAR", "SINGULAR"):
         assert not hasattr(weyl, name), name
@@ -228,10 +268,65 @@ def test_one_copy_of_the_closed_form_and_the_screen():
 
 def test_verdict_is_a_plain_record():
     jantzen = importlib.import_module("scalarverma.jantzen")
-    fields = [f.name for f in dataclasses.fields(jantzen.SimplicityVerdict)]
-    assert fields == ["verdict", "route", "terms", "certificate", "witness"]
+    fields = jantzen.SimplicityVerdict._fields
+    assert fields == ("verdict", "route", "terms", "certificate", "witness")
     first, again = (jantzen.classify_scalar(scalarverma.HermitianCase("CI", n=3), -1) for _ in "ab")
     assert first is not again and first == again and hash(first) == hash(again)
+
+
+def _records():
+    """One instance of each of the package's eleven records, by class name."""
+    ehw = importlib.import_module("scalarverma.ehw")
+    rootdata = importlib.import_module("scalarverma.rootdata")
+    case = scalarverma.HermitianCase("CI", n=3)
+    datum = scalarverma.build_datum(case)
+    verdict = scalarverma.classify_scalar(datum, -1)
+    view = datum.integer_view
+    records = [
+        case, datum, view, view.nilradical[0], verdict, verdict.terms[0],
+        verdict.terms[0].chamber, verdict.certificate[0],
+        ehw.special_line(datum, rootdata.scalar_parameter_weight(datum, -1)),
+        scalarverma.abc_constants(case),
+        ehw.ProgressionSummary((Fraction(-3),), Fraction(-1), Fraction(1)),
+    ]
+    return {type(r).__name__: r for r in records}
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_frozen_values(name):
+    # Each record's repr, equality and hash run over its declared fields
+    # alone, as the frozen dataclasses' did, and no field can be set.
+    record = RECORDS[name]
+    assert len(RECORDS) == 11
+    cls = type(record)
+    values = {field: getattr(record, field) for field in cls._fields}
+    inner = ", ".join(f"{field}={value!r}" for field, value in values.items())
+    assert repr(record) == f"{name}({inner})"
+    copy = cls(**values)
+    assert copy is not record and copy == record and hash(copy) == hash(record)
+    assert record != tuple(values.values()) and record != object()
+    for field in (cls._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert {field: getattr(record, field) for field in cls._fields} == values
+    # the record base's generic pair agrees with any record's own
+    assert Record.__eq__(copy, record) is True and Record.__hash__(record) == hash(record)
+
+
+def test_records_leave_their_private_state_out():
+    # A datum's doubled record and a view's memo take no part in repr or
+    # equality, and a datum rebuilt from its fields holds no doubled record.
+    datum, view = RECORDS["ParabolicRootDatum"], RECORDS["IntegerView"]
+    rebuilt = type(datum)(**{field: getattr(datum, field) for field in datum._fields})
+    assert datum.doubled is not None and rebuilt.doubled is None and rebuilt == datum
+    assert "doubled" not in repr(datum) and "words" not in repr(view)
+    assert not {"doubled", "integer_view"} & set(datum._fields)
+    assert "words" not in view._fields
 
 
 def test_tables_read_the_cases_own_roots():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalarverma
-from conftest import ADMISSIBLE_CASES, SWEEP_CASES, case_flags
+from conftest import ADMISSIBLE_CASES, SWEEP_CASES, case_flags, replaced
 from scalarverma import HermitianCase, InvariantError, build_datum
 from scalarverma import cli, ehw, jantzen
 from scalarverma.cli import main
@@ -476,7 +475,7 @@ def test_grid_invariant_violation_exits_3(capsys, monkeypatch, argv):
         datum = build(case)
         if case.label != "BI(3)":
             return datum
-        return dataclasses.replace(datum, theta_u=weight([0, 1, 0]))
+        return replaced(datum, theta_u=weight([0, 1, 0]))
 
     monkeypatch.setattr(cli, "build_datum", crippled)
     code, _, err = run_cli(capsys, *argv)
@@ -545,13 +544,13 @@ def test_datum_dump_never_writes_a_stale_record(capsys, monkeypatch):
     build = cli.build_datum
     tampered = weight([3, 0, 0])
 
-    def replaced(case):
+    def tampered_datum(case):
         datum = build(case)
         roots = datum.nilradical_roots
         assert tampered not in roots
-        return dataclasses.replace(datum, nilradical_roots=(tampered,) + roots[1:])
+        return replaced(datum, nilradical_roots=(tampered,) + roots[1:])
 
-    monkeypatch.setattr(cli, "build_datum", replaced)
+    monkeypatch.setattr(cli, "build_datum", tampered_datum)
     code, out, err = run_cli(capsys, "datum-dump", "--case", "CI", "--n", "3")
     assert (code, out) == (3, "")
     assert "invariant" in err and "doubled roots" in err
@@ -608,7 +607,7 @@ def test_classify_never_writes_a_root_without_the_record(capsys, monkeypatch, fm
     # As datum-dump: a replaced datum holds no doubled record, so classify
     # refuses it before it writes anything.
     build = cli.build_datum
-    monkeypatch.setattr(cli, "build_datum", lambda case: dataclasses.replace(build(case)))
+    monkeypatch.setattr(cli, "build_datum", lambda case: replaced(build(case)))
     cli._classify_case.cache_clear()
     code, out, err = run_cli(capsys, "classify", "--case", "CI", "--n", "3", "--c", "0",
                              "--format", fmt)
@@ -859,13 +858,16 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     # a usage error builds the parser; a well-formed request builds none
     main(["classify", "--case", "BOGUS", "--c", "1"])
     built = []
-    init = cli._Parser.__init__
+    # cli imports argparse only to build its parser, and the usage error
+    # above built it; count every argparse parser built from here on.
+    argparse = sys.modules["argparse"]
+    init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     for c in ("-2", "-3", "1/2"):
         assert main(["classify", "--case", "EIII", "--c", c, "--format", "json"]) == 0
     assert main(["classify", "--case", "BOGUS", "--c", "1"]) == 1

@@ -14,7 +14,6 @@ the oracle, patched into `cli` as progressions in m.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -22,7 +21,7 @@ from functools import cache
 
 import pytest
 
-from conftest import ADMISSIBLE_CASES, case_flags
+from conftest import ADMISSIBLE_CASES, case_flags, replaced
 from reference import abc_verdict_reference, closed_form_reference
 from scalarverma import HermitianCase, abc_constants, build_datum, classify_scalar, line_offset
 from scalarverma import cli, jantzen, weyl
@@ -154,7 +153,7 @@ def test_a_grid_packs_each_entry_once_per_width(capsys, monkeypatch):
 def test_a_wide_request_leaves_a_later_grid_at_its_own_width(monkeypatch):
     # The memo holds no width: after a request at c = 10**40, a warm grid
     # over a small window packs only at the widths its own walk takes.
-    datum = dataclasses.replace(build_datum(HermitianCase("CI", n=4)))
+    datum = replaced(build_datum(HermitianCase("CI", n=4)))
     ms, step = range(-20, 9), Fraction(1, 2)
     first = ScalarGrid(datum, step)
     decided = first.decide(ms)

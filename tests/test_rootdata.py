@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import re
 import signal
@@ -10,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ADMISSIBLE_CASES, SWEEP_CASES
+from conftest import ADMISSIBLE_CASES, SWEEP_CASES, replaced
 from golden_tables import parse_pattern, pattern_string, sign_pattern_root
 from reference import orbit_reference
 from scalarverma import HermitianCase, InvariantError, build_datum, rootdata
@@ -254,8 +253,8 @@ def test_doubled_record_holds_twice_the_roots():
         assert id(datum.gamma) in set(map(id, datum.nilradical_roots)), case.label
     # Outside repr and equality, and never carried to a replaced datum.
     assert "doubled" not in repr(datum)
-    assert dataclasses.replace(datum) == datum
-    assert dataclasses.replace(datum).doubled is None
+    assert replaced(datum) == datum
+    assert replaced(datum).doubled is None
 
 
 def test_build_datum_caches():

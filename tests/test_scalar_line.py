@@ -24,13 +24,12 @@ on both paths.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ADMISSIBLE_CASES, SWEEP_CASES
+from conftest import ADMISSIBLE_CASES, SWEEP_CASES, replaced
 from reference import line_record_reference, scaled_datum, scaled_descent, simplicity_oracle
 from scalarverma import (
     HermitianCase,
@@ -137,7 +136,7 @@ def test_drawn_levels_give_nonempty_support():
 @pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
 def test_integer_normalizer_matches_normalize(case):
     # a replaced datum derives its own view, so its memo starts cold
-    datum = dataclasses.replace(build_datum(case))
+    datum = replaced(build_datum(case))
     view = datum.integer_view
     for j, beta in enumerate(datum.nilradical_roots):
         for k in range(1, 13):
@@ -237,7 +236,7 @@ def test_singular_levels_are_the_wall_hits():
 def test_interval_words_match_a_fresh_descent(case):
     # a replaced datum derives its own view, so the first pass starts cold;
     # it runs down the levels, so each new entry goes before those held
-    datum = dataclasses.replace(build_datum(case))
+    datum = replaced(build_datum(case))
     view, ref = datum.integer_view, scaled(datum)
     for order in (reversed, iter):
         for j, nil in enumerate(view.nilradical):
@@ -319,7 +318,7 @@ def test_packing_is_injective_and_lexicographic_at_the_derived_width(data):
     # tuples.  Deriving the width writes nothing to the memo.
     case = data.draw(st.sampled_from(small_cases() + HIGH_RANK + [HermitianCase("CI", n=20)]))
     top = data.draw(st.one_of(st.integers(1, 200), st.integers(1, 10**45)))
-    view = dataclasses.replace(build_datum(case)).integer_view
+    view = replaced(build_datum(case)).integer_view
     width = weyl._line_width(view, top)
     assert view.words == {}
     assert weyl._line_width(view, top - 1) <= width <= weyl._line_width(view, top + 1)
@@ -349,7 +348,7 @@ def test_memo_is_packed_at_its_width():
     # The memo keeps vectors: one-point requests at any level, however wide,
     # leave every record it already holds the same object, and a grid packs
     # each entry it fetches into its own table, at its walk's width.
-    datum = dataclasses.replace(build_datum(HermitianCase("CI", n=4)))
+    datum = replaced(build_datum(HermitianCase("CI", n=4)))
     view = datum.integer_view
     window = list(default_window(datum.case, Fraction(1, 2)))
     first = [classify_scalar(datum, c) for c in window]
@@ -427,7 +426,7 @@ def test_wide_levels_match_per_point_and_reference(case):
     # point at which the width stepped up; every point's classes are held
     # to the representatives of its terms.
     for near, step in WIDE:
-        datum = dataclasses.replace(build_datum(case))
+        datum = replaced(build_datum(case))
         view = datum.integer_view
         ms = crossing_window(datum, step, near)
         per_point, widest, stepped = [], 0, 0
@@ -443,7 +442,7 @@ def test_wide_levels_match_per_point_and_reference(case):
             if case.label in WIDE_SAMPLE or widened and (near, step) == WIDE[-1]:
                 assert got == reference(datum, m * step), (near, step, m)
         assert stepped, (near, step)
-        line = jantzen.ScalarGrid(dataclasses.replace(datum), step)
+        line = jantzen.ScalarGrid(replaced(datum), step)
         assert line.decide(ms[:3]) == per_point[:3], (near, step)
         [width] = line._packs
         assert line.decide(ms) == per_point, (near, step)
@@ -472,11 +471,11 @@ def test_a_wide_request_inside_a_walk_changes_no_verdict(monkeypatch):
         clean = [classify_scalar(base, m * step) for m in grid]
         monkeypatch.setattr(jantzen, "_line_chamber", line_chamber)
         for m, want in zip(grid, clean):
-            datum = dataclasses.replace(base)
+            datum = replaced(base)
             pending[:] = [datum]
             got = classify_scalar(datum, m * step)
             assert got == want, (case, m)
-        datum = dataclasses.replace(base)
+        datum = replaced(base)
         pending[:] = [datum]
         decided = jantzen.ScalarGrid(datum, step).decide(grid)
         assert decided == [(v.verdict, v.route) for v in clean], case
@@ -484,7 +483,7 @@ def test_a_wide_request_inside_a_walk_changes_no_verdict(monkeypatch):
 
 
 def test_word_memo_is_used_and_bounded():
-    datum = dataclasses.replace(build_datum(HermitianCase("CI", n=8)))
+    datum = replaced(build_datum(HermitianCase("CI", n=8)))
     regular = 0
     for c in default_window(datum.case, Fraction(1, 6)):
         regular += sum(t.chamber.is_regular for t in classify_scalar(datum, c).terms)
@@ -548,7 +547,7 @@ def test_records_are_built_for_support_roots_only():
         base = build_datum(case)
         index = {beta: j for j, beta in enumerate(base.nilradical_roots)}
         for c in default_window(case, Fraction(1, 2)):
-            datum = dataclasses.replace(base)
+            datum = replaced(base)
             got = classify_scalar(datum, c)
             support = jantzen_support(base, scalar_parameter_weight(base, c))
             assert set(records(datum.integer_view)) == {index[beta] for beta in support}, (case, c)
@@ -565,7 +564,7 @@ def test_replaced_datum_derives_a_fresh_view():
     assert datum.integer_view is datum.integer_view
     classify_scalar(datum, -1)
     assert records(datum.integer_view)
-    crippled = dataclasses.replace(datum, levi_positive=datum.levi_positive[:1])
+    crippled = replaced(datum, levi_positive=datum.levi_positive[:1])
     assert len(crippled.integer_view.levi_norms) == 1
     assert not crippled.integer_view.words
 
@@ -581,7 +580,7 @@ def test_dropped_wall_root_trips_both_normalizers():
     wall = weight([1, -1, 0, 0])
     kept = tuple(a for a in datum.levi_positive if a != wall)
     assert len(kept) == len(datum.levi_positive) - 1
-    crippled = dataclasses.replace(datum, levi_positive=kept)
+    crippled = replaced(datum, levi_positive=kept)
     grid = [Fraction(k, 2) for k in range(-24, 25)]
     assert_paths_agree_and_trip(crippled, grid, "wall hit during descent after a clean wall scan")
 
@@ -589,7 +588,7 @@ def test_dropped_wall_root_trips_both_normalizers():
 def test_step_bound_trips_both_normalizers():
     # with no positive Levi roots listed the bound is 0, yet terms need a step
     datum = build_datum(HermitianCase("AIII", p=2, q=2))
-    crippled = dataclasses.replace(datum, levi_positive=())
+    crippled = replaced(datum, levi_positive=())
     grid = [Fraction(k, 2) for k in range(-24, 25)]
     assert_paths_agree_and_trip(crippled, grid, "chamber descent exceeded the positive-root bound")
 
@@ -598,7 +597,7 @@ def assert_paths_agree_and_trip(crippled, grid, message):
     # The grid decision decides one point at a time, on its own copy of the
     # datum, and must raise where the per-point oracle does.
     step = grid[1] - grid[0]
-    line = jantzen.ScalarGrid(dataclasses.replace(crippled), step)
+    line = jantzen.ScalarGrid(replaced(crippled), step)
     tripped = 0
     for c in grid:
         got = outcome(lambda: classify_scalar(crippled, c))
@@ -615,7 +614,7 @@ def test_non_levi_integral_term_trips_both_oracles():
     # but gives every image a half-integer pairing with e1 - e2
     datum = build_datum(HermitianCase("AIII", p=2, q=2))
     shift = weight([Fraction(1, 2), 0, Fraction(1, 2), 0])
-    crippled = dataclasses.replace(datum, rho=add(datum.rho, shift))
+    crippled = replaced(datum, rho=add(datum.rho, shift))
     grid = [Fraction(k, 4) for k in range(-24, 25)]
     assert_paths_agree_and_trip(crippled, grid, "support term is not Levi integral")
 
@@ -640,18 +639,18 @@ def test_every_admissible_root_is_levi_integral():
 
 def _shifted_rho(case, *shift):
     datum = build_datum(case)
-    return dataclasses.replace(datum, rho=add(datum.rho, weight(shift)))
+    return replaced(datum, rho=add(datum.rho, weight(shift)))
 
 
 def _tampered_root(case, j, *root):
     datum = build_datum(case)
     roots = datum.nilradical_roots
-    return dataclasses.replace(datum, nilradical_roots=roots[:j] + (weight(root),) + roots[j + 1 :])
+    return replaced(datum, nilradical_roots=roots[:j] + (weight(root),) + roots[j + 1 :])
 
 
 def _dropped_levi(case, keep):
     datum = build_datum(case)
-    return dataclasses.replace(datum, levi_positive=tuple(filter(keep, datum.levi_positive)))
+    return replaced(datum, levi_positive=tuple(filter(keep, datum.levi_positive)))
 
 
 H = Fraction(1, 2)
@@ -729,7 +728,7 @@ def test_line_records_take_no_dot():
     # fresh descent's from each Levi simple root's nonzero coordinates.
     assert not hasattr(weyl, "dot")
     for case in (HermitianCase("CI", n=20), HermitianCase("DI", n=2), HermitianCase("EVII")):
-        datum = dataclasses.replace(build_datum(case))
+        datum = replaced(build_datum(case))
         view = datum.integer_view
         simples = scaled(datum).levi_simples
         descents = 0
@@ -752,7 +751,7 @@ def test_half_integral_root_is_refused_at_every_level():
     roots = datum.nilradical_roots
     j = roots.index(weight([1, 0, -1, 0]))
     tampered = weight([1, Fraction(-1, 2), Fraction(-1, 2), 0])
-    crippled = dataclasses.replace(datum, nilradical_roots=roots[:j] + (tampered,) + roots[j + 1 :])
+    crippled = replaced(datum, nilradical_roots=roots[:j] + (tampered,) + roots[j + 1 :])
     nil = crippled.integer_view.nilradical[j]
     for k in (1, 2, 3, 4):
         c = Fraction(k * nil.norm - nil.a, nil.b)
@@ -774,7 +773,7 @@ def test_certificate_falls_back_where_the_walls_are_incomplete(dropped, monkeypa
     root = weight([(t == i) - (t == j) for t in range(1, 6)])
     kept = tuple(a for a in datum.levi_positive if a != root)
     assert len(kept) == len(datum.levi_positive) - 1
-    crippled = dataclasses.replace(datum, levi_positive=kept)
+    crippled = replaced(datum, levi_positive=kept)
     view = crippled.integer_view
 
     # Count the descents run for a root that already holds an entry: each
@@ -802,6 +801,6 @@ def test_certificate_falls_back_where_the_walls_are_incomplete(dropped, monkeypa
 def test_theta_split_class_trips_both_oracles():
     # BI(3) at c = -1 holds a two-member class; e2 is not Levi fixed
     datum = build_datum(HermitianCase("BI", n=3))
-    crippled = dataclasses.replace(datum, theta_u=weight([0, 1, 0]))
+    crippled = replaced(datum, theta_u=weight([0, 1, 0]))
     grid = [Fraction(k, 2) for k in range(-12, 7)]
     assert_paths_agree_and_trip(crippled, grid, "one chamber class carries two theta values")
