@@ -7,7 +7,7 @@ datum-dump (the full root datum as JSON).
 
 scan and crosscheck decide their grid root by root, through
 jantzen.ScalarGrid, in blocks, each used before the next block is decided;
-classify decides its one point by classify_scalar.  A block's decision
+classify decides its one point by jantzen._classify_point.  A block's decision
 (_grid_decisions) is its verdicts and routes, its set of Reducible m, and
 the closed form and the (A, B, C) screen as progressions in m on the grid
 (ehw.closed_form_grid, ehw.screen_grid); no string is built.  scan alone
@@ -37,8 +37,9 @@ terms, class members and witness) gets those strings from _root_texts:
 from the datum's record of doubled integer vectors (`datum.doubled`),
 through a table with one string per distinct doubled coordinate.  A datum
 without that record, such as one built by its constructor alone, is an
-invariant violation for every such writer (exit 3).  Other weights get
-their strings from _w, one Fraction formatted per coordinate.  Integer
+invariant violation for every such writer (exit 3).  classify writes its
+representatives from integers (see below); other weights get their
+strings from _w, one Fraction formatted per coordinate.  Integer
 flags take ASCII digits with an optional sign only, as rationals do.
 
 Every command and flag is declared once, in _COMMANDS: each command's
@@ -52,11 +53,15 @@ and usage errors, and their bytes are argparse's.  argparse is imported
 only to build that parser, and json's string encoder only for a string
 that needs escaping, so a well-formed request loads neither.
 
-classify writes its JSON from fragments, as scan writes its rows: each
-nilradical root's array, from its _root_texts strings at each indent it
-appears at, and the case's own fields are written by _dumps once per case,
-and a request writes only its representatives, levels and the text around
-the fragments.
+classify writes its output straight from the integer decision, with no
+record and no Fraction per term, from fragments, as scan writes its rows:
+each nilradical root's array, from its _root_texts strings at each indent
+it appears at (and its pretty text), and the case's own fields are written
+by _dumps once per case, each found by the root's index.  A request writes
+only the text around the fragments: each level by %d, each parity and
+step count from the word's length, each class's representative once, from
+its first member's entry, with one gcd per coordinate (_representatives),
+and z from integers.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ from .ehw import (
     screen_grid,
 )
 from .errors import InvariantError
-from .jantzen import REDUCIBLE, SIMPLE, ScalarGrid, classify_scalar
+from .jantzen import REDUCIBLE, SIMPLE, ScalarGrid, _classify_point, classify_scalar
 from .ratvec import Weight, add, format_rational, inner, parse_rational, reflect, scale
 from .rootdata import CASE_TAGS, HermitianCase, build_datum, case_notes, scalar_parameter_weight
 
@@ -443,7 +448,7 @@ _CLASSIFY_JSON = _object_template(
 )
 _CLASS_JSON = _object_template({"rep": "%s", "net_sign": "%d", "members": "%s"}, "    ")
 _MEMBER_JSON = _object_template(
-    {"beta": "%s", "level": '"%s"', "parity": '"%s"', "steps": "%d"}, " " * 8
+    {"beta": "%s", "level": '"%d"', "parity": '"%s"', "steps": "%d"}, " " * 8
 )
 
 
@@ -458,24 +463,67 @@ def _lambda0(case: HermitianCase) -> tuple[str, ...]:
 
 @cache
 def _classify_case(case: HermitianCase):
-    """The parts of classify's JSON that depend on the case alone, each written once.
+    """The parts of classify's output that depend on the case alone, each written once.
 
-    Returns (datum, case, label, lambda0, roots), the last four as JSON
-    text.  roots[field] maps the id() of each of datum's nilradical root
-    tuples to the root's JSON array, written by _dumps from its
-    _root_texts strings at the indent that field's roots start on.
-    classify_scalar, given this datum, hands back those very tuples, so the
-    lookup neither hashes nor formats a Fraction; holding the datum keeps
-    the ids its roots'.
+    Returns (view, offset, case, label, lambda0, roots): the datum's integer
+    view, the line offset <rho, gamma^v> as (numerator, denominator), then
+    the case's fields, its label and its base point as JSON text.
+    roots[field] holds, at index j, nilradical root j's JSON array, written
+    by _dumps from its _root_texts strings at the indent that field's roots
+    start on; roots["pretty"] holds it as the pretty certificate writes it.
     """
     datum = build_datum(case)
     texts = _root_texts(datum)
-    nilradical = [id(beta) for beta in datum.nilradical_roots]
+    nilradical = [texts[id(beta)] for beta in datum.nilradical_roots]
     roots = {
-        field: {key: _dumps(texts[key], indent) for key in nilradical}
+        field: tuple([_dumps(t, indent) for t in nilradical])
         for field, indent in _ROOT_INDENTS.items()
     }
-    return datum, _dumps(_case_json(case), "  "), _dumps(case.label), _dumps(_lambda0(case), "  "), roots
+    roots["pretty"] = tuple(map(_pretty, nilradical))
+    offset = line_offset(case).as_integer_ratio()
+    lambda0 = _dumps(_lambda0(case), "  ")
+    return datum.integer_view, offset, _dumps(_case_json(case), "  "), _dumps(case.label), lambda0, roots
+
+
+def _ratio(m: int, den: int) -> str:
+    """m/den, for den > 0, as format_rational writes it: in lowest terms, "p" or "p/q"."""
+    g = math.gcd(m, den)
+    return "%d" % (m // g) if g == den else "%d/%d" % (m // g, den // g)
+
+
+def _z(c: Fraction, offset: tuple[int, int]) -> str:
+    """z = c + offset, for the offset as (numerator, denominator), as format_rational writes it."""
+    n, d = c.numerator, c.denominator
+    bn, bd = offset
+    return _ratio(n * bd + bn * d, d * bd)
+
+
+def _representatives(view, c: Fraction):
+    """The writer of a class representative's coordinates at c, as format_rational strings.
+
+    The writer takes a regular term's level k and memo entry
+    (lo, hi, w*R, w*B, w), and returns the coordinates of the term's
+    representative w*(rho - k*beta) + c*zeta.  For c = n/d and the view's
+    denominator D, coordinate i is m/(d*D) with m = d*(wR_i - k*wB_i) +
+    n*zeta_i, for the scaled zeta; its string is made once per m within
+    the request.
+    """
+    n, d = c.numerator, c.denominator
+    den = d * view.denom
+    zeta = view.zeta
+    texts: dict[int, str] = {}
+
+    def write(k: int, entry: tuple) -> tuple[str, ...]:
+        out = []
+        for r, b, z in zip(entry[2], entry[3], zeta):
+            m = d * (r - k * b) + n * z
+            text = texts.get(m)
+            if text is None:
+                text = texts[m] = _ratio(m, den)
+            out.append(text)
+        return tuple(out)
+
+    return write
 
 
 def _classify_json(case: HermitianCase, c: Fraction) -> str:
@@ -483,69 +531,71 @@ def _classify_json(case: HermitianCase, c: Fraction) -> str:
 
     The case's parts and every root are written once per case; a request
     writes its representatives, its levels and the arrays and objects
-    around the fragments, as scan writes its rows.
+    around the fragments, as scan writes its rows, straight from
+    `_classify_point`'s integers.
     """
-    datum, case_json, label, lambda0, roots = _classify_case(case)
-    verdict = classify_scalar(datum, c)
+    view, offset, case_json, label, lambda0, roots = _classify_case(case)
+    verdict, route, terms, certificate, witness = _classify_point(view, c)
+    representative = _representatives(view, c)
     support, member, surviving = roots["s_lambda"], roots["member"], roots["surviving"]
-    s_lambda = [support[id(t.beta)] for t in verdict.terms]
-    singular = [f for t, f in zip(verdict.terms, s_lambda) if not t.chamber.is_regular]
+    s_lambda = [support[j] for j, _, _, _ in terms]
+    singular = [support[j] for j, _, entry, _ in terms if entry is None]
     classes, survivors = [], []
-    for g in verdict.certificate:
-        rep = _dumps(_w(g.rep), " " * 6)
-        members = [
-            _MEMBER_JSON % (member[id(m.beta)], m.level, _parity(m), m.chamber.steps)
-            for m in g.members
+    for net, members in certificate:
+        _, k, entry, _ = members[0]
+        rep = _dumps(representative(k, entry), " " * 6)
+        written = [
+            _MEMBER_JSON % (member[j], k, _parity(word), len(word))
+            for j, k, (_, _, _, _, word), _ in members
         ]
-        classes.append(_CLASS_JSON % (rep, g.net_sign, _array(members, " " * 6)))
-        if g.net_sign:
-            members = [surviving[id(m.beta)] for m in g.members]
-            survivors.append(_CLASS_JSON % (rep, g.net_sign, _array(members, " " * 6)))
-    witness = verdict.witness
+        classes.append(_CLASS_JSON % (rep, net, _array(written, " " * 6)))
+        if net:
+            written = [surviving[j] for j, _, _, _ in members]
+            survivors.append(_CLASS_JSON % (rep, net, _array(written, " " * 6)))
     return _CLASSIFY_JSON % (
         case_json,
         label,
         c,
-        c + line_offset(case),
+        _z(c, offset),
         lambda0,
-        verdict.verdict,
-        verdict.route,
+        verdict,
+        route,
         len(s_lambda),
         _array(s_lambda, "  "),
         _array(singular, "  "),
         _array(classes, "  "),
         _array(survivors, "  "),
-        "null" if witness is None else roots["witness"][id(witness)],
+        "null" if witness is None else roots["witness"][witness],
     )
 
 
 def _classify_pretty(case: HermitianCase, c: Fraction) -> str:
-    datum = build_datum(case)
-    texts = _root_texts(datum)
-    verdict = classify_scalar(datum, c)
-    terms = verdict.terms
+    view, offset, _, _, _, roots = _classify_case(case)
+    verdict, route, terms, certificate, witness = _classify_point(view, c)
+    representative = _representatives(view, c)
+    texts = roots["pretty"]
     lines = [
-        f"{case.label}  c = {format_rational(c)}  (z = {format_rational(c + line_offset(case))})",
-        f"verdict: {verdict.verdict}   route: {verdict.route}",
+        f"{case.label}  c = {format_rational(c)}  (z = {_z(c, offset)})",
+        f"verdict: {verdict}   route: {route}",
         f"base point: {_pretty(_lambda0(case))}",
-        f"support: {len(terms)} roots, "
-        f"{sum(not t.chamber.is_regular for t in terms)} on walls",
+        f"support: {len(terms)} roots, {sum(entry is None for _, _, entry, _ in terms)} on walls",
     ]
-    for g in verdict.certificate:
-        betas = ", ".join(f"{_pretty(texts[id(m.beta)])} ({_parity(m)})" for m in g.members)
-        lines.append(f"  class rep {_pretty(g.rep)}  net {g.net_sign:+d}: {betas}")
-    if verdict.witness is not None:
-        lines.append(f"witness: {_pretty(texts[id(verdict.witness)])}")
+    for net, members in certificate:
+        _, k, entry, _ = members[0]
+        betas = ", ".join(f"{texts[j]} ({_parity(word)})" for j, _, (_, _, _, _, word), _ in members)
+        lines.append(f"  class rep {_pretty(representative(k, entry))}  net {net:+d}: {betas}")
+    if witness is not None:
+        lines.append(f"witness: {texts[witness]}")
     return "\n".join(lines) + "\n"
 
 
-def _parity(term) -> str:
-    return "odd" if term.chamber.parity else "even"
+def _parity(word: tuple) -> str:
+    return "odd" if len(word) & 1 else "even"
 
 
 def _pretty(w) -> str:
-    """A weight, or its coordinates' strings, as [x, y, ...]."""
-    return "[" + ", ".join(map(str, w)) + "]"
+    """A weight's coordinates' strings as [x, y, ...]."""
+    return "[" + ", ".join(w) + "]"
 
 
 def cmd_classify(args) -> int:

@@ -27,10 +27,13 @@ are while each coordinate lies below 2**(s-1) in magnitude; Levi
 reflections are orthogonal, so a coordinate of the representative at
 level k is at most |R| + k*|B|, and `weyl` derives the width s from the
 data and the walk's own highest level.  The decision forms no vector: the
-verdict and route come from integer sign sums per class key.  The terms,
-classes and witness, the only rationals, are then unscaled from the
-entries the walk fetched (root index, level, entry), each representative
-rebuilt as w*R - k*w*B, and each class keeps the net sign its sum gave.
+verdict and route come from integer sign sums per class key.
+`_classify_point` is that decision with its certificate in integers: the
+entries the walk fetched (root index, level, entry), and the classes in
+key order, each with its members and the net sign its sum gave.  The
+command line writes its text straight from those integers.
+`classify_scalar` unscales them to its records: the terms, classes and
+witness, the only rationals, each representative rebuilt as w*R - k*w*B.
 The same criterion in rational arithmetic, on any scalar weight, lives
 with the tests as the reference this path is checked against.
 
@@ -43,7 +46,7 @@ empty-support route, at no cost per root.  It decides the verdict and
 route only.
 
 Both run one term walk, `_walk`: each support root comes as a progression
-of points with its levels, a single point for `classify_scalar`.  The walk
+of points with its levels, a single point for `_classify_point`.  The walk
 holds each root's current entry and decides every level inside its
 interval by the entry's key, going back to `weyl` only for a level past
 it.  It keeps the class sums and theta check per visited point and
@@ -215,15 +218,48 @@ def _walk(view: IntegerView, walks, size: int, packs: dict):
     return out, fetched, points
 
 
+def _classify_point(view: IntegerView, c: Fraction):
+    """Decide the scalar weight c * zeta in integers, with its certificate.
+
+    Each support root is a one-point walk.  Returns (verdict, route, terms,
+    classes, witness): the terms are the walk's fetched (j, k, entry, pair),
+    one per support root in the datum's order, the entry None on a wall;
+    the classes are (net sign, members) in key order, the members being the
+    class's terms in walk order and the net sign the walk's own sum; the
+    witness is the root index j of the first member of the first class
+    whose sum survives, or None.  Keys order as the scaled representatives
+    do (`_walk`), and unscaling is a coordinatewise increasing map, so the
+    classes order as their representatives.
+    """
+    n, d = c.numerator, c.denominator
+    # k = (a + c*b) / norm, a positive integer on the support
+    walks = [
+        (j, 0, 1, num // (d * nil.norm), 0)
+        for j, nil in enumerate(view.nilradical)
+        if (num := d * nil.a + n * nil.b) > 0 and num % (d * nil.norm) == 0
+    ]
+    [(verdict, route)], terms, points = _walk(view, walks, 1, {})
+    groups: dict[int, list[tuple]] = {}
+    for term in terms:
+        _, k, entry, pair = term
+        if entry is not None:
+            groups.setdefault(pair[0] - k * pair[1], []).append(term)
+    classes = [(points[0][key][0], members) for key, members in sorted(groups.items())]
+    witness = next((members[0][0] for net, members in classes if net), None)
+    if _decide(bool(terms), witness is not None) != (verdict, route):
+        raise InvariantError("verdict out of step with the surviving classes")
+    return verdict, route, terms, classes, witness
+
+
 def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     """Decide the scalar weight c * zeta of a case.
 
     Returns the verdict Jantzen's criterion gives for the weight, term for
     term, computed in integers along the scalar line; the rational
     reference in tests/reference.py decides the same weight in Fractions.
-    Each support root is a one-point walk; the terms, classes and witness
-    are unscaled from the entries the walk fetched, one per term, and each
-    class's net sign is the walk's own sum.  The weight is scalar because the datum passed
+    The decision is `_classify_point`'s; the terms, classes and witness are
+    unscaled from the entries it fetched, one per term, and each class
+    keeps its net sign.  The weight is scalar because the datum passed
     validation: zeta is orthogonal to the Levi.
     """
     datum = (
@@ -233,17 +269,11 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     )
     c = rational(c)
     view = datum.integer_view
-    n, d = c.numerator, c.denominator
-    # k = (a + c*b) / norm, a positive integer on the support
-    walks = [
-        (j, 0, 1, num // (d * nil.norm), 0)
-        for j, nil in enumerate(view.nilradical)
-        if (num := d * nil.a + n * nil.b) > 0 and num % (d * nil.norm) == 0
-    ]
-    [(verdict, route)], fetched, points = _walk(view, walks, 1, {})
+    verdict, route, fetched, classes, witness = _classify_point(view, c)
     # Over the denominator d*D, the image rho - k*beta + c*zeta of a scaled
     # vector v = D*(rho - k*beta) is d*v + n*Z.  Images and representatives
     # share most coordinates, so each Fraction is built once.
+    n, d = c.numerator, c.denominator
     den = d * view.denom
     fractions: dict[int, Fraction] = {}
 
@@ -257,28 +287,21 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
             out.append(f)
         return tuple(out)
 
-    terms = []
-    groups: dict[int, list[JantzenTerm]] = {}
-    for j, k, entry, pair in fetched:
+    # one support term per root, so a term is named by its root's index
+    terms: dict[int, JantzenTerm] = {}
+    for j, k, entry, _ in fetched:
         v = [r - k * x for r, x in zip(view.rho, view.nilradical[j].root)]
         rep, steps = None, 0
         if entry is not None:
             _, _, wr, wb, word = entry
             rep, steps = unscale([r - k * b for r, b in zip(wr, wb)]), len(word)
-        term = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), ChamberForm(rep, steps))
-        terms.append(term)
-        if rep is not None:
-            groups.setdefault(pair[0] - k * pair[1], []).append(term)
-    # Keys sort as the scaled representatives do, and unscaling is a
-    # coordinatewise increasing map, so they sort as the representatives.
+        terms[j] = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), ChamberForm(rep, steps))
     certificate = tuple(
-        RepClass(g[0].chamber.rep, points[0][key][0], tuple(g))
-        for key, g in sorted(groups.items())
+        RepClass(terms[members[0][0]].chamber.rep, net, tuple([terms[m[0]] for m in members]))
+        for net, members in classes
     )
-    witness = next((g.members[0].beta for g in certificate if g.net_sign), None)
-    if _decide(bool(terms), witness is not None) != (verdict, route):
-        raise InvariantError("verdict out of step with the surviving classes")
-    return SimplicityVerdict(verdict, route, tuple(terms), certificate, witness)
+    beta = None if witness is None else datum.nilradical_roots[witness]
+    return SimplicityVerdict(verdict, route, tuple(terms.values()), certificate, beta)
 
 
 class ScalarGrid:

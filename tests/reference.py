@@ -26,10 +26,17 @@ updates tracked pairings along one Cartan column.
 `line_record_reference` is a root's scalar-line record with one full dot
 per Levi positive root, where `weyl` sums the view's coordinate columns
 over the root's nonzero coordinates.
+
+`classify_json_reference` and `classify_pretty_reference` write `classify`'s
+two formats from a verdict's records: every weight as its `Fraction`
+coordinates' strings, the JSON through `json.dumps`.  The command line
+writes the same bytes from the integer decision, with no record, from
+fragments made once per case.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,3 +207,74 @@ def line_record_reference(scaled: ScaledDatum, root: IntVector) -> tuple[frozens
         if r * b > 0 and r % b == 0:
             singular.add(r // b)
     return frozenset(singular), ()
+
+
+def _texts(w: Weight) -> list[str]:
+    return [str(x) for x in w]
+
+
+def _parity(term: JantzenTerm) -> str:
+    return "odd" if term.chamber.parity else "even"
+
+
+def _line(datum: ParabolicRootDatum, c: Fraction) -> tuple[Fraction, Weight]:
+    """z = c + <rho, gamma^v>, and the base point -<rho, gamma^v> * zeta."""
+    offset = pairing(datum.rho, datum.gamma)
+    return c + offset, tuple(-offset * x for x in datum.zeta)
+
+
+def classify_json_reference(datum: ParabolicRootDatum, c: Fraction, verdict: SimplicityVerdict) -> str:
+    """`classify --format json`'s output at c, without its final newline,
+    written by `json.dumps` from verdict, the decision of c * zeta."""
+    case = datum.case
+    z, lambda0 = _line(datum, c)
+    fields = {"tag": case.tag, "p": case.p, "q": case.q, "n": case.n}
+    payload = {
+        "case": {k: v for k, v in fields.items() if v is not None},
+        "label": case.label,
+        "c": str(c),
+        "z": str(z),
+        "lambda0": _texts(lambda0),
+        "verdict": verdict.verdict,
+        "route": verdict.route,
+        "s_lambda_size": len(verdict.terms),
+        "s_lambda": [_texts(t.beta) for t in verdict.terms],
+        "singular": [_texts(t.beta) for t in verdict.terms if not t.chamber.is_regular],
+        "classes": [
+            {
+                "rep": _texts(g.rep),
+                "net_sign": g.net_sign,
+                "members": [
+                    {"beta": _texts(m.beta), "level": str(m.level), "parity": _parity(m),
+                     "steps": m.chamber.steps}
+                    for m in g.members
+                ],
+            }
+            for g in verdict.certificate
+        ],
+        "surviving_classes": [
+            {"rep": _texts(g.rep), "net_sign": g.net_sign, "members": [_texts(m.beta) for m in g.members]}
+            for g in verdict.surviving
+        ],
+        "witness": None if verdict.witness is None else _texts(verdict.witness),
+    }
+    return json.dumps(payload, indent=2)
+
+
+def classify_pretty_reference(datum: ParabolicRootDatum, c: Fraction, verdict: SimplicityVerdict) -> str:
+    """`classify --format pretty`'s output at c, from verdict, the decision of c * zeta."""
+    pretty = lambda w: "[" + ", ".join(_texts(w)) + "]"
+    z, lambda0 = _line(datum, c)
+    terms = verdict.terms
+    lines = [
+        f"{datum.case.label}  c = {c}  (z = {z})",
+        f"verdict: {verdict.verdict}   route: {verdict.route}",
+        f"base point: {pretty(lambda0)}",
+        f"support: {len(terms)} roots, {sum(not t.chamber.is_regular for t in terms)} on walls",
+    ]
+    for g in verdict.certificate:
+        betas = ", ".join(f"{pretty(m.beta)} ({_parity(m)})" for m in g.members)
+        lines.append(f"  class rep {pretty(g.rep)}  net {g.net_sign:+d}: {betas}")
+    if verdict.witness is not None:
+        lines.append(f"witness: {pretty(verdict.witness)}")
+    return "\n".join(lines) + "\n"

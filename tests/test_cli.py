@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from scalarverma import cli, ehw, jantzen
 from scalarverma.cli import main
 from scalarverma.ratvec import format_rational, parse_rational, weight
 from scalarverma.rootdata import scalar_parameter_weight
+from reference import classify_json_reference, classify_pretty_reference
 from test_readme import COMMANDS as README_COMMANDS
 
 Q = Fraction
@@ -333,7 +335,7 @@ def test_scan_and_crosscheck_read_only_verdict_and_route(capsys, monkeypatch):
     monkeypatch.setattr(jantzen, "JantzenTerm", unscaled)
     assert [run_cli(capsys, *argv) for argv in commands] == expected
     with pytest.raises(Unscaled):
-        main(["classify", "--case", "CI", "--n", "3", "--c", "-1"])
+        jantzen.classify_scalar(HermitianCase("CI", n=3), -1)
 
 
 def test_crosscheck_json(capsys):
@@ -451,15 +453,36 @@ def test_writer_rejects_other_types(payload):
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):
-    import scalarverma.cli as cli_mod
-
-    def boom(case_or_datum, c):
+    def boom(view, c):
         raise InvariantError("forced for the exit-code contract")
 
-    monkeypatch.setattr(cli_mod, "classify_scalar", boom)
-    code, out, err = run_cli(capsys, "classify", "--case", "EIII", "--c", "-2")
-    assert code == 3
-    assert "invariant" in err.lower()
+    monkeypatch.setattr(cli, "_classify_point", boom)
+    for fmt in ("pretty", "json"):
+        code, out, err = run_cli(capsys, "classify", "--case", "EIII", "--c", "-2", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert "invariant" in err.lower()
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_classify_invariant_violation_exits_3(capsys, monkeypatch, fmt):
+    # BI(3) at c = -1 holds a two-member class, which a theta_u that is not
+    # Levi fixed splits; classify's walk raises, as the grid decision does.
+    # The crippled datum keeps its doubled record, so the roots are written.
+    build = cli.build_datum
+
+    def crippled(case):
+        datum = build(case)
+        return replaced(datum, theta_u=weight([0, 1, 0]), doubled=datum.doubled)
+
+    monkeypatch.setattr(cli, "build_datum", crippled)
+    cli._classify_case.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "classify", "--case", "BI", "--n", "3", "--c", "-1",
+                                 "--format", fmt)
+    finally:
+        cli._classify_case.cache_clear()
+    assert (code, out) == (3, "")
+    assert err == "internal invariant violation: one chamber class carries two theta values\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -600,6 +623,87 @@ def test_classify_pretty_writes_each_member_root(capsys):
     assert got == [
         ", ".join(f"[{', '.join(m['beta'])}] ({m['parity']})" for m in g["members"]) for g in classes
     ]
+
+
+# Both of classify's writers, from the integer decision, against the
+# record-based reference writers: at levels near 10**12 and 10**40, the
+# packed keys and the coordinates' gcds are big integers.
+WIDE_POINTS = (Q(10**12), Q(10**40))
+WRITER_POINTS = (Q(-3), Q(-1, 2), Q(0), Q(5, 2))
+RANK_20 = [HermitianCase(tag, n=20) for tag in ("CI", "DIII", "BI", "DI")] + [
+    HermitianCase("AIII", p=10, q=10)
+]
+
+
+def _sweep19_lattice(case: HermitianCase) -> list[Fraction]:
+    """The c of the case's default crosscheck window, z = A - 5 .. B + 10, at step 1/6."""
+    con = ehw.abc_constants(case)
+    step = Q(1, 6)
+    lo, hi = con.a - con.b - 5, Q(10)
+    return [m * step for m in range(math.ceil(lo / step), math.floor(hi / step) + 1)]
+
+
+def _assert_writers_match_reference(case: HermitianCase, points) -> None:
+    datum = build_datum(case)
+    for c in points:
+        verdict = jantzen.classify_scalar(datum, c)
+        assert cli._classify_json(case, c) == classify_json_reference(datum, c, verdict), (case.label, c)
+        assert cli._classify_pretty(case, c) == classify_pretty_reference(datum, c, verdict), (case.label, c)
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES, ids=lambda case: case.label)
+def test_classify_writers_match_reference_on_sweep19(case):
+    _assert_writers_match_reference(case, _sweep19_lattice(case) + list(WIDE_POINTS))
+
+
+@pytest.mark.parametrize("case", RANK_20, ids=lambda case: case.label)
+def test_classify_writers_match_reference_at_rank_20(case):
+    _assert_writers_match_reference(case, WRITER_POINTS)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", ADMISSIBLE_CASES, ids=lambda case: case.label)
+def test_classify_writers_match_reference_on_every_case(case):
+    _assert_writers_match_reference(case, WRITER_POINTS + WIDE_POINTS)
+
+
+def test_classify_writes_no_record_and_no_fraction_per_term(capsys, monkeypatch):
+    # A warm classify writes its certificate from the walk's integers: it
+    # builds no jantzen record, and makes and formats as many Fractions at
+    # CI(20), whose 210 roots are all in the support at c = 0, as at CI(3).
+    records = []
+    for name in ("JantzenTerm", "RepClass", "SimplicityVerdict", "ChamberForm"):
+        made = getattr(jantzen, name)
+        monkeypatch.setattr(jantzen, name, lambda *args, made=made: records.append(made) or made(*args))
+    new, text = Fraction.__new__, Fraction.__str__
+    counts = {"new": 0, "str": 0}
+
+    def counting_new(cls, *args, **kwargs):
+        counts["new"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_str(self):
+        counts["str"] += 1
+        return text(self)
+
+    seen = {}
+    for case in (HermitianCase("CI", n=3), HermitianCase("CI", n=20)):
+        for fmt in ("json", "pretty"):
+            argv = ("classify", *case_flags(case), "--c", "0", "--format", fmt)
+            assert run_cli(capsys, *argv)[0] == 0
+            monkeypatch.setattr(Fraction, "__new__", counting_new)
+            monkeypatch.setattr(Fraction, "__str__", counting_str)
+            counts.update(new=0, str=0)
+            code, out, _ = run_cli(capsys, *argv)
+            monkeypatch.setattr(Fraction, "__new__", new)
+            monkeypatch.setattr(Fraction, "__str__", text)
+            assert code == 0 and "sum_survives" in out
+            seen[case.n, fmt] = dict(counts)
+    assert records == []
+    for fmt in ("json", "pretty"):
+        assert seen[3, fmt] == seen[20, fmt]
+        # c alone is a Fraction, parsed and formatted; z is written from integers
+        assert seen[20, fmt] == {"new": 1, "str": 1}, seen
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json"])
@@ -1114,7 +1218,8 @@ def test_reader_matches_argparse(argv):
 
 
 def test_classify_terms_hold_the_datums_own_roots():
-    # classify's JSON finds each root's fragment by the id() of its tuple
+    # classify_scalar's terms, members and witness are the datum's own root
+    # tuples, not copies
     for case, c in [(HermitianCase("EVII"), Q(9)), (HermitianCase("EIII"), Q(-2)),
                     (HermitianCase("DI", n=2), Q(0)), (HermitianCase("CI", n=20), Q(0))]:
         datum = build_datum(case)
