@@ -44,14 +44,20 @@ flags take ASCII digits with an optional sign only, as rationals do.
 
 Every command and flag is declared once, in _COMMANDS: each command's
 handler and help text, and each flag's default, whether it is required,
-its choices, its type and its help.  main() reads a well-formed argv
-straight from that table (_read_argv) and builds no parser; building one
-costs more than deciding a typical point.  Any other argv goes to the
-argparse parser built from the same table, once per process, on the first
-call that needs it, and reused by every later call; it alone prints help
-and usage errors, and their bytes are argparse's.  argparse is imported
-only to build that parser, and json's string encoder only for a string
-that needs escaping, so a well-formed request loads neither.
+its choices, its type and its help.  At import each command's entry is
+compiled into a reader (_READERS): its defaults, its set of required
+flags, and each flag's dest, type and choices.  main() reads a
+well-formed argv as typed, in one pass, with its command's reader
+(_read_argv), and builds no parser; building one costs more than deciding
+a typical point.  A separate value that starts with a single "-" is the
+value of the flag before it.  Any other argv is glued (_glue_values joins
+such a value onto its flag, "--c -1" into "--c=-1", which argparse would
+otherwise take for an option) and goes to the argparse parser built from
+the same table, once per process, on the first call that needs it, and
+reused by every later call; it alone prints help and usage errors, and
+their bytes are argparse's.  argparse is imported only to build that
+parser, and json's string encoder only for a string that needs escaping,
+so a well-formed request loads neither.
 
 classify writes its output straight from the integer decision, with no
 record and no Fraction per term, from fragments, as scan writes its rows:
@@ -68,7 +74,6 @@ from __future__ import annotations
 
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -104,11 +109,10 @@ BLOCK_TERMS = 4096
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = _glue_values(list(argv))
     args = _read_argv(argv)
     if args is None:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser().parse_args(_glue_values(list(argv)))
         except SystemExit as exc:
             # argparse exits on usage errors (and on --help); keep the int
             # contract of main() by translating instead of leaking the exit
@@ -163,42 +167,48 @@ def _glue_values(argv: list[str]) -> list[str]:
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse would return for a well-formed argv, read from _COMMANDS.
+    """The namespace argparse would return for a well-formed argv, read by its command's reader.
 
     Well formed: a command, then "--flag value" or "--flag=value" (split at
     the first "=") for flags of that command, each at most once, with no
-    separate value starting with "-", every required flag present, and
-    every value within its choices and its type.  The namespace holds each
-    flag's value or default and the command's func; argparse's `command`,
-    which no handler reads, is left out.  Any other argv gives None, and
-    goes to argparse, which alone prints help and usage errors.
+    separate value starting with "--", every required flag present, and
+    every value within its choices and its type.  A separate value that
+    starts with a single "-" is the value of the flag before it, as
+    _glue_values makes it for argparse.  The namespace holds each flag's
+    value or default and the command's func; argparse's `command`, which no
+    handler reads, is left out.  Any other argv gives None, and goes to
+    argparse, which alone prints help and usage errors.
     """
-    if not argv or argv[0] not in _COMMANDS:
+    reader = _READERS.get(argv[0]) if argv else None
+    if reader is None:
         return None
-    func, _, flags = _COMMANDS[argv[0]]
+    func, defaults, required, specs = reader
     values = {}
     tokens = iter(argv[1:])
     for token in tokens:
         flag, eq, value = token.partition("=")
+        spec = specs.get(flag)
+        if spec is None:
+            return None
+        dest, kind, choices = spec
+        if dest in values:
+            return None
         if not eq:
-            # a missing value reads as "-", which is turned down
-            value = next(tokens, "-")
-            if value.startswith("-"):
+            # a missing value reads as "--", which is turned down
+            value = next(tokens, "--")
+            if value.startswith("--"):
                 return None
-        spec = flags.get(flag)
-        if spec is None or flag in values:
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
             return None
-        try:
-            value = spec.get("type", str)(value)
-        except ValueError:
-            return None
-        if value not in spec.get("choices", (value,)):
-            return None
-        values[flag] = value
-    if any(spec.get("required") and flag not in values for flag, spec in flags.items()):
+        values[dest] = value
+    if not required <= values.keys():
         return None
-    fields = {flag[2:]: values.get(flag, spec.get("default")) for flag, spec in flags.items()}
-    return SimpleNamespace(func=func, **fields)
+    return SimpleNamespace(func=func, **(defaults | values))
 
 
 @cache
@@ -258,30 +268,45 @@ def _integer(text: str) -> int:
     int() alone also reads underscores and every Unicode digit.  The
     ValueError's message is argparse's own for a type=int flag.
     """
-    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid int value: {text!r}")
     return int(text)
 
 
-def _cases(args, ranges: bool = False) -> list[HermitianCase]:
-    """The cases named by --case, --p, --q and --n.
+def _parameter(name: str, text: str | None) -> int | None:
+    """The value text of --p, --q or --n as an int, or None for an absent flag."""
+    if text is None:
+        return None
+    try:
+        return _integer(text)
+    except ValueError:
+        raise ValueError(f"--{name} must be an integer, got {text!r}") from None
 
-    With ranges (crosscheck), each parameter may also be a family lo..hi.
-    Only HermitianCase decides which tag takes which parameter.  Cases are
-    built in order, so a range past a bound fails at its first bad case
-    instead of listing every value first.
+
+def _case(args) -> HermitianCase:
+    """The one case named by --case, --p, --q and --n.
+
+    Only HermitianCase decides which tag takes which parameter.
+    """
+    p, q, n = _parameter("p", args.p), _parameter("q", args.q), _parameter("n", args.n)
+    return HermitianCase(args.case, p=p, q=q, n=n)
+
+
+def _cases(args) -> list[HermitianCase]:
+    """crosscheck's cases: as _case, but each parameter may also be a family lo..hi.
+
+    Cases are built in order, so a range past a bound fails at its first
+    bad case instead of listing every value first.
     """
     values = dict.fromkeys(("p", "q", "n"), [None])
     for name in values:
         text = getattr(args, name)
         if text is None:
             continue
-        ends = []
-        for end in text.split("..", 1) if ranges else [text]:
-            try:
-                ends.append(_integer(end))
-            except ValueError:
-                raise ValueError(f"--{name} must be an integer, got {end!r}") from None
+        ends = [_parameter(name, end) for end in text.split("..", 1)]
         if ends[-1] < ends[0]:
             raise ValueError(f"empty --{name} range {text!r}")
         values[name] = range(ends[0], ends[-1] + 1)
@@ -599,7 +624,7 @@ def _pretty(w) -> str:
 
 
 def cmd_classify(args) -> int:
-    [case] = _cases(args)
+    case = _case(args)
     c = parse_rational(args.c)
     if args.format == "json":
         sys.stdout.write(_classify_json(case, c) + "\n")
@@ -704,7 +729,7 @@ def _blocks(ms: range, line: ScalarGrid):
 
 
 def cmd_scan(args) -> int:
-    [case] = _cases(args)
+    case = _case(args)
     lo, hi = _parse_window(args.window)
     step = parse_rational(args.step)
     [(ms, line)] = _grids([case], [(lo, hi)], step)
@@ -848,7 +873,7 @@ def _crosscheck_instance(case: HermitianCase, window, ms: range, line: ScalarGri
 
 
 def cmd_crosscheck(args) -> int:
-    cases = _cases(args, ranges=True)
+    cases = _cases(args)
     step = parse_rational(args.step)
     if args.window is None:
         # A - B <= 0, so every default window holds -5..10: a family too
@@ -919,7 +944,7 @@ def cmd_datum_dump(args) -> int:
     The five root fields are written from their _root_texts strings; rho,
     zeta and theta_u, which are not roots, through _w.
     """
-    [case] = _cases(args)
+    case = _case(args)
     datum = build_datum(case)
     text = _root_texts(datum).__getitem__
     roots = lambda ws: list(map(text, map(id, ws)))
@@ -957,8 +982,8 @@ _CASE_FLAGS = {
 }
 _STEP = {"default": "1/6", "help": "lattice step (default 1/6)"}
 # Each command's handler, help text and flags, in the order its usage lists
-# them.  _build_parser builds argparse from this table, and _read_argv reads
-# a well-formed argv straight from it.
+# them.  _build_parser builds argparse from this table, and _reader compiles
+# from it the reader with which _read_argv reads a well-formed argv.
 _COMMANDS = {
     "classify": (cmd_classify, "decide one scalar parameter", {
         **_CASE_FLAGS,
@@ -984,6 +1009,22 @@ _COMMANDS = {
     }),
     "datum-dump": (cmd_datum_dump, "emit the full root datum as JSON", _CASE_FLAGS),
 }
+
+
+def _reader(func, flags: dict) -> tuple:
+    """A command's reader for _read_argv, compiled from its _COMMANDS entry.
+
+    It is (func, defaults, required, specs): the handler, each dest's
+    default, the set of required dests, and each flag's (dest, type,
+    choices), None for a flag without that keyword, as argparse reads them.
+    """
+    specs = {flag: (flag[2:], spec.get("type"), spec.get("choices")) for flag, spec in flags.items()}
+    defaults = {flag[2:]: spec.get("default") for flag, spec in flags.items()}
+    required = frozenset(flag[2:] for flag, spec in flags.items() if spec.get("required"))
+    return func, defaults, required, specs
+
+
+_READERS = {name: _reader(func, flags) for name, (func, _, flags) in _COMMANDS.items()}
 
 
 if __name__ == "__main__":

@@ -79,9 +79,13 @@ def special_line(datum: ParabolicRootDatum, lam: Weight) -> SpecialLine:
 
 @lru_cache(maxsize=None)
 def line_offset(case: HermitianCase) -> Fraction:
-    """The constant in z = c + offset for scalar parameters c: <rho, gamma^v>."""
+    """The constant in z = c + offset for scalar parameters c: <rho, gamma^v>.
+
+    It is a / norm of gamma's entry in the datum's integer view.
+    """
     datum = build_datum(case)
-    return pairing(datum.rho, datum.gamma)
+    nil = datum.integer_view.nilradical[datum.nilradical_roots.index(datum.gamma)]
+    return Fraction(nil.a, nil.norm)
 
 
 def _real_rank(datum: ParabolicRootDatum) -> int:

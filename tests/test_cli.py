@@ -15,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import scalarverma
 from conftest import ADMISSIBLE_CASES, SWEEP_CASES, case_flags, replaced
@@ -1098,12 +1098,12 @@ def test_another_commands_flag_leaves_a_negative_neighbour_apart(capsys, argv, t
     "argv", USAGE_ARGV + README_COMMANDS, ids=lambda argv: " ".join(argv) or "(none)"
 )
 def test_command_parser_matches_the_top_parser(capsys, argv):
-    # The reader turns down every help and usage error, and reads each
-    # README command line as argparse does.
-    argv = cli._glue_values(argv)
+    # The reader, on the argv as typed, turns down every help and usage
+    # error, and reads each README command line as argparse does on the
+    # glued argv.
     read = cli._read_argv(argv)
     try:
-        parsed = vars(cli._build_parser().parse_args(argv))
+        parsed = vars(cli._build_parser().parse_args(cli._glue_values(argv)))
     except SystemExit as exc:
         assert read is None and exc.code in (0, 1)
     else:
@@ -1123,12 +1123,16 @@ WELL_FORMED = [
 
 
 def test_a_well_formed_request_builds_no_parser(capsys, monkeypatch):
+    # ... and glues no value: the reader takes the argv as typed
     def refuse():
         raise AssertionError("a parser was built")
 
+    glue, glued = cli._glue_values, []
     monkeypatch.setattr(cli, "_build_parser", refuse)
+    monkeypatch.setattr(cli, "_glue_values", lambda argv: glued.append(argv) or glue(argv))
     for argv in WELL_FORMED:
         assert run_cli(capsys, *argv)[0] == 0, argv
+    assert glued == []
     # help, a usage error, and a flag given twice
     for argv in (
         ["classify", "--help"],
@@ -1157,6 +1161,13 @@ DRAWN_VALUES = {
     "--table": ["1", "+2", "3", "4"],
     "--a": ["-7", "1/2"],
 }
+# A value starting with a single "-" for every flag, given as a separate
+# token: the reader takes it as the flag's value, as gluing makes it for
+# argparse.  Some are valid, some fail their choices, and some fail later.
+NEGATIVE_VALUES = {
+    "--case": "-CI", "--p": "-1", "--q": "-2", "--n": "-2", "--c": "-1/2",
+    "--window": "-1..1", "--step": "-1/2", "--table": "-1", "--a": "-7", "--format": "-json",
+}
 
 
 @st.composite
@@ -1165,14 +1176,15 @@ def _command_lines(draw):
     name = draw(st.sampled_from(list(cli._COMMANDS)))
     flags = cli._COMMANDS[name][2]
     case = draw(st.sampled_from(DRAWN_CASES)) if "--case" in flags else {}
-    pairs = [[flag, value] for flag, value in case.items()]
+    # each pair is [flag, value, whether the value must be a separate token]
+    pairs = [[flag, value, False] for flag, value in case.items()]
     for flag, spec in flags.items():
         if flag not in cli._CASE_FLAGS and (spec.get("required") or draw(st.booleans())):
-            pairs.append([flag, draw(st.sampled_from(DRAWN_VALUES.get(flag) or spec["choices"]))])
+            pairs.append([flag, draw(st.sampled_from(DRAWN_VALUES.get(flag) or spec["choices"])), False])
     pairs = draw(st.permutations(pairs))
     tokens = []
     for _ in range(draw(st.integers(0, 2))):
-        kind = draw(st.sampled_from(["repeat", "drop", "value", "abbreviate", "token"]))
+        kind = draw(st.sampled_from(["repeat", "drop", "value", "negative", "abbreviate", "token"]))
         if kind == "token":
             tokens.append(draw(st.sampled_from(["--", "-h", "--help", "extra", "-x", "--bogus", "-3"])))
         elif pairs and kind == "repeat":
@@ -1182,13 +1194,16 @@ def _command_lines(draw):
         elif pairs and kind == "value":
             # a bad choice, an empty value, or a value starting with "-"
             draw(st.sampled_from(pairs))[1] = draw(st.sampled_from(["BOGUS", "9", "", "-", "-1..1", "--format"]))
+        elif pairs and kind == "negative":
+            pair = draw(st.sampled_from(pairs))
+            pair[1:] = [NEGATIVE_VALUES.get(pair[0], "-1"), True]
         elif pairs:
             # an abbreviation: --cas for --case, and so on down to --c
             pair = draw(st.sampled_from(pairs))
             pair[0] = pair[0][:-1]
     argv = [name]
-    for flag, value in pairs:
-        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    for flag, value, separate in pairs:
+        argv += [flag, value] if separate or draw(st.booleans()) else [f"{flag}={value}"]
     for token in tokens:
         argv.insert(draw(st.integers(0, len(argv))), token)
     return argv
@@ -1201,20 +1216,95 @@ def _main_output(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(_command_lines())
 def test_reader_matches_argparse(argv):
-    # Whenever the reader takes an argv, argparse gives the same namespace
-    # (less its `command`), and main's bytes are those of argparse alone.
-    glued = cli._glue_values(argv)
-    read = cli._read_argv(glued)
+    # Whenever the reader takes an argv as typed, argparse gives the same
+    # namespace (less its `command`) for the glued argv, and main's bytes
+    # are those of argparse alone.
+    read = cli._read_argv(argv)
     if read is not None:
-        parsed = vars(cli._build_parser().parse_args(glued))
+        parsed = vars(cli._build_parser().parse_args(cli._glue_values(argv)))
         del parsed["command"]
         assert vars(read) == parsed
     output = _main_output(argv)
     with mock.patch.object(cli, "_read_argv", lambda argv: None):
         assert _main_output(argv) == output
+
+
+def test_compiled_readers_match_the_parsers_actions():
+    # Each command's reader, compiled once from _COMMANDS, holds what
+    # argparse's parser of the same table holds for every flag.
+    import argparse
+
+    parser = cli._build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(cli._READERS) == list(commands.choices) == list(cli._COMMANDS)
+    for name, (func, defaults, required, specs) in cli._READERS.items():
+        sub = commands.choices[name]
+        assert sub.get_default("func") is func
+        actions = {a.option_strings[-1]: a for a in sub._actions if a.dest != "help"}
+        assert list(specs) == list(actions)
+        assert list(defaults) == [a.dest for a in actions.values()]
+        assert required == {a.dest for a in actions.values() if a.required}
+        for flag, (dest, kind, choices) in specs.items():
+            action = actions[flag]
+            assert (dest, defaults[dest], choices) == (action.dest, action.default, action.choices)
+            assert (kind is None) == (action.type is None), flag
+            if kind is None:
+                continue
+            # argparse's type is the reader's, its ValueError made argparse's own
+            for text in ("3", "+2", " 4 ", "x", "\u0663", "1_0", ""):
+                read = _outcome(kind, text, ValueError)
+                assert read == _outcome(action.type, text, argparse.ArgumentTypeError), (flag, text)
+
+
+def _outcome(convert, text, error):
+    """convert(text), or the message of the error of that type it raises."""
+    try:
+        return convert(text)
+    except error as exc:
+        return str(exc)
+
+
+def _reference_integer(text):
+    """_integer as it ran on a regular expression: its int, or its ValueError's message."""
+    import re
+
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        return f"invalid int value: {text!r}"
+    try:
+        return int(text)
+    except ValueError as exc:
+        # str.strip() drops the separators \x1c-\x1f, which int() refuses
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from("0123456789+-_ \t\n\x0b\x1c\u00a0x.\u0663\u00b3\uff13")) | st.text())
+@example("\x1c7")
+def test_integer_keeps_its_ascii_contract(text):
+    assert _outcome(cli._integer, text, ValueError) == _reference_integer(text)
+
+
+INTEGER_TEXTS = ["", " ", "+", "-", "+-3", "\u0663", "\u00b3", "1_0", "0x3", " 7 ", "\t+7\n", "-0", "007"]
+
+
+@pytest.mark.parametrize("text", INTEGER_TEXTS, ids=ascii)
+def test_integer_texts_keep_their_decisions_and_messages(capsys, text):
+    # Both error paths of an integer flag: argparse's type error for
+    # --table, and _case's message for --n.  An accepted text gives the
+    # bytes of its canonical form.
+    table = run_cli(capsys, "table", "--table", text, "--format", "tsv")
+    classify = run_cli(capsys, "classify", "--case", "CI", "--n", text, "--c", "0", "--format", "json")
+    if isinstance(_reference_integer(text), int):
+        canonical = str(int(text))
+        assert table == run_cli(capsys, "table", "--table", canonical, "--format", "tsv")
+        assert classify == run_cli(capsys, "classify", "--case", "CI", "--n", canonical, "--c", "0", "--format", "json")
+    else:
+        usage = run_cli(capsys, "table", "--table", "x")[2].rpartition("scalarverma table: error:")[0]
+        assert table == (1, "", usage + f"scalarverma table: error: argument --table: invalid int value: {text!r}\n")
+        assert classify == (1, "", f"error: --n must be an integer, got {text!r}\n")
 
 
 def test_classify_terms_hold_the_datums_own_roots():

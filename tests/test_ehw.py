@@ -108,8 +108,10 @@ def test_line_offset_frozen():
         assert line_offset(case) == off
 
 
-@pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("case", ADMISSIBLE_CASES, ids=lambda case: case.label)
 def test_offset_is_gamma_level_of_rho(case):
+    # line_offset reads a / norm of gamma's integer view entry; the Fraction
+    # pairing of rho with gamma is its reference
     datum = build_datum(case)
     assert line_offset(case) == pairing(datum.rho, datum.gamma)
 
