@@ -271,9 +271,12 @@ def _integer(text: str) -> int:
     digits = text.strip()
     if digits[:1] in ("+", "-"):
         digits = digits[1:]
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid int value: {text!r}")
-    return int(text)
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass  # str.strip() also drops the separators \x1c-\x1f, which int() refuses
+    raise ValueError(f"invalid int value: {text!r}")
 
 
 def _parameter(name: str, text: str | None) -> int | None:

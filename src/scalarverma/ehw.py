@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InsufficientWindowError, InvariantError, Record, set_field
+from .errors import InsufficientWindowError, InvariantError, Record
 from .ratvec import (
     Weight, add, congruence, dot, format_rational, is_integer, pairing, rational, scale, sub
 )
@@ -42,33 +42,17 @@ class SpecialLine(Record):
 
     _fields = ("lambda0", "z")
 
-    def __init__(self, lambda0: Weight, z: Fraction):
-        set_field(self, "lambda0", lambda0)
-        set_field(self, "z", z)
-
 
 class ABCConstants(Record):
     """First-reduction constants of one case instance."""
 
     _fields = ("a", "b", "c")
 
-    def __init__(self, a: Fraction, b: Fraction, c: Fraction):
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "c", c)
-
 
 class ProgressionSummary(Record):
     """A scanned reducible set split into exceptions plus one tail."""
 
     _fields = ("finite_part", "tail_start", "tail_step")
-
-    def __init__(
-        self, finite_part: tuple[Fraction, ...], tail_start: Fraction, tail_step: Fraction
-    ):
-        set_field(self, "finite_part", finite_part)
-        set_field(self, "tail_start", tail_start)
-        set_field(self, "tail_step", tail_step)
 
 
 def special_line(datum: ParabolicRootDatum, lam: Weight) -> SpecialLine:

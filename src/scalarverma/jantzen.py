@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvariantError, Record, set_field
+from .errors import InvariantError, Record
 from .ratvec import Weight, add, congruence, is_integer, pairing, rational
 from .rootdata import IntegerView, ParabolicRootDatum, build_datum
 from .weyl import ChamberForm, _line_chamber, _line_width, _pack
@@ -83,38 +83,17 @@ class JantzenTerm(Record):
 
     _fields = ("beta", "level", "image", "chamber")
 
-    def __init__(self, beta: Weight, level: Fraction, image: Weight, chamber: ChamberForm):
-        set_field(self, "beta", beta)
-        set_field(self, "level", level)
-        set_field(self, "image", image)
-        set_field(self, "chamber", chamber)
-
 
 class RepClass(Record):
     """All regular terms sharing one chamber representative."""
 
     _fields = ("rep", "net_sign", "members")
 
-    def __init__(self, rep: Weight, net_sign: int, members: tuple[JantzenTerm, ...]):
-        set_field(self, "rep", rep)
-        set_field(self, "net_sign", net_sign)
-        set_field(self, "members", members)
-
 
 class SimplicityVerdict(Record):
     """A verdict and its route, with the terms, classes and witness behind them."""
 
     _fields = ("verdict", "route", "terms", "certificate", "witness")
-
-    def __init__(
-        self, verdict: str, route: str, terms: tuple[JantzenTerm, ...],
-        certificate: tuple[RepClass, ...], witness: Weight | None,
-    ):
-        set_field(self, "verdict", verdict)
-        set_field(self, "route", route)
-        set_field(self, "terms", terms)
-        set_field(self, "certificate", certificate)
-        set_field(self, "witness", witness)
 
     @property
     def surviving(self) -> tuple[RepClass, ...]:

@@ -75,8 +75,6 @@ CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
-# the view's tables of (index, entry) pairs, one tuple of pairs per row
-_Pairs = tuple[tuple[tuple[int, int], ...], ...]
 
 # Tags whose rank-2 orthogonal instance degenerates: so(4) = sl(2) + sl(2),
 # so the D2 picture has no highest root and (for DI) an empty Levi system.
@@ -94,10 +92,7 @@ class HermitianCase(Record):
     _fields = ("tag", "p", "q", "n")
 
     def __init__(self, tag: str, p: int | None = None, q: int | None = None, n: int | None = None):
-        set_field(self, "tag", tag)
-        set_field(self, "p", p)
-        set_field(self, "q", q)
-        set_field(self, "n", n)
+        super().__init__(tag, p, q, n)
         if tag not in CASE_TAGS:
             raise ValueError(f"unknown case tag {tag!r}; expected one of {CASE_TAGS}")
         for name, v in (("p", p), ("q", q), ("n", n)):
@@ -160,25 +155,8 @@ class ParabolicRootDatum(Record):
         "positive_roots", "levi_positive", "nilradical_roots", "rho", "gamma", "zeta", "theta_u",
     )
 
-    def __init__(
-        self, case: HermitianCase, ambient_dim: int, simple_roots: tuple[Weight, ...],
-        levi_simples: tuple[Weight, ...], noncompact_simple: Weight,
-        positive_roots: tuple[Weight, ...], levi_positive: tuple[Weight, ...],
-        nilradical_roots: tuple[Weight, ...], rho: Weight, gamma: Weight, zeta: Weight,
-        theta_u: Weight, *, doubled: DoubledRoots | None = None,
-    ):
-        set_field(self, "case", case)
-        set_field(self, "ambient_dim", ambient_dim)
-        set_field(self, "simple_roots", simple_roots)
-        set_field(self, "levi_simples", levi_simples)
-        set_field(self, "noncompact_simple", noncompact_simple)
-        set_field(self, "positive_roots", positive_roots)
-        set_field(self, "levi_positive", levi_positive)
-        set_field(self, "nilradical_roots", nilradical_roots)
-        set_field(self, "rho", rho)
-        set_field(self, "gamma", gamma)
-        set_field(self, "zeta", zeta)
-        set_field(self, "theta_u", theta_u)
+    def __init__(self, *args, doubled: DoubledRoots | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
         set_field(self, "doubled", doubled)
 
     @cached_property
@@ -202,13 +180,6 @@ class NilradicalLevel(Record):
     """
 
     _fields = ("root", "norm", "a", "b", "theta_root")
-
-    def __init__(self, root: IntVector, norm: int, a: int, b: int, theta_root: int):
-        set_field(self, "root", root)
-        set_field(self, "norm", norm)
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "theta_root", theta_root)
 
 
 class IntegerView(Record):
@@ -252,26 +223,8 @@ class IntegerView(Record):
         "levi_columns",
     )
 
-    def __init__(
-        self, denom: int, rho: IntVector, zeta: IntVector, theta_rho: int, rho_bound: int,
-        root_bound: int, nilradical: tuple[NilradicalLevel, ...], levi_norms: tuple[int, ...],
-        simple_norms: tuple[int, ...], rho_levi: tuple[int, ...], rho_simple: tuple[int, ...],
-        gram_rows: _Pairs, simple_coords: _Pairs, levi_columns: _Pairs,
-    ):
-        set_field(self, "denom", denom)
-        set_field(self, "rho", rho)
-        set_field(self, "zeta", zeta)
-        set_field(self, "theta_rho", theta_rho)
-        set_field(self, "rho_bound", rho_bound)
-        set_field(self, "root_bound", root_bound)
-        set_field(self, "nilradical", nilradical)
-        set_field(self, "levi_norms", levi_norms)
-        set_field(self, "simple_norms", simple_norms)
-        set_field(self, "rho_levi", rho_levi)
-        set_field(self, "rho_simple", rho_simple)
-        set_field(self, "gram_rows", gram_rows)
-        set_field(self, "simple_coords", simple_coords)
-        set_field(self, "levi_columns", levi_columns)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         set_field(self, "words", {})
 
 

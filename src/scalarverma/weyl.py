@@ -65,7 +65,7 @@ import math
 from bisect import bisect_right
 from operator import itemgetter
 
-from .errors import InvariantError, Record, set_field
+from .errors import InvariantError, Record
 from .ratvec import Weight, inner, pairing, reflect
 from .rootdata import IntegerView, IntVector, ParabolicRootDatum
 
@@ -78,10 +78,6 @@ class ChamberForm(Record):
     """
 
     _fields = ("rep", "steps")
-
-    def __init__(self, rep: Weight | None, steps: int):
-        set_field(self, "rep", rep)
-        set_field(self, "steps", steps)
 
     @property
     def is_regular(self) -> bool:

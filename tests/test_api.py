@@ -1,8 +1,9 @@
 """The package's public names are the ones the README documents, its
 modules import one another in layers and a request imports only what it
-runs, its records are frozen values, one module owns the scalar line's memo,
-the rational reference stays apart from the integer path it judges, and the
-benchmark's tracer finds every function it wraps."""
+runs, its records are frozen values that share one constructor, one module
+owns the scalar line's memo, the rational reference stays apart from the
+integer path it judges, and the benchmark's tracer finds every function it
+wraps."""
 
 from __future__ import annotations
 
@@ -327,6 +328,65 @@ def test_records_leave_their_private_state_out():
     assert "doubled" not in repr(datum) and "words" not in repr(view)
     assert not {"doubled", "integer_view"} & set(datum._fields)
     assert "words" not in view._fields
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_share_one_constructor_contract(name):
+    # Fields bind in `_fields` order, positionally or by keyword; a missing,
+    # extra, unknown or repeated one is a TypeError.  HermitianCase alone
+    # defaults some fields (p, q and n to None).
+    record = RECORDS[name]
+    cls, fields = type(record), type(record)._fields
+    values = [getattr(record, field) for field in fields]
+
+    def after(k):
+        """The fields from the k-th on, by keyword."""
+        return dict(zip(fields[k:], values[k:]))
+
+    for k in range(len(fields) + 1):
+        copy = cls(*values[:k], **after(k))
+        assert copy == record and hash(copy) == hash(record) and repr(copy) == repr(record)
+    defaulted = {"p", "q", "n"} if cls is scalarverma.HermitianCase else set()
+    # an extra positional argument, and an unknown keyword
+    calls = [((*values, None), {}), (values, {"extra": None})]
+    # the k-th field given both positionally and by keyword
+    calls += [(values[:k], {fields[k - 1]: values[k - 1], **after(k)}) for k in range(1, len(fields) + 1)]
+    # each field left out, from keywords or from the end of the positions
+    calls += [([], {f: v for f, v in after(0).items() if f != field}) for field in fields if field not in defaulted]
+    calls += [(values[:k], {}) for k in range(len(fields)) if fields[k] not in defaulted]
+    for args, kwargs in calls:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_datum_takes_its_doubled_record_by_keyword_only():
+    datum = RECORDS["ParabolicRootDatum"]
+    values = [getattr(datum, field) for field in datum._fields]
+    with_record, without = type(datum)(*values, doubled=datum.doubled), type(datum)(*values)
+    assert with_record.doubled is datum.doubled and without.doubled is None
+    assert with_record == without == datum and hash(with_record) == hash(without)
+    assert repr(with_record) == repr(without) == repr(datum)
+    with pytest.raises(TypeError):
+        type(datum)(*values, datum.doubled)
+
+
+def test_records_state_their_fields_once():
+    # Only three records define a constructor, each for what the base's
+    # cannot do (HermitianCase validates, the datum and the view keep an
+    # attribute outside their fields), and none sets a field itself.
+    kept = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ClassDef) and "Record" in [getattr(b, "id", None) for b in node.bases]):
+                continue
+            kept[node.name] = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+            fields = getattr(importlib.import_module(f"scalarverma.{path.stem}"), node.name)._fields
+            for init in kept[node.name]:
+                for call in ast.walk(init):
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "set_field":
+                        assert call.args[1].value not in fields, (node.name, call.args[1].value)
+    assert set(kept) == set(RECORDS)
+    assert {name for name, inits in kept.items() if inits} == {"HermitianCase", "ParabolicRootDatum", "IntegerView"}
 
 
 def test_tables_read_the_cases_own_roots():
