@@ -46,18 +46,17 @@ Every command and flag is declared once, in _COMMANDS: each command's
 handler and help text, and each flag's default, whether it is required,
 its choices, its type and its help.  At import each command's entry is
 compiled into a reader (_READERS): its defaults, its set of required
-flags, and each flag's dest, type and choices.  main() reads a
-well-formed argv as typed, in one pass, with its command's reader
-(_read_argv), and builds no parser; building one costs more than deciding
-a typical point.  A separate value that starts with a single "-" is the
-value of the flag before it.  Any other argv is glued (_glue_values joins
-such a value onto its flag, "--c -1" into "--c=-1", which argparse would
-otherwise take for an option) and goes to the argparse parser built from
-the same table, once per process, on the first call that needs it, and
-reused by every later call; it alone prints help and usage errors, and
-their bytes are argparse's.  argparse is imported only to build that
-parser, and json's string encoder only for a string that needs escaping,
-so a well-formed request loads neither.
+flags, and each flag's dest, type and choices.  main() reads every argv
+with its command's reader (_read_argv), in one pass, as typed.  A separate
+value that starts with a single "-" is the value of the flag before it,
+and one that starts with "--" is none.  An argv that is not well formed
+gives a reason, and main prints the usage line and the reason to stderr
+and exits 1; -h or --help, at the top level or after a command, prints
+the help and exits 0.  The usage line, the help and the reasons are
+written from the same table, in argparse's words and layout and never
+wrapped, and only when printed.  json's string encoder is imported only
+for a string that needs escaping, so a well-formed request loads no module
+it does not run.
 
 classify writes its output straight from the integer decision, with no
 record and no Fraction per term, from fragments, as scan writes its rows:
@@ -110,13 +109,15 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv)
-    if args is None:
-        try:
-            args = _build_parser().parse_args(_glue_values(list(argv)))
-        except SystemExit as exc:
-            # argparse exits on usage errors (and on --help); keep the int
-            # contract of main() by translating instead of leaking the exit
-            return int(exc.code or 0)
+    if type(args) is tuple:
+        # the help or a usage error of a command, or of the top level for None
+        name, reason = args
+        if reason is None:
+            sys.stdout.write(_help(name))
+            return 0
+        prog = "scalarverma" if name is None else f"scalarverma {name}"
+        sys.stderr.write(f"{_usage(name)}\n{prog}: error: {reason}\n")
+        return 1
     try:
         return args.func(args)
     except InvariantError as exc:
@@ -149,124 +150,109 @@ def run() -> None:
 # argument plumbing
 
 
-def _glue_values(argv: list[str]) -> list[str]:
-    # Join "--c -3/4" into "--c=-3/4" so values with a leading minus are
-    # never mistaken for option strings.  Only a flag of the command that
-    # argv[0] names is glued: after --help or another command's flag, a
-    # negative token is left alone, and a following "--flag" is never a
-    # value, so argparse reports the flag that lacks one.
-    flags = _COMMANDS[argv[0]][2] if argv and argv[0] in _COMMANDS else {}
-    out: list[str] = []
-    for tok in argv:
-        negative = tok.startswith("-") and not tok.startswith("--")
-        if negative and out and out[-1] in flags:
-            out[-1] += f"={tok}"
-        else:
-            out.append(tok)
-    return out
-
-
-def _read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace argparse would return for a well-formed argv, read by its command's reader.
+def _read_argv(argv: list[str]) -> SimpleNamespace | tuple[str | None, str | None]:
+    """argv read by its command's reader: a well-formed argv's namespace, or
+    (command, reason) for a usage error and (command, None) for help, with
+    command None for the top level.
 
     Well formed: a command, then "--flag value" or "--flag=value" (split at
-    the first "=") for flags of that command, each at most once, with no
-    separate value starting with "--", every required flag present, and
-    every value within its choices and its type.  A separate value that
-    starts with a single "-" is the value of the flag before it, as
-    _glue_values makes it for argparse.  The namespace holds each flag's
-    value or default and the command's func; argparse's `command`, which no
-    handler reads, is left out.  Any other argv gives None, and goes to
-    argparse, which alone prints help and usage errors.
+    the first "=") for flags of that command, every required flag present,
+    and every value within its choices and its type.  A separate value is
+    the next token unless that starts with "--".  A repeated flag keeps its
+    last value, and each of its values is checked.  Any other token, "--"
+    among them, is unrecognized.  The first missing value, bad value or
+    -h/--help, in argv order, decides; then the required flags not given;
+    then the unrecognized tokens.  The namespace holds each flag's value or
+    default and the command's func.
     """
-    reader = _READERS.get(argv[0]) if argv else None
+    if not argv:
+        return None, "the following arguments are required: command"
+    name = argv[0]
+    reader = _READERS.get(name)
     if reader is None:
-        return None
+        # -h or --help in place of a command asks for the top level's help
+        return None, None if name in ("-h", "--help") else _invalid_choice("command", name, _COMMANDS)
     func, defaults, required, specs = reader
     values = {}
+    unrecognized = []
     tokens = iter(argv[1:])
     for token in tokens:
         flag, eq, value = token.partition("=")
         spec = specs.get(flag)
         if spec is None:
-            return None
+            if token in ("-h", "--help"):
+                return name, None
+            unrecognized.append(token)
+            continue
         dest, kind, choices = spec
-        if dest in values:
-            return None
         if not eq:
             # a missing value reads as "--", which is turned down
             value = next(tokens, "--")
             if value.startswith("--"):
-                return None
+                return name, f"argument {flag}: expected one argument"
         if kind is not None:
             try:
                 value = kind(value)
-            except ValueError:
-                return None
+            except ValueError as exc:
+                return name, f"argument {flag}: {exc}"
         if choices is not None and value not in choices:
-            return None
+            return name, _invalid_choice(flag, value, choices)
         values[dest] = value
     if not required <= values.keys():
-        return None
+        missing = [f"--{dest}" for dest in defaults if dest in required and dest not in values]
+        return name, "the following arguments are required: " + ", ".join(missing)
+    if unrecognized:
+        return None, "unrecognized arguments: " + " ".join(unrecognized)
     return SimpleNamespace(func=func, **(defaults | values))
 
 
-@cache
-def _build_parser():
-    """The argparse parser of _COMMANDS, built on the first call that needs it."""
-    import argparse
+def _invalid_choice(argument: str, value, choices) -> str:
+    """The reason for a value outside its argument's choices."""
+    return f"argument {argument}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
 
-    class Parser(argparse.ArgumentParser):
-        """argparse with usage failures mapped to exit code 1.
 
-        Flags must be spelled in full: a prefix such as --st for --step is
-        an unknown flag, so a flag added later never changes what one means.
-        """
+def _usage(name: str | None) -> str:
+    """The usage line of a command, or of the top level for None, as argparse
+    writes it at a width that wraps nothing."""
+    if name is None:
+        return "usage: scalarverma [-h] {" + ",".join(_COMMANDS) + "} ..."
+    words = [text if spec.get("required") else f"[{text}]" for text, spec in _flag_texts(name)]
+    return f"usage: scalarverma {name} [-h] " + " ".join(words)
 
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, allow_abbrev=False, **kwargs)
 
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            self.exit(1, f"{self.prog}: error: {message}\n")
+def _flag_texts(name: str):
+    """Each flag of a command with its value as usage and help show it, its
+    choices or its name in capitals, and the flag's spec."""
+    for flag, spec in _COMMANDS[name][2].items():
+        choices = spec.get("choices")
+        yield f"{flag} " + ("{" + ",".join(map(str, choices)) + "}" if choices else flag[2:].upper()), spec
 
-    class Store(argparse.Action):
-        """Store a flag's one value, and refuse "--flag=--".
 
-        Some argparse versions drop a lone "--" from a flag's value and store
-        an empty list, which no choices or type check sees; that is a usage
-        error, which quotes the value.
-        """
+def _help(name: str | None) -> str:
+    """The help of a command, or of the top level for None, in argparse's
+    layout at a width that wraps nothing."""
+    head, options = [], [_entry("  -h, --help", "show this help message and exit")]
+    if name is None:
+        head = ["Command line interface.", "", "positional arguments:", "  {" + ",".join(_COMMANDS) + "}"]
+        head += [_entry(f"    {command}", text) for command, (_, text, _) in _COMMANDS.items()] + [""]
+    else:
+        options += [_entry(f"  {text}", spec.get("help")) for text, spec in _flag_texts(name)]
+    return "\n".join([_usage(name), "", *head, "options:", *options]) + "\n"
 
-        def __call__(self, parser, namespace, values, option_string=None):
-            if values == []:
-                parser.error(f"argument {option_string}: invalid value: '--'")
-            setattr(namespace, self.dest, values)
 
-    def integer(text: str) -> int:
-        # argparse prints an ArgumentTypeError's message as it stands
-        try:
-            return _integer(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-
-    parser = Parser(prog="scalarverma", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
-    for name, (func, text, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        for flag, spec in flags.items():
-            if spec.get("type") is _integer:
-                spec = {**spec, "type": integer}
-            p.add_argument(flag, action=Store, **spec)
-        p.set_defaults(func=func)
-    return parser
+def _entry(left: str, text: str | None) -> str:
+    """A line of help: left, then text from column 24, on a line of its own
+    when left is wider than 22."""
+    if text is None:
+        return left
+    return f"{left:<22}  {text}" if len(left) <= 22 else f"{left}\n{'':24}{text}"
 
 
 def _integer(text: str) -> int:
     """text as an int, for ASCII digits with an optional sign and nothing else.
 
     int() alone also reads underscores and every Unicode digit.  The
-    ValueError's message is argparse's own for a type=int flag.
+    ValueError's message is the reason _read_argv gives for a bad --table.
     """
     digits = text.strip()
     if digits[:1] in ("+", "-"):
@@ -975,7 +961,7 @@ def cmd_datum_dump(args) -> int:
 # the commands
 
 
-# Every flag takes one value.  Its spec holds argparse's keywords for it:
+# Every flag takes one value.  Its spec holds, each where it applies, its
 # help, default, required, choices, and type (--table's alone).
 _CASE_FLAGS = {
     "--case": {"required": True, "choices": CASE_TAGS, "help": "case tag"},
@@ -985,8 +971,8 @@ _CASE_FLAGS = {
 }
 _STEP = {"default": "1/6", "help": "lattice step (default 1/6)"}
 # Each command's handler, help text and flags, in the order its usage lists
-# them.  _build_parser builds argparse from this table, and _reader compiles
-# from it the reader with which _read_argv reads a well-formed argv.
+# them.  _reader compiles from this table the reader with which _read_argv
+# reads an argv, and _usage and _help write from it.
 _COMMANDS = {
     "classify": (cmd_classify, "decide one scalar parameter", {
         **_CASE_FLAGS,
@@ -1019,7 +1005,7 @@ def _reader(func, flags: dict) -> tuple:
 
     It is (func, defaults, required, specs): the handler, each dest's
     default, the set of required dests, and each flag's (dest, type,
-    choices), None for a flag without that keyword, as argparse reads them.
+    choices), None for a flag without that key.
     """
     specs = {flag: (flag[2:], spec.get("type"), spec.get("choices")) for flag, spec in flags.items()}
     defaults = {flag[2:]: spec.get("default") for flag, spec in flags.items()}

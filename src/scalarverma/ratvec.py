@@ -9,15 +9,11 @@ between threads.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Iterable
 from fractions import Fraction
 from operator import mul
 
 Weight = tuple[Fraction, ...]
-
-# ASCII digits only: \d would also match every Unicode digit.
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -28,9 +24,11 @@ def parse_rational(text: str) -> Fraction:
     whitespace inside the number) is rejected.
     """
     s = text.strip().replace("−", "-")
-    if not _RATIONAL_RE.fullmatch(s):
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    # ASCII digits only: str.isdigit() alone also takes every Unicode digit
+    if not (s.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
         raise ValueError(f"not a rational: {text!r} (expected p or p/q)")
-    num, _, den = s.partition("/")
     if den and int(den) == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(int(num), int(den)) if den else Fraction(int(num))

@@ -8,9 +8,7 @@ wraps."""
 from __future__ import annotations
 
 import ast
-import contextlib
 import importlib
-import io
 import os
 import subprocess
 import sys
@@ -71,9 +69,9 @@ def _package_imports() -> dict[str, set[str]]:
     return graph
 
 
-# The modules a well-formed request must not load: dataclasses (which
-# brings inspect), typing, argparse (help and usage errors only) and json
-# (strings that need escaping only).
+# The modules a request, its help or a usage error must not load:
+# dataclasses (which brings inspect), typing, argparse, and json (strings
+# that need escaping only).
 HEAVY_MODULES = ("dataclasses", "inspect", "typing", "argparse", "json")
 # Runs main on each of its arguments, a command line split on spaces, and
 # prints the repr of (exit code, heavy modules loaded so far, stdout).
@@ -92,30 +90,40 @@ for argv in sys.argv[1:]:
 
 
 def test_cli_imports_only_what_a_request_runs():
-    # In a fresh interpreter without site, a well-formed classify and scan
-    # load none of the heavy modules: annotations are strings, records are
-    # plain classes, and Iterable comes from collections.abc, which the
-    # interpreter loads at start.  Help still comes from argparse.
+    # In a fresh interpreter without site, a well-formed classify and scan,
+    # a help and a usage error load none of the heavy modules: annotations
+    # are strings, records are plain classes, Iterable comes from
+    # collections.abc, which the interpreter loads at start, and help and
+    # usage lines are written from cli's flag table.
     argv = [
         "classify --case CI --n 3 --c 0 --format json",
         "scan --case CI --n 3 --window -2..2 --step 1/2 --format json",
         "classify --help",
+        "classify --case CI --n 3",
     ]
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     run = subprocess.run(
         [sys.executable, "-S", "-c", _REQUEST_SCRIPT, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
-    classify, scan, help_ = map(ast.literal_eval, run.stdout.splitlines())
+    classify, scan, help_, usage = map(ast.literal_eval, run.stdout.splitlines())
     assert classify[:2] == (0, []) and classify[2].startswith('{\n  "case": {')
     assert scan[:2] == (0, []) and scan[2].startswith('{\n  "case": {')
-    code, loaded, text = help_
-    assert code == 0 and "argparse" in loaded
-    parser = importlib.import_module("scalarverma.cli")._build_parser()
-    expected = io.StringIO()
-    with contextlib.redirect_stdout(expected), pytest.raises(SystemExit):
-        parser.parse_args(["classify", "--help"])
-    assert text == expected.getvalue()
+    assert help_[:2] == (0, []) and help_[2].startswith("usage: scalarverma classify [-h]")
+    assert usage == (1, [], "")
+    assert run.stderr.endswith("scalarverma classify: error: the following arguments are required: --c\n")
+
+
+def test_no_module_imports_argparse():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "argparse" not in {name.split(".")[0] for name in names}, path.name
 
 
 def test_package_imports_have_no_cycle():

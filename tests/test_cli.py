@@ -12,7 +12,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -74,7 +73,7 @@ def test_classify_line_matches_special_line():
 
 
 def test_classify_negative_value_without_equals(capsys):
-    # the glue pass joins "--c -3" into one token before argparse runs
+    # a separate value starting with a single "-" is the value of the flag before it
     a = classify_json(capsys, "--case", "AIII", "--p", "2", "--q", "2", "--c", "-3")
     b = classify_json(capsys, "--case", "AIII", "--p", "2", "--q", "2", "--c=-3")
     assert a == b
@@ -122,7 +121,8 @@ def test_classify_simple_point_has_no_witness(capsys):
     assert payload["witness"] is None and payload["surviving_classes"] == []
 
 
-@pytest.mark.parametrize("argv", [
+# Requests refused with exit 1, by the reader or by a command.
+USAGE_ERRORS = [
     ["classify", "--case", "AIII", "--c", "1"],              # p, q missing
     ["classify", "--case", "BOGUS", "--c", "1"],
     ["classify", "--case", "CI", "--n", "1", "--c", "1"],
@@ -153,7 +153,11 @@ def test_classify_simple_point_has_no_witness(capsys):
     ["crosscheck", "--case", "CI", "--n", "2..\u0663"],
     ["crosscheck", "--case", "AIII", "--p", "1_0..11", "--q", "1"],
     ["table", "--table", "\u0661"],
-])
+    ["classify", "--case=CI", "--n=3", "--c=1=2"],           # split at the first "="
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_errors_exit_1(capsys, argv):
     assert main(list(argv)) == 1
     capsys.readouterr()
@@ -183,8 +187,8 @@ KEPT_VALUES = {"--case": "CI", "--n": "2", "--c": "0", "--window": "0..1", "--ta
     ids=lambda x: x,
 )
 def test_a_lone_double_dash_value_is_a_usage_error(capsys, command, flag):
-    # argparse drops the value of "--flag=--" on some versions and keeps
-    # it on others; either way the request is refused and names the value.
+    # "--" is the value of "--flag=--", which every flag refuses, by its
+    # choices, its type or its command, naming the value.
     flags = cli._COMMANDS[command][2]
     argv = [command] + [f"{f}={v}" for f, v in KEPT_VALUES.items() if f in flags and f != flag]
     code, out, err = run_cli(capsys, *argv, f"{flag}=--")
@@ -923,16 +927,21 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
+def _module_env(**variables: str) -> dict[str, str]:
+    """This process's environment with variables set, in which a child
+    imports the same package as this process, installed or not."""
+    src = str(Path(scalarverma.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **variables}
+
+
 def test_entry_point_subprocess():
     # byte-for-byte stability across processes, through `python -m
     # scalarverma.cli`; CI checks the installed console script against it
     cmd = [sys.executable, "-m", "scalarverma.cli", "table", "--table", "2",
            "--format", "tsv"]
-    # the child imports the same package as this process, installed or not
-    src = str(Path(scalarverma.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     runs = {
-        subprocess.run(cmd, capture_output=True, check=True, env=env).stdout for _ in range(2)
+        subprocess.run(cmd, capture_output=True, check=True, env=_module_env()).stdout for _ in range(2)
     }
     assert len(runs) == 1
     assert next(iter(runs)).startswith(b"pattern\te1")
@@ -943,9 +952,7 @@ def test_closed_pipe_exits_1_without_traceback():
     # about 200 KB, more than a pipe buffers, so the writer meets it closed.
     cmd = [sys.executable, "-m", "scalarverma.cli", "scan", "--case", "CI", "--n", "5",
            "--window", "-40..20", "--step", "1/60"]
-    src = str(Path(scalarverma.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env()) as proc:
         assert proc.stdout.readline() == b"case\tc\tz\tverdict\troute\tabc_screen\tclosed_form\tagree\n"
         proc.stdout.close()
         err = proc.stderr.read()
@@ -958,63 +965,19 @@ def test_main_rejects_unknown_format(capsys):
     capsys.readouterr()
 
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
-    # a usage error builds the parser; a well-formed request builds none
-    main(["classify", "--case", "BOGUS", "--c", "1"])
-    built = []
-    # cli imports argparse only to build its parser, and the usage error
-    # above built it; count every argparse parser built from here on.
-    argparse = sys.modules["argparse"]
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    for c in ("-2", "-3", "1/2"):
-        assert main(["classify", "--case", "EIII", "--c", c, "--format", "json"]) == 0
-    assert main(["classify", "--case", "BOGUS", "--c", "1"]) == 1
-    capsys.readouterr()
-    assert built == []
-
-
-# One process's calls, in this order, through the one shared parser.
-SHARED_PARSER_CALLS = [
-    ["classify", "--case", "BOGUS", "--c", "1"],
-    ["--help"],
-    ["scan", "--help"],
-    ["classify", "--case", "AIII", "--p", "2", "--q", "--c", "1"],
-    ["classify", "--case", "AIII", "--p", "2", "--q", "3", "--c", "-1", "--format", "json"],
-    ["scan", "--case", "CI", "--n", "2", "--window", "-1..1"],
-    ["crosscheck", "--case", "CI", "--n", "2..4"],
-    [],
-    ["classify", "--case", "EIII", "--c", "-2"],
-]
-
-
-def test_shared_parser_matches_a_fresh_parser(capsys, monkeypatch):
-    shared = [run_cli(capsys, *argv) for argv in SHARED_PARSER_CALLS * 2]
-    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-    fresh = [run_cli(capsys, *argv) for argv in SHARED_PARSER_CALLS]
-    assert shared == fresh * 2
-    assert [code for code, _, _ in fresh] == [1, 0, 0, 1, 0, 0, 0, 1, 0]
-
-
-# --help before a negative token: the token is not glued onto --help, so
-# argparse prints the help and exits 0.
+# --help before a negative token: the token is no value of --help, so the
+# help is printed and the exit is 0.
 HELP_BEFORE_A_NEGATIVE = [
     ["classify", "--help", "-3"],
     ["scan", "--case", "CI", "--n", "3", "--help", "-1..1"],
 ]
-# Another command's flag before a negative value, and the tokens argparse
-# reports as unrecognized.
+# Another command's flag before a negative value: both tokens are reported
+# as unrecognized.
 FOREIGN_FLAG_BEFORE_A_NEGATIVE = [
     (["scan", "--case", "CI", "--n", "3", "--window", "0..1", "--c", "-3"], "--c -3"),
     (["classify", "--case", "CI", "--n", "3", "--window", "-3", "--c", "0"], "--window -3"),
 ]
-# Usage errors and help texts, each argv of a shape that the reader must
-# leave to argparse.
+# Help texts and usage errors, one argv of each shape the reader turns down.
 USAGE_ARGV = [
     # no args, and help at both levels
     [],
@@ -1084,8 +1047,8 @@ def test_help_leaves_a_negative_neighbour_apart(capsys, argv):
     "argv, tokens", FOREIGN_FLAG_BEFORE_A_NEGATIVE, ids=[" ".join(argv) for argv, _ in FOREIGN_FLAG_BEFORE_A_NEGATIVE]
 )
 def test_another_commands_flag_leaves_a_negative_neighbour_apart(capsys, argv, tokens):
-    # Only a flag of the command being run takes a negative value glued
-    # on, so the error quotes the tokens as they were typed.
+    # Only a flag of the command being run takes a separate negative value,
+    # so the error quotes the tokens as they were typed.
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err == (
@@ -1097,19 +1060,34 @@ def test_another_commands_flag_leaves_a_negative_neighbour_apart(capsys, argv, t
 @pytest.mark.parametrize(
     "argv", USAGE_ARGV + README_COMMANDS, ids=lambda argv: " ".join(argv) or "(none)"
 )
-def test_command_parser_matches_the_top_parser(capsys, argv):
-    # The reader, on the argv as typed, turns down every help and usage
-    # error, and reads each README command line as argparse does on the
-    # glued argv.
-    read = cli._read_argv(argv)
-    try:
-        parsed = vars(cli._build_parser().parse_args(cli._glue_values(argv)))
-    except SystemExit as exc:
-        assert read is None and exc.code in (0, 1)
+def test_each_argv_is_read_or_refused(capsys, argv):
+    # The reader reads each README command line and turns down each help
+    # and usage argv: a help on stdout, or a usage error in two lines on
+    # stderr, a usage line and the reason under the same name, which is the
+    # command's or the top level's.
+    code, out, err = run_cli(capsys, *argv)
+    refused = type(cli._read_argv(argv)) is tuple
+    if argv in README_COMMANDS:
+        assert code == 0 and not refused
+    elif code == 0:
+        assert refused and err == "" and out.startswith("usage: scalarverma ")
+        assert "\noptions:\n  -h, --help            show this help message and exit\n" in out
     else:
-        del parsed["command"]
-        assert vars(read) == parsed
-    capsys.readouterr()
+        usage, reason = err.splitlines()
+        prog = usage.removeprefix("usage: ").partition(" [-h]")[0]
+        assert refused and code == 1 and out == "" and err.endswith("\n")
+        assert prog == "scalarverma" or prog == f"scalarverma {argv[0]}"
+        assert reason.startswith(f"{prog}: error: ")
+
+
+def test_a_repeated_flag_keeps_its_last_value(capsys):
+    assert run_cli(capsys, "table", "--table", "1", "--table", "2") == run_cli(capsys, "table", "--table", "2")
+    request = ["classify", "--case", "CI", "--n", "3", "--format", "json"]
+    assert run_cli(capsys, *request, "--c", "1", "--c", "2") == run_cli(capsys, *request, "--c", "2")
+    # every value is checked, the ones it overrides too
+    code, out, err = run_cli(capsys, "table", "--table", "1", "--table", "9")
+    assert code == 1 and out == ""
+    assert err.endswith("scalarverma table: error: argument --table: invalid choice: 9 (choose from 1, 2, 3, 4)\n")
 
 
 # A well-formed request of each command.
@@ -1120,93 +1098,55 @@ WELL_FORMED = [
     ["crosscheck", "--case", "CI", "--n", "2..3", "--format", "json"],
     ["datum-dump", "--case", "EIII"],
 ]
-
-
-def test_a_well_formed_request_builds_no_parser(capsys, monkeypatch):
-    # ... and glues no value: the reader takes the argv as typed
-    def refuse():
-        raise AssertionError("a parser was built")
-
-    glue, glued = cli._glue_values, []
-    monkeypatch.setattr(cli, "_build_parser", refuse)
-    monkeypatch.setattr(cli, "_glue_values", lambda argv: glued.append(argv) or glue(argv))
-    for argv in WELL_FORMED:
-        assert run_cli(capsys, *argv)[0] == 0, argv
-    assert glued == []
-    # help, a usage error, and a flag given twice
-    for argv in (
-        ["classify", "--help"],
-        ["classify", "--case", "CI", "--n", "3", "--c", "1", "extra"],
-        ["table", "--table", "2", "--table", "1"],
-    ):
-        with pytest.raises(AssertionError, match="parser was built"):
-            main(argv)
-    monkeypatch.undo()
-    code, _, err = run_cli(capsys, "classify", "--case", "CI", "--n", "3", "--c", "1", "extra")
-    assert code == 1 and err.endswith("scalarverma: error: unrecognized arguments: extra\n")
-
-
-# The cases a command line is drawn with, and valid values of the other
-# flags that have no choices.
-DRAWN_CASES = [
-    {"--case": "CI", "--n": "3"},
-    {"--case": "EIII"},
-    {"--case": "AIII", "--p": "2", "--q": "1"},
-    {"--case": "DIII", "--n": "2..3"},
-]
-DRAWN_VALUES = {
-    "--c": ["1", "-1/2", "0", "5/2"],
-    "--window": ["-1..1", "0..1/2", "-3/2..-1/2"],
-    "--step": ["1/2", "1/3"],
-    "--table": ["1", "+2", "3", "4"],
-    "--a": ["-7", "1/2"],
-}
-# A value starting with a single "-" for every flag, given as a separate
-# token: the reader takes it as the flag's value, as gluing makes it for
-# argparse.  Some are valid, some fail their choices, and some fail later.
+# What a well-formed request is perturbed by: a token put in at any place,
+# a bad value of any flag, and a separate value starting with a single "-"
+# for each flag, which is that flag's value.  Some of these are valid, some
+# fail their choices, and some fail later.
+STRAY_TOKENS = ["--", "-h", "--help", "extra", "-x", "--bogus", "-3"]
+BAD_VALUES = ["BOGUS", "9", "", "-", "-1..1", "--format"]
 NEGATIVE_VALUES = {
     "--case": "-CI", "--p": "-1", "--q": "-2", "--n": "-2", "--c": "-1/2",
     "--window": "-1..1", "--step": "-1/2", "--table": "-1", "--a": "-7", "--format": "-json",
 }
 
 
-@st.composite
-def _command_lines(draw):
-    """A well-formed argv of one command, then up to two perturbations."""
-    name = draw(st.sampled_from(list(cli._COMMANDS)))
-    flags = cli._COMMANDS[name][2]
-    case = draw(st.sampled_from(DRAWN_CASES)) if "--case" in flags else {}
-    # each pair is [flag, value, whether the value must be a separate token]
-    pairs = [[flag, value, False] for flag, value in case.items()]
-    for flag, spec in flags.items():
-        if flag not in cli._CASE_FLAGS and (spec.get("required") or draw(st.booleans())):
-            pairs.append([flag, draw(st.sampled_from(DRAWN_VALUES.get(flag) or spec["choices"])), False])
-    pairs = draw(st.permutations(pairs))
-    tokens = []
-    for _ in range(draw(st.integers(0, 2))):
-        kind = draw(st.sampled_from(["repeat", "drop", "value", "negative", "abbreviate", "token"]))
-        if kind == "token":
-            tokens.append(draw(st.sampled_from(["--", "-h", "--help", "extra", "-x", "--bogus", "-3"])))
-        elif pairs and kind == "repeat":
-            pairs.append(list(draw(st.sampled_from(pairs))))
-        elif pairs and kind == "drop":
-            pairs.remove(draw(st.sampled_from(pairs)))
-        elif pairs and kind == "value":
-            # a bad choice, an empty value, or a value starting with "-"
-            draw(st.sampled_from(pairs))[1] = draw(st.sampled_from(["BOGUS", "9", "", "-", "-1..1", "--format"]))
-        elif pairs and kind == "negative":
-            pair = draw(st.sampled_from(pairs))
-            pair[1:] = [NEGATIVE_VALUES.get(pair[0], "-1"), True]
-        elif pairs:
-            # an abbreviation: --cas for --case, and so on down to --c
-            pair = draw(st.sampled_from(pairs))
-            pair[0] = pair[0][:-1]
-    argv = [name]
-    for flag, value, separate in pairs:
-        argv += [flag, value] if separate or draw(st.booleans()) else [f"{flag}={value}"]
+def _pairs(argv: list[str]) -> list[tuple[str, str]]:
+    """The (flag, value) pairs of a well-formed argv, in order."""
+    pairs, tokens = [], iter(argv[1:])
     for token in tokens:
-        argv.insert(draw(st.integers(0, len(argv))), token)
-    return argv
+        flag, eq, value = token.partition("=")
+        pairs.append((flag, value if eq else next(tokens)))
+    return pairs
+
+
+def _spelled(pairs: list[tuple[str, str]], joined: bool) -> list[str]:
+    """pairs as tokens: "--flag=value" each if joined, else "--flag", "value"."""
+    return [token for flag, value in pairs for token in ([f"{flag}={value}"] if joined else [flag, value])]
+
+
+def _argv_corpus() -> list[list[str]]:
+    """The argvs above and the README's, then each well-formed request in both
+    spellings with every single perturbation of it.
+
+    A perturbation repeats one pair, drops one pair, puts a bad value or a
+    separate negative value in one pair, cuts one flag short by a letter, or
+    puts a stray token at one position.  Each argv is listed once.
+    """
+    argvs = USAGE_ARGV + USAGE_ERRORS + README_COMMANDS
+    for command, *tokens in WELL_FORMED:
+        pairs = _pairs([command, *tokens])
+        for joined in (False, True):
+            line = [command, *_spelled(pairs, joined)]
+            argvs.append(line)
+            for i, (flag, value) in enumerate(pairs):
+                before, after = [command, *_spelled(pairs[:i], joined)], _spelled(pairs[i + 1:], joined)
+                argvs.append(line + _spelled([(flag, value)], joined))
+                argvs.append(before + after)
+                argvs += [before + _spelled([(flag, bad)], joined) + after for bad in BAD_VALUES]
+                argvs.append(before + [flag, NEGATIVE_VALUES[flag]] + after)
+                argvs.append(before + _spelled([(flag[:-1], value)], joined) + after)
+            argvs += [line[:k] + [token] + line[k:] for token in STRAY_TOKENS for k in range(len(line) + 1)]
+    return [list(argv) for argv in dict.fromkeys(map(tuple, argvs))]
 
 
 def _main_output(argv):
@@ -1216,47 +1156,68 @@ def _main_output(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=500, deadline=None)
-@given(_command_lines())
-def test_reader_matches_argparse(argv):
-    # Whenever the reader takes an argv as typed, argparse gives the same
-    # namespace (less its `command`) for the glued argv, and main's bytes
-    # are those of argparse alone.
-    read = cli._read_argv(argv)
-    if read is not None:
-        parsed = vars(cli._build_parser().parse_args(cli._glue_values(argv)))
-        del parsed["command"]
-        assert vars(read) == parsed
-    output = _main_output(argv)
-    with mock.patch.object(cli, "_read_argv", lambda argv: None):
-        assert _main_output(argv) == output
+ARGV_CORPUS = _argv_corpus()
+# The sha256 of each corpus argv with its exit code and stdout, a help
+# text cut to its usage line.  They are the argparse parser's, at a width
+# that wrapped no line, from before the reader was the only parser.
+ARGV_CORPUS_SHA256 = "a7b6ab378995fc6064b6c25f955d93696f90479374ca6520322b0a0f1f8145a2"
 
 
-def test_compiled_readers_match_the_parsers_actions():
-    # Each command's reader, compiled once from _COMMANDS, holds what
-    # argparse's parser of the same table holds for every flag.
-    import argparse
+def test_argv_corpus_keeps_its_decisions():
+    # Each argv keeps its exit code and its stdout bytes, and each help its
+    # usage line.
+    digest = hashlib.sha256()
+    for argv in ARGV_CORPUS:
+        code, out, _ = _main_output(argv)
+        if out.startswith("usage: "):
+            out = out.partition("\n")[0]
+        digest.update(repr((argv, code, out)).encode())
+    assert (len(ARGV_CORPUS), digest.hexdigest()) == (836, ARGV_CORPUS_SHA256)
 
-    parser = cli._build_parser()
-    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(cli._READERS) == list(commands.choices) == list(cli._COMMANDS)
-    for name, (func, defaults, required, specs) in cli._READERS.items():
-        sub = commands.choices[name]
-        assert sub.get_default("func") is func
-        actions = {a.option_strings[-1]: a for a in sub._actions if a.dest != "help"}
-        assert list(specs) == list(actions)
-        assert list(defaults) == [a.dest for a in actions.values()]
-        assert required == {a.dest for a in actions.values() if a.required}
-        for flag, (dest, kind, choices) in specs.items():
-            action = actions[flag]
-            assert (dest, defaults[dest], choices) == (action.dest, action.default, action.choices)
-            assert (kind is None) == (action.type is None), flag
-            if kind is None:
-                continue
-            # argparse's type is the reader's, its ValueError made argparse's own
-            for text in ("3", "+2", " 4 ", "x", "\u0663", "1_0", ""):
-                read = _outcome(kind, text, ValueError)
-                assert read == _outcome(action.type, text, argparse.ArgumentTypeError), (flag, text)
+
+# Help at the top level and for each command, in both spellings.
+HELP_ARGV = [
+    [*command, flag]
+    for command in ([], ["classify"], ["scan"], ["table"], ["crosscheck"], ["datum-dump"])
+    for flag in ("-h", "--help")
+]
+# The sha256 of each argv below with its exit code, stdout and stderr.
+HELP_AND_USAGE_SHA256 = "182ae0d023a71ee74692fd8714a0b7a003ab386ce033796fea1e799a8b9282a6"
+
+
+def test_help_and_usage_bytes_pinned():
+    digest = hashlib.sha256()
+    for argv in HELP_ARGV + USAGE_ARGV + USAGE_ERRORS:
+        digest.update(repr((argv, *_main_output(argv))).encode())
+    assert digest.hexdigest() == HELP_AND_USAGE_SHA256
+
+
+def test_help_and_usage_ignore_the_terminal_width():
+    # Help and usage lines are never wrapped, so COLUMNS changes no byte.
+    runs = [
+        [
+            subprocess.run(
+                [sys.executable, "-m", "scalarverma.cli", *argv],
+                capture_output=True, env=_module_env(COLUMNS=columns),
+            )
+            for argv in (["classify", "--help"], ["classify", "--case", "CI", "--n", "3"])
+        ]
+        for columns in ("40", "200")
+    ]
+    narrow, wide = [[(run.returncode, run.stdout, run.stderr) for run in each] for each in runs]
+    assert narrow == wide
+    (help_code, help_text, _), (usage_code, _, usage) = wide
+    assert help_code == 0 and help_text.startswith(b"usage: scalarverma classify [-h] --case {")
+    assert usage_code == 1 and usage.count(b"\n") == 2
+
+
+def test_help_and_usage_need_no_docstrings():
+    # -OO strips every docstring, the module's too
+    for argv, code in ((["--help"], 0), (["classify", "--case", "CI"], 1)):
+        run = subprocess.run(
+            [sys.executable, "-OO", "-m", "scalarverma.cli", *argv], capture_output=True, env=_module_env()
+        )
+        assert run.returncode == code and b"Traceback" not in run.stderr, argv
 
 
 def _outcome(convert, text, error):
@@ -1291,7 +1252,7 @@ INTEGER_TEXTS = ["", " ", "+", "-", "+-3", "\u0663", "\u00b3", "1_0", "0x3", " 7
 
 @pytest.mark.parametrize("text", INTEGER_TEXTS, ids=ascii)
 def test_integer_texts_keep_their_decisions_and_messages(capsys, text):
-    # Both error paths of an integer flag: argparse's type error for
+    # Both error paths of an integer flag: the reader's type error for
     # --table, and _case's message for --n.  An accepted text gives the
     # bytes of its canonical form.
     table = run_cli(capsys, "table", "--table", text, "--format", "tsv")

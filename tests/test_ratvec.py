@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scalarverma import HermitianCase, build_datum
 from scalarverma.ratvec import (
@@ -47,6 +48,34 @@ def test_parse_rational_unicode_minus():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+# The regular expression parse_rational ran on, kept as its reference.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
+def _reference_parse_rational(text: str):
+    """parse_rational as it ran on _RATIONAL_RE: its value, or its ValueError's message."""
+    s = text.strip().replace("−", "-")
+    if not _RATIONAL_RE.fullmatch(s):
+        return f"not a rational: {text!r} (expected p or p/q)"
+    num, _, den = s.partition("/")
+    if den and int(den) == 0:
+        return f"zero denominator: {text!r}"
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from("0123456789+-−/ \t\n\x1c\u00a0x._\u0663\u00b3\uff13")) | st.text())
+@example("\x1c7/2")
+@example("+-3")
+@example("3/-4")
+def test_parse_rational_keeps_its_ascii_contract(text):
+    try:
+        read = parse_rational(text)
+    except ValueError as exc:
+        read = str(exc)
+    assert read == _reference_parse_rational(text)
 
 
 @given(rationals)
