@@ -10,14 +10,18 @@ jantzen.ScalarGrid, in blocks, each used before the next block is decided;
 classify decides its one point by jantzen._classify_point.  A block's decision
 (_grid_decisions) is its verdicts and routes, its set of Reducible m, and
 the closed form and the (A, B, C) screen as progressions in m on the grid
-(ehw.closed_form_grid, ehw.screen_grid); no string is built.  scan alone
-writes rows, as columns: the closed form and the screen fill theirs by
-slices, and the c and z strings are built once per residue class of m
-modulo the step's denominator.  crosscheck compares sets in m: a mismatch
-is a point in exactly one of the Reducible set and the closed form, a
-contradiction a Reducible point the screen calls known simple or a Simple
-point it calls known reducible, and c is formatted only for the points it
-reports.
+(ehw.closed_form_grid, ehw.screen_grid), each found from the step's and the
+constants' numerators and denominators by one congruence in integers; no
+string is built.  A window's m (_points) and crosscheck's default window
+come from numerators and denominators too, and a Fraction is built only for
+text: so between reading argv and writing text, a grid request on a new
+case does no Fraction arithmetic.  scan alone writes rows, as columns: the
+closed form and the screen fill theirs by slices, and the c and z strings
+are built once per residue class of m modulo the step's denominator.
+crosscheck compares sets in m: a mismatch is a point in exactly one of the
+Reducible set and the closed form, a contradiction a Reducible point the
+screen calls known simple or a Simple point it calls known reducible, and
+c is formatted only for the points it reports.
 
 A grid's points are counted before `_grids` builds any datum, and its
 support terms before any point is decided: past MAX_GRID_POINTS or
@@ -82,6 +86,7 @@ from .ehw import (
     INDETERMINATE,
     KNOWN_REDUCIBLE,
     KNOWN_SIMPLE,
+    _start,
     abc_constants,
     closed_form_grid,
     line_offset,
@@ -318,10 +323,16 @@ def _parse_window(text: str) -> tuple[Fraction, Fraction]:
 
 
 def _points(lo: Fraction, hi: Fraction, step: Fraction) -> range:
-    """The m whose grid points m * step lie in the window lo..hi."""
-    if step <= 0:
+    """The m whose grid points m * step lie in the window lo..hi.
+
+    Each bound and the step are read as numerator and denominator: for
+    step = s/t, lo <= m * step <= hi is lo*t/s <= m <= hi*t/s.
+    """
+    s, t = step.numerator, step.denominator
+    if s <= 0:
         raise ValueError("step must be positive")
-    return range(math.ceil(lo / step), math.floor(hi / step) + 1)
+    first = -(-lo.numerator * t // (lo.denominator * s))
+    return range(first, hi.numerator * t // (hi.denominator * s) + 1)
 
 
 def _grids(cases: list[HermitianCase], windows: list[tuple[Fraction, Fraction]], step: Fraction):
@@ -832,7 +843,6 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 # crosscheck
 
-
 def _crosscheck_instance(case: HermitianCase, window, ms: range, line: ScalarGrid) -> dict:
     """Counts, mismatches and contradictions of one case, from sets of m.
 
@@ -867,12 +877,15 @@ def cmd_crosscheck(args) -> int:
     if args.window is None:
         # A - B <= 0, so every default window holds -5..10: a family too
         # large for that is refused before abc_constants builds any datum.
-        each = _points(Fraction(-5), Fraction(10), step)
+        each = _points(-5, 10, step)
         least = len(cases) * (each.stop - each.start)
         if least > MAX_GRID_POINTS:
             raise ValueError(f"at least {least} grid points requested, over {MAX_GRID_POINTS}")
-        # z = A - 5 .. B + 10, for z = c + B
-        windows = [(con.a - con.b - 5, Fraction(10)) for con in map(abc_constants, cases)]
+        # z = A - 5 .. B + 10, for z = c + B: c = A - B - 5 .. 10, with
+        # A - B = p/q as integers
+        windows = [
+            (Fraction(p - 5 * q, q), Fraction(10)) for p, q in map(_start, map(abc_constants, cases))
+        ]
     else:
         windows = [_parse_window(args.window)] * len(cases)
     grids = _grids(cases, windows, step)

@@ -18,17 +18,24 @@ known simple below one bound in m, known reducible on one progression
 between that bound and m = 0, since z <= B is c <= 0 (`screen_grid`).
 `closed_form_reducible` and `abc_verdict` read one point of them, on the
 grid of step 1/den at m = num.
+
+All of this runs on integers.  2A, 2B and 2C are integers, and
+`abc_constants` checks them as such, from the nilradical's size, the real
+rank and gamma's a and norm in the datum's integer view; it builds the
+`Fraction` constants only to return them.  The grid functions read the step
+and the constants as (numerator, denominator) pairs, and each progression
+is one congruence on their products: no `Fraction` is divided, subtracted
+or rounded.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InsufficientWindowError, InvariantError, Record
 from .ratvec import (
-    Weight, add, congruence, dot, format_rational, is_integer, pairing, rational, scale, sub
+    Weight, add, congruence, dot, format_rational, pairing, rational, scale, sub
 )
 from .rootdata import HermitianCase, ParabolicRootDatum, build_datum
 
@@ -61,14 +68,25 @@ def special_line(datum: ParabolicRootDatum, lam: Weight) -> SpecialLine:
     return SpecialLine(sub(lam, scale(z, datum.zeta)), z)
 
 
+def _gamma_level(datum: ParabolicRootDatum):
+    """gamma's entry in the datum's integer view.
+
+    A built datum's gamma is one of its nilradical tuples, and so is a
+    copy's, unless a field was changed: it is looked for by identity first,
+    which compares no Fraction, then by equality.
+    """
+    roots, gamma = datum.nilradical_roots, datum.gamma
+    j = next((j for j, beta in enumerate(roots) if beta is gamma), None)
+    return datum.integer_view.nilradical[roots.index(gamma) if j is None else j]
+
+
 @lru_cache(maxsize=None)
 def line_offset(case: HermitianCase) -> Fraction:
     """The constant in z = c + offset for scalar parameters c: <rho, gamma^v>.
 
     It is a / norm of gamma's entry in the datum's integer view.
     """
-    datum = build_datum(case)
-    nil = datum.integer_view.nilradical[datum.nilradical_roots.index(datum.gamma)]
+    nil = _gamma_level(build_datum(case))
     return Fraction(nil.a, nil.norm)
 
 
@@ -87,35 +105,47 @@ def _real_rank(datum: ParabolicRootDatum) -> int:
 
 @lru_cache(maxsize=None)
 def abc_constants(case: HermitianCase) -> ABCConstants:
-    """(A, B, C) of a case, from its real rank, nilradical size and line offset."""
+    """(A, B, C) of a case, from its real rank r, nilradical size and line offset.
+
+    EHW: A = |nilradical| / r = (r - 1)s + b' + 1 and B = A + (r - 1)s,
+    with 2s and b' in N; s = 0 when A = B (r = 1, or DI(2)), and C is then
+    1, else C = s.  So 2A, 2B and 2C are integers, and the checks run on
+    them: 2A from |nilradical| and r, 2B from gamma's a and norm in the
+    integer view (B = a / norm), 2s = (2B - 2A) / (r - 1) and
+    2b' = 2A - 2 - (r - 1) * 2s.
+    """
     datum = build_datum(case)
     r = _real_rank(datum)
-    a = Fraction(len(datum.nilradical_roots), r)
-    b = line_offset(case)
-    # EHW: A = (r - 1)s + b' + 1 and B = A + (r - 1)s, with 2s and b' in N;
-    # s = 0 when A = B (r = 1, or DI(2)), and C is then 1.
-    s = (b - a) / (r - 1) if r > 1 else Fraction(0)
-    extra = a - 1 - (r - 1) * s
-    if a + (r - 1) * s != b or min(s, extra) < 0 or not is_integer(2 * s) or not is_integer(extra):
+    gamma = _gamma_level(datum)
+    a2, a_rem = divmod(2 * len(datum.nilradical_roots), r)
+    b2, b_rem = divmod(2 * gamma.a, gamma.norm)
+    s2, s_rem = divmod(b2 - a2, r - 1) if r > 1 else (0, b2 - a2)
+    extra2 = a2 - 2 - (r - 1) * s2
+    if a_rem or b_rem or s_rem or s2 < 0 or extra2 < 0 or extra2 % 2:
         raise InvariantError(f"{case.label}: malformed first-reduction constants")
-    return ABCConstants(a, b, s or Fraction(1))
+    return ABCConstants(Fraction(a2, 2), Fraction(b2, 2), Fraction(s2 or 2, 2))
 
 
-def _grid_progression(step: Fraction, start: Fraction, spacing: Fraction, ms: range) -> range:
-    """The m in ms with m * step in start + spacing * N, in increasing order.
+def _progression(
+    step: Fraction, start: tuple[int, int], spacing: tuple[int, int], low: int, stop: int
+) -> range:
+    """The m in low..stop-1 with m * step in start + spacing * N, in increasing order.
 
-    m * step - start is a multiple of spacing exactly when m * x - y is an
-    integer, for x = step / spacing and y = start / spacing: one congruence
-    in m.  It is a nonnegative multiple once m >= start / step.
+    start = p/q and spacing = u/v are pairs of integers, q, u and v
+    positive, and step = s/t > 0.  m * s/t = p/q + i * u/v is
+    (s*q*v) * m = p*t*v + i * (u*t*q): one congruence in m modulo u*t*q.
+    i >= 0 is m >= p*t / (s*q).
     """
-    x, y = step / spacing, start / spacing
-    found = congruence(
-        x.numerator * y.denominator,
-        y.numerator * x.denominator,
-        x.denominator * y.denominator,
-        max(ms.start, math.ceil(start / step)),
-    )
-    return range(0) if found is None else range(found[0], ms.stop, found[1])
+    s, t = step.numerator, step.denominator
+    (p, q), (u, v) = start, spacing
+    found = congruence(s * q * v, p * t * v, u * t * q, max(low, -(-p * t // (s * q))))
+    return range(0) if found is None else range(found[0], stop, found[1])
+
+
+def _start(constants: ABCConstants) -> tuple[int, int]:
+    """A - B as a pair (numerator, positive denominator), not in lowest terms."""
+    (an, ad), (bn, bd) = constants.a.as_integer_ratio(), constants.b.as_integer_ratio()
+    return an * bd - bn * ad, ad * bd
 
 
 def screen_grid(constants: ABCConstants, step: Fraction, ms: range) -> tuple[range, range]:
@@ -123,10 +153,14 @@ def screen_grid(constants: ABCConstants, step: Fraction, ms: range) -> tuple[ran
 
     z < A is m below (A - B) / step, and z <= B is m <= 0; between them the
     lattice A + iC is one progression in m.  Every other m is indeterminate.
+    The constants and the step are read as pairs of integers.
     """
-    start = constants.a - constants.b
-    simple = range(ms.start, max(ms.start, min(ms.stop, math.ceil(start / step))))
-    return simple, _grid_progression(step, start, constants.c, range(ms.start, min(ms.stop, 1)))
+    p, q = start = _start(constants)
+    # m < (A - B) / step is m < ceil(p*t / (q*s))
+    bound = -(-p * step.denominator // (q * step.numerator))
+    simple = range(ms.start, max(ms.start, min(ms.stop, bound)))
+    reducible = _progression(step, start, constants.c.as_integer_ratio(), ms.start, min(ms.stop, 1))
+    return simple, reducible
 
 
 def abc_verdict(constants: ABCConstants, z) -> str:
@@ -147,11 +181,14 @@ def closed_form_grid(case: HermitianCase, step: Fraction, ms: range) -> list[ran
     In z = c + B the set is the union over j < r of A + jC + N.  2C is an
     integer, so that union is A + N together with A + C + N, and c is
     reducible exactly when c - s is a nonnegative integer for one of the
-    starts s = A - B and A - B + C: one progression in m per start.
+    starts s = A - B and A - B + C: one progression in m per start.  The
+    constants and the step are read as pairs of integers.
     """
     con = abc_constants(case)
-    start = con.a - con.b
-    return [_grid_progression(step, s, Fraction(1), ms) for s in (start, start + con.c)]
+    p, q = _start(con)
+    cn, cd = con.c.as_integer_ratio()
+    starts = ((p, q), (p * cd + cn * q, q * cd))
+    return [_progression(step, start, (1, 1), ms.start, ms.stop) for start in starts]
 
 
 def closed_form_reducible(case: HermitianCase, c) -> bool:

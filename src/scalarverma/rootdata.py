@@ -54,6 +54,17 @@ built once the root's Levi integrality is checked.  `weyl` replaces a
 root's immutable record whole and writes no other, so a datum and its
 view may be shared across threads: a lost update loses only a word,
 which the next request finds again.
+
+A datum `_derive` returns also keeps the integers its view is scaled from
+(`ParabolicRootDatum._integers`): the doubled simple, nilradical, Levi
+positive and Levi simple roots, 4*rho (the column sums of the doubled
+positive roots), nil2, and for zeta and theta_u the pair (dot(b, b),
+4*dot(nil2, b)) of its root b, all of them integers the build already
+holds.  Its view is then scaled from them and makes no `Fraction`.  Only
+`_derive` sets them, after the constructor, so every other datum, a copy
+that is handed the `doubled` record among them, derives its view from its
+own `Fraction` fields; both sources feed one builder, and give the same
+view.
 """
 
 from __future__ import annotations
@@ -62,7 +73,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 
 from .errors import InvariantError, Record, set_field
 from .ratvec import Weight, dot, scale
@@ -148,6 +159,8 @@ class ParabolicRootDatum(Record):
     those two fields.  Only `_derive` passes it; it takes no part in repr
     or equality, and a datum built without it, such as a copy with some
     fields changed, holds None: its fields need not match any record.
+    `_integers`, the integers behind the view (see the module docstring),
+    is None unless `_derive` set it after the constructor.
     """
 
     _fields = (
@@ -158,6 +171,7 @@ class ParabolicRootDatum(Record):
     def __init__(self, *args, doubled: DoubledRoots | None = None, **kwargs):
         super().__init__(*args, **kwargs)
         set_field(self, "doubled", doubled)
+        set_field(self, "_integers", None)
 
     @cached_property
     def integer_view(self) -> IntegerView:
@@ -188,7 +202,8 @@ class IntegerView(Record):
     D clears every denominator of rho, zeta, theta_u, the nilradical roots
     and the Levi positive and simple roots, the weights the view scales, so
     each vector below is D times the datum's weight of the same name, in
-    plain integers.  A root's pairing <v, alpha^v> is then
+    plain integers.  A derived datum's view scales `_derive`'s integers, and
+    any other datum's its `Fraction` fields, to the same numbers.  A root's pairing <v, alpha^v> is then
     2*dot(v, A) / dot(A, A) for the scaled root A, free of D.
     `theta_rho` = dot(R, T) for R = D*rho and T = D*theta_u.  `rho_bound`
     and `root_bound` are one more than the integer square roots of
@@ -312,7 +327,7 @@ def _minus_multiple(u: IntVector, k: int, v: IntVector) -> IntVector:
     return tuple(map(operator.sub, u, map(operator.mul, repeat(k), v)))
 
 
-def _orbit(twice: list[IntVector], cartan: list[list[int]]) -> dict[IntVector, IntVector]:
+def _orbit(twice: tuple[IntVector, ...], cartan: list[list[int]]) -> dict[IntVector, IntVector]:
     """The positive roots, as simple-root coefficient vector -> doubled vector.
 
     `twice` holds the doubled simple roots and cartan[i][j] is
@@ -358,7 +373,7 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
     # derived on integers: doubled coordinates and simple-root coefficients.
     need(all(len(a) == dim for a in delta), "weight of wrong dimension")
     need(all(x.denominator in (1, 2) for a in delta for x in a), "simple root outside (1/2)Z^dim")
-    twice = [tuple([2 * x.numerator // x.denominator for x in a]) for a in delta]
+    twice = tuple([tuple([2 * x.numerator // x.denominator for x in a]) for a in delta])
     # The crystallographic check below divides by each dot(a, a).
     need(all(any(a) for a in twice), "zero simple root")
     gram = [[dot(a, b) for b in twice] for a in twice]
@@ -408,55 +423,101 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
     )
 
     # One Fraction per distinct doubled coordinate.  Halving is monotone, so
-    # sorting by doubled vectors gives the lexicographic order of the roots,
+    # sorting the doubled vectors gives the lexicographic order of the roots,
     # which keeps every downstream listing (supports, certificates, JSON
     # dumps) byte-stable.
     halves = {x: Fraction(x, 2) for x in set().union(*doubled.values())}
-    roots = {c: tuple(map(halves.__getitem__, w)) for c, w in doubled.items()}
-    order = sorted(doubled, key=doubled.__getitem__)
-    nil = set(nil_coeffs)
-    # The walk lists the simple roots first.
-    simples = list(islice(roots.values(), len(delta)))
+    roots = {w: tuple(map(halves.__getitem__, w)) for w in doubled.values()}
+    nil = {doubled[c] for c in nil_coeffs}
+    order = sorted(roots)
+    nil_order = tuple([w for w in order if w in nil])
+    levi_order = tuple([w for w in order if w not in nil])
+    levi_twice = tuple([w for i, w in enumerate(twice) if i not in noncompact])
+    # 4*rho: rho is half the sum of the positive roots
+    rho4 = tuple(map(sum, zip(*doubled.values())))
 
-    def along_nil(b: IntVector) -> Weight:
+    def along_nil(b: IntVector) -> tuple[tuple[int, int], Weight]:
         # The multiple of the nilradical's sum with <., beta^v> = 1, for the
-        # root beta with doubled vector b.
-        den = 4 * dot(nil2, b)
-        return tuple(Fraction(x * dot(b, b), den) for x in nil2)
+        # root beta with doubled vector b: nil2 * dot(b, b) / (4*dot(nil2, b)),
+        # with that pair of integers.
+        pair = dot(b, b), 4 * dot(nil2, b)
+        return pair, tuple([Fraction(x * pair[0], pair[1]) for x in nil2])
 
-    nil_order = [c for c in order if c in nil]
-    return ParabolicRootDatum(
+    zeta_pair, zeta = along_nil(doubled[top])
+    theta_pair, theta_u = along_nil(twice[noncompact[0]])
+    simples = tuple(map(roots.__getitem__, twice))
+    datum = ParabolicRootDatum(
         case=case,
         ambient_dim=dim,
-        simple_roots=tuple(simples),
-        levi_simples=tuple(a for i, a in enumerate(simples) if i not in noncompact),
+        simple_roots=simples,
+        levi_simples=tuple(map(roots.__getitem__, levi_twice)),
         noncompact_simple=simples[noncompact[0]],
-        positive_roots=tuple([roots[c] for c in order]),
-        levi_positive=tuple([roots[c] for c in order if c not in nil]),
-        nilradical_roots=tuple([roots[c] for c in nil_order]),
-        rho=tuple(Fraction(sum(col), 4) for col in zip(*doubled.values())),
-        gamma=roots[top],
-        zeta=along_nil(doubled[top]),
-        theta_u=along_nil(twice[noncompact[0]]),
-        doubled=(tuple(twice), tuple([doubled[c] for c in nil_order])),
+        positive_roots=tuple(map(roots.__getitem__, order)),
+        levi_positive=tuple(map(roots.__getitem__, levi_order)),
+        nilradical_roots=tuple(map(roots.__getitem__, nil_order)),
+        rho=tuple([Fraction(x, 4) for x in rho4]),
+        gamma=roots[doubled[top]],
+        zeta=zeta,
+        theta_u=theta_u,
+        doubled=(twice, nil_order),
     )
+    integers = (twice, nil_order, levi_order, levi_twice, rho4, nil2, zeta_pair, theta_pair)
+    set_field(datum, "_integers", integers)
+    return datum
 
 
 def _integer_view(d: ParabolicRootDatum) -> IntegerView:
-    weights = (d.rho, d.zeta, d.theta_u) + d.nilradical_roots + d.levi_positive + d.levi_simples
-    denom = math.lcm(*(x.denominator for w in weights for x in w))
-    ints = lambda w: tuple(x.numerator * (denom // x.denominator) for x in w)
+    """The datum's view: from `_derive`'s integers when the datum holds them
+    (`ParabolicRootDatum._integers`), and from its `Fraction` fields when not."""
+    if d._integers is None:
+        weights = (d.rho, d.zeta, d.theta_u) + d.nilradical_roots + d.levi_positive + d.levi_simples
+        denom = math.lcm(*(x.denominator for w in weights for x in w))
+        ints = lambda w: tuple(x.numerator * (denom // x.denominator) for x in w)
+        return _view(
+            denom, ints(d.rho), ints(d.zeta), ints(d.theta_u),
+            map(ints, d.nilradical_roots), map(ints, d.levi_positive), map(ints, d.levi_simples),
+        )
+    simples, nilradical, levi, levi_simples, rho4, nil2, (zb, zd), (tb, td) = d._integers
+    # D is the lcm of the denominators of the weights the view scales: 2 for
+    # the roots unless every doubled coordinate is even (the roots are
+    # integer combinations of the simple roots), 4 / gcd(4, 4*rho) for rho,
+    # and for zeta and theta_u, nil2 * b / d over each along_nil pair (b, d),
+    # d / gcd(d, b * gcd(nil2)).
+    g = math.gcd(*nil2)
+    denom = math.lcm(
+        2 // math.gcd(2, *[x for w in simples for x in w]),
+        4 // math.gcd(4, *rho4),
+        zd // math.gcd(zd, zb * g),
+        td // math.gcd(td, tb * g),
+    )
+    root = _scaler(denom, 2)
+    return _view(
+        denom, _scaler(denom, 4)(rho4), _scaler(zb * denom, zd)(nil2), _scaler(tb * denom, td)(nil2),
+        map(root, nilradical), map(root, levi), map(root, levi_simples),
+    )
 
-    rho, zeta, theta_u = ints(d.rho), ints(d.zeta), ints(d.theta_u)
 
-    def level(beta):
-        root = ints(beta)
+def _scaler(num: int, den: int):
+    """The map v -> v * num / den, on the integer vectors it takes to integers."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    if den == 1:
+        return lambda v: tuple([x * num for x in v])
+    return lambda v: tuple([x // den * num for x in v])
+
+
+def _view(
+    denom: int, rho: IntVector, zeta: IntVector, theta_u: IntVector, nilradical, levi_positive, simples
+) -> IntegerView:
+    """The view of the weights scaled by denom, given as integer vectors: the
+    nilradical roots' levels, the Levi norms and dots, Gram rows and columns."""
+
+    def level(root):
         a, b = 2 * dot(rho, root), 2 * dot(zeta, root)
         return NilradicalLevel(root, dot(root, root), a, b, dot(root, theta_u))
 
-    levi_positive = list(map(ints, d.levi_positive))
-    simples = list(map(ints, d.levi_simples))
-    nilradical = tuple(map(level, d.nilradical_roots))
+    levi_positive, simples = list(levi_positive), list(simples)
+    nilradical = tuple(map(level, nilradical))
     return IntegerView(
         denom=denom,
         rho=rho,

@@ -383,6 +383,38 @@ def test_agree_is_false_wherever_the_two_sets_differ(capsys, monkeypatch):
     assert {row["agree"] for row in rows} == {True, False}
 
 
+# Fraction's arithmetic operators and its equality test
+_FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__divmod__",
+    "__pow__", "__neg__", "__abs__", "__floor__", "__ceil__", "__round__", "__eq__",
+)
+
+
+def test_grid_requests_on_a_new_case_do_no_fraction_arithmetic(capsys, monkeypatch):
+    # The datum, its view, (A, B, C), the default window, the grid's m and
+    # the closed form and screen progressions come from integers; the
+    # request builds Fractions only to write them, and compares none for
+    # equality.  Order comparisons, such as the checks that the window is
+    # not empty and the step positive, are not counted.
+    used = []
+    for name in _FRACTION_ARITHMETIC:
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda *args, _op=op, _name=name: used.append(_name) or _op(*args))
+    cases = [["--case", "BI", "--n", "4"], ["--case", "EVII"], ["--case", "AIII", "--p", "2", "--q", "3"]]
+    for flags in cases:
+        for argv in (
+            ["crosscheck", *flags, "--format", "json"],
+            ["scan", *flags, "--window", "-9/2..11/3", "--step", "2/7", "--format", "json"],
+        ):
+            build_datum.cache_clear()
+            ehw.abc_constants.cache_clear()
+            ehw.line_offset.cache_clear()
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and out
+    assert used == []
+
+
 def test_one_closed_form_set_per_case(capsys):
     # the closed form's starts come from the case's cached (A, B, C)
     ehw.abc_constants.cache_clear()
@@ -864,6 +896,27 @@ def test_output_bytes_pinned(capsys):
         if hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() != digest:
             changed.append(line)
     assert changed == []
+
+
+# The sha256 of "<exit code>\n<stdout>" of two grid requests on each
+# admissible case, in ADMISSIBLE_CASES order: crosscheck with its default
+# window, which starts at A - B - 5, and scan across the screen's bounds at
+# step 1/7, whose grid holds the integer closed-form starts but not the
+# half-integer ones.
+GRID_PATH_SHA256 = "ee7e903288436fecfa868e7da96c1f10b994aef84312149e05ed45e8111f9850"
+
+
+def test_grid_path_bytes_pinned_on_every_case(capsys):
+    digest = hashlib.sha256()
+    for case in ADMISSIBLE_CASES:
+        flags = case_flags(case)
+        for argv in (
+            ["crosscheck", *flags, "--format", "json"],
+            ["scan", *flags, "--window", "-9/2..11/3", "--step", "1/7", "--format", "json"],
+        ):
+            code, out, _ = run_cli(capsys, *argv)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == GRID_PATH_SHA256
 
 
 @pytest.mark.parametrize("argv, message", [

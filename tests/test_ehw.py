@@ -41,7 +41,7 @@ from scalarverma.ehw import (
     special_line,
 )
 from scalarverma.ratvec import add, inner, pairing
-from scalarverma.rootdata import scalar_parameter_weight
+from scalarverma.rootdata import NilradicalLevel, scalar_parameter_weight
 
 Q = Fraction
 
@@ -195,6 +195,30 @@ def test_malformed_constants_raise(monkeypatch, case, rank):
     monkeypatch.undo()
     abc_constants.cache_clear()
     assert abc_constants(case).a == table_abc(case)[0]
+
+
+@pytest.mark.parametrize("shift", [Q(1, 2), Q(1, 3)], ids=["half-integer-b-prime", "third-b"])
+def test_constants_off_their_lattice_raise(monkeypatch, shift):
+    # EIII has r = 2, A = 8 and B = 11.  Moving gamma's level by 1/2 makes
+    # B = 23/2, so 2s = 7 but b' = A - 1 - s = 7/2 is no integer; moving it
+    # by 1/3 takes 2B off the integers.
+    import scalarverma.ehw as ehw
+
+    case = HermitianCase("EIII")
+    level = ehw._gamma_level
+
+    def moved(datum):
+        nil = level(datum)
+        n, d = shift.numerator, shift.denominator
+        return NilradicalLevel(nil.root, d * nil.norm, d * nil.a + n * nil.norm, nil.b, nil.theta_root)
+
+    abc_constants.cache_clear()
+    monkeypatch.setattr(ehw, "_gamma_level", moved)
+    with pytest.raises(InvariantError, match="malformed first-reduction constants"):
+        abc_constants(case)
+    monkeypatch.undo()
+    abc_constants.cache_clear()
+    assert abc_constants(case) == ABCConstants(Q(8), Q(11), Q(3))
 
 
 def test_abc_verdict_boundaries():
@@ -355,30 +379,30 @@ def test_screen_boundaries_match_fraction_reference():
 
 @st.composite
 def _grid_windows(draw):
-    """A case, a step s/t with s > 1 and t <= 10**4, and a window of m.
+    """Constants and their case, or random constants and no case (`_screens`),
+    a step s/t with s > 1 and t <= 10**4, and a window of m.
 
     The window straddles A - B and 0, or lies wholly above 0.
     """
-    case = draw(st.sampled_from(ADMISSIBLE_CASES))
+    constants, case = draw(_screens())
     t = draw(st.integers(1, 10**4))
     s = draw(st.integers(2, 20).filter(lambda s: math.gcd(s, t) == 1))
     step = Q(s, t)
-    constants = abc_constants(case)
     bound = math.ceil((constants.a - constants.b) / step)
     if draw(st.booleans()):
         ms = range(bound - draw(st.integers(1, 40)), draw(st.integers(1, 40)) + 1)
     else:
         lo = draw(st.integers(1, 10**4))
         ms = range(lo, lo + draw(st.integers(1, 300)))
-    return case, step, ms, draw(st.lists(st.sampled_from(ms), max_size=20))
+    return constants, case, step, ms, draw(st.lists(st.sampled_from(ms), max_size=20))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_grid_windows())
 def test_grid_progressions_match_their_definitions(grid):
-    case, step, ms, sample = grid
-    constants = abc_constants(case)
-    closed = closed_form_grid(case, step, ms)
+    constants, case, step, ms, sample = grid
+    # the closed form needs a case; the screen reads its constants alone
+    closed = [] if case is None else closed_form_grid(case, step, ms)
     simple, reducible = screen_grid(constants, step, ms)
     for points in closed + [simple, reducible]:
         assert not points or (ms.start <= points.start and points[-1] < ms.stop), points
@@ -387,8 +411,9 @@ def test_grid_progressions_match_their_definitions(grid):
     # own points, the screen's bounds and a random sample.
     lo, hi = ms.start * step, (ms.stop - 1) * step
     named = []
-    for start in (constants.a - constants.b, constants.a - constants.b + constants.c):
-        named += [(start + k) / step for k in range(max(0, math.ceil(lo - start)), math.floor(hi - start) + 1)]
+    if case is not None:
+        for start in (constants.a - constants.b, constants.a - constants.b + constants.c):
+            named += [(start + k) / step for k in range(max(0, math.ceil(lo - start)), math.floor(hi - start) + 1)]
     z, b = constants.a, constants.b
     while z <= b:
         named.append((z - b) / step)
@@ -397,17 +422,19 @@ def test_grid_progressions_match_their_definitions(grid):
     points |= {m for p in closed + [reducible] for m in p}
     points |= {m for m in (simple.stop - 1, simple.stop, 0, 1, ms.start, ms.stop - 1) if m in ms}
     points |= set(sample)
+    label = constants if case is None else case.label
     for m in points:
         c = m * step
         z = c + constants.b
-        reference = closed_form_reference(constants, c)
-        assert any(m in p for p in closed) == reference, (case.label, step, m)
         want = abc_verdict_reference(constants, z)
         got = KNOWN_SIMPLE if m in simple else KNOWN_REDUCIBLE if m in reducible else INDETERMINATE
-        assert got == want, (case.label, step, m)
+        assert got == want, (label, step, m)
         # the one-point reads, on the grid of step 1/den
-        assert closed_form_reducible(case, c) == reference, (case.label, c)
-        assert abc_verdict(constants, z) == want, (case.label, z)
+        assert abc_verdict(constants, z) == want, (label, z)
+        if case is not None:
+            reference = closed_form_reference(constants, c)
+            assert any(m in p for p in closed) == reference, (label, step, m)
+            assert closed_form_reducible(case, c) == reference, (label, c)
 
 
 def test_progression_summary_bi3():

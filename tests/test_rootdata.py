@@ -14,6 +14,7 @@ from golden_tables import parse_pattern, pattern_string, sign_pattern_root
 from reference import orbit_reference
 from scalarverma import HermitianCase, InvariantError, build_datum, rootdata
 from scalarverma.cli import main
+from scalarverma.errors import set_field
 from scalarverma.ratvec import add, inner, pairing, reflect, scale, weight
 from scalarverma.rootdata import CASE_TAGS, case_notes, scalar_parameter_weight
 
@@ -196,11 +197,30 @@ def test_cold_build_makes_fractions_per_dimension_not_per_coordinate(monkeypatch
         return Fraction(*args)
 
     monkeypatch.setattr(rootdata, "Fraction", counting)
-    assert rootdata._derive(case) == expected
+    derived = rootdata._derive(case)
+    assert derived == expected
     # rho, zeta and theta_u take one each per coordinate, the roots one per
     # distinct doubled coordinate; one per coordinate of each root would be
     # 20 * len(positive_roots).
     assert len(made) <= 4 * expected.ambient_dim
+    # The derived datum's view comes from _derive's integers: it makes no
+    # Fraction and reads no field of the datum, each of which is blanked here.
+    made.clear()
+    for name in derived._fields:
+        set_field(derived, name, None)
+    assert repr(derived.integer_view) == repr(expected.integer_view)
+    assert made == []
+
+
+def test_one_view_from_two_sources():
+    # A derived datum's view comes from _derive's integers, a datum rebuilt
+    # by the constructor alone derives it from its Fraction fields: the two
+    # are the same view.
+    for case in ADMISSIBLE_CASES:
+        datum = build_datum(case)
+        rebuilt = replaced(datum)
+        assert datum._integers is not None and rebuilt._integers is None, case.label
+        assert repr(datum.integer_view) == repr(rebuilt.integer_view), case.label
 
 
 @pytest.fixture
