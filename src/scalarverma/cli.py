@@ -8,16 +8,22 @@ datum-dump (the full root datum as JSON).
 scan and crosscheck decide their grid root by root, through
 jantzen.ScalarGrid, in blocks, each used before the next block is decided;
 classify decides its one point by jantzen._classify_point.  A block's decision
-(_grid_decisions) is its verdicts and routes, its set of Reducible m, and
-the closed form and the (A, B, C) screen as progressions in m on the grid
-(ehw.closed_form_grid, ehw.screen_grid), each found from the step's and the
-constants' numerators and denominators by one congruence in integers; no
-string is built.  A window's m (_points) and crosscheck's default window
+(_grid_decisions) is the verdict and route of each point its support
+visits (every other point is Simple by the empty support), its set of
+Reducible m, and the closed form and the (A, B, C) screen as progressions
+in m on the grid (ehw.closed_form_grid, ehw.screen_grid), each found from
+the step's and the constants' numerators and denominators by one congruence
+in integers; no string is built, and no work is done per point the support
+does not visit.  A window's m (_points) and crosscheck's default window
 come from numerators and denominators too, and a Fraction is built only for
 text: so between reading argv and writing text, a grid request on a new
-case does no Fraction arithmetic.  scan alone writes rows, as columns: the
-closed form and the screen fill theirs by slices, and the c and z strings
-are built once per residue class of m modulo the step's denominator.
+case does no Fraction arithmetic.  scan alone writes rows, each block's as
+one join over a list of pieces, the row template's constant pieces around
+the fields: verdict and route are written at the visited points only, the
+closed form and the screen by slices along their progressions, and c's and
+z's numerators once per residue class of m modulo the step's denominator,
+with the class's denominator folded into the piece after each.  The JSON
+and TSV rows differ only in those constant pieces and the row separator.
 crosscheck compares sets in m: a mismatch is a point in exactly one of the
 Reducible set and the closed form, a contradiction a Reducible point the
 screen calls known simple or a Simple point it calls known reducible, and
@@ -70,7 +76,9 @@ by _dumps once per case, each found by the root's index.  A request writes
 only the text around the fragments: each level by %d, each parity and
 step count from the word's length, each class's representative once, from
 its first member's entry, with one gcd per coordinate (_representatives),
-and z from integers.
+and z from integers.  The case's base point is written once per case from
+the view's integers too (_lambda0), so a cold classify does no Fraction
+arithmetic either.
 """
 
 from __future__ import annotations
@@ -93,8 +101,8 @@ from .ehw import (
     screen_grid,
 )
 from .errors import InvariantError
-from .jantzen import REDUCIBLE, SIMPLE, ScalarGrid, _classify_point, classify_scalar
-from .ratvec import Weight, add, format_rational, inner, parse_rational, reflect, scale
+from .jantzen import REDUCIBLE, ROUTE_EMPTY_SUPPORT, SIMPLE, ScalarGrid, _classify_point, classify_scalar
+from .ratvec import Weight, add, format_rational, inner, parse_rational, reflect
 from .rootdata import CASE_TAGS, HermitianCase, build_datum, case_notes, scalar_parameter_weight
 
 # A scan window, or all the windows of one crosscheck together, hold at
@@ -482,8 +490,12 @@ def _lambda0(case: HermitianCase) -> tuple[str, ...]:
     """The base point -<rho, gamma^v> * zeta of the case's c-line, for _dumps.
 
     z = c + <rho, gamma^v>, and c*zeta - z*zeta is this point for every c.
+    For the offset a/norm and the view's zeta Z = D*zeta, coordinate i is
+    -a*Z_i / (norm*D), written from integers.
     """
-    return _w(scale(-line_offset(case), build_datum(case).zeta))
+    view = build_datum(case).integer_view
+    a, norm = line_offset(case).as_integer_ratio()
+    return tuple([_ratio(-a * z, norm * view.denom) for z in view.zeta])
 
 
 @cache
@@ -644,45 +656,70 @@ ROW_FIELDS = ("case", "c", "z", "verdict", "route", "abc_screen", "closed_form",
 def _grid_decisions(case: HermitianCase, ms: range, line: ScalarGrid):
     """The decision of the grid points m * step, m in ms, one tuple per block.
 
-    Each tuple is (block, verdicts, routes, oracle, closed, screen): the
-    block's m, the grid decision's verdict and route of each point, the set
-    of m the decision calls Reducible, and the closed form and the
-    (A, B, C) screen as their own progressions in m (`ehw.closed_form_grid`,
-    a list of progressions, and `ehw.screen_grid`, the known simple and
-    known reducible m), so that the closed form and the screen are
-    independent of the Jantzen verdict.  No string is built.
+    Each tuple is (block, decided, oracle, closed, screen): the block's m,
+    the grid decision's (verdict, route) of each point its support visits,
+    by index in the block (`ScalarGrid.decide`; every other point is Simple
+    by the empty support), the set of m the decision calls Reducible, and
+    the closed form and the (A, B, C) screen as their own progressions in m
+    (`ehw.closed_form_grid`, a list of progressions, and `ehw.screen_grid`,
+    the known simple and known reducible m), so that the closed form and
+    the screen are independent of the Jantzen verdict.  No string is built,
+    and nothing is done per point the support does not visit.
     """
     constants = abc_constants(case)
     for block in _blocks(ms, line):
-        verdicts, routes = zip(*line.decide(block))
-        oracle = {m for m, verdict in zip(block, verdicts) if verdict == REDUCIBLE}
+        decided = line.decide(block)
+        start = block.start
+        oracle = {start + i for i, (verdict, _) in decided.items() if verdict == REDUCIBLE}
         closed = closed_form_grid(case, line.step, block)
-        yield block, verdicts, routes, oracle, closed, screen_grid(constants, line.step, block)
+        yield block, decided, oracle, closed, screen_grid(constants, line.step, block)
 
 
-def _scan_rows(case: HermitianCase, ms: range, line: ScalarGrid):
-    """scan's rows of the grid points m * step, m in ms, as columns: one tuple per block.
+# The pieces of a scan row, in order: the eight constant pieces of the row
+# template, around the seven fields after the case, then the row separator.
+# Field f of row i is pieces[_ROW * i + 2*f + 1], for f = 0 .. 6 in
+# ROW_FIELDS[1:] order.
+_ROW = 16
+_C, _Z, _VERDICT, _ROUTE, _SCREEN, _CLOSED, _AGREE = range(1, _ROW - 2, 2)
 
-    The columns are c, z, verdict, route, abc_screen, closed_form and agree,
-    every field a string as the TSV writes it: c and z as format_rational
-    renders them, closed_form and agree as "true" or "false".  They are
-    written from `_grid_decisions`: the closed form and the screen fill
-    their columns by slices, and agree is "false" exactly where the
-    Reducible points and the closed-form points differ.
 
-    c and z are written once per residue class of m modulo t, for step = s/t
-    in lowest terms.  Along a class m rises by t, so c = m*s/t and z = c + B
+def _scan_rows(case: HermitianCase, ms: range, line: ScalarGrid, template: list[str], sep: str):
+    """scan's rows of the grid points m * step, m in ms, as text: one string per block.
+
+    template holds the eight constant pieces of a row, the text before c,
+    between each two fields and after agree; each row is followed by sep but
+    the block's last.  A block's text is one join over a list of _ROW pieces
+    per row, every row's pieces first set to the template, the separator
+    and the fields' defaults (Simple, empty_support, indeterminate, false,
+    true), then each field filled by slice assignment: c and z per residue
+    class (below), verdict and route at the points the support visits
+    (`ScalarGrid.decide`), the screen and the closed form along their
+    progressions, and agree "false" exactly where the Reducible points and
+    the closed-form points differ.  Fields are written as the TSV writes
+    them: c and z as format_rational renders them, closed_form and agree as
+    "true" or "false".
+
+    c and z are written per residue class of m modulo t, for step = s/t in
+    lowest terms.  Along a class m rises by t, so c = m*s/t and z = c + B
     rise by the integer s.  Adding an integer to a fraction in lowest terms
     keeps its denominator d and keeps it in lowest terms (gcd(n + s*d, d) =
     gcd(n, d) = 1), so along the class the numerator of c rises by s*d and
-    that of z by s*z_d, over fixed denominators d and z_d.
+    that of z by s*z_d, over fixed denominators d and z_d.  The numerators
+    go in as str of a range, and "/d" is folded into the constant piece
+    after each, once per class.
     """
     # z = c + B, for B the line offset <rho, gamma^v>
     bn, bd = abc_constants(case).b.as_integer_ratio()
     s, t = line.step.as_integer_ratio()
-    for block, verdicts, routes, oracle, closed, (simple, known) in _grid_decisions(case, ms, line):
+    # each field's default, c and z's a placeholder, then the separator
+    fields = ("", "", SIMPLE, ROUTE_EMPTY_SUPPORT, INDETERMINATE, "false", "true", sep)
+    row = [piece for pair in zip(template, fields) for piece in pair]
+    after_c, after_z = template[1], template[2]
+    stride = _ROW * t
+    for block, decided, oracle, closed, (simple, known) in _grid_decisions(case, ms, line):
         size = len(block)
-        cs, zs = [""] * size, [""] * size
+        pieces = row * size
+        pieces[-1] = ""
         for i in range(min(t, size)):
             # c = m*s/t at the class's first m, with gcd(s, t) = 1
             m = block.start + i
@@ -691,26 +728,31 @@ def _scan_rows(case: HermitianCase, ms: range, line: ScalarGrid):
             zn, zd = n * bd + bn * d, d * bd
             g = math.gcd(zn, zd)
             zn, zd = zn // g, zd // g
-            c_form = f"%d/{d}" if d != 1 else "%d"
-            z_form = f"%d/{zd}" if zd != 1 else "%d"
-            last = (size - 1 - i) // t * s
-            cs[i::t] = map(c_form.__mod__, range(n, n + last * d + 1, s * d))
-            zs[i::t] = map(z_form.__mod__, range(zn, zn + last * zd + 1, s * zd))
-        screen = [INDETERMINATE] * size
-        _fill(screen, block, simple, KNOWN_SIMPLE)
-        _fill(screen, block, known, KNOWN_REDUCIBLE)
-        closed_form, agree = ["false"] * size, ["true"] * size
+            count = (size - 1 - i) // t + 1
+            at = _ROW * i
+            pieces[at + _C :: stride] = map(str, range(n, n + count * s * d, s * d))
+            pieces[at + _Z :: stride] = map(str, range(zn, zn + count * s * zd, s * zd))
+            if d != 1:
+                pieces[at + _C + 1 :: stride] = [f"/{d}{after_c}"] * count
+            if zd != 1:
+                pieces[at + _Z + 1 :: stride] = [f"/{zd}{after_z}"] * count
+        for i, (verdict, route) in decided.items():
+            pieces[_ROW * i + _VERDICT] = verdict
+            pieces[_ROW * i + _ROUTE] = route
+        _fill(pieces, block, simple, _SCREEN, KNOWN_SIMPLE)
+        _fill(pieces, block, known, _SCREEN, KNOWN_REDUCIBLE)
         for points in closed:
-            _fill(closed_form, block, points, "true")
+            _fill(pieces, block, points, _CLOSED, "true")
         for m in oracle ^ set().union(*closed):
-            agree[m - block.start] = "false"
-        yield cs, zs, verdicts, routes, screen, closed_form, agree
+            pieces[_ROW * (m - block.start) + _AGREE] = "false"
+        yield "".join(pieces)
 
 
-def _fill(column: list, ms: range, points: range, value: str) -> None:
-    """column[i] = value at each i with ms[i] in points, a progression inside ms."""
+def _fill(pieces: list, ms: range, points: range, field: int, value: str) -> None:
+    """The field of row i set to value at each i with ms[i] in points, a progression inside ms."""
     if points:
-        column[points.start - ms.start : points.stop - ms.start : points.step] = [value] * len(points)
+        lo, hi = points.start - ms.start, points.stop - ms.start
+        pieces[_ROW * lo + field : _ROW * hi + field : _ROW * points.step] = [value] * len(points)
 
 
 def _blocks(ms: range, line: ScalarGrid):
@@ -733,7 +775,8 @@ def cmd_scan(args) -> int:
     lo, hi = _parse_window(args.window)
     step = parse_rational(args.step)
     [(ms, line)] = _grids([case], [(lo, hi)], step)
-    # Each block's rows are printed before the next block is decided.
+    write = sys.stdout.write
+    # Each block's rows are written before the next block is decided.
     if args.format == "json":
         head = {
             "case": _case_json(case),
@@ -743,21 +786,23 @@ def cmd_scan(args) -> int:
         }
         # The bytes of _dumps(payload) for payload = {**head, "rows": rows},
         # written one member and one block of rows at a time; each row is
-        # _dumps(row, "    ") with the label encoded once.
+        # _dumps(row, "    ") with the label encoded once, its template
+        # split at each field.
         members = "".join(f"\n  {_dumps(k)}: {_dumps(v, '  ')}," for k, v in head.items())
-        print("{" + members + '\n  "rows": [', end="")
+        write("{" + members + '\n  "rows": [')
         values = (_dumps(case.label),) + ('"%s"',) * 5 + ("%s",) * 2
         template = "\n    " + _object_template(dict(zip(ROW_FIELDS, values)), "    ")
         sep = ""
-        for columns in _scan_rows(case, ms, line):
-            print(sep + ",".join(map(template.__mod__, zip(*columns))), end="")
+        for text in _scan_rows(case, ms, line, template.split("%s"), ","):
+            write(sep)
+            write(text)
             sep = ","
-        print("\n  ]\n}" if ms else "]\n}")
+        write("\n  ]\n}\n" if ms else "]\n}\n")
         return 0
-    print("\t".join(ROW_FIELDS))
-    template = case.label + "\t%s" * 7
-    for columns in _scan_rows(case, ms, line):
-        print("\n".join(map(template.__mod__, zip(*columns))))
+    write("\t".join(ROW_FIELDS) + "\n")
+    for text in _scan_rows(case, ms, line, [case.label + "\t", *"\t" * 6, ""], "\n"):
+        write(text)
+        write("\n")
     return 0
 
 
@@ -855,7 +900,7 @@ def _crosscheck_instance(case: HermitianCase, window, ms: range, line: ScalarGri
     """
     points = reducible = 0
     mismatches, contradictions = [], []
-    for block, _, _, oracle, closed, (simple, known) in _grid_decisions(case, ms, line):
+    for block, _, oracle, closed, (simple, known) in _grid_decisions(case, ms, line):
         points += len(block)
         reducible += len(oracle)
         said = {m for m in oracle if m in simple} | (set(known) - oracle)

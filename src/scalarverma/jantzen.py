@@ -42,18 +42,19 @@ by root.  A root's level is affine in c, so the grid points at which it is
 a positive integer form one arithmetic progression in m, found by one
 congruence; the grid's support terms are counted from those progressions
 before any is decided.  A point no progression visits is Simple by the
-empty-support route, at no cost per root.  It decides the verdict and
-route only.
+empty-support route, at no cost per root, and is left out of the
+decision, which holds the verdict and route of the visited points only.
 
 Both run one term walk, `_walk`: each support root comes as a progression
 of points with its levels, a single point for `_classify_point`.  The walk
 holds each root's current entry and decides every level inside its
 interval by the entry's key, going back to `weyl` only for a level past
 it.  It keeps the class sums and theta check per visited point and
-decides each point's verdict and route.  The packed pairs live in a table
-the caller owns, one per request, so a grid packs each entry once per
-width however many blocks fetch it, and no width is shared between
-requests: a datum and its memo may be shared across threads.
+decides the verdict and route of the visited points alone.  The packed
+pairs live in a table the caller owns, one per request, so a grid packs
+each entry once per width however many blocks fetch it, and no width is
+shared between requests: a datum and its memo may be shared across
+threads.
 
 Only exact rational parameters are accepted: a float or a bool raises
 ValueError.  A parameter with irrational or non-real scalar part would make
@@ -143,12 +144,14 @@ def _walk(view: IntegerView, walks, size: int, packs: dict):
     regular term adds its sign to its class's [net sign, theta value],
     keyed by the representative's key; theta_u pairs with c*zeta alike in
     every term, so the c-free part stands for the term's theta value.
-    Returns each point's (verdict, route), the entries fetched from `weyl`
-    as (j, k, entry, packed pair), or (j, k, None, None) on a wall, in walk
-    order, one per term when each walk has one point, and the class sums of
-    each visited point by its index.  A theta split raises InvariantError
-    once every term has passed its own checks, as the rational reference
-    raises it.
+    Returns the (verdict, route) of each point a walk visits, by its index,
+    so a point missing from it has an empty support and is Simple by
+    `empty_support`; the entries fetched from `weyl` as (j, k, entry,
+    packed pair), or (j, k, None, None) on a wall, in walk order, one per
+    term when each walk has one point; and the class sums of each visited
+    point by its index.  Nothing is built per point a walk skips.  A theta
+    split raises InvariantError once every term has passed its own checks,
+    as the rational reference raises it.
     """
     if walks:
         # a walk that starts past the last point reads below its first level
@@ -191,10 +194,8 @@ def _walk(view: IntegerView, walks, size: int, packs: dict):
             k += rise
     if split:
         raise InvariantError(_THETA_SPLIT)
-    out = [(SIMPLE, ROUTE_EMPTY_SUPPORT)] * size
-    for i, classes in points.items():
-        out[i] = _decide(True, _survives(classes))
-    return out, fetched, points
+    decided = {i: _decide(True, _survives(classes)) for i, classes in points.items()}
+    return decided, fetched, points
 
 
 def _classify_point(view: IntegerView, c: Fraction):
@@ -217,7 +218,8 @@ def _classify_point(view: IntegerView, c: Fraction):
         for j, nil in enumerate(view.nilradical)
         if (num := d * nil.a + n * nil.b) > 0 and num % (d * nil.norm) == 0
     ]
-    [(verdict, route)], terms, points = _walk(view, walks, 1, {})
+    decided, terms, points = _walk(view, walks, 1, {})
+    verdict, route = decided.get(0, (SIMPLE, ROUTE_EMPTY_SUPPORT))
     groups: dict[int, list[tuple]] = {}
     for term in terms:
         _, k, entry, pair = term
@@ -331,11 +333,13 @@ class ScalarGrid:
         walks = self._walks(ms)
         return sum((size - 1 - i) // period + 1 for _, i, period, _, _ in walks if i < size)
 
-    def decide(self, ms: range) -> list[tuple[str, str]]:
-        """(verdict, route) of each grid point m * step, m in ms, in order.
+    def decide(self, ms: range) -> dict[int, tuple[str, str]]:
+        """(verdict, route) of the grid points m * step, m in ms, that the support visits.
 
-        The same verdict and route as `classify_scalar` at each point, from
-        the same walk over the same terms; InvariantError is raised once
-        every term of the range has been decided.
+        The dict is keyed by the point's index in ms and holds exactly the
+        points with a nonempty support; a point missing from it is Simple by
+        `empty_support`.  The same verdict and route as `classify_scalar` at
+        each point, from the same walk over the same terms; InvariantError
+        is raised once every term of the range has been decided.
         """
         return _walk(self.view, list(self._walks(ms)), len(ms), self._packs)[0]

@@ -15,7 +15,7 @@ import pytest
 
 from scalarverma import HermitianCase, build_datum
 from scalarverma.ehw import ABCConstants
-from scalarverma.jantzen import SimplicityVerdict
+from scalarverma.jantzen import ROUTE_EMPTY_SUPPORT, SimplicityVerdict
 from scalarverma.ratvec import Weight, inner, is_integer, pairing, reflect
 from scalarverma.rootdata import ParabolicRootDatum
 
@@ -99,6 +99,18 @@ def replaced(datum: ParabolicRootDatum, **changes) -> ParabolicRootDatum:
     """
     fields = {name: getattr(datum, name) for name in ParabolicRootDatum._fields}
     return ParabolicRootDatum(**{**fields, **changes})
+
+
+def assert_grid_decides(line, ms, per_point, label=None) -> None:
+    """line.decide(ms) against the (verdict, route) of each point of ms, in order.
+
+    The grid's dict holds per_point's (verdict, route) at every point with a
+    nonempty support, by index, and no other point; and every point left
+    out of it has no support term on the grid itself.
+    """
+    decided = line.decide(ms)
+    assert decided == {i: vr for i, vr in enumerate(per_point) if vr[1] != ROUTE_EMPTY_SUPPORT}, label
+    assert all(line.terms(range(m, m + 1)) == 0 for i, m in enumerate(ms) if i not in decided), label
 
 
 def verdict_support(verdict: SimplicityVerdict) -> tuple[Weight, ...]:

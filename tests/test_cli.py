@@ -396,7 +396,8 @@ def test_grid_requests_on_a_new_case_do_no_fraction_arithmetic(capsys, monkeypat
     # the closed form and screen progressions come from integers; the
     # request builds Fractions only to write them, and compares none for
     # equality.  Order comparisons, such as the checks that the window is
-    # not empty and the step positive, are not counted.
+    # not empty and the step positive, are not counted.  A cold classify
+    # also writes its base point, z and certificate from integers.
     used = []
     for name in _FRACTION_ARITHMETIC:
         op = getattr(Fraction, name)
@@ -406,10 +407,14 @@ def test_grid_requests_on_a_new_case_do_no_fraction_arithmetic(capsys, monkeypat
         for argv in (
             ["crosscheck", *flags, "--format", "json"],
             ["scan", *flags, "--window", "-9/2..11/3", "--step", "2/7", "--format", "json"],
+            ["classify", *flags, "--c", "-3/2", "--format", "json"],
+            ["classify", *flags, "--c", "-3/2", "--format", "pretty"],
         ):
             build_datum.cache_clear()
             ehw.abc_constants.cache_clear()
             ehw.line_offset.cache_clear()
+            cli._classify_case.cache_clear()
+            cli._lambda0.cache_clear()
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0 and out
     assert used == []
@@ -886,6 +891,17 @@ PINNED_OUTPUTS = [
      "a41e281a458ed42fbe99a8003a99e984a85c5d91d18b01d6ee4437590f6e2671"),
     ("crosscheck --case DIII --n 2..6 --step 1/97",
      "da58ef155dfd696f71446081e1e292e5cf78e42473ac46312872ecca63e447d5"),
+    # the benchmark's finegrid scans, 60 residue classes of m per block, and
+    # a TSV scan of 6,001 points whose second block starts 16 points into
+    # its classes' cycle (4,096 mod 60)
+    ("scan --case AIII --p 3 --q 4 --window -40..20 --step 1/60 --format json",
+     "9a143ffe61d34610df433978ba34e8dbb50b4d47591083edb632f68c94419933"),
+    ("scan --case CI --n 5 --window -40..20 --step 1/60 --format json",
+     "3bb76500fc169958bfd5638967fdf9ef1ad876a65b576d0ab60c067f7cc45f25"),
+    ("scan --case DIII --n 6 --window -40..20 --step 1/60 --format json",
+     "0b2e2b1036dde258befd1adb49f60c494aa3d8b5726d406daa67af59149c25c3"),
+    ("scan --case AIII --p 3 --q 4 --window -40..60 --step 1/60",
+     "32c00b8e3b2502162a3ebf342bc602ad02fbeaf673b6646b9ab4a94628def686"),
 ]
 
 

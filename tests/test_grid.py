@@ -21,7 +21,7 @@ from functools import cache
 
 import pytest
 
-from conftest import ADMISSIBLE_CASES, case_flags, replaced
+from conftest import ADMISSIBLE_CASES, assert_grid_decides, case_flags, replaced
 from reference import abc_verdict_reference, closed_form_reference
 from scalarverma import HermitianCase, abc_constants, build_datum, classify_scalar, line_offset
 from scalarverma import cli, jantzen, weyl
@@ -38,7 +38,7 @@ def per_point(datum, step, ms):
 def assert_grid_matches_oracle(cases, step, ms):
     for case in cases:
         datum = build_datum(case)
-        assert ScalarGrid(datum, step).decide(ms) == per_point(datum, step, ms), case.label
+        assert_grid_decides(ScalarGrid(datum, step), ms, per_point(datum, step, ms), case.label)
 
 
 def test_grid_matches_the_oracle_on_every_admissible_case():

@@ -29,7 +29,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ADMISSIBLE_CASES, SWEEP_CASES, replaced
+from conftest import ADMISSIBLE_CASES, SWEEP_CASES, assert_grid_decides, replaced
 from reference import line_record_reference, scaled_datum, scaled_descent, simplicity_oracle
 from scalarverma import (
     HermitianCase,
@@ -40,7 +40,7 @@ from scalarverma import (
     line_offset,
 )
 from scalarverma import jantzen, weyl
-from scalarverma.jantzen import ROUTE_EMPTY_SUPPORT, jantzen_support
+from scalarverma.jantzen import ROUTE_EMPTY_SUPPORT, SIMPLE, jantzen_support
 from scalarverma.ratvec import add, dot, inner, sub, weight
 from scalarverma.rootdata import scalar_parameter_weight
 from scalarverma.weyl import _line_chamber, normalize
@@ -362,7 +362,7 @@ def test_memo_is_packed_at_its_width():
     line = jantzen.ScalarGrid(datum, Fraction(1, 2))
     ms = range(-8, 9)
     points = [classify_scalar(datum, m * line.step) for m in ms]
-    assert line.decide(ms) == [(v.verdict, v.route) for v in points]
+    assert_grid_decides(line, ms, [(v.verdict, v.route) for v in points])
     top = int(max(t.level for v in points for t in v.terms))
     assert list(line._packs) == [weyl._line_width(view, top)]
     assert_packs_hold(view, line._packs)
@@ -443,9 +443,9 @@ def test_wide_levels_match_per_point_and_reference(case):
                 assert got == reference(datum, m * step), (near, step, m)
         assert stepped, (near, step)
         line = jantzen.ScalarGrid(replaced(datum), step)
-        assert line.decide(ms[:3]) == per_point[:3], (near, step)
+        assert_grid_decides(line, ms[:3], per_point[:3], (near, step))
         [width] = line._packs
-        assert line.decide(ms) == per_point, (near, step)
+        assert_grid_decides(line, ms, per_point, (near, step))
         assert max(line._packs) > width, (near, step)
         assert_packs_hold(line.view, line._packs)
 
@@ -477,8 +477,8 @@ def test_a_wide_request_inside_a_walk_changes_no_verdict(monkeypatch):
             assert got == want, (case, m)
         datum = replaced(base)
         pending[:] = [datum]
-        decided = jantzen.ScalarGrid(datum, step).decide(grid)
-        assert decided == [(v.verdict, v.route) for v in clean], case
+        line = jantzen.ScalarGrid(datum, step)
+        assert_grid_decides(line, grid, [(v.verdict, v.route) for v in clean], case)
         monkeypatch.setattr(jantzen, "_line_chamber", fetch)
 
 
@@ -603,7 +603,7 @@ def assert_paths_agree_and_trip(crippled, grid, message):
         got = outcome(lambda: classify_scalar(crippled, c))
         assert got == outcome(lambda: reference(crippled, c)), c
         m = int(c / step)
-        on_grid = outcome(lambda: line.decide(range(m, m + 1))[0])
+        on_grid = outcome(lambda: line.decide(range(m, m + 1)).get(0, (SIMPLE, ROUTE_EMPTY_SUPPORT)))
         assert on_grid == (got if isinstance(got, str) else (got.verdict, got.route)), c
         tripped += got == f"InvariantError: {message}"
     assert tripped
