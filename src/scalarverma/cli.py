@@ -76,9 +76,9 @@ by _dumps once per case, each found by the root's index.  A request writes
 only the text around the fragments: each level by %d, each parity and
 step count from the word's length, each class's representative once, from
 its first member's entry, with one gcd per coordinate (_representatives),
-and z from integers.  The case's base point is written once per case from
-the view's integers too (_lambda0), so a cold classify does no Fraction
-arithmetic either.
+and z from integers.  The case's base point is written once per case, in
+both formats, from the view's integers too (_lambda0), so a cold classify
+does no Fraction arithmetic either.
 """
 
 from __future__ import annotations
@@ -485,7 +485,6 @@ _MEMBER_JSON = _object_template(
 )
 
 
-@cache
 def _lambda0(case: HermitianCase) -> tuple[str, ...]:
     """The base point -<rho, gamma^v> * zeta of the case's c-line, for _dumps.
 
@@ -504,10 +503,12 @@ def _classify_case(case: HermitianCase):
 
     Returns (view, offset, case, label, lambda0, roots): the datum's integer
     view, the line offset <rho, gamma^v> as (numerator, denominator), then
-    the case's fields, its label and its base point as JSON text.
-    roots[field] holds, at index j, nilradical root j's JSON array, written
-    by _dumps from its _root_texts strings at the indent that field's roots
-    start on; roots["pretty"] holds it as the pretty certificate writes it.
+    the case's fields and its label as JSON text, and its base point as
+    lambda0["json"] in JSON and lambda0["pretty"] as the pretty certificate
+    writes it.  roots[field] holds, at index j, nilradical root j's JSON
+    array, written by _dumps from its _root_texts strings at the indent
+    that field's roots start on; roots["pretty"] holds it as the pretty
+    certificate writes it.
     """
     datum = build_datum(case)
     texts = _root_texts(datum)
@@ -518,7 +519,8 @@ def _classify_case(case: HermitianCase):
     }
     roots["pretty"] = tuple(map(_pretty, nilradical))
     offset = line_offset(case).as_integer_ratio()
-    lambda0 = _dumps(_lambda0(case), "  ")
+    base = _lambda0(case)
+    lambda0 = {"json": _dumps(base, "  "), "pretty": _pretty(base)}
     return datum.integer_view, offset, _dumps(_case_json(case), "  "), _dumps(case.label), lambda0, roots
 
 
@@ -594,7 +596,7 @@ def _classify_json(case: HermitianCase, c: Fraction) -> str:
         label,
         c,
         _z(c, offset),
-        lambda0,
+        lambda0["json"],
         verdict,
         route,
         len(s_lambda),
@@ -607,14 +609,14 @@ def _classify_json(case: HermitianCase, c: Fraction) -> str:
 
 
 def _classify_pretty(case: HermitianCase, c: Fraction) -> str:
-    view, offset, _, _, _, roots = _classify_case(case)
+    view, offset, _, _, lambda0, roots = _classify_case(case)
     verdict, route, terms, certificate, witness = _classify_point(view, c)
     representative = _representatives(view, c)
     texts = roots["pretty"]
     lines = [
         f"{case.label}  c = {format_rational(c)}  (z = {_z(c, offset)})",
         f"verdict: {verdict}   route: {route}",
-        f"base point: {_pretty(_lambda0(case))}",
+        f"base point: {lambda0['pretty']}",
         f"support: {len(terms)} roots, {sum(entry is None for _, _, entry, _ in terms)} on walls",
     ]
     for net, members in certificate:

@@ -227,8 +227,6 @@ def _classify_point(view: IntegerView, c: Fraction):
             groups.setdefault(pair[0] - k * pair[1], []).append(term)
     classes = [(points[0][key][0], members) for key, members in sorted(groups.items())]
     witness = next((members[0][0] for net, members in classes if net), None)
-    if _decide(bool(terms), witness is not None) != (verdict, route):
-        raise InvariantError("verdict out of step with the surviving classes")
     return verdict, route, terms, classes, witness
 
 

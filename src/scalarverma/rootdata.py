@@ -38,10 +38,11 @@ doubled integer vectors the build already holds for the simple roots and
 the nilradical roots, in field order, so that output can write every root
 without formatting a `Fraction` per coordinate.  Every other root field
 holds the very tuples of those two: the Levi simples and the noncompact
-simple root are simple roots, and gamma is a nilradical root.  The record
-is passed by `_derive` only: it is left out of the datum's repr (which
-tests pin by sha256) and equality, and a datum built by the constructor
-alone, such as a copy with some fields changed, has none.
+simple root are simple roots, and gamma is a nilradical root.  Only
+`_derive` attaches the record, after the constructor: it is left out of
+the datum's repr (which tests pin by sha256) and equality, and a datum
+built by the constructor alone, such as a copy with some fields changed,
+reads the class's None.
 
 Data are built once per case and cached; every field of a datum is an
 immutable value, safe to share across threads.  Each datum also derives, on
@@ -55,16 +56,18 @@ root's immutable record whole and writes no other, so a datum and its
 view may be shared across threads: a lost update loses only a word,
 which the next request finds again.
 
-A datum `_derive` returns also keeps the integers its view is scaled from
-(`ParabolicRootDatum._integers`): the doubled simple, nilradical, Levi
-positive and Levi simple roots, 4*rho (the column sums of the doubled
-positive roots), nil2, and for zeta and theta_u the pair (dot(b, b),
-4*dot(nil2, b)) of its root b, all of them integers the build already
-holds.  Its view is then scaled from them and makes no `Fraction`.  Only
-`_derive` sets them, after the constructor, so every other datum, a copy
-that is handed the `doubled` record among them, derives its view from its
-own `Fraction` fields; both sources feed one builder, and give the same
-view.
+The view is scaled from six weight groups (`Group`): rho, zeta, theta_u,
+the nilradical roots, the Levi positive roots and the Levi simple roots,
+each as integer vectors over one denominator.  D is the lcm of the groups'
+denominators in lowest terms, and each group is scaled by D over its
+denominator.  A datum `_derive` returns keeps its groups
+(`ParabolicRootDatum._integers`), attached after the constructor, in the
+integers the build already holds: 4*rho (the column sums of the doubled
+positive roots) over 4, zeta and theta_u as nil2 * dot(b, b) over
+4*dot(nil2, b) for their root b, and the roots' doubled vectors over 2.
+Its view makes no `Fraction`.  Any other datum reads the class's None and
+makes its groups from its `Fraction` fields, each over that field's lcm;
+one rule scales both.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 from .errors import InvariantError, Record, set_field
 from .ratvec import Weight, dot, scale
@@ -148,6 +151,8 @@ class HermitianCase(Record):
 # nilradical roots as `_derive` holds them, twice each coordinate, in
 # integers, each list in its field's order.
 DoubledRoots = tuple[tuple[IntVector, ...], tuple[IntVector, ...]]
+# Weights as (vectors, den): integer vectors, each standing for itself over den.
+Group = tuple[tuple[IntVector, ...], int]
 
 
 class ParabolicRootDatum(Record):
@@ -156,11 +161,11 @@ class ParabolicRootDatum(Record):
     `doubled` is the build's record of the integer vectors 2*alpha behind
     the simple roots and the nilradical roots (see `DoubledRoots`);
     `levi_simples`, `noncompact_simple` and `gamma` hold the very tuples of
-    those two fields.  Only `_derive` passes it; it takes no part in repr
-    or equality, and a datum built without it, such as a copy with some
-    fields changed, holds None: its fields need not match any record.
-    `_integers`, the integers behind the view (see the module docstring),
-    is None unless `_derive` set it after the constructor.
+    those two fields.  `_integers` holds the weight groups the view is
+    scaled from (see the module docstring).  Only `_derive` attaches the
+    two, after the constructor; they take no part in repr or equality, and
+    any other datum, such as a copy with some fields changed, reads the
+    class's None for each: its fields need not match any record.
     """
 
     _fields = (
@@ -168,10 +173,8 @@ class ParabolicRootDatum(Record):
         "positive_roots", "levi_positive", "nilradical_roots", "rho", "gamma", "zeta", "theta_u",
     )
 
-    def __init__(self, *args, doubled: DoubledRoots | None = None, **kwargs):
-        super().__init__(*args, **kwargs)
-        set_field(self, "doubled", doubled)
-        set_field(self, "_integers", None)
+    doubled: DoubledRoots | None = None
+    _integers: tuple[Group, ...] | None = None
 
     @cached_property
     def integer_view(self) -> IntegerView:
@@ -199,11 +202,12 @@ class NilradicalLevel(Record):
 class IntegerView(Record):
     """A root datum multiplied through by a common denominator D.
 
-    D clears every denominator of rho, zeta, theta_u, the nilradical roots
-    and the Levi positive and simple roots, the weights the view scales, so
-    each vector below is D times the datum's weight of the same name, in
-    plain integers.  A derived datum's view scales `_derive`'s integers, and
-    any other datum's its `Fraction` fields, to the same numbers.  A root's pairing <v, alpha^v> is then
+    D is the least common denominator of rho, zeta, theta_u, the
+    nilradical roots and the Levi positive and simple roots, the weights
+    the view scales, so each vector below is D times the datum's weight of
+    the same name, in plain integers.  They are scaled from the datum's
+    weight groups by one rule, whichever source made the groups (see the
+    module docstring).  A root's pairing <v, alpha^v> is then
     2*dot(v, A) / dot(A, A) for the scaled root A, free of D.
     `theta_rho` = dot(R, T) for R = D*rho and T = D*theta_u.  `rho_bound`
     and `root_bound` are one more than the integer square roots of
@@ -433,18 +437,16 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
     nil_order = tuple([w for w in order if w in nil])
     levi_order = tuple([w for w in order if w not in nil])
     levi_twice = tuple([w for i, w in enumerate(twice) if i not in noncompact])
-    # 4*rho: rho is half the sum of the positive roots
-    rho4 = tuple(map(sum, zip(*doubled.values())))
 
-    def along_nil(b: IntVector) -> tuple[tuple[int, int], Weight]:
+    def along_nil(b: IntVector) -> Group:
         # The multiple of the nilradical's sum with <., beta^v> = 1, for the
-        # root beta with doubled vector b: nil2 * dot(b, b) / (4*dot(nil2, b)),
-        # with that pair of integers.
-        pair = dot(b, b), 4 * dot(nil2, b)
-        return pair, tuple([Fraction(x * pair[0], pair[1]) for x in nil2])
+        # root beta with doubled vector b: nil2 * dot(b, b) / (4*dot(nil2, b)).
+        norm = dot(b, b)
+        return (tuple([x * norm for x in nil2]),), 4 * dot(nil2, b)
 
-    zeta_pair, zeta = along_nil(doubled[top])
-    theta_pair, theta_u = along_nil(twice[noncompact[0]])
+    # rho is half the sum of the positive roots: 4*rho sums their doubles
+    rho = (tuple(map(sum, zip(*doubled.values()))),), 4
+    zeta, theta_u = along_nil(doubled[top]), along_nil(twice[noncompact[0]])
     simples = tuple(map(roots.__getitem__, twice))
     datum = ParabolicRootDatum(
         case=case,
@@ -455,55 +457,57 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         positive_roots=tuple(map(roots.__getitem__, order)),
         levi_positive=tuple(map(roots.__getitem__, levi_order)),
         nilradical_roots=tuple(map(roots.__getitem__, nil_order)),
-        rho=tuple([Fraction(x, 4) for x in rho4]),
+        rho=_weight(rho),
         gamma=roots[doubled[top]],
-        zeta=zeta,
-        theta_u=theta_u,
-        doubled=(twice, nil_order),
+        zeta=_weight(zeta),
+        theta_u=_weight(theta_u),
     )
-    integers = (twice, nil_order, levi_order, levi_twice, rho4, nil2, zeta_pair, theta_pair)
-    set_field(datum, "_integers", integers)
+    set_field(datum, "doubled", (twice, nil_order))
+    set_field(datum, "_integers", (rho, zeta, theta_u, (nil_order, 2), (levi_order, 2), (levi_twice, 2)))
     return datum
 
 
+def _weight(group: Group) -> Weight:
+    """The one weight of a group."""
+    (v,), den = group
+    return tuple([Fraction(x, den) for x in v])
+
+
+def _group(weights: tuple[Weight, ...]) -> Group:
+    """Weights as integer vectors over the lcm of their denominators."""
+    den = math.lcm(*[x.denominator for w in weights for x in w])
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in w]) for w in weights]), den
+
+
 def _integer_view(d: ParabolicRootDatum) -> IntegerView:
-    """The datum's view: from `_derive`'s integers when the datum holds them
-    (`ParabolicRootDatum._integers`), and from its `Fraction` fields when not."""
-    if d._integers is None:
-        weights = (d.rho, d.zeta, d.theta_u) + d.nilradical_roots + d.levi_positive + d.levi_simples
-        denom = math.lcm(*(x.denominator for w in weights for x in w))
-        ints = lambda w: tuple(x.numerator * (denom // x.denominator) for x in w)
-        return _view(
-            denom, ints(d.rho), ints(d.zeta), ints(d.theta_u),
-            map(ints, d.nilradical_roots), map(ints, d.levi_positive), map(ints, d.levi_simples),
-        )
-    simples, nilradical, levi, levi_simples, rho4, nil2, (zb, zd), (tb, td) = d._integers
-    # D is the lcm of the denominators of the weights the view scales: 2 for
-    # the roots unless every doubled coordinate is even (the roots are
-    # integer combinations of the simple roots), 4 / gcd(4, 4*rho) for rho,
-    # and for zeta and theta_u, nil2 * b / d over each along_nil pair (b, d),
-    # d / gcd(d, b * gcd(nil2)).
-    g = math.gcd(*nil2)
-    denom = math.lcm(
-        2 // math.gcd(2, *[x for w in simples for x in w]),
-        4 // math.gcd(4, *rho4),
-        zd // math.gcd(zd, zb * g),
-        td // math.gcd(td, tb * g),
-    )
-    root = _scaler(denom, 2)
-    return _view(
-        denom, _scaler(denom, 4)(rho4), _scaler(zb * denom, zd)(nil2), _scaler(tb * denom, td)(nil2),
-        map(root, nilradical), map(root, levi), map(root, levi_simples),
-    )
+    """The datum's view, scaled from its weight groups: `_derive`'s integers
+    when the datum holds them (`ParabolicRootDatum._integers`), and each of
+    its `Fraction` fields over its own lcm when not."""
+    groups = d._integers or [
+        _group(w)
+        for w in ((d.rho,), (d.zeta,), (d.theta_u,), d.nilradical_roots, d.levi_positive, d.levi_simples)
+    ]
+    # D is the lcm of the groups' denominators in lowest terms.  A group is
+    # brought to lowest terms, by the gcd of its denominator and its
+    # coordinates, only when its denominator does not divide the lcm so far:
+    # when it does, the lcm is the same either way.  Each group then scales
+    # by D over its denominator, so every vector is D times its weight.
+    denom, cuts = 1, []
+    for vectors, den in groups:
+        cut = 1 if denom % den == 0 else math.gcd(den, *chain.from_iterable(vectors))
+        denom = math.lcm(denom, den // cut)
+        cuts.append(cut)
+    (rho,), (zeta,), (theta_u,), nilradical, levi_positive, simples = [
+        _scaled(vectors, denom * cut // den, cut) for (vectors, den), cut in zip(groups, cuts)
+    ]
+    return _view(denom, rho, zeta, theta_u, nilradical, levi_positive, simples)
 
 
-def _scaler(num: int, den: int):
-    """The map v -> v * num / den, on the integer vectors it takes to integers."""
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
-    if den == 1:
-        return lambda v: tuple([x * num for x in v])
-    return lambda v: tuple([x // den * num for x in v])
+def _scaled(vectors: tuple[IntVector, ...], num: int, den: int) -> tuple[IntVector, ...]:
+    """The vectors times num / den, which takes each to integers."""
+    if num == den:
+        return vectors
+    return tuple([tuple([x * num // den for x in v]) for v in vectors])
 
 
 def _view(
@@ -516,7 +520,6 @@ def _view(
         a, b = 2 * dot(rho, root), 2 * dot(zeta, root)
         return NilradicalLevel(root, dot(root, root), a, b, dot(root, theta_u))
 
-    levi_positive, simples = list(levi_positive), list(simples)
     nilradical = tuple(map(level, nilradical))
     return IntegerView(
         denom=denom,

@@ -367,21 +367,11 @@ def test_records_share_one_constructor_contract(name):
             cls(*args, **kwargs)
 
 
-def test_datum_takes_its_doubled_record_by_keyword_only():
-    datum = RECORDS["ParabolicRootDatum"]
-    values = [getattr(datum, field) for field in datum._fields]
-    with_record, without = type(datum)(*values, doubled=datum.doubled), type(datum)(*values)
-    assert with_record.doubled is datum.doubled and without.doubled is None
-    assert with_record == without == datum and hash(with_record) == hash(without)
-    assert repr(with_record) == repr(without) == repr(datum)
-    with pytest.raises(TypeError):
-        type(datum)(*values, datum.doubled)
-
-
 def test_records_state_their_fields_once():
-    # Only three records define a constructor, each for what the base's
-    # cannot do (HermitianCase validates, the datum and the view keep an
-    # attribute outside their fields), and none sets a field itself.
+    # Only two records define a constructor, each for what the base's
+    # cannot do (HermitianCase validates, the view keeps an attribute
+    # outside its fields), and none sets a field itself.  The datum's
+    # attributes outside its fields are attached by the build alone.
     kept = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -394,7 +384,7 @@ def test_records_state_their_fields_once():
                     if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "set_field":
                         assert call.args[1].value not in fields, (node.name, call.args[1].value)
     assert set(kept) == set(RECORDS)
-    assert {name for name, inits in kept.items() if inits} == {"HermitianCase", "ParabolicRootDatum", "IntegerView"}
+    assert {name for name, inits in kept.items() if inits} == {"HermitianCase", "IntegerView"}
 
 
 def test_tables_read_the_cases_own_roots():

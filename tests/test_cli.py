@@ -21,6 +21,7 @@ from conftest import ADMISSIBLE_CASES, SWEEP_CASES, case_flags, replaced
 from scalarverma import HermitianCase, InvariantError, build_datum
 from scalarverma import cli, ehw, jantzen
 from scalarverma.cli import main
+from scalarverma.errors import set_field
 from scalarverma.ratvec import format_rational, parse_rational, weight
 from scalarverma.rootdata import scalar_parameter_weight
 from reference import classify_json_reference, classify_pretty_reference
@@ -414,7 +415,6 @@ def test_grid_requests_on_a_new_case_do_no_fraction_arithmetic(capsys, monkeypat
             ehw.abc_constants.cache_clear()
             ehw.line_offset.cache_clear()
             cli._classify_case.cache_clear()
-            cli._lambda0.cache_clear()
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0 and out
     assert used == []
@@ -436,7 +436,7 @@ def test_one_closed_form_set_per_case(capsys):
 def test_one_line_offset_per_case(capsys):
     ehw.line_offset.cache_clear()
     ehw.abc_constants.cache_clear()
-    cli._lambda0.cache_clear()
+    cli._classify_case.cache_clear()
     for c in ("-2", "0", "1/2", "-2"):
         code, _, _ = run_cli(capsys, "classify", "--case", "DIII", "--n", "4", "--c", c)
         assert code == 0
@@ -446,8 +446,9 @@ def test_one_line_offset_per_case(capsys):
     assert code == 0
     assert ehw.line_offset.cache_info().misses == 1
     assert ehw.abc_constants.cache_info().misses == 1
-    # classify's base point is formatted once, for the first request
-    assert cli._lambda0.cache_info().misses == 1
+    # classify's per-case parts, its base point in both formats among
+    # them, are written once, for the first request
+    assert cli._classify_case.cache_info().misses == 1
 
 
 # Strings with quotes, backslashes, control characters and non-ASCII text
@@ -508,12 +509,14 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
 def test_classify_invariant_violation_exits_3(capsys, monkeypatch, fmt):
     # BI(3) at c = -1 holds a two-member class, which a theta_u that is not
     # Levi fixed splits; classify's walk raises, as the grid decision does.
-    # The crippled datum keeps its doubled record, so the roots are written.
+    # The crippled datum is handed the doubled record, so the roots are written.
     build = cli.build_datum
 
     def crippled(case):
         datum = build(case)
-        return replaced(datum, theta_u=weight([0, 1, 0]), doubled=datum.doubled)
+        copy = replaced(datum, theta_u=weight([0, 1, 0]))
+        set_field(copy, "doubled", datum.doubled)
+        return copy
 
     monkeypatch.setattr(cli, "build_datum", crippled)
     cli._classify_case.cache_clear()
@@ -628,7 +631,6 @@ def test_classify_formats_no_root_coordinate(capsys, monkeypatch, fmt):
     case = HermitianCase("CI", n=20)
     datum = build_datum(case)
     cli._classify_case.cache_clear()
-    cli._lambda0.cache_clear()
     made = []
     original = Fraction.__str__
 

@@ -212,6 +212,20 @@ def test_cold_build_makes_fractions_per_dimension_not_per_coordinate(monkeypatch
     assert made == []
 
 
+# sha256 of the admissible cases' integer-view reprs, joined by newlines:
+# the same text from a derived datum and from its constructor-built copy.
+ADMISSIBLE_VIEWS_SHA256 = "da55b61db837765687948ac0d5c0a9c9501eaa01a40cc3400498851a9ed84754"
+
+
+@pytest.mark.parametrize("source", ["derived", "constructed"])
+def test_every_admissible_view_is_pinned(source):
+    # Pins the numbers themselves, D among them: a change to the scaling
+    # that both sources share moves this digest.
+    build = build_datum if source == "derived" else lambda case: replaced(build_datum(case))
+    text = "\n".join(repr(build(case).integer_view) for case in ADMISSIBLE_CASES)
+    assert hashlib.sha256(text.encode()).hexdigest() == ADMISSIBLE_VIEWS_SHA256
+
+
 def test_one_view_from_two_sources():
     # A derived datum's view comes from _derive's integers, a datum rebuilt
     # by the constructor alone derives it from its Fraction fields: the two
