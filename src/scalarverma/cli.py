@@ -40,17 +40,18 @@ Exit codes: 0 success, 1 usage error, 2 computational disagreement,
 3 internal invariant violation.  All output is deterministic: fixed
 orderings, exact rationals, no timestamps.  JSON is written by _dumps, in
 the bytes of json.dumps(..., indent=2).  A weight reaches _dumps as the
-tuple of its coordinates' format_rational strings, which _dumps writes as a
-JSON array in one join; a list is written item by item.  Every root that
-any command writes as a root (datum-dump's root fields, classify's support
-terms, class members and witness) gets those strings from _root_texts:
-from the datum's record of doubled integer vectors (`datum.doubled`),
-through a table with one string per distinct doubled coordinate.  A datum
-without that record, such as one built by its constructor alone, is an
-invariant violation for every such writer (exit 3).  classify writes its
-representatives from integers (see below); other weights get their
-strings from _w, one Fraction formatted per coordinate.  Integer
-flags take ASCII digits with an optional sign only, as rationals do.
+tuple of its coordinates' texts, which _dumps writes as a JSON array in one
+join; a list is written item by item.  A number is written by one rule: a
+Fraction by str, and an integer m over a denominator den as str writes
+m/den, through one memo per denominator (_Ratios), which makes each
+distinct m's text once.  Every weight of a datum that a command writes
+(datum-dump's fields, classify's support terms, class members, witness and
+base point) is written from the datum's integers (`_groups`), each weight
+group over its denominator; a datum without them, such as one built by its
+constructor alone, is an invariant violation for every such writer (exit
+3).  classify writes its representatives from integers (see below).
+Integer flags take ASCII digits with an optional sign only, as rationals
+do.
 
 Every command and flag is declared once, in _COMMANDS: each command's
 handler and help text, and each flag's default, whether it is required,
@@ -75,10 +76,10 @@ it appears at (and its pretty text), and the case's own fields are written
 by _dumps once per case, each found by the root's index.  A request writes
 only the text around the fragments: each level by %d, each parity and
 step count from the word's length, each class's representative once, from
-its first member's entry, with one gcd per coordinate (_representatives),
-and z from integers.  The case's base point is written once per case, in
-both formats, from the view's integers too (_lambda0), so a cold classify
-does no Fraction arithmetic either.
+its first member's entry, with one gcd per distinct coordinate
+(_representatives), and z from integers.  The case's base point is written once per case, in
+both formats, from the view's integers too, so a cold classify does no
+Fraction arithmetic either.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ from .ehw import (
 )
 from .errors import InvariantError
 from .jantzen import REDUCIBLE, ROUTE_EMPTY_SUPPORT, SIMPLE, ScalarGrid, _classify_point, classify_scalar
-from .ratvec import Weight, add, format_rational, inner, parse_rational, reflect
+from .ratvec import add, inner, parse_rational, reflect
 from .rootdata import CASE_TAGS, HermitianCase, build_datum, case_notes, scalar_parameter_weight
 
 # A scan window, or all the windows of one crosscheck together, hold at
@@ -374,9 +375,9 @@ def _dumps(obj, indent: str = "") -> str:
     encoder runs in pure Python whenever an indent is set, and this one is
     faster.  A string of printable ASCII with no quote or backslash is
     written as it is, between quotes; only another loads json's encoder.  A
-    tuple is a weight from _w or _root_texts: its items are format_rational
-    strings (ASCII digits, "-" and "/"), written unescaped in one join, and
-    any item that is not a str raises TypeError from the join.
+    tuple is a weight's coordinates' texts, strings of ASCII digits, "-"
+    and "/" (_texts), written unescaped in one join, and any item that is
+    not a str raises TypeError from the join.
     """
     if isinstance(obj, str):
         if obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
@@ -432,27 +433,53 @@ def _object_template(fields: dict[str, str], indent: str) -> str:
     ) + "\n" + indent + "}"
 
 
-def _w(w: Weight) -> tuple[str, ...]:
-    """w's coordinates as format_rational strings (str of a Fraction), for _dumps."""
-    return tuple(map(str, w))
+class _Ratios(dict):
+    """The text of m/den, for one den > 0, by the integer m: made by _ratio
+    on m's first lookup and kept."""
+
+    def __init__(self, den: int):
+        self.den = den
+
+    def __missing__(self, m: int) -> str:
+        text = self[m] = _ratio(m, self.den)
+        return text
+
+
+def _ratio(m: int, den: int) -> str:
+    """m/den, for den > 0, as str writes the Fraction: in lowest terms, "p" or "p/q"."""
+    g = math.gcd(m, den)
+    return "%d" % (m // g) if g == den else "%d/%d" % (m // g, den // g)
+
+
+def _texts(group) -> list[tuple[str, ...]]:
+    """Each vector of a weight group (vectors, den) as its coordinates' texts, for _dumps."""
+    vectors, den = group
+    text = _Ratios(den).__getitem__
+    return [tuple(map(text, v)) for v in vectors]
+
+
+def _groups(datum):
+    """The datum's weight groups (`ParabolicRootDatum._integers`): rho, zeta,
+    theta_u, the nilradical, Levi positive and Levi simple roots, each
+    (integer vectors, denominator).  Every weight of a datum that cli
+    writes is written from them."""
+    if datum._integers is None:
+        raise InvariantError(f"{datum.case.label}: the datum holds no record of its doubled roots")
+    return datum._integers
 
 
 def _root_texts(datum) -> dict[int, tuple[str, ...]]:
-    """The coordinates of each root of datum as format_rational strings, by
-    the id() of the root's tuple, for _dumps and _pretty.
+    """The coordinates' texts of each root of datum that datum-dump writes, by
+    the id() of the root's tuple.
 
-    The strings come from the build's record of doubled vectors
-    (`datum.doubled`), one per distinct doubled coordinate.  The record is
-    aligned with simple_roots and nilradical_roots, and every other root
-    field holds tuples of those two, so every root of the datum has an
-    entry.  The ids name datum's tuples only while the caller holds datum.
+    They come from the datum's Levi simple and nilradical groups, each
+    aligned with its field; every other root field written holds tuples of
+    those two.  The ids name datum's tuples only while the caller holds
+    datum.
     """
-    if datum.doubled is None:
-        raise InvariantError(f"{datum.case.label}: the datum holds no record of its doubled roots")
-    simples, nilradical = datum.doubled
-    halves = {x: format_rational(Fraction(x, 2)) for x in set().union(*simples, *nilradical)}
-    texts = [tuple(map(halves.__getitem__, w)) for w in simples + nilradical]
-    return dict(zip(map(id, datum.simple_roots + datum.nilradical_roots), texts))
+    _, _, _, nilradical, _, levi_simples = _groups(datum)
+    texts = _texts(levi_simples) + _texts(nilradical)
+    return dict(zip(map(id, datum.levi_simples + datum.nilradical_roots), texts))
 
 
 def _case_json(case: HermitianCase) -> dict:
@@ -485,82 +512,58 @@ _MEMBER_JSON = _object_template(
 )
 
 
-def _lambda0(case: HermitianCase) -> tuple[str, ...]:
-    """The base point -<rho, gamma^v> * zeta of the case's c-line, for _dumps.
-
-    z = c + <rho, gamma^v>, and c*zeta - z*zeta is this point for every c.
-    For the offset a/norm and the view's zeta Z = D*zeta, coordinate i is
-    -a*Z_i / (norm*D), written from integers.
-    """
-    view = build_datum(case).integer_view
-    a, norm = line_offset(case).as_integer_ratio()
-    return tuple([_ratio(-a * z, norm * view.denom) for z in view.zeta])
-
-
 @cache
 def _classify_case(case: HermitianCase):
     """The parts of classify's output that depend on the case alone, each written once.
 
     Returns (view, offset, case, label, lambda0, roots): the datum's integer
     view, the line offset <rho, gamma^v> as (numerator, denominator), then
-    the case's fields and its label as JSON text, and its base point as
-    lambda0["json"] in JSON and lambda0["pretty"] as the pretty certificate
-    writes it.  roots[field] holds, at index j, nilradical root j's JSON
-    array, written by _dumps from its _root_texts strings at the indent
-    that field's roots start on; roots["pretty"] holds it as the pretty
-    certificate writes it.
+    the case's fields and its label as JSON text, and its base point
+    -<rho, gamma^v> * zeta as lambda0["json"] in JSON and lambda0["pretty"]
+    as the pretty certificate writes it.  roots[field] holds, at index j,
+    nilradical root j's JSON array, written by _dumps from the texts of the
+    datum's nilradical group at the indent that field's roots start on;
+    roots["pretty"] holds it as the pretty certificate writes it.
     """
     datum = build_datum(case)
-    texts = _root_texts(datum)
-    nilradical = [texts[id(beta)] for beta in datum.nilradical_roots]
+    nilradical = _texts(_groups(datum)[3])
     roots = {
         field: tuple([_dumps(t, indent) for t in nilradical])
         for field, indent in _ROOT_INDENTS.items()
     }
     roots["pretty"] = tuple(map(_pretty, nilradical))
-    offset = line_offset(case).as_integer_ratio()
-    base = _lambda0(case)
+    view = datum.integer_view
+    offset = a, norm = line_offset(case).as_integer_ratio()
+    # z = c + <rho, gamma^v>, so c*zeta - z*zeta is the base point for every
+    # c: for the offset a/norm and the view's Z = D*zeta, -a*Z_i / (norm*D)
+    base = tuple(map(_Ratios(norm * view.denom).__getitem__, [-a * z for z in view.zeta]))
     lambda0 = {"json": _dumps(base, "  "), "pretty": _pretty(base)}
-    return datum.integer_view, offset, _dumps(_case_json(case), "  "), _dumps(case.label), lambda0, roots
-
-
-def _ratio(m: int, den: int) -> str:
-    """m/den, for den > 0, as format_rational writes it: in lowest terms, "p" or "p/q"."""
-    g = math.gcd(m, den)
-    return "%d" % (m // g) if g == den else "%d/%d" % (m // g, den // g)
+    return view, offset, _dumps(_case_json(case), "  "), _dumps(case.label), lambda0, roots
 
 
 def _z(c: Fraction, offset: tuple[int, int]) -> str:
-    """z = c + offset, for the offset as (numerator, denominator), as format_rational writes it."""
+    """z = c + offset, for the offset as (numerator, denominator), as str writes the Fraction."""
     n, d = c.numerator, c.denominator
     bn, bd = offset
     return _ratio(n * bd + bn * d, d * bd)
 
 
 def _representatives(view, c: Fraction):
-    """The writer of a class representative's coordinates at c, as format_rational strings.
+    """The writer of a class representative's coordinates at c, as their texts.
 
     The writer takes a regular term's level k and memo entry
     (lo, hi, w*R, w*B, w), and returns the coordinates of the term's
     representative w*(rho - k*beta) + c*zeta.  For c = n/d and the view's
     denominator D, coordinate i is m/(d*D) with m = d*(wR_i - k*wB_i) +
-    n*zeta_i, for the scaled zeta; its string is made once per m within
-    the request.
+    n*zeta_i, for the scaled zeta; its text is made once per m within the
+    request, by one memo (_Ratios).
     """
     n, d = c.numerator, c.denominator
-    den = d * view.denom
+    text = _Ratios(d * view.denom).__getitem__
     zeta = view.zeta
-    texts: dict[int, str] = {}
 
     def write(k: int, entry: tuple) -> tuple[str, ...]:
-        out = []
-        for r, b, z in zip(entry[2], entry[3], zeta):
-            m = d * (r - k * b) + n * z
-            text = texts.get(m)
-            if text is None:
-                text = texts[m] = _ratio(m, den)
-            out.append(text)
-        return tuple(out)
+        return tuple([text(d * (r - k * b) + n * z) for r, b, z in zip(entry[2], entry[3], zeta)])
 
     return write
 
@@ -614,7 +617,7 @@ def _classify_pretty(case: HermitianCase, c: Fraction) -> str:
     representative = _representatives(view, c)
     texts = roots["pretty"]
     lines = [
-        f"{case.label}  c = {format_rational(c)}  (z = {_z(c, offset)})",
+        f"{case.label}  c = {c}  (z = {_z(c, offset)})",
         f"verdict: {verdict}   route: {route}",
         f"base point: {lambda0['pretty']}",
         f"support: {len(terms)} roots, {sum(entry is None for _, _, entry, _ in terms)} on walls",
@@ -698,7 +701,7 @@ def _scan_rows(case: HermitianCase, ms: range, line: ScalarGrid, template: list[
     (`ScalarGrid.decide`), the screen and the closed form along their
     progressions, and agree "false" exactly where the Reducible points and
     the closed-form points differ.  Fields are written as the TSV writes
-    them: c and z as format_rational renders them, closed_form and agree as
+    them: c and z as str writes their Fractions, closed_form and agree as
     "true" or "false".
 
     c and z are written per residue class of m modulo t, for step = s/t in
@@ -783,8 +786,8 @@ def cmd_scan(args) -> int:
         head = {
             "case": _case_json(case),
             "label": case.label,
-            "window": [format_rational(lo), format_rational(hi)],
-            "step": format_rational(step),
+            "window": [str(lo), str(hi)],
+            "step": str(step),
         }
         # The bytes of _dumps(payload) for payload = {**head, "rows": rows},
         # written one member and one block of rows at a time; each row is
@@ -822,7 +825,7 @@ def _table_rows(table_id: int, a_value: Fraction | None):
         z = Fraction(9) if table_id == 1 else Fraction(10)
         terms = classify_scalar(case, z - line_offset(case)).terms
         rows = [(t.beta, t.image[:5]) for t in terms if t.beta[5] == Fraction(-1, 2)]
-        meta = {"case": "EIII", "z": format_rational(z)}
+        meta = {"case": "EIII", "z": str(z)}
     else:
         # Every root reflects rho + a*zeta, a support term or not; table 4
         # leaves out the root whose e1..e5 are all negative.
@@ -838,7 +841,7 @@ def _table_rows(table_id: int, a_value: Fraction | None):
                     rows.append((beta, (*image[5:], inner(image, datum.theta_u))))
         if table_id == 3:
             header = ("pattern", "e6", "e7", "e8", "theta")
-        meta = {"case": "EVII", "a": format_rational(a_value)}
+        meta = {"case": "EVII", "a": str(a_value)}
     named = [("".join("-" if x < 0 else "+" for x in beta[:5]), vals) for beta, vals in rows]
     # By how many signs are negative, then by where they sit.
     named.sort(key=lambda row: (row[0].count("-"), [i for i, s in enumerate(row[0]) if s == "-"]))
@@ -864,7 +867,7 @@ def cmd_table(args) -> int:
             **meta,
             "columns": list(header),
             "rows": [
-                {"pattern": pat, "values": [format_rational(v) for v in vals]}
+                {"pattern": pat, "values": list(map(str, vals))}
                 for pat, vals in rows
             ],
         }
@@ -873,11 +876,11 @@ def cmd_table(args) -> int:
     if args.format == "tsv":
         print("\t".join(header))
         for pat, vals in rows:
-            print(pat + "\t" + "\t".join(format_rational(v) for v in vals))
+            print(pat + "\t" + "\t".join(map(str, vals)))
         return 0
     tag = ", ".join(f"{k} = {v}" for k, v in meta.items())
     print(f"table {args.table}  ({tag})")
-    cells = [[pat] + [format_rational(v) for v in vals] for pat, vals in rows]
+    cells = [[pat, *map(str, vals)] for pat, vals in rows]
     widths = [
         max(len(header[i]), max(len(row[i]) for row in cells)) for i in range(len(header))
     ]
@@ -907,7 +910,7 @@ def _crosscheck_instance(case: HermitianCase, window, ms: range, line: ScalarGri
         reducible += len(oracle)
         said = {m for m in oracle if m in simple} | (set(known) - oracle)
         for found, out in ((oracle ^ set().union(*closed), mismatches), (said, contradictions)):
-            out += [(format_rational(m * line.step), m in oracle) for m in sorted(found)]
+            out += [(str(m * line.step), m in oracle) for m in sorted(found)]
     return {
         "case": case,
         "window": window,
@@ -949,8 +952,8 @@ def cmd_crosscheck(args) -> int:
                 {
                     "case": _case_json(r["case"]),
                     "label": r["case"].label,
-                    "window": [format_rational(x) for x in r["window"]],
-                    "step": format_rational(step),
+                    "window": list(map(str, r["window"])),
+                    "step": str(step),
                     "points": r["points"],
                     "reducible": r["reducible"],
                     "mismatches": [c for c, _ in r["mismatches"]],
@@ -965,7 +968,7 @@ def cmd_crosscheck(args) -> int:
     for r in results:
         lo, hi = r["window"]
         print(
-            f"{r['case'].label}: window {format_rational(lo)}..{format_rational(hi)}"
+            f"{r['case'].label}: window {lo}..{hi}"
             f" points={r['points']}"
             f" reducible={r['reducible']}"
             f" mismatches={len(r['mismatches'])}"
@@ -988,15 +991,16 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_datum_dump(args) -> int:
-    """The datum as JSON.
+    """The datum as JSON, every weight written from the datum's integers.
 
-    The five root fields are written from their _root_texts strings; rho,
-    zeta and theta_u, which are not roots, through _w.
+    The five root fields are written from their _root_texts; rho, zeta and
+    theta_u, which are not roots, from their own groups.
     """
     case = _case(args)
     datum = build_datum(case)
     text = _root_texts(datum).__getitem__
     roots = lambda ws: list(map(text, map(id, ws)))
+    (rho,), (zeta,), (theta_u,) = map(_texts, _groups(datum)[:3])
     payload = {
         "case": _case_json(case),
         "label": case.label,
@@ -1005,10 +1009,10 @@ def cmd_datum_dump(args) -> int:
         "levi_simples": roots(datum.levi_simples),
         "noncompact_simple": text(id(datum.noncompact_simple)),
         "nilradical_roots": roots(datum.nilradical_roots),
-        "rho": _w(datum.rho),
+        "rho": rho,
         "gamma": text(id(datum.gamma)),
-        "zeta": _w(datum.zeta),
-        "theta_u": _w(datum.theta_u),
+        "zeta": zeta,
+        "theta_u": theta_u,
     }
     notes = case_notes(case)
     if notes:

@@ -34,9 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InsufficientWindowError, InvariantError, Record
-from .ratvec import (
-    Weight, add, congruence, dot, format_rational, pairing, rational, scale, sub
-)
+from .ratvec import Weight, add, congruence, dot, pairing, rational, scale, sub
 from .rootdata import HermitianCase, ParabolicRootDatum, build_datum
 
 KNOWN_SIMPLE = "known_simple"
@@ -218,7 +216,7 @@ def progression_summary(
     # The last first-reduction point is z = B, which is c = 0.
     if max(c for c, _ in scan) <= 0:
         raise InsufficientWindowError(
-            f"{case.label}: scan must pass z = {format_rational(constants.b)}"
+            f"{case.label}: scan must pass z = {constants.b}"
         )
     reducible = sorted({c for c, verdict in scan if verdict == "Reducible"})
     if len(reducible) < 2:

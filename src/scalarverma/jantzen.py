@@ -112,20 +112,7 @@ def jantzen_support(datum: ParabolicRootDatum, lam: Weight) -> tuple[Weight, ...
     return tuple(out)
 
 
-def _decide(has_terms: bool, survives: bool) -> tuple[str, str]:
-    """(verdict, route) from whether the support is empty and a class sum survives."""
-    if not has_terms:
-        return SIMPLE, ROUTE_EMPTY_SUPPORT
-    if survives:
-        return REDUCIBLE, ROUTE_SUM_SURVIVES
-    return SIMPLE, ROUTE_SUM_CANCELS
-
-
 _THETA_SPLIT = "one chamber class carries two theta values"
-
-
-def _survives(classes: dict[int, list[int]]) -> bool:
-    return any(net for net, _ in classes.values())
 
 
 def _walk(view: IntegerView, walks, size: int, packs: dict):
@@ -194,7 +181,9 @@ def _walk(view: IntegerView, walks, size: int, packs: dict):
             k += rise
     if split:
         raise InvariantError(_THETA_SPLIT)
-    decided = {i: _decide(True, _survives(classes)) for i, classes in points.items()}
+    # a visited point has terms: Reducible exactly when a class sum survives
+    survives, cancels = (REDUCIBLE, ROUTE_SUM_SURVIVES), (SIMPLE, ROUTE_SUM_CANCELS)
+    decided = {i: survives if any(n for n, _ in c.values()) else cancels for i, c in points.items()}
     return decided, fetched, points
 
 

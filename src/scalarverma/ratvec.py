@@ -41,11 +41,6 @@ def rational(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def format_rational(x: Fraction) -> str:
-    """Render as "p/q", or just "p" when the denominator is 1."""
-    return str(x)
-
-
 def weight(coords: Iterable) -> Weight:
     """Build a weight from an iterable of ints, rationals, or "p/q" strings.
 

@@ -33,17 +33,6 @@ datum as it builds it, in integers on those vectors:
 - for EIII and EVII, every positive root lies in the subspace of R^8 that
   realizes E6 or E7.
 
-The datum also keeps, as the record `doubled` (`DoubledRoots`), the
-doubled integer vectors the build already holds for the simple roots and
-the nilradical roots, in field order, so that output can write every root
-without formatting a `Fraction` per coordinate.  Every other root field
-holds the very tuples of those two: the Levi simples and the noncompact
-simple root are simple roots, and gamma is a nilradical root.  Only
-`_derive` attaches the record, after the constructor: it is left out of
-the datum's repr (which tests pin by sha256) and equality, and a datum
-built by the constructor alone, such as a copy with some fields changed,
-reads the class's None.
-
 Data are built once per case and cached; every field of a datum is an
 immutable value, safe to share across threads.  Each datum also derives, on
 first use, an integer view of itself (`IntegerView`) for the c-free chamber
@@ -65,9 +54,17 @@ denominator.  A datum `_derive` returns keeps its groups
 integers the build already holds: 4*rho (the column sums of the doubled
 positive roots) over 4, zeta and theta_u as nil2 * dot(b, b) over
 4*dot(nil2, b) for their root b, and the roots' doubled vectors over 2.
-Its view makes no `Fraction`.  Any other datum reads the class's None and
-makes its groups from its `Fraction` fields, each over that field's lcm;
-one rule scales both.
+Its view makes no `Fraction`, and output writes every weight of the datum
+from these integers, with no `Fraction` formatted per coordinate.  The
+Levi simple and nilradical groups are aligned with `levi_simples` and
+`nilradical_roots`, and every other root field written holds the very
+tuples of those two: a simple root is a Levi simple root or a nilradical
+root, and the noncompact simple root and gamma are nilradical roots.
+The record is left
+out of the datum's repr (which tests pin by sha256) and equality.  Any
+other datum, such as a copy with some fields changed, reads the class's
+None and makes its groups from its `Fraction` fields, each over that
+field's lcm; one rule scales both.
 """
 
 from __future__ import annotations
@@ -147,10 +144,6 @@ class HermitianCase(Record):
         return f"{self.tag}({params})" if params else self.tag
 
 
-# The record `ParabolicRootDatum.doubled`: the datum's simple roots and
-# nilradical roots as `_derive` holds them, twice each coordinate, in
-# integers, each list in its field's order.
-DoubledRoots = tuple[tuple[IntVector, ...], tuple[IntVector, ...]]
 # Weights as (vectors, den): integer vectors, each standing for itself over den.
 Group = tuple[tuple[IntVector, ...], int]
 
@@ -158,14 +151,11 @@ Group = tuple[tuple[IntVector, ...], int]
 class ParabolicRootDatum(Record):
     """The full exact root datum of one case instance.
 
-    `doubled` is the build's record of the integer vectors 2*alpha behind
-    the simple roots and the nilradical roots (see `DoubledRoots`);
-    `levi_simples`, `noncompact_simple` and `gamma` hold the very tuples of
-    those two fields.  `_integers` holds the weight groups the view is
-    scaled from (see the module docstring).  Only `_derive` attaches the
-    two, after the constructor; they take no part in repr or equality, and
-    any other datum, such as a copy with some fields changed, reads the
-    class's None for each: its fields need not match any record.
+    `_integers` holds the weight groups the view is scaled from and output
+    writes the weights from (see the module docstring).  Only `_derive`
+    attaches it, after the constructor; it takes no part in repr or
+    equality, and any other datum, such as a copy with some fields changed,
+    reads the class's None: its fields need not match any record.
     """
 
     _fields = (
@@ -173,7 +163,6 @@ class ParabolicRootDatum(Record):
         "positive_roots", "levi_positive", "nilradical_roots", "rho", "gamma", "zeta", "theta_u",
     )
 
-    doubled: DoubledRoots | None = None
     _integers: tuple[Group, ...] | None = None
 
     @cached_property
@@ -462,7 +451,6 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         zeta=_weight(zeta),
         theta_u=_weight(theta_u),
     )
-    set_field(datum, "doubled", (twice, nil_order))
     set_field(datum, "_integers", (rho, zeta, theta_u, (nil_order, 2), (levi_order, 2), (levi_twice, 2)))
     return datum
 

@@ -43,7 +43,17 @@ from fractions import Fraction
 
 from scalarverma.ehw import INDETERMINATE, KNOWN_REDUCIBLE, KNOWN_SIMPLE, ABCConstants
 from scalarverma.errors import InvariantError
-from scalarverma.jantzen import JantzenTerm, RepClass, SimplicityVerdict, _decide, jantzen_support
+from scalarverma.jantzen import (
+    REDUCIBLE,
+    ROUTE_EMPTY_SUPPORT,
+    ROUTE_SUM_CANCELS,
+    ROUTE_SUM_SURVIVES,
+    SIMPLE,
+    JantzenTerm,
+    RepClass,
+    SimplicityVerdict,
+    jantzen_support,
+)
 from scalarverma.ratvec import Weight, add, dot, inner, is_integer, pairing, reflect
 from scalarverma.rootdata import IntVector, ParabolicRootDatum
 from scalarverma.weyl import normalize
@@ -83,7 +93,13 @@ def simplicity_oracle(datum: ParabolicRootDatum, lam: Weight) -> SimplicityVerdi
             raise InvariantError("one chamber class carries two theta values")
         certificate.append(RepClass(rep, sum(m.chamber.sign for m in members), members))
     witness = next((g.members[0].beta for g in certificate if g.net_sign), None)
-    verdict, route = _decide(bool(terms), witness is not None)
+    # Jantzen's criterion: no term, or every class sum cancels, is Simple
+    if not terms:
+        verdict, route = SIMPLE, ROUTE_EMPTY_SUPPORT
+    elif witness is None:
+        verdict, route = SIMPLE, ROUTE_SUM_CANCELS
+    else:
+        verdict, route = REDUCIBLE, ROUTE_SUM_SURVIVES
     return SimplicityVerdict(verdict, route, tuple(terms), tuple(certificate), witness)
 
 

@@ -197,17 +197,23 @@ def test_derivable_fields_are_not_stored():
 
 
 def test_one_root_formatter_reads_the_doubled_record():
-    # Every root cli writes takes its strings from _root_texts, and nothing
-    # else in the package reads the record.
-    assert _attribute_readers("doubled") == {"cli"}
+    # Every weight of a datum cli writes, roots and rho, zeta and theta_u
+    # alike, is written from the datum's integers (`_integers`), which hold
+    # the doubled roots: rootdata attaches and scales the record, one
+    # function of cli reads it, and no second record or writer of them is left.
+    assert _attribute_readers("_integers") == {"rootdata", "cli"}
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     readers = {
         f.name
         for f in ast.walk(tree)
         if isinstance(f, ast.FunctionDef)
-        and any(isinstance(n, ast.Attribute) and n.attr == "doubled" for n in ast.walk(f))
+        and any(isinstance(n, ast.Attribute) and n.attr == "_integers" for n in ast.walk(f))
     }
-    assert readers == {"_root_texts"}
+    assert readers == {"_groups"}
+    assert _attribute_readers("doubled") == set()
+    cli, ratvec = (importlib.import_module(f"scalarverma.{name}") for name in ("cli", "ratvec"))
+    for module, name in ((cli, "_w"), (cli, "_lambda0"), (ratvec, "format_rational")):
+        assert not hasattr(module, name), name
 
 
 def test_reference_never_names_the_integer_path():
@@ -221,6 +227,22 @@ def test_reference_never_names_the_integer_path():
             named.update({node.name, node.asname})
     assert {"jantzen_support", "normalize", "theta_pairing"} <= named
     assert not named & INTEGER_PATH
+
+
+def test_reference_imports_no_private_name():
+    # The reference states its own rules, the verdict rule among them: it
+    # imports only public names of the package, so no private helper of
+    # the path it judges decides for it.  A plain import of a package module
+    # would reach its private names by attribute, so there is none.
+    imported, modules = [], []
+    for node in ast.walk(ast.parse(REFERENCE.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scalarverma":
+            imported += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules += [alias.name.split(".")[0] for alias in node.names]
+    assert ("scalarverma.jantzen", "jantzen_support") in imported
+    assert [name for _, name in imported if name.startswith("_")] == []
+    assert "scalarverma" not in modules
 
 
 def test_library_holds_one_decision_procedure():
@@ -328,13 +350,14 @@ def test_records_are_frozen_values(name):
 
 
 def test_records_leave_their_private_state_out():
-    # A datum's doubled record and a view's memo take no part in repr or
-    # equality, and a datum rebuilt from its fields holds no doubled record.
+    # A datum's integer record and a view's memo take no part in repr or
+    # equality, and a datum rebuilt from its fields holds no integer record.
     datum, view = RECORDS["ParabolicRootDatum"], RECORDS["IntegerView"]
     rebuilt = type(datum)(**{field: getattr(datum, field) for field in datum._fields})
-    assert datum.doubled is not None and rebuilt.doubled is None and rebuilt == datum
-    assert "doubled" not in repr(datum) and "words" not in repr(view)
-    assert not {"doubled", "integer_view"} & set(datum._fields)
+    assert datum._integers is not None and rebuilt._integers is None and rebuilt == datum
+    assert "_integers" not in repr(datum) and "words" not in repr(view)
+    assert not {"_integers", "integer_view"} & set(datum._fields)
+    assert not hasattr(datum, "doubled")
     assert "words" not in view._fields
 
 

@@ -22,7 +22,7 @@ from scalarverma import HermitianCase, InvariantError, build_datum
 from scalarverma import cli, ehw, jantzen
 from scalarverma.cli import main
 from scalarverma.errors import set_field
-from scalarverma.ratvec import format_rational, parse_rational, weight
+from scalarverma.ratvec import parse_rational, weight
 from scalarverma.rootdata import scalar_parameter_weight
 from reference import classify_json_reference, classify_pretty_reference
 from test_readme import COMMANDS as README_COMMANDS
@@ -69,8 +69,8 @@ def test_classify_line_matches_special_line():
         payload = json.loads(cli._classify_json(case, c))
         datum = build_datum(case)
         line = ehw.special_line(datum, scalar_parameter_weight(datum, c))
-        assert payload["z"] == format_rational(line.z), (case.label, c)
-        assert payload["lambda0"] == [format_rational(x) for x in line.lambda0], case.label
+        assert payload["z"] == str(line.z), (case.label, c)
+        assert payload["lambda0"] == [str(x) for x in line.lambda0], case.label
 
 
 def test_classify_negative_value_without_equals(capsys):
@@ -456,10 +456,10 @@ _json_text = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀') | st
 _json_scalars = (
     st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _json_text
 )
-# Weights as _w writes them: tuples of format_rational strings, with negative,
-# zero and non-unit-denominator coordinates.
+# Weights as cli writes them: tuples of their coordinates' texts, with
+# negative, zero and non-unit-denominator coordinates.
 _json_weights = st.lists(
-    st.builds(lambda p, q: format_rational(Q(p, q)), st.integers(-(2**70), 2**70), st.integers(1, 12)),
+    st.builds(lambda p, q: str(Q(p, q)), st.integers(-(2**70), 2**70), st.integers(1, 12)),
     max_size=6,
 ).map(tuple)
 _json_payloads = st.recursive(
@@ -482,6 +482,15 @@ def _as_lists(obj):
     if isinstance(obj, dict):
         return {k: _as_lists(v) for k, v in obj.items()}
     return obj
+
+
+@given(st.integers(-(2**70), 2**70), st.integers(1, 2**40))
+@example(0, 7)
+def test_ratios_write_as_str_writes_the_fraction(m, den):
+    # The one memo that writes an integer over a denominator: each text once
+    texts = cli._Ratios(den)
+    assert texts[m] == str(Q(m, den))
+    assert texts[m] is texts[m] and list(texts) == [m]
 
 
 @pytest.mark.parametrize(
@@ -509,13 +518,15 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
 def test_classify_invariant_violation_exits_3(capsys, monkeypatch, fmt):
     # BI(3) at c = -1 holds a two-member class, which a theta_u that is not
     # Levi fixed splits; classify's walk raises, as the grid decision does.
-    # The crippled datum is handed the doubled record, so the roots are written.
+    # The crippled datum is handed the datum's integers with that theta_u,
+    # so the roots are written and its view scales the tampered theta_u.
     build = cli.build_datum
 
     def crippled(case):
         datum = build(case)
         copy = replaced(datum, theta_u=weight([0, 1, 0]))
-        set_field(copy, "doubled", datum.doubled)
+        rho, zeta, _, *roots = datum._integers
+        set_field(copy, "_integers", (rho, zeta, (((0, 1, 0),), 1), *roots))
         return copy
 
     monkeypatch.setattr(cli, "build_datum", crippled)
@@ -586,23 +597,21 @@ def _parsed(coords):
 
 
 def test_datum_dump_formats_per_dimension_not_per_coordinate(capsys, monkeypatch):
-    # The roots are written from the datum's doubled vectors, one string per
-    # distinct doubled coordinate; rho, zeta and theta_u one per coordinate.
+    # Every weight is written from the datum's integers, each distinct
+    # numerator of a group once: a warm datum-dump makes and formats no
+    # Fraction.
     case = HermitianCase("CI", n=20)
     build_datum(case)
     made = []
-    original = Fraction.__str__
-
-    def counting(self):
-        made.append(self)
-        return original(self)
-
-    monkeypatch.setattr(Fraction, "__str__", counting)
+    new, text = Fraction.__new__, Fraction.__str__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
+    monkeypatch.setattr(Fraction, "__str__", lambda self: made.append(self) or text(self))
     code, out, _ = run_cli(capsys, "datum-dump", *case_flags(case))
-    assert code == 0
-    # one per coordinate of each root would be over 20 * 230
-    assert 0 < len(made) <= 4 * 20
-    assert json.loads(out)["nilradical_roots"][0] == ["0"] * 19 + ["2"]
+    monkeypatch.undo()
+    assert (code, made) == (0, [])
+    payload = json.loads(out)
+    assert payload["nilradical_roots"][0] == ["0"] * 19 + ["2"]
+    assert payload["zeta"] == ["1"] * 20 and payload["rho"] == [str(i) for i in range(20, 0, -1)]
 
 
 def test_datum_dump_never_writes_a_stale_record(capsys, monkeypatch):
@@ -936,6 +945,21 @@ def test_grid_path_bytes_pinned_on_every_case(capsys):
             digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == GRID_PATH_SHA256
 
+
+
+# The sha256 of the stdout of datum-dump on each admissible case, in
+# ADMISSIBLE_CASES order: every weight's text, which a check on the parsed
+# values alone would pass written as "2/4" for "1/2".
+DATUM_DUMP_SHA256 = "59d3f9dda0ce8c96c00454b990275c56a2b1e63bd236e11553dfcc0f7d4b0a5b"
+
+
+def test_every_datum_dump_bytes_pinned(capsys):
+    digest = hashlib.sha256()
+    for case in ADMISSIBLE_CASES:
+        code, out, _ = run_cli(capsys, "datum-dump", *case_flags(case))
+        assert code == 0, case.label
+        digest.update(out.encode())
+    assert digest.hexdigest() == DATUM_DUMP_SHA256
 
 @pytest.mark.parametrize("argv, message", [
     (["scan", "--case", "CI", "--n", "20", "--window", "0..99999/2", "--step", "1/2"],

@@ -26,7 +26,6 @@ from reference import abc_verdict_reference, closed_form_reference
 from scalarverma import HermitianCase, abc_constants, build_datum, classify_scalar, line_offset
 from scalarverma import cli, jantzen, weyl
 from scalarverma.jantzen import REDUCIBLE, ScalarGrid
-from scalarverma.ratvec import format_rational
 
 
 def per_point(datum, step, ms):
@@ -198,8 +197,8 @@ def per_point_rows(case, lo, hi, step, closed_form=closed_form_reference, screen
         closed = closed_form(constants, c)
         rows.append({
             "case": case.label,
-            "c": format_rational(c),
-            "z": format_rational(z),
+            "c": str(c),
+            "z": str(z),
             "verdict": verdict.verdict,
             "route": verdict.route,
             "abc_screen": screen(constants, z),
@@ -224,8 +223,8 @@ def per_point_scan(case, window, step, fmt, *rules):
         payload = {
             "case": case_json(case),
             "label": case.label,
-            "window": [format_rational(lo), format_rational(hi)],
-            "step": format_rational(step),
+            "window": [str(lo), str(hi)],
+            "step": str(step),
             "rows": rows,
         }
         return json.dumps(payload, indent=2) + "\n"
@@ -295,8 +294,8 @@ def per_point_crosscheck(cases, step, fmt, *rules):
             {
                 "case": case_json(case),
                 "label": case.label,
-                "window": [format_rational(x) for x in window],
-                "step": format_rational(step),
+                "window": [str(x) for x in window],
+                "step": str(step),
                 "points": len(rows),
                 "reducible": sum(r["verdict"] == REDUCIBLE for r in rows),
                 "mismatches": [r["c"] for r in bad],
@@ -308,7 +307,7 @@ def per_point_crosscheck(cases, step, fmt, *rules):
     lines = []
     for case, (lo, hi), rows, bad, wrong in instances:
         lines.append(
-            f"{case.label}: window {format_rational(lo)}..{format_rational(hi)}"
+            f"{case.label}: window {lo}..{hi}"
             f" points={len(rows)} reducible={sum(r['verdict'] == REDUCIBLE for r in rows)}"
             f" mismatches={len(bad)} contradictions={len(wrong)}"
         )

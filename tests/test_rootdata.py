@@ -270,25 +270,28 @@ def test_orbit_walk_matches_full_dot_walk(walks):
 
 
 def test_doubled_record_holds_twice_the_roots():
-    # The record behind every root cli writes: the build's own integer
-    # vectors, aligned with the simple roots and the nilradical roots.  The
-    # other root fields hold the very tuples of those two, so the record
-    # covers every root by identity.
+    # The groups behind every root cli writes: the build's own doubled
+    # vectors over 2, aligned with the nilradical, Levi positive and Levi
+    # simple roots.  Every other root field holds the very tuples of those,
+    # so the groups cover every root by identity; the simple roots, the
+    # noncompact simple root and gamma are Levi simple or nilradical roots.
     halved = lambda v: tuple(Fraction(x, 2) for x in v)
     for case in ADMISSIBLE_CASES:
         datum = build_datum(case)
-        simples, nilradical = datum.doubled
-        assert tuple(map(halved, simples)) == datum.simple_roots, case.label
-        assert tuple(map(halved, nilradical)) == datum.nilradical_roots, case.label
+        _, _, _, *groups = datum._integers
+        fields = (datum.nilradical_roots, datum.levi_positive, datum.levi_simples)
+        for (vectors, den), field in zip(groups, fields):
+            assert den == 2 and tuple(map(halved, vectors)) == field, case.label
         # ids of tuples the datum holds alive: equal ids are the same object
-        simple_ids = set(map(id, datum.simple_roots))
-        levi = set(map(id, datum.levi_simples + (datum.noncompact_simple,)))
-        assert levi <= simple_ids, case.label
-        assert id(datum.gamma) in set(map(id, datum.nilradical_roots)), case.label
+        nilradical = set(map(id, datum.nilradical_roots))
+        assert set(map(id, datum.positive_roots)) == nilradical | set(map(id, datum.levi_positive))
+        written = datum.simple_roots + (datum.noncompact_simple, datum.gamma)
+        assert set(map(id, written)) <= nilradical | set(map(id, datum.levi_simples)), case.label
+        assert {id(datum.noncompact_simple), id(datum.gamma)} <= nilradical, case.label
     # Outside repr and equality, and never carried to a replaced datum.
-    assert "doubled" not in repr(datum)
+    assert "_integers" not in repr(datum)
     assert replaced(datum) == datum
-    assert replaced(datum).doubled is None
+    assert replaced(datum)._integers is None
 
 
 def test_build_datum_caches():
