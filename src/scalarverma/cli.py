@@ -49,7 +49,8 @@ distinct m's text once.  Every weight of a datum that a command writes
 base point) is written from the datum's integers (`_groups`), each weight
 group over its denominator; a datum without them, such as one built by its
 constructor alone, is an invariant violation for every such writer (exit
-3).  classify writes its representatives from integers (see below).
+3).  classify writes its representatives from the integers of its
+certificate (see below).
 Integer flags take ASCII digits with an optional sign only, as rationals
 do.
 
@@ -69,17 +70,18 @@ wrapped, and only when printed.  json's string encoder is imported only
 for a string that needs escaping, so a well-formed request loads no module
 it does not run.
 
-classify writes its output straight from the integer decision, with no
-record and no Fraction per term, from fragments, as scan writes its rows:
-each nilradical root's array, from its _root_texts strings at each indent
-it appears at (and its pretty text), and the case's own fields are written
-by _dumps once per case, each found by the root's index.  A request writes
+classify writes both formats in one function (_classify), straight from
+the certificate of jantzen._classify_point, with no record and no
+Fraction per term, from fragments, as scan writes its rows: each
+nilradical root's array, from its _root_texts strings at each indent it
+appears at (and its pretty text), and the case's own fields are written by
+_dumps once per case, each found by the root's index.  A request writes
 only the text around the fragments: each level by %d, each parity and
-step count from the word's length, each class's representative once, from
-its first member's entry, with one gcd per distinct coordinate
-(_representatives), and z from integers.  The case's base point is written once per case, in
-both formats, from the view's integers too, so a cold classify does no
-Fraction arithmetic either.
+step count from the word's length, each class's representative from the
+numerators the certificate holds over its one denominator, with one gcd
+per distinct coordinate, and z from integers.  The case's base point is
+written once per case, in both formats, from the view's integers too, so
+a cold classify does no Fraction arithmetic either.
 """
 
 from __future__ import annotations
@@ -548,44 +550,43 @@ def _z(c: Fraction, offset: tuple[int, int]) -> str:
     return _ratio(n * bd + bn * d, d * bd)
 
 
-def _representatives(view, c: Fraction):
-    """The writer of a class representative's coordinates at c, as their texts.
+def _classify(case: HermitianCase, c: Fraction, fmt: str) -> str:
+    """classify's output at c in fmt: "json", the bytes of _dumps of its
+    payload without the final newline, or "pretty".
 
-    The writer takes a regular term's level k and memo entry
-    (lo, hi, w*R, w*B, w), and returns the coordinates of the term's
-    representative w*(rho - k*beta) + c*zeta.  For c = n/d and the view's
-    denominator D, coordinate i is m/(d*D) with m = d*(wR_i - k*wB_i) +
-    n*zeta_i, for the scaled zeta; its text is made once per m within the
-    request, by one memo (_Ratios).
-    """
-    n, d = c.numerator, c.denominator
-    text = _Ratios(d * view.denom).__getitem__
-    zeta = view.zeta
-
-    def write(k: int, entry: tuple) -> tuple[str, ...]:
-        return tuple([text(d * (r - k * b) + n * z) for r, b, z in zip(entry[2], entry[3], zeta)])
-
-    return write
-
-
-def _classify_json(case: HermitianCase, c: Fraction) -> str:
-    """classify's JSON, the bytes of _dumps of its payload, written from fragments.
-
-    The case's parts and every root are written once per case; a request
-    writes its representatives, its levels and the arrays and objects
-    around the fragments, as scan writes its rows, straight from
-    `_classify_point`'s integers.
+    Both are written from `_classify_point`'s certificate, from fragments:
+    the case's parts and every root are written once per case; a request
+    writes its levels, parities and representatives and the text around the
+    fragments, as scan writes its rows.  A representative's coordinates are
+    numerators over the certificate's denominator, each distinct one written
+    once by one memo (_Ratios), made only when the certificate holds a class.
     """
     view, offset, case_json, label, lambda0, roots = _classify_case(case)
-    verdict, route, terms, certificate, witness = _classify_point(view, c)
-    representative = _representatives(view, c)
+    verdict, route, terms, certificate, witness, den = _classify_point(view, c)
+    z = _z(c, offset)
+    walls = [j for j, _, entry, _ in terms if entry is None]
+    reps = []
+    if certificate:
+        text = _Ratios(den).__getitem__
+        reps = [tuple(map(text, rep)) for rep, _, _ in certificate]
+    if fmt == "pretty":
+        texts = roots["pretty"]
+        lines = [
+            f"{case.label}  c = {c}  (z = {z})",
+            f"verdict: {verdict}   route: {route}",
+            f"base point: {lambda0['pretty']}",
+            f"support: {len(terms)} roots, {len(walls)} on walls",
+        ]
+        for rep, (_, net, members) in zip(reps, certificate):
+            betas = ", ".join(f"{texts[j]} ({_parity(word)})" for j, _, (_, _, _, _, word), _ in members)
+            lines.append(f"  class rep {_pretty(rep)}  net {net:+d}: {betas}")
+        if witness is not None:
+            lines.append(f"witness: {texts[witness]}")
+        return "\n".join(lines) + "\n"
     support, member, surviving = roots["s_lambda"], roots["member"], roots["surviving"]
-    s_lambda = [support[j] for j, _, _, _ in terms]
-    singular = [support[j] for j, _, entry, _ in terms if entry is None]
     classes, survivors = [], []
-    for net, members in certificate:
-        _, k, entry, _ = members[0]
-        rep = _dumps(representative(k, entry), " " * 6)
+    for rep, (_, net, members) in zip(reps, certificate):
+        rep = _dumps(rep, " " * 6)
         written = [
             _MEMBER_JSON % (member[j], k, _parity(word), len(word))
             for j, k, (_, _, _, _, word), _ in members
@@ -598,37 +599,17 @@ def _classify_json(case: HermitianCase, c: Fraction) -> str:
         case_json,
         label,
         c,
-        _z(c, offset),
+        z,
         lambda0["json"],
         verdict,
         route,
-        len(s_lambda),
-        _array(s_lambda, "  "),
-        _array(singular, "  "),
+        len(terms),
+        _array([support[j] for j, _, _, _ in terms], "  "),
+        _array([support[j] for j in walls], "  "),
         _array(classes, "  "),
         _array(survivors, "  "),
         "null" if witness is None else roots["witness"][witness],
     )
-
-
-def _classify_pretty(case: HermitianCase, c: Fraction) -> str:
-    view, offset, _, _, lambda0, roots = _classify_case(case)
-    verdict, route, terms, certificate, witness = _classify_point(view, c)
-    representative = _representatives(view, c)
-    texts = roots["pretty"]
-    lines = [
-        f"{case.label}  c = {c}  (z = {_z(c, offset)})",
-        f"verdict: {verdict}   route: {route}",
-        f"base point: {lambda0['pretty']}",
-        f"support: {len(terms)} roots, {sum(entry is None for _, _, entry, _ in terms)} on walls",
-    ]
-    for net, members in certificate:
-        _, k, entry, _ = members[0]
-        betas = ", ".join(f"{texts[j]} ({_parity(word)})" for j, _, (_, _, _, _, word), _ in members)
-        lines.append(f"  class rep {_pretty(representative(k, entry))}  net {net:+d}: {betas}")
-    if witness is not None:
-        lines.append(f"witness: {texts[witness]}")
-    return "\n".join(lines) + "\n"
 
 
 def _parity(word: tuple) -> str:
@@ -642,11 +623,8 @@ def _pretty(w) -> str:
 
 def cmd_classify(args) -> int:
     case = _case(args)
-    c = parse_rational(args.c)
-    if args.format == "json":
-        sys.stdout.write(_classify_json(case, c) + "\n")
-    else:
-        sys.stdout.write(_classify_pretty(case, c))
+    text = _classify(case, parse_rational(args.c), args.format)
+    sys.stdout.write(text + "\n" if args.format == "json" else text)
     return 0
 
 

@@ -25,17 +25,20 @@ so the class key of the representative at level k is P(w*R) - k*P(w*B),
 one multiply-subtract.  P is linear, and injective and ordered as tuples
 are while each coordinate lies below 2**(s-1) in magnitude; Levi
 reflections are orthogonal, so a coordinate of the representative at
-level k is at most |R| + k*|B|, and `weyl` derives the width s from the
-data and the walk's own highest level.  The decision forms no vector: the
-verdict and route come from integer sign sums per class key.
+level k is at most |R| + k*|B|, and `_line_width` derives the width s
+from the data and the walk's own highest level.  The decision forms no
+vector: the verdict and route come from integer sign sums per class key.
 `_classify_point` is that decision with its certificate in integers: the
 entries the walk fetched (root index, level, entry), and the classes in
-key order, each with its members and the net sign its sum gave.  The
-command line writes its text straight from those integers.
-`classify_scalar` unscales them to its records: the terms, classes and
-witness, the only rationals, each representative rebuilt as w*R - k*w*B.
-The same criterion in rational arithmetic, on any scalar weight, lives
-with the tests as the reference this path is checked against.
+key order, each with its representative as numerators over one
+denominator, its members and the net sign its sum gave.  The
+representative is built there alone, once per class, from the class's
+first member.  The command line writes its text straight from that
+certificate, and `classify_scalar` unscales it to its records: the terms,
+classes and witness, the only rationals, each regular term taking its
+class's representative.  The same criterion in rational arithmetic, on
+any scalar weight, lives with the tests as the reference this path is
+checked against.
 
 `ScalarGrid` decides a whole grid c = m * step the other way round, root
 by root.  A root's level is affine in c, so the grid points at which it is
@@ -68,8 +71,8 @@ from fractions import Fraction
 
 from .errors import InvariantError, Record
 from .ratvec import Weight, add, congruence, is_integer, pairing, rational
-from .rootdata import IntegerView, ParabolicRootDatum, build_datum
-from .weyl import ChamberForm, _line_chamber, _line_width, _pack
+from .rootdata import IntegerView, IntVector, ParabolicRootDatum, build_datum
+from .weyl import ChamberForm, _line_chamber
 
 SIMPLE = "Simple"
 REDUCIBLE = "Reducible"
@@ -113,6 +116,27 @@ def jantzen_support(datum: ParabolicRootDatum, lam: Weight) -> tuple[Weight, ...
 
 
 _THETA_SPLIT = "one chamber class carries two theta values"
+
+
+def _pack(u: IntVector, width: int) -> int:
+    """P(u) = sum of u[i] * 2**(width*(d-1-i)): u's coordinates as signed digits."""
+    key = 0
+    for x in u:
+        key = (key << width) + x
+    return key
+
+
+def _line_width(view: IntegerView, top: int) -> int:
+    """A packing width whose keys hold at every level 1..top.
+
+    An entry's key at level k is P(w*R) - k*P(w*B) = P(w*R - k*w*B), as P is
+    linear.  P is injective, and orders vectors as tuples, while every
+    coordinate lies below 2**(width-1) in magnitude.  A Levi word is an
+    orthogonal map, so each coordinate of w*(R - k*B) is at most
+    |R| + k*|B| < r + k*b, for the view's bounds r > |R| and b > |B|
+    (`rho_bound` and `root_bound`).
+    """
+    return (view.rho_bound + top * view.root_bound).bit_length() + 1
 
 
 def _walk(view: IntegerView, walks, size: int, packs: dict):
@@ -191,14 +215,17 @@ def _classify_point(view: IntegerView, c: Fraction):
     """Decide the scalar weight c * zeta in integers, with its certificate.
 
     Each support root is a one-point walk.  Returns (verdict, route, terms,
-    classes, witness): the terms are the walk's fetched (j, k, entry, pair),
-    one per support root in the datum's order, the entry None on a wall;
-    the classes are (net sign, members) in key order, the members being the
-    class's terms in walk order and the net sign the walk's own sum; the
-    witness is the root index j of the first member of the first class
-    whose sum survives, or None.  Keys order as the scaled representatives
-    do (`_walk`), and unscaling is a coordinatewise increasing map, so the
-    classes order as their representatives.
+    classes, witness, den): the terms are the walk's fetched (j, k, entry,
+    pair), one per support root in the datum's order, the entry None on a
+    wall; the classes are (rep, net sign, members) in key order, the members
+    being the class's terms in walk order and the net sign the walk's own
+    sum; the witness is the root index j of the first member of the first
+    class whose sum survives, or None.  rep is the class's representative
+    w*(rho - k*beta) + c*zeta as numerators over den = d*D, for c = n/d and
+    the view's denominator D: coordinate i is d*(wR_i - k*wB_i) + n*Z_i,
+    read off the class's first member.  Keys order as the scaled
+    representatives do (`_walk`), and unscaling is a coordinatewise
+    increasing map, so the classes order as their representatives.
     """
     n, d = c.numerator, c.denominator
     # k = (a + c*b) / norm, a positive integer on the support
@@ -214,9 +241,13 @@ def _classify_point(view: IntegerView, c: Fraction):
         _, k, entry, pair = term
         if entry is not None:
             groups.setdefault(pair[0] - k * pair[1], []).append(term)
-    classes = [(points[0][key][0], members) for key, members in sorted(groups.items())]
-    witness = next((members[0][0] for net, members in classes if net), None)
-    return verdict, route, terms, classes, witness
+    classes = []
+    for key, members in sorted(groups.items()):
+        _, k, (_, _, wr, wb, _), _ = members[0]
+        rep = [d * (r - k * b) + n * z for r, b, z in zip(wr, wb, view.zeta)]
+        classes.append((rep, points[0][key][0], members))
+    witness = next((members[0][0] for _, net, members in classes if net), None)
+    return verdict, route, terms, classes, witness, d * view.denom
 
 
 def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
@@ -225,10 +256,11 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     Returns the verdict Jantzen's criterion gives for the weight, term for
     term, computed in integers along the scalar line; the rational
     reference in tests/reference.py decides the same weight in Fractions.
-    The decision is `_classify_point`'s; the terms, classes and witness are
-    unscaled from the entries it fetched, one per term, and each class
-    keeps its net sign.  The weight is scalar because the datum passed
-    validation: zeta is orthogonal to the Levi.
+    The decision and its certificate are `_classify_point`'s; the terms,
+    classes and witness are unscaled from it, each regular term taking its
+    class's representative, and each class keeps its net sign.  The weight
+    is scalar because the datum passed validation: zeta is orthogonal to the
+    Levi.
     """
     datum = (
         case_or_datum
@@ -237,36 +269,37 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     )
     c = rational(c)
     view = datum.integer_view
-    verdict, route, fetched, classes, witness = _classify_point(view, c)
-    # Over the denominator d*D, the image rho - k*beta + c*zeta of a scaled
-    # vector v = D*(rho - k*beta) is d*v + n*Z.  Images and representatives
-    # share most coordinates, so each Fraction is built once.
-    n, d = c.numerator, c.denominator
-    den = d * view.denom
+    verdict, route, fetched, classes, witness, den = _classify_point(view, c)
+    # Images and representatives are numerators over den and share most
+    # coordinates, so each Fraction is built once.
     fractions: dict[int, Fraction] = {}
 
     def unscale(v):
         out = []
-        for x, z in zip(v, view.zeta):
-            m = d * x + n * z
+        for m in v:
             f = fractions.get(m)
             if f is None:
                 f = fractions[m] = Fraction(m, den)
             out.append(f)
         return tuple(out)
 
-    # one support term per root, so a term is named by its root's index
+    # each regular term takes its class's representative, by its root's index
+    reps = {}
+    for rep, _, members in classes:
+        rep = unscale(rep)
+        for m in members:
+            reps[m[0]] = rep
+    # the image rho - k*beta + c*zeta, for c = n/d, is d*(R - k*B) + n*Z over
+    # den; one support term per root, so a term is named by its root's index
+    n, d = c.numerator, c.denominator
     terms: dict[int, JantzenTerm] = {}
     for j, k, entry, _ in fetched:
-        v = [r - k * x for r, x in zip(view.rho, view.nilradical[j].root)]
-        rep, steps = None, 0
-        if entry is not None:
-            _, _, wr, wb, word = entry
-            rep, steps = unscale([r - k * b for r, b in zip(wr, wb)]), len(word)
-        terms[j] = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(v), ChamberForm(rep, steps))
+        image = [d * (r - k * x) + n * z for r, x, z in zip(view.rho, view.nilradical[j].root, view.zeta)]
+        rep, steps = (None, 0) if entry is None else (reps[j], len(entry[4]))
+        terms[j] = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(image), ChamberForm(rep, steps))
     certificate = tuple(
         RepClass(terms[members[0][0]].chamber.rep, net, tuple([terms[m[0]] for m in members]))
-        for net, members in classes
+        for _, net, members in classes
     )
     beta = None if witness is None else datum.nilradical_roots[witness]
     return SimplicityVerdict(verdict, route, tuple(terms.values()), certificate, beta)

@@ -201,7 +201,8 @@ class IntegerView(Record):
     `theta_rho` = dot(R, T) for R = D*rho and T = D*theta_u.  `rho_bound`
     and `root_bound` are one more than the integer square roots of
     dot(R, R) and of the largest nilradical norm dot(B, B), so they exceed
-    |R| and every |B|: `weyl` bounds a walk's coordinates by them.
+    |R| and every |B|: `jantzen` reads them to bound a walk's coordinates
+    and so its packing width.
 
     The Levi fields serve `weyl`'s descent, and only `rootdata` and `weyl`
     read them.  They index the scaled roots A_t of the datum's

@@ -32,13 +32,8 @@ integer interval lo..hi, and at exactly those levels w*v(k) is the
 dominant point of v(k)'s orbit.  Each entry is (lo, hi, w*R, w*B, w), and
 a term is served by the entry whose lo..hi holds its level, which
 certifies the representative at the term's own level; a level no entry
-holds is descended afresh and its interval stored.  A walk keys the
-representative as P(w*R) - k*P(w*B), one multiply-subtract, for the
-packing P(u) = sum of u[i] * 2**(s*(d-1-i)): P is linear, and injective
-and ordered as tuples are while every coordinate lies below 2**(s-1) in
-magnitude.  Levi reflections are orthogonal, so each coordinate of
-w*v(k) is at most |R| + k*|B|, and `_line_width` derives s from the data
-and the highest level one walk asks for; the memo holds no width.  The
+holds is descended afresh and its interval stored.  The memo holds no
+packing width: `jantzen` packs an entry's w*R and w*B for its walks.  The
 descent is `normalize`'s first-negative rule, step bound and errors, run
 on v and w*B together in integers, with no wall scan: R = D*rho is
 strictly Levi dominant, so R - k*B meets the wall of a Levi root A only
@@ -157,27 +152,6 @@ def _line_record(view: IntegerView, root: IntVector) -> tuple[frozenset[int], tu
         if r * b > 0 and r % b == 0:
             singular.add(r // b)
     return frozenset(singular), ()
-
-
-def _pack(u: IntVector, width: int) -> int:
-    """P(u) = sum of u[i] * 2**(width*(d-1-i)): u's coordinates as signed digits."""
-    key = 0
-    for x in u:
-        key = (key << width) + x
-    return key
-
-
-def _line_width(view: IntegerView, top: int) -> int:
-    """A packing width whose keys hold at every level 1..top.
-
-    An entry's key at level k is P(w*R) - k*P(w*B) = P(w*R - k*w*B), as P is
-    linear.  P is injective, and orders vectors as tuples, while every
-    coordinate lies below 2**(width-1) in magnitude.  A Levi word is an
-    orthogonal map, so each coordinate of w*(R - k*B) is at most
-    |R| + k*|B| < r + k*b, for the view's bounds r > |R| and b > |B|
-    (`rho_bound` and `root_bound`).
-    """
-    return (view.rho_bound + top * view.root_bound).bit_length() + 1
 
 
 def _line_chamber(view: IntegerView, j: int, k: int) -> tuple | None:

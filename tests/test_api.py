@@ -216,6 +216,32 @@ def test_one_root_formatter_reads_the_doubled_record():
         assert not hasattr(module, name), name
 
 
+def test_classify_has_one_writer_of_one_certificate(monkeypatch):
+    # Both formats of classify come from one writer, and a class's
+    # representative is built in jantzen._classify_point alone: cli reads a
+    # memo entry's word, never its w*R or w*B, nor the pair packed from them.
+    cli = importlib.import_module("scalarverma.cli")
+    for name in ("_classify_json", "_classify_pretty", "_representatives"):
+        assert not hasattr(cli, name), name
+    whole = cli._classify_point
+
+    def blind(term):
+        j, k, entry, _ = term
+        return j, k, None if entry is None else (*entry[:2], None, None, entry[4]), None
+
+    def classify_point(view, c):
+        verdict, route, terms, classes, witness, den = whole(view, c)
+        classes = [(rep, net, list(map(blind, members))) for rep, net, members in classes]
+        return verdict, route, list(map(blind, terms)), classes, witness, den
+
+    # a two-member class, EIII's full support, a support of walls only
+    points = [("BI", 3, -1), ("EIII", None, 9), ("CI", 3, -2), ("CI", 20, 0)]
+    points = [(scalarverma.HermitianCase(tag, n=n), Fraction(c)) for tag, n, c in points]
+    texts = [cli._classify(case, c, fmt) for case, c in points for fmt in ("json", "pretty")]
+    monkeypatch.setattr(cli, "_classify_point", classify_point)
+    assert [cli._classify(case, c, fmt) for case, c in points for fmt in ("json", "pretty")] == texts
+
+
 def test_reference_never_names_the_integer_path():
     named = set()
     for node in ast.walk(ast.parse(REFERENCE.read_text(encoding="utf-8"))):
@@ -263,9 +289,10 @@ def test_each_decision_has_one_copy():
 
 def test_one_term_walk_serves_every_decision():
     # classify_scalar and ScalarGrid hand their terms to one walk, which
-    # holds jantzen's only calls into weyl's scalar line, the walk's width,
-    # each entry's fetch and its packing, and its only theta-split raise.
-    # jantzen takes nothing else of weyl's but the chamber form.
+    # holds jantzen's only calls into weyl's scalar line, each entry's
+    # fetch, and jantzen's only calls of the walk's width and the packing,
+    # which live in jantzen, and its only theta-split raise.  jantzen takes
+    # nothing else of weyl's but the chamber form.
     tree = ast.parse((PACKAGE / "jantzen.py").read_text(encoding="utf-8"))
     walk = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_walk")
 
@@ -280,7 +307,7 @@ def test_one_term_walk_serves_every_decision():
         if isinstance(n, ast.ImportFrom) and n.module == "weyl"
         for alias in n.names
     }
-    assert imported == {"ChamberForm", "_line_chamber", "_line_width", "_pack"}
+    assert imported == {"ChamberForm", "_line_chamber"}
     raises = [n for n in ast.walk(tree) if isinstance(n, ast.Raise) and "_THETA_SPLIT" in ast.unparse(n)]
     assert len(raises) == 1 and raises[0] in list(ast.walk(walk))
 

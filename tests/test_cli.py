@@ -66,7 +66,7 @@ LINE_POINTS = [(case, Q(-201, 2)) for case in ADMISSIBLE_CASES] + [
 
 def test_classify_line_matches_special_line():
     for case, c in LINE_POINTS:
-        payload = json.loads(cli._classify_json(case, c))
+        payload = json.loads(cli._classify(case, c, "json"))
         datum = build_datum(case)
         line = ehw.special_line(datum, scalar_parameter_weight(datum, c))
         assert payload["z"] == str(line.z), (case.label, c)
@@ -493,6 +493,34 @@ def test_ratios_write_as_str_writes_the_fraction(m, den):
     assert texts[m] is texts[m] and list(texts) == [m]
 
 
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_classify_makes_a_memo_only_for_a_class(capsys, monkeypatch, fmt):
+    # With the case's parts cached, a request whose certificate holds no
+    # class makes no _Ratios memo: CI(3) at c = 1/7 has an empty support,
+    # and at c = -2 two support roots, both on walls.  A request whose
+    # certificate holds a class makes exactly one.
+    argv = ["--case", "CI", "--n", "3", "--c"]
+    points = ["1/7", "-2", "-1/2"]
+    # (route, support, walls, classes) of each point, which caches the case's parts
+    shapes = [
+        (p["route"], p["s_lambda_size"], len(p["singular"]), len(p["classes"]))
+        for p in (classify_json(capsys, *argv, c) for c in points)
+    ]
+    assert shapes == [("empty_support", 0, 0, 0), ("sum_cancels", 2, 2, 0), ("sum_survives", 3, 0, 3)]
+    made = []
+
+    class Ratios(cli._Ratios):
+        def __init__(self, den):
+            made.append(den)
+            super().__init__(den)
+
+    monkeypatch.setattr(cli, "_Ratios", Ratios)
+    for c, (_, _, _, classes) in zip(points, shapes):
+        made.clear()
+        assert run_cli(capsys, "classify", *argv, c, "--format", fmt)[0] == 0
+        assert len(made) == min(classes, 1), (c, made)
+
+
 @pytest.mark.parametrize(
     "payload",
     [Q(1, 2), 0.5, {1: "x"}, [{"a": [Q(1)]}], {"a": {None: 1}}, [("1/2", Q(1, 2))]],
@@ -699,8 +727,8 @@ def _assert_writers_match_reference(case: HermitianCase, points) -> None:
     datum = build_datum(case)
     for c in points:
         verdict = jantzen.classify_scalar(datum, c)
-        assert cli._classify_json(case, c) == classify_json_reference(datum, c, verdict), (case.label, c)
-        assert cli._classify_pretty(case, c) == classify_pretty_reference(datum, c, verdict), (case.label, c)
+        assert cli._classify(case, c, "json") == classify_json_reference(datum, c, verdict), (case.label, c)
+        assert cli._classify(case, c, "pretty") == classify_pretty_reference(datum, c, verdict), (case.label, c)
 
 
 @pytest.mark.parametrize("case", SWEEP_CASES, ids=lambda case: case.label)

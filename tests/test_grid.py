@@ -24,7 +24,7 @@ import pytest
 from conftest import ADMISSIBLE_CASES, assert_grid_decides, case_flags, replaced
 from reference import abc_verdict_reference, closed_form_reference
 from scalarverma import HermitianCase, abc_constants, build_datum, classify_scalar, line_offset
-from scalarverma import cli, jantzen, weyl
+from scalarverma import cli, jantzen
 from scalarverma.jantzen import REDUCIBLE, ScalarGrid
 
 
@@ -169,7 +169,7 @@ def test_a_wide_request_leaves_a_later_grid_at_its_own_width(monkeypatch):
     assert later.decide(ms) == decided
     assert widths and set(widths) == set(later._packs) == set(first._packs)
     view = datum.integer_view
-    assert max(widths) < max(weyl._line_width(view, int(t.level)) for t in wide)
+    assert max(widths) < max(jantzen._line_width(view, int(t.level)) for t in wide)
 
 
 def test_grid_rejects_a_step_that_is_not_positive():

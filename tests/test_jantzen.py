@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,15 +12,17 @@ from conftest import ADMISSIBLE_CASES, SWEEP_CASES, verdict_support
 from golden_tables import sign_pattern_root
 from reference import simplicity_oracle, theta_pairing
 from scalarverma import HermitianCase, abc_constants, build_datum, classify_scalar, closed_form_reducible
+from scalarverma import jantzen
 from scalarverma.jantzen import (
     REDUCIBLE,
     ROUTE_EMPTY_SUPPORT,
     ROUTE_SUM_CANCELS,
     ROUTE_SUM_SURVIVES,
     SIMPLE,
+    _classify_point,
     jantzen_support,
 )
-from scalarverma.ratvec import add, pairing, reflect, scale, weight
+from scalarverma.ratvec import add, inner, pairing, reflect, scale, weight
 from scalarverma.rootdata import scalar_parameter_weight
 
 
@@ -201,6 +204,123 @@ def test_oracle_matches_closed_form_at_every_admissible_rank():
             assert reducible == closed_form_reducible(case, c), (case.label, c)
             points += 1
     assert points == 4701
+
+
+# Jantzen's sum formula (Jantzen 1977) says more than the verdict reads:
+# the sum of the characters of the filtration's layers is a nonnegative
+# combination of characters.  So a surviving class at the least surviving
+# level k, and one whose representative lies below no other surviving
+# representative, must have net sign +1.  Both are checked on the integer
+# certificate, whose representatives are numerators over one denominator.
+LEAST_LEVEL_POINTS = [Fraction(m, 2) for m in range(-40, 21)]
+MAXIMAL_POINTS = [Fraction(m, 2) for m in range(-30, 17)]
+# A sign flipped everywhere changes no verdict, and both checks see it here.
+FLIP_CASES = [HermitianCase("CI", n=4), HermitianCase("BI", n=3), HermitianCase("EIII")]
+
+
+def surviving_classes(view, c):
+    """The surviving classes of c * zeta's integer certificate as (level,
+    net sign, representative's numerators), and the numerators' denominator.
+    Every member of a class has the class's level."""
+    *_, classes, _, den = _classify_point(view, c)
+    surviving = []
+    for rep, net, members in classes:
+        levels = {k for _, k, _, _ in members}
+        assert len(levels) == 1, (c, levels)
+        if net:
+            surviving.append((levels.pop(), net, rep))
+    return surviving, den
+
+
+def simple_coefficients(simples):
+    """Integer rows L and a denominator E: a vector v in the span of the
+    simple roots is the sum of dot(L_i, v) / E times simples[i].
+
+    L / E is the inverse Gram matrix times the simple roots, by Gauss-Jordan
+    without pivoting, as the Gram matrix is positive definite.
+    """
+    r = len(simples)
+    rows = [[inner(a, b) for b in simples] + [Fraction(i == t) for t in range(r)] for i, a in enumerate(simples)]
+    for i in range(r):
+        rows[i] = [x / rows[i][i] for x in rows[i]]
+        for t in range(r):
+            if t != i:
+                rows[t] = [x - rows[t][i] * y for x, y in zip(rows[t], rows[i])]
+    dual = [[sum(row[r + t] * a[x] for t, a in enumerate(simples)) for x in range(len(simples[0]))] for row in rows]
+    common = math.lcm(*[x.denominator for v in dual for x in v])
+    return [[int(x * common) for x in v] for v in dual], common
+
+
+def assert_least_level_positive(case, points) -> int:
+    """Checks every point's classes at the least surviving level; returns their number."""
+    view = build_datum(case).integer_view
+    checked = 0
+    for c in points:
+        surviving, _ = surviving_classes(view, c)
+        if surviving:
+            least = min(level for level, _, _ in surviving)
+            nets = [net for level, net, _ in surviving if level == least]
+            assert nets == [1] * len(nets), (case.label, c)
+            checked += len(nets)
+    return checked
+
+
+def assert_maximal_positive(case, points) -> int:
+    """Checks every point's maximal surviving classes; returns their number."""
+    # rep_a lies below rep_b when rep_b - rep_a is a sum of positive roots:
+    # its simple-root coefficients are nonnegative integers.  All the
+    # representatives of one point differ from c * zeta + rho by root-lattice
+    # vectors, so a difference lies in the span of the simple roots.
+    datum = build_datum(case)
+    rows, common = simple_coefficients(datum.simple_roots)
+    view = datum.integer_view
+    checked = 0
+    for c in points:
+        surviving, den = surviving_classes(view, c)
+        unit = common * den
+        coefficients = [[sum(map(int.__mul__, row, rep)) for row in rows] for _, _, rep in surviving]
+        for (_, net, _), low in zip(surviving, coefficients):
+            below = sum(
+                all(y >= x and (y - x) % unit == 0 for x, y in zip(low, high)) for high in coefficients
+            )
+            # a class lies below itself
+            if below == 1:
+                assert net == 1, (case.label, c)
+                checked += 1
+    return checked
+
+
+def test_least_surviving_level_has_positive_classes():
+    checked = sum(assert_least_level_positive(case, LEAST_LEVEL_POINTS) for case in ADMISSIBLE_CASES)
+    assert checked == 4588
+
+
+def test_maximal_surviving_classes_are_positive():
+    # the classical cases of ambient dimension at most 8, and EIII and EVII
+    cases = [
+        case for case in ADMISSIBLE_CASES if case.tag in ("EIII", "EVII") or build_datum(case).ambient_dim <= 8
+    ]
+    assert len(cases) == 58
+    assert sum(assert_maximal_positive(case, MAXIMAL_POINTS) for case in cases) == 771
+
+
+def test_positivity_sees_a_sign_flipped_everywhere(monkeypatch):
+    # One more letter in every word flips the sign of every term and class,
+    # and changes no verdict; both positivity checks fail on it.
+    fetch = jantzen._line_chamber
+
+    def line_chamber(view, j, k):
+        entry = fetch(view, j, k)
+        return entry if entry is None else (*entry[:4], entry[4] + (0,))
+
+    verdicts = {case: [oracle(case, c).verdict for c in LEAST_LEVEL_POINTS] for case in FLIP_CASES}
+    monkeypatch.setattr(jantzen, "_line_chamber", line_chamber)
+    for case in FLIP_CASES:
+        assert [oracle(case, c).verdict for c in LEAST_LEVEL_POINTS] == verdicts[case], case.label
+        with pytest.raises(AssertionError):
+            assert_least_level_positive(case, LEAST_LEVEL_POINTS)
+        with pytest.raises(AssertionError):
+            assert_maximal_positive(case, MAXIMAL_POINTS)
 
 
 def test_verdict_constants():

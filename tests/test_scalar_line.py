@@ -290,14 +290,14 @@ def assert_packs_hold(view, packs):
 
 def served(view, top):
     """The highest level a walk packs at the width it takes for top."""
-    width = weyl._line_width(view, top)
+    width = jantzen._line_width(view, top)
     hi = 2 * top
-    while weyl._line_width(view, hi) == width:
+    while jantzen._line_width(view, hi) == width:
         hi *= 2
     lo = top
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if weyl._line_width(view, mid) == width else (lo, mid)
+        lo, hi = (mid, hi) if jantzen._line_width(view, mid) == width else (lo, mid)
     return lo
 
 
@@ -319,9 +319,9 @@ def test_packing_is_injective_and_lexicographic_at_the_derived_width(data):
     case = data.draw(st.sampled_from(small_cases() + HIGH_RANK + [HermitianCase("CI", n=20)]))
     top = data.draw(st.one_of(st.integers(1, 200), st.integers(1, 10**45)))
     view = replaced(build_datum(case)).integer_view
-    width = weyl._line_width(view, top)
+    width = jantzen._line_width(view, top)
     assert view.words == {}
-    assert weyl._line_width(view, top - 1) <= width <= weyl._line_width(view, top + 1)
+    assert jantzen._line_width(view, top - 1) <= width <= jantzen._line_width(view, top + 1)
     half = 1 << (width - 1)
     norm = max(nil.norm for nil in view.nilradical)
     assert beyond(half, dot(view.rho, view.rho), top, norm)
@@ -329,7 +329,7 @@ def test_packing_is_injective_and_lexicographic_at_the_derived_width(data):
     u = data.draw(st.lists(digit, min_size=len(view.rho), max_size=len(view.rho)))
     cut = data.draw(st.integers(0, len(u)))
     v = u[:cut] + data.draw(st.lists(digit, min_size=len(u) - cut, max_size=len(u) - cut))
-    pu, pv = weyl._pack(u, width), weyl._pack(v, width)
+    pu, pv = jantzen._pack(u, width), jantzen._pack(v, width)
     assert (pu, pv) == (packed(u, width), packed(v, width))
     assert (pu == pv) == (u == v)
     assert (pu < pv) == (u < v)
@@ -340,8 +340,8 @@ def test_one_bit_narrower_packing_collides(width):
     # (0, 2**(s-1)) and (1, -2**(s-1)) are told apart at width s + 1, and
     # share their key at width s, one bit narrower.
     half = 1 << (width - 1)
-    assert weyl._pack((0, half), width) == weyl._pack((1, -half), width)
-    assert weyl._pack((0, half), width + 1) != weyl._pack((1, -half), width + 1)
+    assert jantzen._pack((0, half), width) == jantzen._pack((1, -half), width)
+    assert jantzen._pack((0, half), width + 1) != jantzen._pack((1, -half), width + 1)
 
 
 def test_memo_is_packed_at_its_width():
@@ -364,7 +364,7 @@ def test_memo_is_packed_at_its_width():
     points = [classify_scalar(datum, m * line.step) for m in ms]
     assert_grid_decides(line, ms, [(v.verdict, v.route) for v in points])
     top = int(max(t.level for v in points for t in v.terms))
-    assert list(line._packs) == [weyl._line_width(view, top)]
+    assert list(line._packs) == [jantzen._line_width(view, top)]
     assert_packs_hold(view, line._packs)
     wide = range(2 * 10**12, 2 * 10**12 + 5)
     line.decide(wide)
@@ -435,7 +435,7 @@ def test_wide_levels_match_per_point_and_reference(case):
             assert_classes_are_the_representatives(got)
             per_point.append((got.verdict, got.route))
             # the width the point's walk packs at, 0 on an empty support
-            width = max((weyl._line_width(view, int(t.level)) for t in got.terms), default=0)
+            width = max((jantzen._line_width(view, int(t.level)) for t in got.terms), default=0)
             widened = 0 < widest < width
             stepped += widened
             widest = max(widest, width)
