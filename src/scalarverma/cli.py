@@ -47,10 +47,11 @@ m/den, through one memo per denominator (_Ratios), which makes each
 distinct m's text once.  Every weight of a datum that a command writes
 (datum-dump's fields, classify's support terms, class members, witness and
 base point) is written from the datum's integers (`_groups`), each weight
-group over its denominator; a datum without them, such as one built by its
-constructor alone, is an invariant violation for every such writer (exit
-3).  classify writes its representatives from the integers of its
-certificate (see below).
+group over its denominator, and each field datum-dump writes from its own
+group, so no command reads a `Fraction` field of the datum.  A datum
+without them, such as one built by its constructor alone, is an invariant
+violation for every such writer (exit 3).  classify writes its
+representatives from the integers of its certificate (see below).
 Integer flags take ASCII digits with an optional sign only, as rationals
 do.
 
@@ -73,15 +74,15 @@ it does not run.
 classify writes both formats in one function (_classify), straight from
 the certificate of jantzen._classify_point, with no record and no
 Fraction per term, from fragments, as scan writes its rows: each
-nilradical root's array, from its _root_texts strings at each indent it
-appears at (and its pretty text), and the case's own fields are written by
-_dumps once per case, each found by the root's index.  A request writes
-only the text around the fragments: each level by %d, each parity and
-step count from the word's length, each class's representative from the
-numerators the certificate holds over its one denominator, with one gcd
-per distinct coordinate, and z from integers.  The case's base point is
-written once per case, in both formats, from the view's integers too, so
-a cold classify does no Fraction arithmetic either.
+nilradical root's array, from the texts of the datum's nilradical group at
+each indent it appears at (and its pretty text), and the case's own fields
+are written by _dumps once per case, each root found by its index.  A
+request writes only the text around the fragments: each level by %d, each
+parity and step count from the word's length, each class's representative
+from the numerators the certificate holds over its one denominator, with
+one gcd per distinct coordinate, and z from integers.  The case's base
+point is written once per case, in both formats, from the view's integers
+too, so a cold classify does no Fraction arithmetic either.
 """
 
 from __future__ import annotations
@@ -462,26 +463,13 @@ def _texts(group) -> list[tuple[str, ...]]:
 
 def _groups(datum):
     """The datum's weight groups (`ParabolicRootDatum._integers`): rho, zeta,
-    theta_u, the nilradical, Levi positive and Levi simple roots, each
-    (integer vectors, denominator).  Every weight of a datum that cli
-    writes is written from them."""
+    theta_u, the nilradical, Levi positive, Levi simple and simple roots,
+    the noncompact simple root and gamma, each (integer vectors,
+    denominator).  Every weight of a datum that cli writes is written from
+    them."""
     if datum._integers is None:
         raise InvariantError(f"{datum.case.label}: the datum holds no record of its doubled roots")
     return datum._integers
-
-
-def _root_texts(datum) -> dict[int, tuple[str, ...]]:
-    """The coordinates' texts of each root of datum that datum-dump writes, by
-    the id() of the root's tuple.
-
-    They come from the datum's Levi simple and nilradical groups, each
-    aligned with its field; every other root field written holds tuples of
-    those two.  The ids name datum's tuples only while the caller holds
-    datum.
-    """
-    _, _, _, nilradical, _, levi_simples = _groups(datum)
-    texts = _texts(levi_simples) + _texts(nilradical)
-    return dict(zip(map(id, datum.levi_simples + datum.nilradical_roots), texts))
 
 
 def _case_json(case: HermitianCase) -> dict:
@@ -969,26 +957,21 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_datum_dump(args) -> int:
-    """The datum as JSON, every weight written from the datum's integers.
-
-    The five root fields are written from their _root_texts; rho, zeta and
-    theta_u, which are not roots, from their own groups.
-    """
+    """The datum as JSON, every weight written from its own group of the datum's integers."""
     case = _case(args)
     datum = build_datum(case)
-    text = _root_texts(datum).__getitem__
-    roots = lambda ws: list(map(text, map(id, ws)))
-    (rho,), (zeta,), (theta_u,) = map(_texts, _groups(datum)[:3])
+    rho, zeta, theta_u, nilradical, _, levi_simples, simples, noncompact, gamma = _groups(datum)
+    (rho,), (zeta,), (theta_u,), (noncompact,), (gamma,) = map(_texts, (rho, zeta, theta_u, noncompact, gamma))
     payload = {
         "case": _case_json(case),
         "label": case.label,
         "ambient_dim": datum.ambient_dim,
-        "simple_roots": roots(datum.simple_roots),
-        "levi_simples": roots(datum.levi_simples),
-        "noncompact_simple": text(id(datum.noncompact_simple)),
-        "nilradical_roots": roots(datum.nilradical_roots),
+        "simple_roots": _texts(simples),
+        "levi_simples": _texts(levi_simples),
+        "noncompact_simple": noncompact,
+        "nilradical_roots": _texts(nilradical),
         "rho": rho,
-        "gamma": text(id(datum.gamma)),
+        "gamma": gamma,
         "zeta": zeta,
         "theta_u": theta_u,
     }

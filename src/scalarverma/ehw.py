@@ -67,15 +67,17 @@ def special_line(datum: ParabolicRootDatum, lam: Weight) -> SpecialLine:
 
 
 def _gamma_level(datum: ParabolicRootDatum):
-    """gamma's entry in the datum's integer view.
+    """gamma's entry in the datum's integer view: the nilradical root of greatest a.
 
-    A built datum's gamma is one of its nilradical tuples, and so is a
-    copy's, unless a field was changed: it is looked for by identity first,
-    which compares no Fraction, then by equality.
+    gamma dominates every positive root, coefficient by coefficient, and
+    a = 2*dot(R, B) = 2*D^2*dot(rho, beta) grows by D^2*|alpha_i|^2 > 0
+    with each unit of beta's coefficient on the simple root alpha_i, so
+    gamma's a is the greatest.  Only DI(2), whose two nilradical roots
+    dominate neither, ties: their a and norm are equal, so B = a / norm is
+    the same either way, and the tie goes to the larger root, e1 + e2, as
+    the build's does.
     """
-    roots, gamma = datum.nilradical_roots, datum.gamma
-    j = next((j for j, beta in enumerate(roots) if beta is gamma), None)
-    return datum.integer_view.nilradical[roots.index(gamma) if j is None else j]
+    return max(datum.integer_view.nilradical, key=lambda nil: (nil.a, nil.root))
 
 
 @lru_cache(maxsize=None)
@@ -115,7 +117,7 @@ def abc_constants(case: HermitianCase) -> ABCConstants:
     datum = build_datum(case)
     r = _real_rank(datum)
     gamma = _gamma_level(datum)
-    a2, a_rem = divmod(2 * len(datum.nilradical_roots), r)
+    a2, a_rem = divmod(2 * len(datum.integer_view.nilradical), r)
     b2, b_rem = divmod(2 * gamma.a, gamma.norm)
     s2, s_rem = divmod(b2 - a2, r - 1) if r > 1 else (0, b2 - a2)
     extra2 = a2 - 2 - (r - 1) * s2

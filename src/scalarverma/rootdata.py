@@ -54,17 +54,16 @@ denominator.  A datum `_derive` returns keeps its groups
 integers the build already holds: 4*rho (the column sums of the doubled
 positive roots) over 4, zeta and theta_u as nil2 * dot(b, b) over
 4*dot(nil2, b) for their root b, and the roots' doubled vectors over 2.
-Its view makes no `Fraction`, and output writes every weight of the datum
-from these integers, with no `Fraction` formatted per coordinate.  The
-Levi simple and nilradical groups are aligned with `levi_simples` and
-`nilradical_roots`, and every other root field written holds the very
-tuples of those two: a simple root is a Levi simple root or a nilradical
-root, and the noncompact simple root and gamma are nilradical roots.
-The record is left
-out of the datum's repr (which tests pin by sha256) and equality.  Any
-other datum, such as a copy with some fields changed, reads the class's
-None and makes its groups from its `Fraction` fields, each over that
-field's lcm; one rule scales both.
+Three more groups follow the six, each of doubled vectors over 2: the
+simple roots, the noncompact simple root and gamma.  So each root field
+that output writes has its own group, aligned with the field, and no root
+is found by its tuple.  Its view makes no `Fraction`, and output writes
+every weight of the datum from these integers, with no `Fraction`
+formatted per coordinate.  The record is left out of the datum's repr
+(which tests pin by sha256) and equality.  Any other datum, such as a
+copy with some fields changed, reads the class's None and makes its six
+groups from its `Fraction` fields, each over that field's lcm; one rule
+scales both.
 """
 
 from __future__ import annotations
@@ -81,8 +80,10 @@ from .ratvec import Weight, dot, scale
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
-# perfbench runs, which keeps every request's cost bounded.  One CI(20)
-# classify takes 0.12-0.19 s from the command line (2 cores, CPython 3.11.7).
+# perfbench runs, which keeps every request's cost bounded.  One cold CI(20)
+# classify takes about 91 ms from the command line, 40 ms of it the bare
+# interpreter's start (median of 11 fresh processes with site loaded, 2
+# cores, CPython 3.11.7).
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
@@ -152,10 +153,11 @@ class ParabolicRootDatum(Record):
     """The full exact root datum of one case instance.
 
     `_integers` holds the weight groups the view is scaled from and output
-    writes the weights from (see the module docstring).  Only `_derive`
-    attaches it, after the constructor; it takes no part in repr or
-    equality, and any other datum, such as a copy with some fields changed,
-    reads the class's None: its fields need not match any record.
+    writes the weights from, one per field written (see the module
+    docstring).  Only `_derive` attaches it, after the constructor; it
+    takes no part in repr or equality, and any other datum, such as a copy
+    with some fields changed, reads the class's None: its fields need not
+    match any record.
     """
 
     _fields = (
@@ -452,7 +454,10 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         zeta=_weight(zeta),
         theta_u=_weight(theta_u),
     )
-    set_field(datum, "_integers", (rho, zeta, theta_u, (nil_order, 2), (levi_order, 2), (levi_twice, 2)))
+    # the six groups the view scales, then the other root fields written
+    groups = rho, zeta, theta_u, (nil_order, 2), (levi_order, 2), (levi_twice, 2)
+    groups += (twice, 2), ((twice[noncompact[0]],), 2), ((doubled[top],), 2)
+    set_field(datum, "_integers", groups)
     return datum
 
 
@@ -469,10 +474,10 @@ def _group(weights: tuple[Weight, ...]) -> Group:
 
 
 def _integer_view(d: ParabolicRootDatum) -> IntegerView:
-    """The datum's view, scaled from its weight groups: `_derive`'s integers
-    when the datum holds them (`ParabolicRootDatum._integers`), and each of
-    its `Fraction` fields over its own lcm when not."""
-    groups = d._integers or [
+    """The datum's view, scaled from its first six weight groups: `_derive`'s
+    integers when the datum holds them (`ParabolicRootDatum._integers`), and
+    each of its `Fraction` fields over its own lcm when not."""
+    groups = d._integers[:6] if d._integers else [
         _group(w)
         for w in ((d.rho,), (d.zeta,), (d.theta_u,), d.nilradical_roots, d.levi_positive, d.levi_simples)
     ]

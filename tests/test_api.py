@@ -216,6 +216,15 @@ def test_one_root_formatter_reads_the_doubled_record():
         assert not hasattr(module, name), name
 
 
+def test_no_object_is_found_by_identity():
+    # Every root is named by its index in a weight group or in the view,
+    # never by the id() of a tuple, so the datum's Fraction fields are free
+    # to be built lazily: the package neither calls id() nor passes it on.
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not (isinstance(node, ast.Name) and node.id == "id"), f"{path.name}:{node.lineno}"
+
+
 def test_classify_has_one_writer_of_one_certificate(monkeypatch):
     # Both formats of classify come from one writer, and a class's
     # representative is built in jantzen._classify_point alone: cli reads a

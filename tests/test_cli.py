@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import scalarverma
 from conftest import ADMISSIBLE_CASES, SWEEP_CASES, case_flags, replaced
 from scalarverma import HermitianCase, InvariantError, build_datum
-from scalarverma import cli, ehw, jantzen
+from scalarverma import cli, ehw, jantzen, rootdata
 from scalarverma.cli import main
 from scalarverma.errors import set_field
 from scalarverma.ratvec import parse_rational, weight
@@ -988,6 +988,76 @@ def test_every_datum_dump_bytes_pinned(capsys):
         assert code == 0, case.label
         digest.update(out.encode())
     assert digest.hexdigest() == DATUM_DUMP_SHA256
+
+
+class _Poisoned:
+    """Stands in for a datum's Fraction field, and raises on any use of it."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def _use(self, *args):
+        raise AssertionError(f"a request read the datum's {self.name}")
+
+    __getattr__ = __iter__ = __len__ = __getitem__ = __contains__ = __reversed__ = _use
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __hash__ = __bool__ = _use
+    __repr__ = __str__ = __format__ = __index__ = __int__ = __float__ = _use
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _use
+
+
+# The datum's Fraction root and weight fields; a request reads none of them.
+_FRACTION_FIELDS = (
+    "simple_roots", "levi_simples", "noncompact_simple", "positive_roots", "levi_positive",
+    "nilradical_roots", "rho", "gamma", "zeta", "theta_u",
+)
+# both degenerate D2 cases, rank 20, and E6 and E7
+_UNREAD_CASES = [
+    HermitianCase("AIII", p=2, q=3), HermitianCase("AIII", p=1, q=1), HermitianCase("CI", n=4),
+    HermitianCase("BI", n=3), HermitianCase("DI", n=2), HermitianCase("DIII", n=2),
+    HermitianCase("DI", n=5), HermitianCase("EIII"), HermitianCase("EVII"), HermitianCase("CI", n=20),
+]
+
+
+def _clear_request_caches():
+    for cached in (build_datum, ehw.line_offset, ehw.abc_constants, cli._classify_case):
+        cached.cache_clear()
+
+
+def test_requests_read_no_fraction_field_of_the_datum(capsys, monkeypatch):
+    # Each datum the build returns has its ten Fraction fields replaced by
+    # values that raise on any use, and keeps its integers: classify, scan,
+    # crosscheck and datum-dump write the same bytes and exit codes from
+    # those alone.  table reads the library's Fraction path by design.
+    argvs = []
+    for case in _UNREAD_CASES:
+        flags = case_flags(case)
+        for c, fmt in (("-1", "json"), ("-1", "pretty"), ("0", "json"), ("0", "pretty")):
+            argvs.append(["classify", *flags, "--c", c, "--format", fmt])
+        for fmt in ("json", "tsv"):
+            argvs.append(["scan", *flags, "--window", "-7/2..3", "--step", "1/4", "--format", fmt])
+        for fmt in ("json", "pretty"):
+            argvs.append(["crosscheck", *flags, "--format", fmt])
+        argvs.append(["datum-dump", *flags])
+    want = [run_cli(capsys, *argv) for argv in argvs]
+    derive = rootdata._derive
+
+    def poisoned(case):
+        datum = derive(case)
+        copy = replaced(datum, **{name: _Poisoned(name) for name in _FRACTION_FIELDS})
+        set_field(copy, "_integers", datum._integers)
+        return copy
+
+    _clear_request_caches()
+    monkeypatch.setattr(rootdata, "_derive", poisoned)
+    try:
+        got = [run_cli(capsys, *argv) for argv in argvs]
+    finally:
+        monkeypatch.undo()
+        _clear_request_caches()
+    for argv, result, expected in zip(argvs, got, want):
+        assert result == expected, " ".join(argv)
+    assert {code for code, _, _ in want} == {0}
+
 
 @pytest.mark.parametrize("argv, message", [
     (["scan", "--case", "CI", "--n", "20", "--window", "0..99999/2", "--step", "1/2"],

@@ -15,6 +15,7 @@ from conftest import (
     abc_lattice,
     progression_contains_reference,
     reducible_reference,
+    replaced,
 )
 from ehw_tables import in_table_set, table_abc
 from reference import abc_verdict_reference, closed_form_reference
@@ -27,6 +28,7 @@ from scalarverma import (
     build_datum,
     classify_scalar,
     closed_form_reducible,
+    ehw,
     line_offset,
     progression_summary,
 )
@@ -40,7 +42,7 @@ from scalarverma.ehw import (
     screen_grid,
     special_line,
 )
-from scalarverma.ratvec import add, inner, pairing
+from scalarverma.ratvec import add, inner, pairing, weight
 from scalarverma.rootdata import NilradicalLevel, scalar_parameter_weight
 
 Q = Fraction
@@ -114,6 +116,28 @@ def test_offset_is_gamma_level_of_rho(case):
     # pairing of rho with gamma is its reference
     datum = build_datum(case)
     assert line_offset(case) == pairing(datum.rho, datum.gamma)
+
+
+def test_gamma_level_is_derived_from_the_view():
+    # _gamma_level reads only the view: the nilradical root of greatest a,
+    # ties to the larger root.  From either source it is the entry of
+    # D*gamma, the datum's own gamma scaled by the view's denominator.
+    for case in ADMISSIBLE_CASES:
+        built = build_datum(case)
+        for datum in (built, replaced(built)):
+            view = datum.integer_view
+            gamma = ehw._gamma_level(datum)
+            assert gamma.root == tuple([view.denom * x for x in datum.gamma]), case.label
+    # DI(2) alone ties: its two nilradical roots have equal a and norm, so B
+    # does not depend on the tie, which goes to gamma = e1 + e2.
+    di2 = build_datum(HermitianCase("DI", n=2))
+    first, second = di2.integer_view.nilradical
+    assert (first.a, first.norm) == (second.a, second.norm)
+    assert di2.gamma == weight([1, 1]) and ehw._gamma_level(di2) == second
+    # DIII(2): gamma is the noncompact simple root, its one nilradical root.
+    diii2 = build_datum(HermitianCase("DIII", n=2))
+    assert diii2.gamma == diii2.noncompact_simple == weight([1, 1])
+    assert (ehw._gamma_level(diii2),) == diii2.integer_view.nilradical
 
 
 @pytest.mark.parametrize("case", SWEEP_CASES, ids=CASE_IDS)

@@ -270,24 +270,24 @@ def test_orbit_walk_matches_full_dot_walk(walks):
 
 
 def test_doubled_record_holds_twice_the_roots():
-    # The groups behind every root cli writes: the build's own doubled
-    # vectors over 2, aligned with the nilradical, Levi positive and Levi
-    # simple roots.  Every other root field holds the very tuples of those,
-    # so the groups cover every root by identity; the simple roots, the
-    # noncompact simple root and gamma are Levi simple or nilradical roots.
-    halved = lambda v: tuple(Fraction(x, 2) for x in v)
+    # The groups behind every weight cli writes: 4*rho over 4, zeta and
+    # theta_u each over its own denominator, and the build's own doubled
+    # vectors over 2, one group per root field written, each aligned with
+    # its field and equal to it by value.
+    fields = (
+        "rho", "zeta", "theta_u", "nilradical_roots", "levi_positive", "levi_simples",
+        "simple_roots", "noncompact_simple", "gamma",
+    )
+    single = {"rho", "zeta", "theta_u", "noncompact_simple", "gamma"}
     for case in ADMISSIBLE_CASES:
         datum = build_datum(case)
-        _, _, _, *groups = datum._integers
-        fields = (datum.nilradical_roots, datum.levi_positive, datum.levi_simples)
-        for (vectors, den), field in zip(groups, fields):
-            assert den == 2 and tuple(map(halved, vectors)) == field, case.label
-        # ids of tuples the datum holds alive: equal ids are the same object
-        nilradical = set(map(id, datum.nilradical_roots))
-        assert set(map(id, datum.positive_roots)) == nilradical | set(map(id, datum.levi_positive))
-        written = datum.simple_roots + (datum.noncompact_simple, datum.gamma)
-        assert set(map(id, written)) <= nilradical | set(map(id, datum.levi_simples)), case.label
-        assert {id(datum.noncompact_simple), id(datum.gamma)} <= nilradical, case.label
+        groups = datum._integers
+        assert len(groups) == len(fields), case.label
+        for (vectors, den), name in zip(groups, fields):
+            value = getattr(datum, name)
+            written = tuple([tuple([Fraction(x, den) for x in v]) for v in vectors])
+            assert written == ((value,) if name in single else value), (case.label, name)
+            assert name in ("rho", "zeta", "theta_u") or den == 2, (case.label, name)
     # Outside repr and equality, and never carried to a replaced datum.
     assert "_integers" not in repr(datum)
     assert replaced(datum) == datum
