@@ -7,15 +7,23 @@ roots, the half-sum rho, the highest nilradical root gamma, and the scalar
 direction zeta (orthogonal to the Levi, normalized against gamma).
 
 Each family writes out only its simple roots and noncompact simple indices;
-every other field is derived from them.  The positive roots are the
-nonnegative simple-root coefficient vectors in the orbit of the simple roots
-under the simple reflections, each carried with its doubled coordinates and
-its pairings with the simple coroots.  A reflection s_i takes a multiple of
-e_i off the coefficient vector, so it updates those pairings by the same
-multiple of column i of the Cartan matrix: the walk computes no dot product.
-`_derive` works in these integers and makes `Fraction`s only for the fields
-it returns, one per distinct doubled coordinate of the roots.  It checks the
-datum as it builds it, in integers on those vectors:
+every other field is derived from them.  The positive roots are walked
+upward from the simple roots (Humphreys, Introduction to Lie Algebras and
+Representation Theory, 10.2): from a root beta the walk takes s_i only
+where k = <beta, alpha_i^v> is negative, and the image beta + |k| alpha_i
+is a root of greater height.  That reaches every positive root: one above
+height 1 pairs positively with some alpha_i, s_i takes it to a positive
+root of lower height, and it is the upward move from that root.  Each root
+is carried as its simple-root coefficient vector, its doubled coordinates
+and its pairings with the simple coroots.  A move adds |k| e_i to the
+coefficient vector, so it adds |k| times column i of the Cartan matrix to
+the pairings and |k| times the doubled alpha_i to the coordinates, each
+only where that column or that root is nonzero: the walk computes no dot
+product.  Nor does the simple roots' Gram matrix, summed over the
+coordinates they share.  `_derive` works in these integers and makes
+`Fraction`s only for the fields it returns, one per distinct doubled
+coordinate of the roots.  It checks the datum as it builds it, in integers
+on those vectors:
 
 - every simple root has the ambient dimension, lies in (1/2)Z^dim and is
   nonzero;
@@ -72,7 +80,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import chain, compress, repeat
+from itertools import chain
 
 from .errors import InvariantError, Record, set_field
 from .ratvec import Weight, dot, scale
@@ -81,7 +89,7 @@ CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
 # perfbench runs, which keeps every request's cost bounded.  One cold CI(20)
-# classify takes about 91 ms from the command line, 40 ms of it the bare
+# classify takes about 79 ms from the command line, 44 ms of it the bare
 # interpreter's start (median of 11 fresh processes with site loaded, 2
 # cores, CPython 3.11.7).
 MAX_AMBIENT_DIM = 20
@@ -318,45 +326,53 @@ def _need(case: HermitianCase, cond: bool, msg: str) -> None:
         raise InvariantError(f"{case.label}: {msg}")
 
 
-def _minus_multiple(u: IntVector, k: int, v: IntVector) -> IntVector:
-    """u - k*v on integer vectors."""
-    return tuple(map(operator.sub, u, map(operator.mul, repeat(k), v)))
-
-
 def _orbit(twice: tuple[IntVector, ...], cartan: list[list[int]]) -> dict[IntVector, IntVector]:
     """The positive roots, as simple-root coefficient vector -> doubled vector.
 
     `twice` holds the doubled simple roots and cartan[i][j] is
     <alpha_j, alpha_i^v>.  The simple roots come first, in their order,
-    then the other roots in the order the walk meets them.  The walk stops
-    at the first repeated root, so on a dependent system two coefficient
-    vectors share a doubled vector.
+    then the other roots in the order the walk meets them: it takes the
+    last root found first, and from it tries i in index order.  The walk
+    stops at the first repeated root, so on a dependent system two
+    coefficient vectors share a doubled vector.
     """
-    # Walk the orbit under b -> b - <b, alpha_i^v> e_i, keeping nonnegative
-    # vectors: only s_i(alpha_i) turns negative, and every positive root
-    # above height 1 is some s_i of a lower one.  Each coefficient vector
+    # Walk upward only: s_i takes b to b - k*e_i for k = <b, alpha_i^v>, and
+    # is tried only where k < 0, so the image is never negative; the module
+    # docstring says why that reaches every root.  Each coefficient vector
     # carries its pairings <b, alpha_m^v> over all m.  Those of e_i are
     # Cartan column i, and b - k*e_i pairs as b's pairings minus k times
-    # that column, so no pairing is ever recomputed.  Only nonzero k are
-    # tried: k = 0 maps b to itself.  The walk stops at the first repeated
-    # root: on a dependent simple system it would never end.
+    # that column, so no pairing is ever recomputed.  A move changes the
+    # doubled vector only on twice[i]'s nonzero coordinates (at most 2 in
+    # the classical families, 8 for E's alpha_1) and the pairings only on
+    # column i's nonzero entries (at most 3), so each is kept as (index,
+    # value) pairs.  The walk stops at the first repeated root: on a
+    # dependent simple system it would never end.
     columns = list(zip(*cartan))
+    coords = [[(j, x) for j, x in enumerate(a) if x] for a in twice]
+    entries = [[(m, c) for m, c in enumerate(column) if c] for column in columns]
     indices = range(len(twice))
     units = [tuple(int(i == j) for j in indices) for i in indices]
     doubled = dict(zip(units, twice))
-    pairs = dict(zip(units, columns))
+    pairs = dict(zip(units, map(list, columns)))
     found = set(twice)
     frontier = list(units)
     while frontier and len(found) == len(doubled):
         beta = frontier.pop()
         b2, p = doubled[beta], pairs[beta]
-        for i in compress(indices, p):
-            k = p[i]
-            if beta[i] >= k:
-                image = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
+        for i, k in enumerate(p):
+            if k < 0:
+                image = list(beta)
+                image[i] -= k
+                image = tuple(image)
                 if image not in doubled:
-                    doubled[image] = w = _minus_multiple(b2, k, twice[i])
-                    pairs[image] = _minus_multiple(p, k, columns[i])
+                    w = list(b2)
+                    for j, x in coords[i]:
+                        w[j] -= k * x
+                    q = p.copy()
+                    for m, c in entries[i]:
+                        q[m] -= k * c
+                    doubled[image] = w = tuple(w)
+                    pairs[image] = q
                     found.add(w)
                     frontier.append(image)
     return doubled
@@ -372,7 +388,16 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
     twice = tuple([tuple([2 * x.numerator // x.denominator for x in a]) for a in delta])
     # The crystallographic check below divides by each dot(a, a).
     need(all(any(a) for a in twice), "zero simple root")
-    gram = [[dot(a, b) for b in twice] for a in twice]
+    # Each Gram entry sums x*y over the coordinates where both simple roots
+    # are nonzero.  Every simple root but E's alpha_1 is nonzero on at most
+    # 2 coordinates, so each coordinate meets only a few of them.
+    gram = [[0] * len(twice) for _ in twice]
+    for column in zip(*twice):
+        shared = [(a, x) for a, x in enumerate(column) if x]
+        for a, x in shared:
+            row = gram[a]
+            for b, y in shared:
+                row[b] += x * y
     need(
         all(2 * g % row[i] == 0 for i, row in enumerate(gram) for g in row),
         "simple system is not crystallographic",

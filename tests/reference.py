@@ -19,9 +19,11 @@ and `line_record_reference` read the datum's own weights, multiplied by the
 view's denominator D once per datum (`ScaledDatum`), and no table of the
 integer view.
 
-`orbit_reference` is `rootdata`'s orbit walk with every pairing
-recomputed as a full dot against a Cartan row, where `rootdata._orbit`
-updates tracked pairings along one Cartan column.
+`orbit_reference` is `rootdata`'s upward orbit walk with every pairing
+recomputed as a full dot against a Cartan row and every image as a full
+vector, where `rootdata._orbit` updates tracked pairings along one Cartan
+column's nonzero entries and the doubled vector on one simple root's
+nonzero coordinates.
 
 `line_record_reference` is a root's scalar-line record with one full dot
 per Levi positive root, where `weyl` sums the view's coordinate columns
@@ -189,7 +191,9 @@ def orbit_reference(twice: list[IntVector], cartan: list[list[int]]) -> dict[Int
     """The positive roots as coefficient vector -> doubled vector, in walk
     order, with <beta, alpha_i^v> = dot(beta, cartan[i]) at every step.
 
-    Stops at the first repeated root, as `rootdata._orbit` does.
+    From the last root found, each i in index order whose pairing k is
+    negative gives the image beta - k*e_i.  Stops at the first repeated
+    root, as `rootdata._orbit` does.
     """
     units = [tuple(int(i == j) for j in range(len(twice))) for i in range(len(twice))]
     doubled = dict(zip(units, twice))
@@ -200,7 +204,7 @@ def orbit_reference(twice: list[IntVector], cartan: list[list[int]]) -> dict[Int
         for i, row in enumerate(cartan):
             k = dot(beta, row)
             image = beta[:i] + (beta[i] - k,) + beta[i + 1 :]
-            if image[i] >= 0 and image not in doubled:
+            if k < 0 and image not in doubled:
                 doubled[image] = tuple(x - k * y for x, y in zip(doubled[beta], twice[i]))
                 found.add(doubled[image])
                 frontier.append(image)

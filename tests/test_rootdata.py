@@ -15,7 +15,7 @@ from reference import orbit_reference
 from scalarverma import HermitianCase, InvariantError, build_datum, rootdata
 from scalarverma.cli import main
 from scalarverma.errors import set_field
-from scalarverma.ratvec import add, inner, pairing, reflect, scale, weight
+from scalarverma.ratvec import add, dot, inner, pairing, reflect, scale, weight
 from scalarverma.rootdata import CASE_TAGS, case_notes, scalar_parameter_weight
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
@@ -267,6 +267,46 @@ def test_orbit_walk_matches_full_dot_walk(walks):
         if cartan != [list(column) for column in zip(*cartan)]
     }
     assert asymmetric == {"CI", "BI"}
+
+
+def test_positive_roots_are_closed_under_simple_reflections():
+    # Read off the datum's integers, with no walk: s_i takes every positive
+    # root but alpha_i to another positive root, and alpha_i to -alpha_i.
+    for case in ADMISSIBLE_CASES:
+        groups = build_datum(case)._integers
+        (nil, _), (levi, _), (simples, _) = groups[3], groups[4], groups[6]
+        roots = set(nil) | set(levi)
+        assert len(roots) == len(nil) + len(levi), case.label
+        for a in simples:
+            norm = dot(a, a)
+            for b in roots:
+                k, rest = divmod(2 * dot(b, a), norm)
+                assert rest == 0, (case.label, a, b)
+                image = tuple(x - k * y for x, y in zip(b, a))
+                if b == a:
+                    assert image == tuple(-x for x in a), case.label
+                else:
+                    assert image in roots, (case.label, a, b)
+
+
+@pytest.mark.parametrize(
+    ("case", "dots"), [(HermitianCase("CI", n=20), 404), (HermitianCase("EVII"), 130)],
+    ids=["CI(20)", "EVII"],
+)
+def test_build_takes_no_dot_for_the_gram_matrix(monkeypatch, case, dots):
+    # CI(20): two zeta checks over its 400 positive roots, and two dots
+    # each for zeta and theta_u; EVII adds its wall check over 63 roots.
+    # The Gram matrix is summed over shared coordinates and the walk tracks
+    # its pairings, so neither calls dot: rank^2 more would be 804 and 179.
+    calls = []
+
+    def counting(u, v):
+        calls.append(None)
+        return dot(u, v)
+
+    monkeypatch.setattr(rootdata, "dot", counting)
+    rootdata._derive(case)
+    assert len(calls) == dots
 
 
 def test_doubled_record_holds_twice_the_roots():
