@@ -80,9 +80,12 @@ are written by _dumps once per case, each root found by its index.  A
 request writes only the text around the fragments: each level by %d, each
 parity and step count from the word's length, each class's representative
 from the numerators the certificate holds over its one denominator, with
-one gcd per distinct coordinate, and z from integers.  The case's base
-point is written once per case, in both formats, from the view's integers
-too, so a cold classify does no Fraction arithmetic either.
+one gcd per distinct coordinate, and c and z from integers.  The case's
+base point is written once per case, in both formats, from the view's
+integers too, so a cold classify does no Fraction arithmetic either.  c is
+read as its numerator and denominator (ratvec.parse_ratio), and each case
+is built once per process (_case), so a warm classify makes no Fraction and
+no HermitianCase between argv and output.
 """
 
 from __future__ import annotations
@@ -106,7 +109,7 @@ from .ehw import (
 )
 from .errors import InvariantError
 from .jantzen import REDUCIBLE, ROUTE_EMPTY_SUPPORT, SIMPLE, ScalarGrid, _classify_point, classify_scalar
-from .ratvec import add, inner, parse_rational, reflect
+from .ratvec import add, inner, parse_ratio, parse_rational, reflect
 from .rootdata import CASE_TAGS, HermitianCase, build_datum, case_notes, scalar_parameter_weight
 
 # A scan window, or all the windows of one crosscheck together, hold at
@@ -292,13 +295,19 @@ def _parameter(name: str, text: str | None) -> int | None:
         raise ValueError(f"--{name} must be an integer, got {text!r}") from None
 
 
+# Every case a command names, by its tag and integer parameters: 03, +3
+# and 3 are one key.  A refused case raises and is not kept, so this holds
+# at most the admissible cases.
+_hermitian_case = cache(HermitianCase)
+
+
 def _case(args) -> HermitianCase:
-    """The one case named by --case, --p, --q and --n.
+    """The one case named by --case, --p, --q and --n, built once per process.
 
     Only HermitianCase decides which tag takes which parameter.
     """
     p, q, n = _parameter("p", args.p), _parameter("q", args.q), _parameter("n", args.n)
-    return HermitianCase(args.case, p=p, q=q, n=n)
+    return _hermitian_case(args.case, p, q, n)
 
 
 def _cases(args) -> list[HermitianCase]:
@@ -317,7 +326,7 @@ def _cases(args) -> list[HermitianCase]:
             raise ValueError(f"empty --{name} range {text!r}")
         values[name] = range(ends[0], ends[-1] + 1)
     return [
-        HermitianCase(args.case, p=p, q=q, n=n)
+        _hermitian_case(args.case, p, q, n)
         for p in values["p"]
         for q in values["q"]
         for n in values["n"]
@@ -531,27 +540,29 @@ def _classify_case(case: HermitianCase):
     return view, offset, _dumps(_case_json(case), "  "), _dumps(case.label), lambda0, roots
 
 
-def _z(c: Fraction, offset: tuple[int, int]) -> str:
-    """z = c + offset, for the offset as (numerator, denominator), as str writes the Fraction."""
-    n, d = c.numerator, c.denominator
+def _z(c: tuple[int, int], offset: tuple[int, int]) -> str:
+    """z = c + offset, each as (numerator, denominator), as str writes the Fraction."""
+    n, d = c
     bn, bd = offset
     return _ratio(n * bd + bn * d, d * bd)
 
 
-def _classify(case: HermitianCase, c: Fraction, fmt: str) -> str:
-    """classify's output at c in fmt: "json", the bytes of _dumps of its
-    payload without the final newline, or "pretty".
+def _classify(case: HermitianCase, c: tuple[int, int], fmt: str) -> str:
+    """classify's output at c = (numerator, denominator), d > 0, in fmt:
+    "json", the bytes of _dumps of its payload without the final newline, or
+    "pretty".
 
     Both are written from `_classify_point`'s certificate, from fragments:
     the case's parts and every root are written once per case; a request
-    writes its levels, parities and representatives and the text around the
-    fragments, as scan writes its rows.  A representative's coordinates are
+    writes c, z, its levels, parities and representatives and the text
+    around the fragments, as scan writes its rows, all from integers; c and
+    z as str writes their Fractions.  A representative's coordinates are
     numerators over the certificate's denominator, each distinct one written
     once by one memo (_Ratios), made only when the certificate holds a class.
     """
     view, offset, case_json, label, lambda0, roots = _classify_case(case)
-    verdict, route, terms, certificate, witness, den = _classify_point(view, c)
-    z = _z(c, offset)
+    verdict, route, terms, certificate, witness, den = _classify_point(view, *c)
+    c, z = _ratio(*c), _z(c, offset)
     walls = [j for j, _, entry, _ in terms if entry is None]
     reps = []
     if certificate:
@@ -610,8 +621,7 @@ def _pretty(w) -> str:
 
 
 def cmd_classify(args) -> int:
-    case = _case(args)
-    text = _classify(case, parse_rational(args.c), args.format)
+    text = _classify(_case(args), parse_ratio(args.c), args.format)
     sys.stdout.write(text + "\n" if args.format == "json" else text)
     return 0
 

@@ -211,8 +211,9 @@ def _walk(view: IntegerView, walks, size: int, packs: dict):
     return decided, fetched, points
 
 
-def _classify_point(view: IntegerView, c: Fraction):
-    """Decide the scalar weight c * zeta in integers, with its certificate.
+def _classify_point(view: IntegerView, n: int, d: int):
+    """Decide the scalar weight c * zeta, for c = n/d with d > 0, in
+    integers, with its certificate.
 
     Each support root is a one-point walk.  Returns (verdict, route, terms,
     classes, witness, den): the terms are the walk's fetched (j, k, entry,
@@ -221,13 +222,12 @@ def _classify_point(view: IntegerView, c: Fraction):
     being the class's terms in walk order and the net sign the walk's own
     sum; the witness is the root index j of the first member of the first
     class whose sum survives, or None.  rep is the class's representative
-    w*(rho - k*beta) + c*zeta as numerators over den = d*D, for c = n/d and
-    the view's denominator D: coordinate i is d*(wR_i - k*wB_i) + n*Z_i,
-    read off the class's first member.  Keys order as the scaled
-    representatives do (`_walk`), and unscaling is a coordinatewise
-    increasing map, so the classes order as their representatives.
+    w*(rho - k*beta) + c*zeta as numerators over den = d*D, for the view's
+    denominator D: coordinate i is d*(wR_i - k*wB_i) + n*Z_i, read off the
+    class's first member.  Keys order as the scaled representatives do
+    (`_walk`), and unscaling is a coordinatewise increasing map, so the
+    classes order as their representatives.
     """
-    n, d = c.numerator, c.denominator
     # k = (a + c*b) / norm, a positive integer on the support
     walks = [
         (j, 0, 1, num // (d * nil.norm), 0)
@@ -268,8 +268,9 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
         else build_datum(case_or_datum)
     )
     c = rational(c)
+    n, d = c.numerator, c.denominator
     view = datum.integer_view
-    verdict, route, fetched, classes, witness, den = _classify_point(view, c)
+    verdict, route, fetched, classes, witness, den = _classify_point(view, n, d)
     # Images and representatives are numerators over den and share most
     # coordinates, so each Fraction is built once.
     fractions: dict[int, Fraction] = {}
@@ -291,7 +292,6 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
             reps[m[0]] = rep
     # the image rho - k*beta + c*zeta, for c = n/d, is d*(R - k*B) + n*Z over
     # den; one support term per root, so a term is named by its root's index
-    n, d = c.numerator, c.denominator
     terms: dict[int, JantzenTerm] = {}
     for j, k, entry, _ in fetched:
         image = [d * (r - k * x) + n * z for r, x, z in zip(view.rho, view.nilradical[j].root, view.zeta)]

@@ -16,22 +16,35 @@ from operator import mul
 Weight = tuple[Fraction, ...]
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" into an exact rational.
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse "p" or "p/q" into (numerator, denominator), as a Fraction holds
+    it: in lowest terms, with the denominator positive.
 
     Accepts ASCII digits, and an ASCII hyphen or a U+2212 minus sign.
     Anything else (floats, exponents, underscores, non-ASCII digits,
-    whitespace inside the number) is rejected.
+    whitespace inside the number) is rejected, and so is a number of more
+    digits than int() converts.
     """
     s = text.strip().replace("−", "-")
     num, slash, den = s.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     # ASCII digits only: str.isdigit() alone also takes every Unicode digit
-    if not (s.isascii() and digits.isdigit() and (den.isdigit() or not slash)):
-        raise ValueError(f"not a rational: {text!r} (expected p or p/q)")
-    if den and int(den) == 0:
-        raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    if s.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+        if slash and not den.strip("0"):
+            raise ValueError(f"zero denominator: {text!r}")
+        try:
+            n, d = int(num), int(den or 1)
+        except ValueError:
+            pass  # more digits than int() converts
+        else:
+            g = math.gcd(n, d)
+            return n // g, d // g
+    raise ValueError(f"not a rational: {text!r} (expected p or p/q)")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p" or "p/q" into an exact rational, as `parse_ratio` reads it."""
+    return Fraction(*parse_ratio(text))
 
 
 def rational(x) -> Fraction:

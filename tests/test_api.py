@@ -238,14 +238,14 @@ def test_classify_has_one_writer_of_one_certificate(monkeypatch):
         j, k, entry, _ = term
         return j, k, None if entry is None else (*entry[:2], None, None, entry[4]), None
 
-    def classify_point(view, c):
-        verdict, route, terms, classes, witness, den = whole(view, c)
+    def classify_point(view, n, d):
+        verdict, route, terms, classes, witness, den = whole(view, n, d)
         classes = [(rep, net, list(map(blind, members))) for rep, net, members in classes]
         return verdict, route, list(map(blind, terms)), classes, witness, den
 
     # a two-member class, EIII's full support, a support of walls only
     points = [("BI", 3, -1), ("EIII", None, 9), ("CI", 3, -2), ("CI", 20, 0)]
-    points = [(scalarverma.HermitianCase(tag, n=n), Fraction(c)) for tag, n, c in points]
+    points = [(scalarverma.HermitianCase(tag, n=n), (c, 1)) for tag, n, c in points]
     texts = [cli._classify(case, c, fmt) for case, c in points for fmt in ("json", "pretty")]
     monkeypatch.setattr(cli, "_classify_point", classify_point)
     assert [cli._classify(case, c, fmt) for case, c in points for fmt in ("json", "pretty")] == texts

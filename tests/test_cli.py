@@ -66,7 +66,7 @@ LINE_POINTS = [(case, Q(-201, 2)) for case in ADMISSIBLE_CASES] + [
 
 def test_classify_line_matches_special_line():
     for case, c in LINE_POINTS:
-        payload = json.loads(cli._classify(case, c, "json"))
+        payload = json.loads(cli._classify(case, c.as_integer_ratio(), "json"))
         datum = build_datum(case)
         line = ehw.special_line(datum, scalar_parameter_weight(datum, c))
         assert payload["z"] == str(line.z), (case.label, c)
@@ -204,6 +204,45 @@ def test_signed_ascii_numbers_parse(capsys):
     code, plus, _ = run_cli(capsys, "table", "--table", "+2", "--format", "tsv")
     assert code == 0
     assert run_cli(capsys, "table", "--table", "2", "--format", "tsv") == (0, plus, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_classify_writes_c_in_lowest_terms(capsys, fmt):
+    # c is read as its numerator and denominator in lowest terms, so each
+    # text writes the bytes of its lowest form, as str writes the Fraction.
+    flags = ("--case", "CI", "--n", "3", "--format", fmt)
+    for typed, lowest in (("6/4", "3/2"), ("-0", "0"), ("+3/1", "3"), ("−7/6", "-7/6")):
+        code, out, err = run_cli(capsys, "classify", *flags, "--c", typed)
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, "classify", *flags, "--c", lowest)[1]
+        assert (f'"c": "{lowest}"' if fmt == "json" else f"c = {lowest}  ") in out
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="int() converts any length")
+def test_a_rational_past_the_digit_limit_is_a_usage_error(capsys):
+    # int() refuses more digits than its limit with its own message; the
+    # command line gives the contract's, as it does for --n.
+    big = "7" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run_cli(capsys, "classify", "--case", "CI", "--n", "3", "--c", big)
+    assert (code, out) == (1, "")
+    assert err == f"error: not a rational: {big!r} (expected p or p/q)\n"
+
+
+def test_a_case_is_built_once_for_its_parameters(capsys):
+    # --n 3, 03 and +3 name one cached case, which scan and datum-dump
+    # share; a refused case raises the same message every time and is not kept.
+    cli._hermitian_case.cache_clear()
+    cases = {cli._case(cli._read_argv(["classify", "--case", "CI", "--n", n, "--c", "0"])) for n in ("3", "03", "+3")}
+    assert len(cases) == 1
+    for argv in (["datum-dump", "--case", "CI", "--n", "03"], ["scan", "--case", "CI", "--n", "+3", "--window", "0..1"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    # (hits, misses): one case built for five requests
+    assert cli._hermitian_case.cache_info()[:2] == (4, 1)
+    for flags in (["--case", "CI", "--n", "21"], ["--case", "AIII", "--n", "3"]):
+        refusals = {run_cli(capsys, "classify", *flags, "--c", "0") for _ in range(3)}
+        [(code, out, err)] = refusals
+        assert (code, out) == (1, "") and err.startswith("error: ")
+    assert cli._hermitian_case.cache_info().currsize == 1
 
 
 def test_scan_tsv_golden(capsys):
@@ -532,7 +571,7 @@ def test_writer_rejects_other_types(payload):
 
 
 def test_invariant_violation_exits_3(capsys, monkeypatch):
-    def boom(view, c):
+    def boom(view, n, d):
         raise InvariantError("forced for the exit-code contract")
 
     monkeypatch.setattr(cli, "_classify_point", boom)
@@ -679,8 +718,6 @@ def test_classify_formats_no_root_coordinate(capsys, monkeypatch, fmt):
     code, out, _ = run_cli(capsys, "classify", *case_flags(case), "--c", "0", "--format", fmt)
     monkeypatch.undo()
     assert code == 0
-    # representatives, levels and the base point are still formatted
-    assert made
     coords = {id(x) for root in datum.positive_roots for x in root}
     assert not [x for x in made if id(x) in coords]
     # and the roots are written: the witness is e1 + e2
@@ -727,8 +764,9 @@ def _assert_writers_match_reference(case: HermitianCase, points) -> None:
     datum = build_datum(case)
     for c in points:
         verdict = jantzen.classify_scalar(datum, c)
-        assert cli._classify(case, c, "json") == classify_json_reference(datum, c, verdict), (case.label, c)
-        assert cli._classify(case, c, "pretty") == classify_pretty_reference(datum, c, verdict), (case.label, c)
+        pair = c.as_integer_ratio()
+        assert cli._classify(case, pair, "json") == classify_json_reference(datum, c, verdict), (case.label, c)
+        assert cli._classify(case, pair, "pretty") == classify_pretty_reference(datum, c, verdict), (case.label, c)
 
 
 @pytest.mark.parametrize("case", SWEEP_CASES, ids=lambda case: case.label)
@@ -749,9 +787,13 @@ def test_classify_writers_match_reference_on_every_case(case):
 
 def test_classify_writes_no_record_and_no_fraction_per_term(capsys, monkeypatch):
     # A warm classify writes its certificate from the walk's integers: it
-    # builds no jantzen record, and makes and formats as many Fractions at
-    # CI(20), whose 210 roots are all in the support at c = 0, as at CI(3).
+    # builds no jantzen record, and makes and formats no Fraction at CI(20),
+    # whose 210 roots are all in the support at c = 0, nor at CI(3).  Its
+    # case comes from the process's cache, so it builds no HermitianCase.
     records = []
+    cases = []
+    init = HermitianCase.__init__
+    monkeypatch.setattr(HermitianCase, "__init__", lambda self, *args, **kw: cases.append(args) or init(self, *args, **kw))
     for name in ("JantzenTerm", "RepClass", "SimplicityVerdict", "ChamberForm"):
         made = getattr(jantzen, name)
         monkeypatch.setattr(jantzen, name, lambda *args, made=made: records.append(made) or made(*args))
@@ -774,16 +816,16 @@ def test_classify_writes_no_record_and_no_fraction_per_term(capsys, monkeypatch)
             monkeypatch.setattr(Fraction, "__new__", counting_new)
             monkeypatch.setattr(Fraction, "__str__", counting_str)
             counts.update(new=0, str=0)
+            cases.clear()
             code, out, _ = run_cli(capsys, *argv)
             monkeypatch.setattr(Fraction, "__new__", new)
             monkeypatch.setattr(Fraction, "__str__", text)
             assert code == 0 and "sum_survives" in out
+            assert cases == [], (case.label, fmt)
             seen[case.n, fmt] = dict(counts)
     assert records == []
-    for fmt in ("json", "pretty"):
-        assert seen[3, fmt] == seen[20, fmt]
-        # c alone is a Fraction, parsed and formatted; z is written from integers
-        assert seen[20, fmt] == {"new": 1, "str": 1}, seen
+    # c and z are read and written as integers
+    assert seen == dict.fromkeys(seen, {"new": 0, "str": 0}), seen
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json"])

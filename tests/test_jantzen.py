@@ -222,7 +222,7 @@ def surviving_classes(view, c):
     """The surviving classes of c * zeta's integer certificate as (level,
     net sign, representative's numerators), and the numerators' denominator.
     Every member of a class has the class's level."""
-    *_, classes, _, den = _classify_point(view, c)
+    *_, classes, _, den = _classify_point(view, c.numerator, c.denominator)
     surviving = []
     for rep, net, members in classes:
         levels = {k for _, k, _, _ in members}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from scalarverma.ratvec import (
     inner,
     is_integer,
     pairing,
+    parse_ratio,
     parse_rational,
     reflect,
     scale,
@@ -75,6 +77,62 @@ def test_parse_rational_keeps_its_ascii_contract(text):
     except ValueError as exc:
         read = str(exc)
     assert read == _reference_parse_rational(text)
+
+
+# Texts at the edges of the contract: padding, signs and U+2212, leading
+# zeros, terms not in lowest terms, zero numerators and denominators, and
+# the forms it refuses (decimals, underscores, inner spaces, two slashes).
+_EDGE_TEXTS = st.builds(
+    lambda pad, sign, num, slash, den, tail: f"{pad}{sign}{num}{slash}{den}{tail}{pad}",
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", "+", "-", "\u2212", "--", "+-"]),
+    st.sampled_from(["0", "00", "03", "6", "1_0", "1.5", "", " 1"]) | st.integers(0, 10**30).map(str),
+    st.sampled_from(["", "/"]),
+    st.sampled_from(["", "0", "00", "04", "5", "1.5", "1_0", " 2"]) | st.integers(0, 10**30).map(str),
+    st.sampled_from(["", "/2", ".0", " x"]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_EDGE_TEXTS | st.text(st.sampled_from("0123456789+-\u2212/ ._")))
+@example("0/5")
+@example("1/0")
+@example("6/4")
+@example("-0")
+@example("\u22127/6")
+@example("1.5")
+@example("1_0")
+def test_pair_reader_and_parse_rational_agree(text):
+    # parse_ratio and parse_rational accept and refuse the same texts with
+    # the same messages, both as the regular expression did, and the pair is
+    # the Fraction's, in lowest terms with a positive denominator.
+    read = {}
+    for parse in (parse_ratio, parse_rational):
+        try:
+            read[parse] = parse(text)
+        except ValueError as exc:
+            read[parse] = str(exc)
+    value = read[parse_rational]
+    assert value == _reference_parse_rational(text)
+    if isinstance(value, str):
+        assert read[parse_ratio] == value
+    else:
+        assert read[parse_ratio] == (value.numerator, value.denominator)
+        assert type(read[parse_ratio][0]) is int and type(read[parse_ratio][1]) is int
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="int() converts any length")
+def test_a_number_past_the_digit_limit_is_not_a_rational():
+    # int() refuses a text of more digits than its limit with its own
+    # message; the reader gives the contract's.
+    big = "7" * (sys.get_int_max_str_digits() + 1)
+    for text in (big, f"-{big}/3", f"1/{big}", f"{big}/0"):
+        with pytest.raises(ValueError) as exc:
+            parse_ratio(text)
+        if text.endswith("/0"):
+            assert str(exc.value) == f"zero denominator: {text!r}"
+        else:
+            assert str(exc.value) == f"not a rational: {text!r} (expected p or p/q)"
 
 
 @given(rationals)
