@@ -690,7 +690,7 @@ def _scan_rows(case: HermitianCase, ms: range, line: ScalarGrid, template: list[
     after each, once per class.
     """
     # z = c + B, for B the line offset <rho, gamma^v>
-    bn, bd = abc_constants(case).b.as_integer_ratio()
+    bn, bd = line_offset(case).as_integer_ratio()
     s, t = line.step.as_integer_ratio()
     # each field's default, c and z's a placeholder, then the separator
     fields = ("", "", SIMPLE, ROUTE_EMPTY_SUPPORT, INDETERMINATE, "false", "true", sep)

@@ -6,8 +6,10 @@ noncompact simple root, the Levi and nilradical halves of the positive
 roots, the half-sum rho, the highest nilradical root gamma, and the scalar
 direction zeta (orthogonal to the Levi, normalized against gamma).
 
-Each family writes out only its simple roots and noncompact simple indices;
-every other field is derived from them.  The positive roots are walked
+Each family writes out only its simple roots, doubled (2*alpha as an
+integer vector), and its noncompact simple indices; every other field is
+derived from them.  So every root of a realization lies in (1/2)Z^dim by
+construction of the doubled tables.  The positive roots are walked
 upward from the simple roots (Humphreys, Introduction to Lie Algebras and
 Representation Theory, 10.2): from a root beta the walk takes s_i only
 where k = <beta, alpha_i^v> is negative, and the image beta + |k| alpha_i
@@ -25,8 +27,7 @@ coordinates they share.  `_derive` works in these integers and makes
 coordinate of the roots.  It checks the datum as it builds it, in integers
 on those vectors:
 
-- every simple root has the ambient dimension, lies in (1/2)Z^dim and is
-  nonzero;
+- every simple root has the ambient dimension and is nonzero;
 - the system is crystallographic: every 2*dot(a, b) / dot(a, a) over two
   simple roots a and b is an integer;
 - no two positive roots coincide;
@@ -88,10 +89,8 @@ from .ratvec import Weight, dot, scale
 CASE_TAGS = ("AIII", "CI", "BI", "DI", "DIII", "EIII", "EVII")
 
 # Largest ambient dimension (p + q for AIII, n otherwise): the highest rank
-# perfbench runs, which keeps every request's cost bounded.  One cold CI(20)
-# classify takes about 79 ms from the command line, 44 ms of it the bare
-# interpreter's start (median of 11 fresh processes with site loaded, 2
-# cores, CPython 3.11.7).
+# perfbench runs, which keeps every request's cost bounded (README gives a
+# cold CI(20) classify's time).
 MAX_AMBIENT_DIM = 20
 
 IntVector = tuple[int, ...]
@@ -273,31 +272,26 @@ def scalar_parameter_weight(datum: ParabolicRootDatum, c) -> Weight:
 # per-case construction
 
 
-# Every simple root is written from these shared coordinates, so a build
-# makes no Fraction for its simple system.
-_ZERO, _HALF, _ONE, _TWO = Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)
-_MINUS_HALF, _MINUS_ONE = -_HALF, -_ONE
+def _root(dim: int, coords: dict[int, int]) -> IntVector:
+    """The doubled root with coords[i] at coordinate e_i (1-based) and 0 elsewhere."""
+    return tuple([coords.get(j, 0) for j in range(1, dim + 1)])
 
 
-def _root(dim: int, coords: dict[int, Fraction]) -> Weight:
-    """The weight with coords[i] at coordinate e_i (1-based) and 0 elsewhere."""
-    return tuple([coords.get(j, _ZERO) for j in range(1, dim + 1)])
+def _difference(i: int, j: int, dim: int) -> IntVector:
+    """e_i - e_j, doubled."""
+    return _root(dim, {i: 2, j: -2})
 
 
-def _difference(i: int, j: int, dim: int) -> Weight:
-    """e_i - e_j."""
-    return _root(dim, {i: _ONE, j: _MINUS_ONE})
-
-
-def _e6_simples() -> tuple[Weight, ...]:
-    alpha1 = (_HALF,) + (_MINUS_HALF,) * 6 + (_HALF,)
-    alpha2 = _root(8, {1: _ONE, 2: _ONE})
+def _e6_simples() -> tuple[IntVector, ...]:
+    """E6's simple roots in R^8, doubled."""
+    alpha1 = (1,) + (-1,) * 6 + (1,)
+    alpha2 = _root(8, {1: 2, 2: 2})
     rest = tuple(_difference(i - 1, i - 2, 8) for i in range(3, 7))
     return (alpha1, alpha2) + rest
 
 
-def _simple_system(case: HermitianCase) -> tuple[int, tuple[Weight, ...], tuple[int, ...]]:
-    """Ambient dimension, ordered simple roots and noncompact simple indices.
+def _simple_system(case: HermitianCase) -> tuple[int, tuple[IntVector, ...], tuple[int, ...]]:
+    """Ambient dimension, ordered doubled simple roots and noncompact simple indices.
 
     The first noncompact index names the datum's noncompact simple root.
     """
@@ -310,10 +304,10 @@ def _simple_system(case: HermitianCase) -> tuple[int, tuple[Weight, ...], tuple[
     if case.tag == "AIII":
         return dim, chain, (case.p - 1,)
     if case.tag == "CI":
-        return dim, chain + (_root(dim, {dim: _TWO}),), (dim - 1,)
+        return dim, chain + (_root(dim, {dim: 4}),), (dim - 1,)
     if case.tag == "BI":
-        return dim, chain + (_root(dim, {dim: _ONE}),), (0,)
-    simples = chain + (_root(dim, {dim - 1: _ONE, dim: _ONE}),)
+        return dim, chain + (_root(dim, {dim: 2}),), (0,)
+    simples = chain + (_root(dim, {dim - 1: 2, dim: 2}),)
     if case.tag == "DIII":
         return dim, simples, (dim - 1,)
     # so(4) splits into two sl(2) factors, so DI(2) puts both simple roots
@@ -379,13 +373,11 @@ def _orbit(twice: tuple[IntVector, ...], cartan: list[list[int]]) -> dict[IntVec
 
 
 def _derive(case: HermitianCase) -> ParabolicRootDatum:
-    dim, delta, noncompact = _simple_system(case)
+    dim, twice, noncompact = _simple_system(case)
     need = partial(_need, case)
-    # Every root of these realizations lies in (1/2)Z^dim, so the datum is
-    # derived on integers: doubled coordinates and simple-root coefficients.
-    need(all(len(a) == dim for a in delta), "weight of wrong dimension")
-    need(all(x.denominator in (1, 2) for a in delta for x in a), "simple root outside (1/2)Z^dim")
-    twice = tuple([tuple([2 * x.numerator // x.denominator for x in a]) for a in delta])
+    # The simple roots come doubled, so the datum is derived on integers:
+    # doubled coordinates and simple-root coefficients.
+    need(all(len(a) == dim for a in twice), "weight of wrong dimension")
     # The crystallographic check below divides by each dot(a, a).
     need(all(any(a) for a in twice), "zero simple root")
     # Each Gram entry sums x*y over the coordinates where both simple roots

@@ -483,6 +483,11 @@ def test_one_line_offset_per_case(capsys):
     assert code == 0
     code, _, _ = run_cli(capsys, "classify", "--case", "DIII", "--n", "4", "--c", "3")
     assert code == 0
+    # scan writes z = c + B from the same cached offset
+    hits = ehw.line_offset.cache_info().hits
+    code, _, _ = run_cli(capsys, "scan", "--case", "DIII", "--n", "4", "--window", "-3..1")
+    assert code == 0
+    assert ehw.line_offset.cache_info().hits > hits
     assert ehw.line_offset.cache_info().misses == 1
     assert ehw.abc_constants.cache_info().misses == 1
     # classify's per-case parts, its base point in both formats among

@@ -340,6 +340,58 @@ def test_build_datum_caches():
     assert a is b
 
 
+def _bourbaki_cartan(case):
+    """Bourbaki's Cartan matrix of the case's simple system, in Bourbaki's
+    numbering, as [i][j] = 2*dot(a_i, a_j) / dot(a_i, a_i): a short root's
+    row reads -2 toward the long root it meets."""
+    rank = case.p + case.q - 1 if case.tag == "AIII" else {"EIII": 6, "EVII": 7}.get(case.tag, case.n)
+    edges = {(i, i + 1): (-1, -1) for i in range(rank - 1)}
+    if case.tag == "CI":
+        edges[rank - 2, rank - 1] = (-2, -1)
+    elif case.tag == "BI":
+        edges[rank - 2, rank - 1] = (-1, -2)
+    elif case.tag in ("DI", "DIII"):
+        # alpha_n = e_{n-1} + e_n meets alpha_{n-2} only: A1 x A1 for n = 2
+        del edges[rank - 2, rank - 1]
+        if rank > 2:
+            edges[rank - 3, rank - 1] = (-1, -1)
+    elif case.tag in ("EIII", "EVII"):
+        # alpha_1 - alpha_3 - alpha_4 - ... - alpha_7, alpha_2 on alpha_4
+        del edges[0, 1], edges[1, 2]
+        edges[0, 2] = edges[1, 3] = (-1, -1)
+    matrix = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
+    for (i, j), (ij, ji) in edges.items():
+        matrix[i][j], matrix[j][i] = ij, ji
+    return matrix
+
+
+NONCOMPACT_INDEX = {
+    "AIII": lambda case: case.p - 1,
+    "CI": lambda case: case.n - 1,
+    "DIII": lambda case: case.n - 1,
+    "BI": lambda case: 0,
+    "DI": lambda case: 0,
+    "EIII": lambda case: 0,
+    "EVII": lambda case: 6,
+}
+
+
+def test_simple_tables_are_bourbakis_doubled():
+    # The tables alone, without the orbit walk: integer vectors that are
+    # the datum's doubled simple roots, in Bourbaki's order, with the
+    # family's noncompact node.
+    for case in ADMISSIBLE_CASES:
+        dim, simples, noncompact = rootdata._simple_system(case)
+        assert type(simples) is tuple and all(type(a) is tuple for a in simples), case.label
+        assert all(type(x) is int for a in simples for x in a), case.label
+        assert simples == build_datum(case)._integers[6][0], case.label
+        cartan = [[Fraction(2 * dot(a, b), dot(a, a)) for b in simples] for a in simples]
+        assert cartan == _bourbaki_cartan(case), case.label
+        index = NONCOMPACT_INDEX[case.tag](case)
+        both = (case.tag, case.n) == ("DI", 2)
+        assert noncompact == ((0, 1) if both else (index,)), case.label
+
+
 @pytest.fixture
 def forced_system(monkeypatch):
     """Make every case derive from one given simple system, uncached."""
@@ -364,27 +416,24 @@ def test_non_abelian_nilradical_is_rejected(forced_system):
 
 
 def test_reducible_simple_system_has_no_highest_root(forced_system):
-    forced_system((4, (weight([1, -1, 0, 0]), weight([0, 0, 1, -1])), (0,)))
+    forced_system((4, ((2, -2, 0, 0), (0, 0, 2, -2)), (0,)))
     with pytest.raises(InvariantError, match=r"^AIII\(2,2\): gamma is not the highest root$"):
         build_datum(HermitianCase("AIII", p=2, q=2))
 
 
 def _with_simple(case, i, root):
     dim, simples, noncompact = rootdata._simple_system(case)
-    return dim, simples[:i] + (weight(root),) + simples[i + 1 :], noncompact
+    return dim, simples[:i] + (root,) + simples[i + 1 :], noncompact
 
 
 CI3 = HermitianCase("CI", n=3)
 
 MALFORMED_SYSTEMS = {
-    "dimension": (CI3, _with_simple(CI3, 2, [0, 0, 2, 0]), "weight of wrong dimension"),
-    "half-integral": (
-        CI3, _with_simple(CI3, 2, [0, 0, Fraction(7, 3)]), "simple root outside (1/2)Z^dim"
-    ),
+    "dimension": (CI3, _with_simple(CI3, 2, (0, 0, 4, 0)), "weight of wrong dimension"),
     # e1 - e3 = (e1 - e2) + (e2 - e3): two coefficient vectors, one root.
     "dependent": (
         HermitianCase("AIII", p=1, q=2),
-        (3, (weight([1, -1, 0]), weight([0, 1, -1]), weight([1, 0, -1])), (0,)),
+        (3, ((2, -2, 0), (0, 2, -2), (2, 0, -2)), (0,)),
         "duplicate positive roots",
     ),
     "two-noncompact": (
@@ -395,7 +444,7 @@ MALFORMED_SYSTEMS = {
     # alpha_1 = 2e1 - e2: 2<alpha_2, alpha_1>/<alpha_1, alpha_1> = -2/5.
     "non-crystallographic": (
         HermitianCase("AIII", p=1, q=2),
-        _with_simple(HermitianCase("AIII", p=1, q=2), 0, [2, -1, 0]),
+        _with_simple(HermitianCase("AIII", p=1, q=2), 0, (4, -2, 0)),
         "simple system is not crystallographic",
     ),
     # e2, e1 - e2, e3 - e2: every Cartan integer is exact, but e1 - e2 and
@@ -404,21 +453,21 @@ MALFORMED_SYSTEMS = {
     # and the nilradical's sum 4e1 + e3 pairs to 1 with the Levi root e3.
     "zeta-orthogonal": (
         CI3,
-        (3, (weight([0, 1, 0]), weight([1, -1, 0]), weight([0, -1, 1])), (1,)),
+        (3, ((0, 2, 0), (2, -2, 0), (0, -2, 2)), (1,)),
         "zeta not orthogonal to the Levi",
     ),
     # -e2, e2 - e3, 2e3: every Cartan integer is exact, but
     # 2(-e2) + 2(e2 - e3) + 2e3 = 0.  The system is of affine type: its
     # coefficient vectors never run out, while its roots repeat.
-    "affine": (CI3, _with_simple(CI3, 0, [0, -1, 0]), "duplicate positive roots"),
+    "affine": (CI3, _with_simple(CI3, 0, (0, -2, 0)), "duplicate positive roots"),
     # alpha_1 with +1/2 in place of -1/2 at e6: off the E6 subspace.
     "off-e6": (
         HermitianCase("EIII"),
-        _with_simple(HermitianCase("EIII"), 0, "1/2 -1/2 -1/2 -1/2 -1/2 1/2 -1/2 1/2".split()),
+        _with_simple(HermitianCase("EIII"), 0, (1, -1, -1, -1, -1, 1, -1, 1)),
         "weight leaves the defining subspace",
     ),
     # dot(a, a) = 0 would divide the crystallographic check by zero.
-    "zero": (CI3, _with_simple(CI3, 2, [0, 0, 0]), "zero simple root"),
+    "zero": (CI3, _with_simple(CI3, 2, (0, 0, 0)), "zero simple root"),
 }
 
 
