@@ -46,14 +46,12 @@ Fraction by str, and an integer m over a denominator den as str writes
 m/den, through one memo per denominator (_Ratios), which makes each
 distinct m's text once.  Every weight of a datum that a command writes
 (datum-dump's fields, classify's support terms, class members, witness and
-base point) is written from the datum's integers (`_groups`), each weight
-group over its denominator, and each field datum-dump writes from its own
-group, so no command reads a `Fraction` field of the datum.  A datum
-without them, such as one built by its constructor alone, is an invariant
-violation for every such writer (exit 3).  classify writes its
-representatives from the integers of its certificate (see below).
-Integer flags take ASCII digits with an optional sign only, as rationals
-do.
+base point) is written from the datum's integers
+(`ParabolicRootDatum.groups`), each weight group over its denominator, and
+each field datum-dump writes from its own group, so no command reads a
+`Fraction` field of the datum.  classify writes its representatives from
+the integers of its certificate (see below).  Integer flags take ASCII
+digits with an optional sign only, as rationals do.
 
 Every command and flag is declared once, in _COMMANDS: each command's
 handler and help text, and each flag's default, whether it is required,
@@ -470,17 +468,6 @@ def _texts(group) -> list[tuple[str, ...]]:
     return [tuple(map(text, v)) for v in vectors]
 
 
-def _groups(datum):
-    """The datum's weight groups (`ParabolicRootDatum._integers`): rho, zeta,
-    theta_u, the nilradical, Levi positive, Levi simple and simple roots,
-    the noncompact simple root and gamma, each (integer vectors,
-    denominator).  Every weight of a datum that cli writes is written from
-    them."""
-    if datum._integers is None:
-        raise InvariantError(f"{datum.case.label}: the datum holds no record of its doubled roots")
-    return datum._integers
-
-
 def _case_json(case: HermitianCase) -> dict:
     fields = {"tag": case.tag, "p": case.p, "q": case.q, "n": case.n}
     return {k: v for k, v in fields.items() if v is not None}
@@ -525,7 +512,7 @@ def _classify_case(case: HermitianCase):
     roots["pretty"] holds it as the pretty certificate writes it.
     """
     datum = build_datum(case)
-    nilradical = _texts(_groups(datum)[3])
+    nilradical = _texts(datum.groups[3])
     roots = {
         field: tuple([_dumps(t, indent) for t in nilradical])
         for field, indent in _ROOT_INDENTS.items()
@@ -970,7 +957,7 @@ def cmd_datum_dump(args) -> int:
     """The datum as JSON, every weight written from its own group of the datum's integers."""
     case = _case(args)
     datum = build_datum(case)
-    rho, zeta, theta_u, nilradical, _, levi_simples, simples, noncompact, gamma = _groups(datum)
+    rho, zeta, theta_u, nilradical, _, levi_simples, simples, noncompact, gamma = datum.groups
     (rho,), (zeta,), (theta_u,), (noncompact,), (gamma,) = map(_texts, (rho, zeta, theta_u, noncompact, gamma))
     payload = {
         "case": _case_json(case),

@@ -22,10 +22,9 @@ coefficient vector, so it adds |k| times column i of the Cartan matrix to
 the pairings and |k| times the doubled alpha_i to the coordinates, each
 only where that column or that root is nonzero: the walk computes no dot
 product.  Nor does the simple roots' Gram matrix, summed over the
-coordinates they share.  `_derive` works in these integers and makes
-`Fraction`s only for the fields it returns, one per distinct doubled
-coordinate of the roots.  It checks the datum as it builds it, in integers
-on those vectors:
+coordinates they share.  `_derive` works in these integers alone and
+makes no `Fraction`.  It checks the datum as it builds it, in integers on
+those vectors:
 
 - every simple root has the ambient dimension and is nonzero;
 - the system is crystallographic: every 2*dot(a, b) / dot(a, a) over two
@@ -43,42 +42,42 @@ on those vectors:
   realizes E6 or E7.
 
 Data are built once per case and cached; every field of a datum is an
-immutable value, safe to share across threads.  Each datum also derives, on
-first use, an integer view of itself (`IntegerView`) for the c-free chamber
-arithmetic of the oracle.  The view holds only the datum's own scaled
-numbers and the dots among them that `weyl`'s descent reads in place of
-recomputing them, plus one dict in which `weyl` keeps a record per root of
-that root's scalar line: its singular levels and its certified words,
-built once the root's Levi integrality is checked.  `weyl` replaces a
-root's immutable record whole and writes no other, so a datum and its
-view may be shared across threads: a lost update loses only a word,
-which the next request finds again.
+immutable value, safe to share across threads (two threads that make the
+first read of a `Fraction` field at once each derive it, to equal values).
+Each datum also derives, on first use, an integer view of itself
+(`IntegerView`) for the c-free chamber arithmetic of the oracle.  The view
+holds only the datum's own scaled numbers and the dots among them that
+`weyl`'s descent reads in place of recomputing them, plus one dict in which
+`weyl` keeps a record per root of that root's scalar line: its singular
+levels and its certified words, built once the root's Levi integrality is
+checked.  `weyl` replaces a root's immutable record whole and writes no
+other, so a datum and its view may be shared across threads: a lost update
+loses only a word, which the next request finds again.
 
-The view is scaled from six weight groups (`Group`): rho, zeta, theta_u,
-the nilradical roots, the Levi positive roots and the Levi simple roots,
-each as integer vectors over one denominator.  D is the lcm of the groups'
-denominators in lowest terms, and each group is scaled by D over its
-denominator.  A datum `_derive` returns keeps its groups
-(`ParabolicRootDatum._integers`), attached after the constructor, in the
-integers the build already holds: 4*rho (the column sums of the doubled
-positive roots) over 4, zeta and theta_u as nil2 * dot(b, b) over
-4*dot(nil2, b) for their root b, and the roots' doubled vectors over 2.
-Three more groups follow the six, each of doubled vectors over 2: the
-simple roots, the noncompact simple root and gamma.  So each root field
-that output writes has its own group, aligned with the field, and no root
-is found by its tuple.  Its view makes no `Fraction`, and output writes
+A datum is its case and nine weight groups (`Group`), each integer
+vectors over one denominator, in the integers the build already holds:
+4*rho (the column sums of the doubled positive roots) over 4, zeta and
+theta_u as nil2 * dot(b, b) over 4*dot(nil2, b) for their root b, then the
+nilradical roots, the Levi positive roots, the Levi simple roots, the
+simple roots, the noncompact simple root and gamma, each as doubled
+vectors over 2.  So each root field that output writes has its own group,
+aligned with the field, and no root is found by its tuple.  Output writes
 every weight of the datum from these integers, with no `Fraction`
-formatted per coordinate.  The record is left out of the datum's repr
-(which tests pin by sha256) and equality.  Any other datum, such as a
-copy with some fields changed, reads the class's None and makes its six
-groups from its `Fraction` fields, each over that field's lcm; one rule
-scales both.
+formatted per coordinate.  The datum's ten `Fraction` fields (rho, zeta,
+theta_u and the root fields) are derived from the groups on the first
+read of any of them, all together, with one `Fraction` per distinct value,
+and then kept; no request reads them.  Its repr (which tests pin by
+sha256), equality and hash run over those fields, not the groups.
+
+The view is scaled from the first six groups: rho, zeta, theta_u, the
+nilradical roots, the Levi positive roots and the Levi simple roots.  D is
+the lcm of the groups' denominators in lowest terms, and each group is
+scaled by D over its denominator, so the view makes no `Fraction` either.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import chain
@@ -159,12 +158,11 @@ Group = tuple[tuple[IntVector, ...], int]
 class ParabolicRootDatum(Record):
     """The full exact root datum of one case instance.
 
-    `_integers` holds the weight groups the view is scaled from and output
-    writes the weights from, one per field written (see the module
-    docstring).  Only `_derive` attaches it, after the constructor; it
-    takes no part in repr or equality, and any other datum, such as a copy
-    with some fields changed, reads the class's None: its fields need not
-    match any record.
+    It is built from its case and its nine weight groups (`groups`, in the
+    order the module docstring lists them), and its ambient dimension is the
+    length of rho's vector.  The ten `Fraction` fields are derived from the
+    groups on the first read of any of them, all at once, and then kept;
+    repr, equality and hash run over the fields, not the groups.
     """
 
     _fields = (
@@ -172,11 +170,25 @@ class ParabolicRootDatum(Record):
         "positive_roots", "levi_positive", "nilradical_roots", "rho", "gamma", "zeta", "theta_u",
     )
 
-    _integers: tuple[Group, ...] | None = None
+    def __init__(self, case: HermitianCase, groups: tuple[Group, ...]):
+        set_field(self, "case", case)
+        set_field(self, "groups", groups)
+        set_field(self, "ambient_dim", len(groups[0][0][0]))
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the datum does not hold yet: a
+        # Fraction field before its first read.  Two threads that race here
+        # set equal values.
+        if name not in _FRACTION_FIELDS:
+            raise AttributeError(f"{type(self).__qualname__!r} object has no attribute {name!r}")
+        fields = _fraction_fields(self.groups)
+        for key, value in fields.items():
+            set_field(self, key, value)
+        return fields[name]
 
     @cached_property
     def integer_view(self) -> IntegerView:
-        """The datum scaled to integers; derived from the fields on first use."""
+        """The datum scaled to integers; derived from its groups on first use."""
         return _integer_view(self)
 
 
@@ -203,10 +215,10 @@ class IntegerView(Record):
     D is the least common denominator of rho, zeta, theta_u, the
     nilradical roots and the Levi positive and simple roots, the weights
     the view scales, so each vector below is D times the datum's weight of
-    the same name, in plain integers.  They are scaled from the datum's
-    weight groups by one rule, whichever source made the groups (see the
-    module docstring).  A root's pairing <v, alpha^v> is then
-    2*dot(v, A) / dot(A, A) for the scaled root A, free of D.
+    the same name, in plain integers, scaled from the datum's first six
+    weight groups (see the module docstring).  A root's pairing
+    <v, alpha^v> is then 2*dot(v, A) / dot(A, A) for the scaled root A,
+    free of D.
     `theta_rho` = dot(R, T) for R = D*rho and T = D*theta_u.  `rho_bound`
     and `root_bound` are one more than the integer square roots of
     dot(R, R) and of the largest nilradical norm dot(B, B), so they exceed
@@ -406,17 +418,24 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         degenerate or set(noncompact) == {noncompact[0]},
         "Levi simples are not the simple system minus the noncompact root",
     )
-    nil_coeffs = [c for c in doubled if any(c[i] > 0 for i in noncompact)]
-    levi_coeffs = [c for c in doubled if not any(c[i] > 0 for i in noncompact)]
+    # The walk only adds to coefficients, so they are nonnegative: a root is
+    # in the nilradical exactly when its noncompact coefficients sum above 0.
+    nil_coeffs, levi_coeffs, widths = [], [], set()
+    for c in doubled:
+        width = sum([c[i] for i in noncompact])
+        if width:
+            nil_coeffs.append(c)
+            widths.add(width)
+        else:
+            levi_coeffs.append(c)
     # Greatest height; only DI(2) ties, and takes the larger root e1 + e2.
     top = max(nil_coeffs, key=lambda c: (sum(c), doubled[c]))
     # Noncompact coefficient 1 throughout: no two nilradical roots sum to a root.
+    need(widths == {1}, "nilradical is not abelian")
+    # top dominates every vector exactly when it is their coordinatewise max,
+    # as it is one of them.
     need(
-        all(sum(c[i] for i in noncompact) == 1 for c in nil_coeffs),
-        "nilradical is not abelian",
-    )
-    need(
-        degenerate or all(all(map(operator.le, c, top)) for c in doubled),
+        degenerate or tuple(map(max, zip(*doubled))) == top,
         "gamma is not the highest root",
     )
 
@@ -435,16 +454,11 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
         "weight leaves the defining subspace",
     )
 
-    # One Fraction per distinct doubled coordinate.  Halving is monotone, so
-    # sorting the doubled vectors gives the lexicographic order of the roots,
-    # which keeps every downstream listing (supports, certificates, JSON
-    # dumps) byte-stable.
-    halves = {x: Fraction(x, 2) for x in set().union(*doubled.values())}
-    roots = {w: tuple(map(halves.__getitem__, w)) for w in doubled.values()}
-    nil = {doubled[c] for c in nil_coeffs}
-    order = sorted(roots)
-    nil_order = tuple([w for w in order if w in nil])
-    levi_order = tuple([w for w in order if w not in nil])
+    # Sorting the doubled vectors gives the lexicographic order of the
+    # roots, as halving is monotone, which keeps every downstream listing
+    # (supports, certificates, JSON dumps) byte-stable.
+    nil_order = tuple(sorted([doubled[c] for c in nil_coeffs]))
+    levi_order = tuple(sorted([doubled[c] for c in levi_coeffs]))
     levi_twice = tuple([w for i, w in enumerate(twice) if i not in noncompact])
 
     def along_nil(b: IntVector) -> Group:
@@ -456,48 +470,52 @@ def _derive(case: HermitianCase) -> ParabolicRootDatum:
     # rho is half the sum of the positive roots: 4*rho sums their doubles
     rho = (tuple(map(sum, zip(*doubled.values()))),), 4
     zeta, theta_u = along_nil(doubled[top]), along_nil(twice[noncompact[0]])
-    simples = tuple(map(roots.__getitem__, twice))
-    datum = ParabolicRootDatum(
-        case=case,
-        ambient_dim=dim,
-        simple_roots=simples,
-        levi_simples=tuple(map(roots.__getitem__, levi_twice)),
-        noncompact_simple=simples[noncompact[0]],
-        positive_roots=tuple(map(roots.__getitem__, order)),
-        levi_positive=tuple(map(roots.__getitem__, levi_order)),
-        nilradical_roots=tuple(map(roots.__getitem__, nil_order)),
-        rho=_weight(rho),
-        gamma=roots[doubled[top]],
-        zeta=_weight(zeta),
-        theta_u=_weight(theta_u),
-    )
     # the six groups the view scales, then the other root fields written
     groups = rho, zeta, theta_u, (nil_order, 2), (levi_order, 2), (levi_twice, 2)
     groups += (twice, 2), ((twice[noncompact[0]],), 2), ((doubled[top],), 2)
-    set_field(datum, "_integers", groups)
-    return datum
+    return ParabolicRootDatum(case, groups)
 
 
-def _weight(group: Group) -> Weight:
-    """The one weight of a group."""
-    (v,), den = group
-    return tuple([Fraction(x, den) for x in v])
+_FRACTION_FIELDS = ParabolicRootDatum._fields[2:]
 
 
-def _group(weights: tuple[Weight, ...]) -> Group:
-    """Weights as integer vectors over the lcm of their denominators."""
-    den = math.lcm(*[x.denominator for w in weights for x in w])
-    return tuple([tuple([x.numerator * (den // x.denominator) for x in w]) for w in weights]), den
+def _fraction_fields(groups: tuple[Group, ...]) -> dict[str, Weight | tuple[Weight, ...]]:
+    """The datum's ten `Fraction` fields, from its nine groups.
+
+    Every group is brought to the lcm of their denominators, and one
+    `Fraction` is made per distinct value over it, shared across fields.
+    The positive roots are the nilradical and Levi roots, sorted.
+    """
+    common = math.lcm(*[den for _, den in groups])
+    made = {}
+
+    def scaled(group: Group) -> list[IntVector]:
+        vectors, den = group
+        return [tuple([x * (common // den) for x in v]) for v in vectors]
+
+    def weights(vectors: list[IntVector]) -> tuple[Weight, ...]:
+        for x in set().union(*vectors).difference(made):
+            made[x] = Fraction(x, common)
+        return tuple([tuple(map(made.__getitem__, v)) for v in vectors])
+
+    rho, zeta, theta_u, nil, levi, levi_simples, simples, noncompact, gamma = map(scaled, groups)
+    return {
+        "simple_roots": weights(simples),
+        "levi_simples": weights(levi_simples),
+        "noncompact_simple": weights(noncompact)[0],
+        "positive_roots": weights(sorted(nil + levi)),
+        "levi_positive": weights(levi),
+        "nilradical_roots": weights(nil),
+        "rho": weights(rho)[0],
+        "gamma": weights(gamma)[0],
+        "zeta": weights(zeta)[0],
+        "theta_u": weights(theta_u)[0],
+    }
 
 
 def _integer_view(d: ParabolicRootDatum) -> IntegerView:
-    """The datum's view, scaled from its first six weight groups: `_derive`'s
-    integers when the datum holds them (`ParabolicRootDatum._integers`), and
-    each of its `Fraction` fields over its own lcm when not."""
-    groups = d._integers[:6] if d._integers else [
-        _group(w)
-        for w in ((d.rho,), (d.zeta,), (d.theta_u,), d.nilradical_roots, d.levi_positive, d.levi_simples)
-    ]
+    """The datum's view, scaled from its first six weight groups."""
+    groups = d.groups[:6]
     # D is the lcm of the groups' denominators in lowest terms.  A group is
     # brought to lowest terms, by the gcd of its denominator and its
     # coordinates, only when its denominator does not divide the lcm so far:

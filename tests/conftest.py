@@ -8,16 +8,17 @@ used to cross-check the library's deterministic algorithms.
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from scalarverma import HermitianCase, build_datum
+from scalarverma import HermitianCase, build_datum, cli, ehw
 from scalarverma.ehw import ABCConstants
 from scalarverma.jantzen import ROUTE_EMPTY_SUPPORT, SimplicityVerdict
 from scalarverma.ratvec import Weight, inner, is_integer, pairing, reflect
-from scalarverma.rootdata import ParabolicRootDatum
+from scalarverma.rootdata import Group, ParabolicRootDatum
 
 # One representative per family plus the sizes the acceptance sweep uses.
 SWEEP_CASES = (
@@ -90,15 +91,45 @@ def reducible_reference(constants: ABCConstants, c) -> bool:
     )
 
 
+def group(weights: tuple[Weight, ...]) -> Group:
+    """Weights as integer vectors over the lcm of their denominators."""
+    den = math.lcm(*[x.denominator for w in weights for x in w])
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in w]) for w in weights]), den
+
+
+# The fields a copy's groups are made from, in the groups' order; a
+# one-weight field makes a group of one vector.
+GROUP_FIELDS = (
+    "rho", "zeta", "theta_u", "nilradical_roots", "levi_positive", "levi_simples",
+    "simple_roots", "noncompact_simple", "gamma",
+)
+ONE_WEIGHT_FIELDS = {"rho", "zeta", "theta_u", "noncompact_simple", "gamma"}
+
+
 def replaced(datum: ParabolicRootDatum, **changes) -> ParabolicRootDatum:
     """A datum with the given fields changed, rebuilt by the constructor.
 
-    Like dataclasses.replace on the former dataclass, the copy holds no
-    `doubled` record and derives its own integer view; an unknown field
-    name raises TypeError.
+    The copy's groups are made from its `Fraction` fields, each over that
+    field's lcm, a second source of groups beside `_derive`'s; so the copy
+    derives its own integer view and writes its own weights.  Its positive
+    roots and ambient dimension follow from the other fields, so changing
+    either, or an unknown field, raises TypeError.
     """
-    fields = {name: getattr(datum, name) for name in ParabolicRootDatum._fields}
-    return ParabolicRootDatum(**{**fields, **changes})
+    unknown = set(changes) - {"case", *GROUP_FIELDS}
+    if unknown:
+        raise TypeError(f"replaced() cannot change {sorted(unknown)}")
+    fields = {name: getattr(datum, name) for name in ("case", *GROUP_FIELDS)} | changes
+    groups = tuple([
+        group((fields[name],) if name in ONE_WEIGHT_FIELDS else fields[name]) for name in GROUP_FIELDS
+    ])
+    return ParabolicRootDatum(fields["case"], groups)
+
+
+def clear_request_caches() -> None:
+    """Empty every cache a request fills: each case's datum, with its view and
+    memo, its line offset and constants, and cli's per-case parts."""
+    for cached in (build_datum, ehw.line_offset, ehw.abc_constants, cli._classify_case):
+        cached.cache_clear()
 
 
 def assert_grid_decides(line, ms, per_point, label=None) -> None:

@@ -20,7 +20,7 @@ import pytest
 
 import scalarverma
 from scalarverma.errors import Record
-from scalarverma.rootdata import IntegerView, NilradicalLevel
+from scalarverma.rootdata import IntegerView, NilradicalLevel, ParabolicRootDatum
 from scalarverma.weyl import ChamberForm
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -198,18 +198,19 @@ def test_derivable_fields_are_not_stored():
 
 def test_one_root_formatter_reads_the_doubled_record():
     # Every weight of a datum cli writes, roots and rho, zeta and theta_u
-    # alike, is written from the datum's integers (`_integers`), which hold
-    # the doubled roots: rootdata attaches and scales the record, one
-    # function of cli reads it, and no second record or writer of them is left.
-    assert _attribute_readers("_integers") == {"rootdata", "cli"}
+    # alike, is written from the datum's integers (`groups`), which hold
+    # the doubled roots: rootdata builds the datum from them and scales
+    # them, the two cli functions that write a datum's weights read them,
+    # and no second record or writer of them is left.
+    assert _attribute_readers("groups") == {"rootdata", "cli"}
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     readers = {
         f.name
         for f in ast.walk(tree)
         if isinstance(f, ast.FunctionDef)
-        and any(isinstance(n, ast.Attribute) and n.attr == "_integers" for n in ast.walk(f))
+        and any(isinstance(n, ast.Attribute) and n.attr == "groups" for n in ast.walk(f))
     }
-    assert readers == {"_groups"}
+    assert readers == {"_classify_case", "cmd_datum_dump"}
     assert _attribute_readers("doubled") == set()
     cli, ratvec = (importlib.import_module(f"scalarverma.{name}") for name in ("cli", "ratvec"))
     for module, name in ((cli, "_w"), (cli, "_lambda0"), (ratvec, "format_rational")):
@@ -362,6 +363,14 @@ def _records():
 RECORDS = _records()
 
 
+def _arguments(record) -> dict:
+    """The constructor arguments that rebuild record: its fields, by name,
+    or a datum's case and groups, from which it derives its fields."""
+    if isinstance(record, ParabolicRootDatum):
+        return {"case": record.case, "groups": record.groups}
+    return {field: getattr(record, field) for field in type(record)._fields}
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_records_are_frozen_values(name):
     # Each record's repr, equality and hash run over its declared fields
@@ -372,7 +381,7 @@ def test_records_are_frozen_values(name):
     values = {field: getattr(record, field) for field in cls._fields}
     inner = ", ".join(f"{field}={value!r}" for field, value in values.items())
     assert repr(record) == f"{name}({inner})"
-    copy = cls(**values)
+    copy = cls(**_arguments(record))
     assert copy is not record and copy == record and hash(copy) == hash(record)
     assert record != tuple(values.values()) and record != object()
     for field in (cls._fields[0], "extra"):
@@ -386,13 +395,13 @@ def test_records_are_frozen_values(name):
 
 
 def test_records_leave_their_private_state_out():
-    # A datum's integer record and a view's memo take no part in repr or
-    # equality, and a datum rebuilt from its fields holds no integer record.
+    # A datum's groups and a view's memo take no part in repr or equality:
+    # a datum rebuilt from its case and groups equals it.
     datum, view = RECORDS["ParabolicRootDatum"], RECORDS["IntegerView"]
-    rebuilt = type(datum)(**{field: getattr(datum, field) for field in datum._fields})
-    assert datum._integers is not None and rebuilt._integers is None and rebuilt == datum
-    assert "_integers" not in repr(datum) and "words" not in repr(view)
-    assert not {"_integers", "integer_view"} & set(datum._fields)
+    rebuilt = type(datum)(datum.case, datum.groups)
+    assert rebuilt == datum and rebuilt.groups is datum.groups
+    assert "groups" not in repr(datum) and "words" not in repr(view)
+    assert not {"groups", "integer_view"} & set(datum._fields)
     assert not hasattr(datum, "doubled")
     assert "words" not in view._fields
 
@@ -401,10 +410,11 @@ def test_records_leave_their_private_state_out():
 def test_records_share_one_constructor_contract(name):
     # Fields bind in `_fields` order, positionally or by keyword; a missing,
     # extra, unknown or repeated one is a TypeError.  HermitianCase alone
-    # defaults some fields (p, q and n to None).
+    # defaults some fields (p, q and n to None).  A datum's constructor
+    # takes its case and groups instead, by the same contract.
     record = RECORDS[name]
-    cls, fields = type(record), type(record)._fields
-    values = [getattr(record, field) for field in fields]
+    cls, arguments = type(record), _arguments(record)
+    fields, values = tuple(arguments), list(arguments.values())
 
     def after(k):
         """The fields from the k-th on, by keyword."""
@@ -427,11 +437,12 @@ def test_records_share_one_constructor_contract(name):
 
 
 def test_records_state_their_fields_once():
-    # Only two records define a constructor, each for what the base's
-    # cannot do (HermitianCase validates, the view keeps an attribute
-    # outside its fields), and none sets a field itself.  The datum's
-    # attributes outside its fields are attached by the build alone.
-    kept = {}
+    # Only three records define a constructor, each for what the base's
+    # cannot do: HermitianCase validates, the view keeps an attribute
+    # outside its fields, and the datum takes its case and groups, not its
+    # fields.  Only the datum's sets a field itself: its case, and the
+    # ambient dimension its groups give; the others it derives on first read.
+    kept, set_fields = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not (isinstance(node, ast.ClassDef) and "Record" in [getattr(b, "id", None) for b in node.bases]):
@@ -441,9 +452,12 @@ def test_records_state_their_fields_once():
             for init in kept[node.name]:
                 for call in ast.walk(init):
                     if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "set_field":
-                        assert call.args[1].value not in fields, (node.name, call.args[1].value)
+                        if call.args[1].value in fields:
+                            set_fields.add((node.name, call.args[1].value))
     assert set(kept) == set(RECORDS)
-    assert {name for name, inits in kept.items() if inits} == {"HermitianCase", "IntegerView"}
+    assert {name for name, inits in kept.items() if inits} == {
+        "HermitianCase", "IntegerView", "ParabolicRootDatum"}
+    assert set_fields == {("ParabolicRootDatum", "case"), ("ParabolicRootDatum", "ambient_dim")}
 
 
 def test_tables_read_the_cases_own_roots():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scalarverma
-from conftest import ADMISSIBLE_CASES, SWEEP_CASES, case_flags, replaced
+from conftest import ADMISSIBLE_CASES, SWEEP_CASES, case_flags, clear_request_caches, replaced
 from scalarverma import HermitianCase, InvariantError, build_datum
 from scalarverma import cli, ehw, jantzen, rootdata
 from scalarverma.cli import main
@@ -590,18 +590,9 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
 def test_classify_invariant_violation_exits_3(capsys, monkeypatch, fmt):
     # BI(3) at c = -1 holds a two-member class, which a theta_u that is not
     # Levi fixed splits; classify's walk raises, as the grid decision does.
-    # The crippled datum is handed the datum's integers with that theta_u,
-    # so the roots are written and its view scales the tampered theta_u.
+    # The crippled copy's groups hold that theta_u, so its view scales it.
     build = cli.build_datum
-
-    def crippled(case):
-        datum = build(case)
-        copy = replaced(datum, theta_u=weight([0, 1, 0]))
-        rho, zeta, _, *roots = datum._integers
-        set_field(copy, "_integers", (rho, zeta, (((0, 1, 0),), 1), *roots))
-        return copy
-
-    monkeypatch.setattr(cli, "build_datum", crippled)
+    monkeypatch.setattr(cli, "build_datum", lambda case: replaced(build(case), theta_u=weight([0, 1, 0])))
     cli._classify_case.cache_clear()
     try:
         code, out, err = run_cli(capsys, "classify", "--case", "BI", "--n", "3", "--c", "-1",
@@ -687,27 +678,26 @@ def test_datum_dump_formats_per_dimension_not_per_coordinate(capsys, monkeypatch
 
 
 def test_datum_dump_never_writes_a_stale_record(capsys, monkeypatch):
-    # A replaced datum holds no doubled-vector record, so its roots are never
-    # written from the record of the datum it was made from.
+    # A datum is its groups, and a tampered copy's groups are made from its
+    # own fields: its roots are written, never those of the datum it was
+    # made from.
     build = cli.build_datum
     tampered = weight([3, 0, 0])
-
-    def tampered_datum(case):
-        datum = build(case)
-        roots = datum.nilradical_roots
-        assert tampered not in roots
-        return replaced(datum, nilradical_roots=(tampered,) + roots[1:])
-
-    monkeypatch.setattr(cli, "build_datum", tampered_datum)
-    code, out, err = run_cli(capsys, "datum-dump", "--case", "CI", "--n", "3")
-    assert (code, out) == (3, "")
-    assert "invariant" in err and "doubled roots" in err
+    roots = build_datum(HermitianCase("CI", n=3)).nilradical_roots
+    assert tampered not in roots
+    monkeypatch.setattr(
+        cli, "build_datum", lambda case: replaced(build(case), nilradical_roots=(tampered,) + roots[1:])
+    )
+    code, out, _ = run_cli(capsys, "datum-dump", "--case", "CI", "--n", "3")
+    assert code == 0
+    written = json.loads(out)["nilradical_roots"]
+    assert tuple(map(_parsed, written)) == (tampered,) + roots[1:]
 
 
 @pytest.mark.parametrize("fmt", ["pretty", "json"])
 def test_classify_formats_no_root_coordinate(capsys, monkeypatch, fmt):
     # Every root classify writes, support term, class member or witness,
-    # takes its strings from the datum's doubled record: a request with
+    # takes its strings from the datum's groups: a request with
     # classify's per-case parts cold formats none of the roots' coordinates.
     case = HermitianCase("CI", n=20)
     datum = build_datum(case)
@@ -835,15 +825,18 @@ def test_classify_writes_no_record_and_no_fraction_per_term(capsys, monkeypatch)
 
 @pytest.mark.parametrize("fmt", ["pretty", "json"])
 def test_classify_never_writes_a_root_without_the_record(capsys, monkeypatch, fmt):
-    # As datum-dump: a replaced datum holds no doubled record, so classify
-    # refuses it before it writes anything.
+    # As datum-dump: every datum holds its groups, and a copy rebuilt from
+    # its fields writes its own roots, the bytes the datum itself writes.
+    argv = ("classify", "--case", "CI", "--n", "3", "--c", "0", "--format", fmt)
+    want = run_cli(capsys, *argv)
     build = cli.build_datum
     monkeypatch.setattr(cli, "build_datum", lambda case: replaced(build(case)))
     cli._classify_case.cache_clear()
-    code, out, err = run_cli(capsys, "classify", "--case", "CI", "--n", "3", "--c", "0",
-                             "--format", fmt)
-    assert (code, out) == (3, "")
-    assert err == "internal invariant violation: CI(3): the datum holds no record of its doubled roots\n"
+    try:
+        got = run_cli(capsys, *argv)
+    finally:
+        cli._classify_case.cache_clear()
+    assert got == want and want[0] == 0
 
 
 def test_datum_dump_notes_on_degenerate_case(capsys):
@@ -1065,16 +1058,12 @@ _UNREAD_CASES = [
 ]
 
 
-def _clear_request_caches():
-    for cached in (build_datum, ehw.line_offset, ehw.abc_constants, cli._classify_case):
-        cached.cache_clear()
-
-
 def test_requests_read_no_fraction_field_of_the_datum(capsys, monkeypatch):
-    # Each datum the build returns has its ten Fraction fields replaced by
-    # values that raise on any use, and keeps its integers: classify, scan,
-    # crosscheck and datum-dump write the same bytes and exit codes from
-    # those alone.  table reads the library's Fraction path by design.
+    # Each datum the build returns is made from the built datum's case and
+    # groups, with its ten Fraction fields set, before any read derives them,
+    # to values that raise on any use: classify, scan, crosscheck and
+    # datum-dump write the same bytes and exit codes from the groups alone.
+    # table reads the library's Fraction path by design.
     argvs = []
     for case in _UNREAD_CASES:
         flags = case_flags(case)
@@ -1090,17 +1079,18 @@ def test_requests_read_no_fraction_field_of_the_datum(capsys, monkeypatch):
 
     def poisoned(case):
         datum = derive(case)
-        copy = replaced(datum, **{name: _Poisoned(name) for name in _FRACTION_FIELDS})
-        set_field(copy, "_integers", datum._integers)
+        copy = rootdata.ParabolicRootDatum(case, datum.groups)
+        for name in _FRACTION_FIELDS:
+            set_field(copy, name, _Poisoned(name))
         return copy
 
-    _clear_request_caches()
+    clear_request_caches()
     monkeypatch.setattr(rootdata, "_derive", poisoned)
     try:
         got = [run_cli(capsys, *argv) for argv in argvs]
     finally:
         monkeypatch.undo()
-        _clear_request_caches()
+        clear_request_caches()
     for argv, result, expected in zip(argvs, got, want):
         assert result == expected, " ".join(argv)
     assert {code for code, _, _ in want} == {0}

@@ -9,14 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ADMISSIBLE_CASES, SWEEP_CASES, replaced
+from conftest import ADMISSIBLE_CASES, GROUP_FIELDS, ONE_WEIGHT_FIELDS, SWEEP_CASES, replaced
 from golden_tables import parse_pattern, pattern_string, sign_pattern_root
 from reference import orbit_reference
 from scalarverma import HermitianCase, InvariantError, build_datum, rootdata
 from scalarverma.cli import main
 from scalarverma.errors import set_field
 from scalarverma.ratvec import add, dot, inner, pairing, reflect, scale, weight
-from scalarverma.rootdata import CASE_TAGS, case_notes, scalar_parameter_weight
+from scalarverma.rootdata import CASE_TAGS, ParabolicRootDatum, case_notes, scalar_parameter_weight
 
 CASE_IDS = [c.label for c in SWEEP_CASES]
 
@@ -186,10 +186,8 @@ def test_root_fields_are_sorted(name):
         assert roots == tuple(sorted(roots)), case.label
 
 
-@pytest.mark.parametrize("case", [HermitianCase("CI", n=20), HermitianCase("DIII", n=20)],
-                         ids=["CI(20)", "DIII(20)"])
+@pytest.mark.parametrize("case", ADMISSIBLE_CASES, ids=[case.label for case in ADMISSIBLE_CASES])
 def test_cold_build_makes_fractions_per_dimension_not_per_coordinate(monkeypatch, case):
-    expected = build_datum(case)
     made = []
 
     def counting(*args):
@@ -198,18 +196,22 @@ def test_cold_build_makes_fractions_per_dimension_not_per_coordinate(monkeypatch
 
     monkeypatch.setattr(rootdata, "Fraction", counting)
     derived = rootdata._derive(case)
-    assert derived == expected
-    # rho, zeta and theta_u take one each per coordinate, the roots one per
-    # distinct doubled coordinate; one per coordinate of each root would be
-    # 20 * len(positive_roots).
-    assert len(made) <= 4 * expected.ambient_dim
-    # The derived datum's view comes from _derive's integers: it makes no
-    # Fraction and reads no field of the datum, each of which is blanked here.
-    made.clear()
-    for name in derived._fields:
-        set_field(derived, name, None)
-    assert repr(derived.integer_view) == repr(expected.integer_view)
+    # The build and its view make no Fraction: the view is scaled from the
+    # groups alone and reads no field of the datum, each blanked on a copy.
     assert made == []
+    blank = ParabolicRootDatum(case, derived.groups)
+    for name in derived._fields[2:]:
+        set_field(blank, name, None)
+    view = blank.integer_view
+    assert made == []
+    # The first field read derives all ten, with one Fraction per distinct
+    # value: one per coordinate of each root would be dim * len(positive_roots).
+    derived.rho
+    assert 0 < len(made) <= 4 * derived.ambient_dim, len(made)
+    monkeypatch.undo()
+    expected = build_datum(case)
+    assert derived == expected
+    assert repr(view) == repr(expected.integer_view)
 
 
 # sha256 of the admissible cases' integer-view reprs, joined by newlines:
@@ -227,14 +229,18 @@ def test_every_admissible_view_is_pinned(source):
 
 
 def test_one_view_from_two_sources():
-    # A derived datum's view comes from _derive's integers, a datum rebuilt
-    # by the constructor alone derives it from its Fraction fields: the two
-    # are the same view.
+    # A derived datum's view comes from _derive's integers; a copy rebuilt
+    # from its Fraction fields by the tests' `replaced` has groups over each
+    # field's lcm instead: the two are the same view.
+    other = 0
     for case in ADMISSIBLE_CASES:
         datum = build_datum(case)
         rebuilt = replaced(datum)
-        assert datum._integers is not None and rebuilt._integers is None, case.label
+        other += rebuilt.groups != datum.groups
+        assert rebuilt == datum, case.label
         assert repr(datum.integer_view) == repr(rebuilt.integer_view), case.label
+    # The build's rho is 4*rho over 4, a copy's over rho's own lcm, 1 or 2.
+    assert other == len(ADMISSIBLE_CASES)
 
 
 @pytest.fixture
@@ -273,7 +279,7 @@ def test_positive_roots_are_closed_under_simple_reflections():
     # Read off the datum's integers, with no walk: s_i takes every positive
     # root but alpha_i to another positive root, and alpha_i to -alpha_i.
     for case in ADMISSIBLE_CASES:
-        groups = build_datum(case)._integers
+        groups = build_datum(case).groups
         (nil, _), (levi, _), (simples, _) = groups[3], groups[4], groups[6]
         roots = set(nil) | set(levi)
         assert len(roots) == len(nil) + len(levi), case.label
@@ -314,24 +320,21 @@ def test_doubled_record_holds_twice_the_roots():
     # theta_u each over its own denominator, and the build's own doubled
     # vectors over 2, one group per root field written, each aligned with
     # its field and equal to it by value.
-    fields = (
-        "rho", "zeta", "theta_u", "nilradical_roots", "levi_positive", "levi_simples",
-        "simple_roots", "noncompact_simple", "gamma",
-    )
-    single = {"rho", "zeta", "theta_u", "noncompact_simple", "gamma"}
     for case in ADMISSIBLE_CASES:
         datum = build_datum(case)
-        groups = datum._integers
-        assert len(groups) == len(fields), case.label
-        for (vectors, den), name in zip(groups, fields):
+        groups = datum.groups
+        assert len(groups) == len(GROUP_FIELDS), case.label
+        for (vectors, den), name in zip(groups, GROUP_FIELDS):
             value = getattr(datum, name)
             written = tuple([tuple([Fraction(x, den) for x in v]) for v in vectors])
-            assert written == ((value,) if name in single else value), (case.label, name)
+            assert written == ((value,) if name in ONE_WEIGHT_FIELDS else value), (case.label, name)
             assert name in ("rho", "zeta", "theta_u") or den == 2, (case.label, name)
-    # Outside repr and equality, and never carried to a replaced datum.
-    assert "_integers" not in repr(datum)
-    assert replaced(datum) == datum
-    assert replaced(datum)._integers is None
+    # Outside repr and equality, and never carried to a replaced datum,
+    # whose groups the tests make from its own fields.
+    assert "groups" not in repr(datum)
+    copy = replaced(datum)
+    assert copy == datum
+    assert copy.groups != datum.groups and copy.groups == replaced(copy).groups
 
 
 def test_build_datum_caches():
@@ -384,7 +387,7 @@ def test_simple_tables_are_bourbakis_doubled():
         dim, simples, noncompact = rootdata._simple_system(case)
         assert type(simples) is tuple and all(type(a) is tuple for a in simples), case.label
         assert all(type(x) is int for a in simples for x in a), case.label
-        assert simples == build_datum(case)._integers[6][0], case.label
+        assert simples == build_datum(case).groups[6][0], case.label
         cartan = [[Fraction(2 * dot(a, b), dot(a, a)) for b in simples] for a in simples]
         assert cartan == _bourbaki_cartan(case), case.label
         index = NONCOMPACT_INDEX[case.tag](case)

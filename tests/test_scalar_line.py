@@ -24,12 +24,14 @@ on both paths.
 
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ADMISSIBLE_CASES, SWEEP_CASES, assert_grid_decides, replaced
+from conftest import ADMISSIBLE_CASES, SWEEP_CASES, assert_grid_decides, clear_request_caches, replaced
 from reference import line_record_reference, scaled_datum, scaled_descent, simplicity_oracle
 from scalarverma import (
     HermitianCase,
@@ -480,6 +482,85 @@ def test_a_wide_request_inside_a_walk_changes_no_verdict(monkeypatch):
         line = jantzen.ScalarGrid(datum, step)
         assert_grid_decides(line, grid, [(v.verdict, v.route) for v in clean], case)
         monkeypatch.setattr(jantzen, "_line_chamber", fetch)
+
+
+THREAD_CASES = [
+    HermitianCase("AIII", p=2, q=3), HermitianCase("CI", n=4), HermitianCase("BI", n=3),
+    HermitianCase("DIII", n=5), HermitianCase("EIII"), HermitianCase("EVII"), HermitianCase("CI", n=8),
+]
+
+
+def _thread_jobs():
+    """Mixed point and grid decisions over THREAD_CASES: (case, c) for
+    `_classify_point` at c = m/2, and (case, step, ms) for `ScalarGrid.decide`."""
+    jobs = []
+    for case in THREAD_CASES:
+        jobs += [(case, Fraction(m, 2)) for m in range(-16, 9)]
+        jobs += [(case, Fraction(1, 6), range(-40, 21)), (case, Fraction(1, 4), range(-24, 12))]
+    return jobs
+
+
+def _run_job(job):
+    case, *args = job
+    datum = build_datum(case)
+    if len(args) == 1:
+        return jantzen._classify_point(datum.integer_view, *args[0].as_integer_ratio())
+    step, ms = args
+    return jantzen.ScalarGrid(datum, step).decide(ms)
+
+
+def _first_reads(case):
+    """A datum's Fraction fields and its view, read first on a cold datum."""
+    datum = build_datum(case)
+    return datum._values(), repr(datum.integer_view)
+
+
+def test_threads_sharing_cold_data_decide_as_one_thread():
+    # A datum, its lazily derived fields and its view's memo may be shared
+    # across threads (the rootdata, weyl and jantzen docstrings).  Four
+    # threads start together on data from cleared caches: each makes the
+    # first reads of every datum's Fraction fields and view, then runs every
+    # job from its own offset, so that they fill one memo at once.  A tiny
+    # switch interval makes the threads interleave inside those calls; from
+    # Python 3.12 `cached_property` takes no lock.  Every result must be
+    # the one a single thread gets.
+    jobs = _thread_jobs()
+    clear_request_caches()
+    serial_reads = [_first_reads(case) for case in THREAD_CASES]
+    serial = [_run_job(job) for job in jobs]
+    clear_request_caches()
+    for case in THREAD_CASES:
+        build_datum(case)
+    threads, start = 4, threading.Barrier(4)
+    results = [None] * threads
+
+    def run(t):
+        try:
+            start.wait()
+            reads = [_first_reads(case) for case in THREAD_CASES]
+            offset = t * len(jobs) // threads
+            order = list(range(offset, len(jobs))) + list(range(offset))
+            results[t] = reads, {i: _run_job(jobs[i]) for i in order}
+        except BaseException as exc:  # reported below, in the test's thread
+            results[t] = exc
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=run, args=(t,)) for t in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+    finally:
+        sys.setswitchinterval(interval)
+        clear_request_caches()
+    for t, result in enumerate(results):
+        assert not isinstance(result, BaseException), (t, result)
+        reads, got = result
+        assert reads == serial_reads, t
+        for i, job in enumerate(jobs):
+            assert got[i] == serial[i], (t, job)
 
 
 def test_word_memo_is_used_and_bounded():
