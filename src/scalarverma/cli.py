@@ -29,6 +29,11 @@ Reducible set and the closed form, a contradiction a Reducible point the
 screen calls known simple or a Simple point it calls known reducible, and
 c is formatted only for the points it reports.
 
+table reflects rho + a*zeta in the nilradical roots of one case, in one
+loop: tables 1 and 2 take EIII's support roots at z = 9 and 10, those
+whose pairing with rho + a*zeta is a positive integer, and tables 3 and 4
+take EVII's roots, in the support or not, at the line parameter a.
+
 A grid's points are counted before `_grids` builds any datum, and its
 support terms before any point is decided: past MAX_GRID_POINTS or
 MAX_SUPPORT_TERMS the command exits 1.  crosscheck without --window takes
@@ -106,8 +111,8 @@ from .ehw import (
     screen_grid,
 )
 from .errors import InvariantError
-from .jantzen import REDUCIBLE, ROUTE_EMPTY_SUPPORT, SIMPLE, ScalarGrid, _classify_point, classify_scalar
-from .ratvec import add, inner, parse_ratio, parse_rational, reflect
+from .jantzen import REDUCIBLE, ROUTE_EMPTY_SUPPORT, SIMPLE, ScalarGrid, _classify_point
+from .ratvec import add, inner, is_integer, pairing, parse_ratio, parse_rational, reflect
 from .rootdata import CASE_TAGS, HermitianCase, build_datum, case_notes, scalar_parameter_weight
 
 # A scan window, or all the windows of one crosscheck together, hold at
@@ -550,7 +555,7 @@ def _classify(case: HermitianCase, c: tuple[int, int], fmt: str) -> str:
     view, offset, case_json, label, lambda0, roots = _classify_case(case)
     verdict, route, terms, certificate, witness, den = _classify_point(view, *c)
     c, z = _ratio(*c), _z(c, offset)
-    walls = [j for j, _, entry, _ in terms if entry is None]
+    walls = [j for j, _, entry in terms if entry is None]
     reps = []
     if certificate:
         text = _Ratios(den).__getitem__
@@ -564,7 +569,7 @@ def _classify(case: HermitianCase, c: tuple[int, int], fmt: str) -> str:
             f"support: {len(terms)} roots, {len(walls)} on walls",
         ]
         for rep, (_, net, members) in zip(reps, certificate):
-            betas = ", ".join(f"{texts[j]} ({_parity(word)})" for j, _, (_, _, _, _, word), _ in members)
+            betas = ", ".join(f"{texts[j]} ({_parity(word)})" for j, _, (_, _, _, _, word) in members)
             lines.append(f"  class rep {_pretty(rep)}  net {net:+d}: {betas}")
         if witness is not None:
             lines.append(f"witness: {texts[witness]}")
@@ -575,11 +580,11 @@ def _classify(case: HermitianCase, c: tuple[int, int], fmt: str) -> str:
         rep = _dumps(rep, " " * 6)
         written = [
             _MEMBER_JSON % (member[j], k, _parity(word), len(word))
-            for j, k, (_, _, _, _, word), _ in members
+            for j, k, (_, _, _, _, word) in members
         ]
         classes.append(_CLASS_JSON % (rep, net, _array(written, " " * 6)))
         if net:
-            written = [surviving[j] for j, _, _, _ in members]
+            written = [surviving[j] for j, _, _ in members]
             survivors.append(_CLASS_JSON % (rep, net, _array(written, " " * 6)))
     return _CLASSIFY_JSON % (
         case_json,
@@ -590,7 +595,7 @@ def _classify(case: HermitianCase, c: tuple[int, int], fmt: str) -> str:
         verdict,
         route,
         len(terms),
-        _array([support[j] for j, _, _, _ in terms], "  "),
+        _array([support[j] for j, _, _ in terms], "  "),
         _array([support[j] for j in walls], "  "),
         _array(classes, "  "),
         _array(survivors, "  "),
@@ -780,31 +785,28 @@ def cmd_scan(args) -> int:
 
 def _table_rows(table_id: int, a_value: Fraction | None):
     # Each row is a nilradical root with e6 = -1/2 (EIII) or +1/2 (EVII),
-    # named by the signs of its e1..e5.
+    # named by the signs of its e1..e5, and its reflection of rho + a*zeta.
     header = ("pattern", "e1", "e2", "e3", "e4", "e5")
     if table_id in (1, 2):
-        # The rows are the support terms of the EIII point at z = 9 or 10.
-        case = HermitianCase("EIII")
-        z = Fraction(9) if table_id == 1 else Fraction(10)
-        terms = classify_scalar(case, z - line_offset(case)).terms
-        rows = [(t.beta, t.image[:5]) for t in terms if t.beta[5] == Fraction(-1, 2)]
-        meta = {"case": "EIII", "z": str(z)}
+        # The rows are the support terms of the EIII point at z = 9 or 10:
+        # the roots whose pairing with rho + a*zeta is a positive integer.
+        case, z = HermitianCase("EIII"), Fraction(8 + table_id)
+        a_value, half, meta = z - line_offset(case), Fraction(-1, 2), {"case": "EIII", "z": str(z)}
     else:
         # Every root reflects rho + a*zeta, a support term or not; table 4
         # leaves out the root whose e1..e5 are all negative.
-        datum = build_datum(HermitianCase("EVII"))
-        mu = add(scalar_parameter_weight(datum, a_value), datum.rho)
-        rows = []
-        for beta in datum.nilradical_roots:
-            if beta[5] == Fraction(1, 2) and (table_id == 3 or max(beta[:5]) > 0):
-                image = reflect(mu, beta)
-                if table_id == 4:
-                    rows.append((beta, image[:5]))
-                else:
-                    rows.append((beta, (*image[5:], inner(image, datum.theta_u))))
-        if table_id == 3:
-            header = ("pattern", "e6", "e7", "e8", "theta")
-        meta = {"case": "EVII", "a": str(a_value)}
+        case, half, meta = HermitianCase("EVII"), Fraction(1, 2), {"case": "EVII", "a": str(a_value)}
+    datum = build_datum(case)
+    mu = add(scalar_parameter_weight(datum, a_value), datum.rho)
+    rows = []
+    for beta in datum.nilradical_roots:
+        k = pairing(mu, beta)
+        support = k > 0 and is_integer(k)
+        if beta[5] == half and (support if table_id < 3 else table_id == 3 or max(beta[:5]) > 0):
+            image = reflect(mu, beta)
+            rows.append((beta, (*image[5:], inner(image, datum.theta_u)) if table_id == 3 else image[:5]))
+    if table_id == 3:
+        header = ("pattern", "e6", "e7", "e8", "theta")
     named = [("".join("-" if x < 0 else "+" for x in beta[:5]), vals) for beta, vals in rows]
     # By how many signs are negative, then by where they sit.
     named.sort(key=lambda row: (row[0].count("-"), [i for i, s in enumerate(row[0]) if s == "-"]))

@@ -19,21 +19,18 @@ level k and keeps what it learns of each root's line: a level on one of
 beta's Levi walls is Singular, and off them a memoized Weyl word gives the
 representative, certified dominant at that level by the interval of
 levels stored with the word, or a fresh descent, which needs no wall scan
-of its own, finds the word and stores its interval.  A walk packs each
-entry's w*R and w*B into integers, P(u) = sum of u[i] * 2**(s*(d-1-i)),
-so the class key of the representative at level k is P(w*R) - k*P(w*B),
-one multiply-subtract.  P is linear, and injective and ordered as tuples
-are while each coordinate lies below 2**(s-1) in magnitude; Levi
-reflections are orthogonal, so a coordinate of the representative at
-level k is at most |R| + k*|B|, and `_line_width` derives the width s
-from the data and the walk's own highest level.  The decision forms no
-vector: the verdict and route come from integer sign sums per class key.
-`_classify_point` is that decision with its certificate in integers: the
-entries the walk fetched (root index, level, entry), and the classes in
-key order, each with its representative as numerators over one
-denominator, its members and the net sign its sum gave.  The
-representative is built there alone, once per class, from the class's
-first member.  The command line writes its text straight from that
+of its own, finds the word and stores its interval.  The entry's w*R and
+w*B give the representative at level k as w*R - k*w*B, the class's key,
+and the entry's word its parity.
+
+`_classify_point` decides one point in one pass over the nilradical: each
+support root makes one fetch, and its term (root index, level, entry)
+joins the class of its key.  A class's net sign is the sum of its
+members' parities, and the classes run in key order, which is the order
+of their representatives, as the representatives share c*zeta.  Its
+certificate is in integers: the terms, and the classes, each with its
+representative as numerators over one denominator, its members and its
+net sign.  The command line writes its text straight from that
 certificate, and `classify_scalar` unscales it to its records: the terms,
 classes and witness, the only rationals, each regular term taking its
 class's representative.  The same criterion in rational arithmetic, on
@@ -47,17 +44,18 @@ congruence; the grid's support terms are counted from those progressions
 before any is decided.  A point no progression visits is Simple by the
 empty-support route, at no cost per root, and is left out of the
 decision, which holds the verdict and route of the visited points only.
-
-Both run one term walk, `_walk`: each support root comes as a progression
-of points with its levels, a single point for `_classify_point`.  The walk
-holds each root's current entry and decides every level inside its
-interval by the entry's key, going back to `weyl` only for a level past
-it.  It keeps the class sums and theta check per visited point and
-decides the verdict and route of the visited points alone.  The packed
-pairs live in a table the caller owns, one per request, so a grid packs
-each entry once per width however many blocks fetch it, and no width is
-shared between requests: a datum and its memo may be shared across
-threads.
+Its walk, `_walk`, holds each root's current entry and decides every
+level inside the entry's interval by the entry's key, going back to
+`weyl` only for a level past it.  There the key is packed into one
+integer: P(u) = sum of u[i] * 2**(s*(d-1-i)), so the key at level k is
+P(w*R) - k*P(w*B), one multiply-subtract.  P is linear, and injective and
+ordered as tuples are while each coordinate lies below 2**(s-1) in
+magnitude; Levi reflections are orthogonal, so a coordinate of the
+representative at level k is at most |R| + k*|B|, and `_line_width`
+derives the width s from the data and the walk's own highest level.  The
+packed pairs live in a table the grid owns, so a grid packs each entry
+once per width however many blocks fetch it, and no width is shared
+between requests: a datum and its memo may be shared across threads.
 
 Only exact rational parameters are accepted: a float or a bool raises
 ValueError.  A parameter with irrational or non-real scalar part would make
@@ -140,7 +138,7 @@ def _line_width(view: IntegerView, top: int) -> int:
 
 
 def _walk(view: IntegerView, walks, size: int, packs: dict):
-    """Decide the points 0 .. size-1 from per-root walks.
+    """Decide the grid points 0 .. size-1 from per-root walks.
 
     `walks` lists, per root j, (j, index of its first point, period, its
     level there, level step): root j is in the support at every period-th
@@ -157,10 +155,7 @@ def _walk(view: IntegerView, walks, size: int, packs: dict):
     every term, so the c-free part stands for the term's theta value.
     Returns the (verdict, route) of each point a walk visits, by its index,
     so a point missing from it has an empty support and is Simple by
-    `empty_support`; the entries fetched from `weyl` as (j, k, entry,
-    packed pair), or (j, k, None, None) on a wall, in walk order, one per
-    term when each walk has one point; and the class sums of each visited
-    point by its index.  Nothing is built per point a walk skips.  A theta
+    `empty_support`.  Nothing is built per point a walk skips.  A theta
     split raises InvariantError once every term has passed its own checks,
     as the rational reference raises it.
     """
@@ -172,14 +167,13 @@ def _walk(view: IntegerView, walks, size: int, packs: dict):
     theta_rho = view.theta_rho
     # per visited point, by index: its classes' [net sign, theta value]
     points: dict[int, dict[int, list[int]]] = {}
-    fetched = []
     split = False
     for j, start, period, k, rise in walks:
         theta_root = view.nilradical[j].theta_root
         hi = 0
         for i in range(start, size, period):
             if k > hi:
-                entry = pair = _line_chamber(view, j, k)
+                entry = _line_chamber(view, j, k)
                 if entry is None:
                     hi = k
                 else:
@@ -189,7 +183,6 @@ def _walk(view: IntegerView, walks, size: int, packs: dict):
                         pair = packed[j, lo] = _pack(wr, width), _pack(wb, width)
                     pr, pb = pair
                     sign = -1 if len(word) & 1 else 1
-                fetched.append((j, k, entry, pair))
             classes = points.get(i)
             if classes is None:
                 classes = points[i] = {}
@@ -207,46 +200,48 @@ def _walk(view: IntegerView, walks, size: int, packs: dict):
         raise InvariantError(_THETA_SPLIT)
     # a visited point has terms: Reducible exactly when a class sum survives
     survives, cancels = (REDUCIBLE, ROUTE_SUM_SURVIVES), (SIMPLE, ROUTE_SUM_CANCELS)
-    decided = {i: survives if any(n for n, _ in c.values()) else cancels for i, c in points.items()}
-    return decided, fetched, points
+    return {i: survives if any(n for n, _ in c.values()) else cancels for i, c in points.items()}
 
 
 def _classify_point(view: IntegerView, n: int, d: int):
     """Decide the scalar weight c * zeta, for c = n/d with d > 0, in
     integers, with its certificate.
 
-    Each support root is a one-point walk.  Returns (verdict, route, terms,
-    classes, witness, den): the terms are the walk's fetched (j, k, entry,
-    pair), one per support root in the datum's order, the entry None on a
-    wall; the classes are (rep, net sign, members) in key order, the members
-    being the class's terms in walk order and the net sign the walk's own
-    sum; the witness is the root index j of the first member of the first
-    class whose sum survives, or None.  rep is the class's representative
-    w*(rho - k*beta) + c*zeta as numerators over den = d*D, for the view's
-    denominator D: coordinate i is d*(wR_i - k*wB_i) + n*Z_i, read off the
-    class's first member.  Keys order as the scaled representatives do
-    (`_walk`), and unscaling is a coordinatewise increasing map, so the
-    classes order as their representatives.
+    One pass over the nilradical: root j's level is k = (a + c*b) / norm,
+    and j is in the support exactly when k is a positive integer.  Each
+    support root makes one fetch from `weyl`, and a regular term's class is
+    keyed by the c-free part of its representative, the tuple w*R - k*w*B,
+    which orders the classes as their representatives.  Returns (verdict,
+    route, terms, classes, witness, den): the terms are (j, k, entry), one
+    per support root in the datum's order, the entry None on a wall; the
+    classes are (rep, net sign, members) in key order, the members being
+    the class's terms in the datum's order and the net sign the sum of
+    their parities; the witness is the root index j of the first member of
+    the first class whose sum survives, or None.  rep is the class's
+    representative w*(rho - k*beta) + c*zeta as numerators over den = d*D,
+    for the view's denominator D: d*key + n*Z.  theta_u pairs with c*zeta
+    alike in every term, so the c-free theta_rho - k*theta_root stands for a
+    term's theta value; a class holding two raises InvariantError once every
+    term has been fetched.
     """
-    # k = (a + c*b) / norm, a positive integer on the support
-    walks = [
-        (j, 0, 1, num // (d * nil.norm), 0)
-        for j, nil in enumerate(view.nilradical)
-        if (num := d * nil.a + n * nil.b) > 0 and num % (d * nil.norm) == 0
-    ]
-    decided, terms, points = _walk(view, walks, 1, {})
-    verdict, route = decided.get(0, (SIMPLE, ROUTE_EMPTY_SUPPORT))
-    groups: dict[int, list[tuple]] = {}
-    for term in terms:
-        _, k, entry, pair = term
-        if entry is not None:
-            groups.setdefault(pair[0] - k * pair[1], []).append(term)
+    terms, groups = [], {}
+    for j, nil in enumerate(view.nilradical):
+        k, r = divmod(d * nil.a + n * nil.b, d * nil.norm)
+        if k > 0 and r == 0:
+            entry = _line_chamber(view, j, k)
+            terms.append((j, k, entry))
+            if entry is not None:
+                key = tuple([x - k * y for x, y in zip(entry[2], entry[3])])
+                groups.setdefault(key, []).append(terms[-1])
     classes = []
     for key, members in sorted(groups.items()):
-        _, k, (_, _, wr, wb, _), _ = members[0]
-        rep = [d * (r - k * b) + n * z for r, b, z in zip(wr, wb, view.zeta)]
-        classes.append((rep, points[0][key][0], members))
+        if len({view.theta_rho - k * view.nilradical[j].theta_root for j, k, _ in members}) > 1:
+            raise InvariantError(_THETA_SPLIT)
+        net = sum(-1 if len(entry[4]) & 1 else 1 for _, _, entry in members)
+        classes.append(([d * x + n * z for x, z in zip(key, view.zeta)], net, members))
     witness = next((members[0][0] for _, net, members in classes if net), None)
+    verdict = SIMPLE if witness is None else REDUCIBLE
+    route = ROUTE_SUM_SURVIVES if witness is not None else ROUTE_SUM_CANCELS if terms else ROUTE_EMPTY_SUPPORT
     return verdict, route, terms, classes, witness, d * view.denom
 
 
@@ -293,7 +288,7 @@ def classify_scalar(case_or_datum, c) -> SimplicityVerdict:
     # the image rho - k*beta + c*zeta, for c = n/d, is d*(R - k*B) + n*Z over
     # den; one support term per root, so a term is named by its root's index
     terms: dict[int, JantzenTerm] = {}
-    for j, k, entry, _ in fetched:
+    for j, k, entry in fetched:
         image = [d * (r - k * x) + n * z for r, x, z in zip(view.rho, view.nilradical[j].root, view.zeta)]
         rep, steps = (None, 0) if entry is None else (reps[j], len(entry[4]))
         terms[j] = JantzenTerm(datum.nilradical_roots[j], Fraction(k), unscale(image), ChamberForm(rep, steps))
@@ -359,7 +354,7 @@ class ScalarGrid:
         The dict is keyed by the point's index in ms and holds exactly the
         points with a nonempty support; a point missing from it is Simple by
         `empty_support`.  The same verdict and route as `classify_scalar` at
-        each point, from the same walk over the same terms; InvariantError
-        is raised once every term of the range has been decided.
+        each point, from the same terms; InvariantError is raised once every
+        term of the range has been decided.
         """
-        return _walk(self.view, list(self._walks(ms)), len(ms), self._packs)[0]
+        return _walk(self.view, list(self._walks(ms)), len(ms), self._packs)

@@ -33,7 +33,8 @@ dominant point of v(k)'s orbit.  Each entry is (lo, hi, w*R, w*B, w), and
 a term is served by the entry whose lo..hi holds its level, which
 certifies the representative at the term's own level; a level no entry
 holds is descended afresh and its interval stored.  The memo holds no
-packing width: `jantzen` packs an entry's w*R and w*B for its walks.  The
+packing width: `jantzen` keys a class by w*R - k*w*B itself at one point,
+and packs w*R and w*B into integers for a grid's walk.  The
 descent is `normalize`'s first-negative rule, step bound and errors, run
 on v and w*B together in integers, with no wall scan: R = D*rho is
 strictly Levi dominant, so R - k*B meets the wall of a Levi root A only

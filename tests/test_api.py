@@ -229,15 +229,15 @@ def test_no_object_is_found_by_identity():
 def test_classify_has_one_writer_of_one_certificate(monkeypatch):
     # Both formats of classify come from one writer, and a class's
     # representative is built in jantzen._classify_point alone: cli reads a
-    # memo entry's word, never its w*R or w*B, nor the pair packed from them.
+    # memo entry's word, never its w*R or w*B.
     cli = importlib.import_module("scalarverma.cli")
     for name in ("_classify_json", "_classify_pretty", "_representatives"):
         assert not hasattr(cli, name), name
     whole = cli._classify_point
 
     def blind(term):
-        j, k, entry, _ = term
-        return j, k, None if entry is None else (*entry[:2], None, None, entry[4]), None
+        j, k, entry = term
+        return j, k, None if entry is None else (*entry[:2], None, None, entry[4])
 
     def classify_point(view, n, d):
         verdict, route, terms, classes, witness, den = whole(view, n, d)
@@ -298,19 +298,27 @@ def test_each_decision_has_one_copy():
 
 
 def test_one_term_walk_serves_every_decision():
-    # classify_scalar and ScalarGrid hand their terms to one walk, which
-    # holds jantzen's only calls into weyl's scalar line, each entry's
-    # fetch, and jantzen's only calls of the walk's width and the packing,
-    # which live in jantzen, and its only theta-split raise.  jantzen takes
-    # nothing else of weyl's but the chamber form.
+    # jantzen calls into weyl's scalar line at two places, each entry's
+    # fetch: once in the grid's walk and once in _classify_point's pass
+    # over the nilradical.  The walk's width and the packing, which live in
+    # jantzen, are called in the grid's walk alone, and each of the two
+    # holds one theta-split raise.  _classify_point calls neither the walk
+    # nor the packing.  jantzen takes nothing else of weyl's but the
+    # chamber form.
     tree = ast.parse((PACKAGE / "jantzen.py").read_text(encoding="utf-8"))
-    walk = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_walk")
+    walk, point = (
+        next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == name)
+        for name in ("_walk", "_classify_point")
+    )
 
     def calls(node):
         return [n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)]
 
-    for name, count in (("_line_chamber", 1), ("_line_width", 1), ("_pack", 2)):
+    assert calls(tree).count("_line_chamber") == 2
+    assert calls(walk).count("_line_chamber") == calls(point).count("_line_chamber") == 1
+    for name, count in (("_line_width", 1), ("_pack", 2)):
         assert calls(tree).count(name) == calls(walk).count(name) == count, name
+    assert not {"_walk", "_line_width", "_pack"} & set(calls(point))
     imported = {
         alias.name
         for n in ast.walk(tree)
@@ -319,7 +327,8 @@ def test_one_term_walk_serves_every_decision():
     }
     assert imported == {"ChamberForm", "_line_chamber"}
     raises = [n for n in ast.walk(tree) if isinstance(n, ast.Raise) and "_THETA_SPLIT" in ast.unparse(n)]
-    assert len(raises) == 1 and raises[0] in list(ast.walk(walk))
+    assert len(raises) == 2
+    assert [sum(r in list(ast.walk(f)) for r in raises) for f in (walk, point)] == [1, 1]
 
 
 def test_one_copy_of_the_closed_form_and_the_screen():

@@ -1014,6 +1014,29 @@ def test_grid_path_bytes_pinned_on_every_case(capsys):
     assert digest.hexdigest() == GRID_PATH_SHA256
 
 
+# The sha256 of "<exit code>\n<stdout>" of classify on each sweep case at
+# c = m/2, m in -20..10, in both formats, in SWEEP_CASES order.
+CLASSIFY_SWEEP_SHA256 = "8aabbcfc93a167c7bc7af30e0c55830f62b0cc2eddbd4f474121acef178fba62"
+
+
+def test_classify_takes_none_of_the_grid_walk(capsys, monkeypatch):
+    # classify keys each class by its representative itself: it walks no
+    # progression, takes no packing width and packs nothing, and prints
+    # the same bytes.
+    def refuse(*args):
+        raise AssertionError("the grid's walk on the one-point path")
+
+    for name in ("_pack", "_line_width", "_walk"):
+        monkeypatch.setattr(jantzen, name, refuse)
+    digest = hashlib.sha256()
+    for case in SWEEP_CASES:
+        for m in range(-20, 11):
+            for fmt in ("json", "pretty"):
+                code, out, _ = run_cli(capsys, "classify", *case_flags(case), "--c", str(Q(m, 2)), "--format", fmt)
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == CLASSIFY_SWEEP_SHA256
+
+
 
 # The sha256 of the stdout of datum-dump on each admissible case, in
 # ADMISSIBLE_CASES order: every weight's text, which a check on the parsed

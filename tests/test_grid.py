@@ -65,12 +65,13 @@ CASES = [
 
 @pytest.mark.parametrize("case", CASES, ids=[c.label for c in CASES])
 def test_term_count_is_the_terms_decided(case, monkeypatch):
-    # Both paths hand their support to one walk, so they differ only in the
-    # enumeration: the (point, j, k) triples the walk decides.  The walk
-    # decides each triple by the entry it holds for root j when the entry's
-    # lo..hi holds k, and otherwise by the entry `weyl` gives it for (j, k),
-    # which it holds from then on; a wall level leaves it holding none.
+    # The grid's walk decides the (point, j, k) triples that classify_scalar
+    # holds as its terms, point by point.  The walk decides each triple by
+    # the entry it holds for root j when the entry's lo..hi holds k, and
+    # otherwise by the entry `weyl` gives it for (j, k), which it holds from
+    # then on; a wall level leaves it holding none.
     datum = build_datum(case)
+    index = {beta: j for j, beta in enumerate(datum.nilradical_roots)}
     triples, calls = [], []
 
     def walk(view, walks, size, packs):
@@ -104,9 +105,7 @@ def test_term_count_is_the_terms_decided(case, monkeypatch):
         grid = ScalarGrid(datum, step)
         per_root_test = []
         for m in ms:
-            triples.clear()
-            classify_scalar(datum, m * step)
-            per_root_test += [(m, j, k) for _, j, k in triples]
+            per_root_test += [(m, index[t.beta], t.level) for t in classify_scalar(datum, m * step).terms]
         triples.clear()
         calls.clear()
         grid.decide(ms)

@@ -177,9 +177,24 @@ def test_evii_named_witnesses():
         assert any(edge in {m.beta for m in g.members} for g in v.surviving)
 
 
-def test_witness_lies_in_first_surviving_class():
+def test_witness_lies_in_first_surviving_class(monkeypatch):
     v = oracle(HermitianCase("AIII", p=2, q=3), -1)
     assert v.witness in {m.beta for m in v.surviving[0].members}
+    # CI(3) at c = -1 has one surviving class, then two cancelled ones.
+    # Negated entries reverse the order of the class keys, so the cancelled
+    # classes come first, and the witness still comes from the survivor.
+    fetch = jantzen._line_chamber
+
+    def line_chamber(view, j, k):
+        entry = fetch(view, j, k)
+        return entry if entry is None else (*entry[:2], [-x for x in entry[2]], [-x for x in entry[3]], entry[4])
+
+    view = build_datum(HermitianCase("CI", n=3)).integer_view
+    assert [net for _, net, _ in _classify_point(view, -1, 1)[3]] == [1, 0, 0]
+    monkeypatch.setattr(jantzen, "_line_chamber", line_chamber)
+    *_, classes, witness, _ = _classify_point(view, -1, 1)
+    assert [net for _, net, _ in classes] == [0, 0, 1]
+    assert witness == classes[-1][2][0][0]
 
 
 def test_random_agreement_with_closed_form():
@@ -225,7 +240,7 @@ def surviving_classes(view, c):
     *_, classes, _, den = _classify_point(view, c.numerator, c.denominator)
     surviving = []
     for rep, net, members in classes:
-        levels = {k for _, k, _, _ in members}
+        levels = {k for _, k, _ in members}
         assert len(levels) == 1, (c, levels)
         if net:
             surviving.append((levels.pop(), net, rep))

@@ -421,9 +421,9 @@ WIDE = [(near, Fraction(1, t)) for near in (10**12, 10**40) for t in (2, 7)]
 ])
 def test_wide_levels_match_per_point_and_reference(case):
     # Levels near 10**12 and 10**40 need keys far wider than a machine
-    # word.  Point by point the walk's width steps up inside each window;
-    # the grid packs a window's first points at one width and the whole at
-    # a wider one.  The rational reference takes up to 15 s a point at rank
+    # word.  The width a grid walk over one point would take steps up
+    # inside each window; the grid packs a window's first points at one
+    # width and the whole at a wider one.  The rational reference takes up to 15 s a point at rank
     # 20, so past the sampled cases it decides only the widest window's
     # point at which the width stepped up; every point's classes are held
     # to the representatives of its terms.
@@ -436,7 +436,8 @@ def test_wide_levels_match_per_point_and_reference(case):
             got = classify_scalar(datum, m * step)
             assert_classes_are_the_representatives(got)
             per_point.append((got.verdict, got.route))
-            # the width the point's walk packs at, 0 on an empty support
+            # the width a grid walk over this one point would take, 0 on an
+            # empty support (classify itself packs nothing)
             width = max((jantzen._line_width(view, int(t.level)) for t in got.terms), default=0)
             widened = 0 < widest < width
             stepped += widened
